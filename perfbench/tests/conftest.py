@@ -1,0 +1,6 @@
+"""Put ``perfbench/`` on the path: its modules import each other flat."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
