@@ -144,14 +144,10 @@ class RaceClassifier(ConsistencyChecker):
     def __init__(
         self,
         max_pairs: int = 10_000,
-        tracer: Any | None = None,
         max_violations: int = 1000,
     ) -> None:
         super().__init__(max_violations=max_violations)
         self.max_pairs = max_pairs
-        #: optional repro.sim.trace.Tracer; classified races are marked
-        #: into it so race evidence lines up with the kernel event trace
-        self.tracer = tracer
         self.pairs: list[RacePair] = []
         self.pairs_dropped = 0
         self.pair_counts: dict[tuple[str, int, int, RaceClass], int] = {}
@@ -209,8 +205,6 @@ class RaceClassifier(ConsistencyChecker):
         express by its absence — so this only counts them for reporting.
         """
         self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
-        if self.tracer is not None:
-            self.tracer.mark(time, f"fault:{kind}")
 
     # -- Dsm.checker hooks ---------------------------------------------
     def on_write(
@@ -287,8 +281,6 @@ class RaceClassifier(ConsistencyChecker):
     def _record_pair(self, pair: RacePair) -> None:
         key = (pair.locn, pair.writer, pair.reader, pair.classification)
         self.pair_counts[key] = self.pair_counts.get(key, 0) + 1
-        if self.tracer is not None:
-            self.tracer.mark(pair.time, f"race:{pair.classification.value}:{pair.locn}")
         if len(self.pairs) >= self.max_pairs:
             self.pairs_dropped += 1
             return
@@ -400,9 +392,7 @@ class RaceClassifier(ConsistencyChecker):
         return "\n".join(lines)
 
 
-def attach_race_classifier(
-    dsm: Any, tracer: Any | None = None, max_pairs: int = 10_000
-) -> RaceClassifier:
+def attach_race_classifier(dsm: Any, max_pairs: int = 10_000) -> RaceClassifier:
     """Wire a fresh classifier into ``dsm`` and its VM; returns it.
 
     The classifier replaces ``dsm.checker`` (it *is* a
@@ -413,7 +403,7 @@ def attach_race_classifier(
     also becomes its observer so chaos-run verdicts come annotated with
     the injected-fault counts.
     """
-    classifier = RaceClassifier(max_pairs=max_pairs, tracer=tracer)
+    classifier = RaceClassifier(max_pairs=max_pairs)
     dsm.checker = classifier
     dsm.vm.observer = classifier
     injector = getattr(dsm.vm.network, "fault_injector", None)

@@ -183,10 +183,10 @@ def run_parallel_logic_sampling(
         owner = best_of(net.skeleton(), cfg.n_procs, tries=4, seed=cfg.seed)
     cut = _edge_cut(net.skeleton(), owner)
     defaults = net.default_values(seed=cfg.seed)
-    states = [ProcessorState(net, owner, p, defaults) for p in range(cfg.n_procs)]
-    if machine.kernel.obs is not None:
-        for st in states:
-            st.obs = machine.kernel.obs
+    states = [
+        ProcessorState(net, owner, p, defaults, obs=machine.kernel.obs)
+        for p in range(cfg.n_procs)
+    ]
     oracle = GvtOracle(cfg.n_procs)
     recorder = _BnRecorder()
     stage = _stage_of(net, owner)

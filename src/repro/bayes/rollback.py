@@ -157,6 +157,7 @@ class ProcessorState:
         owner: dict[int, int],
         proc: int,
         defaults: dict[int, int],
+        obs=None,
     ) -> None:
         self.net = net
         self.proc = proc
@@ -210,9 +211,8 @@ class ProcessorState:
         self.sent_versions: dict[tuple[int, int], int] = {}
         self.applied_versions: dict[tuple[int, int], int] = {}
         self.stats = RollbackStats()
-        #: the machine's repro.obs trace bus, wired in by the parallel
-        #: sampler after machine construction (None = tracing off)
-        self.obs = None
+        #: the machine's repro.obs trace bus (None = tracing off)
+        self.obs = obs
 
     # ------------------------------------------------------------------
     def input_value(self, u: int, t: int, oracle: GvtOracle) -> int:

@@ -1,11 +1,12 @@
-"""Golden determinism digests guarding the kernel fast path.
+"""Golden determinism digests guarding the kernel's scheduling order.
 
-The kernel optimisations (same-instant fast lane, type-tag dispatch,
-branch-lean run loop) promise *bit-identical* behaviour.  This module
-pins that promise three ways:
+The kernel optimisations (same-instant fast lane, type-tag dispatch)
+promise *bit-identical* behaviour.  This module pins that promise three
+ways:
 
-* ``kernel_trace`` — SHA-256 of the full event trace of a mixed
-  scheduling workload (pure-Python floats: platform-stable);
+* ``kernel_trace`` — SHA-256 of the bus trace of a mixed scheduling
+  workload, one record per executed event plus the kernel's ``proc.*``
+  events (pure-Python floats: platform-stable);
 * ``ga_result`` — digest of every numeric field of one small island-GA
   run (Global_Read, 2 demes);
 * ``bayes_result`` — digest of one small parallel logic-sampling run
@@ -24,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-from repro.sim import Kernel, Tracer
+from repro.obs.bus import TraceBus
 
 
 def _fold(h: "hashlib._Hash", value: Any) -> None:
@@ -68,13 +69,19 @@ def digest_values(*values: Any) -> str:
 
 
 def kernel_trace_digest(n_workers: int = 12, n_steps: int = 64) -> str:
-    """Trace digest of the mixed kernel workload (pure-Python floats)."""
+    """Trace digest of the mixed kernel workload (pure-Python floats).
+
+    The workload's processes mark the bus before every yield and the
+    kernel adds its ``proc.*`` events, so the trace holds each executed
+    event's exact time (``repr`` round-trip) in execution order: swapping
+    any two events, or moving one by an ulp, changes the digest.
+    """
     from repro.bench.micro import build_kernel_workload
 
-    tracer = Tracer()
-    kernel: Kernel = build_kernel_workload(n_workers, n_steps, tracer=tracer)
+    kernel = build_kernel_workload(n_workers, n_steps)
+    bus = kernel.obs = TraceBus(clock=lambda: kernel.now)
     kernel.run()
-    return digest_values(tracer.digest(), kernel.now, kernel.events_executed)
+    return digest_values(bus.digest(), kernel.now, kernel.events_executed)
 
 
 def ga_result_digest(seed: int = 7) -> str:
@@ -144,7 +151,7 @@ def bayes_result_digest(seed: int = 7) -> str:
 #: expected digests; regenerate with `python -m repro.bench --print-digests`
 #: after an *intentional* behaviour change (and say so in the PR).
 GOLDEN = {
-    "kernel_trace": "ea41742f3c46ccb7fa2c16304207b24a3db5737cc86a9a672e7a294c72e80e52",
+    "kernel_trace": "6b642c9f171f06bdb3efe16a351a0259780ac16747ea716bdb05574e7a792fb8",
     "ga_result": "ef359529eb245f017ce361128dd0087e5a373fb21d1701fc731809646d2b335b",
     "bayes_result": "e6c4a755cbbad4696d24fe88106d6dcea5fdb863713f4f615f766a31a007252a",
 }

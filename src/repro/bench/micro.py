@@ -19,51 +19,69 @@ from __future__ import annotations
 from repro.bench.harness import timed
 from repro.ga.functions import get_function
 from repro.ga.sga import run_serial_ga
-from repro.sim import Compute, Join, Kernel, Signal, WaitSignal, Yield
+from repro.sim import CompletionCounter, Compute, Join, Kernel, Signal, WaitSignal, Yield
 
 
 def build_kernel_workload(
-    n_workers: int = 40, n_steps: int = 300, seed: int = 1, tracer=None
+    n_workers: int = 40, n_steps: int = 300, seed: int = 1
 ) -> Kernel:
-    """A finite mixed workload touching every kernel scheduling path."""
-    kernel = Kernel(seed=seed, tracer=tracer)
+    """A finite mixed workload touching every kernel scheduling path.
+
+    Every process marks ``kernel.obs`` (kind ``bench.step``: its name and
+    step) before each of its yields, so with a bus attached every executed
+    event leaves exactly one record — that mark, or the kernel's
+    ``proc.done`` for a final resumption.  That trace is what
+    :func:`repro.bench.determinism.kernel_trace_digest` hashes.
+    """
+    kernel = Kernel(seed=seed)
     tick = Signal("tick")
     n_fires = n_steps // 4
 
-    def worker(i: int):
+    def mark(name: str, step: int) -> None:
+        if kernel.obs is not None:
+            kernel.obs.emit("bench.step", name=name, step=step)
+
+    def worker(name: str, i: int):
         for s in range(n_steps):
+            mark(name, s)
             yield Compute(0.0005 * ((i + s) % 7))  # mixes 0.0 and timed
             if (s & 15) == 0:
+                mark(name, s)
                 yield Yield()
 
     def ticker():
-        for _ in range(n_fires):
+        for s in range(n_fires):
+            mark("ticker", s)
             yield Compute(0.004)
             tick.fire()
 
-    def listener():
-        for _ in range(n_fires):
+    def listener(name: str):
+        for s in range(n_fires):
+            mark(name, s)
             yield WaitSignal(tick)
+            mark(name, s)
             yield Compute(0.0001)
 
     def joiner(handle):
+        mark("joiner", 0)
         result = yield Join(handle)
         return result
 
-    handles = [kernel.spawn(worker(i), name=f"w{i}") for i in range(n_workers)]
+    handles = [kernel.spawn(worker(f"w{i}", i), name=f"w{i}") for i in range(n_workers)]
     kernel.spawn(ticker(), name="ticker")
     for j in range(4):
-        kernel.spawn(listener(), name=f"l{j}")
+        kernel.spawn(listener(f"l{j}"), name=f"l{j}")
     kernel.spawn(joiner(handles[0]), name="joiner")
     return kernel
 
 
 def bench_kernel(n_workers: int = 40, n_steps: int = 300, repeat: int = 3) -> dict:
-    """Events/sec of the mixed workload under the no-tracer fast loop."""
+    """Events/sec of the mixed workload, driven the way every application
+    drives the kernel: ``run(stop_when=counter.all_done)``."""
 
     def one_run() -> int:
         kernel = build_kernel_workload(n_workers, n_steps)
-        kernel.run()
+        kernel.run(stop_when=CompletionCounter(kernel.processes).all_done)
         return kernel.events_executed
 
     events, best_s = timed(one_run, repeat=repeat)

@@ -239,12 +239,6 @@ class GaShardScenario:
         def grab(dsm) -> None:
             holder["dsm"] = dsm
             ctx.feed.bind_clock(lambda: dsm.vm.kernel.now)
-            if getattr(ctx, "profile", False):
-                from repro.obs.prof import current
-
-                # the worker activated the ambient profiler; wire the
-                # kernel loop's section hooks into the same one
-                dsm.vm.kernel.prof = current()
 
         owned = ctx.plan.owned_by(ctx.shard_id)
 

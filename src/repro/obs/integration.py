@@ -40,21 +40,38 @@ class TracedRun:
     meta: dict = field(default_factory=dict)
 
 
-def _profiler(app: str):
-    """Activate an ambient :class:`HostProfiler` for one traced trial."""
-    from repro.obs.prof import HostProfiler, activate
+def _traced_trial(app: str, run, cfg, profile: bool) -> TracedRun:
+    """Run ``run(cfg, instrument=...)`` once and wrap it as a :class:`TracedRun`.
 
-    prof = HostProfiler()
-    prof.meta["app"] = app
-    return activate(prof)
+    The ``instrument`` hook only captures the ``dsm`` (the public path to
+    the bus).  With ``profile`` the trial runs under an ambient
+    :class:`~repro.obs.prof.HostProfiler`, which the kernel loop and the
+    ambient sections pick up on their own.
+    """
+    from repro.obs.prof import HostProfiler, activate, deactivate, profile_report
 
-
-def _finish_profile(prof) -> dict:
-    """Stop the trial profiler and bundle its envelope."""
-    from repro.obs.prof import deactivate, profile_report
-
-    deactivate()
-    return profile_report(prof.snapshot(), [], meta=dict(prof.meta))
+    holder: dict = {}
+    prof = None
+    if profile:
+        prof = activate(HostProfiler())
+        prof.meta["app"] = app
+    try:
+        result = run(cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm))
+    finally:
+        if prof is not None:
+            deactivate()
+    return TracedRun(
+        app=app,
+        result=result,
+        bus=holder["dsm"].vm.kernel.obs,
+        metrics=result.metrics,
+        profile=(
+            profile_report(prof.snapshot(), [], meta=dict(prof.meta))
+            if prof is not None
+            else None
+        ),
+        meta={"app": app, "n_nodes": cfg.machine.n_nodes, "seed": cfg.seed},
+    )
 
 
 def traced_ga_run(
@@ -84,37 +101,16 @@ def traced_ga_run(
     mcfg = replace(
         machine_for(scale, n_demes, seed, load_bps, faults), trace=True
     )
-    holder: dict = {}
-    prof = _profiler("ga") if profile else None
-
-    def hook(dsm) -> None:
-        holder.setdefault("dsm", dsm)
-        if prof is not None:
-            dsm.vm.kernel.prof = prof
-
-    try:
-        result = run_island_ga(
-            IslandGaConfig(
-                fn=get_function(
-                    fid if fid is not None else scale.ga_functions[0]
-                ),
-                n_demes=n_demes,
-                mode=CoherenceMode.NON_STRICT,
-                age=age if age is not None else scale.ages[-1],
-                n_generations=n_generations or scale.ga_generations,
-                seed=seed,
-                machine=mcfg,
-            ),
-            instrument=hook,
-        )
-    finally:
-        env = _finish_profile(prof) if prof is not None else None
-    bus = holder["dsm"].vm.kernel.obs
-    return TracedRun(
-        app="ga", result=result, bus=bus, metrics=result.metrics,
-        profile=env,
-        meta={"app": "ga", "n_nodes": n_demes, "seed": seed},
+    cfg = IslandGaConfig(
+        fn=get_function(fid if fid is not None else scale.ga_functions[0]),
+        n_demes=n_demes,
+        mode=CoherenceMode.NON_STRICT,
+        age=age if age is not None else scale.ages[-1],
+        n_generations=n_generations or scale.ga_generations,
+        seed=seed,
+        machine=mcfg,
     )
+    return _traced_trial("ga", run_island_ga, cfg, profile)
 
 
 def traced_bayes_run(
@@ -134,36 +130,17 @@ def traced_bayes_run(
     scale = scale or current_scale()
     net = build_network(network)
     mcfg = replace(machine_for(scale, n_procs, seed, 0.0, faults), trace=True)
-    holder: dict = {}
-    prof = _profiler("bayes") if profile else None
-
-    def hook(dsm) -> None:
-        holder.setdefault("dsm", dsm)
-        if prof is not None:
-            dsm.vm.kernel.prof = prof
-
-    try:
-        result = run_parallel_logic_sampling(
-            ParallelLsConfig(
-                net=net,
-                query=pick_query(net, seed=0),
-                n_procs=n_procs,
-                mode=CoherenceMode.NON_STRICT,
-                age=age if age is not None else scale.ages[-1],
-                seed=seed,
-                machine=mcfg,
-                max_iterations=scale.bn_max_iterations,
-            ),
-            instrument=hook,
-        )
-    finally:
-        env = _finish_profile(prof) if prof is not None else None
-    bus = holder["dsm"].vm.kernel.obs
-    return TracedRun(
-        app="bayes", result=result, bus=bus, metrics=result.metrics,
-        profile=env,
-        meta={"app": "bayes", "n_nodes": n_procs, "seed": seed},
+    cfg = ParallelLsConfig(
+        net=net,
+        query=pick_query(net, seed=0),
+        n_procs=n_procs,
+        mode=CoherenceMode.NON_STRICT,
+        age=age if age is not None else scale.ages[-1],
+        seed=seed,
+        machine=mcfg,
+        max_iterations=scale.bn_max_iterations,
     )
+    return _traced_trial("bayes", run_parallel_logic_sampling, cfg, profile)
 
 
 def write_artifacts(
@@ -203,22 +180,11 @@ def store_run(run: TracedRun, store_root: str) -> str:
 
     from repro.obs.store import RunStore
 
-    store = RunStore(store_root)
+    names = ("trace.jsonl", "metrics.json", "profile.json")
     with tempfile.TemporaryDirectory() as td:
-        tp = os.path.join(td, "trace.jsonl")
-        run.bus.write_jsonl(tp)
-        mp = os.path.join(td, "metrics.json")
-        with open(mp, "w", encoding="utf-8") as fh:
-            json.dump(run.metrics, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        files = {"trace.jsonl": tp, "metrics.json": mp}
-        if run.profile is not None:
-            pp = os.path.join(td, "profile.json")
-            with open(pp, "w", encoding="utf-8") as fh:
-                json.dump(run.profile, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            files["profile.json"] = pp
-        return store.put(files, meta=dict(run.meta))
+        written = write_artifacts(run, *(os.path.join(td, n) for n in names))
+        files = {os.path.basename(w["path"]): w["path"] for w in written.values()}
+        return RunStore(store_root).put(files, meta=dict(run.meta))
 
 
 def trace_experiment(

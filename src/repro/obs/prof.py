@@ -30,11 +30,12 @@ Design constraints, in priority order:
 
 Two hook styles feed the profiler:
 
-* the **kernel loop** (see :meth:`repro.sim.kernel.Kernel.run`)
-  wraps every executed event in a section named after the callback's
-  subsystem (:func:`category_of`), charging loop bookkeeping to
-  ``kernel.loop`` and event execution to ``proc.step`` / ``network`` /
-  ``pvm`` / …;
+* the **kernel loop** (:meth:`repro.sim.kernel.Kernel.run`) reads the
+  ambient profiler once per call and, when there is one, brackets
+  itself with :meth:`HostProfiler.enter_loop` and hands every event to
+  :meth:`HostProfiler.run_event`, which charges loop bookkeeping to
+  ``kernel.loop`` and event execution to the callback's subsystem
+  (:func:`category_of`: ``proc.step`` / ``network`` / ``pvm`` / …);
 * **ambient sections** — ``with prof_section("numpy.ga"): ...`` —
   mark regions that run *inside* a kernel event but belong to another
   subsystem (numpy compute in the deme step, gzip trace flushes,
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Any, Callable, Iterator
 
 #: schema tag of the :func:`profile_report` envelope
@@ -73,8 +75,10 @@ MODULE_SECTIONS: tuple[tuple[str, str], ...] = (
 )
 
 
+@lru_cache(maxsize=None)
 def category_of_module(module: str) -> str:
-    """Section name for an event callback defined in ``module``."""
+    """Section name for an event callback defined in ``module`` (memoised:
+    bound methods are fresh objects each step, their module string is not)."""
     for prefix, section in MODULE_SECTIONS:
         if module.startswith(prefix):
             return section
@@ -167,6 +171,19 @@ class HostProfiler:
         self.push(name)
         try:
             yield
+        finally:
+            self.pop()
+
+    # -- kernel loop ----------------------------------------------------
+    def enter_loop(self) -> None:
+        """Enter the kernel run loop's own section (leave with :meth:`pop`)."""
+        self.push("kernel.loop")
+
+    def run_event(self, fn: Callable[..., Any], args: tuple) -> None:
+        """Execute kernel event ``fn(*args)`` under its subsystem's section."""
+        self.push(category_of(fn))
+        try:
+            fn(*args)
         finally:
             self.pop()
 

@@ -26,6 +26,13 @@ Typical usage::
     handle = kernel.spawn(consumer(sig), name="consumer")
     kernel.run()
     assert handle.result == 1.0
+
+:meth:`Kernel.run` is the single event loop (``until`` / ``max_events`` /
+``stop_when`` bound it per call), and the kernel has one instrumentation
+slot, ``kernel.obs``: attach a :class:`repro.obs.bus.TraceBus` to record
+``proc.*`` lifecycle events.  Host-time profiling needs no slot — the
+loop picks up the ambient :mod:`repro.obs.prof` profiler when one is
+activated.
 """
 
 from repro.sim.errors import (
@@ -47,7 +54,6 @@ from repro.sim.process import (
 )
 from repro.sim.kernel import CompletionCounter, Kernel
 from repro.sim.rng import RngRegistry, stream_seed
-from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
     "SimError",
@@ -68,6 +74,4 @@ __all__ = [
     "CompletionCounter",
     "RngRegistry",
     "stream_seed",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -18,13 +18,14 @@ Design notes
   that livelocked configurations (a flooding asynchronous GA on a saturated
   network) terminate with :class:`~repro.sim.errors.SimulationLimitError`
   instead of hanging the test suite.
-* **Fast path.**  ``run()`` dispatches to a tight loop when no tracer,
-  budget or stop predicate is installed, same-instant resumptions ride the
-  event queue's FIFO fast lane, and yielded requests are routed through a
-  type-tag dispatch table instead of an ``isinstance`` chain.  None of this
-  changes the pop order: traces stay bit-identical to the slow path (the
+* **One loop, one slot.**  ``run()`` is the only event loop; budgets, the
+  stop predicate and the ambient host-time profiler are per-call locals,
+  and the only instrumentation slot is ``kernel.obs`` (the trace bus).
+  Same-instant resumptions ride the event queue's FIFO fast lane, and
+  yielded requests are routed through a type-tag dispatch table instead
+  of an ``isinstance`` chain.  None of this changes the pop order (the
   determinism regression suite in ``tests/sim/test_determinism.py`` pins
-  this with golden digests).
+  it with golden digests).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Generator, Iterable
 
+from repro.obs.prof import current as ambient_profiler
 from repro.sim.errors import DeadlockError, ProcessFailure, SimulationLimitError
 from repro.sim.events import Event, EventQueue, PRIORITY_LATE, PRIORITY_NORMAL
 from repro.sim.process import (
@@ -45,7 +47,6 @@ from repro.sim.process import (
     Yield,
 )
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import Tracer
 
 
 class CompletionCounter:
@@ -82,24 +83,16 @@ class Kernel:
     seed:
         Root seed for the :class:`RngRegistry`; every named stream derives
         from it.
-    tracer:
-        Optional :class:`Tracer` collecting per-event records (used by the
-        warp metric and by debugging tests).
     """
 
-    def __init__(self, seed: int = 0, tracer: Tracer | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.queue = EventQueue()
         self.rng = RngRegistry(seed)
-        self.tracer = tracer
         #: optional repro.obs.bus.TraceBus; every subsystem's trace hook
         #: is guarded by ``kernel.obs is not None`` so the default costs
         #: one attribute check and changes nothing about the run
         self.obs = None
-        #: optional repro.obs.prof.HostProfiler; same None-guard contract
-        #: as ``obs`` — attaching one charges host wall-clock per event
-        #: category in the general loop and must never change the run
-        self.prof = None
         self._pids = itertools.count()
         self.processes: list[ProcessHandle] = []
         self._events_executed = 0
@@ -256,13 +249,6 @@ class Kernel:
             handle._parked_on = ()
             target._joiners.append(handle)
 
-    def _dispatch(self, handle: ProcessHandle, request: Any) -> None:
-        """Act on a request yielded by a process."""
-        handler = _DISPATCH.get(request.__class__)
-        if handler is None:
-            handler = _dispatch_slow(handle, request)
-        handler(self, handle, request)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -296,22 +282,13 @@ class Kernel:
             (a corrupted queue — e.g. events pushed into the past through
             the raw :class:`EventQueue` API).
         """
-        if (
-            until is None
-            and max_events is None
-            and stop_when is None
-            and self.tracer is None
-            and self.prof is None
-        ):
-            self._run_fast()
-            return
-        prof = self.prof
+        # Host-time attribution (repro.obs.prof, off unless a profiler is
+        # activated for this process): everything between events is the
+        # loop's own section, each callback is charged to its subsystem.
+        prof = ambient_profiler()
         if prof is not None:
-            # Host-time attribution rides the general loop (already pinned
-            # bit-identical to the fast path): everything between events is
-            # kernel.loop, each callback is charged to its subsystem.
-            prof.push("kernel.loop")
-        categories: dict[str, str] = {}
+            prof.enter_loop()
+        queue_pop = self.queue.pop
         try:
             while True:
                 if self._failure is not None:
@@ -319,11 +296,12 @@ class Kernel:
                     raise failure from failure.original
                 if stop_when is not None and stop_when():
                     return
-                ev = self.queue.pop()
+                ev = queue_pop()
                 if ev is None:
                     self._check_deadlock()
                     return
-                if until is not None and ev.time > until:
+                time = ev.time
+                if until is not None and time > until:
                     raise SimulationLimitError(
                         "simulated-time", until, self.now, self._events_executed
                     )
@@ -331,59 +309,20 @@ class Kernel:
                     raise SimulationLimitError(
                         "event-count", max_events, self.now, self._events_executed
                     )
-                if ev.time < self.now:
+                if time < self.now:
                     raise RuntimeError(
-                        f"event queue violated time order: popped t={ev.time!r} "
+                        f"event queue violated time order: popped t={time!r} "
                         f"behind the clock at t={self.now!r}"
                     )
-                self.now = ev.time
+                self.now = time
                 self._events_executed += 1
-                if self.tracer is not None:
-                    self.tracer.record(self.now, ev)
                 if prof is None:
                     ev.fn(*ev.args)
                 else:
-                    fn = ev.fn
-                    module = getattr(fn, "__module__", "") or ""
-                    cat = categories.get(module)
-                    if cat is None:
-                        from repro.obs.prof import category_of_module
-
-                        cat = categories[module] = category_of_module(module)
-                    prof.push(cat)
-                    try:
-                        fn(*ev.args)
-                    finally:
-                        prof.pop()
+                    prof.run_event(ev.fn, ev.args)
         finally:
             if prof is not None:
                 prof.pop()
-
-    def _run_fast(self) -> None:
-        """Branch-lean main loop: no tracer, no budgets, no stop predicate.
-
-        Executes the exact same events in the exact same order as the
-        general loop — it only skips the per-event checks that are
-        statically known to be disabled for this call.
-        """
-        queue_pop = self.queue.pop
-        while True:
-            if self._failure is not None:
-                failure, self._failure = self._failure, None
-                raise failure from failure.original
-            ev = queue_pop()
-            if ev is None:
-                self._check_deadlock()
-                return
-            time = ev.time
-            if time < self.now:
-                raise RuntimeError(
-                    f"event queue violated time order: popped t={time!r} "
-                    f"behind the clock at t={self.now!r}"
-                )
-            self.now = time
-            self._events_executed += 1
-            ev.fn(*ev.args)
 
     def run_until_done(self, handles: Iterable[ProcessHandle], **kw: Any) -> None:
         """Run until every handle in ``handles`` has terminated.

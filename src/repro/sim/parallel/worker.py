@@ -16,7 +16,7 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass
 
-from repro.sim.parallel.channel import DONE, ERR, RecordFeed
+from repro.sim.parallel.channel import BYE, DONE, ERR, RecordFeed
 from repro.sim.parallel.plan import ShardPlan
 
 
@@ -29,8 +29,6 @@ class ShardContext:
     feed: RecordFeed
     #: per-shard JSONL trace destination (None = tracing off)
     trace_path: str | None = None
-    #: host-time profiling requested for this worker (repro.obs.prof)
-    profile: bool = False
 
 
 def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
@@ -44,9 +42,9 @@ def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
 
     With ``profile`` on, a :class:`~repro.obs.prof.HostProfiler` is
     activated as this process's ambient profiler for the whole replica
-    run — the scenario executor attaches it to its kernel, ambient
-    sections (``par.ipc``, ``numpy.*``, ``obs.io``) charge into it —
-    and its snapshot ships back on ``outcome.prof``.
+    run — the kernel loop and the ambient sections (``par.ipc``,
+    ``numpy.*``, ``obs.io``) charge into it — and its snapshot ships
+    back on ``outcome.prof``.
     """
     prof = None
     if profile:
@@ -58,8 +56,7 @@ def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
     try:
         feed = RecordFeed(conn, shard_id, plan)
         ctx = ShardContext(
-            shard_id=shard_id, plan=plan, feed=feed, trace_path=trace_path,
-            profile=profile,
+            shard_id=shard_id, plan=plan, feed=feed, trace_path=trace_path
         )
         outcome = scenario.run_shard(ctx)
         outcome.feed_stats = feed.stats()
@@ -70,12 +67,14 @@ def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
             deactivate()
             outcome.prof = prof.snapshot()
         conn.send((DONE, shard_id, outcome))
-        # Linger until the coordinator closes the pipe: it may still be
-        # routing records to us for streams we have already finished, and
-        # exiting early would turn those sends into broken pipes.
+        # Linger until the coordinator says BYE: it may still be routing
+        # records to us for streams we have already finished, and exiting
+        # early would turn those sends into broken pipes.  (EOF alone
+        # never comes under fork: this process holds an inherited copy of
+        # the coordinator's end of its own pipe.)
         try:
-            while True:
-                conn.recv()
+            while conn.recv()[0] != BYE:
+                pass
         except EOFError:
             pass
     except BaseException:

@@ -121,15 +121,15 @@ class TestClassifierHooks:
         assert rc.pairs_dropped > 0
         assert rc.unbounded_races == 5 * 6  # every occurrence still counted
 
-    def test_race_marks_flow_into_tracer(self):
-        from repro.sim.trace import Tracer
-
-        tracer = Tracer()
-        rc = RaceClassifier(tracer=tracer)
+    def test_race_evidence_lands_in_pairs(self):
+        rc = RaceClassifier()
         rc.on_write("x", 1, 0.0, writer=0)
         rc.on_write("x", 2, 1.0, writer=0)
         rc.on_read(1, "x", returned_age=1, time=2.0)
-        assert any(lbl.startswith("race:unbounded:x") for lbl in tracer.labels())
+        [pair] = rc.pairs
+        assert (pair.locn, pair.writer, pair.reader) == ("x", 0, 1)
+        assert pair.classification is RaceClass.UNBOUNDED
+        assert pair.time == 2.0
 
     def test_report_mentions_classification(self):
         rc = RaceClassifier()

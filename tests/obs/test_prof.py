@@ -124,8 +124,7 @@ def test_golden_digest_unmoved_with_profiling_on():
                 n_generations=40,
                 seed=7,
                 machine=replace(machine_for(Scale.smoke(), 2, 7), trace=True),
-            ),
-            instrument=lambda dsm: setattr(dsm.vm.kernel, "prof", prof),
+            )
         )
     finally:
         deactivate()
@@ -144,12 +143,11 @@ def test_switched_golden_unmoved_with_profiling_on():
     cfg = golden_scenarios()["ring-hierarchical"]
     prof = activate(HostProfiler())
     try:
-        result = run_island_ga(
-            cfg, instrument=lambda dsm: setattr(dsm.vm.kernel, "prof", prof)
-        )
+        result = run_island_ga(cfg)
     finally:
         deactivate()
     assert ga_digest(result) == SWITCHED_GOLDEN["ring-hierarchical"]
+    assert "kernel.loop" in prof.snapshot()["sections"]
 
 
 def test_sharded_run_ships_per_shard_profiles():

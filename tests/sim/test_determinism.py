@@ -1,33 +1,37 @@
-"""Determinism regression suite for the kernel fast path.
+"""Determinism regression suite for the kernel's scheduling order.
 
-The fast lane, type-tag dispatch and no-tracer run loop must be
-*bit-identical* to the straightforward implementation: same-seed runs
-produce the same trace digest, and the digest matches a checked-in
-golden value so silent reorderings can't creep in.
+The fast lane and type-tag dispatch must be *bit-identical* to the
+straightforward implementation: same-seed runs produce the same trace
+digest, and the digest matches a checked-in golden value so silent
+reorderings can't creep in.
 """
+
+import math
 
 import pytest
 
 from repro.bench.determinism import GOLDEN, kernel_trace_digest
 from repro.bench.micro import build_kernel_workload
+from repro.obs.bus import ObsEvent, TraceBus
 from repro.sim import (
     Compute,
     Kernel,
     Signal,
-    Tracer,
     WaitSignal,
     Yield,
 )
 from repro.sim.events import PRIORITY_LATE
 
 
+def _traced_workload(n_workers: int, n_steps: int):
+    kernel = build_kernel_workload(n_workers=n_workers, n_steps=n_steps)
+    kernel.obs = TraceBus(clock=lambda: kernel.now)
+    kernel.run()
+    return kernel
+
+
 def test_same_seed_runs_have_identical_trace_digests():
-    digests = []
-    for _ in range(2):
-        tracer = Tracer()
-        kernel = build_kernel_workload(n_workers=8, n_steps=40, tracer=tracer)
-        kernel.run()
-        digests.append(tracer.digest())
+    digests = [_traced_workload(8, 40).obs.digest() for _ in range(2)]
     assert digests[0] == digests[1]
 
 
@@ -35,11 +39,34 @@ def test_kernel_trace_digest_matches_golden():
     assert kernel_trace_digest() == GOLDEN["kernel_trace"]
 
 
+def test_kernel_trace_records_every_event_exactly():
+    """What makes the digest a schedule pin: one record per executed event
+    (the process's mark before its next yield, or ``proc.done`` for its
+    last resumption) and a hash that moves on any swap or one-ulp shift."""
+    kernel = _traced_workload(6, 24)
+    events = kernel.obs.events
+    counts = kernel.obs.kind_counts()
+    assert counts["bench.step"] + counts["proc.done"] == kernel.events_executed
+
+    def digest_of(evs):
+        bus = TraceBus(clock=lambda: 0.0)
+        bus.events = list(evs)
+        return bus.digest()
+
+    base = digest_of(events)
+    assert base == kernel.obs.digest()
+    for i in range(len(events) - 1):
+        if events[i] != events[i + 1]:
+            swapped = events[:i] + [events[i + 1], events[i]] + events[i + 2:]
+            assert digest_of(swapped) != base
+    e = events[len(events) // 2]
+    nudged = ObsEvent(math.nextafter(e.time, math.inf), e.kind, e.node, e.fields)
+    assert digest_of([nudged if x is e else x for x in events]) != base
+
+
 def test_traced_and_untraced_runs_agree():
-    """The no-tracer fast loop must execute the same schedule."""
-    tracer = Tracer()
-    traced = build_kernel_workload(n_workers=6, n_steps=24, tracer=tracer)
-    traced.run()
+    """Attaching the bus must not move the schedule."""
+    traced = _traced_workload(6, 24)
     untraced = build_kernel_workload(n_workers=6, n_steps=24)
     untraced.run()
     assert untraced.now == traced.now
@@ -118,13 +145,5 @@ def test_time_order_violation_raises_runtime_error():
     kernel = Kernel()
     kernel.queue.push(1.0, lambda: None, ())
     kernel.now = 5.0  # simulate a corrupted clock
-    with pytest.raises(RuntimeError, match="behind the clock"):
-        kernel.run()
-
-
-def test_time_order_violation_raises_in_traced_loop_too():
-    kernel = Kernel(tracer=Tracer())
-    kernel.queue.push(1.0, lambda: None, ())
-    kernel.now = 5.0
     with pytest.raises(RuntimeError, match="behind the clock"):
         kernel.run()

@@ -10,6 +10,7 @@ isolation.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
@@ -92,6 +93,34 @@ def test_sharded_run_really_used_workers(golden_island):
     assert info["shards"] == 2
     assert info["records_routed"] > 0
     assert sorted(info["owner"]) == [0, 1]
+
+
+def test_shard_workers_exit_on_their_own(golden_island, monkeypatch):
+    """Workers leave on the coordinator's BYE: nobody sits out the 10 s
+    ``join`` timeout to be ``terminate()``d (exit code ``-SIGTERM``)."""
+    from repro.ga.sharded import GaShardScenario
+    from repro.sim.parallel import coordinator
+
+    ctx = coordinator._mp_context()
+    procs = []
+
+    class RecordingContext:
+        Pipe = staticmethod(ctx.Pipe)
+
+        @staticmethod
+        def Process(**kw):
+            procs.append(ctx.Process(**kw))
+            return procs[-1]
+
+    monkeypatch.setattr(coordinator, "_mp_context", lambda: RecordingContext)
+    t0 = time.perf_counter()
+    run = coordinator.run_sharded(GaShardScenario(golden_island()), 2, seed=7)
+    elapsed = time.perf_counter() - t0
+    if not run.sharded:  # pragma: no cover - platform without procs
+        pytest.skip(f"worker processes unavailable: {run.fallback}")
+    assert ga_digest(run.result) == GOLDEN["ga_result"]
+    assert [p.exitcode for p in procs] == [0, 0]
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("shards", [2, 4])
