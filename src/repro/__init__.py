@@ -26,13 +26,14 @@ rests on:
 * :mod:`repro.experiments` — runners that regenerate every table and
   figure of the paper's evaluation section.
 * :mod:`repro.faults` — deterministic, seed-driven fault injection and
-  the golden chaos regression matrix.
+  the chaos plans.
 * :mod:`repro.obs` — structured tracing, metrics snapshots and run
   reports (off by default; determinism-neutral when on).
 * :mod:`repro.analysis` — determinism lint and the happens-before race
   classifier behind the paper's race-tolerance argument.
-* :mod:`repro.bench` — the performance trajectory and the golden
-  determinism digests CI pins every run against.
+* :mod:`repro.bench` — the performance trajectory.
+* :mod:`repro.check` — the golden table of determinism digests CI pins
+  every run against, and the one checker that reruns it.
 """
 
 __version__ = "1.0.0"

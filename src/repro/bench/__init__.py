@@ -1,20 +1,12 @@
-"""Benchmark harness: microbenchmarks, suite timings, golden digests.
+"""Benchmark harness: microbenchmarks and suite timings.
 
 Run with ``python -m repro.bench --scale smoke --out BENCH_ci.json``.
 Each run writes one ``repro-bench/1`` JSON document (see
-:mod:`repro.bench.harness` for the schema) and exits non-zero if any
-golden determinism digest mismatches — the bench job doubles as the
-regression gate for the kernel fast path.
+:mod:`repro.bench.harness` for the schema) whose ``determinism`` block
+is the report of :func:`repro.check.run_checks`, and exits non-zero if
+any row of it mismatches.
 """
 
-from repro.bench.determinism import (
-    GOLDEN,
-    bayes_result_digest,
-    check_digests,
-    digest_values,
-    ga_result_digest,
-    kernel_trace_digest,
-)
 from repro.bench.harness import (
     SCHEMA_VERSION,
     env_info,
@@ -28,17 +20,11 @@ from repro.bench.micro import bench_bayes, bench_ga, bench_kernel, run_micro
 from repro.bench.suite import run_suite
 
 __all__ = [
-    "GOLDEN",
     "SCHEMA_VERSION",
-    "bayes_result_digest",
     "bench_bayes",
     "bench_ga",
     "bench_kernel",
-    "check_digests",
-    "digest_values",
     "env_info",
-    "ga_result_digest",
-    "kernel_trace_digest",
     "load_trajectory",
     "make_payload",
     "next_bench_path",

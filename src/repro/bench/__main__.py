@@ -1,9 +1,8 @@
 """CLI: ``python -m repro.bench --scale smoke --out BENCH_ci.json``.
 
 Runs the microbenchmarks, the experiment suite timings and the golden
-determinism digests, writes one ``repro-bench/1`` JSON document, and
-exits 1 if any digest mismatches (so CI's bench-smoke job gates the
-kernel fast path's bit-identity promise, not just its speed).
+table (:func:`repro.check.run_checks`), writes one ``repro-bench/1``
+JSON document, and exits 1 if any digest mismatches.
 """
 
 from __future__ import annotations
@@ -11,10 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.determinism import _PRODUCERS, check_digests
 from repro.bench.harness import make_payload, next_bench_path, write_bench
 from repro.bench.micro import run_micro
 from repro.bench.suite import run_suite
+from repro.check import run_checks
 from repro.experiments.config import Scale
 from repro.experiments.runner import configured_jobs
 
@@ -40,17 +39,7 @@ def main(argv: list[str] | None = None) -> int:
             "folds stored bench runs into the trajectory)"
         ),
     )
-    parser.add_argument(
-        "--print-digests",
-        action="store_true",
-        help="print current digests (to refresh GOLDEN after an intentional change) and exit",
-    )
     args = parser.parse_args(argv)
-
-    if args.print_digests:
-        for name, producer in _PRODUCERS.items():
-            print(f'    "{name}": "{producer()}",')
-        return 0
 
     scale = _SCALES[args.scale]()
     jobs = configured_jobs() if args.jobs is None else args.jobs
@@ -75,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         experiments, determinism = run_suite(scale, jobs=jobs)
 
     print("[bench] determinism digests ...", flush=True)
-    determinism.update(check_digests())
+    determinism.update(run_checks())
 
     payload = make_payload(args.scale, jobs, micro, experiments, determinism)
     out = next_bench_path() if args.out is None else args.out

@@ -79,30 +79,6 @@ def _bcast_mill(n_nodes: int, n_rounds: int, fabric: str = "hierarchical") -> in
     return delivered
 
 
-def _ga_ring_4096() -> float:
-    """Total simulated time of a short 4096-deme ring GA (sanity value)."""
-    from repro.cluster.machine import MachineConfig
-    from repro.core.coherence import CoherenceMode
-    from repro.ga.functions import get_function
-    from repro.ga.island import IslandGaConfig, run_island_ga
-    from repro.ga.operators import GaParams
-
-    result = run_island_ga(
-        IslandGaConfig(
-            fn=get_function(1),
-            n_demes=4096,
-            mode=CoherenceMode.NON_STRICT,
-            age=2,
-            n_generations=2,
-            seed=7,
-            params=GaParams(population_size=8),
-            machine=MachineConfig(n_nodes=4096, seed=7, interconnect="switched"),
-            topology="ring",
-        )
-    )
-    return result.total_time
-
-
 def bench_fabric(repeat: int = 2) -> dict:
     """The fabric micro; returns flat ``fabric.*`` keys.
 
@@ -124,7 +100,9 @@ def bench_fabric(repeat: int = 2) -> dict:
     out["fabric.mcast_per_dest_us"] = best_s / deliveries * 1e6
     out["fabric.mcast_deliveries"] = float(deliveries)
 
-    sim_time, wall_s = timed(_ga_ring_4096, repeat=1)
-    out["fabric.ga_ring_4096_wall_s"] = wall_s
-    out["fabric.ga_ring_4096_sim_s"] = sim_time
+    from repro.experiments.scale_study import run_scale_proof
+
+    proof = run_scale_proof(4096)
+    out["fabric.ga_ring_4096_wall_s"] = proof["wall_s"]
+    out["fabric.ga_ring_4096_sim_s"] = proof["total_time"]
     return out

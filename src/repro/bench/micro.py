@@ -31,7 +31,7 @@ def build_kernel_workload(
     step) before each of its yields, so with a bus attached every executed
     event leaves exactly one record — that mark, or the kernel's
     ``proc.done`` for a final resumption.  That trace is what
-    :func:`repro.bench.determinism.kernel_trace_digest` hashes.
+    :func:`repro.check.kernel_trace_digest` hashes.
     """
     kernel = Kernel(seed=seed)
     tick = Signal("tick")
@@ -189,34 +189,21 @@ def bench_faulted_kernel(repeat: int = 3) -> dict:
 def bench_obs(repeat: int = 2) -> dict:
     """Tracing + causal-analysis overhead on a small parallel GA run.
 
-    Two timings of the same 2-deme island-GA run (the GOLDEN recipe):
+    Two timings of the same 2-deme island-GA run (the golden GA):
     tracing off vs on — the ratio prices the obs hooks on the
     simulation's hot paths (``if obs is not None`` guards plus event
     appends).  Span building is timed separately over the traced run's
     events (build + attribute + critical path), since the causal layer
     runs offline, after the simulation.
     """
-    from dataclasses import replace
-
-    from repro.core.coherence import CoherenceMode
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
-    from repro.ga.island import IslandGaConfig, run_island_ga
+    from repro.check import golden_ga
+    from repro.ga.island import run_island_ga
     from repro.obs.causal import attribute, build_spans, critical_path
 
     def one_run(trace: bool):
-        machine = replace(machine_for(Scale.smoke(), 2, 7), trace=trace)
         holder: dict = {}
         run_island_ga(
-            IslandGaConfig(
-                fn=get_function(1),
-                n_demes=2,
-                mode=CoherenceMode.NON_STRICT,
-                age=10,
-                n_generations=40,
-                seed=7,
-                machine=machine,
-            ),
+            golden_ga(trace=trace),
             instrument=lambda dsm: holder.setdefault("dsm", dsm),
         )
         return holder["dsm"].vm.kernel.obs

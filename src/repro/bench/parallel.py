@@ -4,10 +4,10 @@ Two measurements of :mod:`repro.sim.parallel`, reported flat into the
 BENCH envelope's ``micro`` block:
 
 ``kernel_parallel.identical_2shard``
-    The GOLDEN ``ga_result`` recipe run at ``shards=2`` still produces
-    the GOLDEN digest.  Checked on *every* host — sharded correctness is
-    timeshared-testable even on one core — so a single-core CI box still
-    gates bit-identity, just not speed.
+    The golden GA (:func:`repro.check.golden_ga`) run at ``shards=2``
+    still produces its pinned digest.  Checked on *every* host — sharded
+    correctness is timeshared-testable even on one core — so a
+    single-core CI box still gates bit-identity, just not speed.
 
 ``kernel_parallel.speedup_2shard``
     Serial wall-clock over 2-shard wall-clock for a compute-heavy
@@ -22,28 +22,10 @@ from __future__ import annotations
 
 import os
 
-from repro.bench.determinism import GOLDEN
 from repro.bench.harness import timed
 from repro.cluster.machine import MachineConfig
 from repro.cluster.node import NodeSpec
 from repro.core.coherence import CoherenceMode
-
-
-def _golden_cfg():
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
-    from repro.ga.functions import get_function
-    from repro.ga.island import IslandGaConfig
-
-    return IslandGaConfig(
-        fn=get_function(1),
-        n_demes=2,
-        mode=CoherenceMode.NON_STRICT,
-        age=10,
-        n_generations=40,
-        seed=7,
-        machine=machine_for(Scale.smoke(), 2, 7),
-    )
 
 
 def _heavy_cfg(n_demes: int = 4, population: int = 384, generations: int = 30):
@@ -69,13 +51,13 @@ def _heavy_cfg(n_demes: int = 4, population: int = 384, generations: int = 30):
 
 def bench_parallel(shards: int = 2) -> dict:
     """Run the parallel-kernel micro; returns flat ``kernel_parallel.*`` keys."""
+    from repro.check import GOLDEN, ga_digest, golden_ga
     from repro.ga.island import run_island_ga
-    from repro.ga.sharded import ga_digest
 
     cpu_count = os.cpu_count() or 1
     out: dict = {"kernel_parallel.cpu_count": cpu_count}
 
-    sharded = run_island_ga(_golden_cfg(), shards=shards)
+    sharded = run_island_ga(golden_ga(), shards=shards)
     info = sharded.metrics.get("parallel", {})
     out["kernel_parallel.sharded"] = bool(info.get("sharded"))
     out[f"kernel_parallel.identical_{shards}shard"] = bool(

@@ -57,12 +57,15 @@ class ExperimentArgs:
 
 
 def experiment_parser(
-    description: str, faults: bool = True
+    description: str, faults: bool = True, shards: bool = True
 ) -> argparse.ArgumentParser:
     """Build the shared argument parser.
 
     ``faults=False`` omits the ``--faults`` knob for drivers whose run
-    function takes no fault plan (table1/table2, figure2/figure3).
+    function takes no fault plan (table1/table2, figure2/figure3);
+    ``shards=False`` omits ``--shards`` for drivers whose run function
+    cannot shard (table1/table2/figure3 — the Bayes sampler runs on the
+    serial kernel), so argparse rejects the flag instead of ignoring it.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument(
@@ -88,19 +91,20 @@ def experiment_parser(
                 "(see repro.faults.plan.FaultPlan.parse)"
             ),
         )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "run each simulated trial on the bounded-lag parallel kernel "
-            "across N worker processes (bit-identical to serial; see "
-            "docs/parallel-kernel.md). Orthogonal to --jobs, which fans "
-            "out independent trials — prefer --jobs when there are many "
-            "trials, --shards when one big trial dominates"
-        ),
-    )
+    if shards:
+        parser.add_argument(
+            "--shards",
+            type=int,
+            default=1,
+            metavar="N",
+            help=(
+                "run each simulated trial on the bounded-lag parallel kernel "
+                "across N worker processes (bit-identical to serial; see "
+                "docs/parallel-kernel.md). Orthogonal to --jobs, which fans "
+                "out independent trials — prefer --jobs when there are many "
+                "trials, --shards when one big trial dominates"
+            ),
+        )
     parser.add_argument(
         "--trace",
         default=None,

@@ -11,68 +11,22 @@ from __future__ import annotations
 
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
-from repro.experiments.speedup import (
-    GaVariant,
-    best_competitor_gain,
-    run_ga_trial,
-    speedups_over_trials,
-)
+from repro.experiments.speedup import speedup_rows
 
 
 def run_figure2(
     scale: Scale | None = None, jobs: int | None = None, shards: int = 1
 ) -> list[dict]:
     """One row per processor count: per-variant speedups for f1 and the
-    all-function average, plus the best-vs-competitor gain.
-
-    The (P × function × seed) replicas are independent; they fan out
-    across cores via :func:`~repro.experiments.runner.parallel_map`
-    (``REPRO_JOBS``) and are merged in configuration-key order, so the
-    rows are bit-identical to a serial run.
-    """
+    all-function average, plus the best-vs-competitor gain
+    (:func:`~repro.experiments.speedup.speedup_rows`)."""
     scale = scale or current_scale()
-    variants = GaVariant.standard_set(scale.ages)
-    labels = [v.label for v in variants]
-    keys = [
-        (P, fid, r)
-        for P in scale.processor_counts
-        for fid in scale.ga_functions
-        for r in range(scale.ga_runs)
-    ]
-    trials = parallel_map(
-        run_ga_trial,
-        [
-            (scale, fid, P, 1000 * r + fid, variants, 0.0, None, shards)
-            for (P, fid, r) in keys
-        ],
+    return speedup_rows(
+        scale,
+        [({"P": P}, P, 0.0) for P in scale.processor_counts],
         jobs=jobs,
+        shards=shards,
     )
-    by_cell: dict[tuple[int, int], list] = {}
-    for (P, fid, _r), trial in zip(keys, trials):
-        by_cell.setdefault((P, fid), []).append(trial)
-    rows = []
-    for P in scale.processor_counts:
-        trials_by_fid = {fid: by_cell[(P, fid)] for fid in scale.ga_functions}
-        best_fid = scale.ga_functions[0]  # function 1 when present
-        best_case = speedups_over_trials(trials_by_fid[best_fid], labels)
-        all_trials = [t for ts in trials_by_fid.values() for t in ts]
-        average = speedups_over_trials(all_trials, labels)
-        best_label, gain = best_competitor_gain(average)
-        best_case_label, best_case_gain = best_competitor_gain(best_case)
-        rows.append(
-            {
-                "P": P,
-                "best_case_fid": best_fid,
-                "best_case": best_case,
-                "average": average,
-                "best_gr": best_label,
-                "gain_over_best_competitor": gain,
-                "best_case_gr": best_case_label,
-                "best_case_gain": best_case_gain,
-            }
-        )
-    return rows
 
 
 def format_figure2(rows: list[dict]) -> str:

@@ -9,8 +9,6 @@ times) and the best-Global_Read-vs-best-competitor gain.
 
 from __future__ import annotations
 
-import sys
-
 from repro.bayes.logic_sampling import run_serial_logic_sampling
 from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
 from repro.core.coherence import CoherenceMode
@@ -150,18 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         "Figure 3 — Bayesian-network inference speedups over the serial "
         "sampler, 2 processors, unloaded network.",
         faults=False,
+        shards=False,
     )
     args = parse_experiment_args(parser, argv)
-    if args.shards > 1:
-        # The logic-sampling workers share an in-process evidence oracle
-        # and rollback state that the record protocol does not ghost yet
-        # (docs/parallel-kernel.md, "Scope"); the Bayes driver therefore
-        # always runs on the serial kernel.
-        print(
-            "note: --shards applies to the GA drivers only; the Bayes "
-            "sampler runs on the serial kernel",
-            file=sys.stderr,
-        )
     print(format_figure3(run_figure3(args.scale, jobs=args.jobs)))
     write_observability(args, app="bayes", n_nodes=2)
     return 0

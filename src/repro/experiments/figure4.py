@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
-from repro.experiments.speedup import (
-    GaVariant,
-    best_competitor_gain,
-    run_ga_trial,
-    speedups_over_trials,
-)
+from repro.experiments.speedup import speedup_rows
 from repro.faults.plan import FaultPlan
 
 FIGURE4_PROCS = 4
@@ -32,50 +26,19 @@ def run_figure4(
     faults: FaultPlan | None = None,
     shards: int = 1,
 ) -> list[dict]:
-    """One row per offered load: per-variant speedups on the loaded 4-node machine."""
+    """One row per offered load: per-variant speedups on the loaded 4-node
+    machine (:func:`~repro.experiments.speedup.speedup_rows`)."""
     scale = scale or current_scale()
-    variants = GaVariant.standard_set(scale.ages)
-    labels = [v.label for v in variants]
-    loads = (0.0, *scale.loads_bps)
-    keys = [
-        (load, fid, r)
-        for load in loads
-        for fid in scale.ga_functions
-        for r in range(scale.ga_runs)
-    ]
-    trials = parallel_map(
-        run_ga_trial,
+    return speedup_rows(
+        scale,
         [
-            (scale, fid, FIGURE4_PROCS, 1000 * r + fid, variants, load, faults, shards)
-            for (load, fid, r) in keys
+            ({"load_mbps": load / 1e6}, FIGURE4_PROCS, load)
+            for load in (0.0, *scale.loads_bps)
         ],
         jobs=jobs,
+        faults=faults,
+        shards=shards,
     )
-    by_cell: dict[tuple[float, int], list] = {}
-    for (load, fid, _r), trial in zip(keys, trials):
-        by_cell.setdefault((load, fid), []).append(trial)
-    rows = []
-    for load in loads:
-        trials_by_fid = {fid: by_cell[(load, fid)] for fid in scale.ga_functions}
-        best_fid = scale.ga_functions[0]
-        best_case = speedups_over_trials(trials_by_fid[best_fid], labels)
-        all_trials = [t for ts in trials_by_fid.values() for t in ts]
-        average = speedups_over_trials(all_trials, labels)
-        bc_label, bc_gain = best_competitor_gain(best_case)
-        avg_label, avg_gain = best_competitor_gain(average)
-        rows.append(
-            {
-                "load_mbps": load / 1e6,
-                "best_case_fid": best_fid,
-                "best_case": best_case,
-                "average": average,
-                "best_case_gr": bc_label,
-                "best_case_gain": bc_gain,
-                "best_gr": avg_label,
-                "gain_over_best_competitor": avg_gain,
-            }
-        )
-    return rows
 
 
 def format_figure4(rows: list[dict]) -> str:

@@ -15,21 +15,17 @@ sweeps:
 
 Determinism contract
 --------------------
-:data:`SWITCHED_GOLDEN` pins SHA-256 digests of three canonical
-switched-fabric scenarios (ring wiring on the hierarchical tree, torus
-wiring on the fat-tree, all-to-all wiring through the single switch's
-hardware multicast tree).  ``--check`` reruns them serially *and* on the
-bounded-lag parallel kernel at shards ∈ {1, 2, 4} and requires every
-digest to match bit-for-bit — the switched-fabric extension of the
-GOLDEN/CHAOS_GOLDEN contract (DESIGN.md §8/§13/§14).
+Three canonical switched-fabric scenarios built by :func:`scenario` are
+pinned in the golden table of :mod:`repro.check` (ring wiring on the
+hierarchical tree, torus wiring on the fat-tree, all-to-all wiring
+through the single switch's hardware multicast tree), serially and at
+shards ∈ {1, 2, 4} (DESIGN.md §8/§13/§14).
 
 CLI
 ---
 ``python -m repro.experiments.scale_study`` runs the sweep;
-``--check`` gates the SWITCHED_GOLDEN digests (CI: scale-smoke job);
-``--smoke`` runs the 256-deme ring scenario serially and 2-sharded and
-requires digest identity; ``--scale-proof N`` completes an N-deme ring
-scenario (default 4096) and prints its shape; ``--analyze PATH``
+``--scale-proof N`` completes an N-deme ring scenario (default 4096)
+and prints its shape; ``--analyze PATH``
 summarises a sweep JSON (from ``--out``) into the age × topology ×
 fabric staleness/wall table (archived as a run artifact with
 ``--store``); ``--trace-stream N`` runs one traced N-deme ring scenario
@@ -40,7 +36,6 @@ bounded trace memory.
 from __future__ import annotations
 
 import json
-import sys
 import time
 
 from repro.cluster.machine import MachineConfig
@@ -51,7 +46,6 @@ from repro.experiments.runner import parallel_map
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 from repro.ga.operators import GaParams
-from repro.ga.sharded import ga_digest
 from repro.network.switched import SwitchedConfig
 
 #: fabrics the sweep crosses (see repro.network.switched)
@@ -95,64 +89,6 @@ def scenario(
         ),
         topology=topology,
     )
-
-
-# ---------------------------------------------------------------------------
-# SWITCHED_GOLDEN: pinned canonical scenarios
-# ---------------------------------------------------------------------------
-
-def golden_scenarios() -> dict[str, IslandGaConfig]:
-    """The canonical switched-fabric runs whose digests are pinned.
-
-    Small enough to rerun in CI, but together they cover: every fabric
-    kind, structured + all-to-all wiring, the hardware multicast tree,
-    and the bounded-lag kernel's switched-fabric lookahead.
-    """
-    common = dict(
-        n_demes=8, age=5, n_generations=30, population_size=20,
-        seed=7, radix=4, measure_warp=True,
-    )
-    return {
-        "ring-hierarchical": scenario(topology="ring", fabric="hierarchical", **common),
-        "torus-fat-tree": scenario(topology="torus", fabric="fat-tree", **common),
-        "all-single-mcast": scenario(
-            topology="all", fabric="single", hw_multicast=True, **common
-        ),
-    }
-
-
-#: expected digests; regenerate with
-#: `python -m repro.experiments.scale_study --print-digests` after an
-#: *intentional* behaviour change (and say so in the PR).
-SWITCHED_GOLDEN = {
-    "ring-hierarchical": "12c14934a15485ec659fe2047de4afede1bdd0013a0882fccc1613883f9e1cfc",
-    "torus-fat-tree": "48c70f7b12df3855b674fd0bc1777dd49730299f287d8e1932bec81907305c8b",
-    "all-single-mcast": "6f326b93f97cc86698608a0bdead308b8f849da8c3e0332a6de9e51c8b007a5d",
-}
-
-
-def check_switched_golden(shards_list: tuple[int, ...] = (1, 2, 4)) -> dict:
-    """Run every golden scenario at each shard count; compare digests.
-
-    Returns per-scenario ``{"digest", "golden", "ok", "per_shards"}`` in
-    the chaos-matrix result shape.  ``ok`` requires the serial digest to
-    match the pinned golden *and* every sharded digest to match serial.
-    """
-    out: dict = {}
-    for name, cfg in golden_scenarios().items():
-        per_shards: dict[str, str] = {}
-        for shards in shards_list:
-            result = run_island_ga(cfg, shards=shards)
-            per_shards[str(shards)] = ga_digest(result)
-        golden = SWITCHED_GOLDEN.get(name, "")
-        serial = per_shards.get("1", next(iter(per_shards.values())))
-        out[name] = {
-            "digest": serial,
-            "golden": golden,
-            "ok": serial == golden and all(d == serial for d in per_shards.values()),
-            "per_shards": per_shards,
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,38 +298,6 @@ def run_traced_stream(
     }
 
 
-# ---------------------------------------------------------------------------
-# Smoke + scale proof (CI entry points)
-# ---------------------------------------------------------------------------
-
-def run_smoke(trace_path: str | None = None) -> dict:
-    """256-deme ring on the hierarchical fabric: serial vs 2-shard identity.
-
-    The CI scale-smoke gate: the digests must match bit-for-bit, and the
-    (optionally written) merged trace must validate against the event
-    schema.  Returns the comparison record.
-    """
-    cfg = scenario(256, "ring", "hierarchical", age=5, n_generations=10)
-    serial_digest = ga_digest(run_island_ga(cfg))
-    from repro.ga.sharded import run_island_ga_sharded
-
-    sharded = run_island_ga_sharded(cfg, shards=2, trace_path=trace_path)
-    sharded_digest = ga_digest(sharded)
-    info = sharded.metrics.get("parallel", {})
-    return {
-        "n_demes": 256,
-        "topology": "ring",
-        "fabric": "hierarchical",
-        "serial_digest": serial_digest,
-        "sharded_digest": sharded_digest,
-        "ok": serial_digest == sharded_digest,
-        "sharded": bool(info.get("sharded")),
-        "fallback": info.get("fallback") or None,
-        "lookahead": info.get("lookahead"),
-        "trace": info.get("merged_trace") if trace_path else None,
-    }
-
-
 def run_scale_proof(n_demes: int = 4096) -> dict:
     """Complete an ``n_demes``-deme ring scenario; returns its shape."""
     t0 = time.perf_counter()  # repro-lint: allow[RPR002] — harness timing
@@ -421,18 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         "scale_study — age x topology x fabric sweep of the island GA at "
         "64-4096 demes on switched fabrics.",
         faults=False,
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="gate the SWITCHED_GOLDEN digests at shards {1,2,4} and exit",
-    )
-    parser.add_argument(
-        "--print-digests", action="store_true",
-        help="print current golden-scenario digests and exit",
-    )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="256-deme ring serial-vs-2-shard digest identity and exit",
     )
     parser.add_argument(
         "--scale-proof", type=int, default=None, metavar="N",
@@ -499,38 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         record = run_traced_stream(ns.trace_stream, args.store)
         print(json.dumps(record, indent=2))
         return 0
-
-    if ns.print_digests:
-        for name, cfg in golden_scenarios().items():
-            print(f'    "{name}": "{ga_digest(run_island_ga(cfg))}",')
-        return 0
-
-    if ns.check:
-        report = check_switched_golden()
-        if ns.out:
-            with open(ns.out, "w") as fh:
-                json.dump(report, fh, indent=2)
-        ok = True
-        for name, row in report.items():
-            status = "ok" if row["ok"] else "MISMATCH"
-            print(f"[scale_study] {name}: {status} "
-                  f"(shards {sorted(row['per_shards'])})")
-            if not row["ok"]:
-                ok = False
-                print(
-                    f"  digest {row['digest']}\n  golden {row['golden']}\n"
-                    f"  per-shards {row['per_shards']}",
-                    file=sys.stderr,
-                )
-        return 0 if ok else 1
-
-    if ns.smoke:
-        record = run_smoke(trace_path=args.trace)
-        if ns.out:
-            with open(ns.out, "w") as fh:
-                json.dump(record, fh, indent=2)
-        print(json.dumps(record, indent=2))
-        return 0 if record["ok"] else 1
 
     if ns.scale_proof is not None:
         record = run_scale_proof(ns.scale_proof)

@@ -27,6 +27,7 @@ from repro.cluster.node import NodeSpec
 from repro.core.coherence import CoherenceMode
 from repro.faults.plan import FaultPlan
 from repro.experiments.config import Scale
+from repro.experiments.runner import parallel_map
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 from repro.ga.sga import run_serial_ga
@@ -162,3 +163,65 @@ def best_competitor_gain(speedups: dict[str, float]) -> tuple[str, float]:
     best_gr_label = max(gr, key=gr.__getitem__)
     best_rival = max(rivals.values())
     return best_gr_label, gr[best_gr_label] / best_rival - 1.0
+
+
+def speedup_rows(
+    scale: Scale,
+    cells: list[tuple[dict, int, float]],
+    jobs: int | None = None,
+    faults: FaultPlan | None = None,
+    shards: int = 1,
+) -> list[dict]:
+    """The Figure 2/4 sweep: one row per cell ``(row head, P, load_bps)``.
+
+    Each row carries its head (the swept axis value) plus the per-variant
+    speedups for the best-case function (the scale's first) and the
+    all-function average, and the best-Global_Read-vs-best-competitor
+    gain of each.  The (cell × function × seed) replicas are
+    independent; they fan out across cores via
+    :func:`~repro.experiments.runner.parallel_map` (``REPRO_JOBS``) and
+    are merged in configuration-key order, so the rows are bit-identical
+    to a serial run.
+    """
+    variants = GaVariant.standard_set(scale.ages)
+    labels = [v.label for v in variants]
+    keys = [
+        (i, fid, r)
+        for i in range(len(cells))
+        for fid in scale.ga_functions
+        for r in range(scale.ga_runs)
+    ]
+    trials = parallel_map(
+        run_ga_trial,
+        [
+            (scale, fid, cells[i][1], 1000 * r + fid, variants, cells[i][2],
+             faults, shards)
+            for (i, fid, r) in keys
+        ],
+        jobs=jobs,
+    )
+    by_cell: dict[tuple[int, int], list[GaTrial]] = {}
+    for (i, fid, _r), trial in zip(keys, trials):
+        by_cell.setdefault((i, fid), []).append(trial)
+    best_fid = scale.ga_functions[0]  # function 1 when present
+    rows = []
+    for i, (head, _P, _load) in enumerate(cells):
+        best_case = speedups_over_trials(by_cell[(i, best_fid)], labels)
+        average = speedups_over_trials(
+            [t for fid in scale.ga_functions for t in by_cell[(i, fid)]], labels
+        )
+        best_case_label, best_case_gain = best_competitor_gain(best_case)
+        best_label, gain = best_competitor_gain(average)
+        rows.append(
+            {
+                **head,
+                "best_case_fid": best_fid,
+                "best_case": best_case,
+                "average": average,
+                "best_gr": best_label,
+                "gain_over_best_competitor": gain,
+                "best_case_gr": best_case_label,
+                "best_case_gain": best_case_gain,
+            }
+        )
+    return rows

@@ -83,6 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = experiment_parser(
         "Table 1 — regenerate and verify the eight-function GA test bed.",
         faults=False,
+        shards=False,
     )
     args = parse_experiment_args(parser, argv)
     print(format_table1(run_table1(jobs=args.jobs)))

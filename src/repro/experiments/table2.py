@@ -115,6 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         "Table 2 — the four Bayesian belief networks: structure metrics, "
         "partition edge cuts and serial inference times vs the paper.",
         faults=False,
+        shards=False,
     )
     args = parse_experiment_args(parser, argv)
     print(format_table2(run_table2(jobs=args.jobs)))

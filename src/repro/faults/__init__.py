@@ -4,8 +4,8 @@ A :class:`FaultPlan` declares *what* goes wrong (message drop/duplicate/
 delay/reorder rates and windows, node pause/slowdown/crash schedules);
 :func:`install_faults` wires it into a built machine so *when* it goes
 wrong is a pure function of ``plan.seed``.  Chaos runs are therefore
-bit-reproducible and regression-gated by the golden digests in
-:mod:`repro.faults.chaos`.
+bit-reproducible and regression-gated by the chaos rows of the golden
+table in :mod:`repro.check`.
 """
 
 from repro.faults.injectors import (

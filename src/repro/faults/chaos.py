@@ -1,12 +1,14 @@
-"""The chaos regression matrix: fixed-seed fault runs with golden digests.
+"""The chaos plans: fixed-seed fault plans and the raw-traffic workload.
 
-Each case runs one workload under one :class:`~repro.faults.plan.
-FaultPlan` and reduces the run to a SHA-256 digest over its observable
-behaviour (delivered-traffic sequence or application result) *plus* the
-injected-fault log.  The digests are pinned in :data:`CHAOS_GOLDEN` and
-checked by CI's ``chaos-smoke`` job — the executable form of the
-determinism contract (DESIGN.md §9): a chaos run is a pure function of
-``(workload, plan)``.
+A chaos row of the golden table (:data:`repro.check.GOLDEN`) runs one
+workload under one :class:`~repro.faults.plan.FaultPlan` and reduces the
+run to a SHA-256 digest over its observable behaviour (delivered-traffic
+sequence or application result) *plus* the injected-fault log — the
+executable form of the determinism contract (DESIGN.md §9): a chaos run
+is a pure function of ``(workload, plan)``.  This module holds the
+plans (:data:`PLANS`, keyed by row name) and the one workload that
+exists only for chaos; the GA and Bayes rows run the golden recipes of
+:mod:`repro.check` under their plan.
 
 Digests deliberately exclude ``Frame.frame_id`` — it comes from a
 process-global counter, so it varies with whatever ran earlier in the
@@ -22,23 +24,24 @@ Three workload families:
 ``ga``
     The small island GA under *lossless* chaos (duplicate + delay +
     reorder) or node faults; Global_Read keeps its age bound throughout.
+    The GA's migrant exchange has no retransmission, so a dropped final
+    update can (correctly) block a Global_Read forever; loss-bearing
+    plans belong to the traffic family until a retry layer exists.
 ``bayes``
     The small parallel logic-sampling run under duplication — the case
     that historically underflowed the GVT oracle and is now the
-    regression for bounded rollback cascades.
-
-Run ``python -m repro.faults`` for the matrix, ``--check`` to gate
-against the goldens, ``--print-digests`` to regenerate after an
-intentional behaviour change.
+    regression for bounded rollback cascades: duplicated correction/
+    update messages must neither crash the oracle nor re-trigger settled
+    rollbacks, and the run must terminate.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.bench.determinism import digest_values
 from repro.faults.injectors import install_faults
 from repro.faults.plan import FaultPlan, MessageFaults, NodeFault
+from repro.util.digest import digest_values
 
 
 class _TrafficNode:
@@ -100,194 +103,34 @@ def traffic_case(
     return digest, injector.summary()
 
 
-def ga_case(
-    plan: FaultPlan,
-    n_demes: int = 2,
-    topology: str = "all",
-    interconnect: str = "ethernet",
-) -> tuple[str, dict]:
-    """Digest the small Global_Read island GA under a lossless plan.
-
-    The GA's migrant exchange has no retransmission, so a dropped final
-    update can (correctly) block a Global_Read forever; chaos plans for
-    it therefore stick to lossless faults or node faults — loss-bearing
-    plans belong to the traffic family until a retry layer exists.
-
-    ``topology``/``interconnect`` select the migration wiring
-    (:mod:`repro.ga.topology`) and fabric — the switched-fabric row
-    exercises the store-and-forward path under the same chaos contract
-    as shared Ethernet.
-    """
-    from dataclasses import replace
-
-    from repro.core.coherence import CoherenceMode
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
-    from repro.ga.functions import get_function
-    from repro.ga.island import IslandGaConfig, run_island_ga
-
-    # the network-level injector (MessageFaultInjector) is discoverable
-    # from the Dsm the instrument hook receives
-    injector: list = []
-
-    def grab_injector(dsm) -> None:
-        machine_faults = getattr(dsm.vm.network, "fault_injector", None)
-        if machine_faults is not None:
-            injector.append(machine_faults)
-
-    machine = machine_for(Scale.smoke(), n_demes, 7, faults=plan)
-    if interconnect != machine.interconnect:
-        machine = replace(machine, interconnect=interconnect)
-    result = run_island_ga(
-        IslandGaConfig(
-            fn=get_function(1),
-            n_demes=n_demes,
-            mode=CoherenceMode.NON_STRICT,
-            age=10,
-            n_generations=40,
-            seed=7,
-            machine=machine,
-            topology=topology,
-        ),
-        instrument=grab_injector,
-    )
-    log_fields = injector[0].log.digest_fields() if injector else []
-    digest = digest_values(
-        result.completion_time,
-        result.total_time,
-        result.best_fitness,
-        result.mean_fitness,
-        [float(b) for b in result.per_deme_best],
-        list(result.generations_run),
-        result.messages_sent,
-        log_fields,
-    )
-    summary = injector[0].stats.as_dict() if injector else {}
-    return digest, summary
-
-
-def bayes_case(plan: FaultPlan) -> tuple[str, dict]:
-    """Digest a small parallel logic-sampling run under duplication.
-
-    The regression this pins: duplicated correction/update messages must
-    neither crash the GVT oracle nor re-trigger settled rollbacks, and
-    the run must terminate.
-    """
-    from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
-    from repro.core.coherence import CoherenceMode
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
-    from repro.experiments.table2 import build_network, pick_query
-
-    net = build_network("Hailfinder")
-    mcfg = machine_for(Scale.smoke(), 2, 7, faults=plan)
-    result = run_parallel_logic_sampling(
-        ParallelLsConfig(
-            net=net,
-            query=pick_query(net, seed=0),
-            n_procs=2,
-            mode=CoherenceMode.NON_STRICT,
-            age=5,
-            seed=7,
-            machine=mcfg,
-            max_iterations=4000,
-        )
-    )
-    digest = digest_values(
-        result.completion_time,
-        bool(result.converged),
-        result.committed_runs,
-        result.posterior,
-        list(result.iterations_sampled),
-        result.messages_sent,
-        result.rollback.rollbacks,
-        result.rollback.corrections_received,
-        result.rollback.duplicate_messages,
-        result.rollback.stale_corrections,
-    )
-    summary = {
-        "converged": bool(result.converged),
-        "rollbacks": result.rollback.rollbacks,
-        "duplicate_messages": result.rollback.duplicate_messages,
-        "stale_corrections": result.rollback.stale_corrections,
-    }
-    return digest, summary
-
-
-# ---------------------------------------------------------------------------
-# The fixed-seed matrix
-# ---------------------------------------------------------------------------
-
 def _mk(seed: int, **rates) -> FaultPlan:
     return FaultPlan(seed=seed, messages=MessageFaults(**rates))
 
 
-MATRIX: dict[str, Callable[[], tuple[str, dict]]] = {
-    "traffic-drop": lambda: traffic_case(_mk(1, drop=0.15, stop=0.015)),
-    "traffic-duplicate": lambda: traffic_case(_mk(2, duplicate=0.15)),
-    "traffic-delay": lambda: traffic_case(_mk(3, delay=0.2)),
-    "traffic-reorder": lambda: traffic_case(_mk(4, reorder=0.2)),
-    "traffic-mixed": lambda: traffic_case(
-        _mk(5, drop=0.05, duplicate=0.05, delay=0.05, reorder=0.05, stop=0.018)
+#: the fault plan of every chaos row of :data:`repro.check.GOLDEN`
+PLANS: dict[str, FaultPlan] = {
+    "traffic-drop": _mk(1, drop=0.15, stop=0.015),
+    "traffic-duplicate": _mk(2, duplicate=0.15),
+    "traffic-delay": _mk(3, delay=0.2),
+    "traffic-reorder": _mk(4, reorder=0.2),
+    "traffic-mixed": _mk(
+        5, drop=0.05, duplicate=0.05, delay=0.05, reorder=0.05, stop=0.018
     ),
-    "traffic-crash": lambda: traffic_case(
-        FaultPlan(
-            seed=6,
-            node_faults=(
-                NodeFault(node=1, kind="crash", start=0.004, duration=0.003),
-                NodeFault(node=4, kind="crash", start=0.009, duration=0.002),
-            ),
-        )
+    "traffic-crash": FaultPlan(
+        seed=6,
+        node_faults=(
+            NodeFault(node=1, kind="crash", start=0.004, duration=0.003),
+            NodeFault(node=4, kind="crash", start=0.009, duration=0.002),
+        ),
     ),
-    "ga-lossless-chaos": lambda: ga_case(
-        _mk(7, duplicate=0.05, delay=0.05, reorder=0.05)
+    "ga-lossless-chaos": _mk(7, duplicate=0.05, delay=0.05, reorder=0.05),
+    "ga-switched-ring": _mk(10, duplicate=0.05, delay=0.05, reorder=0.05),
+    "ga-node-faults": FaultPlan(
+        seed=8,
+        node_faults=(
+            NodeFault(node=0, kind="pause", start=0.3, duration=0.15),
+            NodeFault(node=1, kind="slowdown", start=0.6, duration=0.4, factor=2.5),
+        ),
     ),
-    "ga-switched-ring": lambda: ga_case(
-        _mk(10, duplicate=0.05, delay=0.05, reorder=0.05),
-        n_demes=4,
-        topology="ring",
-        interconnect="switched",
-    ),
-    "ga-node-faults": lambda: ga_case(
-        FaultPlan(
-            seed=8,
-            node_faults=(
-                NodeFault(node=0, kind="pause", start=0.3, duration=0.15),
-                NodeFault(node=1, kind="slowdown", start=0.6, duration=0.4, factor=2.5),
-            ),
-        )
-    ),
-    "bayes-duplicate": lambda: bayes_case(_mk(9, duplicate=0.1)),
+    "bayes-duplicate": _mk(9, duplicate=0.1),
 }
-
-#: expected digests; regenerate with `python -m repro.faults --print-digests`
-#: after an *intentional* behaviour change (and say so in the PR).
-CHAOS_GOLDEN = {
-    "traffic-drop": "8223aed4f0124a34d3d5ba99c46b065f73743af182fd571be780f69344e6c2e8",
-    "traffic-duplicate": "c2e4917c7c9fe16402b737e0bc3ef70dd2bbb3df89d8b68090073afbf92edd81",
-    "traffic-delay": "bc371ca8f68b1c0ed61e1cce7ba090cef21e5e0eae46e27efb88d6af97c69716",
-    "traffic-reorder": "f7901dcc5d5901a09c80b7d86956b5b45c5d3c3277280a5846af14a5eb1f6218",
-    "traffic-mixed": "9d8ab62bfd945b003214ffdafede4fbe4fa10d92950802cd779ee5c27ff2b299",
-    "traffic-crash": "a9eb48891f11a3ef3ed7bafad7046d10c2f9a4b626aff2af1ae22ab92d3bac1a",
-    "ga-lossless-chaos": "dc4d59c7fde245ec0cec80987bb6886288f27a4b67c365e4993a7fbd7b667586",
-    "ga-switched-ring": "cfa9b5178bdc3a828cc9adc07d9cd254d793b2805469dfd75271f1eb89d807d8",
-    "ga-node-faults": "41cc5af29e9c952d9a27c75fecb6c123b062618cb81be0a3582fa5b3f0a8d778",
-    "bayes-duplicate": "38806a7333e1e972daba603c42d755986ee0d73b5a4a5c9417208e4597c88af4",
-}
-
-
-def run_matrix(names: list[str] | None = None) -> dict[str, dict]:
-    """Run the (selected) matrix; returns per-case digest/golden/summary."""
-    out: dict[str, dict] = {}
-    for name, producer in MATRIX.items():
-        if names and name not in names:
-            continue
-        digest, summary = producer()
-        golden = CHAOS_GOLDEN.get(name, "")
-        out[name] = {
-            "digest": digest,
-            "golden": golden,
-            "ok": digest == golden,
-            "summary": summary,
-        }
-    return out

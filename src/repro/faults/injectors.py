@@ -104,7 +104,7 @@ class FaultLog:
         ]
 
     def digest_fields(self) -> list:
-        """Flat field list for repro.bench.determinism.digest_values."""
+        """Flat field list for :func:`repro.util.digest.digest_values`."""
         out: list = []
         for e in self.events:
             out.extend((e.time, e.kind, e.src, e.dst, e.frame_kind, e.amount))

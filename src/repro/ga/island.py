@@ -147,6 +147,26 @@ class IslandGaResult:
         """Whether the best fitness reached ``threshold`` of the known optimum."""
         return self.best_fitness <= threshold
 
+    def digest_fields(self) -> list:
+        """The simulated-side observables a pinned digest covers, in order.
+
+        :mod:`repro.check` hashes these against its golden table and the
+        sharded run's cross-shard tripwire hashes them per shard.  The
+        warp pair comes last because the chaos rows, pinned before warp
+        was measured on those machines, leave it out.
+        """
+        return [
+            self.completion_time,
+            self.total_time,
+            self.best_fitness,
+            self.mean_fitness,
+            [float(b) for b in self.per_deme_best],
+            list(self.generations_run),
+            self.messages_sent,
+            self.mean_warp,
+            self.max_warp,
+        ]
+
 
 class _Recorder:
     """Tracks per-deme progress and the global time-to-target."""
@@ -332,7 +352,10 @@ def _deme_process(
 
 
 def run_island_ga(
-    cfg: IslandGaConfig, instrument=None, shards: int = 1, deme_model=None
+    cfg: IslandGaConfig,
+    instrument=None,
+    shards: int = 1,
+    trace_path: str | None = None,
 ) -> IslandGaResult:
     """Execute one island-GA run on a freshly built machine.
 
@@ -349,13 +372,35 @@ def run_island_ga(
     when the run cannot shard (noisy fitness function, single deme,
     instrument hook) or worker processes cannot start.
 
-    ``deme_model`` is the internal execution-model hook used by the
-    sharded workers themselves; see :func:`_deme_process`.
+    ``trace_path`` is where a sharded run writes its merged JSONL trace
+    (the per-shard traces land beside it); a serial run is traced
+    through ``MachineConfig.trace`` instead.
     """
-    if shards > 1 and deme_model is None:
-        from repro.ga.sharded import run_island_ga_sharded
+    if shards < 2:
+        if trace_path is not None:
+            raise ValueError(
+                "trace_path is the merged-trace destination of a sharded run; "
+                "trace a serial run with MachineConfig(trace=True)"
+            )
+        return _run_island(cfg, instrument)
+    from repro.ga.sharded import GaShardScenario
+    from repro.sim.parallel.coordinator import run_sharded
 
-        return run_island_ga_sharded(cfg, shards=shards, instrument=instrument)
+    run = run_sharded(
+        GaShardScenario(cfg, instrument), shards, seed=cfg.seed, trace_path=trace_path
+    )
+    run.result.metrics["parallel"] = run.info()
+    return run.result
+
+
+def _run_island(
+    cfg: IslandGaConfig, instrument=None, deme_model=None
+) -> IslandGaResult:
+    """One run on this process's kernel: the serial path and every shard replica.
+
+    ``deme_model`` is the execution-model hook of the sharded workers;
+    see :func:`_deme_process`.
+    """
     mcfg = cfg.machine or MachineConfig(n_nodes=cfg.n_demes, seed=cfg.seed, measure_warp=True)
     if mcfg.n_nodes != cfg.n_demes:
         raise ValueError(

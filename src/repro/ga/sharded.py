@@ -12,9 +12,9 @@ shard instead of recomputing — same cost charged, same best/mean
 reported, same migrant payload written to the DSM.
 
 Because the simulated side is untouched, a sharded run is bit-identical
-to serial: the GOLDEN ``ga_result`` digest and the CHAOS_GOLDEN fault
-digests are pinned at shards ∈ {1, 2, 4} by ``tests/sim/
-test_parallel_kernel.py`` and CI's parallel-smoke job.
+to serial: ``python -m repro.check`` holds every GA row of the golden
+table to its pin at each shard count in {1, 2, 4} the row's deme count
+allows.
 
 Runs that cannot shard fall back to serial gracefully, with the reason
 recorded under ``result.metrics["parallel"]["fallback"]``:
@@ -33,39 +33,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.bench.determinism import digest_values
 from repro.cluster.machine import MachineConfig
-from repro.ga.island import IslandGaConfig, IslandGaResult, _LocalDeme, run_island_ga
+from repro.ga.island import IslandGaConfig, IslandGaResult, _LocalDeme, _run_island
 from repro.sim.parallel.records import GenRecord, ShardOutcome
-
-
-def ga_digest(result: IslandGaResult) -> str:
-    """The GOLDEN ``ga_result`` digest recipe over one run's result."""
-    return digest_values(
-        result.completion_time,
-        result.total_time,
-        result.best_fitness,
-        result.mean_fitness,
-        [float(b) for b in result.per_deme_best],
-        list(result.generations_run),
-        result.messages_sent,
-        result.mean_warp,
-        result.max_warp,
-    )
-
-
-def ga_chaos_digest(result: IslandGaResult, log_fields: list) -> str:
-    """The CHAOS_GOLDEN ``ga-*`` digest recipe (result + injected faults)."""
-    return digest_values(
-        result.completion_time,
-        result.total_time,
-        result.best_fitness,
-        result.mean_fitness,
-        [float(b) for b in result.per_deme_best],
-        list(result.generations_run),
-        result.messages_sent,
-        log_fields,
-    )
+from repro.util.digest import digest_values
 
 
 class _OwnerDeme:
@@ -168,11 +139,14 @@ class GaShardScenario:
     """The island GA rendered as a :func:`repro.sim.parallel.run_sharded`
     scenario: units are demes, the communication graph is the all-to-all
     migrant exchange, and the shard executor swaps owner/ghost deme
-    models into :func:`~repro.ga.island.run_island_ga`.
+    models into the island run.  ``instrument`` is the caller's
+    ``run_island_ga`` hook: a live closure cannot cross the process
+    boundary, so a run that has one is not shardable.
     """
 
-    def __init__(self, cfg: IslandGaConfig) -> None:
+    def __init__(self, cfg: IslandGaConfig, instrument=None) -> None:
         self.cfg = cfg
+        self.instrument = instrument
 
     # -- coordinator-side protocol -------------------------------------
     def units(self) -> int:
@@ -221,11 +195,13 @@ class GaShardScenario:
             )
         if self.cfg.n_demes < 2:
             return False, "single deme: nothing to partition"
+        if self.instrument is not None:
+            return False, "instrument hook cannot cross the process boundary"
         return True, ""
 
     def run_serial(self) -> IslandGaResult:
         """The graceful fallback: the ordinary serial run."""
-        return run_island_ga(self.cfg)
+        return _run_island(self.cfg, self.instrument)
 
     # -- worker-side executor ------------------------------------------
     def run_shard(self, ctx) -> ShardOutcome:
@@ -247,7 +223,7 @@ class GaShardScenario:
                 return _OwnerDeme(mcfg, deme, ctx.feed)
             return _GhostDeme(mcfg, deme, ctx.feed)
 
-        result = run_island_ga(cfg, instrument=grab, deme_model=model)
+        result = _run_island(cfg, instrument=grab, deme_model=model)
 
         kernel = holder["dsm"].vm.kernel
         injector = getattr(holder["dsm"].vm.network, "fault_injector", None)
@@ -261,7 +237,7 @@ class GaShardScenario:
         return ShardOutcome(
             shard_id=ctx.shard_id,
             digest=digest_values(
-                ga_digest(result),
+                result.digest_fields(),
                 list(fault_log),
                 float(kernel.now),
                 int(kernel.events_executed),
@@ -272,62 +248,3 @@ class GaShardScenario:
             fault_log=fault_log,
             trace_path=trace_path,
         )
-
-
-def run_island_ga_sharded(
-    cfg: IslandGaConfig,
-    shards: int,
-    instrument=None,
-    trace_path: str | None = None,
-    lag_bound: float | None = None,
-    profile: bool = False,
-) -> IslandGaResult:
-    """Run one island GA across ``shards`` worker processes.
-
-    Entry point behind ``run_island_ga(cfg, shards=N)``.  Bit-identical
-    to the serial run (the coordinator enforces cross-shard digest
-    equality); falls back to serial — recording why under
-    ``result.metrics["parallel"]`` — whenever sharding is impossible.
-    """
-    if instrument is not None:
-        result = run_island_ga(cfg, instrument=instrument)
-        result.metrics["parallel"] = {
-            "shards": 1,
-            "sharded": False,
-            "fallback": "instrument hook cannot cross the process boundary",
-        }
-        return result
-
-    from repro.sim.parallel.coordinator import run_sharded
-
-    run = run_sharded(
-        GaShardScenario(cfg),
-        shards,
-        seed=cfg.seed,
-        lag_bound=lag_bound,
-        trace_path=trace_path,
-        profile=profile,
-    )
-    result: IslandGaResult = run.result
-    info: dict = {
-        "shards": run.n_shards,
-        "sharded": run.sharded,
-        "fallback": run.fallback,
-    }
-    if run.sharded:
-        info.update(
-            {
-                "owner": list(run.plan.owner),
-                "lookahead": run.plan.lookahead,
-                "lag_bound": run.plan.lag_bound,
-                "records_routed": run.records_routed,
-                "floor_broadcasts": run.floor_broadcasts,
-                "feed": [o.feed_stats for o in run.outcomes],
-                "fault_log": run.outcomes[0].fault_log,
-                "merged_trace": run.merged_trace,
-            }
-        )
-        if profile:
-            info["prof"] = [o.prof for o in run.outcomes]
-    result.metrics["parallel"] = info
-    return result

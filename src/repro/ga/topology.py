@@ -12,7 +12,7 @@ Topology kinds
 ``all``
     every other deme — the paper's default.  Peer and reader
     enumeration is ascending, byte-identical to the historical inline
-    expressions, so the GOLDEN/CHAOS_GOLDEN digests are unaffected.
+    expressions, so the pinned digests (:mod:`repro.check`) are unaffected.
 ``ring``
     in-peers ``(d-1) mod n`` and ``(d+1) mod n``.
 ``torus``

@@ -8,8 +8,8 @@ constraints, in priority order:
    RNG stream, the event queue or any simulated state; the bus only
    appends to a Python list.  With tracing off there is no bus at all
    (``kernel.obs is None``) and every hook is a single attribute check,
-   so the golden digests in :mod:`repro.bench.determinism` and
-   :mod:`repro.faults.chaos` are byte-identical either way — and a test
+   so the golden digests in :mod:`repro.check` are byte-identical
+   either way — and a test
    pins that they are identical with tracing *on* too.
 2. **Zero dependencies.**  Plain dataclass records, stdlib ``json``.
 3. **Bounded memory.**  Buffered mode keeps at most ``max_events``

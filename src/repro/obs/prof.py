@@ -16,7 +16,7 @@ Design constraints, in priority order:
    to its own dicts; it never touches the simulated clock, RNG streams
    or event order.  With profiling off every hook is a single global /
    attribute ``is None`` check — the same idiom as ``kernel.obs`` —
-   and a test pins GOLDEN and SWITCHED_GOLDEN digests with profiling
+   and a test pins golden digests (:mod:`repro.check`) with profiling
    *on*.
 2. **Stdlib only.**  ``time.perf_counter`` and plain dicts; no
    ``cProfile`` (its per-call hook is ~2× slowdown and its output is

@@ -14,18 +14,18 @@ stream — the shared-Ethernet arbitration makes any event-partitioned
 alternative zero-lookahead, see DESIGN.md §13 — while the expensive
 application work (GA evolution, fitness evaluation) runs only on the
 unit's owning shard and is replayed elsewhere from exchanged records.
-That construction makes sharded runs **bit-identical to serial** (the
-GOLDEN and CHAOS_GOLDEN digests are pinned at shards ∈ {1, 2, 4}), and
-the coordinator enforces it at runtime by requiring every shard to
-produce the same result digest and the same JSONL trace.
+That construction makes sharded runs **bit-identical to serial**
+(``python -m repro.check`` holds every GA row of the golden table to its
+pin at shards ∈ {1, 2, 4}), and the coordinator enforces it at runtime
+by requiring every shard to produce the same result digest and the same
+JSONL trace.
 
-Entry points: ``run_island_ga(cfg, shards=N)`` for the island GA,
-``python -m repro.sim.parallel --check`` for the CI digest gate.
+Entry point: ``run_island_ga(cfg, shards=N)`` for the island GA.
 """
 
 from repro.sim.parallel.channel import RecordFeed
-from repro.sim.parallel.coordinator import ShardedRun, default_shards, run_sharded
-from repro.sim.parallel.plan import ShardPlan, ga_comm_graph, lookahead_of, plan_shards
+from repro.sim.parallel.coordinator import ShardedRun, run_sharded
+from repro.sim.parallel.plan import ShardPlan, lookahead_of, plan_shards
 from repro.sim.parallel.records import GenRecord, ShardOutcome
 from repro.sim.parallel.trace import merge_shard_traces
 from repro.sim.parallel.worker import ShardContext
@@ -37,8 +37,6 @@ __all__ = [
     "ShardOutcome",
     "ShardPlan",
     "ShardedRun",
-    "default_shards",
-    "ga_comm_graph",
     "lookahead_of",
     "merge_shard_traces",
     "plan_shards",

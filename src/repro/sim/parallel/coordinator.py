@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
+from repro.obs.prof import current as ambient_profiler
 from repro.sim.parallel.channel import BYE, CLK, DONE, ERR, FLOOR, REC
 from repro.sim.parallel.plan import ShardPlan, lookahead_of, plan_shards
 from repro.sim.parallel.records import ShardOutcome
@@ -69,6 +69,28 @@ class ShardedRun:
         """Whether worker processes actually executed the run."""
         return self.fallback is None
 
+    def info(self) -> dict:
+        """The ``result.metrics["parallel"]`` block describing this run."""
+        info: dict = {
+            "shards": self.n_shards,
+            "sharded": self.sharded,
+            "fallback": self.fallback,
+        }
+        if self.sharded:
+            info.update(
+                owner=list(self.plan.owner),
+                lookahead=self.plan.lookahead,
+                lag_bound=self.plan.lag_bound,
+                records_routed=self.records_routed,
+                floor_broadcasts=self.floor_broadcasts,
+                feed=[o.feed_stats for o in self.outcomes],
+                fault_log=self.outcomes[0].fault_log,
+                merged_trace=self.merged_trace,
+            )
+            if self.outcomes[0].prof is not None:
+                info["prof"] = [o.prof for o in self.outcomes]
+        return info
+
 
 def _mp_context():
     """Fork where available (cheap, Linux), spawn otherwise."""
@@ -80,16 +102,15 @@ def run_sharded(
     scenario,
     shards: int,
     seed: int = 0,
-    lag_bound: float | None = None,
     trace_path: str | None = None,
-    profile: bool = False,
 ) -> ShardedRun:
     """Execute ``scenario`` across ``shards`` worker processes.
 
     Bit-identical to ``scenario.run_serial()`` by construction; the
     cross-shard digest check turns any violation into a hard error
-    rather than a silently wrong result.  ``profile`` turns on the
-    host-time profiler in every worker (determinism-neutral; snapshots
+    rather than a silently wrong result.  When this process has an
+    ambient host-time profiler (:func:`repro.obs.prof.current`), every
+    worker runs under one of its own (determinism-neutral; snapshots
     come back on ``outcomes[k].prof``).
     """
     units = scenario.units()
@@ -102,13 +123,12 @@ def run_sharded(
         return ShardedRun(result=scenario.run_serial(), n_shards=1, fallback=reason)
 
     lookahead = lookahead_of(scenario.machine_config())
-    plan = plan_shards(
-        scenario.comm_graph(), n, lookahead, seed=seed, lag_bound=lag_bound
-    )
+    plan = plan_shards(scenario.comm_graph(), n, lookahead, seed=seed)
     n = plan.n_shards
 
     from repro.sim.parallel.worker import shard_worker_main
 
+    profile = ambient_profiler() is not None
     ctx = _mp_context()
     conns, procs = [], []
     shard_traces = [
@@ -267,8 +287,3 @@ def _route(conns, procs, plan: ShardPlan):
             else:
                 raise RuntimeError(f"unexpected worker message tag {tag!r}")
     return done, floor_broadcasts, routed
-
-
-def default_shards() -> int:
-    """A sensible shard count for this box (half the cores, min 1)."""
-    return max(1, (os.cpu_count() or 1) // 2)

@@ -106,18 +106,3 @@ def plan_shards(
         lookahead=lookahead,
         lag_bound=lag_bound,
     )
-
-
-def ga_comm_graph(n_demes: int, migrant_nbytes: int) -> nx.Graph:
-    """The island GA's unit-communication graph.
-
-    Migrant exchange is all-to-all (every deme broadcasts to every
-    other), so the graph is complete with uniform edge weights equal to
-    the per-generation migrant payload — any balanced partition is
-    cut-optimal, and the multilevel partitioner degenerates to balanced
-    assignment, which is exactly right for this workload.
-    """
-    g = nx.complete_graph(n_demes)
-    for u, v in g.edges:
-        g[u][v]["weight"] = float(migrant_nbytes)
-    return g

@@ -5,6 +5,7 @@ package must stay dependency-free (stdlib only) and must never touch
 RNG streams, the event queue or simulated state.
 """
 
+from repro.util.digest import digest_values
 from repro.util.envelope import (
     envelope_digest,
     make_envelope,
@@ -13,6 +14,7 @@ from repro.util.envelope import (
 )
 
 __all__ = [
+    "digest_values",
     "envelope_digest",
     "make_envelope",
     "render_envelope",

@@ -84,24 +84,18 @@ def run_island():
 
 @pytest.fixture
 def golden_island():
-    """Factory fixture: the GOLDEN ``ga_result`` recipe.
+    """Factory fixture: :func:`repro.check.golden_ga`, the recipe of the
+    pinned ``ga_*`` rows (optionally with a fault plan) — tests of the
+    parallel kernel and the chaos rows both anchor on it."""
+    from repro.check import golden_ga
 
-    The exact configuration whose digest is pinned in
-    ``repro.bench.determinism.GOLDEN`` (optionally with a fault plan) —
-    tests of the parallel kernel and the chaos matrix both anchor on it.
-    """
-    from repro.core.coherence import CoherenceMode
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
+    return golden_ga
 
-    def _build(faults=None):
-        return build_island_cfg(
-            mode=CoherenceMode.NON_STRICT,
-            age=10,
-            demes=2,
-            gens=40,
-            seed=7,
-            machine=machine_for(Scale.smoke(), 2, 7, faults=faults),
-        )
 
-    return _build
+@pytest.fixture(scope="session")
+def check_report():
+    """One :func:`repro.check.run_checks` report shared by the session
+    (every row, every shard count, both traced identity checks: ~12 s)."""
+    from repro.check import run_checks
+
+    return run_checks()

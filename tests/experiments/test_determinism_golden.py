@@ -5,20 +5,19 @@ kernel "optimisation" that reorders same-instant events, changes RNG
 consumption order, or alters signal wakeup order will shift them.
 """
 
-from repro.bench.determinism import (
-    GOLDEN,
-    bayes_result_digest,
-    digest_values,
-    ga_result_digest,
-)
+from repro.bayes.parallel import run_parallel_logic_sampling
+from repro.check import GOLDEN, bayes_digest, ga_digest, golden_bayes, golden_ga
+from repro.ga.island import run_island_ga
+from repro.util import digest_values
 
 
 def test_ga_digest_matches_golden():
-    assert ga_result_digest() == GOLDEN["ga_result"]
+    assert ga_digest(run_island_ga(golden_ga())) == GOLDEN["ga_result"]
 
 
 def test_bayes_digest_matches_golden():
-    assert bayes_result_digest() == GOLDEN["bayes_result"]
+    result = run_parallel_logic_sampling(golden_bayes())
+    assert bayes_digest(result) == GOLDEN["bayes_result"]
 
 
 def test_digest_values_canonicalises_numpy_scalars():

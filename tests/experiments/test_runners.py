@@ -150,6 +150,66 @@ class TestWarpStudy:
         assert format_warp_study(res)
 
 
+class TestSpeedupSweeps:
+    """Figure 2 and Figure 4 are one reducer over a different axis."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        from dataclasses import replace
+
+        return replace(
+            Scale.smoke(), ga_runs=1, ga_generations=40,
+            processor_counts=(2,), loads_bps=(1e6,),
+        )
+
+    @staticmethod
+    def _reference(scale, P, load_bps, fids):
+        variants = GaVariant.standard_set(scale.ages)
+        trials = [run_ga_trial(scale, fid, P, fid, variants, load_bps) for fid in fids]
+        return speedups_over_trials(trials, [v.label for v in variants])
+
+    def test_figure2_rows_sweep_processor_counts(self, tiny):
+        from repro.experiments import run_figure2
+
+        (row,) = run_figure2(tiny, jobs=1)
+        assert row["P"] == 2 and row["best_case_fid"] == 1
+        assert row["best_case"] == self._reference(tiny, 2, 0.0, (1,))
+        assert row["average"] == self._reference(tiny, 2, 0.0, (1, 3))
+        assert (row["best_gr"], row["gain_over_best_competitor"]) == (
+            best_competitor_gain(row["average"])
+        )
+
+    def test_figure4_rows_sweep_offered_load_on_four_nodes(self, tiny):
+        from repro.experiments import run_figure4
+
+        unloaded, loaded = run_figure4(tiny, jobs=1)
+        assert [unloaded["load_mbps"], loaded["load_mbps"]] == [0.0, 1.0]
+        assert loaded["best_case"] == self._reference(tiny, 4, 1e6, (1,))
+        assert loaded["average"] == self._reference(tiny, 4, 1e6, (1, 3))
+        assert unloaded["average"] == self._reference(tiny, 4, 0.0, (1, 3))
+        assert (loaded["best_case_gr"], loaded["best_case_gain"]) == (
+            best_competitor_gain(loaded["best_case"])
+        )
+
+
+class TestSharedCli:
+    @pytest.mark.parametrize("driver", ["table1", "table2", "figure3"])
+    def test_drivers_that_cannot_shard_reject_the_flag(self, driver, capsys):
+        import importlib
+
+        module = importlib.import_module(f"repro.experiments.{driver}")
+        with pytest.raises(SystemExit) as exc:
+            module.main(["--shards", "2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_ga_drivers_still_take_it(self):
+        from repro.experiments.cli import experiment_parser, parse_experiment_args
+
+        args = parse_experiment_args(experiment_parser("x"), ["--shards", "2"])
+        assert args.shards == 2
+
+
 class TestFormatting:
     def test_figure2_and_4_formatters_render(self):
         # synthesised rows to keep formatter tests fast

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.experiments.config import Scale
+from repro.check import GOLDEN, ga_digest, ga_rows
 from repro.experiments.scale_study import (
-    SWITCHED_GOLDEN,
     format_scale_study,
-    golden_scenarios,
     run_scale_proof,
     run_scale_study,
     scenario,
@@ -30,20 +29,20 @@ class TestScenarioBuilder:
             scenario(8, "ring", "crossbar", age=5)
 
     def test_golden_scenarios_cover_the_pinned_keys(self):
-        scenarios = golden_scenarios()
-        assert set(scenarios) == set(SWITCHED_GOLDEN)
+        pinned = ("ring-hierarchical", "torus-fat-tree", "all-single-mcast")
+        assert set(pinned) <= set(GOLDEN)
+        scenarios = {name: ga_rows()[name] for name in pinned}
         fabrics = {c.machine.switched.fabric for c in scenarios.values()}
         assert fabrics == {"single", "hierarchical", "fat-tree"}
         assert any(c.machine.hw_multicast for c in scenarios.values())
 
     def test_golden_digest_pinned_serially(self):
         """The serial digest of one golden scenario matches the pin (the
-        full shards {1,2,4} sweep runs in CI's scale-smoke job)."""
+        full shards {1,2,4} sweep runs in tests/test_check.py)."""
         from repro.ga.island import run_island_ga
-        from repro.ga.sharded import ga_digest
 
-        cfg = golden_scenarios()["ring-hierarchical"]
-        assert ga_digest(run_island_ga(cfg)) == SWITCHED_GOLDEN["ring-hierarchical"]
+        cfg = ga_rows()["ring-hierarchical"]
+        assert ga_digest(run_island_ga(cfg)) == GOLDEN["ring-hierarchical"]
 
 
 class TestSweep:

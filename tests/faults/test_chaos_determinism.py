@@ -1,34 +1,37 @@
-"""Chaos matrix determinism: same plan seed => identical trace digest.
+"""Chaos rows: same plan seed => identical trace digest.
 
 These are the property (a) tests of the chaos suite: a fault-injected
 run is a pure function of ``(workload, FaultPlan)``.  Two back-to-back
-runs of any matrix case must produce bit-identical SHA-256 digests, and
-every case must match its checked-in golden in ``CHAOS_GOLDEN``.
+runs of any chaos row must produce bit-identical SHA-256 digests, and
+every row must match its checked-in golden in ``repro.check.GOLDEN``.
 """
 
 import pytest
 
-from repro.faults.chaos import CHAOS_GOLDEN, MATRIX, run_matrix, traffic_case
+from repro.check import GOLDEN, ga_digest, golden_ga
+from repro.faults.chaos import PLANS, traffic_case
 from repro.faults.plan import FaultPlan, MessageFaults
+from repro.ga.island import run_island_ga
 
-# the full matrix takes ~1.5 s; run the cheap traffic family twice for
-# the rerun property and the whole matrix once against the goldens
-_TRAFFIC_CASES = [n for n in MATRIX if n.startswith("traffic-")]
+# run the cheap traffic family twice for the rerun property; the whole
+# matrix runs once against the goldens in the session's check report
+_TRAFFIC_CASES = [n for n in PLANS if n.startswith("traffic-")]
 
 
 @pytest.mark.parametrize("name", _TRAFFIC_CASES)
 def test_same_seed_two_runs_identical_digest(name):
-    d1, s1 = MATRIX[name]()
-    d2, s2 = MATRIX[name]()
+    d1, s1 = traffic_case(PLANS[name])
+    d2, s2 = traffic_case(PLANS[name])
     assert d1 == d2
     assert s1 == s2
 
 
-def test_matrix_matches_goldens():
-    results = run_matrix()
-    assert set(results) == set(CHAOS_GOLDEN)
+def test_matrix_matches_goldens(check_report):
+    assert set(PLANS) <= set(GOLDEN)
     mismatched = {
-        n: (r["digest"], r["golden"]) for n, r in results.items() if not r["ok"]
+        n: (check_report[n]["digest"], check_report[n]["golden"])
+        for n in PLANS
+        if not check_report[n]["ok"]
     }
     assert mismatched == {}
 
@@ -40,13 +43,11 @@ def test_different_seed_changes_digest():
     assert d1 != d2
 
 
-def test_every_case_actually_injects():
+def test_every_case_actually_injects(check_report):
     # a chaos case that injects nothing is testing nothing
-    from repro.faults.chaos import ga_case
-
-    healthy_ga_digest, _ = ga_case(FaultPlan.none())
-    for name, producer in MATRIX.items():
-        digest, summary = producer()
+    healthy_ga_digest = ga_digest(run_island_ga(golden_ga()), fault_log=[])
+    for name in PLANS:
+        digest, summary = check_report[name]["digest"], check_report[name]["summary"]
         if name == "traffic-crash":
             assert summary["crash_frames_lost"] > 0, name
         elif name == "ga-node-faults":

@@ -1,57 +1,23 @@
 """Tracing must not change a single bit of any run.
 
 This is the load-bearing contract of `repro.obs` (DESIGN.md §10): the
-golden digests of `repro.bench.determinism` were recorded with tracing
+golden digests of `repro.check` were recorded with tracing
 *off*, and a run with tracing *on* must reproduce them exactly — the
 hooks may observe state changes but never perturb RNG draws, event
 ordering or results.
 """
 
-from dataclasses import replace
-
-from repro.bench.determinism import GOLDEN, check_digests, digest_values
-from repro.core.coherence import CoherenceMode
-from repro.experiments.config import Scale
-from repro.experiments.speedup import machine_for
-from repro.ga.functions import get_function
-from repro.ga.island import IslandGaConfig, run_island_ga
-
-
-def _ga_digest(trace: bool) -> str:
-    """The GOLDEN["ga_result"] recipe, with tracing switchable."""
-    machine = replace(machine_for(Scale.smoke(), 2, 7), trace=trace)
-    result = run_island_ga(
-        IslandGaConfig(
-            fn=get_function(1),
-            n_demes=2,
-            mode=CoherenceMode.NON_STRICT,
-            age=10,
-            n_generations=40,
-            seed=7,
-            machine=machine,
-        )
-    )
-    return digest_values(
-        result.completion_time,
-        result.total_time,
-        result.best_fitness,
-        result.mean_fitness,
-        [float(b) for b in result.per_deme_best],
-        list(result.generations_run),
-        result.messages_sent,
-        result.mean_warp,
-        result.max_warp,
-    )
+from repro.check import GOLDEN, ga_digest, golden_ga
+from repro.ga.island import run_island_ga
 
 
 def test_traced_ga_run_matches_untraced_golden():
-    assert _ga_digest(trace=True) == GOLDEN["ga_result"]
+    assert ga_digest(run_island_ga(golden_ga(trace=True))) == GOLDEN["ga_result"]
 
 
-def test_untraced_digests_still_match_golden():
-    """All three goldens hold with the obs hooks merely *present*."""
-    results = check_digests()
-    assert all(r["ok"] for r in results.values()), results
+def test_untraced_digests_still_match_golden(check_report):
+    """Every golden holds with the obs hooks merely *present*."""
+    assert all(r["ok"] for r in check_report.values()), check_report
 
 
 def test_span_building_leaves_trace_untouched():

@@ -1,8 +1,8 @@
 """Host-time profiler: self-time accounting and determinism neutrality.
 
 The profiler's load-bearing promise mirrors the trace bus's: turning it
-on must not move a single golden digest (GOLDEN and SWITCHED_GOLDEN are
-pinned here with profiling *on*), while its self-time accounting must
+on must not move a single golden digest (a shared-Ethernet and a
+switched row of the golden table are pinned here with profiling *on*), while its self-time accounting must
 sum exactly to the profiled interval so ``attributed_fraction`` means
 what the acceptance criterion says it means.
 """
@@ -102,30 +102,13 @@ def test_envelope_and_renderings():
 
 
 def test_golden_digest_unmoved_with_profiling_on():
-    """The GOLDEN ga_result recipe, profiled + traced: digest identical."""
-    from dataclasses import replace
-
-    from repro.bench.determinism import GOLDEN
-    from repro.core.coherence import CoherenceMode
-    from repro.experiments.config import Scale
-    from repro.experiments.speedup import machine_for
-    from repro.ga.functions import get_function
-    from repro.ga.island import IslandGaConfig, run_island_ga
-    from repro.ga.sharded import ga_digest
+    """The golden GA, profiled + traced: digest identical."""
+    from repro.check import GOLDEN, ga_digest, golden_ga
+    from repro.ga.island import run_island_ga
 
     prof = activate(HostProfiler())
     try:
-        result = run_island_ga(
-            IslandGaConfig(
-                fn=get_function(1),
-                n_demes=2,
-                mode=CoherenceMode.NON_STRICT,
-                age=10,
-                n_generations=40,
-                seed=7,
-                machine=replace(machine_for(Scale.smoke(), 2, 7), trace=True),
-            )
-        )
+        result = run_island_ga(golden_ga(trace=True))
     finally:
         deactivate()
     assert ga_digest(result) == GOLDEN["ga_result"]
@@ -136,36 +119,43 @@ def test_golden_digest_unmoved_with_profiling_on():
 
 
 def test_switched_golden_unmoved_with_profiling_on():
-    from repro.experiments.scale_study import SWITCHED_GOLDEN, golden_scenarios
+    from repro.check import GOLDEN, ga_digest, ga_rows
     from repro.ga.island import run_island_ga
-    from repro.ga.sharded import ga_digest
 
-    cfg = golden_scenarios()["ring-hierarchical"]
+    cfg = ga_rows()["ring-hierarchical"]
     prof = activate(HostProfiler())
     try:
         result = run_island_ga(cfg)
     finally:
         deactivate()
-    assert ga_digest(result) == SWITCHED_GOLDEN["ring-hierarchical"]
+    assert ga_digest(result) == GOLDEN["ring-hierarchical"]
     assert "kernel.loop" in prof.snapshot()["sections"]
 
 
 def test_sharded_run_ships_per_shard_profiles():
+    """An ambient profiler in the coordinating process turns one on in
+    every shard worker; without one the run ships no snapshots."""
+    from repro.check import ga_digest
     from repro.core.coherence import CoherenceMode
     from repro.ga.functions import get_function
     from repro.ga.island import IslandGaConfig, run_island_ga
-    from repro.ga.sharded import ga_digest, run_island_ga_sharded
 
     cfg = IslandGaConfig(
         fn=get_function(1), n_demes=4, mode=CoherenceMode.NON_STRICT,
         age=8, n_generations=10, seed=3,
     )
-    serial = ga_digest(run_island_ga(cfg))
-    result = run_island_ga_sharded(cfg, shards=2, profile=True)
-    assert ga_digest(result) == serial  # profiling is determinism-neutral
+    unprofiled = run_island_ga(cfg, shards=2)
+    activate(HostProfiler())
+    try:
+        result = run_island_ga(cfg, shards=2)
+    finally:
+        deactivate()
+    # profiling is determinism-neutral
+    assert ga_digest(result) == ga_digest(unprofiled) == ga_digest(run_island_ga(cfg))
     info = result.metrics["parallel"]
     if not info["sharded"]:  # platform without worker processes
         return
+    assert "prof" not in unprofiled.metrics["parallel"]
     profs = info["prof"]
     assert len(profs) == 2
     for k, snap in enumerate(profs):

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.bench.determinism import GOLDEN, kernel_trace_digest
+from repro.check import GOLDEN, kernel_trace_digest
 from repro.bench.micro import build_kernel_workload
 from repro.obs.bus import ObsEvent, TraceBus
 from repro.sim import (

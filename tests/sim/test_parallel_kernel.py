@@ -1,8 +1,8 @@
 """Bounded-lag parallel kernel: bit-identity, planning, trace merge.
 
 The tentpole promise of :mod:`repro.sim.parallel` is that a sharded run
-is *bit-identical* to the serial kernel — same GOLDEN digest, same
-CHAOS digest under faults, same JSONL trace.  These tests pin that at
+is *bit-identical* to the serial kernel — same golden digest, same
+chaos digest under faults, same JSONL trace.  These tests pin that at
 shards ∈ {1, 2, 4} and exercise the planning/merge plumbing in
 isolation.
 """
@@ -15,14 +15,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.determinism import GOLDEN
+from repro.check import GOLDEN, ga_digest
 from repro.core.coherence import CoherenceMode
-from repro.experiments.config import Scale
-from repro.experiments.speedup import machine_for
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, run_island_ga
-from repro.ga.sharded import ga_chaos_digest, ga_digest, run_island_ga_sharded
-from repro.sim.parallel import ga_comm_graph, lookahead_of, plan_shards
+from repro.ga.topology import TopologySpec, comm_graph
+from repro.sim.parallel import lookahead_of, plan_shards
+
+
+def ga_comm_graph(n_demes, migrant_nbytes):
+    """The all-to-all island GA's unit-communication graph."""
+    return comm_graph(TopologySpec("all"), n_demes, migrant_nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +82,10 @@ def test_window_of_quantises_by_lookahead():
 def test_sharded_golden_digest_unchanged(golden_island, shards):
     result = run_island_ga(golden_island(), shards=shards)
     assert ga_digest(result) == GOLDEN["ga_result"]
-    info = result.metrics.get("parallel", {})
-    if shards > 1:
-        # 2 demes: shards=4 clamps to 2 workers but still runs sharded
-        assert info.get("sharded") or info.get("fallback")
+    info = result.metrics.get("parallel", {"shards": 1})
+    if info.get("fallback") is None:
+        # 2 demes: shards=4 clamps to 2 workers, and says so
+        assert info["shards"] == min(shards, 2)
 
 
 def test_sharded_run_really_used_workers(golden_island):
@@ -125,15 +128,14 @@ def test_shard_workers_exit_on_their_own(golden_island, monkeypatch):
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_sharded_chaos_digest_unchanged(golden_island, shards):
-    from repro.faults.chaos import CHAOS_GOLDEN, _mk
+    from repro.faults.chaos import PLANS
 
-    plan = _mk(7, duplicate=0.05, delay=0.05, reorder=0.05)
+    plan = PLANS["ga-lossless-chaos"]
     result = run_island_ga(golden_island(faults=plan), shards=shards)
     info = result.metrics["parallel"]
     if not info["sharded"]:  # pragma: no cover - platform without procs
         pytest.skip(f"worker processes unavailable: {info['fallback']}")
-    digest = ga_chaos_digest(result, info["fault_log"])
-    assert digest == CHAOS_GOLDEN["ga-lossless-chaos"]
+    assert ga_digest(result, info["fault_log"]) == GOLDEN["ga-lossless-chaos"]
 
 
 def test_noisy_function_falls_back_to_serial(golden_island):
@@ -154,6 +156,11 @@ def test_instrument_hook_falls_back_to_serial(golden_island):
     assert ga_digest(result) == GOLDEN["ga_result"]
 
 
+def test_trace_path_needs_a_sharded_run(golden_island, tmp_path):
+    with pytest.raises(ValueError, match="sharded run"):
+        run_island_ga(golden_island(), trace_path=str(tmp_path / "t.jsonl"))
+
+
 def test_single_deme_falls_back_to_serial():
     cfg = IslandGaConfig(
         fn=get_function(1),
@@ -171,22 +178,15 @@ def test_single_deme_falls_back_to_serial():
 # traced runs and the deterministic merge
 
 
-def test_traced_sharded_run_merges_and_validates(tmp_path):
+def test_traced_sharded_run_merges_and_validates(golden_island, tmp_path):
     from repro.obs.schema import validate_trace
 
-    mcfg = replace(machine_for(Scale.smoke(), 4, 11, load_bps=1e6), trace=True)
-    cfg = IslandGaConfig(
-        fn=get_function(1),
-        n_demes=4,
-        mode=CoherenceMode.NON_STRICT,
-        age=10,
-        n_generations=15,
-        seed=11,
-        machine=mcfg,
+    cfg = golden_island(
+        n_demes=4, seed=11, n_generations=15, load_bps=1e6, trace=True
     )
     serial = run_island_ga(cfg)
     trace_path = str(tmp_path / "merged.jsonl")
-    sharded = run_island_ga_sharded(cfg, shards=2, trace_path=trace_path)
+    sharded = run_island_ga(cfg, shards=2, trace_path=trace_path)
     info = sharded.metrics["parallel"]
     if not info["sharded"]:  # pragma: no cover - platform without procs
         pytest.skip(f"worker processes unavailable: {info['fallback']}")
