@@ -11,6 +11,7 @@ graph partitioner.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import networkx as nx
@@ -86,11 +87,19 @@ class BayesianNetwork:
         self.topo_order: list[int] = list(
             nx.lexicographical_topological_sort(self._dag)
         )
-        # cumulative CPTs for the fast scalar sampling path (parallel
-        # samplers draw one node of one run at a time; a row lookup plus
-        # searchsorted is ~50x cheaper than the batch path for batch=1)
-        self._cum_cpt: dict[int, np.ndarray] = {
-            n.name: n.cpt.cumsum(axis=-1) for n in nodes
+        # cumulative CPTs, last entry of every row pinned to exactly 1.0:
+        # float cumsum can end at 0.9999999999999998, and a draw in
+        # [that, 1) would otherwise sample the invalid value n_values
+        self._cum_cpt: dict[int, np.ndarray] = {}
+        for n in nodes:
+            cum = n.cpt.cumsum(axis=-1)
+            cum[..., -1] = 1.0
+            self._cum_cpt[n.name] = cum
+        #: the same tables as nested python lists, indexed by parent value
+        #: then searched with ``bisect_right`` — the parallel samplers'
+        #: per-node path (no numpy call per sampled node, DESIGN.md §5)
+        self.cum_rows: dict[int, list] = {
+            name: cum.tolist() for name, cum in self._cum_cpt.items()
         }
 
     # -- structure (Table 2's rows) --------------------------------------
@@ -140,24 +149,23 @@ class BayesianNetwork:
         self, name: int, parent_values: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Sample node ``name`` for a batch given ``(batch, k)`` parent values."""
-        node = self.nodes[name]
+        cum = self._cum_cpt[name]
         parent_values = np.atleast_2d(parent_values)
-        if node.parents:
-            probs = node.cpt[tuple(parent_values[:, i] for i in range(len(node.parents)))]
-        else:
-            probs = np.broadcast_to(node.cpt, (parent_values.shape[0], node.n_values))
-        u = rng.random(probs.shape[0])
-        return (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).astype(np.int64)
+        if parent_values.shape[1]:
+            cum = cum[tuple(parent_values.T)]
+        u = rng.random(parent_values.shape[0])
+        return (cum < u[:, None]).sum(axis=1).astype(np.int64)
 
     def sample_node_scalar(
         self, name: int, parent_values: tuple, u: float
     ) -> int:
         """Sample one node for one run given scalar parent values and a
-        uniform draw ``u`` (the parallel samplers' hot path)."""
-        row = self._cum_cpt[name]
-        if parent_values:
-            row = row[parent_values]
-        return int(np.searchsorted(row, u, side="right"))
+        uniform draw ``u``: the count of cumulative entries ``<= u`` (why
+        ``bisect_right`` samples what numpy did: DESIGN.md §5)."""
+        row = self.cum_rows[name]
+        for value in parent_values:
+            row = row[value]
+        return bisect_right(row, u)
 
     def ancestral_samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` full joint samples; returns ``(n, n_nodes)`` indexed by

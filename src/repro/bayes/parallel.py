@@ -37,6 +37,7 @@ correctness.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,8 +224,11 @@ def run_parallel_logic_sampling(
                     )
                 )
     else:
+        #: location name -> the interface nodes its batches carry
+        iface_nodes: dict[str, list[int]] = {}
         for p, st in enumerate(states):
             if st.interface_nodes:
+                iface_nodes[f"iface.{p}"] = st.interface_nodes
                 dsm.register(
                     SharedLocationSpec(
                         f"iface.{p}",
@@ -239,6 +243,17 @@ def run_parallel_logic_sampling(
     # ---- per-processor process ------------------------------------------
     def processor(p: int):
         st = states[p]
+        # the sampling plan grouped by stage: the (writer, stage)
+        # publications to fetch first, the plan entries to sample, and the
+        # interface nodes to publish after
+        stages = [
+            (
+                [ws for ws in sorted(sync_needs[p]) if ws[1] == s - 1],
+                [e for e in st.plan if stage[e[0]] == s],
+                sync_pubs[p].get(s),
+            )
+            for s in range(max((stage[v] for v in st.own_nodes), default=0) + 1)
+        ] if sync else []
 
         def proc(node, task):
             rng = np.random.default_rng(
@@ -253,8 +268,7 @@ def run_parallel_logic_sampling(
             def on_update(locn: str, age: int, entries) -> float:
                 """Fold one interface batch into the optimistic state."""
                 cost = cfg.costs.apply_batch_base
-                w = int(locn.split(".")[1])
-                w_ifaces = states[w].interface_nodes
+                w_ifaces = iface_nodes[locn]
                 for (tt, vals) in entries:
                     cost += cfg.costs.apply_batch_per_value * len(vals)
                     for u, val in zip(w_ifaces, vals):
@@ -312,33 +326,26 @@ def run_parallel_logic_sampling(
                 """One lock-step run: staged exchange, actual values only."""
                 yield from task.barrier(range(cfg.n_procs))
                 vals: dict[int, int] = {}
-                max_stage = max((stage[v] for v in st.own_nodes), default=0)
-                for s in range(0, max_stage + 1):
-                    for (w, ws) in sorted(sync_needs[p]):
-                        if ws != s - 1:
-                            continue
+                for s, (fetch, entries, pubs) in enumerate(stages):
+                    for w, ws in fetch:
                         copy = yield from dnode.global_read(f"ifr.{w}.{ws}", t, 0)
                         _, arrived = copy.value
                         for u, val in zip(sync_pubs[w][ws], arrived):
-                            st.remote_values[(u, t)] = int(val)
-                    stage_nodes = [v for v in st.own_nodes if stage[v] == s]
-                    us = rng.random(len(stage_nodes))
-                    for i, v in enumerate(stage_nodes):
-                        nd = net.nodes[v]
-                        pv = tuple(
-                            vals[u] if u in st.own_set else st.remote_values[(u, t)]
-                            for u in nd.parents
-                        )
-                        vals[v] = net.sample_node_scalar(v, pv, us[i])
-                    if stage_nodes:
+                            vals[u] = int(val)
+                    if entries:
+                        us = rng.random(len(entries)).tolist()
+                        for (v, rows, parents, _), draw in zip(entries, us):
+                            for u in parents:
+                                rows = rows[vals[u]]
+                            vals[v] = bisect_right(rows, draw)
                         yield Compute(
                             node.cost(
-                                cfg.costs.sample_per_node * len(stage_nodes),
+                                cfg.costs.sample_per_node * len(entries),
                                 label="sample",
                             )
                         )
-                    if s in sync_pubs[p]:
-                        snap = [vals[v] for v in sync_pubs[p][s]]
+                    if pubs is not None:
+                        snap = [vals[v] for v in pubs]
                         yield from dnode.write(f"ifr.{p}.{s}", (t, snap), t, 4 + len(snap))
                 st.own_values[t] = vals
                 oracle.sampled(p, t)

@@ -29,8 +29,10 @@ This module holds the two pieces of bookkeeping:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
+import networkx as nx
 import numpy as np
 
 from repro.bayes.network import BayesianNetwork
@@ -163,7 +165,6 @@ class ProcessorState:
         self.proc = proc
         self.defaults = defaults
         self.own_nodes = [v for v in net.topo_order if owner[v] == proc]
-        self.own_set = set(self.own_nodes)
         #: remote parents feeding this partition: node -> owning proc
         self.remote_parents: dict[int, int] = {}
         for v in self.own_nodes:
@@ -187,18 +188,33 @@ class ProcessorState:
         )
         #: procs we depend on
         self.writers = sorted(set(self.remote_parents.values()))
-        #: descendants of each remote parent within our partition, in
-        #: topological order (the rollback recompute set)
-        self._affected: dict[int, list[int]] = {}
-        dag = net.dag()
-        import networkx as nx
-
+        #: the compiled sampling plan, one entry per own node in
+        #: topological order: ``(node, cumulative CPT rows, parents,
+        #: is_interface)``.  A sampler walks ``rows`` by the value each
+        #: parent has in the run's dict — own samples and believed remote
+        #: inputs alike — and bisects the draw; the loop is inlined at its
+        #: three sites (here twice, ``parallel.sync_iteration``) because
+        #: a call per node is the overhead the plan exists to remove.
+        self.plan = [
+            (
+                v,
+                net.cum_rows[v],
+                net.nodes[v].parents,
+                v in self.interface_nodes,
+            )
+            for v in self.own_nodes
+        ]
+        #: per remote parent, the plan entries of its descendants within
+        #: our partition (the rollback recompute set)
+        self.affected_plan: dict[int, list[tuple]] = {}
         for u in self.remote_parents:
-            desc = nx.descendants(dag, u) & self.own_set
-            self._affected[u] = [v for v in self.own_nodes if v in desc]
+            desc = nx.descendants(net.dag(), u)
+            self.affected_plan[u] = [e for e in self.plan if e[0] in desc]
 
         # optimistic state
-        self.own_values: dict[int, dict[int, int]] = {}  # t -> {node: value}
+        #: t -> {node: value}: the run's own samples, plus the value each
+        #: remote parent is believed to have (the actual, else the gamble)
+        self.own_values: dict[int, dict[int, int]] = {}
         self.remote_values: dict[tuple[int, int], int] = {}  # (node, t) -> value
         self.gambles: dict[int, dict[int, int]] = {}  # t -> {node: assumed}
         self.published_upto = -1
@@ -219,10 +235,9 @@ class ProcessorState:
         """Value of remote parent ``u`` for run ``t``: the actual if we
         have it, else the default (opening a gamble).
 
-        A gamble on ``(u, t)`` is opened (and counted) at most once —
-        re-reading the same missing input during a rollback recompute
-        reuses the already-assumed default, otherwise the oracle's
-        pending-gamble count could never return to zero.
+        A gamble on ``(u, t)`` is opened (and counted) at most once,
+        otherwise the oracle's pending-gamble count could never return to
+        zero; a rollback recompute reads the run's dict, not this.
         """
         val = self.remote_values.get((u, t))
         if val is not None:
@@ -236,16 +251,13 @@ class ProcessorState:
 
     def sample_iteration(self, t: int, rng: np.random.Generator, oracle: GvtOracle) -> None:
         """Sample all own nodes for run ``t`` (optimistically)."""
-        with prof_section("numpy.bayes"):
-            vals: dict[int, int] = {}
-            us = rng.random(len(self.own_nodes))
-            for i, v in enumerate(self.own_nodes):
-                node = self.net.nodes[v]
-                pv = tuple(
-                    vals[u] if u in self.own_set else self.input_value(u, t, oracle)
-                    for u in node.parents
-                )
-                vals[v] = self.net.sample_node_scalar(v, pv, us[i])
+        with prof_section("sample.bayes"):
+            vals = {u: self.input_value(u, t, oracle) for u in self.remote_parents}
+            us = rng.random(len(self.plan)).tolist()
+            for (v, rows, parents, _), draw in zip(self.plan, us):
+                for p in parents:
+                    rows = rows[vals[p]]
+                vals[v] = bisect_right(rows, draw)
             self.own_values[t] = vals
         oracle.sampled(self.proc, t)
 
@@ -323,7 +335,8 @@ class ProcessorState:
         vals = self.own_values.get(t)
         if vals is None:
             return []  # not sampled yet; the stored actual will be used
-        affected = self._affected[u]
+        vals[u] = self.remote_values[(u, t)]
+        affected = self.affected_plan[u]
         self.stats.nodes_resampled += len(affected)
         self.stats.record_rollback_depth(len(affected))
         if self.obs is not None:
@@ -334,20 +347,19 @@ class ProcessorState:
                 cause=cause, writer=self.remote_parents.get(u, -1), version=version,
             )
         changed: list[tuple[int, int, int, int]] = []
-        us = rng.random(len(affected))
-        for i, v in enumerate(affected):
-            node = self.net.nodes[v]
-            pv = tuple(
-                vals[p] if p in self.own_set else self.input_value(p, t, oracle)
-                for p in node.parents
-            )
-            new = self.net.sample_node_scalar(v, pv, us[i])
-            if new != vals[v]:
-                vals[v] = new
-                if v in self.interface_nodes and t <= self.published_upto:
-                    ver = self.sent_versions.get((v, t), 0) + 1
-                    self.sent_versions[(v, t)] = ver
-                    changed.append((v, t, new, ver))
+        published = t <= self.published_upto
+        with prof_section("sample.bayes"):
+            us = rng.random(len(affected)).tolist()
+            for (v, rows, parents, is_iface), draw in zip(affected, us):
+                for p in parents:
+                    rows = rows[vals[p]]
+                new = bisect_right(rows, draw)
+                if new != vals[v]:
+                    vals[v] = new
+                    if is_iface and published:
+                        ver = self.sent_versions.get((v, t), 0) + 1
+                        self.sent_versions[(v, t)] = ver
+                        changed.append((v, t, new, ver))
         self.stats.corrections_sent += len(changed)
         if self.obs is not None:
             self.obs.emit(

@@ -17,6 +17,7 @@ Schema (``repro-bench/1``)
         "kernel_events_per_sec": float,
         "ga_generations_per_sec": float,
         "bayes_samples_per_sec": float,
+        "bayes_parallel_samples_per_sec": float,
         ...                              # one key per metric, flat
       },
       "experiments": {                   # smoke-scale end-to-end timings

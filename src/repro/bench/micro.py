@@ -1,12 +1,15 @@
 """Kernel and application microbenchmarks.
 
-Three rates anchor the perf trajectory:
+Four rates anchor the perf trajectory:
 
 * ``kernel_events_per_sec`` — raw discrete-event throughput on a mixed
   workload (same-instant resumptions, timed computes, signal wakeups,
   cooperative yields, joins) that exercises every kernel fast path;
 * ``ga_generations_per_sec`` — the serial GA baseline, numpy-bound;
-* ``bayes_samples_per_sec`` — serial logic sampling, numpy-bound.
+* ``bayes_samples_per_sec`` — serial logic sampling, numpy-bound;
+* ``bayes_parallel_samples_per_sec`` — the parallel samplers' per-node
+  path (forward samples plus rollback resamples) on the golden
+  Global_Read run, simulator and all.
 
 All workloads are deterministic (fixed seeds, no wall-clock dependence in
 the *simulated* results); only the measured wall time varies run to run,
@@ -113,8 +116,11 @@ def bench_ga(
 
 
 def bench_bayes(network: str = "Hailfinder", repeat: int = 2) -> dict:
-    """Serial logic-sampling samples/sec on one Table 2 network."""
+    """Logic-sampling rates: the serial batch sampler on one Table 2
+    network, and node samples/sec of the golden parallel run."""
     from repro.bayes.logic_sampling import run_serial_logic_sampling
+    from repro.bayes.parallel import run_parallel_logic_sampling
+    from repro.check import golden_bayes
     from repro.experiments.table2 import build_network, pick_query
 
     net = build_network(network)
@@ -122,11 +128,20 @@ def bench_bayes(network: str = "Hailfinder", repeat: int = 2) -> dict:
     result, best_s = timed(
         run_serial_logic_sampling, net, repeat=repeat, query=query, seed=7
     )
+    cfg = golden_bayes()
+    par, par_s = timed(run_parallel_logic_sampling, cfg, repeat=repeat)
+    # whole runs every processor sampled, plus every rollback resample
+    node_samples = (
+        min(par.iterations_sampled) * cfg.net.n_nodes + par.rollback.nodes_resampled
+    )
     return {
         "bayes_network": network,
         "bayes_samples": float(result.n_runs),
         "bayes_wall_s": best_s,
         "bayes_samples_per_sec": result.n_runs / best_s,
+        "bayes_parallel_node_samples": float(node_samples),
+        "bayes_parallel_wall_s": par_s,
+        "bayes_parallel_samples_per_sec": node_samples / par_s,
     }
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bayes import BayesianNetwork, BayesNode
+from repro.bayes import (
+    BayesianNetwork,
+    BayesNode,
+    make_hailfinder,
+    make_table2_network,
+)
 
 
 def paper_figure1_network():
@@ -140,3 +145,73 @@ class TestSampling:
         samples = net.ancestral_samples(200, np.random.default_rng(seed))
         assert samples.min() >= 0
         assert samples.max() <= 1
+
+
+# ---------------------------------------------------------------------------
+# The compiled scalar path against numpy, row by row
+# ---------------------------------------------------------------------------
+
+#: the draw just below 1.0 — the largest value ``rng.random()`` can return
+TOP = float(np.nextafter(1.0, 0.0))
+
+
+def table2_networks():
+    return [make_table2_network(n) for n in ("A", "AA", "C")] + [make_hailfinder()]
+
+
+def reference_rows(node):
+    """``(parent values, cumulative row)`` for every CPT row of ``node``,
+    computed here from ``node.cpt`` (last entry pinned to 1.0)."""
+    cum = node.cpt.cumsum(axis=-1)
+    cum[..., -1] = 1.0
+    return [(pv, cum[pv]) for pv in np.ndindex(*cum.shape[:-1])]
+
+
+class _TopRng:
+    """Stands in for a Generator whose every draw is :data:`TOP`."""
+
+    def random(self, n):
+        return np.full(n, TOP)
+
+
+class TestCompiledScalarPath:
+    @pytest.mark.parametrize("net", table2_networks(), ids=lambda n: n.name)
+    def test_scalar_equals_searchsorted_on_every_row(self, net):
+        draws = np.random.default_rng(11).random(1000)
+        for name, node in net.nodes.items():
+            for pv, row in reference_rows(node):
+                us = np.concatenate([
+                    [0.0], row, np.nextafter(row, 0.0), np.nextafter(row, 2.0), draws,
+                ])
+                expected = np.searchsorted(row, us, side="right")
+                got = [net.sample_node_scalar(name, pv, u) for u in us.tolist()]
+                assert got == expected.tolist(), (net.name, name, pv)
+
+    @pytest.mark.parametrize("net", table2_networks(), ids=lambda n: n.name)
+    def test_top_draw_stays_in_range_on_both_paths(self, net):
+        """Float cumsum leaves some rows ending at 0.9999999999999998; a
+        draw in [that, 1) used to sample the invalid value ``n_values``."""
+        short_rows = 0
+        for name, node in net.nodes.items():
+            combos = np.array(list(np.ndindex(*node.cpt.shape[:-1])), dtype=np.int64)
+            batch = net.sample_node(name, combos.reshape(len(combos), -1), _TopRng())
+            assert 0 <= batch.min() and batch.max() < node.n_values, name
+            for pv in map(tuple, combos.tolist()):
+                assert 0 <= net.sample_node_scalar(name, pv, TOP) < node.n_values
+            short_rows += int((node.cpt.cumsum(axis=-1)[..., -1] < 1.0).sum())
+        if net.name in ("A", "C"):
+            assert short_rows > 0  # the case is real on the Figure-3 networks
+
+    def test_batch_path_stream_unchanged(self):
+        """Gathering precomputed cumulative rows samples exactly what
+        cumulating the gathered CPT rows did, draw for draw."""
+        net = make_table2_network("A")
+        pick = np.random.default_rng(5)
+        for name, node in net.nodes.items():
+            pv = np.stack(
+                [pick.integers(0, n, size=64) for n in node.cpt.shape[:-1]], axis=1
+            ) if node.parents else np.empty((64, 0), dtype=np.int64)
+            got = net.sample_node(name, pv, np.random.default_rng(name))
+            probs = node.cpt[tuple(pv.T)] if node.parents else node.cpt[None, :]
+            u = np.random.default_rng(name).random(64)
+            assert got.tolist() == (probs.cumsum(axis=1) < u[:, None]).sum(axis=1).tolist()

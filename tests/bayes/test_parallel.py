@@ -1,12 +1,16 @@
 """Parallel logic sampling: correctness of all three modes + rollback."""
 
+import dataclasses
+
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.bayes import make_hailfinder, make_random_network
+from repro.bayes import make_hailfinder, make_random_network, make_table2_network
+from repro.bayes import parallel
 from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
 from repro.bayes.logic_sampling import run_serial_logic_sampling
-from repro.bayes.rollback import GvtOracle, RollbackStats
+from repro.bayes.rollback import GvtOracle, ProcessorState, RollbackStats
 from repro.core.coherence import CoherenceMode
 
 
@@ -47,10 +51,16 @@ class TestCorrectness:
         # both estimates carry +-0.01 CIs at 90%: allow 3x the precision
         assert np.all(np.abs(r.posterior - serial.posterior) < 0.03)
 
-    def test_sync_never_gambles(self):
-        r = run_mode(small_net(), CoherenceMode.SYNCHRONOUS, age=0)
+    def test_sync_never_gambles(self, monkeypatch):
+        r, states, oracle = run_recorded(
+            monkeypatch, ProcessorState, small_net(), CoherenceMode.SYNCHRONOUS,
+            age=0, max_iterations=30_000,
+        )
+        assert r.converged
         assert r.rollback.gambles == 0
         assert r.rollback.rollbacks == 0
+        assert all(not st.gambles for st in states)
+        assert all(not pending for pending in oracle.pending_gambles)
 
     def test_async_gambles_and_rolls_back(self):
         r = run_mode(small_net(), CoherenceMode.ASYNCHRONOUS)
@@ -63,6 +73,123 @@ class TestCorrectness:
         serial = run_serial_logic_sampling(net, query=q, seed=3)
         r = run_mode(net, CoherenceMode.NON_STRICT, age=10)
         assert r.committed_runs == pytest.approx(serial.n_runs, rel=0.25)
+
+
+def run_recorded(monkeypatch, state_cls, net, mode, n_procs=2, age=10,
+                 max_iterations=300):
+    """Run with ``state_cls`` standing in for ``ProcessorState``; returns
+    the result, the per-processor states (each with the corrections its
+    rollbacks ``emitted``, in order) and the GVT oracle."""
+    states, oracles = [], []
+
+    class Recorded(state_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.emitted = []
+            states.append(self)
+
+        def _recompute(self, *args, **kwargs):
+            out = super()._recompute(*args, **kwargs)
+            self.emitted.append(out)
+            return out
+
+    class RecordedOracle(GvtOracle):
+        def __init__(self, n_procs):
+            super().__init__(n_procs)
+            oracles.append(self)
+
+    monkeypatch.setattr(parallel, "ProcessorState", Recorded)
+    monkeypatch.setattr(parallel, "GvtOracle", RecordedOracle)
+    result = run_parallel_logic_sampling(
+        ParallelLsConfig(
+            net=net, query=max(net.nodes), n_procs=n_procs, mode=mode, age=age,
+            seed=3, max_iterations=max_iterations,
+        )
+    )
+    return result, states, oracles[0]
+
+
+class StraightLineState(ProcessorState):
+    """The sampler written node by node against ``sample_node_scalar``:
+    the reference the compiled plan must reproduce draw for draw."""
+
+    def _parent_values(self, v, vals, t, oracle):
+        return tuple(
+            self.input_value(u, t, oracle) if u in self.remote_parents else vals[u]
+            for u in self.net.nodes[v].parents
+        )
+
+    def sample_iteration(self, t, rng, oracle):
+        vals = {}
+        us = rng.random(len(self.own_nodes))
+        for i, v in enumerate(self.own_nodes):
+            pv = self._parent_values(v, vals, t, oracle)
+            vals[v] = self.net.sample_node_scalar(v, pv, us[i])
+        self.own_values[t] = vals
+        oracle.sampled(self.proc, t)
+
+    def _recompute(self, u, t, rng, oracle, cause="actual", version=0):
+        vals = self.own_values.get(t)
+        if vals is None:
+            return []
+        desc = nx.descendants(self.net.dag(), u)
+        affected = [v for v in self.own_nodes if v in desc]
+        self.stats.nodes_resampled += len(affected)
+        self.stats.record_rollback_depth(len(affected))
+        changed = []
+        us = rng.random(len(affected))
+        for i, v in enumerate(affected):
+            pv = self._parent_values(v, vals, t, oracle)
+            new = self.net.sample_node_scalar(v, pv, us[i])
+            if new != vals[v]:
+                vals[v] = new
+                if v in self.interface_nodes and t <= self.published_upto:
+                    ver = self.sent_versions.get((v, t), 0) + 1
+                    self.sent_versions[(v, t)] = ver
+                    changed.append((v, t, new, ver))
+        self.stats.corrections_sent += len(changed)
+        return changed
+
+
+OPTIMISTIC = [
+    (CoherenceMode.NON_STRICT, 2),
+    (CoherenceMode.NON_STRICT, 3),
+    (CoherenceMode.ASYNCHRONOUS, 2),
+    (CoherenceMode.ASYNCHRONOUS, 3),
+]
+
+
+class TestCompiledPlan:
+    @pytest.mark.parametrize("mode,n_procs", OPTIMISTIC)
+    def test_plan_reproduces_straight_line_sampler(self, monkeypatch, mode, n_procs):
+        net = make_table2_network("A")
+        got, got_states, _ = run_recorded(monkeypatch, ProcessorState, net, mode, n_procs)
+        ref, ref_states, _ = run_recorded(monkeypatch, StraightLineState, net, mode, n_procs)
+        assert got.rollback.rollbacks > 0 and got.rollback.corrections_sent > 0
+        assert got.iterations_sampled == ref.iterations_sampled == [300] * n_procs
+        assert got.messages_sent == ref.messages_sent
+        for st, ref_st in zip(got_states, ref_states, strict=True):
+            # a run's dict also carries its believed remote inputs
+            assert {
+                t: {v: vals[v] for v in st.own_nodes}
+                for t, vals in st.own_values.items()
+            } == ref_st.own_values
+            assert dataclasses.asdict(st.stats) == dataclasses.asdict(ref_st.stats)
+            assert st.emitted == ref_st.emitted
+            assert st.gambles == ref_st.gambles
+
+    @pytest.mark.parametrize("mode,n_procs", OPTIMISTIC)
+    def test_pending_gambles_match_open_entries(self, monkeypatch, mode, n_procs):
+        """A re-read during a rollback recompute must not open a second
+        gamble: the oracle's pending count per run is exactly the number
+        of inputs still assumed in the processor's own table."""
+        r, states, oracle = run_recorded(
+            monkeypatch, ProcessorState, make_table2_network("A"), mode, n_procs
+        )
+        assert r.rollback.gambles > 0
+        for st in states:
+            still_open = {t: len(g) for t, g in st.gambles.items() if g}
+            assert oracle.pending_gambles[st.proc] == still_open
 
 
 class TestThrottling:

@@ -132,6 +132,31 @@ def test_switched_golden_unmoved_with_profiling_on():
     assert "kernel.loop" in prof.snapshot()["sections"]
 
 
+def test_bayes_sampling_attributed_from_both_call_sites():
+    """The golden Global_Read Bayes run, profiled: digest identical, and
+    ``sample.bayes`` brackets the forward pass *and* every rollback
+    recompute (the larger half of the node samples)."""
+    from repro.bayes.parallel import run_parallel_logic_sampling
+    from repro.check import GOLDEN, bayes_digest, golden_bayes
+
+    prof = activate(HostProfiler())
+    try:
+        result = run_parallel_logic_sampling(golden_bayes())
+    finally:
+        deactivate()
+    assert bayes_digest(result) == GOLDEN["bayes_result"]
+    recomputes = sum(result.rollback.depth_histogram.values())
+    assert recomputes > 0
+    sampling = [
+        s for path, s in prof.snapshot()["sections"].items()
+        if path.endswith("/sample.bayes")
+    ]
+    assert sum(s["calls"] for s in sampling) == (
+        sum(result.iterations_sampled) + recomputes
+    )
+    assert all(s["self_s"] > 0.0 for s in sampling)
+
+
 def test_sharded_run_ships_per_shard_profiles():
     """An ambient profiler in the coordinating process turns one on in
     every shard worker; without one the run ships no snapshots."""
