@@ -58,7 +58,7 @@ class SharedLocationSpec:
             raise ValueError(f"{self.name}: value_nbytes must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class VersionedValue:
     """A local copy of a shared location with its age stamp.
 

@@ -51,7 +51,10 @@ class FitnessCache:
             return self._evaluate(genomes)
 
         out = np.empty(n, dtype=np.float64)
-        keys: list[bytes] = [row.tobytes() for row in genomes]
+        # one C-order copy sliced per row: the same bytes as row.tobytes()
+        buf = genomes.tobytes()
+        width = genomes.shape[1] * genomes.itemsize
+        keys: list[bytes] = [buf[i * width:(i + 1) * width] for i in range(n)]
         # first occurrence of each unknown chromosome in this batch
         unique_miss: dict[bytes, int] = {}
         dup_rows: list[int] = []

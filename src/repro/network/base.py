@@ -80,8 +80,8 @@ class Network:
 
     # -- delivery ------------------------------------------------------
     def _deliver(self, frame: Frame, dst: int) -> None:
-        frame.deliver_time = self.kernel.now
-        self.stats.latency.add(frame.latency)
+        now = frame.deliver_time = self.kernel.now
+        self.stats.latency.add(now - frame.enqueue_time)
         for obs in self.delivery_observers:
             obs(frame)
         bus = self.kernel.obs

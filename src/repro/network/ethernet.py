@@ -24,6 +24,15 @@ and are delivered to every other adapter, as on a real shared bus.
 
 Frame overhead matches real Ethernet: 8 B preamble + 14 B header + 4 B CRC
 and a 46-byte minimum payload.
+
+Frame path
+----------
+A frame costs four kernel events (arbitrate, start-tx, end-tx, one deliver
+per destination).  Each is pushed onto the kernel's queue directly, at an
+absolute time, rather than through ``Kernel.schedule`` — the delays are
+config constants validated non-negative by :class:`EthernetConfig`, so the
+per-call sign check and ``*args`` repacking buy nothing — and wire size
+and transmit time are computed once per frame.
 """
 
 from __future__ import annotations
@@ -53,6 +62,17 @@ class EthernetConfig:
     max_payload: int = 1500
     #: cap on the contention penalty window, in backoff slots
     contention_cap: int = 8
+
+    def __post_init__(self) -> None:
+        if not self.bandwidth_bps > 0:
+            raise ValueError("bandwidth must be positive")
+        for name in ("prop_delay", "ifg", "slot_time"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 < self.min_payload <= self.max_payload:
+            raise ValueError("need 0 < min_payload <= max_payload")
+        if self.contention_cap < 1:
+            raise ValueError("contention_cap must be >= 1")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire time for one frame carrying ``payload_bytes``."""
@@ -100,7 +120,8 @@ class EthernetNetwork(Network):
         if self._transmitting or self._arbitration_pending:
             return
         self._arbitration_pending = True
-        self.kernel.schedule(0.0, self._arbitrate)
+        kernel = self.kernel
+        kernel.queue.push_immediate(kernel.now, self._arbitrate)
 
     def _arbitrate(self) -> None:
         self._arbitration_pending = False
@@ -109,15 +130,20 @@ class EthernetNetwork(Network):
         contenders = self._backlog
         if not contenders:
             return
-        delay = self.config.ifg
+        config = self.config
+        delay = config.ifg
         if len(contenders) > 1:
             self.stats.contended_acquisitions += 1
-            window = min(len(contenders), self.config.contention_cap)
-            delay += self.config.slot_time * float(self._rng.uniform(0.0, window))
+            window = min(len(contenders), config.contention_cap)
+            # window * random() is bit-identical to uniform(0.0, window)
+            # (numpy computes low + (high - low) * random()) on the same
+            # stream, without the argument broadcasting
+            delay += config.slot_time * (window * self._rng.random())
         winner = self._pick_round_robin(contenders)
         self._last_winner = winner
         self._transmitting = True
-        self.kernel.schedule(delay, self._start_tx, winner)
+        kernel = self.kernel
+        kernel.queue.push(kernel.now + delay, self._start_tx, (winner,))
 
     def _pick_round_robin(self, contenders: "set[int]") -> int:
         """Smallest contender strictly after the last winner, wrapping.
@@ -141,16 +167,21 @@ class EthernetNetwork(Network):
         if not adapter.queue:
             self._backlog.discard(winner)
         adapter.drain_signal.fire()
-        frame.tx_start_time = self.kernel.now
-        self.stats.queueing_delay.add(frame.queueing_delay)
-        tx = self.config.tx_time(frame.size_bytes)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += frame.size_bytes
-        self.stats.wire_bytes_sent += self.config.overhead_bytes + max(
-            frame.size_bytes, self.config.min_payload
-        )
-        self.stats.busy_time += tx
-        self.kernel.schedule(tx, self._end_tx, frame)
+        kernel = self.kernel
+        now = kernel.now
+        frame.tx_start_time = now
+        config = self.config
+        stats = self.stats
+        stats.queueing_delay.add(now - frame.enqueue_time)
+        size = frame.size_bytes
+        # the MTU was checked at enqueue, so this is config.tx_time(size)
+        wire = config.overhead_bytes + max(size, config.min_payload)
+        tx = wire * 8.0 / config.bandwidth_bps
+        stats.frames_sent += 1
+        stats.bytes_sent += size
+        stats.wire_bytes_sent += wire
+        stats.busy_time += tx
+        kernel.queue.push(now + tx, self._end_tx, (frame,))
 
     def flush_queue(self, node_id: int) -> int:
         """Discard queued egress frames, keeping the backlog set in sync."""
@@ -164,6 +195,8 @@ class EthernetNetwork(Network):
         destinations = self._destinations(frame)
         if len(destinations) > 1:
             self.stats.broadcasts += 1
+        push = self.kernel.queue.push
+        at = self.kernel.now + self.config.prop_delay
         for dst in destinations:
-            self.kernel.schedule(self.config.prop_delay, self._deliver, frame, dst)
+            push(at, self._deliver, (frame, dst))
         self._schedule_arbitration()

@@ -19,10 +19,10 @@ from typing import Any
 #: the switch it is replicated per destination.
 BROADCAST = -1
 
-_frame_ids = itertools.count()
+_next_frame_id = itertools.count().__next__
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One link-layer frame.
 
@@ -54,7 +54,7 @@ class Frame:
     size_bytes: int
     payload: Any = None
     kind: str = "data"
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(default_factory=_next_frame_id)
     enqueue_time: float = -1.0
     tx_start_time: float = -1.0
     deliver_time: float = -1.0

@@ -27,6 +27,10 @@ class LoaderConfig:
     #: loader stops injecting after this simulated time (None = forever)
     stop_after: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.frame_payload_bytes <= 0:
+            raise ValueError("frame_payload_bytes must be positive")
+
     def mean_interarrival(self) -> float:
         """Mean gap between frame injections for the offered load."""
         if self.offered_load_bps <= 0:

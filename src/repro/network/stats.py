@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class RunningStat:
     """Numerically stable running mean / max / count (Welford)."""
 

@@ -22,7 +22,7 @@ ANY_SOURCE = -1
 #: wildcard matching any message tag (PVM's -1)
 ANY_TAG = -1
 
-_msg_ids = itertools.count()
+_next_msg_id = itertools.count().__next__
 
 #: bytes per packed element, matching 32-bit-era C sizes on AIX
 _TYPE_SIZES = {"int": 4, "double": 8, "float": 4, "byte": 1, "str": 1}
@@ -107,7 +107,7 @@ class PackBuffer:
         return self._cursor >= len(self._records)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One PVM message as seen by the receiver.
 
@@ -128,7 +128,7 @@ class Message:
     tag: int
     payload: Any
     nbytes: int
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_next_msg_id)
     send_time: float = -1.0
     arrival_time: float = -1.0
     trace_ref: str | None = None

@@ -20,10 +20,8 @@ on — is modelled at the right order of magnitude.  The constants live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Generator, Iterable
-
-from dataclasses import replace
 
 from repro.network.base import Network
 from repro.network.frame import BROADCAST, Frame
@@ -78,7 +76,8 @@ class Task:
         self.name = name
         self.mailbox: list[Message] = []
         self.mail_signal = Signal(f"{name}.mail")
-        # fragment reassembly: (src, msg_id) -> [received_count, total, msg]
+        # reassembly of multi-fragment messages:
+        # (src, msg_id) -> [received_count, total, msg]
         self._partial: dict[tuple[int, int], list] = {}
         self.messages_sent = 0
         self.messages_received = 0
@@ -316,15 +315,18 @@ class Task:
             msg = replace(msg, dst=self.tid)
         elif msg.dst != self.tid:
             return  # broadcast link frame not for this task
-        key = (msg.src, msg_id)
-        entry = self._partial.setdefault(key, [0, n_frags, msg])
-        entry[0] += 1
-        if entry[0] == entry[1]:
+        if n_frags > 1:
+            key = (msg.src, msg_id)
+            entry = self._partial.setdefault(key, [0, n_frags, msg])
+            entry[0] += 1
+            if entry[0] < n_frags:
+                return
             del self._partial[key]
-            msg.arrival_time = self.vm.kernel.now
-            # insert preserving msg_id order per source => pairwise FIFO
-            self.mailbox.append(msg)
-            self.mail_signal.fire()
+        msg.arrival_time = self.vm.kernel.now
+        # links are FIFO per path, so appending on the last fragment keeps
+        # send order per source => pairwise FIFO
+        self.mailbox.append(msg)
+        self.mail_signal.fire()
 
 
 class VirtualMachine:
@@ -369,9 +371,15 @@ class VirtualMachine:
     def _transmit(self, msg: Message) -> None:
         """Fragment a message into MTU-sized frames and hand to the link."""
         total = msg.nbytes + self.overheads.header_bytes
-        n_frags = max(1, -(-total // self._mtu))  # ceil division
-        remaining = total
         adapter = self.network.adapters[msg.src]
+        if total <= self._mtu:  # the common case: one frame, no loop
+            adapter.send(Frame(
+                msg.src, msg.dst, total, (msg.msg_id, 0, 1, msg), "pvm",
+                trace_ref=msg.trace_ref,
+            ))
+            return
+        n_frags = -(-total // self._mtu)  # ceil division
+        remaining = total
         for idx in range(n_frags):
             size = min(self._mtu, remaining)
             remaining -= size

@@ -28,7 +28,10 @@ Typical usage::
     assert handle.result == 1.0
 
 :meth:`Kernel.run` is the single event loop (``until`` / ``max_events`` /
-``stop_when`` bound it per call), and the kernel has one instrumentation
+``stop_when`` bound it per call; a budget is checked before the head is
+popped, so a resumed run loses nothing).  Queue entries are plain
+``(time, priority, seq, fn, args)`` tuples — scheduling returns nothing and
+nothing can be cancelled.  The kernel has one instrumentation
 slot, ``kernel.obs``: attach a :class:`repro.obs.bus.TraceBus` to record
 ``proc.*`` lifecycle events.  Host-time profiling needs no slot — the
 loop picks up the ambient :mod:`repro.obs.prof` profiler when one is
@@ -41,7 +44,7 @@ from repro.sim.errors import (
     SimulationLimitError,
     ProcessFailure,
 )
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.process import (
     Compute,
     Yield,
@@ -60,7 +63,6 @@ __all__ = [
     "DeadlockError",
     "SimulationLimitError",
     "ProcessFailure",
-    "Event",
     "EventQueue",
     "Compute",
     "Yield",

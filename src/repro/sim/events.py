@@ -1,21 +1,29 @@
-"""Event representation and the time-ordered event queue.
+"""The time-ordered event queue.
 
-The queue is a binary heap keyed by ``(time, priority, seq)``.  The
-monotonically increasing ``seq`` component makes ordering *total* and
-therefore deterministic: two events scheduled for the same instant always
-pop in the order they were scheduled, independent of hash seeds or dict
-ordering.  Determinism of this queue is the foundation of every regression
-test in the repository.
+An entry is a plain tuple ``(time, priority, seq, fn, args)`` — no event
+object.  The heap orders entries with C tuple comparison, and because
+``seq`` is unique the comparison never reaches ``fn``: callbacks need not
+be orderable.  The monotonically increasing ``seq`` makes ordering *total*
+and therefore deterministic: two events scheduled for the same instant
+always pop in the order they were scheduled, independent of hash seeds or
+dict ordering.  Determinism of this queue is the foundation of every
+regression test in the repository.
+
+Entries cannot be cancelled: nothing in the simulator retracts a scheduled
+callback (services re-check their condition when woken instead), so there
+is no lazy-deletion flag to test on every pop and ``len(queue)`` is simply
+the number of entries held.
 
 Fast path
 ---------
 The vast majority of events in a real run are *same-instant* resumptions —
-the kernel's ``schedule(0.0, self._step, ...)`` calls issued by ``spawn``,
-signal wakeups and joins.  Those events never need heap ordering against
-future events: they fire at the current instant, in push order, before the
-clock can advance.  :meth:`EventQueue.push_immediate` therefore appends
-them to a plain FIFO lane and :meth:`EventQueue.pop` merges the lane with
-the heap under the exact ``(time, priority, seq)`` key, so the observable
+the kernel's ``_step`` pushes issued by ``spawn``, signal wakeups and
+joins.  Those events never need heap ordering against future events: they
+fire at the current instant, in push order, before the clock can advance.
+:meth:`EventQueue.push_immediate` therefore appends them to a plain FIFO
+lane, and whoever pops — :meth:`EventQueue.pop`, or ``Kernel.run()``, which
+merges :attr:`EventQueue.heap` and :attr:`EventQueue.lane` inline — takes
+the smaller head under the ``(time, priority, seq)`` key, so the observable
 pop order — and hence every trace — is bit-identical to a heap-only queue
 while skipping the O(log n) sift on the hottest path.
 """
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
+from itertools import count
 from typing import Any, Callable
 
 
@@ -35,83 +44,28 @@ PRIORITY_NORMAL = 0
 #: "immediately after" the current event (e.g. ``Yield``).
 PRIORITY_LATE = 10
 
-
-class Event:
-    """A scheduled callback.
-
-    Attributes
-    ----------
-    time:
-        Absolute simulated time (seconds) at which the event fires.
-    priority:
-        Tie-breaker among events at the same time; lower fires first.
-    seq:
-        Monotone sequence number assigned by the queue; final tie-breaker.
-    fn:
-        Zero-or-more-argument callable invoked when the event fires.
-    args:
-        Positional arguments passed to ``fn``.
-    cancelled:
-        Lazily-deleted flag; cancelled events stay in the heap but are
-        skipped on pop (cheaper than heap surgery).
-    """
-
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
-
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        cancelled: bool = False,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = cancelled
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when popped."""
-        self.cancelled = True
-
-    # Heap ordering — compare only on the key triple.
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(time={self.time!r}, priority={self.priority!r}, "
-            f"seq={self.seq!r}, fn={self.fn!r}, args={self.args!r}, "
-            f"cancelled={self.cancelled!r})"
-        )
+#: One queue entry: ``(time, priority, seq, fn, args)``.
+Entry = tuple[float, int, int, Callable[..., Any], tuple]
 
 
 class EventQueue:
-    """Deterministic min-heap of :class:`Event` objects with a same-instant
-    FIFO fast lane (see module docstring)."""
+    """Deterministic min-heap of ``(time, priority, seq, fn, args)`` entries
+    with a same-instant FIFO fast lane (see module docstring)."""
 
-    __slots__ = ("_heap", "_lane", "_seq", "_live")
+    __slots__ = ("heap", "lane", "_next_seq")
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        #: FIFO of PRIORITY_NORMAL events at the current instant; entries
+        #: binary heap of entries (``heapq`` order)
+        self.heap: list[Entry] = []
+        #: FIFO of PRIORITY_NORMAL entries at the current instant; entries
         #: are seq-ordered by construction, so the lane head is always the
         #: lane's minimum under the (time, priority, seq) key.
-        self._lane: deque[Event] = deque()
-        self._seq = 0
-        self._live = 0
+        self.lane: deque[Entry] = deque()
+        self._next_seq = count().__next__
 
     def __len__(self) -> int:
-        """Number of *live* (non-cancelled) events."""
-        return self._live
+        """Number of entries waiting (heap plus lane)."""
+        return len(self.heap) + len(self.lane)
 
     def push(
         self,
@@ -119,23 +73,18 @@ class EventQueue:
         fn: Callable[..., Any],
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute ``time``; returns the event.
+    ) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time``.
 
-        ``time`` must not be NaN; scheduling in the past is a programming
-        error and raises ``ValueError`` at push time rather than corrupting
-        the heap invariant later.
+        ``time`` must not be NaN: a NaN key compares false both ways and
+        would silently corrupt the heap invariant, so it raises
+        ``ValueError`` at push time.
         """
         if time != time:  # NaN check without importing math
             raise ValueError("event time is NaN")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args)
-        _heappush(self._heap, ev)
-        self._live += 1
-        return ev
+        _heappush(self.heap, (time, priority, self._next_seq(), fn, args))
 
-    def push_immediate(self, now: float, fn: Callable[..., Any], args: tuple = ()) -> Event:
+    def push_immediate(self, now: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Fast lane for a PRIORITY_NORMAL event at the current instant.
 
         The caller guarantees ``now`` is the simulation clock; the lane
@@ -144,54 +93,31 @@ class EventQueue:
         defensive check falls back to the heap if that invariant would not
         hold (e.g. a hand-driven queue used outside a kernel).
         """
-        lane = self._lane
-        if lane and lane[-1].time != now:
-            return self.push(now, fn, args)
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(now, PRIORITY_NORMAL, seq, fn, args)
-        lane.append(ev)
-        self._live += 1
-        return ev
+        lane = self.lane
+        if lane and lane[-1][0] != now:
+            self.push(now, fn, args)
+            return
+        lane.append((now, PRIORITY_NORMAL, self._next_seq(), fn, args))
 
-    def cancel(self, ev: Event) -> None:
-        """Cancel a previously pushed event (idempotent)."""
-        if not ev.cancelled:
-            ev.cancelled = True
-            self._live -= 1
-
-    def pop(self) -> Event | None:
-        """Pop and return the earliest live event, or ``None`` if empty."""
-        lane = self._lane
-        heap = self._heap
-        while lane and lane[0].cancelled:
-            lane.popleft()
-        while heap and heap[0].cancelled:
-            _heappop(heap)
+    def pop(self) -> Entry | None:
+        """Pop and return the earliest entry, or ``None`` if empty."""
+        lane = self.lane
+        heap = self.heap
         if lane:
             # Lane entries are at the current instant with PRIORITY_NORMAL;
-            # a heap event beats them only with an earlier key (e.g. same
+            # a heap entry beats them only with an earlier key (e.g. same
             # time, same priority, smaller seq — pushed via schedule_at).
             if heap and heap[0] < lane[0]:
-                self._live -= 1
                 return _heappop(heap)
-            self._live -= 1
             return lane.popleft()
-        if heap:
-            self._live -= 1
-            return _heappop(heap)
-        return None
+        return _heappop(heap) if heap else None
 
     def peek_time(self) -> float | None:
-        """Time of the earliest live event without popping, or ``None``."""
-        lane = self._lane
-        heap = self._heap
-        while lane and lane[0].cancelled:
-            lane.popleft()
-        while heap and heap[0].cancelled:
-            _heappop(heap)
+        """Time of the earliest entry without popping, or ``None``."""
+        lane = self.lane
+        heap = self.heap
         if lane and heap:
-            return min(lane[0].time, heap[0].time)
+            return min(lane[0][0], heap[0][0])
         if lane:
-            return lane[0].time
-        return heap[0].time if heap else None
+            return lane[0][0]
+        return heap[0][0] if heap else None

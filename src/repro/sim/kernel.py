@@ -17,25 +17,29 @@ Design notes
 * **Budgets.**  ``run()`` accepts simulated-time and event-count limits so
   that livelocked configurations (a flooding asynchronous GA on a saturated
   network) terminate with :class:`~repro.sim.errors.SimulationLimitError`
-  instead of hanging the test suite.
+  instead of hanging the test suite.  A budget is checked against the
+  queue's head *before* it is popped, so the event that trips the limit
+  stays queued and a later ``run()`` with a larger budget executes it.
 * **One loop, one slot.**  ``run()`` is the only event loop; budgets, the
   stop predicate and the ambient host-time profiler are per-call locals,
   and the only instrumentation slot is ``kernel.obs`` (the trace bus).
-  Same-instant resumptions ride the event queue's FIFO fast lane, and
-  yielded requests are routed through a type-tag dispatch table instead
-  of an ``isinstance`` chain.  None of this changes the pop order (the
-  determinism regression suite in ``tests/sim/test_determinism.py`` pins
-  it with golden digests).
+  Queue entries are plain ``(time, priority, seq, fn, args)`` tuples and
+  the loop merges the queue's heap and same-instant FIFO lane inline, so
+  an event costs one C tuple compare and no object.  Yielded requests are
+  routed through an exact-type dispatch table instead of an ``isinstance``
+  chain.  None of this changes the pop order (the determinism regression
+  suite in ``tests/sim/test_determinism.py`` pins it with golden digests).
 """
 
 from __future__ import annotations
 
 import itertools
+from heapq import heappop
 from typing import Any, Callable, Generator, Iterable
 
 from repro.obs.prof import current as ambient_profiler
 from repro.sim.errors import DeadlockError, ProcessFailure, SimulationLimitError
-from repro.sim.events import Event, EventQueue, PRIORITY_LATE, PRIORITY_NORMAL
+from repro.sim.events import EventQueue, PRIORITY_LATE, PRIORITY_NORMAL
 from repro.sim.process import (
     Compute,
     Join,
@@ -107,14 +111,15 @@ class Kernel:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    ) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay == 0.0 and priority == PRIORITY_NORMAL:
             # Same-instant fast lane: FIFO append, no heap sift.
-            return self.queue.push_immediate(self.now, fn, args)
+            self.queue.push_immediate(self.now, fn, args)
+            return
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        return self.queue.push(self.now + delay, fn, args, priority=priority)
+        self.queue.push(self.now + delay, fn, args, priority=priority)
 
     def schedule_at(
         self,
@@ -122,11 +127,11 @@ class Kernel:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = PRIORITY_NORMAL,
-    ) -> Event:
+    ) -> None:
         """Schedule ``fn(*args)`` at absolute simulated ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at t={time!r} < now={self.now!r}")
-        return self.queue.push(time, fn, args, priority=priority)
+        self.queue.push(time, fn, args, priority=priority)
 
     # ------------------------------------------------------------------
     # Processes
@@ -181,7 +186,8 @@ class Kernel:
 
     def _step(self, handle: ProcessHandle, send_value: Any) -> None:
         """Advance one process by one yield."""
-        if handle.state in _TERMINAL_STATES:
+        state = handle.state
+        if state is _DONE or state is _FAILED:
             return
         handle.state = ProcessState.RUNNING
         try:
@@ -202,7 +208,9 @@ class Kernel:
             return
         handler = _DISPATCH.get(request.__class__)
         if handler is None:
-            handler = _dispatch_slow(handle, request)
+            raise TypeError(
+                f"process {handle.name!r} yielded unsupported request {request!r}"
+            )
         handler(self, handle, request)
 
     # -- request handlers (type-tag dispatch, see _DISPATCH below) ------
@@ -263,8 +271,9 @@ class Kernel:
         Parameters
         ----------
         until:
-            Simulated-time budget; exceeding it raises
-            :class:`SimulationLimitError`.
+            Simulated-time budget; a queue head later than it raises
+            :class:`SimulationLimitError` and stays queued, so a following
+            ``run()`` with a larger budget resumes without losing it.
         max_events:
             Event-count budget; same failure mode.
         stop_when:
@@ -288,7 +297,9 @@ class Kernel:
         prof = ambient_profiler()
         if prof is not None:
             prof.enter_loop()
-        queue_pop = self.queue.pop
+        heap = self.queue.heap
+        lane = self.queue.lane
+        lane_pop = lane.popleft
         try:
             while True:
                 if self._failure is not None:
@@ -296,11 +307,25 @@ class Kernel:
                     raise failure from failure.original
                 if stop_when is not None and stop_when():
                     return
-                ev = queue_pop()
-                if ev is None:
+                # Head of the merged queue.  Lane entries sit at the current
+                # instant with PRIORITY_NORMAL; a heap entry beats the lane
+                # head only with a smaller (time, priority, seq) — a C tuple
+                # compare that unique seqs stop before it reaches fn.
+                if lane:
+                    entry = lane[0]
+                    from_heap = False
+                    if heap and heap[0] < entry:
+                        entry = heap[0]
+                        from_heap = True
+                elif heap:
+                    entry = heap[0]
+                    from_heap = True
+                else:
                     self._check_deadlock()
                     return
-                time = ev.time
+                time = entry[0]
+                # Budgets are checked before the pop: the entry that trips
+                # one stays queued for a later run() with a larger budget.
                 if until is not None and time > until:
                     raise SimulationLimitError(
                         "simulated-time", until, self.now, self._events_executed
@@ -311,15 +336,19 @@ class Kernel:
                     )
                 if time < self.now:
                     raise RuntimeError(
-                        f"event queue violated time order: popped t={time!r} "
-                        f"behind the clock at t={self.now!r}"
+                        f"event queue violated time order: head at t={time!r} "
+                        f"is behind the clock at t={self.now!r}"
                     )
+                if from_heap:
+                    heappop(heap)
+                else:
+                    lane_pop()
                 self.now = time
                 self._events_executed += 1
                 if prof is None:
-                    ev.fn(*ev.args)
+                    entry[3](*entry[4])
                 else:
-                    prof.run_event(ev.fn, ev.args)
+                    prof.run_event(entry[3], entry[4])
         finally:
             if prof is not None:
                 prof.pop()
@@ -367,11 +396,12 @@ class Kernel:
         }
 
 
-_TERMINAL_STATES = frozenset((ProcessState.DONE, ProcessState.FAILED))
+_DONE = ProcessState.DONE
+_FAILED = ProcessState.FAILED
 
-#: Exact-type dispatch for yielded requests.  ``request.__class__`` lookup
-#: replaces the old isinstance chain; subclasses fall back to
-#: :func:`_dispatch_slow`, which walks the MRO once and memoizes.
+#: Exact-type dispatch for yielded requests: ``request.__class__`` lookup
+#: instead of an isinstance chain.  Anything else a process yields —
+#: including a subclass of a request type — is a ``TypeError``.
 _DISPATCH: dict[type, Callable[[Kernel, ProcessHandle, Any], None]] = {
     Compute: Kernel._do_compute,
     WaitSignal: Kernel._do_wait_signal,
@@ -379,17 +409,3 @@ _DISPATCH: dict[type, Callable[[Kernel, ProcessHandle, Any], None]] = {
     Yield: Kernel._do_yield,
     Join: Kernel._do_join,
 }
-
-
-def _dispatch_slow(
-    handle: ProcessHandle, request: Any
-) -> Callable[[Kernel, ProcessHandle, Any], None]:
-    """Resolve a handler for a request subclass; memoize into _DISPATCH."""
-    for base in type(request).__mro__[1:]:
-        handler = _DISPATCH.get(base)
-        if handler is not None:
-            _DISPATCH[type(request)] = handler
-            return handler
-    raise TypeError(
-        f"process {handle.name!r} yielded unsupported request {request!r}"
-    )

@@ -40,6 +40,18 @@ class TestFitnessCache:
             cache(rng.integers(0, 2, (3, 16), dtype=np.uint8))
         assert len(cache) <= 4
 
+    def test_keys_are_row_bytes_for_any_memory_layout(self):
+        """One ``tobytes()`` sliced per row keys exactly like per-row
+        ``tobytes()``, including for strided views and wider dtypes."""
+        cache = FitnessCache(lambda g: g.sum(axis=1).astype(float))
+        wide = np.arange(60, dtype=np.int64).reshape(6, 10)
+        view = wide[::2, 1::3]  # non-contiguous rows
+        assert not view.flags.c_contiguous
+        cache(view)
+        assert list(cache._store) == [row.tobytes() for row in view]
+        cache(np.ascontiguousarray(view))
+        assert cache.misses == 3 and cache.hits == 3
+
     def test_hit_rate(self):
         cache = FitnessCache(lambda g: g.sum(axis=1).astype(float))
         assert cache.hit_rate == 0.0

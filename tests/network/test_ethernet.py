@@ -39,6 +39,48 @@ def test_tx_time_10mbps_scale():
     assert cfg.tx_time(1000) == pytest.approx(8208e-7)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("bandwidth_bps", 0.0),
+        ("bandwidth_bps", float("nan")),
+        ("prop_delay", -1e-6),
+        ("ifg", -1e-6),
+        ("slot_time", -1e-6),
+        ("min_payload", 0),
+        ("max_payload", 45),  # below the default 46-byte minimum
+        ("contention_cap", 0),
+    ],
+)
+def test_bad_link_parameter_refused_at_construction(field, bad):
+    """The frame path pushes absolute times without ``schedule()``'s sign
+    check, so a parameter that could run time backwards never gets in."""
+    with pytest.raises(ValueError):
+        EthernetConfig(**{field: bad})
+
+
+def test_zero_delay_link_parameters_are_legal():
+    cfg = EthernetConfig(prop_delay=0.0, ifg=0.0, slot_time=0.0)
+    kernel, net, inboxes = make_net(config=cfg)
+    frames = [Frame(src=s, dst=3, size_bytes=100) for s in (0, 1, 2)]
+    for f in frames:
+        net.adapters[f.src].send(f)
+    kernel.run()
+    assert inboxes[3] == frames
+    assert kernel.now == pytest.approx(3 * cfg.tx_time(100))
+
+
+def test_backoff_draw_is_bit_identical_to_uniform():
+    """``window * random()`` replaces ``uniform(0.0, window)`` on the
+    ``eth.backoff`` stream: same draws consumed, same bits out."""
+    kernel, net, _ = make_net(seed=11)
+    draws = net._rng
+    clone = Kernel(seed=11).rng.get("eth.backoff")
+    for window in (2, 3, 5, 8) * 50:
+        assert window * draws.random() == float(clone.uniform(0.0, window))
+    assert draws.bit_generator.state == clone.bit_generator.state
+
+
 def test_mtu_enforced():
     kernel, net, _ = make_net()
     with pytest.raises(ValueError):

@@ -26,6 +26,12 @@ def test_loader_offered_load_close_to_target():
     assert offered == pytest.approx(1e6, rel=0.15)
 
 
+@pytest.mark.parametrize("bad", [0, -1024])
+def test_loader_frame_payload_must_be_positive(bad):
+    with pytest.raises(ValueError):
+        LoaderConfig(frame_payload_bytes=bad)
+
+
 def test_loader_zero_load_rejected():
     kernel = Kernel()
     net = EthernetNetwork(kernel)

@@ -239,6 +239,34 @@ def test_event_budget_enforced():
     assert exc.value.kind == "event-count"
 
 
+def test_budget_does_not_eat_the_event_that_trips_it():
+    """The head is checked before it is popped: it stays queued, is
+    reported as pending, and a resumed run executes it exactly once."""
+    k = Kernel()
+    fired = []
+    k.schedule(0.5, fired.append, "early")
+    k.schedule(2.0, fired.append, "late")
+    with pytest.raises(SimulationLimitError) as exc:
+        k.run(until=1.0)
+    assert exc.value.kind == "simulated-time"
+    assert fired == ["early"]
+    assert k.stats()["pending_events"] == 1
+    k.run()
+    assert fired == ["early", "late"]
+    assert k.events_executed == 2
+
+    k = Kernel()
+    for i in range(3):
+        k.schedule(float(i), fired.append, i)
+    with pytest.raises(SimulationLimitError) as exc:
+        k.run(max_events=2)
+    assert exc.value.kind == "event-count"
+    assert k.stats()["pending_events"] == 1
+    k.run()
+    assert fired[-3:] == [0, 1, 2]
+    assert k.events_executed == 3
+
+
 def test_stop_when_predicate_stops_cleanly():
     k = Kernel()
     ticks = []
@@ -291,6 +319,24 @@ def test_unsupported_request_raises_typeerror():
     k.spawn(bad())
     with pytest.raises(TypeError):
         k.run()
+
+
+def test_request_dispatch_is_by_exact_type():
+    """No MRO fallback: a bare object and a subclass of a request type are
+    both refused, naming the process and what it yielded."""
+
+    class SlowCompute(Compute):
+        pass
+
+    for request in (object(), SlowCompute(1.0)):
+        k = Kernel()
+
+        def bad(request=request):
+            yield request
+
+        k.spawn(bad(), name="bad")
+        with pytest.raises(TypeError, match="'bad' yielded unsupported request"):
+            k.run()
 
 
 def test_process_states_progression():
