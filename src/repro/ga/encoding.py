@@ -13,7 +13,7 @@ All operations are vectorised over whole populations: chromosomes are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class BinaryEncoding:
     lower: float
     upper: float
     gray: bool = False
+    #: decode weight of each bit of a field (MSB first), derived once
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_vars < 1 or self.bits_per_var < 1:
@@ -37,6 +39,8 @@ class BinaryEncoding:
             raise ValueError("upper must exceed lower")
         if self.bits_per_var > 30:
             raise ValueError("bits_per_var > 30 overflows the int decode")
+        weights = 1 << np.arange(self.bits_per_var - 1, -1, -1, dtype=np.int64)
+        object.__setattr__(self, "_weights", weights)
 
     @classmethod
     def for_function(cls, fn: TestFunction, gray: bool = False) -> "BinaryEncoding":
@@ -68,8 +72,7 @@ class BinaryEncoding:
         if self.gray:
             # Gray -> binary: b_i = g_0 xor ... xor g_i (prefix xor)
             fields = np.bitwise_xor.accumulate(fields, axis=2)
-        weights = 1 << np.arange(self.bits_per_var - 1, -1, -1, dtype=np.int64)
-        ints = fields.astype(np.int64) @ weights
+        ints = fields.astype(np.int64) @ self._weights
         span = (1 << self.bits_per_var) - 1
         return self.lower + (self.upper - self.lower) * ints / span
 

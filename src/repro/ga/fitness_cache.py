@@ -22,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.ga.population import row_keys
+
 
 class FitnessCache:
     """Memoising wrapper around a population evaluator.
@@ -50,37 +52,31 @@ class FitnessCache:
             self.misses += n
             return self._evaluate(genomes)
 
-        out = np.empty(n, dtype=np.float64)
-        # one C-order copy sliced per row: the same bytes as row.tobytes()
-        buf = genomes.tobytes()
-        width = genomes.shape[1] * genomes.itemsize
-        keys: list[bytes] = [buf[i * width:(i + 1) * width] for i in range(n)]
-        # first occurrence of each unknown chromosome in this batch
-        unique_miss: dict[bytes, int] = {}
-        dup_rows: list[int] = []
-        for i, key in enumerate(keys):
-            val = self._store.get(key)
+        store = self._store
+        keys = row_keys(genomes)
+        vals = list(map(store.get, keys))
+        for key, val in zip(keys, vals):
             if val is not None:
-                self._store.move_to_end(key)
-                out[i] = val
-                self.hits += 1
-            elif key in unique_miss:
-                dup_rows.append(i)  # duplicate within the batch: one eval
-                self.hits += 1
-            else:
-                unique_miss[key] = i
-        if unique_miss:
-            rows = list(unique_miss.values())
-            self.misses += len(rows)
-            vals = self._evaluate(genomes[rows])
-            for i, v in zip(rows, vals):
-                out[i] = v
-                self._store[keys[i]] = float(v)
-            for i in dup_rows:
-                out[i] = self._store[keys[i]]
-            while len(self._store) > self.max_entries:
-                self._store.popitem(last=False)
-        return out
+                store.move_to_end(key)
+        if None not in vals:
+            self.hits += n
+            return np.array(vals, dtype=np.float64)
+        missing = [i for i, val in enumerate(vals) if val is None]
+        # first occurrence of each unknown chromosome in this batch; a
+        # later one is a hit on it (one evaluation)
+        first: dict[bytes, int] = {}
+        for i in missing:
+            first.setdefault(keys[i], i)
+        rows = list(first.values())
+        self.misses += len(rows)
+        self.hits += n - len(rows)
+        for key, v in zip(first, self._evaluate(genomes[rows]).tolist()):
+            store[key] = v
+        for i in missing:
+            vals[i] = store[keys[i]]
+        while len(store) > self.max_entries:
+            store.popitem(last=False)
+        return np.array(vals, dtype=np.float64)
 
     @property
     def hit_rate(self) -> float:

@@ -55,7 +55,10 @@ class TestFunction:
             raise ValueError(
                 f"f{self.fid} expects {self.n_vars} variables, got {x.shape[1]}"
             )
-        if np.any(x < self.lower - 1e-9) or np.any(x > self.upper + 1e-9):
+        # written so that a NaN coordinate fails the test too
+        if x.size and not (
+            x.min() >= self.lower - 1e-9 and x.max() <= self.upper + 1e-9
+        ):
             raise ValueError(f"f{self.fid}: point outside [{self.lower}, {self.upper}]")
         return self.f(x)
 

@@ -43,7 +43,7 @@ from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TestFunction, reseed_f4
 from repro.ga.operators import GaParams, ScalingWindow, evolve_one_generation
 from repro.ga.population import Population
-from repro.ga.topology import TopologySpec, in_peers, readers_of
+from repro.ga.topology import TopologySpec, wiring
 from repro.obs.metrics import machine_metrics
 from repro.obs.prof import prof_section
 from repro.sim import CompletionCounter, Compute
@@ -111,10 +111,10 @@ class IslandGaConfig:
             raise ValueError("need at least one deme")
         if self.age < 0:
             raise ValueError("age must be >= 0")
+        if self.n_generations < 0:
+            raise ValueError("n_generations must be >= 0")
         if not 0.0 < self.migration_fraction <= 1.0:
             raise ValueError("migration_fraction must be in (0, 1]")
-        if self.mode is CoherenceMode.NON_STRICT and self.age is None:
-            raise ValueError("NON_STRICT requires an age")
 
 
 @dataclass
@@ -196,6 +196,32 @@ class _Recorder:
         return self.target is not None and self.target_time is not None
 
 
+class _GaPlan:
+    """What every deme of one run shares, built once in :func:`_run_island`.
+
+    The one definition of the migrant geometry (``n_mig`` emigrants of
+    ``enc.nbytes`` packed bytes plus an 8-byte fitness each), the
+    encoding with its decode weights, the migration wiring and the
+    crossover column index; :mod:`repro.ga.sharded` reads the same one.
+    """
+
+    def __init__(self, cfg: IslandGaConfig) -> None:
+        self.cfg = cfg
+        self.enc = BinaryEncoding.for_function(cfg.fn, gray=cfg.gray)
+        self.n_mig = max(
+            1, int(round(cfg.migration_fraction * cfg.params.population_size))
+        )
+        self.migrant_nbytes = self.n_mig * (self.enc.nbytes + 8)
+        self.cols = np.arange(self.enc.length)
+        #: in-peers of every deme, and the DSM reader set of every
+        #: ``migrants.<d>`` (their inverse)
+        self.peers, self.readers = wiring(cfg.topology_spec(), cfg.n_demes)
+
+    def evaluate(self, genomes: np.ndarray) -> np.ndarray:
+        """Objective values of an ``(n, L)`` genome array (uncached)."""
+        return self.cfg.fn(self.enc.decode(genomes))
+
+
 class _LocalDeme:
     """Authoritative deme computation (the serial path and owner shards).
 
@@ -213,86 +239,81 @@ class _LocalDeme:
     before the refactor (pinned by the GOLDEN digests).
     """
 
-    def __init__(self, cfg: IslandGaConfig, deme: int) -> None:
-        fn = cfg.fn
-        self.cfg = cfg
+    def __init__(self, plan: _GaPlan, deme: int) -> None:
+        cfg = plan.cfg
+        self.plan = plan
         self.deme = deme
-        self.enc = BinaryEncoding.for_function(fn, gray=cfg.gray)
-        self.n_mig = max(
-            1, int(round(cfg.migration_fraction * cfg.params.population_size))
-        )
         self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(fn.fid, deme))
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cfg.fn.fid, deme))
         )
-        self.cache = FitnessCache(
-            lambda g: fn(self.enc.decode(g)), enabled=not fn.noisy
-        )
+        self.cache = FitnessCache(plan.evaluate, enabled=not cfg.fn.noisy)
         self.scaling = ScalingWindow(window=cfg.params.scaling_window)
         self.pop: Population | None = None
         self.best_so_far = float("inf")
 
+    def _adopt(self, pop: Population, misses_before: int) -> tuple:
+        """Adopt ``pop``; returns (cost_s, best, mean, migrants)."""
+        cfg = self.plan.cfg
+        self.pop = pop
+        cost = cfg.costs.generation_cost(
+            cfg.fn, pop.size, self.cache.misses - misses_before
+        )
+        self.best_so_far = min(self.best_so_far, pop.best_fitness)
+        migrants = pop.best_individuals(self.plan.n_mig)
+        return cost, self.best_so_far, pop.mean_fitness, migrants
+
     def start(self) -> tuple[float, float, float, tuple]:
         """Initial population + evaluation; returns (cost_s, best, mean, migrants)."""
-        cfg = self.cfg
+        plan = self.plan
         with prof_section("numpy.ga"):
-            genomes = self.enc.random_population(cfg.params.population_size, self.rng)
-            self.pop = Population(genomes, self.cache(genomes))
-            self.best_so_far = self.pop.best_fitness
-            cost = cfg.costs.generation_cost(cfg.fn, self.pop.size, self.cache.misses)
-            mg, mf = self.pop.best_individuals(self.n_mig)
-        return cost, self.best_so_far, self.pop.mean_fitness, (mg, mf)
+            genomes = plan.enc.random_population(
+                plan.cfg.params.population_size, self.rng
+            )
+            return self._adopt(Population(genomes, self.cache(genomes)), 0)
 
     def evolve(self, g: int) -> tuple[float, float, float, tuple]:
         """One generation of evolution; returns (cost_s, best, mean, migrants)."""
-        cfg = self.cfg
+        plan = self.plan
         with prof_section("numpy.ga"):
             misses_before = self.cache.misses
-            self.pop = evolve_one_generation(
-                self.pop, cfg.params, self.scaling, self.cache, self.rng
+            pop = evolve_one_generation(
+                self.pop, plan.cfg.params, self.scaling, self.cache, self.rng, plan.cols
             )
-            cost = cfg.costs.generation_cost(
-                cfg.fn, self.pop.size, self.cache.misses - misses_before
-            )
-            self.best_so_far = min(self.best_so_far, self.pop.best_fitness)
-            mg, mf = self.pop.best_individuals(self.n_mig)
-        return cost, self.best_so_far, self.pop.mean_fitness, (mg, mf)
+            return self._adopt(pop, misses_before)
 
     def incorporate(self, pool_g: np.ndarray, pool_f: np.ndarray) -> tuple[float, float]:
         """Install the best arrivals; returns post-incorporation (best, mean)."""
+        pop = self.pop
         with prof_section("numpy.ga"):
-            order = np.argsort(pool_f, kind="stable")[: self.n_mig]
-            self.pop.replace_worst(pool_g[order], pool_f[order])
-            self.best_so_far = min(self.best_so_far, self.pop.best_fitness)
-        return self.best_so_far, self.pop.mean_fitness
+            order = pool_f.argsort(kind="stable")[: self.plan.n_mig]
+            pop.replace_worst(pool_g[order], pool_f[order])
+            self.best_so_far = min(self.best_so_far, pop.best_fitness)
+            return self.best_so_far, pop.mean_fitness
 
     def finish(self) -> float:
         """The deme's final best-so-far (the process return value)."""
         return self.best_so_far
 
 
-def _deme_process(
-    cfg: IslandGaConfig, dsm: Dsm, deme: int, recorder: _Recorder, model=None
-):
+def _deme_process(plan: _GaPlan, dsm: Dsm, deme: int, recorder: _Recorder, model=None):
     """Build the simulated process for one deme.
 
-    ``model`` is the execution-model factory: ``(cfg, deme) ->`` an
+    ``model`` is the execution-model factory: ``(plan, deme) ->`` an
     object with the :class:`_LocalDeme` interface.  ``None`` (the serial
     default) computes locally; :mod:`repro.ga.sharded` substitutes
     owner/ghost implementations for sharded runs.
     """
-    fn = cfg.fn
-    enc = BinaryEncoding.for_function(fn, gray=cfg.gray)
-    n_mig = max(1, int(round(cfg.migration_fraction * cfg.params.population_size)))
-    peers = in_peers(cfg.topology_spec(), deme, cfg.n_demes)
+    cfg = plan.cfg
+    peers = plan.peers[deme]
     # only the synchronous barrier needs the full group; materialising it
     # per deme is O(n_demes^2) across the run — ruinous at 4096 demes
     group = (
         range(cfg.n_demes) if cfg.mode is CoherenceMode.SYNCHRONOUS else None
     )
-    migrant_nbytes = n_mig * (enc.nbytes + 8)
+    migrant_nbytes = plan.migrant_nbytes
 
     def proc(node, task):
-        exec_ = (model or _LocalDeme)(cfg, deme)
+        exec_ = (model or _LocalDeme)(plan, deme)
         dnode = dsm.node(deme)
         age_ctl = None
         if cfg.dynamic_age and cfg.mode is CoherenceMode.NON_STRICT:
@@ -411,23 +432,20 @@ def _run_island(
     dsm = Dsm(machine.vm, update_policy=cfg.update_policy)
     if instrument is not None:
         instrument(dsm)
-    n_mig = max(1, int(round(cfg.migration_fraction * cfg.params.population_size)))
-    enc = BinaryEncoding.for_function(cfg.fn, gray=cfg.gray)
-    topo = cfg.topology_spec()
+    plan = _GaPlan(cfg)
     for d in range(cfg.n_demes):
-        readers = readers_of(topo, d, cfg.n_demes)
         dsm.register(
             SharedLocationSpec(
                 f"migrants.{d}",
                 writer=d,
-                readers=readers,
-                value_nbytes=n_mig * (enc.nbytes + 8),
+                readers=plan.readers[d],
+                value_nbytes=plan.migrant_nbytes,
             )
         )
     recorder = _Recorder(cfg.target)
     handles = [
         machine.spawn_on(
-            d, _deme_process(cfg, dsm, d, recorder, model=deme_model), name=f"deme{d}"
+            d, _deme_process(plan, dsm, d, recorder, model=deme_model), name=f"deme{d}"
         )
         for d in range(cfg.n_demes)
     ]

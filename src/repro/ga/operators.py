@@ -78,7 +78,7 @@ class ScalingWindow:
 def selection_weights(fitness: np.ndarray, baseline: float) -> np.ndarray:
     """Scaled roulette weights for minimisation: ``baseline - f``, clipped
     at 0, uniform fallback when the population is flat."""
-    w = np.clip(baseline - fitness, 0.0, None)
+    w = np.maximum(baseline - fitness, 0.0)
     total = w.sum()
     if total <= 0.0:
         return np.full(fitness.shape, 1.0 / fitness.size)
@@ -88,8 +88,18 @@ def selection_weights(fitness: np.ndarray, baseline: float) -> np.ndarray:
 def roulette_select(
     fitness: np.ndarray, baseline: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Indices of ``n`` parents drawn by fitness-proportionate selection."""
-    return rng.choice(fitness.size, size=n, p=selection_weights(fitness, baseline))
+    """Indices of ``n`` parents drawn by fitness-proportionate selection.
+
+    The inverse-CDF draw ``Generator.choice(size=n, p=weights)`` makes,
+    without its argument checks: same indices, same stream position
+    (DESIGN.md §8).
+    """
+    cdf = selection_weights(fitness, baseline).cumsum()
+    total = cdf[-1]
+    if total != total:
+        raise ValueError("probabilities contain NaN")
+    cdf /= total
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 def single_point_crossover(
@@ -97,23 +107,27 @@ def single_point_crossover(
     parents_b: np.ndarray,
     rate: float,
     rng: np.random.Generator,
+    cols: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised single-point crossover over paired parent arrays."""
-    a = parents_a.copy()
-    b = parents_b.copy()
-    n, length = a.shape
+    """Vectorised single-point crossover over paired parent arrays.
+
+    ``cols`` is ``np.arange(L)`` for a caller that keeps one.
+    """
+    n, length = parents_a.shape
+    if cols is None:
+        cols = np.arange(length)
     do = rng.random(n) < rate
-    points = rng.integers(1, length, size=n)
-    cols = np.arange(length)
-    swap_mask = do[:, None] & (cols[None, :] >= points[:, None])
-    a[swap_mask], b[swap_mask] = parents_b[swap_mask], parents_a[swap_mask]
-    return a, b
+    # a pair that does not cross cuts past the last column
+    points = np.where(do, rng.integers(1, length, size=n), length)
+    # the children differ from their parents where the parents differ
+    # at or after the cut
+    diff = (parents_a ^ parents_b) * (cols >= points[:, None])
+    return parents_a ^ diff, parents_b ^ diff
 
 
 def mutate(genomes: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
     """Independent bit flips at ``rate`` (returns a new array)."""
-    flips = rng.random(genomes.shape) < rate
-    return np.bitwise_xor(genomes, flips.astype(np.uint8))
+    return genomes ^ (rng.random(genomes.shape) < rate)
 
 
 def evolve_one_generation(
@@ -122,27 +136,33 @@ def evolve_one_generation(
     scaling: ScalingWindow,
     evaluate,
     rng: np.random.Generator,
+    cols: np.ndarray | None = None,
 ) -> Population:
     """One full generational step (select -> crossover -> mutate -> elitism).
 
     ``evaluate`` maps an (n, L) genome array to (n,) objective values; the
     caller supplies a fitness-cache-wrapped evaluator so surviving
     individuals are not re-evaluated (the software-caching optimisation of
-    [19]).
+    [19]).  ``cols`` is passed to :func:`single_point_crossover`.
+
+    Four draws per generation, in this order, are the pinned stream
+    (DESIGN.md §8): ``random(2h)``, ``random(h)``, ``integers(1, L, h)``
+    and ``random((n, L))`` with ``h = ceil(n / 2)``.
     """
-    scaling.update(float(pop.fitness.max()))
+    genomes, fitness = pop.genomes, pop.fitness
+    scaling.update(float(fitness.max()))
     n = params.population_size
-    baseline = scaling.scaling_baseline
-    idx = roulette_select(pop.fitness, baseline, n + (n % 2), rng)
-    pa = pop.genomes[idx[0::2]]
-    pb = pop.genomes[idx[1::2]]
-    ca, cb = single_point_crossover(pa, pb, params.crossover_rate, rng)
-    children = np.concatenate([ca, cb], axis=0)[:n]
-    children = mutate(children, params.mutation_rate, rng)
-    fitness = evaluate(children)
-    new_pop = Population(children, fitness)
-    if params.elitist and pop.best_fitness < new_pop.best_fitness:
-        worst = int(np.argmax(new_pop.fitness))
-        new_pop.genomes[worst] = pop.genomes[pop.best_index]
-        new_pop.fitness[worst] = pop.best_fitness
+    idx = roulette_select(fitness, scaling.scaling_baseline, n + (n % 2), rng)
+    parents = genomes[idx]
+    ca, cb = single_point_crossover(
+        parents[0::2], parents[1::2], params.crossover_rate, rng, cols
+    )
+    children = mutate(np.concatenate([ca, cb])[:n], params.mutation_rate, rng)
+    new_pop = Population(children, evaluate(children))
+    if params.elitist:
+        best = fitness.argmin()
+        if fitness[best] < new_pop.fitness.min():
+            worst = new_pop.fitness.argmax()
+            new_pop.genomes[worst] = genomes[best]
+            new_pop.fitness[worst] = fitness[best]
     return new_pop

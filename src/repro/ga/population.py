@@ -46,7 +46,8 @@ class Population:
     @property
     def mean_fitness(self) -> float:
         """Mean fitness over the population."""
-        return float(self.fitness.mean())
+        # what ndarray.mean computes, without its Python wrapper
+        return float(self.fitness.sum() / self.fitness.size)
 
     def best_individuals(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``k`` fittest (genomes, fitness), fittest first.
@@ -56,8 +57,8 @@ class Population:
         """
         if not 0 < k <= self.size:
             raise ValueError(f"k must be in 1..{self.size}, got {k}")
-        idx = np.argsort(self.fitness, kind="stable")[:k]
-        return self.genomes[idx].copy(), self.fitness[idx].copy()
+        idx = self.fitness.argsort(kind="stable")[:k]
+        return self.genomes[idx], self.fitness[idx]
 
     def replace_worst(self, genomes: np.ndarray, fitness: np.ndarray) -> int:
         """Replace the worst individuals with the incoming migrants.
@@ -69,26 +70,42 @@ class Population:
         skipped (installing clones of the global elite every generation
         would collapse deme diversity — the standard island-GA duplicate
         check).  Returns the number actually installed.
+
+        Migrants are visited best first and the worst-resident cursor
+        moves only on an install, so the first migrant that cannot
+        displace it ends the pass, duplicate or not: fitness is tested
+        first and the resident keys are built only once a migrant passes
+        (DESIGN.md §8).
         """
         genomes = np.atleast_2d(genomes)
         fitness = np.asarray(fitness, dtype=np.float64)
         if genomes.shape[0] != fitness.shape[0]:
             raise ValueError("migrant genomes/fitness length mismatch")
         k = min(genomes.shape[0], self.size)
-        order = np.argsort(fitness, kind="stable")[:k]  # best migrants first
-        worst = np.argsort(self.fitness, kind="stable")[::-1]  # worst residents first
-        resident_keys = {row.tobytes() for row in self.genomes}
-        installed = 0
-        w_iter = iter(worst)
-        for m in order:
-            key = genomes[m].tobytes()
+        order = fitness.argsort(kind="stable")[:k]  # best migrants first
+        worst = self.fitness.argsort(kind="stable")[::-1].tolist()  # worst residents first
+        migrant_f = fitness.tolist()
+        resident_f = self.fitness.tolist()
+        resident_keys: set[bytes] | None = None
+        installed = 0  # also the cursor into `worst`: k <= size bounds it
+        for m in order.tolist():
+            w = worst[installed]
+            if migrant_f[m] >= resident_f[w]:
+                break  # no strictly-worse resident left to displace
+            if resident_keys is None:
+                resident_keys = set(row_keys(self.genomes))
+                migrant_keys = row_keys(genomes)
+            key = migrant_keys[m]
             if key in resident_keys:
                 continue  # duplicate of a resident: skip
-            w = next(w_iter, None)
-            if w is None or fitness[m] >= self.fitness[w]:
-                break  # no strictly-worse resident left to displace
             self.genomes[w] = genomes[m]
-            self.fitness[w] = fitness[m]
+            self.fitness[w] = migrant_f[m]
             resident_keys.add(key)
             installed += 1
         return installed
+
+
+def row_keys(rows: np.ndarray) -> list[bytes]:
+    """``row.tobytes()`` of every row of a 2-D array, in one pass."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.shape[1] * rows.itemsize}")[:, 0].tolist()

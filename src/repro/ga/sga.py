@@ -87,6 +87,7 @@ def run_serial_ga(
     genomes = enc.random_population(params.population_size, rng)
     pop = Population(genomes, cache(genomes))
     scaling = ScalingWindow(window=params.scaling_window)
+    cols = np.arange(enc.length)
 
     sim_time = 0.0
     best_hist = np.empty(n_generations + 1)
@@ -97,7 +98,7 @@ def run_serial_ga(
 
     for g in range(1, n_generations + 1):
         misses_before = cache.misses
-        pop = evolve_one_generation(pop, params, scaling, cache, rng)
+        pop = evolve_one_generation(pop, params, scaling, cache, rng, cols)
         new_evals = cache.misses - misses_before
         sim_time += costs.generation_cost(fn, params.population_size, new_evals)
         best_so_far = min(best_so_far, pop.best_fitness)

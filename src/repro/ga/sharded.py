@@ -34,7 +34,14 @@ from dataclasses import replace
 import numpy as np
 
 from repro.cluster.machine import MachineConfig
-from repro.ga.island import IslandGaConfig, IslandGaResult, _LocalDeme, _run_island
+from repro.ga.island import (
+    IslandGaConfig,
+    IslandGaResult,
+    _GaPlan,
+    _LocalDeme,
+    _run_island,
+)
+from repro.ga.topology import comm_graph
 from repro.sim.parallel.records import GenRecord, ShardOutcome
 from repro.util.digest import digest_values
 
@@ -50,8 +57,8 @@ class _OwnerDeme:
     within ``lag_bound`` of the distributed floor.
     """
 
-    def __init__(self, cfg: IslandGaConfig, deme: int, feed) -> None:
-        self._local = _LocalDeme(cfg, deme)
+    def __init__(self, plan: _GaPlan, deme: int, feed) -> None:
+        self._local = _LocalDeme(plan, deme)
         self.deme = deme
         self.feed = feed
         self._gen = 0
@@ -95,7 +102,7 @@ class _GhostDeme:
     to the DSM and reports the same best/mean to the recorder.
     """
 
-    def __init__(self, cfg: IslandGaConfig, deme: int, feed) -> None:
+    def __init__(self, plan: _GaPlan, deme: int, feed) -> None:
         self.deme = deme
         self.feed = feed
         self.best_so_far = float("inf")
@@ -161,22 +168,8 @@ class GaShardScenario:
         a sparse graph it can actually cut well, so neighbouring demes
         land on the same shard and cross-shard record traffic shrinks.
         """
-        from repro.ga.encoding import BinaryEncoding
-        from repro.ga.topology import comm_graph
-
-        enc = BinaryEncoding.for_function(self.cfg.fn, gray=self.cfg.gray)
-        n_mig = max(
-            1,
-            int(
-                round(
-                    self.cfg.migration_fraction
-                    * self.cfg.params.population_size
-                )
-            ),
-        )
-        return comm_graph(
-            self.cfg.topology_spec(), self.cfg.n_demes, n_mig * (enc.nbytes + 8)
-        )
+        plan = _GaPlan(self.cfg)
+        return comm_graph(plan.peers, plan.migrant_nbytes)
 
     def machine_config(self) -> MachineConfig:
         """The machine the run will build (for lookahead extraction)."""
@@ -218,10 +211,10 @@ class GaShardScenario:
 
         owned = ctx.plan.owned_by(ctx.shard_id)
 
-        def model(mcfg: IslandGaConfig, deme: int):
+        def model(plan: _GaPlan, deme: int):
             if deme in owned:
-                return _OwnerDeme(mcfg, deme, ctx.feed)
-            return _GhostDeme(mcfg, deme, ctx.feed)
+                return _OwnerDeme(plan, deme, ctx.feed)
+            return _GhostDeme(plan, deme, ctx.feed)
 
         result = _run_island(cfg, instrument=grab, deme_model=model)
 

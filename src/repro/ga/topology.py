@@ -81,7 +81,8 @@ def _random_peers(spec: TopologySpec, deme: int, n_demes: int) -> list[int]:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=spec.seed, spawn_key=(n_demes, deme))
     )
-    options = np.array([p for p in range(n_demes) if p != deme])
+    options = np.arange(n_demes - 1)
+    options[deme:] += 1  # every deme but this one, ascending
     k = min(spec.degree, options.size)
     return sorted(int(p) for p in rng.choice(options, size=k, replace=False))
 
@@ -119,32 +120,47 @@ def in_peers(spec: TopologySpec, deme: int, n_demes: int) -> list[int]:
     return _random_peers(spec, deme, n_demes)
 
 
+def wiring(
+    spec: TopologySpec, n_demes: int
+) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """``(peers, readers)``: every deme's in-peers and their inverse.
+
+    ``readers[w]`` are the demes that read ``migrants.<w>`` (the DSM
+    reader set), ascending.  One :func:`in_peers` call per deme — under
+    ``random`` each seeds a generator — so whoever wires a whole run
+    builds this once and indexes it.
+    """
+    peers = [in_peers(spec, d, n_demes) for d in range(n_demes)]
+    readers: list[list[int]] = [[] for _ in range(n_demes)]
+    for d, ps in enumerate(peers):
+        for p in ps:
+            readers[p].append(d)
+    return peers, [tuple(r) for r in readers]
+
+
 def readers_of(spec: TopologySpec, writer: int, n_demes: int) -> tuple[int, ...]:
     """Demes that read ``migrants.<writer>`` (the DSM reader set), ascending.
 
     The structured kinds are symmetric (``p`` reads ``d`` iff ``d`` reads
     ``p``), so readers == in-peers; ``random`` is directed and needs the
-    inverse map.
+    inverse map of :func:`wiring`.
     """
     if spec.kind == "random":
-        return tuple(
-            d
-            for d in range(n_demes)
-            if d != writer and writer in in_peers(spec, d, n_demes)
-        )
+        return wiring(spec, n_demes)[1][writer]
     return tuple(in_peers(spec, writer, n_demes))
 
 
-def comm_graph(spec: TopologySpec, n_demes: int, migrant_nbytes: int) -> nx.Graph:
-    """The migration pattern as the shard partitioner's unit graph.
+def comm_graph(peers: list[list[int]], migrant_nbytes: int) -> nx.Graph:
+    """The migration pattern ``peers`` (see :func:`wiring`) as the shard
+    partitioner's unit graph.
 
     Undirected — the bounded-lag planner cares about which demes
     communicate at all, not direction — with every deme present as a
     node (isolated demes still need an owner shard).
     """
     g = nx.Graph()
-    g.add_nodes_from(range(n_demes))
-    for d in range(n_demes):
-        for p in in_peers(spec, d, n_demes):
+    g.add_nodes_from(range(len(peers)))
+    for d, ps in enumerate(peers):
+        for p in ps:
             g.add_edge(d, p, weight=float(migrant_nbytes))
     return g

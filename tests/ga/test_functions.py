@@ -91,6 +91,18 @@ def test_domain_validation():
         fn(np.zeros((1, 4)))
 
 
+@pytest.mark.parametrize("fid", range(1, 9))
+def test_nan_coordinate_rejected(fid):
+    """``np.any(nan < lower)`` is False, so NaN used to reach ``f``."""
+    fn = get_function(fid)
+    x = np.zeros((2, fn.n_vars))
+    x[1, -1] = np.nan
+    with pytest.raises(ValueError, match="outside"):
+        fn(x)
+    # the closed domain itself, bounds included, still passes
+    fn(np.array([[fn.lower] * fn.n_vars, [fn.upper] * fn.n_vars]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=1000))
 def test_property_minimum_is_lower_bound(fid, seed):

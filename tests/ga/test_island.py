@@ -20,6 +20,15 @@ class TestConfigValidation:
                 migration_fraction=0.0,
             )
 
+    def test_negative_generation_count_rejected(self):
+        """It used to run zero generations without a word."""
+        fn = get_function(1)
+        with pytest.raises(ValueError, match="n_generations"):
+            IslandGaConfig(
+                fn=fn, n_demes=2, mode=CoherenceMode.NON_STRICT, n_generations=-1
+            )
+        IslandGaConfig(fn=fn, n_demes=2, mode=CoherenceMode.NON_STRICT, n_generations=0)
+
     def test_machine_node_count_must_match(self):
         fn = get_function(1)
         cfg = IslandGaConfig(

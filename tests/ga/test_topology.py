@@ -1,5 +1,6 @@
 """Migration topologies: wiring shapes, symmetry, seeded determinism."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.ga.topology import (
     grid_shape,
     in_peers,
     readers_of,
+    wiring,
 )
 
 
@@ -83,6 +85,56 @@ class TestShapes:
             )
 
 
+class TestWiringTable:
+    """``wiring`` is what a run wires itself from: one generator per
+    deme under ``random``, not one per (writer, deme) pair."""
+
+    @pytest.mark.parametrize("n", [2, 17, 64, 256])
+    def test_random_table_equals_the_per_deme_definition(self, n):
+        spec = TopologySpec(kind="random", seed=5, degree=3)
+
+        def definition(deme):  # the draw as first written, options as a list
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=spec.seed, spawn_key=(n, deme))
+            )
+            options = np.array([p for p in range(n) if p != deme])
+            k = min(spec.degree, options.size)
+            return sorted(int(p) for p in rng.choice(options, size=k, replace=False))
+
+        peers, readers = wiring(spec, n)
+        assert peers == [definition(d) for d in range(n)]
+        assert peers == [in_peers(spec, d, n) for d in range(n)]
+        assert readers == [
+            tuple(d for d in range(n) if w in peers[d]) for w in range(n)
+        ]
+
+    @pytest.mark.parametrize("kind", TOPOLOGIES)
+    def test_table_rows_are_in_peers_and_readers_of(self, kind):
+        spec = TopologySpec(kind=kind, seed=2, degree=2, group=4)
+        for n in (1, 2, 17):
+            peers, readers = wiring(spec, n)
+            assert peers == [in_peers(spec, d, n) for d in range(n)]
+            assert readers == [readers_of(spec, d, n) for d in range(n)]
+
+    def test_a_run_seeds_one_generator_per_deme(self, monkeypatch, island_cfg):
+        """Call count, not a stopwatch: 256 demes used to cost 256 * 256
+        ``_random_peers`` calls for the reader sets alone."""
+        from repro.ga import topology
+        from repro.ga.island import _run_island
+
+        calls = []
+        real = topology._random_peers
+
+        def counting(spec, deme, n_demes):
+            calls.append(deme)
+            return real(spec, deme, n_demes)
+
+        monkeypatch.setattr(topology, "_random_peers", counting)
+        result = _run_island(island_cfg(demes=256, gens=0, topology="random"))
+        assert result.generations_run == [0] * 256
+        assert sorted(calls) == list(range(256))
+
+
 topo_specs = st.builds(
     TopologySpec,
     kind=st.sampled_from(TOPOLOGIES),
@@ -130,7 +182,7 @@ def test_property_symmetric_kinds_are_symmetric(spec, n):
 @settings(max_examples=30, deadline=None)
 @given(topo_specs, st.integers(min_value=2, max_value=32))
 def test_property_comm_graph_covers_every_deme(spec, n):
-    g = comm_graph(spec, n, 100)
+    g = comm_graph(wiring(spec, n)[0], 100)
     assert sorted(g.nodes) == list(range(n))
     for d in range(n):
         for p in in_peers(spec, d, n):
