@@ -11,8 +11,9 @@ bound (age=0) and once relaxed (age=10) — then uses the causal layer
    numbers (blocking falls, staleness rises),
 4. writes ``critical_path_dashboard.html``, the single-file HTML view.
 
-The same artifacts come from the shell via ``python -m repro.obs
-critical-path / diff / dashboard`` on a ``--trace`` JSONL file.
+The same numbers come from the shell via ``python -m repro.obs report
+[--json | --html]`` (attribution and critical path are sections of the
+one report) and ``python -m repro.obs diff`` on ``--trace`` JSONL files.
 
 Run:  python examples/critical_path.py
 """

@@ -36,7 +36,6 @@ import networkx as nx
 import numpy as np
 
 from repro.bayes.network import BayesianNetwork
-from repro.obs.prof import prof_section
 
 
 @dataclass
@@ -251,14 +250,13 @@ class ProcessorState:
 
     def sample_iteration(self, t: int, rng: np.random.Generator, oracle: GvtOracle) -> None:
         """Sample all own nodes for run ``t`` (optimistically)."""
-        with prof_section("sample.bayes"):
-            vals = {u: self.input_value(u, t, oracle) for u in self.remote_parents}
-            us = rng.random(len(self.plan)).tolist()
-            for (v, rows, parents, _), draw in zip(self.plan, us):
-                for p in parents:
-                    rows = rows[vals[p]]
-                vals[v] = bisect_right(rows, draw)
-            self.own_values[t] = vals
+        vals = {u: self.input_value(u, t, oracle) for u in self.remote_parents}
+        us = rng.random(len(self.plan)).tolist()
+        for (v, rows, parents, _), draw in zip(self.plan, us):
+            for p in parents:
+                rows = rows[vals[p]]
+            vals[v] = bisect_right(rows, draw)
+        self.own_values[t] = vals
         oracle.sampled(self.proc, t)
 
     def apply_actual(
@@ -348,18 +346,17 @@ class ProcessorState:
             )
         changed: list[tuple[int, int, int, int]] = []
         published = t <= self.published_upto
-        with prof_section("sample.bayes"):
-            us = rng.random(len(affected)).tolist()
-            for (v, rows, parents, is_iface), draw in zip(affected, us):
-                for p in parents:
-                    rows = rows[vals[p]]
-                new = bisect_right(rows, draw)
-                if new != vals[v]:
-                    vals[v] = new
-                    if is_iface and published:
-                        ver = self.sent_versions.get((v, t), 0) + 1
-                        self.sent_versions[(v, t)] = ver
-                        changed.append((v, t, new, ver))
+        us = rng.random(len(affected)).tolist()
+        for (v, rows, parents, is_iface), draw in zip(affected, us):
+            for p in parents:
+                rows = rows[vals[p]]
+            new = bisect_right(rows, draw)
+            if new != vals[v]:
+                vals[v] = new
+                if is_iface and published:
+                    ver = self.sent_versions.get((v, t), 0) + 1
+                    self.sent_versions[(v, t)] = ver
+                    changed.append((v, t, new, ver))
         self.stats.corrections_sent += len(changed)
         if self.obs is not None:
             self.obs.emit(

@@ -29,16 +29,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=None, help="parallel worker count (default: REPRO_JOBS)")
     parser.add_argument("--repeat", type=int, default=2, help="micro-benchmark repeats (best-of)")
     parser.add_argument("--skip-suite", action="store_true", help="micro + digests only")
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "also archive the bench document into the content-addressed "
-            "run store at DIR (python -m repro.obs trend --store DIR "
-            "folds stored bench runs into the trajectory)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     scale = _SCALES[args.scale]()
@@ -70,15 +60,6 @@ def main(argv: list[str] | None = None) -> int:
     out = next_bench_path() if args.out is None else args.out
     write_bench(out, payload)
     print(f"[bench] wrote {out}")
-
-    if args.store:
-        from repro.obs.store import RunStore
-
-        ref = RunStore(args.store).put(
-            {"bench.json": out},
-            meta={"app": "bench", "scale": args.scale},
-        )
-        print(f"[bench] stored -> {args.store} ref {ref}")
 
     failed = [name for name, r in determinism.items() if not r["ok"]]
     for name in failed:

@@ -38,7 +38,6 @@ with ``time.perf_counter``); rates are derived from the same best run.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import re
@@ -46,7 +45,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.util.envelope import make_envelope, write_envelope
+from repro.util.envelope import make_envelope, read_json, write_envelope
 
 SCHEMA_VERSION = "repro-bench/1"
 
@@ -121,5 +120,5 @@ def load_trajectory(root: Path | str = ".") -> list[tuple[int, dict]]:
     for p in root.glob("BENCH_*.json"):
         m = _BENCH_NAME.match(p.name)
         if m:
-            points.append((int(m.group(1)), json.loads(p.read_text())))
+            points.append((int(m.group(1)), read_json(p)))
     return sorted(points, key=lambda t: t[0])

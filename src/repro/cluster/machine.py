@@ -61,7 +61,7 @@ class MachineConfig:
     #: stream the trace to a rotating gzip sink at this path instead of
     #: buffering it: peak trace memory becomes O(trace_flush_every)
     #: regardless of run length and no event is ever dropped (the
-    #: long-run / run-store path; finalize with ``obs.write_jsonl()``)
+    #: long-run path; finalize with ``obs.write_jsonl()``)
     trace_sink: str | None = None
     #: events buffered between sink flushes when trace_sink is set
     trace_flush_every: int = 5_000
@@ -75,6 +75,10 @@ class MachineConfig:
             raise ValueError("hw_multicast requires the 'switched' interconnect")
         if self.speed_factors and len(self.speed_factors) != self.n_nodes:
             raise ValueError("speed_factors length must equal n_nodes")
+        if self.trace_sink and not self.trace:
+            raise ValueError("trace_sink needs trace=True (nothing would be recorded)")
+        if self.trace_max_events < 1 or self.trace_flush_every < 1:
+            raise ValueError("trace_max_events and trace_flush_every must be >= 1")
 
     def with_load(self, bps: float) -> "MachineConfig":
         """Copy of this config with one background loader at ``bps``."""

@@ -14,16 +14,11 @@ the same knobs:
     Observability artifacts (DESIGN.md §10): after the experiment, run
     one representative traced trial matching the experiment's machine
     shape and write its JSONL event trace / metrics-snapshot JSON.
-    Render the trace with ``python -m repro.obs report PATH``.
-``--profile PATH``
-    Host-time section profile of the traced trial (DESIGN.md §15): a
-    ``repro-obs-prof/1`` envelope attributing the trial's host wall
-    clock to kernel loop / subsystem / numpy sections.  Determinism-
-    neutral — golden digests are pinned with profiling on.
-``--store DIR``
-    Archive the traced trial (trace, metrics, profile) into the
-    content-addressed run store under ``DIR/runs/<digest>/`` so
-    ``python -m repro.obs store``/``diff``/``trend`` can reach it later.
+    Render the trace with ``python -m repro.obs report PATH``.  The
+    trace file is the one observability artifact; host time is asked
+    from outside the program (``python -m cProfile -m
+    repro.experiments.<name>``, or ``perfbench/run.py --trace 1`` for
+    the per-layer ledger — DESIGN.md §15).
 """
 
 from __future__ import annotations
@@ -50,10 +45,6 @@ class ExperimentArgs:
     #: worker shards for the bounded-lag parallel kernel (per trial);
     #: 1 = serial kernel (repro.sim.parallel, DESIGN.md §13)
     shards: int = 1
-    #: host-time profile destination for the traced trial (DESIGN.md §15)
-    profile: str | None = None
-    #: run-store root to archive the traced trial into
-    store: str | None = None
 
 
 def experiment_parser(
@@ -120,26 +111,6 @@ def experiment_parser(
         metavar="PATH",
         help="write the traced trial's metrics-snapshot JSON to PATH",
     )
-    parser.add_argument(
-        "--profile",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write a host-time section profile (repro-obs-prof/1 JSON) of "
-            "the traced trial to PATH (render: python -m repro.obs report "
-            "TRACE --prof PATH); determinism-neutral"
-        ),
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "archive the traced trial (trace/metrics/profile) into the "
-            "content-addressed run store at DIR/runs/<digest>/ "
-            "(inspect: python -m repro.obs store --root DIR ls)"
-        ),
-    )
     return parser
 
 
@@ -174,8 +145,6 @@ def parse_experiment_args(
         trace=args.trace,
         metrics=args.metrics,
         shards=shards,
-        profile=args.profile,
-        store=args.store,
     )
 
 
@@ -185,12 +154,12 @@ def write_observability(
     load_bps: float = 0.0,
     n_nodes: int = 4,
 ) -> None:
-    """Honour ``--trace``/``--metrics``/``--profile``/``--store``.
+    """Honour ``--trace``/``--metrics``.
 
     Delegates to :func:`repro.obs.integration.trace_experiment` (lazy
     import: drivers that never pass the knobs pay nothing).
     """
-    if not (args.trace or args.metrics or args.profile or args.store):
+    if not (args.trace or args.metrics):
         return
     from repro.obs.integration import trace_experiment
 
@@ -202,6 +171,4 @@ def write_observability(
         load_bps=load_bps,
         n_nodes=n_nodes,
         faults=args.faults,
-        profile_path=args.profile,
-        store_root=args.store,
     )

@@ -27,10 +27,9 @@ CLI
 ``--scale-proof N`` completes an N-deme ring scenario (default 4096)
 and prints its shape; ``--analyze PATH``
 summarises a sweep JSON (from ``--out``) into the age × topology ×
-fabric staleness/wall table (archived as a run artifact with
-``--store``); ``--trace-stream N`` runs one traced N-deme ring scenario
-streaming its trace straight into the ``--store`` run store with
-bounded trace memory.
+fabric staleness/wall table; ``--trace-stream N`` runs one traced
+N-deme ring scenario streaming its trace straight into the gzip sink
+at ``--trace PATH`` with bounded trace memory.
 """
 
 from __future__ import annotations
@@ -248,29 +247,21 @@ def format_analysis(analysis: dict) -> str:
 
 
 def run_traced_stream(
-    n_demes: int, store_root: str, flush_every: int = 5_000
+    n_demes: int, trace_path: str, flush_every: int = 5_000
 ) -> dict:
-    """One traced ``n_demes``-deme ring run streamed into the run store.
+    """One traced ``n_demes``-deme ring run streamed to ``trace_path``.
 
-    The machine's trace bus writes straight to a rotating gzip sink in
-    the store's staging area (peak trace memory is O(``flush_every``)
-    events, never the full trace), then the finished artifacts are
-    committed content-addressed.  Returns ``{"ref", "events",
+    The machine's trace bus writes straight to a rotating gzip sink at
+    ``trace_path`` (peak trace memory is O(``flush_every``) events,
+    never the full trace).  Returns ``{"trace", "events", "digest",
     "peak_buffered", ...}``.
     """
-    import os
     from dataclasses import replace as _replace
 
-    from repro.obs.store import RunStore
-
-    store = RunStore(store_root)
-    stage = store.stage()
     cfg = scenario(n_demes, "ring", "hierarchical", age=5,
                    n_generations=10, trace=True)
     cfg = _replace(cfg, machine=_replace(
-        cfg.machine,
-        trace_sink=os.path.join(stage, "trace.jsonl.gz"),
-        trace_flush_every=flush_every,
+        cfg.machine, trace_sink=trace_path, trace_flush_every=flush_every,
     ))
     holder: dict = {}
     result = run_island_ga(
@@ -278,18 +269,11 @@ def run_traced_stream(
     )
     bus = holder["dsm"].vm.kernel.obs
     events = bus.write_jsonl()
-    with open(os.path.join(stage, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.metrics, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    ref = store.put_staged(stage, meta={
-        "app": "scale_study",
-        "kind": "traced-stream",
-        "n_demes": str(n_demes),
-    })
     return {
-        "ref": ref,
+        "trace": trace_path,
         "n_demes": n_demes,
         "events": events,
+        "digest": bus.digest(),
         "dropped": bus.dropped,
         "peak_buffered": bus.peak_buffered,
         "flush_every": flush_every,
@@ -334,16 +318,15 @@ def main(argv: list[str] | None = None) -> int:
         "--analyze", default=None, metavar="PATH",
         help=(
             "summarise a sweep JSON (written by --out) into the age x "
-            "topology x fabric staleness/wall table and exit; combined "
-            "with --store, the analysis is archived as a run artifact"
+            "topology x fabric staleness/wall table and exit"
         ),
     )
     parser.add_argument(
         "--trace-stream", type=int, default=None, metavar="N",
         help=(
             "run one traced N-deme ring scenario streaming its trace "
-            "straight into the --store run store (bounded trace memory) "
-            "and exit"
+            "straight into a rotating gzip sink at --trace PATH (bounded "
+            "trace memory) and exit"
         ),
     )
     parser.add_argument(
@@ -359,36 +342,17 @@ def main(argv: list[str] | None = None) -> int:
         with open(ns.analyze, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
         analysis = analyze_rows(rows)
-        out_path = ns.out
-        if out_path:
-            with open(out_path, "w") as fh:
+        if ns.out:
+            with open(ns.out, "w") as fh:
                 json.dump(analysis, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         print(format_analysis(analysis))
-        if args.store:
-            import tempfile
-
-            from repro.obs.store import RunStore
-
-            with tempfile.TemporaryDirectory() as td:
-                import os
-
-                ap = out_path or os.path.join(td, "analysis.json")
-                if not out_path:
-                    with open(ap, "w") as fh:
-                        json.dump(analysis, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
-                ref = RunStore(args.store).put(
-                    {"analysis.json": ap, "sweep.json": ns.analyze},
-                    meta={"app": "scale_study", "kind": "analysis"},
-                )
-            print(f"analysis stored -> {args.store} ref {ref}")
         return 0
 
     if ns.trace_stream is not None:
-        if not args.store:
-            parser.error("--trace-stream requires --store DIR")
-        record = run_traced_stream(ns.trace_stream, args.store)
+        if not args.trace:
+            parser.error("--trace-stream requires --trace PATH")
+        record = run_traced_stream(ns.trace_stream, args.trace)
         print(json.dumps(record, indent=2))
         return 0
 

@@ -45,7 +45,6 @@ from repro.ga.operators import GaParams, ScalingWindow, evolve_one_generation
 from repro.ga.population import Population
 from repro.ga.topology import TopologySpec, wiring
 from repro.obs.metrics import machine_metrics
-from repro.obs.prof import prof_section
 from repro.sim import CompletionCounter, Compute
 
 #: staleness contract for the migrant-exchange locations.  Incorporation
@@ -265,30 +264,27 @@ class _LocalDeme:
     def start(self) -> tuple[float, float, float, tuple]:
         """Initial population + evaluation; returns (cost_s, best, mean, migrants)."""
         plan = self.plan
-        with prof_section("numpy.ga"):
-            genomes = plan.enc.random_population(
-                plan.cfg.params.population_size, self.rng
-            )
-            return self._adopt(Population(genomes, self.cache(genomes)), 0)
+        genomes = plan.enc.random_population(
+            plan.cfg.params.population_size, self.rng
+        )
+        return self._adopt(Population(genomes, self.cache(genomes)), 0)
 
     def evolve(self, g: int) -> tuple[float, float, float, tuple]:
         """One generation of evolution; returns (cost_s, best, mean, migrants)."""
         plan = self.plan
-        with prof_section("numpy.ga"):
-            misses_before = self.cache.misses
-            pop = evolve_one_generation(
-                self.pop, plan.cfg.params, self.scaling, self.cache, self.rng, plan.cols
-            )
-            return self._adopt(pop, misses_before)
+        misses_before = self.cache.misses
+        pop = evolve_one_generation(
+            self.pop, plan.cfg.params, self.scaling, self.cache, self.rng, plan.cols
+        )
+        return self._adopt(pop, misses_before)
 
     def incorporate(self, pool_g: np.ndarray, pool_f: np.ndarray) -> tuple[float, float]:
         """Install the best arrivals; returns post-incorporation (best, mean)."""
         pop = self.pop
-        with prof_section("numpy.ga"):
-            order = pool_f.argsort(kind="stable")[: self.plan.n_mig]
-            pop.replace_worst(pool_g[order], pool_f[order])
-            self.best_so_far = min(self.best_so_far, pop.best_fitness)
-            return self.best_so_far, pop.mean_fitness
+        order = pool_f.argsort(kind="stable")[: self.plan.n_mig]
+        pop.replace_worst(pool_g[order], pool_f[order])
+        self.best_so_far = min(self.best_so_far, pop.best_fitness)
+        return self.best_so_far, pop.mean_fitness
 
     def finish(self) -> float:
         """The deme's final best-so-far (the process return value)."""

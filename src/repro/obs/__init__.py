@@ -1,6 +1,8 @@
 """Observability layer: structured tracing, metrics and run reports.
 
-Three pieces (DESIGN.md §10):
+One seam (the :class:`~repro.obs.bus.TraceBus` in ``kernel.obs``), one
+artifact (the JSONL trace it writes) and one reader
+(``python -m repro.obs report``).  Three pieces (DESIGN.md §10):
 
 * :mod:`repro.obs.bus` — the structured **trace bus**.  Subsystems emit
   typed events (``gr.block``, ``net.deliver``, ``rb.begin`` …) through
@@ -12,37 +14,35 @@ Three pieces (DESIGN.md §10):
   and histograms snapshotted into every experiment's result envelope
   (``IslandGaResult.metrics`` / ``ParallelLsResult.metrics``) and
   dumpable as JSON.
-* :mod:`repro.obs.report` — the **report CLI**,
-  ``python -m repro.obs report <trace.jsonl>``, rendering per-node
-  timelines, a blocking/rollback summary and a warp table (``--json``
-  for the machine-readable envelope).
+* :mod:`repro.obs.report` — the **run summary** behind
+  ``python -m repro.obs report <trace.jsonl>``: per-node timelines,
+  blocking/staleness, rollback and warp tables, wall-time attribution
+  and the critical path, computed once (:func:`~repro.obs.report.
+  report_dict`) and rendered as text, as the ``--json`` envelope or as
+  the ``--html`` page (:mod:`repro.obs.dashboard`).
 
 On top of the flat trace sits the **causal layer** (DESIGN.md §11):
 
 * :mod:`repro.obs.causal` — span builder (compute / Global_Read-wait /
   rollback spans + ``dsm.write → net.deliver → gr.unblock`` message
   lineage), per-node wall-time attribution, and the backward
-  critical-path walk (``python -m repro.obs critical-path``).
+  critical-path walk; the report carries their results.
 * :mod:`repro.obs.diff` — cross-run trace diffing aligned by
   iteration (``python -m repro.obs diff A.jsonl B.jsonl``).
-* :mod:`repro.obs.dashboard` — zero-dependency single-file HTML run
-  dashboard (``python -m repro.obs dashboard``).
 * :mod:`repro.obs.schema` — trace-schema validation
   (``python -m repro.obs validate``), the CI gate on trace artifacts.
 
 :mod:`repro.obs.integration` runs one traced GA or Bayes trial and is
-what the experiment runners' ``--trace``/``--metrics`` knobs use.  See
-``docs/observability.md`` for the trace schema and a worked example.
+what the experiment runners' ``--trace``/``--metrics`` knobs use;
+:mod:`repro.obs.trend` gates the committed ``BENCH_<n>.json`` series.
+Host time is not asked here: profile from outside the program
+(``python -m cProfile``, ``perfbench/run.py --trace 1`` — DESIGN.md
+§15).  See ``docs/observability.md`` for the trace schema and a worked
+example.
 """
 
 from repro.obs.bus import ObsEvent, TraceBus, read_jsonl
-from repro.obs.causal import (
-    SpanGraph,
-    attribute,
-    build_spans,
-    critical_path,
-    critical_path_report,
-)
+from repro.obs.causal import SpanGraph, attribute, build_spans, critical_path
 from repro.obs.metrics import MetricsRegistry, machine_metrics, percentile_from_samples
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "build_spans",
     "attribute",
     "critical_path",
-    "critical_path_report",
     "MetricsRegistry",
     "machine_metrics",
     "percentile_from_samples",

@@ -1,38 +1,31 @@
-"""``python -m repro.obs`` — trace reports, causal analysis, diffs.
+"""``python -m repro.obs`` — the one reader of run traces.
 
 Subcommands
 -----------
-``report <trace.jsonl> [--metrics m.json] [--bins N] [--json] [--out PATH]``
-    Render the per-node timeline, blocking/rollback summary and warp
-    table of a trace produced by an experiment's ``--trace`` knob (or
-    :meth:`repro.obs.bus.TraceBus.write_jsonl` directly).  ``--json``
-    emits the machine-readable ``repro-obs-report/1`` envelope instead
-    of text.
-``critical-path <trace.jsonl> [--out PATH]``
-    Build the causal span graph, attribute wall time to
-    compute/blocking/network/rollback per node, and walk the critical
-    path; emits the ``repro-obs-critical-path/1`` JSON artifact.
+``report <trace.jsonl> [--metrics m.json] [--bins N] [--json | --html] [--title T] [--out PATH]``
+    Summarise a trace produced by an experiment's ``--trace`` knob (or
+    :meth:`repro.obs.bus.TraceBus.write_jsonl` directly) — what
+    happened (per-node timeline, blocking/staleness, rollback, warp,
+    fabric, shard windows, faults) and where the simulated time went
+    (per-node attribution, critical path) — and render it as text, as
+    the machine-readable ``repro-obs-report/2`` envelope (``--json``)
+    or as a zero-dependency single-file HTML page (``--html``; default
+    output is the trace path with an ``.html`` suffix).
 ``diff <A.jsonl> <B.jsonl> [--bins N] [--json] [--out PATH]``
     Align two runs by iteration and report where blocking, staleness,
     warp and rollback depth diverge.  All deltas are B − A.
-``dashboard <trace.jsonl> [--metrics m.json] [--title T] [--out PATH]``
-    Render a zero-dependency single-file HTML dashboard (per-node
-    timelines, critical path, warp-over-time, staleness histogram);
-    default output is the trace path with an ``.html`` suffix.
 ``validate <trace.jsonl> [--strict]``
     Check a trace file against the documented event schema; exit 1 on
     violations (the CI gate for trace-producing jobs).  Accepts plain,
     gzipped and rotated traces.
-``store {put,ls,get,diff} [--root DIR]``
-    The content-addressed run store (``<root>/runs/<digest16>/``):
-    ``put`` archives artifact files (traces compressed) under their
-    content digest, ``ls`` lists stored runs, ``get`` extracts one,
-    ``diff`` aligns two stored runs by ref and reports divergence.
-``trend [--root DIR] [--check] [--threshold F] [--json]``
-    Perf-trajectory analysis over ``BENCH_*.json`` (+ bench payloads in
-    the run store): per-key sparkline table and pct-change of the
-    latest transition; ``--check`` exits 1 on a regression beyond the
-    threshold (the CI trend-gate).
+``trend [BENCH.json ...] [--root DIR] [--check] [--threshold F] [--json]``
+    Perf-trajectory analysis over ``BENCH_*.json`` under ``--root``
+    followed by the bench documents named as positionals: per-key
+    sparkline table and pct-change of the latest transition;
+    ``--check`` exits 1 on a regression beyond the threshold (the CI
+    trend-gate) and 2 when there are fewer than two points to compare.
+
+Unreadable or malformed input files exit 2 with the path in the message.
 """
 
 from __future__ import annotations
@@ -41,24 +34,23 @@ import argparse
 import json
 import sys
 
-from repro.obs.bus import read_jsonl, read_meta
-from repro.obs.causal import critical_path_report
+from repro.obs.bus import read_jsonl
 from repro.obs.dashboard import render_dashboard
 from repro.obs.diff import DEFAULT_DIFF_BINS, diff_traces, render_diff
 from repro.obs.report import DEFAULT_BINS, render_report, report_dict
 from repro.obs.schema import validate_trace
-from repro.util.envelope import render_envelope
+from repro.util.envelope import read_json, render_envelope
 
 
 def _read_events(path: str) -> list:
     return list(read_jsonl(path))
 
 
-def _read_metrics(path: str | None) -> dict | None:
-    if not path:
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _bins(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _write_out(text: str, out: str | None, what: str) -> None:
@@ -80,44 +72,41 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rep = sub.add_parser("report", help="render a trace.jsonl as a report")
+    rep = sub.add_parser("report", help="summarise a trace.jsonl (text, JSON or HTML)")
     rep.add_argument("trace", help="path to the JSONL trace file")
     rep.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="optional metrics-snapshot JSON to append to the report",
     )
     rep.add_argument(
-        "--bins", type=int, default=DEFAULT_BINS,
+        "--bins", type=_bins, default=DEFAULT_BINS,
         help=f"timeline strip width in bins (default {DEFAULT_BINS})",
     )
-    rep.add_argument(
+    mode = rep.add_mutually_exclusive_group()
+    mode.add_argument(
         "--json", action="store_true",
-        help="emit the repro-obs-report/1 JSON envelope instead of text",
+        help="emit the repro-obs-report/2 JSON envelope instead of text",
+    )
+    mode.add_argument(
+        "--html", action="store_true",
+        help="write a single-file HTML page instead of text",
+    )
+    rep.add_argument(
+        "--title", default=None, help="--html page title (default: trace filename)"
     )
     rep.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the report to PATH instead of stdout",
-    )
-    rep.add_argument(
-        "--prof", default=None, metavar="PATH",
-        help="repro-obs-prof/1 JSON to append as a host-time section",
-    )
-
-    cpp = sub.add_parser(
-        "critical-path",
-        help="causal span graph, wall-time attribution and critical path",
-    )
-    cpp.add_argument("trace", help="path to the JSONL trace file")
-    cpp.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the repro-obs-critical-path/1 JSON to PATH",
+        help=(
+            "write the report to PATH instead of stdout (--html default: "
+            "the trace path with an .html suffix)"
+        ),
     )
 
     dif = sub.add_parser("diff", help="diff two traces (deltas are B - A)")
     dif.add_argument("trace_a", help="baseline trace (A)")
     dif.add_argument("trace_b", help="comparison trace (B)")
     dif.add_argument(
-        "--bins", type=int, default=DEFAULT_DIFF_BINS,
+        "--bins", type=_bins, default=DEFAULT_DIFF_BINS,
         help=f"iteration buckets in the divergence table (default {DEFAULT_DIFF_BINS})",
     )
     dif.add_argument(
@@ -127,30 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     dif.add_argument(
         "--out", default=None, metavar="PATH",
         help="write the diff to PATH instead of stdout",
-    )
-    dif.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="treat the two positionals as run-store refs under DIR",
-    )
-
-    dash = sub.add_parser(
-        "dashboard", help="render a single-file HTML run dashboard"
-    )
-    dash.add_argument("trace", help="path to the JSONL trace file")
-    dash.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="optional metrics-snapshot JSON (adds context to the header)",
-    )
-    dash.add_argument(
-        "--title", default=None, help="page title (default: trace filename)"
-    )
-    dash.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output HTML path (default: trace path with .html suffix)",
-    )
-    dash.add_argument(
-        "--prof", default=None, metavar="PATH",
-        help="repro-obs-prof/1 JSON to render as a host-time card",
     )
 
     val = sub.add_parser(
@@ -162,37 +127,14 @@ def main(argv: list[str] | None = None) -> int:
         help="treat unknown event kinds as errors, not warnings",
     )
 
-    sto = sub.add_parser("store", help="content-addressed run store")
-    sto.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="store root; runs live at <root>/runs/<digest16> (default .)",
-    )
-    sto_sub = sto.add_subparsers(dest="store_command", required=True)
-    sp = sto_sub.add_parser("put", help="archive artifact files as one run")
-    sp.add_argument("files", nargs="+", help="artifact files (traces compressed)")
-    sp.add_argument(
-        "--meta", action="append", default=[], metavar="K=V",
-        help="metadata entries (repeatable)",
-    )
-    sto_sub.add_parser("ls", help="list stored runs, oldest first")
-    sg = sto_sub.add_parser("get", help="extract a stored run")
-    sg.add_argument("ref", help="digest prefix or 'latest'")
-    sg.add_argument("dest", help="output directory")
-    sd = sto_sub.add_parser("diff", help="diff the traces of two stored runs")
-    sd.add_argument("ref_a", help="baseline run ref (A)")
-    sd.add_argument("ref_b", help="comparison run ref (B)")
-    sd.add_argument("--bins", type=int, default=DEFAULT_DIFF_BINS)
-    sd.add_argument("--json", action="store_true")
-    sd.add_argument("--out", default=None, metavar="PATH")
-
     trd = sub.add_parser("trend", help="perf-trajectory analysis of BENCH_*.json")
+    trd.add_argument(
+        "points", nargs="*", metavar="BENCH.json",
+        help="extra bench documents appended, in order, after --root's series",
+    )
     trd.add_argument(
         "--root", default=".", metavar="DIR",
         help="directory holding BENCH_<n>.json files (default .)",
-    )
-    trd.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="also include bench.json artifacts from this run store",
     )
     trd.add_argument(
         "--threshold", type=float, default=None, metavar="F",
@@ -204,7 +146,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     trd.add_argument(
         "--check", action="store_true",
-        help="exit 1 if the latest transition regressed beyond the threshold",
+        help=(
+            "exit 1 if the latest transition regressed beyond the threshold, "
+            "2 if there are fewer than two points"
+        ),
     )
     trd.add_argument(
         "--json", action="store_true",
@@ -220,65 +165,36 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "report":
-            events = _read_events(args.trace)
-            metrics = _read_metrics(args.metrics)
-            prof = _read_metrics(args.prof)
-            meta = read_meta(args.trace)
+            meta: dict = {}
+            events = list(read_jsonl(args.trace, meta))
+            metrics = read_json(args.metrics) if args.metrics else None
+            out = args.out
             if args.json:
                 text = render_envelope(
-                    report_dict(
-                        events, metrics=metrics, bins=args.bins, prof=prof, meta=meta
-                    )
+                    report_dict(events, metrics=metrics, bins=args.bins, meta=meta)
+                )
+            elif args.html:
+                text = render_dashboard(
+                    events, metrics=metrics, title=args.title or args.trace, meta=meta
+                )
+                out = out or (
+                    args.trace.removesuffix(".gz").removesuffix(".jsonl") + ".html"
                 )
             else:
-                text = render_report(
-                    events, metrics=metrics, bins=args.bins, prof=prof, meta=meta
-                )
-            _write_out(text, args.out, "report")
-            return 0
-
-        if args.command == "critical-path":
-            events = _read_events(args.trace)
-            text = json.dumps(
-                critical_path_report(events), indent=2, sort_keys=True
-            )
-            _write_out(text, args.out, "critical path")
+                text = render_report(events, metrics=metrics, bins=args.bins, meta=meta)
+            _write_out(text, out, "report")
             return 0
 
         if args.command == "diff":
-            path_a, path_b = args.trace_a, args.trace_b
-            label_a, label_b = path_a, path_b
-            if args.store:
-                from repro.obs.store import RunStore
-
-                store = RunStore(args.store)
-                ref_a, ref_b = store.resolve(path_a), store.resolve(path_b)
-                path_a, path_b = store.trace_path(ref_a), store.trace_path(ref_b)
-                label_a, label_b = f"store:{ref_a}", f"store:{ref_b}"
             d = diff_traces(
-                _read_events(path_a),
-                _read_events(path_b),
+                _read_events(args.trace_a),
+                _read_events(args.trace_b),
                 bins=args.bins,
-                label_a=label_a,
-                label_b=label_b,
+                label_a=args.trace_a,
+                label_b=args.trace_b,
             )
             text = json.dumps(d, indent=2, sort_keys=True) if args.json else render_diff(d)
             _write_out(text, args.out, "diff")
-            return 0
-
-        if args.command == "dashboard":
-            events = _read_events(args.trace)
-            metrics = _read_metrics(args.metrics)
-            html = render_dashboard(
-                events, metrics=metrics, title=args.title or args.trace,
-                prof=_read_metrics(args.prof),
-            )
-            out = args.out or (
-                args.trace.removesuffix(".gz").removesuffix(".jsonl") + ".html"
-            )
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(html)
-            print(f"dashboard -> {out}")
             return 0
 
         if args.command == "validate":
@@ -295,52 +211,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 0 if verdict["ok"] else 1
 
-        if args.command == "store":
-            from repro.obs.store import RunStore
-
-            store = RunStore(args.root)
-            if args.store_command == "put":
-                meta = {}
-                for entry in args.meta:
-                    if "=" not in entry:
-                        print(f"error: --meta needs K=V, got {entry!r}", file=sys.stderr)
-                        return 2
-                    k, _, v = entry.partition("=")
-                    meta[k] = v
-                import os as _os
-
-                ref = store.put(
-                    {_os.path.basename(p): p for p in args.files}, meta=meta
-                )
-                print(ref)
-                return 0
-            if args.store_command == "ls":
-                for run in store.ls():
-                    meta = " ".join(f"{k}={v}" for k, v in sorted(run["meta"].items()))
-                    names = ",".join(sorted(run["files"]))
-                    print(f"{run['ref']}  seq={run['seq']}  [{names}]  {meta}")
-                return 0
-            if args.store_command == "get":
-                names = store.get(args.ref, args.dest)
-                print(f"{store.resolve(args.ref)} -> {args.dest}: {', '.join(names)}")
-                return 0
-            if args.store_command == "diff":
-                ref_a, ref_b = store.resolve(args.ref_a), store.resolve(args.ref_b)
-                d = diff_traces(
-                    _read_events(store.trace_path(ref_a)),
-                    _read_events(store.trace_path(ref_b)),
-                    bins=args.bins,
-                    label_a=f"store:{ref_a}",
-                    label_b=f"store:{ref_b}",
-                )
-                text = (
-                    json.dumps(d, indent=2, sort_keys=True)
-                    if args.json
-                    else render_diff(d)
-                )
-                _write_out(text, args.out, "diff")
-                return 0
-
         if args.command == "trend":
             from repro.obs.trend import (
                 DEFAULT_MIN_MAGNITUDE,
@@ -351,7 +221,15 @@ def main(argv: list[str] | None = None) -> int:
                 trend_report,
             )
 
-            points = load_points(args.root, store_root=args.store)
+            points = load_points(args.root, extra=args.points)
+            if args.check and len(points) < 2:
+                print(
+                    f"error: trend --check needs at least two bench points, found "
+                    f"{len(points)} (BENCH_<n>.json under {args.root!r} plus "
+                    f"{len(args.points)} named)",
+                    file=sys.stderr,
+                )
+                return 2
             analysis = analyze(
                 points,
                 threshold=(
@@ -371,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.check and not analysis["ok"]:
                 return 1
             return 0
-    except (OSError, KeyError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2  # pragma: no cover - unreachable (subparser is required)

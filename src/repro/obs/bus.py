@@ -52,8 +52,6 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Iterator
 
-from repro.obs.prof import prof_section
-
 
 @dataclass(frozen=True)
 class ObsEvent:
@@ -199,19 +197,18 @@ class TraceBus:
 
     def _flush(self) -> None:
         """Serialise the in-memory buffer to the sink and clear it."""
-        with prof_section("obs.io"):
-            if len(self.events) > self.peak_buffered:
-                self.peak_buffered = len(self.events)
-            sink = self.sink
-            for e in self.events:
-                line = json.dumps(e.as_dict(), sort_keys=True)
-                self._hash.update(line.encode())
-                self._hash.update(b"\n")
-                self._counts[e.kind] = self._counts.get(e.kind, 0) + 1
-                sink.write_line(line)
-                self._last_t = e.time
-            self.emitted += len(self.events)
-            self.events.clear()
+        if len(self.events) > self.peak_buffered:
+            self.peak_buffered = len(self.events)
+        sink = self.sink
+        for e in self.events:
+            line = json.dumps(e.as_dict(), sort_keys=True)
+            self._hash.update(line.encode())
+            self._hash.update(b"\n")
+            self._counts[e.kind] = self._counts.get(e.kind, 0) + 1
+            sink.write_line(line)
+            self._last_t = e.time
+        self.emitted += len(self.events)
+        self.events.clear()
 
     def __len__(self) -> int:
         return self.emitted + len(self.events) if self.sink else len(self.events)
@@ -258,7 +255,7 @@ class TraceBus:
             return self.emitted
         if path is None:
             raise ValueError("write_jsonl needs a path when the bus has no sink")
-        with prof_section("obs.io"), open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for e in self.events:
                 fh.write(json.dumps(e.as_dict(), sort_keys=True))
                 fh.write("\n")
@@ -323,35 +320,18 @@ def iter_trace_lines(path: str) -> Iterator[str]:
             fh.close()
 
 
-def read_meta(path: str) -> dict | None:
-    """The ``trace.meta`` trailer of a trace on disk, or None.
-
-    Scans the last part only — the trailer is always the final line a
-    finalized bus writes; a truncated trace reports None.
-    """
-    last = None
-    for line in iter_trace_lines(path):
-        line = line.strip()
-        if line:
-            last = line
-    if last is None:
-        return None
-    try:
-        obj = json.loads(last)
-    except json.JSONDecodeError:
-        return None
-    return obj if isinstance(obj, dict) and obj.get("kind") == "trace.meta" else None
-
-
-def read_jsonl(path: str) -> Iterator[ObsEvent]:
+def read_jsonl(path: str, meta: dict | None = None) -> Iterator[ObsEvent]:
     """Yield the :class:`ObsEvent` records of a trace.
 
     ``path`` may be a plain JSONL file, the base path of a (possibly
-    rotated) gzip trace, or a directory of parts.  The ``trace.meta``
-    trailer (and blank lines) are skipped; payload keys other than
-    ``t``/``kind``/``node`` become the event's fields.  A line that no
-    longer parses ends the stream — a crashed writer's torn final line
-    loses the tail, not the artifact (``validate`` reports the damage).
+    rotated) gzip trace, or a directory of parts.  Blank lines are
+    skipped; the ``trace.meta`` trailer is not an event — its fields
+    (``events``, ``events_dropped`` …) are copied into ``meta`` when a
+    dict is passed, so one pass over the file yields both (a truncated
+    trace leaves it empty).  Payload keys other than ``t``/``kind``/
+    ``node`` become the event's fields.  A line that no longer parses
+    ends the stream — a crashed writer's torn final line loses the
+    tail, not the artifact (``validate`` reports the damage).
     """
     for line in iter_trace_lines(path):
         line = line.strip()
@@ -363,6 +343,8 @@ def read_jsonl(path: str) -> Iterator[ObsEvent]:
             return
         kind = raw.pop("kind")
         if kind == "trace.meta":
+            if meta is not None:
+                meta.update(raw)
             continue
         time = raw.pop("t")
         node = raw.pop("node", -1)

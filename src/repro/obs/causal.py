@@ -31,9 +31,9 @@ Three stages, all pure functions of the event list:
    writer node (the wait *decomposes* into upstream compute + network
    transit); unresolved waits stay attributed as ``gr-blocking``.
 
-:func:`critical_path_report` bundles all three into the
-``repro-obs-critical-path/1`` JSON artifact behind
-``python -m repro.obs critical-path``.
+:func:`repro.obs.report.report_dict` runs all three and carries the
+results under its ``attribution`` and ``critical_path`` keys
+(``python -m repro.obs report --json``).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.obs.bus import ObsEvent
-
-#: schema tag of the :func:`critical_path_report` artifact
-CRITICAL_PATH_SCHEMA = "repro-obs-critical-path/1"
 
 #: attribution bucket names, in display order
 BUCKETS = ("compute", "gr_blocking", "network", "rollback")
@@ -435,19 +432,4 @@ def critical_path(g: SpanGraph, max_segments: int = 100_000) -> dict[str, Any]:
         "coverage": (sum(by_kind.values()) / t_end) if t_end > 0 else 0.0,
         "t_end": t_end,
         "start_node": start_node,
-    }
-
-
-def critical_path_report(events: Iterable[ObsEvent]) -> dict[str, Any]:
-    """The full ``repro-obs-critical-path/1`` artifact for one trace."""
-    g = build_spans(events)
-    return {
-        "schema": CRITICAL_PATH_SCHEMA,
-        "t_end": g.t_end,
-        "events": g.events,
-        "spans": len(g.spans),
-        "partial": g.partial,
-        "unresolved_waits": g.unresolved_waits,
-        "attribution": attribute(g),
-        "critical_path": critical_path(g),
     }

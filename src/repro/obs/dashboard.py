@@ -1,17 +1,20 @@
-"""Zero-dependency single-file HTML run dashboard.
+"""Zero-dependency single-file HTML rendering of the run report.
 
-``python -m repro.obs dashboard trace.jsonl`` renders one trace (plus
-an optional metrics snapshot) as a self-contained HTML page — inline
-SVG, inline CSS, no JavaScript, no external assets — written next to
-the text report so a run can be inspected in a browser straight from a
-CI artifact.
+``python -m repro.obs report trace.jsonl --html`` renders one trace
+(plus an optional metrics snapshot) as a self-contained HTML page —
+inline SVG, inline CSS, no JavaScript, no external assets — so a run
+can be inspected in a browser straight from a CI artifact.
 
+Every number on the page is read from the one
+:func:`repro.obs.report.report_dict` summary; only the drawings need
+more (the span graph for the timeline, the warp samples for the line).
 Sections: stat tiles (completion time, events, blocked time, warp,
 rollbacks), the per-node timeline (each node's window partitioned into
 compute / Global_Read-blocking / network / rollback, with the critical
 path overlaid as outlined intervals), the critical-path composition
-bar, warp-over-time, the staleness histogram, and the per-node
-attribution table (the accessible twin of the timeline).
+bar, warp-over-time, the staleness histogram, and then the tables of
+:func:`repro.obs.report.tables` — the same sections the text report
+prints (the attribution table is the accessible twin of the timeline).
 
 Chart conventions follow the repo's data-viz method: categorical hues
 assigned in fixed slot order (compute blue, gr-blocking orange,
@@ -29,14 +32,8 @@ from html import escape
 from typing import Iterable
 
 from repro.obs.bus import ObsEvent
-from repro.obs.causal import (
-    SpanGraph,
-    attribute,
-    build_spans,
-    critical_path,
-    node_segments,
-)
-from repro.obs.report import fabric_summary, parallel_summary, warp_streams
+from repro.obs.causal import SpanGraph, build_spans, node_segments
+from repro.obs.report import fmt, report_dict, tables, warp_streams
 
 #: display order, labels and CSS classes of the attribution buckets
 _BUCKET_ORDER = ("compute", "gr_blocking", "network", "rollback")
@@ -54,10 +51,6 @@ _GUTTER = 64
 _PLOT_W = _W - _GUTTER - 12
 _ROW_H = 26
 _BAR_H = 16
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.4g}"
 
 
 def _esc(s: object) -> str:
@@ -137,7 +130,7 @@ def _timeline_svg(g: SpanGraph, cp: dict) -> str:
             f"<line class='grid' x1='{x:.1f}' y1='4' x2='{x:.1f}' "
             f"y2='{h - 30}'/>"
             f"<text class='tick' x='{x:.1f}' y='{h - 16}' "
-            f"text-anchor='middle'>{_fmt(tick)}s</text>"
+            f"text-anchor='middle'>{fmt(tick)}s</text>"
         )
     for i, node in enumerate(nodes):
         y = i * _ROW_H + 6
@@ -157,7 +150,7 @@ def _timeline_svg(g: SpanGraph, cp: dict) -> str:
                 f"<rect class='seg c-{bucket}' x='{x0}' y='{y}' "
                 f"width='{w}' height='{_BAR_H}'>"
                 f"<title>node {node} · {_esc(_BUCKET_LABEL[bucket])} · "
-                f"{_fmt(lo)}–{_fmt(hi)}s</title></rect>"
+                f"{fmt(lo)}–{fmt(hi)}s</title></rect>"
             )
     # critical-path overlay: contiguous same-node stretches, outlined
     merged: list[tuple[int, float, float]] = []
@@ -176,7 +169,7 @@ def _timeline_svg(g: SpanGraph, cp: dict) -> str:
         parts.append(
             f"<rect class='cp' x='{x0:.1f}' y='{y - 2}' width='{w:.1f}' "
             f"height='{_BAR_H + 4}'>"
-            f"<title>critical path · node {node} · {_fmt(t0)}–{_fmt(t1)}s"
+            f"<title>critical path · node {node} · {fmt(t0)}–{fmt(t1)}s"
             f"</title></rect>"
         )
     parts.append("</svg>")
@@ -218,13 +211,13 @@ def _cp_bar(cp: dict) -> str:
         parts.append(
             f"<rect class='seg c-{kind_css[k]}' x='{x + 2:.1f}' y='8' "
             f"width='{max(0.5, w - 2):.1f}' height='22' rx='2'>"
-            f"<title>{_esc(k)} · {_fmt(by_kind[k])}s "
+            f"<title>{_esc(k)} · {fmt(by_kind[k])}s "
             f"({by_kind[k] / total * 100:.1f}%)</title></rect>"
         )
         x += w
     parts.append("</svg>")
     text = "  ·  ".join(
-        f"{k}: {_fmt(by_kind[k])}s ({by_kind[k] / total * 100:.1f}%)" for k in order
+        f"{k}: {fmt(by_kind[k])}s ({by_kind[k] / total * 100:.1f}%)" for k in order
     )
     return "".join(parts) + f"<p class='sub'>{_esc(text)}</p>"
 
@@ -262,7 +255,7 @@ def _warp_svg(events: list[ObsEvent], t_end: float, bins: int = 120) -> str:
         y = 8 + (1 - tick / y_max) * plot_h
         parts.append(
             f"<line class='grid' x1='{pad_l}' y1='{y:.1f}' x2='{w_px - 8}' y2='{y:.1f}'/>"
-            f"<text class='tick' x='{pad_l - 6}' y='{y + 3:.1f}' text-anchor='end'>{_fmt(tick)}</text>"
+            f"<text class='tick' x='{pad_l - 6}' y='{y + 3:.1f}' text-anchor='end'>{fmt(tick)}</text>"
         )
     y1 = 8 + (1 - 1.0 / y_max) * plot_h
     parts.append(
@@ -277,19 +270,15 @@ def _warp_svg(events: list[ObsEvent], t_end: float, bins: int = 120) -> str:
     parts.append(
         f"<line class='axis' x1='{pad_l}' y1='{8 + plot_h}' x2='{w_px - 8}' y2='{8 + plot_h}'/>"
         f"<text class='tick' x='{pad_l}' y='{h_px - 6}'>0s</text>"
-        f"<text class='tick' x='{w_px - 8}' y='{h_px - 6}' text-anchor='end'>{_fmt(t_end)}s</text>"
+        f"<text class='tick' x='{w_px - 8}' y='{h_px - 6}' text-anchor='end'>{fmt(t_end)}s</text>"
     )
     parts.append("</svg>")
     return "".join(parts)
 
 
-def _staleness_svg(events: list[ObsEvent]) -> str:
+def _staleness_svg(hist: dict[str, int]) -> str:
     """Histogram of Global_Read staleness (returned-copy age lag)."""
-    counts: dict[int, int] = {}
-    for e in events:
-        if e.kind in ("gr.hit", "gr.unblock") and "staleness" in e.fields:
-            s = int(e.fields["staleness"])
-            counts[s] = counts.get(s, 0) + 1
+    counts = {int(s): n for s, n in hist.items()}
     if not counts:
         return "<p class='empty'>No Global_Read events in trace.</p>"
     values = sorted(counts)
@@ -328,92 +317,18 @@ def _staleness_svg(events: list[ObsEvent]) -> str:
     return "".join(parts)
 
 
-def _attribution_table(attr: dict) -> str:
-    rows = []
-    for node, pn in attr["per_node"].items():
-        rows.append(
-            "<tr><td>node {n}</td><td>{c}</td><td>{g}</td><td>{net}</td>"
-            "<td>{rb}</td><td>{idle}</td><td>{frac}</td></tr>".format(
-                n=_esc(node),
-                c=_fmt(pn["compute"]), g=_fmt(pn["gr_blocking"]),
-                net=_fmt(pn["network"]), rb=_fmt(pn["rollback"]),
-                idle=_fmt(pn["idle"]),
-                frac=f"{pn['attributed_fraction'] * 100:.1f}%",
-            )
-        )
-    t = attr["totals"]
-    rows.append(
-        "<tr class='total'><td>all</td><td>{c}</td><td>{g}</td><td>{net}</td>"
-        "<td>{rb}</td><td>{idle}</td><td></td></tr>".format(
-            c=_fmt(t["compute"]), g=_fmt(t["gr_blocking"]),
-            net=_fmt(t["network"]), rb=_fmt(t["rollback"]), idle=_fmt(t["idle"]),
-        )
+def _table_card(title: str, headers: list[str], rows: list[list]) -> str:
+    """One :func:`repro.obs.report.tables` section as an HTML card."""
+    body = "".join(
+        ("<tr class='total'>" if row[0] == "all" else "<tr>")
+        + "".join(f"<td>{_esc(fmt(c))}</td>" for c in row)
+        + "</tr>"
+        for row in rows
     )
+    head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
     return (
-        "<table><thead><tr><th>node</th><th>compute (s)</th>"
-        "<th>gr blocking (s)</th><th>network (s)</th><th>rollback (s)</th>"
-        "<th>idle (s)</th><th>attributed</th></tr></thead><tbody>"
-        + "".join(rows)
-        + "</tbody></table>"
-    )
-
-
-def _parallel_table(events: list[ObsEvent]) -> str:
-    """Bounded-lag window card: per-shard barrier-wait table, or ''."""
-    s = parallel_summary(events)
-    if s is None:
-        return ""
-    rows = "".join(
-        "<tr><td>shard {s}</td><td>{w}</td><td>{e}</td><td>{n}</td>"
-        "<td>{t}</td></tr>".format(
-            s=_esc(shard), w=int(r["windows"]), e=int(r["max_epoch"]),
-            n=int(r["waits"]), t=_fmt(r["wall_wait_s"]),
-        )
-        for shard, r in s["per_shard"].items()
-    )
-    return (
-        "<section class='card'><h2>Parallel kernel — bounded-lag windows"
-        "</h2><p class='sub'>"
-        f"{s['shards']} shards · {_fmt(s['total_wall_wait_s'])}s total "
-        "barrier wait</p><table><thead><tr><th>shard</th><th>windows</th>"
-        "<th>last epoch</th><th>waits</th><th>wall wait (s)</th></tr>"
-        f"</thead><tbody>{rows}</tbody></table></section>"
-    )
-
-
-def _fabric_table(events: list[ObsEvent]) -> str:
-    """Switched-fabric delivery card (hops, broadcast, occupancy), or ''."""
-    s = fabric_summary(events)
-    if s is None:
-        return ""
-    rows = "".join(
-        "<tr><td>{f}</td><td>{d}</td><td>{b}</td><td>{by}</td><td>{mh}</td>"
-        "<td>{xh}</td><td>{occ}</td></tr>".format(
-            f=_esc(name), d=int(r["deliveries"]), b=int(r["broadcast"]),
-            by=int(r["bytes"]), mh=_fmt(r["mean_hops"]),
-            xh=int(r["max_hops"]), occ=_fmt(r["links_per_sim_s"]),
-        )
-        for name, r in s.items()
-    )
-    return (
-        "<section class='card'><h2>Switched fabric deliveries</h2>"
-        "<table><thead><tr><th>fabric</th><th>deliveries</th><th>bcast</th>"
-        "<th>bytes</th><th>mean hops</th><th>max hops</th>"
-        "<th>link occupancy (hops/sim-s)</th></tr></thead>"
-        f"<tbody>{rows}</tbody></table></section>"
-    )
-
-
-def _profile_card(prof: dict | None) -> str:
-    """Host-time flame card from a ``repro-obs-prof/1`` envelope, or ''."""
-    if prof is None:
-        return ""
-    from repro.obs.prof import profile_html
-
-    return (
-        "<section class='card'><h2>Host-time profile</h2>"
-        + profile_html(prof)
-        + "</section>"
+        f"<section class='card'><h2>{_esc(title)}</h2><table><thead><tr>{head}"
+        f"</tr></thead><tbody>{body}</tbody></table></section>"
     )
 
 
@@ -500,58 +415,47 @@ td { padding: 4px 10px 4px 0; border-bottom: 1px solid var(--grid);
 tr.total td { border-bottom: none; font-weight: 600; }
 .empty { color: var(--muted); }
 footer { color: var(--muted); font-size: 12px; margin-top: 18px; }
-.profrow { position: relative; height: 18px; margin: 2px 0; }
-.profbar { position: absolute; left: 0; top: 0; bottom: 0;
-  background: var(--s-compute); opacity: 0.35; border-radius: 3px; }
-.proflbl { position: relative; font-size: 12px; line-height: 18px;
-  color: var(--text-secondary); padding-left: 4px;
-  font-variant-numeric: tabular-nums; }
 """
 
 
 def render_dashboard(
     events: Iterable[ObsEvent],
     metrics: dict | None = None,
-    title: str = "repro run dashboard",
-    prof: dict | None = None,
+    title: str = "repro run report",
+    meta: dict | None = None,
 ) -> str:
     """Render one trace as a self-contained HTML page (a string).
 
-    ``prof`` is an optional ``repro-obs-prof/1`` envelope rendered as a
-    host-time flame card; parallel-kernel window and switched-fabric
-    cards appear automatically when the trace carries those events.
+    Rollback/GVT, parallel-kernel window, switched-fabric, fault and
+    metrics cards appear when the summary carries those sections —
+    exactly when the text report prints them.
     """
     events = sorted(events, key=lambda e: e.time)
     g = build_spans(events)
-    attr = attribute(g)
-    cp = critical_path(g)
-    totals = attr["totals"]
-    rb_count = sum(1 for e in events if e.kind == "rb.begin")
-    warp_all = [w for series in warp_streams(events).values() for _, w in series]
-    warp_mean = sum(warp_all) / len(warp_all) if warp_all else 0.0
+    rep = report_dict(events, metrics=metrics, meta=meta, graph=g)
+    cp = rep["critical_path"]
     tiles = [
-        (f"{_fmt(g.t_end)}s", "completion time"),
-        (f"{g.events:,}", "trace events"),
-        (f"{_fmt(totals['gr_blocking'])}s", "Global_Read blocking"),
-        (f"{_fmt(warp_mean)}", "mean warp"),
-        (f"{rb_count:,}", "rollbacks"),
+        (f"{fmt(rep['t_end'])}s", "completion time"),
+        (f"{rep['events']:,}", "trace events"),
+        (f"{fmt(rep['attribution']['totals']['gr_blocking'])}s", "Global_Read blocking"),
+        (fmt(rep["warp"]["all"]["mean"] if rep["warp"]["all"] else 0.0), "mean warp"),
+        (f"{rep['rollback']['rollbacks'] if rep['rollback'] else 0:,}", "rollbacks"),
     ]
     tiles_html = "".join(
         f"<div class='tile'><div class='v'>{_esc(v)}</div>"
         f"<div class='k'>{_esc(k)}</div></div>"
         for v, k in tiles
     )
-    frac = attr["min_attributed_fraction"]
     subtitle = (
-        f"{g.events:,} events · {len(g.spans):,} spans · "
-        f"{frac * 100:.1f}% of wall time attributed (worst node)"
+        f"{rep['events']:,} events · {rep['spans']:,} spans · "
+        f"{rep['attribution']['min_attributed_fraction'] * 100:.1f}% of wall "
+        "time attributed (worst node)"
     )
-    if g.partial:
-        subtitle += " · partial trace (events dropped)"
-    if metrics is not None:
-        counters = metrics.get("counters", {})
-        if counters:
-            subtitle += f" · {len(counters)} metric counters"
+    if rep["partial"]:
+        subtitle += " · partial trace (begin/end halves missing)"
+    if rep["events_dropped"]:
+        subtitle += f" · TRUNCATED CAPTURE: {rep['events_dropped']:,} events dropped"
+    cards = "".join(_table_card(*section) for section in tables(rep))
     body = f"""
 <div class='wrap'>
 <header><h1>{_esc(title)}</h1><p class='sub'>{_esc(subtitle)}</p></header>
@@ -564,13 +468,11 @@ def render_dashboard(
 <div><h2>Warp over time (all pvm streams, binned mean)</h2>
 {_warp_svg(events, g.t_end)}</div>
 <div><h2>Global_Read staleness histogram</h2>
-{_staleness_svg(events)}</div>
+{_staleness_svg(rep['staleness']['hist'])}</div>
 </section>
-{_parallel_table(events)}{_fabric_table(events)}<section class='card'><h2>Wall-time attribution per node</h2>
-{_attribution_table(attr)}</section>
-{_profile_card(prof)}
-<footer>rendered by repro.obs dashboard · trace schema
- docs/observability.md · critical path repro-obs-critical-path/1</footer>
+{cards}
+<footer>rendered by repro.obs report --html · trace schema
+ docs/observability.md · summary {rep['schema']}</footer>
 </div>
 """
     return (

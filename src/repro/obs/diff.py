@@ -25,13 +25,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.obs.bus import ObsEvent
-from repro.obs.report import (
-    _table,
-    blocking_summary,
-    fault_counts,
-    rollback_summary,
-    warp_streams,
-)
+from repro.obs.report import _table, report_dict
 
 #: schema tag of the :func:`diff_traces` JSON envelope
 DIFF_SCHEMA = "repro-obs-diff/1"
@@ -63,19 +57,15 @@ SUMMARY_METRICS = (
 def run_profile(events: Iterable[ObsEvent]) -> dict[str, Any]:
     """One run's alignment profile: summary scalars + iteration series.
 
-    The iteration series maps iteration number to blocked seconds,
-    staleness observations and rollback counts (zeros where an
-    iteration saw none); ``max_iter`` bounds the aligned range.
+    The summary scalars are read from the run's
+    :func:`~repro.obs.report.report_dict`; the iteration series maps
+    iteration number to blocked seconds, staleness observations and
+    rollback counts (zeros where an iteration saw none); ``max_iter``
+    bounds the aligned range.
     """
-    events = sorted(events, key=lambda e: e.time)
-    t_end = events[-1].time if events else 0.0
-    blocking = blocking_summary(events)
-    rb = rollback_summary(events)
-    streams = warp_streams(events)
-    warp_samples = [w for series in streams.values() for _, w in series]
+    events = list(events)
+    rep = report_dict(events)
     pvm_frames = 0
-    stal_sum = 0.0
-    stal_n = 0
     by_iter: dict[int, dict[str, float]] = {}
 
     def row(it: int) -> dict[str, float]:
@@ -96,8 +86,6 @@ def run_profile(events: Iterable[ObsEvent]) -> dict[str, Any]:
                 s = float(f["staleness"])
                 r["staleness_sum"] += s
                 r["staleness_n"] += 1
-                stal_sum += s
-                stal_n += 1
             if e.kind == "gr.unblock":
                 r["blocked"] += float(f.get("waited", 0.0))
         elif e.kind == "rb.begin":
@@ -107,33 +95,28 @@ def run_profile(events: Iterable[ObsEvent]) -> dict[str, Any]:
         elif e.kind == "dsm.write":
             max_iter = max(max_iter, int(f.get("iter", 0)))
 
+    gr = rep["blocking"]["totals"]
+    rb = rep["rollback"] or {}
+    warp = rep["warp"]["all"] or {}
     summary = {
-        "t_end": t_end,
-        "events": len(events),
-        "gr.calls": sum(int(r["calls"]) for r in blocking.values()),
-        "gr.hits": sum(int(r["hits"]) for r in blocking.values()),
-        "gr.blocks": sum(int(r["blocks"]) for r in blocking.values()),
-        "gr.blocked_time": sum(r["waited"] for r in blocking.values()),
-        "gr.mean_staleness": (stal_sum / stal_n) if stal_n else 0.0,
-        "rb.rollbacks": rb["rollbacks"] if rb else 0,
-        "rb.corrections": rb["corrections"] if rb else 0,
-        "rb.depth_mean": rb["depth_mean"] if rb else 0.0,
-        "rb.depth_max": rb["depth_max"] if rb else 0,
-        "warp.mean": (sum(warp_samples) / len(warp_samples)) if warp_samples else 0.0,
-        "warp.p90": _p(warp_samples, 90),
-        "warp.max": max(warp_samples) if warp_samples else 0.0,
+        "t_end": rep["t_end"],
+        "events": rep["events"],
+        "gr.calls": gr["calls"],
+        "gr.hits": gr["hits"],
+        "gr.blocks": gr["blocks"],
+        "gr.blocked_time": gr["waited"],
+        "gr.mean_staleness": rep["staleness"]["mean"],
+        "rb.rollbacks": rb.get("rollbacks", 0),
+        "rb.corrections": rb.get("corrections", 0),
+        "rb.depth_mean": rb.get("depth_mean", 0.0),
+        "rb.depth_max": rb.get("depth_max", 0),
+        "warp.mean": warp.get("mean", 0.0),
+        "warp.p90": warp.get("p90", 0.0),
+        "warp.max": warp.get("max", 0.0),
         "net.pvm_frames": pvm_frames,
-        "faults": sum(fault_counts(events).values()),
+        "faults": sum(rep["faults"].values()),
     }
     return {"summary": summary, "by_iter": by_iter, "max_iter": max_iter}
-
-
-def _p(samples: list[float], q: int) -> float:
-    if not samples:
-        return 0.0
-    from repro.obs.metrics import percentile_from_samples
-
-    return percentile_from_samples(samples, q)
 
 
 def _bucket_series(

@@ -17,7 +17,7 @@ is built inside :func:`repro.ga.island.run_island_ga` /
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.coherence import CoherenceMode
 from repro.experiments.config import Scale, current_scale
@@ -33,44 +33,21 @@ class TracedRun:
     result: object
     bus: TraceBus
     metrics: dict
-    #: ``repro-obs-prof/1`` envelope when the trial was run with
-    #: ``profile=True`` (host-time section profiler), else None
-    profile: dict | None = None
-    #: provenance recorded into the run store's manifest meta
-    meta: dict = field(default_factory=dict)
 
 
-def _traced_trial(app: str, run, cfg, profile: bool) -> TracedRun:
+def _traced_trial(app: str, run, cfg) -> TracedRun:
     """Run ``run(cfg, instrument=...)`` once and wrap it as a :class:`TracedRun`.
 
     The ``instrument`` hook only captures the ``dsm`` (the public path to
-    the bus).  With ``profile`` the trial runs under an ambient
-    :class:`~repro.obs.prof.HostProfiler`, which the kernel loop and the
-    ambient sections pick up on their own.
+    the bus).
     """
-    from repro.obs.prof import HostProfiler, activate, deactivate, profile_report
-
     holder: dict = {}
-    prof = None
-    if profile:
-        prof = activate(HostProfiler())
-        prof.meta["app"] = app
-    try:
-        result = run(cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm))
-    finally:
-        if prof is not None:
-            deactivate()
+    result = run(cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm))
     return TracedRun(
         app=app,
         result=result,
         bus=holder["dsm"].vm.kernel.obs,
         metrics=result.metrics,
-        profile=(
-            profile_report(prof.snapshot(), [], meta=dict(prof.meta))
-            if prof is not None
-            else None
-        ),
-        meta={"app": app, "n_nodes": cfg.machine.n_nodes, "seed": cfg.seed},
     )
 
 
@@ -83,15 +60,12 @@ def traced_ga_run(
     age: int | None = None,
     fid: int | None = None,
     n_generations: int | None = None,
-    profile: bool = False,
 ) -> TracedRun:
     """One partially asynchronous island-GA run with the trace bus on.
 
     Defaults mirror the figure runs: the scale's first function, its
     largest age (the paper's best-performing region), ``measure_warp``
     on, and optional background load / fault plan pass-through.
-    ``profile=True`` additionally runs the host-time section profiler
-    (determinism-neutral) and attaches its envelope.
     """
     from repro.experiments.speedup import machine_for
     from repro.ga.functions import get_function
@@ -110,7 +84,7 @@ def traced_ga_run(
         seed=seed,
         machine=mcfg,
     )
-    return _traced_trial("ga", run_island_ga, cfg, profile)
+    return _traced_trial("ga", run_island_ga, cfg)
 
 
 def traced_bayes_run(
@@ -120,7 +94,6 @@ def traced_bayes_run(
     faults: FaultPlan | None = None,
     seed: int = 7,
     age: int | None = None,
-    profile: bool = False,
 ) -> TracedRun:
     """One partially asynchronous Bayes-inference run with tracing on."""
     from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
@@ -140,14 +113,13 @@ def traced_bayes_run(
         machine=mcfg,
         max_iterations=scale.bn_max_iterations,
     )
-    return _traced_trial("bayes", run_parallel_logic_sampling, cfg, profile)
+    return _traced_trial("bayes", run_parallel_logic_sampling, cfg)
 
 
 def write_artifacts(
     run: TracedRun,
     trace_path: str | None = None,
     metrics_path: str | None = None,
-    profile_path: str | None = None,
 ) -> dict:
     """Write the requested artifact files; returns {kind: path, ...}."""
     written: dict = {}
@@ -159,32 +131,7 @@ def write_artifacts(
             json.dump(run.metrics, fh, sort_keys=True, indent=2)
             fh.write("\n")
         written["metrics"] = {"path": metrics_path}
-    if profile_path and run.profile is not None:
-        with open(profile_path, "w", encoding="utf-8") as fh:
-            json.dump(run.profile, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        written["profile"] = {"path": profile_path}
     return written
-
-
-def store_run(run: TracedRun, store_root: str) -> str:
-    """Persist one traced trial into the content-addressed run store.
-
-    Serialises the trial's trace / metrics / profile into a temporary
-    staging area and hands them to :meth:`repro.obs.store.RunStore.put`
-    (traces land gzip-compressed under ``runs/<digest>/``).  Returns the
-    short run ref for ``python -m repro.obs store get`` / ``diff``.
-    """
-    import os
-    import tempfile
-
-    from repro.obs.store import RunStore
-
-    names = ("trace.jsonl", "metrics.json", "profile.json")
-    with tempfile.TemporaryDirectory() as td:
-        written = write_artifacts(run, *(os.path.join(td, n) for n in names))
-        files = {os.path.basename(w["path"]): w["path"] for w in written.values()}
-        return RunStore(store_root).put(files, meta=dict(run.meta))
 
 
 def trace_experiment(
@@ -195,32 +142,23 @@ def trace_experiment(
     load_bps: float = 0.0,
     n_nodes: int = 4,
     faults: FaultPlan | None = None,
-    profile_path: str | None = None,
-    store_root: str | None = None,
 ) -> TracedRun | None:
     """The experiment drivers' observability back end.
 
     Runs one traced ``app`` trial (``"ga"`` or ``"bayes"``) matching the
     experiment's machine shape, writes the requested artifacts
-    (``--trace``/``--metrics``/``--profile``), optionally archives the
-    trial into the run store (``--store``), and prints where everything
-    landed.  No-op returning None when no destination is given.
+    (``--trace``/``--metrics``) and prints where they landed.  No-op
+    returning None when no destination is given.
     """
-    if not trace_path and not metrics_path and not profile_path and not store_root:
+    if not trace_path and not metrics_path:
         return None
-    profile = bool(profile_path)
     if app == "ga":
-        run = traced_ga_run(
-            scale, n_demes=n_nodes, load_bps=load_bps, faults=faults,
-            profile=profile,
-        )
+        run = traced_ga_run(scale, n_demes=n_nodes, load_bps=load_bps, faults=faults)
     elif app == "bayes":
-        run = traced_bayes_run(
-            scale, n_procs=n_nodes, faults=faults, profile=profile
-        )
+        run = traced_bayes_run(scale, n_procs=n_nodes, faults=faults)
     else:
         raise ValueError(f"unknown traced app {app!r}")
-    written = write_artifacts(run, trace_path, metrics_path, profile_path)
+    written = write_artifacts(run, trace_path, metrics_path)
     if "trace" in written:
         print(
             f"trace: {written['trace']['events']} events -> "
@@ -229,16 +167,4 @@ def trace_experiment(
         )
     if "metrics" in written:
         print(f"metrics snapshot -> {written['metrics']['path']}")
-    if "profile" in written:
-        print(
-            f"host-time profile -> {written['profile']['path']}  "
-            f"(render with: python -m repro.obs report "
-            f"{trace_path or '<trace>'} --prof {written['profile']['path']})"
-        )
-    if store_root:
-        ref = store_run(run, store_root)
-        print(
-            f"run stored -> {store_root} ref {ref}  "
-            f"(list with: python -m repro.obs store --root {store_root} ls)"
-        )
     return run

@@ -1,42 +1,43 @@
-"""Render a structured trace (and optional metrics snapshot) as text.
+"""Summarise a structured trace once; render the summary as text.
 
-The report answers the questions the paper's evaluation asks of a run:
+:func:`report_dict` is the one place every reported quantity of a run
+is computed — a pure function of the event stream (plus the optional
+metrics snapshot and ``trace.meta`` trailer):
 
-* **Per-node timeline** — for each application node, an ASCII strip of
-  the run binned into equal time slices: ``#`` computing, ``X`` blocked
-  in ``Global_Read``, ``.`` otherwise (idle / communicating).  A
-  partially asynchronous run shows short, scattered ``X`` runs; a
-  synchronous run shows lock-step blocking bands.
-* **Blocking summary** — per-node ``Global_Read`` calls, hits, blocks
-  and waited time (the Figure-4 age-sensitivity quantity).
-* **Rollback summary** — Time-Warp rollback count, cascade-depth
-  distribution and corrections emitted (the wasted-work quantities of
-  the synchronous-relaxation literature).
-* **Warp table** — per-(receiver, sender) stream warp percentiles,
-  recomputed *from the trace* exactly as :class:`repro.network.warp.
-  WarpMeter` computes them live (arrival-gap / send-gap of consecutive
-  ``net.deliver`` events of kind ``pvm``).
+* **What happened** — per-node timeline strips (``#`` computing, ``X``
+  blocked in ``Global_Read``, ``.`` idle / communicating), the
+  ``Global_Read`` blocking counters and staleness histogram (the
+  Figure-4 age-sensitivity quantities), Time-Warp rollback counts and
+  cascade depths, per-(receiver, sender) stream warp recomputed *from
+  the trace* exactly as :class:`repro.network.warp.WarpMeter` computes
+  it live, switched-fabric deliveries, bounded-lag shard windows,
+  GVT/commit progression and injected-fault counts.
+* **Where the simulated time went** — the causal layer's per-node
+  wall-time attribution and critical-path composition
+  (:mod:`repro.obs.causal`).
 
-Everything renders deterministically (sorted keys, fixed float formats):
-the report of a fixed-seed run is golden-testable.
-
-Each section is computed by a pure ``*_summary`` helper returning plain
-dicts; the text renderers format those, and :func:`report_dict` bundles
-them into the machine-readable ``repro-obs-report/1`` envelope behind
-``python -m repro.obs report --json`` (what CI and the trace differ
-consume instead of scraping text).
+Three thin renderers read that one dict: :func:`render_report` (text,
+below), the ``repro-obs-report/2`` JSON envelope (``report --json``:
+the dict itself, what CI and the trace differ consume) and
+:func:`repro.obs.dashboard.render_dashboard` (``report --html``).  The
+tabular sections are laid out once, by :func:`tables`, so the text
+report and the HTML page show the same sections with the same numbers.
+Everything renders deterministically (sorted keys, fixed float
+formats): the report of a fixed-seed run is golden-testable.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import ceil
 
 from repro.obs.bus import ObsEvent
+from repro.obs.causal import BUCKETS, SpanGraph, attribute, build_spans, critical_path
 from repro.obs.metrics import percentile_from_samples
 from repro.util.envelope import make_envelope
 
 #: schema tag of the :func:`report_dict` JSON envelope
-REPORT_SCHEMA = "repro-obs-report/1"
+REPORT_SCHEMA = "repro-obs-report/2"
 
 #: timeline strip width (bins) by default
 DEFAULT_BINS = 60
@@ -47,14 +48,13 @@ GLYPH_COMPUTE = "#"
 GLYPH_IDLE = "."
 
 
+def fmt(cell) -> str:
+    """One table cell as text (floats to four significant digits)."""
+    return f"{cell:.4g}" if isinstance(cell, float) else str(cell)
+
+
 def _table(headers: list[str], rows: list[list], title: str | None = None) -> str:
     """Minimal fixed-width text table (no dependency on repro.experiments)."""
-
-    def fmt(cell) -> str:
-        if isinstance(cell, float):
-            return f"{cell:.4g}"
-        return str(cell)
-
     cells = [[fmt(c) for c in row] for row in rows]
     widths = [
         max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
@@ -70,84 +70,38 @@ def _table(headers: list[str], rows: list[list], title: str | None = None) -> st
     return "\n".join(lines)
 
 
-def _intervals(events: list[ObsEvent]) -> tuple[dict, dict]:
-    """(blocked, compute) intervals per node from the event stream.
+def timeline_strips(g: SpanGraph, bins: int = DEFAULT_BINS) -> dict[int, str]:
+    """Per-node timeline glyph strips (``#``/``X``/``.``), by node.
 
-    Blocked intervals pair each ``gr.block`` with the next ``gr.unblock``
-    on the same (node, locn); an unmatched block extends to the end of
-    the trace (the reader never resumed — e.g. a lossy fault plan).
+    A bin shows ``X`` when any ``Global_Read`` wait span of the graph
+    overlaps it, else ``#`` when a compute span does.
     """
-    end_time = events[-1].time if events else 0.0
-    blocked: dict[int, list[tuple[float, float]]] = {}
-    compute: dict[int, list[tuple[float, float]]] = {}
-    open_blocks: dict[tuple[int, str], float] = {}
-    for e in events:
-        if e.kind == "gr.block":
-            open_blocks[(e.node, e.fields.get("locn", ""))] = e.time
-        elif e.kind == "gr.unblock":
-            start = open_blocks.pop((e.node, e.fields.get("locn", "")), None)
-            if start is not None:
-                blocked.setdefault(e.node, []).append((start, e.time))
-        elif e.kind == "node.compute":
-            cost = float(e.fields.get("cost", 0.0))
-            if cost > 0:
-                compute.setdefault(e.node, []).append((e.time, e.time + cost))
-    for (node, _), start in sorted(open_blocks.items()):
-        blocked.setdefault(node, []).append((start, end_time))
-    return blocked, compute
-
-
-def _overlaps(intervals: list[tuple[float, float]], lo: float, hi: float) -> bool:
-    return any(s < hi and e > lo for s, e in intervals)
-
-
-def timeline_strips(events: list[ObsEvent], bins: int = DEFAULT_BINS) -> dict[int, str]:
-    """Per-node timeline glyph strips (``#``/``X``/``.``), by node."""
-    if not events:
+    if g.t_end <= 0:
         return {}
-    t_end = max(e.time for e in events)
-    if t_end <= 0:
-        return {}
-    blocked, compute = _intervals(events)
-    step = t_end / bins
-    strips: dict[int, str] = {}
-    for node in sorted(set(blocked) | set(compute)):
-        strip = []
-        for b in range(bins):
-            lo, hi = b * step, (b + 1) * step
-            if _overlaps(blocked.get(node, []), lo, hi):
-                strip.append(GLYPH_BLOCKED)
-            elif _overlaps(compute.get(node, []), lo, hi):
-                strip.append(GLYPH_COMPUTE)
-            else:
-                strip.append(GLYPH_IDLE)
-        strips[node] = "".join(strip)
-    return strips
+    rank = {"compute": 1, "gr-wait": 2}
+    glyphs = (GLYPH_IDLE, GLYPH_COMPUTE, GLYPH_BLOCKED)
+    per_bin = bins / g.t_end
+    cells: dict[int, list[int]] = {}
+    for s in g.spans:
+        r = rank.get(s.kind)
+        if r is None or s.t1 <= s.t0:
+            continue
+        row = cells.setdefault(s.node, [0] * bins)
+        for b in range(int(s.t0 * per_bin), min(bins, ceil(s.t1 * per_bin))):
+            if row[b] < r:
+                row[b] = r
+    return {n: "".join(glyphs[r] for r in cells[n]) for n in sorted(cells)}
 
 
-def render_timeline(events: list[ObsEvent], bins: int = DEFAULT_BINS) -> str:
-    """The per-node ASCII timeline section."""
-    if not events:
-        return "Per-node timeline: (no events)"
-    t_end = max(e.time for e in events)
-    if t_end <= 0:
-        return "Per-node timeline: (zero-length run)"
-    strips = timeline_strips(events, bins=bins)
-    if not strips:
-        return "Per-node timeline: (no node activity events)"
-    lines = [
-        f"Per-node timeline  [0 .. {t_end:.4g}s, {bins} bins; "
-        f"{GLYPH_COMPUTE}=compute {GLYPH_BLOCKED}=blocked(Global_Read) "
-        f"{GLYPH_IDLE}=idle/comm]"
-    ]
-    for node, strip in strips.items():
-        lines.append(f"  node {node:>3} |{strip}|")
-    return "\n".join(lines)
+def global_read_summary(events: list[ObsEvent]) -> tuple[dict, dict]:
+    """``Global_Read`` blocking counters and the staleness histogram.
 
-
-def blocking_summary(events: list[ObsEvent]) -> dict[int, dict[str, float]]:
-    """Per-node Global_Read counters: calls/hits/blocks/waited/max_wait."""
+    Returns ``(blocking, staleness)``: per-node and total calls / hits /
+    blocks / waited / mean_wait / max_wait, and the count of reads per
+    returned-copy age lag with its mean.
+    """
     per_node: dict[int, dict[str, float]] = {}
+    hist: dict[int, int] = {}
     for e in events:
         if not e.kind.startswith("gr."):
             continue
@@ -164,34 +118,22 @@ def blocking_summary(events: list[ObsEvent]) -> dict[int, dict[str, float]]:
             waited = float(e.fields.get("waited", 0.0))
             row["waited"] += waited
             row["max_wait"] = max(row["max_wait"], waited)
-    return per_node
-
-
-def render_blocking(events: list[ObsEvent]) -> str:
-    """The Global_Read blocking summary section."""
-    per_node = blocking_summary(events)
-    if not per_node:
-        return "Blocking summary: no Global_Read events in trace"
-    rows = []
-    for node in sorted(per_node):
-        r = per_node[node]
-        mean_wait = r["waited"] / r["blocks"] if r["blocks"] else 0.0
-        rows.append(
-            [node, int(r["calls"]), int(r["hits"]), int(r["blocks"]),
-             r["waited"], mean_wait, r["max_wait"]]
-        )
-    totals = [
-        "all",
-        sum(r[1] for r in rows), sum(r[2] for r in rows), sum(r[3] for r in rows),
-        sum(r[4] for r in rows),
-        (sum(r[4] for r in rows) / sum(r[3] for r in rows)) if sum(r[3] for r in rows) else 0.0,
-        max(r[6] for r in rows),
-    ]
-    return _table(
-        ["node", "gr calls", "hits", "blocks", "blocked time (s)",
-         "mean wait (s)", "max wait (s)"],
-        rows + [totals],
-        title="Blocking summary (Global_Read)",
+        if e.kind != "gr.block" and "staleness" in e.fields:
+            s = int(e.fields["staleness"])
+            hist[s] = hist.get(s, 0) + 1
+    rows = list(per_node.values())
+    totals = {k: sum(r[k] for r in rows) for k in ("calls", "hits", "blocks", "waited")}
+    totals["max_wait"] = max((r["max_wait"] for r in rows), default=0.0)
+    for r in rows + [totals]:
+        r["mean_wait"] = r["waited"] / r["blocks"] if r["blocks"] else 0.0
+    reads = sum(hist.values())
+    return (
+        {"per_node": {str(n): per_node[n] for n in sorted(per_node)}, "totals": totals},
+        {
+            "hist": {str(s): hist[s] for s in sorted(hist)},
+            "reads": reads,
+            "mean": sum(s * n for s, n in hist.items()) / reads if reads else 0.0,
+        },
     )
 
 
@@ -224,30 +166,6 @@ def rollback_summary(events: list[ObsEvent]) -> dict | None:
     }
 
 
-def render_rollback(events: list[ObsEvent]) -> str:
-    """The Time-Warp rollback summary section."""
-    s = rollback_summary(events)
-    if s is None:
-        return "Rollback summary: no rollback events in trace"
-    lines = [
-        "Rollback summary (Time-Warp)",
-        f"  rollbacks: {s['rollbacks']}   corrections emitted: {s['corrections']}",
-        f"  cascade depth: mean {s['depth_mean']:.2f}  "
-        f"p50 {s['depth_p50']:.0f}  "
-        f"p90 {s['depth_p90']:.0f}  "
-        f"max {s['depth_max']}",
-        "  depth histogram: "
-        + "  ".join(f"{d}:{n}" for d, n in s["depth_hist"].items()),
-        "  per node: "
-        + "  ".join(f"node{n}:{c}" for n, c in s["per_node"].items()),
-    ]
-    if set(s["causes"]) - {"unknown"}:
-        lines.append(
-            "  causes: " + "  ".join(f"{c}:{n}" for c, n in s["causes"].items())
-        )
-    return "\n".join(lines)
-
-
 def warp_streams(
     events: list[ObsEvent],
 ) -> dict[tuple[int, int], list[tuple[float, float]]]:
@@ -276,33 +194,30 @@ def warp_streams(
     return streams
 
 
-def render_warp(events: list[ObsEvent]) -> str:
-    """The per-stream warp table, recomputed from delivery events."""
-    streams = {k: [w for _, w in v] for k, v in warp_streams(events).items()}
-    if not streams:
-        return "Warp table: no pvm delivery events in trace"
-    rows = []
+def _warp_stats(samples: list[float]) -> dict[str, float]:
+    return {
+        "samples": len(samples),
+        "mean": sum(samples) / len(samples),
+        "p50": percentile_from_samples(samples, 50),
+        "p90": percentile_from_samples(samples, 90),
+        "p99": percentile_from_samples(samples, 99),
+        "max": max(samples),
+    }
+
+
+def warp_summary(events: list[ObsEvent]) -> dict:
+    """Warp percentiles per ``"dst<-src"`` stream and over all samples."""
+    streams = warp_streams(events)
+    per_stream: dict[str, dict[str, float]] = {}
     all_samples: list[float] = []
     for (dst, src) in sorted(streams):
-        s = streams[(dst, src)]
-        all_samples.extend(s)
-        rows.append([
-            f"{dst}<-{src}", len(s), sum(s) / len(s),
-            percentile_from_samples(s, 50), percentile_from_samples(s, 90),
-            percentile_from_samples(s, 99), max(s),
-        ])
-    rows.append([
-        "all", len(all_samples), sum(all_samples) / len(all_samples),
-        percentile_from_samples(all_samples, 50),
-        percentile_from_samples(all_samples, 90),
-        percentile_from_samples(all_samples, 99),
-        max(all_samples),
-    ])
-    return _table(
-        ["stream", "samples", "mean", "p50", "p90", "p99", "max"],
-        rows,
-        title="Warp per (receiver <- sender) stream (1.0 = stable load)",
-    )
+        samples = [w for _, w in streams[(dst, src)]]
+        all_samples.extend(samples)
+        per_stream[f"{dst}<-{src}"] = _warp_stats(samples)
+    return {
+        "streams": per_stream,
+        "all": _warp_stats(all_samples) if all_samples else None,
+    }
 
 
 def commit_summary(events: list[ObsEvent]) -> dict | None:
@@ -318,35 +233,10 @@ def commit_summary(events: list[ObsEvent]) -> dict | None:
     }
 
 
-def render_commits(events: list[ObsEvent]) -> str:
-    """GVT / commit progression (Bayes runs only)."""
-    s = commit_summary(events)
-    if s is None:
-        return ""
-    return (
-        "GVT / commits\n"
-        f"  commit batches: {s['batches']}   runs committed: "
-        f"{s['runs_committed']}   final GVT floor: {s['final_floor']}"
-    )
-
-
 def fault_counts(events: list[ObsEvent]) -> dict[str, int]:
     """Injected-fault event counts by kind (empty when fault-free)."""
-    counts: dict[str, int] = {}
-    for e in events:
-        if e.kind.startswith("fault."):
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-    return counts
-
-
-def render_faults(events: list[ObsEvent]) -> str:
-    """Injected-fault counts (chaos runs only)."""
-    counts = fault_counts(events)
-    if not counts:
-        return ""
-    return "Injected faults\n  " + "  ".join(
-        f"{k.removeprefix('fault.')}:{v}" for k, v in sorted(counts.items())
-    )
+    counts = Counter(e.kind for e in events if e.kind.startswith("fault."))
+    return dict(sorted(counts.items()))
 
 
 def parallel_summary(events: list[ObsEvent]) -> dict | None:
@@ -375,25 +265,6 @@ def parallel_summary(events: list[ObsEvent]) -> dict | None:
         "per_shard": {str(s): per_shard[s] for s in sorted(per_shard)},
         "total_wall_wait_s": sum(r["wall_wait_s"] for r in per_shard.values()),
     }
-
-
-def render_parallel(events: list[ObsEvent]) -> str:
-    """The bounded-lag parallel-kernel section (sharded runs only)."""
-    s = parallel_summary(events)
-    if s is None:
-        return ""
-    rows = [
-        [shard, int(r["windows"]), int(r["max_epoch"]), int(r["waits"]), r["wall_wait_s"]]
-        for shard, r in s["per_shard"].items()
-    ]
-    return _table(
-        ["shard", "windows", "last epoch", "waits", "wall wait (s)"],
-        rows,
-        title=(
-            "Parallel kernel (bounded-lag windows) — "
-            f"{s['shards']} shards, {s['total_wall_wait_s']:.3g}s total barrier wait"
-        ),
-    )
 
 
 def fabric_summary(events: list[ObsEvent]) -> dict | None:
@@ -431,130 +302,34 @@ def fabric_summary(events: list[ObsEvent]) -> dict | None:
     return {name: rows[name] for name in sorted(rows)}
 
 
-def render_fabric(events: list[ObsEvent]) -> str:
-    """The switched-fabric delivery section (switched runs only)."""
-    s = fabric_summary(events)
-    if s is None:
-        return ""
-    rows = [
-        [
-            name, int(r["deliveries"]), int(r["broadcast"]), int(r["bytes"]),
-            r["mean_hops"], int(r["max_hops"]), r["links_per_sim_s"],
-        ]
-        for name, r in s.items()
-    ]
-    return _table(
-        ["fabric", "deliveries", "bcast", "bytes", "mean hops", "max hops",
-         "link occupancy (hops/sim-s)"],
-        rows,
-        title="Switched fabric deliveries",
-    )
-
-
-def render_metrics(metrics: dict) -> str:
-    """Counters/gauges of a metrics snapshot as two compact tables."""
-    counters = _table(
-        ["counter", "value"],
-        [[k, v] for k, v in sorted(metrics.get("counters", {}).items())],
-        title="Metrics — counters",
-    )
-    gauges = _table(
-        ["gauge", "value"],
-        [[k, v] for k, v in sorted(metrics.get("gauges", {}).items())],
-        title="Metrics — gauges",
-    )
-    return counters + "\n\n" + gauges
-
-
-def render_report(
-    events: list[ObsEvent],
-    metrics: dict | None = None,
-    bins: int = DEFAULT_BINS,
-    prof: dict | None = None,
-    meta: dict | None = None,
-) -> str:
-    """The full report: header + every applicable section.
-
-    ``prof`` is an optional ``repro-obs-prof/1`` envelope (host-time
-    profile); ``meta`` the trace's ``trace.meta`` trailer, whose
-    ``events_dropped`` count — a truncated capture — is surfaced in the
-    header rather than silently ignored.
-    """
-    events = sorted(events, key=lambda e: e.time)
-    t_end = events[-1].time if events else 0.0
-    dropped = int(meta.get("events_dropped", 0)) if meta else 0
-    dropped_note = (
-        f" (TRUNCATED CAPTURE: {dropped} events dropped at the buffer cap)"
-        if dropped
-        else ""
-    )
-    header = (
-        f"Trace report — {len(events)} events over {t_end:.4g} simulated "
-        f"seconds{dropped_note}\n  events by kind: "
-        + "  ".join(
-            f"{k}:{v}"
-            for k, v in sorted(Counter(e.kind for e in events).items())
-        )
-    )
-    sections = [
-        header,
-        render_timeline(events, bins=bins),
-        render_blocking(events),
-        render_rollback(events),
-        render_warp(events),
-        render_parallel(events),
-        render_fabric(events),
-        render_commits(events),
-        render_faults(events),
-    ]
-    if metrics is not None:
-        sections.append(render_metrics(metrics))
-    if prof is not None:
-        from repro.obs.prof import render_profile
-
-        sections.append(render_profile(prof))
-    return "\n\n".join(s for s in sections if s)
-
-
-def _warp_stats(samples: list[float]) -> dict[str, float]:
-    return {
-        "samples": len(samples),
-        "mean": sum(samples) / len(samples),
-        "p50": percentile_from_samples(samples, 50),
-        "p90": percentile_from_samples(samples, 90),
-        "p99": percentile_from_samples(samples, 99),
-        "max": max(samples),
-    }
-
-
 def report_dict(
     events: list[ObsEvent],
     metrics: dict | None = None,
     bins: int = DEFAULT_BINS,
-    prof: dict | None = None,
     meta: dict | None = None,
+    graph: SpanGraph | None = None,
 ) -> dict:
-    """The report as a machine-readable dict (``repro-obs-report/1``).
+    """The run summary as a machine-readable dict (``repro-obs-report/2``).
 
-    Same sections as :func:`render_report`, as plain JSON-serializable
-    data: this is what ``python -m repro.obs report --json`` emits and
-    what CI consumes instead of scraping the text rendering.  Keys of
+    What ``python -m repro.obs report --json`` emits and what every
+    renderer reads.  ``meta`` is the trace's ``trace.meta`` trailer,
+    whose ``events_dropped`` count — a truncated capture — is surfaced
+    rather than silently ignored; ``graph`` is ``build_spans`` of the
+    same time-sorted events for a caller that already holds it.  Keys of
     per-node maps are stringified node ids (JSON objects).
     """
     events = sorted(events, key=lambda e: e.time)
-    t_end = events[-1].time if events else 0.0
-    blocking = blocking_summary(events)
-    streams = warp_streams(events)
-    warp: dict[str, dict[str, float]] = {}
-    all_samples: list[float] = []
-    for (dst, src) in sorted(streams):
-        samples = [w for _, w in streams[(dst, src)]]
-        all_samples.extend(samples)
-        warp[f"{dst}<-{src}"] = _warp_stats(samples)
+    g = graph if graph is not None else build_spans(events)
+    attribution = attribute(g)
+    attribution["per_node"] = {str(n): pn for n, pn in attribution["per_node"].items()}
+    blocking, staleness = global_read_summary(events)
     payload: dict = {
-        "events": len(events),
-        "t_end": t_end,
+        "events": g.events,
+        "t_end": g.t_end,
         "kinds": dict(sorted(Counter(e.kind for e in events).items())),
+        "spans": len(g.spans),
+        "partial": g.partial,
+        "unresolved_waits": g.unresolved_waits,
         "timeline": {
             "bins": bins,
             "glyphs": {
@@ -562,22 +337,14 @@ def report_dict(
                 "blocked": GLYPH_BLOCKED,
                 "idle": GLYPH_IDLE,
             },
-            "per_node": {
-                str(n): strip
-                for n, strip in timeline_strips(events, bins=bins).items()
-            },
+            "per_node": {str(n): s for n, s in timeline_strips(g, bins).items()},
         },
-        "blocking": {
-            "per_node": {str(n): blocking[n] for n in sorted(blocking)},
-            "totals": {
-                "calls": sum(int(r["calls"]) for r in blocking.values()),
-                "hits": sum(int(r["hits"]) for r in blocking.values()),
-                "blocks": sum(int(r["blocks"]) for r in blocking.values()),
-                "waited": sum(r["waited"] for r in blocking.values()),
-            },
-        },
+        "blocking": blocking,
+        "staleness": staleness,
+        "attribution": attribution,
+        "critical_path": critical_path(g),
         "rollback": rollback_summary(events),
-        "warp": {"streams": warp, "all": _warp_stats(all_samples) if all_samples else None},
+        "warp": warp_summary(events),
         "parallel": parallel_summary(events),
         "fabric": fabric_summary(events),
         "commits": commit_summary(events),
@@ -586,6 +353,167 @@ def report_dict(
     }
     if metrics is not None:
         payload["metrics"] = metrics
-    if prof is not None:
-        payload["profile"] = prof
     return make_envelope(REPORT_SCHEMA, payload)
+
+
+def _pairs(d: dict) -> str:
+    return "  ".join(f"{k}:{v}" for k, v in d.items())
+
+
+def tables(rep: dict) -> list[tuple[str, list[str], list[list]]]:
+    """The report's tabular sections as ``(title, headers, rows)``.
+
+    Laid out once from a :func:`report_dict` summary, in display order;
+    the text report and the HTML page both render exactly these, so an
+    optional section (rollback/GVT, fabric, shard windows, faults,
+    metrics) is in both or in neither.
+    """
+    out: list[tuple[str, list[str], list[list]]] = []
+    gr_cols = ("calls", "hits", "blocks", "waited", "mean_wait", "max_wait")
+    b = rep["blocking"]
+    if b["per_node"]:
+        out.append((
+            "Blocking summary (Global_Read)",
+            ["node", "gr calls", "hits", "blocks", "blocked time (s)",
+             "mean wait (s)", "max wait (s)"],
+            [[n] + [r[c] for c in gr_cols] for n, r in b["per_node"].items()]
+            + [["all"] + [b["totals"][c] for c in gr_cols]],
+        ))
+    st = rep["staleness"]
+    if st["hist"]:
+        out.append((
+            f"Global_Read staleness (iterations behind; mean {st['mean']:.4g} "
+            f"over {st['reads']} reads)",
+            ["staleness", "reads"],
+            [[s, n] for s, n in st["hist"].items()],
+        ))
+    attr = rep["attribution"]
+    attr_cols = BUCKETS + ("idle",)
+    if attr["per_node"]:
+        out.append((
+            "Wall-time attribution per node (simulated s; worst node "
+            f"{attr['min_attributed_fraction']:.1%} attributed)",
+            ["node", "compute", "gr blocking", "network", "rollback", "idle",
+             "attributed"],
+            [
+                [n] + [pn[c] for c in attr_cols] + [f"{pn['attributed_fraction']:.1%}"]
+                for n, pn in attr["per_node"].items()
+            ]
+            + [["all"] + [attr["totals"][c] for c in attr_cols] + [""]],
+        ))
+    cp = rep["critical_path"]
+    if cp["segments"]:
+        out.append((
+            f"Critical path — {len(cp['segments'])} segments ending on node "
+            f"{cp['start_node']}, coverage {cp['coverage']:.1%}",
+            ["kind", "seconds", "share"],
+            [
+                [k, cp["by_kind"][k], f"{cp['by_kind'][k] / cp['t_end']:.1%}"]
+                for k in ("compute", "gr-blocking", "network", "rollback")
+                if k in cp["by_kind"]
+            ],
+        ))
+    rb = rep["rollback"]
+    if rb is not None:
+        rows = [
+            ["rollbacks", rb["rollbacks"]],
+            ["corrections emitted", rb["corrections"]],
+            ["cascade depth mean", rb["depth_mean"]],
+            ["cascade depth p50", rb["depth_p50"]],
+            ["cascade depth p90", rb["depth_p90"]],
+            ["cascade depth max", rb["depth_max"]],
+            ["depth histogram", _pairs(rb["depth_hist"])],
+            ["per node", _pairs(rb["per_node"])],
+        ]
+        if set(rb["causes"]) - {"unknown"}:
+            rows.append(["causes", _pairs(rb["causes"])])
+        out.append(("Rollback summary (Time-Warp)", ["quantity", "value"], rows))
+    if rep["commits"] is not None:
+        c = rep["commits"]
+        out.append((
+            "GVT / commits",
+            ["commit batches", "runs committed", "final GVT floor"],
+            [[c["batches"], c["runs_committed"], c["final_floor"]]],
+        ))
+    warp = rep["warp"]
+    if warp["all"] is not None:
+        warp_cols = ("samples", "mean", "p50", "p90", "p99", "max")
+        out.append((
+            "Warp per (receiver <- sender) stream (1.0 = stable load)",
+            ["stream", *warp_cols],
+            [[name] + [s[c] for c in warp_cols] for name, s in warp["streams"].items()]
+            + [["all"] + [warp["all"][c] for c in warp_cols]],
+        ))
+    par = rep["parallel"]
+    if par is not None:
+        out.append((
+            f"Parallel kernel (bounded-lag windows) — {par['shards']} shards, "
+            f"{par['total_wall_wait_s']:.3g}s total barrier wait",
+            ["shard", "windows", "last epoch", "waits", "wall wait (s)"],
+            [
+                [shard, r["windows"], r["max_epoch"], r["waits"], r["wall_wait_s"]]
+                for shard, r in par["per_shard"].items()
+            ],
+        ))
+    if rep["fabric"] is not None:
+        out.append((
+            "Switched fabric deliveries",
+            ["fabric", "deliveries", "bcast", "bytes", "mean hops", "max hops",
+             "link occupancy (hops/sim-s)"],
+            [
+                [name, r["deliveries"], r["broadcast"], r["bytes"],
+                 r["mean_hops"], r["max_hops"], r["links_per_sim_s"]]
+                for name, r in rep["fabric"].items()
+            ],
+        ))
+    if rep["faults"]:
+        out.append((
+            "Injected faults",
+            ["fault", "count"],
+            [[k.removeprefix("fault."), v] for k, v in rep["faults"].items()],
+        ))
+    if "metrics" in rep:
+        for kind in ("counters", "gauges"):
+            out.append((
+                f"Metrics — {kind}",
+                [kind[:-1], "value"],
+                [[k, v] for k, v in sorted(rep["metrics"].get(kind, {}).items())],
+            ))
+    return out
+
+
+def render_report(
+    events: list[ObsEvent],
+    metrics: dict | None = None,
+    bins: int = DEFAULT_BINS,
+    meta: dict | None = None,
+) -> str:
+    """The full text report: header, timeline and every :func:`tables` section."""
+    rep = report_dict(events, metrics=metrics, bins=bins, meta=meta)
+    dropped = rep["events_dropped"]
+    sections = [
+        f"Trace report — {rep['events']} events over {rep['t_end']:.4g} simulated "
+        "seconds"
+        + (
+            f" (TRUNCATED CAPTURE: {dropped} events dropped at the buffer cap)"
+            if dropped
+            else ""
+        )
+        + f"\n  events by kind: {_pairs(rep['kinds'])}"
+        + f"\n  {rep['spans']} spans, {rep['unresolved_waits']} unresolved waits"
+        + (", partial trace (begin/end halves missing)" if rep["partial"] else "")
+    ]
+    strips = rep["timeline"]["per_node"]
+    if strips:
+        sections.append("\n".join(
+            [
+                f"Per-node timeline  [0 .. {rep['t_end']:.4g}s, {bins} bins; "
+                f"{GLYPH_COMPUTE}=compute {GLYPH_BLOCKED}=blocked(Global_Read) "
+                f"{GLYPH_IDLE}=idle/comm]"
+            ]
+            + [f"  node {node:>3} |{strip}|" for node, strip in strips.items()]
+        ))
+    else:
+        sections.append("Per-node timeline: (no node activity events)")
+    sections += [_table(headers, rows, title=title) for title, headers, rows in tables(rep)]
+    return "\n\n".join(sections)

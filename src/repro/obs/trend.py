@@ -28,19 +28,18 @@ the latest value is beyond threshold against **every** measurement in
 the recent envelope — the last three — while the displayed pct change
 stays vs the immediately previous point.
 
-Bench points can come from ``BENCH_*.json`` files at the repo root
-(:func:`repro.bench.harness.load_trajectory`) and/or from bench
-payloads archived in a :class:`repro.obs.store.RunStore` (the
-``bench.json`` artifact ``python -m repro.bench --store`` writes).
+Bench points are the ``BENCH_*.json`` files at the repo root
+(:func:`repro.bench.harness.load_trajectory`) followed by any extra
+bench documents named on the command line (``trend BENCH_trend.json``:
+the fresh point CI measures and gates against the committed history).
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any
+from typing import Any, Sequence
 
-from repro.util.envelope import make_envelope
+from repro.util.envelope import make_envelope, read_json
 
 #: schema tag of the :func:`trend_report` envelope
 TREND_SCHEMA = "repro-obs-trend/1"
@@ -99,27 +98,20 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
 
 
 def load_points(
-    root: str = ".", store_root: str | None = None
+    root: str = ".", extra: Sequence[str] = ()
 ) -> list[tuple[str, dict[str, float]]]:
     """The bench trajectory as ``[(label, flat metrics), ...]``, oldest
-    first: root ``BENCH_<n>.json`` files, then any ``bench.json``
-    artifacts archived in the run store (in put order)."""
+    first: root ``BENCH_<n>.json`` files, then the ``extra`` bench
+    documents in the order given (labelled by file name)."""
     from repro.bench.harness import load_trajectory
 
     points = [
         (f"BENCH_{n}", flatten_payload(payload))
         for n, payload in load_trajectory(root)
     ]
-    if store_root is not None and os.path.isdir(store_root):
-        from repro.obs.store import RunStore
-
-        store = RunStore(store_root)
-        for run in store.ls():
-            if "bench.json" not in run["files"]:
-                continue
-            path = store.artifact(run["ref"], "bench.json")
-            with open(path, "r", encoding="utf-8") as fh:
-                points.append((f"store:{run['ref'][:8]}", flatten_payload(json.load(fh))))
+    points += [
+        (os.path.basename(path), flatten_payload(read_json(path))) for path in extra
+    ]
     return points
 
 

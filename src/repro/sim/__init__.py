@@ -33,9 +33,9 @@ popped, so a resumed run loses nothing).  Queue entries are plain
 ``(time, priority, seq, fn, args)`` tuples — scheduling returns nothing and
 nothing can be cancelled.  The kernel has one instrumentation
 slot, ``kernel.obs``: attach a :class:`repro.obs.bus.TraceBus` to record
-``proc.*`` lifecycle events.  Host-time profiling needs no slot — the
-loop picks up the ambient :mod:`repro.obs.prof` profiler when one is
-activated.
+``proc.*`` lifecycle events.  Host time is asked from outside the
+program (``python -m cProfile``, ``perfbench/run.py --trace 1``); the
+loop carries no hook for it.
 """
 
 from repro.sim.errors import (

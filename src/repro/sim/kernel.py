@@ -20,9 +20,9 @@ Design notes
   instead of hanging the test suite.  A budget is checked against the
   queue's head *before* it is popped, so the event that trips the limit
   stays queued and a later ``run()`` with a larger budget executes it.
-* **One loop, one slot.**  ``run()`` is the only event loop; budgets, the
-  stop predicate and the ambient host-time profiler are per-call locals,
-  and the only instrumentation slot is ``kernel.obs`` (the trace bus).
+* **One loop, one slot.**  ``run()`` is the only event loop; budgets and
+  the stop predicate are per-call locals, and the only instrumentation
+  slot is ``kernel.obs`` (the trace bus).
   Queue entries are plain ``(time, priority, seq, fn, args)`` tuples and
   the loop merges the queue's heap and same-instant FIFO lane inline, so
   an event costs one C tuple compare and no object.  Yielded requests are
@@ -37,7 +37,6 @@ import itertools
 from heapq import heappop
 from typing import Any, Callable, Generator, Iterable
 
-from repro.obs.prof import current as ambient_profiler
 from repro.sim.errors import DeadlockError, ProcessFailure, SimulationLimitError
 from repro.sim.events import EventQueue, PRIORITY_LATE, PRIORITY_NORMAL
 from repro.sim.process import (
@@ -291,67 +290,54 @@ class Kernel:
             (a corrupted queue — e.g. events pushed into the past through
             the raw :class:`EventQueue` API).
         """
-        # Host-time attribution (repro.obs.prof, off unless a profiler is
-        # activated for this process): everything between events is the
-        # loop's own section, each callback is charged to its subsystem.
-        prof = ambient_profiler()
-        if prof is not None:
-            prof.enter_loop()
         heap = self.queue.heap
         lane = self.queue.lane
         lane_pop = lane.popleft
-        try:
-            while True:
-                if self._failure is not None:
-                    failure, self._failure = self._failure, None
-                    raise failure from failure.original
-                if stop_when is not None and stop_when():
-                    return
-                # Head of the merged queue.  Lane entries sit at the current
-                # instant with PRIORITY_NORMAL; a heap entry beats the lane
-                # head only with a smaller (time, priority, seq) — a C tuple
-                # compare that unique seqs stop before it reaches fn.
-                if lane:
-                    entry = lane[0]
-                    from_heap = False
-                    if heap and heap[0] < entry:
-                        entry = heap[0]
-                        from_heap = True
-                elif heap:
+        while True:
+            if self._failure is not None:
+                failure, self._failure = self._failure, None
+                raise failure from failure.original
+            if stop_when is not None and stop_when():
+                return
+            # Head of the merged queue.  Lane entries sit at the current
+            # instant with PRIORITY_NORMAL; a heap entry beats the lane
+            # head only with a smaller (time, priority, seq) — a C tuple
+            # compare that unique seqs stop before it reaches fn.
+            if lane:
+                entry = lane[0]
+                from_heap = False
+                if heap and heap[0] < entry:
                     entry = heap[0]
                     from_heap = True
-                else:
-                    self._check_deadlock()
-                    return
-                time = entry[0]
-                # Budgets are checked before the pop: the entry that trips
-                # one stays queued for a later run() with a larger budget.
-                if until is not None and time > until:
-                    raise SimulationLimitError(
-                        "simulated-time", until, self.now, self._events_executed
-                    )
-                if max_events is not None and self._events_executed >= max_events:
-                    raise SimulationLimitError(
-                        "event-count", max_events, self.now, self._events_executed
-                    )
-                if time < self.now:
-                    raise RuntimeError(
-                        f"event queue violated time order: head at t={time!r} "
-                        f"is behind the clock at t={self.now!r}"
-                    )
-                if from_heap:
-                    heappop(heap)
-                else:
-                    lane_pop()
-                self.now = time
-                self._events_executed += 1
-                if prof is None:
-                    entry[3](*entry[4])
-                else:
-                    prof.run_event(entry[3], entry[4])
-        finally:
-            if prof is not None:
-                prof.pop()
+            elif heap:
+                entry = heap[0]
+                from_heap = True
+            else:
+                self._check_deadlock()
+                return
+            time = entry[0]
+            # Budgets are checked before the pop: the entry that trips
+            # one stays queued for a later run() with a larger budget.
+            if until is not None and time > until:
+                raise SimulationLimitError(
+                    "simulated-time", until, self.now, self._events_executed
+                )
+            if max_events is not None and self._events_executed >= max_events:
+                raise SimulationLimitError(
+                    "event-count", max_events, self.now, self._events_executed
+                )
+            if time < self.now:
+                raise RuntimeError(
+                    f"event queue violated time order: head at t={time!r} "
+                    f"is behind the clock at t={self.now!r}"
+                )
+            if from_heap:
+                heappop(heap)
+            else:
+                lane_pop()
+            self.now = time
+            self._events_executed += 1
+            entry[3](*entry[4])
 
     def run_until_done(self, handles: Iterable[ProcessHandle], **kw: Any) -> None:
         """Run until every handle in ``handles`` has terminated.

@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 from collections import defaultdict, deque
 
-from repro.obs.prof import prof_section
 from repro.sim.parallel.plan import ShardPlan
 from repro.sim.parallel.records import GenRecord
 
@@ -111,8 +110,7 @@ class RecordFeed:
     def _wait_one(self, account) -> None:
         t0 = time.perf_counter()  # repro-lint: allow[RPR002] — wall-clock wait accounting
         try:
-            with prof_section("par.ipc"):
-                msg = self.conn.recv()
+            msg = self.conn.recv()
         except EOFError as exc:
             raise RuntimeError(
                 "parallel-kernel coordinator channel closed mid-run"

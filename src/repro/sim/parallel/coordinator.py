@@ -40,7 +40,6 @@ import multiprocessing
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 
-from repro.obs.prof import current as ambient_profiler
 from repro.sim.parallel.channel import BYE, CLK, DONE, ERR, FLOOR, REC
 from repro.sim.parallel.plan import ShardPlan, lookahead_of, plan_shards
 from repro.sim.parallel.records import ShardOutcome
@@ -87,8 +86,6 @@ class ShardedRun:
                 fault_log=self.outcomes[0].fault_log,
                 merged_trace=self.merged_trace,
             )
-            if self.outcomes[0].prof is not None:
-                info["prof"] = [o.prof for o in self.outcomes]
         return info
 
 
@@ -108,10 +105,7 @@ def run_sharded(
 
     Bit-identical to ``scenario.run_serial()`` by construction; the
     cross-shard digest check turns any violation into a hard error
-    rather than a silently wrong result.  When this process has an
-    ambient host-time profiler (:func:`repro.obs.prof.current`), every
-    worker runs under one of its own (determinism-neutral; snapshots
-    come back on ``outcomes[k].prof``).
+    rather than a silently wrong result.
     """
     units = scenario.units()
     n = max(1, min(shards, units))
@@ -128,7 +122,6 @@ def run_sharded(
 
     from repro.sim.parallel.worker import shard_worker_main
 
-    profile = ambient_profiler() is not None
     ctx = _mp_context()
     conns, procs = [], []
     shard_traces = [
@@ -139,7 +132,7 @@ def run_sharded(
             parent, child = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=shard_worker_main,
-                args=(child, scenario, k, plan, shard_traces[k], profile),
+                args=(child, scenario, k, plan, shard_traces[k]),
                 name=f"repro-shard-{k}",
             )
             proc.start()

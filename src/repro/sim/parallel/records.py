@@ -48,7 +48,7 @@ class ShardOutcome:
     """What one shard worker reports back when its replica run finishes.
 
     Every shard executes the identical event stream, so every field
-    except ``trace_path``/``feed_stats``/``window_spans``/``prof`` must
+    except ``trace_path``/``feed_stats``/``window_spans`` must
     agree across shards — the coordinator enforces digest equality as a
     built-in determinism check before returning shard 0's ``result``.
     """
@@ -72,6 +72,3 @@ class ShardOutcome:
     #: per-floor-epoch synchronization waits for obs attribution:
     #: ``[(epoch, floor, wall_wait_s, waits), ...]``
     window_spans: list = field(default_factory=list)
-    #: :meth:`repro.obs.prof.HostProfiler.snapshot` of this worker
-    #: process (None unless the run was profiled)
-    prof: dict | None = None

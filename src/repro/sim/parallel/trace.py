@@ -7,9 +7,8 @@ workers' per-epoch synchronization waits in as ``par.window`` events,
 time-merged so the output stays monotone and validates against the
 ``repro.obs`` schema (``python -m repro.obs validate --strict``).
 
-``par.window`` events let ``python -m repro.obs critical-path`` and the
-report attribute wall-clock synchronization overhead to bounded-lag
-windows: ``t`` is the distributed floor when the epoch opened,
+``par.window`` events let ``python -m repro.obs report`` attribute
+wall-clock synchronization overhead to bounded-lag windows: ``t`` is the distributed floor when the epoch opened,
 ``wall_wait_s`` the wall seconds the shard spent blocked (consuming
 records or gated on the lag bound) during that epoch.
 """

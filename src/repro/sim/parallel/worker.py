@@ -32,27 +32,13 @@ class ShardContext:
 
 
 def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
-                      trace_path: str | None = None,
-                      profile: bool = False) -> None:
+                      trace_path: str | None = None) -> None:
     """Child-process body: run one shard replica and report the outcome.
 
     Any exception — including determinism tripwires like a diverged
     record stream — is shipped back as a formatted traceback; the
     coordinator re-raises it in the parent.
-
-    With ``profile`` on, a :class:`~repro.obs.prof.HostProfiler` is
-    activated as this process's ambient profiler for the whole replica
-    run — the kernel loop and the ambient sections (``par.ipc``,
-    ``numpy.*``, ``obs.io``) charge into it — and its snapshot ships
-    back on ``outcome.prof``.
     """
-    prof = None
-    if profile:
-        from repro.obs.prof import HostProfiler, activate
-
-        prof = HostProfiler()
-        prof.meta["shard"] = shard_id
-        activate(prof)
     try:
         feed = RecordFeed(conn, shard_id, plan)
         ctx = ShardContext(
@@ -61,11 +47,6 @@ def shard_worker_main(conn, scenario, shard_id: int, plan: ShardPlan,
         outcome = scenario.run_shard(ctx)
         outcome.feed_stats = feed.stats()
         outcome.window_spans = feed.spans()
-        if prof is not None:
-            from repro.obs.prof import deactivate
-
-            deactivate()
-            outcome.prof = prof.snapshot()
         conn.send((DONE, shard_id, outcome))
         # Linger until the coordinator says BYE: it may still be routing
         # records to us for streams we have already finished, and exiting

@@ -9,6 +9,7 @@ from repro.util.digest import digest_values
 from repro.util.envelope import (
     envelope_digest,
     make_envelope,
+    read_json,
     render_envelope,
     write_envelope,
 )
@@ -17,6 +18,7 @@ __all__ = [
     "digest_values",
     "envelope_digest",
     "make_envelope",
+    "read_json",
     "render_envelope",
     "write_envelope",
 ]

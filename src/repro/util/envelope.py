@@ -63,6 +63,15 @@ def render_envelope(env: dict[str, Any], indent: int = 2) -> str:
     return json.dumps(env, indent=indent, sort_keys=True, default=str)
 
 
+def read_json(path: str | Path) -> Any:
+    """Read one JSON document; a parse failure is a ``ValueError`` naming
+    the file (the CLIs report it as exit 2 instead of a traceback)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def write_envelope(path: str | Path, env: dict[str, Any]) -> Path:
     """Write one envelope document (trailing newline included)."""
     path = Path(path)

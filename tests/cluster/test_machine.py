@@ -101,6 +101,19 @@ def test_config_validation():
         MachineConfig(interconnect="token-ring")
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"trace_sink": "t.jsonl.gz"},  # a sink with tracing off records nothing
+        {"trace": True, "trace_max_events": 0},  # would drop every event
+        {"trace": True, "trace_sink": "t.jsonl.gz", "trace_flush_every": 0},
+    ],
+)
+def test_trace_knobs_refused_not_silently_ignored(knobs):
+    with pytest.raises(ValueError, match="trace"):
+        MachineConfig(n_nodes=2, **knobs)
+
+
 def test_switch_interconnect_selectable():
     from repro.network import SwitchNetwork
 

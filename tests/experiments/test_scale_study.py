@@ -110,3 +110,53 @@ def test_per_frame_event_count_is_node_count_independent():
         return kernel._events_executed / n_nodes
 
     assert events_per_frame(64) == events_per_frame(1024)
+
+
+class TestTraceStream:
+    """``--trace-stream``: the bounded-memory capture into a gzip sink."""
+
+    def test_streamed_capture_is_complete_bounded_and_digest_equal(
+        self, tmp_path, monkeypatch
+    ):
+        from functools import partial
+
+        import repro.obs.bus as bus
+        from repro.experiments.scale_study import run_traced_stream
+        from repro.ga.island import run_island_ga
+        from repro.obs.__main__ import main as obs_main
+
+        # a small rotation size (the machine builds its sink from the path
+        # alone) and 128 demes: zlib hands out a deflate block only every
+        # ~16 k symbols, about 2.5 k trace lines, so a part cannot close
+        # sooner and an 8-deme trace (608 events) always fits in one
+        monkeypatch.setattr(
+            bus, "GzipJsonlSink", partial(bus.GzipJsonlSink, rotate_bytes=1024)
+        )
+        n_demes = 128
+        path = str(tmp_path / "stream.jsonl.gz")
+        record = run_traced_stream(n_demes, path, flush_every=64)
+        assert record["dropped"] == 0
+        assert 0 < record["peak_buffered"] <= 64
+        assert record["parts"] > 1
+        assert len(bus.trace_paths(path)) == record["parts"]
+        assert obs_main(["validate", path, "--strict"]) == 0
+        assert len(list(bus.read_jsonl(path))) == record["events"]
+
+        # the same config, buffered: same events, same digest
+        holder: dict = {}
+        cfg = scenario(
+            n_demes, "ring", "hierarchical", age=5, n_generations=10, trace=True
+        )
+        run_island_ga(cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm))
+        buffered = holder["dsm"].vm.kernel.obs
+        assert buffered.sink is None
+        assert len(buffered.events) == record["events"]
+        assert record["digest"] == buffered.digest()
+
+    def test_cli_trace_stream_needs_trace_path(self, capsys):
+        from repro.experiments.scale_study import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--trace-stream", "8"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err

@@ -16,14 +16,8 @@ lineage.  What these tests pin, on the shared traced GA run:
 import pytest
 
 from repro.obs.bus import TraceBus
-from repro.obs.causal import (
-    BUCKETS,
-    CRITICAL_PATH_SCHEMA,
-    attribute,
-    build_spans,
-    critical_path,
-    critical_path_report,
-)
+from repro.obs.causal import BUCKETS, attribute, build_spans, critical_path
+from repro.obs.report import REPORT_SCHEMA, report_dict
 
 _KINDS = {"compute", "gr-wait", "rollback"}
 
@@ -99,8 +93,9 @@ def test_critical_path_tiles_run(graph):
 
 
 def test_critical_path_report_envelope(ga_run):
-    rep = critical_path_report(ga_run.bus.events)
-    assert rep["schema"] == CRITICAL_PATH_SCHEMA
+    """The report envelope carries what the critical-path artifact did."""
+    rep = report_dict(ga_run.bus.events)
+    assert rep["schema"] == REPORT_SCHEMA == "repro-obs-report/2"
     assert rep["events"] == len(ga_run.bus.events)
     assert rep["spans"] > 0
     assert rep["attribution"]["min_attributed_fraction"] >= 0.95

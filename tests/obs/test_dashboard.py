@@ -1,7 +1,7 @@
-"""HTML run dashboard + the causal/diff/validate CLI subcommands.
+"""HTML report page + the report/diff/validate CLI subcommands.
 
-The dashboard is a zero-dependency single HTML file; no browser runs
-in CI, so these tests pin the structural contract: self-contained
+``report --html`` writes a zero-dependency single HTML file; no browser
+runs in CI, so these tests pin the structural contract: self-contained
 document, one SVG per chart, per-node timeline rows, a legend, both
 colour-scheme scopes, the accessible attribution table, and properly
 escaped text.  The CLI tests pin each subcommand's exit-code and
@@ -67,7 +67,7 @@ def _trace(ga_run, tmp_path, name="t.jsonl"):
 
 def test_cli_dashboard_default_out(ga_run, tmp_path, capsys):
     trace = _trace(ga_run, tmp_path)
-    assert obs_main(["dashboard", str(trace), "--title", "smoke"]) == 0
+    assert obs_main(["report", str(trace), "--html", "--title", "smoke"]) == 0
     out = tmp_path / "t.html"
     assert out.exists()
     assert "<svg" in out.read_text()
@@ -77,9 +77,9 @@ def test_cli_dashboard_default_out(ga_run, tmp_path, capsys):
 def test_cli_critical_path_artifact(ga_run, tmp_path):
     trace = _trace(ga_run, tmp_path)
     out = tmp_path / "cp.json"
-    assert obs_main(["critical-path", str(trace), "--out", str(out)]) == 0
+    assert obs_main(["report", str(trace), "--json", "--out", str(out)]) == 0
     art = json.loads(out.read_text())
-    assert art["schema"] == "repro-obs-critical-path/1"
+    assert art["schema"] == "repro-obs-report/2"
     assert art["attribution"]["min_attributed_fraction"] >= 0.95
     assert art["critical_path"]["coverage"] == pytest.approx(1.0, rel=1e-9)
 
@@ -103,7 +103,7 @@ def test_cli_report_json_envelope(ga_run, tmp_path, capsys):
         ["report", str(trace), "--metrics", str(metrics), "--json"]
     ) == 0
     env = json.loads(capsys.readouterr().out)
-    assert env["schema"] == "repro-obs-report/1"
+    assert env["schema"] == "repro-obs-report/2"
     assert env["events"] == len(ga_run.bus.events)
     assert env["metrics"]["gauges"]["warp.mean"] == ga_run.metrics["gauges"]["warp.mean"]
 
@@ -120,6 +120,14 @@ def test_cli_validate_ok_and_invalid(ga_run, tmp_path, capsys):
 
 def test_cli_missing_files_exit_2(tmp_path):
     ghost = str(tmp_path / "nope.jsonl")
-    for cmd in (["critical-path", ghost], ["diff", ghost, ghost],
-                ["dashboard", ghost], ["validate", ghost]):
+    for cmd in (["report", ghost, "--json"], ["diff", ghost, ghost],
+                ["report", ghost, "--html"], ["validate", ghost]):
         assert obs_main(cmd) == 2
+
+
+def test_cli_json_with_html_exits_2(ga_run, tmp_path):
+    trace = _trace(ga_run, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        obs_main(["report", str(trace), "--json", "--html"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t.html").exists()

@@ -7,8 +7,10 @@ than exact layout, plus the CLI's exit-code contract.
 
 import json
 
+import pytest
+
 from repro.obs.__main__ import main as obs_main
-from repro.obs.report import render_report, render_timeline, render_warp
+from repro.obs.report import render_report, report_dict
 
 
 def test_ga_report_sections(ga_run):
@@ -18,8 +20,11 @@ def test_ga_report_sections(ga_run):
     assert "Blocking summary (Global_Read)" in text
     assert "Warp per (receiver <- sender) stream" in text
     assert "Metrics — counters" in text
-    # a pure-GA trace has no rollback section body, just the note
-    assert "no rollback events" in text
+    # the report also answers "where did the simulated time go"
+    assert "Wall-time attribution per node" in text
+    assert "Critical path" in text
+    # a pure-GA trace has no rollback section
+    assert "Rollback summary" not in text
 
 
 def test_bayes_report_has_rollback_and_gvt(bayes_run):
@@ -36,20 +41,39 @@ def test_report_is_deterministic(ga_run):
 
 
 def test_timeline_marks_blocked_bins(ga_run):
-    text = render_timeline(sorted(ga_run.bus.events, key=lambda e: e.time))
-    lines = [ln for ln in text.splitlines() if ln.strip().startswith("node")]
+    text = render_report(ga_run.bus.events)
+    lines = [ln for ln in text.splitlines() if ln.strip().startswith("node") and "|" in ln]
     assert len(lines) == 2  # one strip per node
-    assert all("|" in ln for ln in lines)
+    strips = report_dict(ga_run.bus.events)["timeline"]["per_node"]
+    assert [ln.split("|")[1] for ln in lines] == list(strips.values())
+    assert all(len(s) == 60 and set(s) <= set("#X.") for s in strips.values())
+
+
+def test_timeline_strips_from_spans():
+    """Strips are drawn from the causal spans: blocked beats compute beats idle."""
+    from repro.obs.bus import ObsEvent
+
+    events = [
+        ObsEvent(0.0, "node.compute", 0, {"cost": 1.5, "op": "evolve"}),
+        ObsEvent(1.0, "gr.block", 0, {"locn": "x", "curr_iter": 1, "age": 0}),
+        ObsEvent(2.0, "gr.unblock", 0, {"locn": "x", "waited": 1.0}),
+        ObsEvent(2.0, "node.compute", 1, {"cost": 0.0, "op": "noop"}),
+        ObsEvent(4.0, "proc.done", -1, {"pid": 0, "name": "p"}),
+    ]
+    rep = report_dict(events, bins=4)
+    # node 1 only has a zero-cost compute: no strip, as before the fold
+    assert rep["timeline"]["per_node"] == {"0": "#X.."}
+    assert rep["blocking"]["totals"]["waited"] == 1.0
 
 
 def test_warp_table_matches_meter(ga_run):
     """Warp recomputed from net.deliver events ≈ the run's WarpMeter."""
-    text = render_warp(sorted(ga_run.bus.events, key=lambda e: e.time))
-    assert "all" in text
+    text = render_report(ga_run.bus.events)
+    warp_table = text[text.index("Warp per (receiver <- sender) stream"):]
     mean = ga_run.metrics["gauges"]["warp.mean"]
     # the meter and the trace see the same deliveries; the recomputed
     # overall mean must land on the metered one
-    all_row = next(ln for ln in text.splitlines() if ln.startswith("all"))
+    all_row = next(ln for ln in warp_table.splitlines() if ln.startswith("all"))
     recomputed = float(all_row.split()[2])
     assert abs(recomputed - mean) < 5e-4
 
@@ -76,3 +100,39 @@ def test_cli_renders_and_writes(ga_run, tmp_path, capsys):
 
 def test_cli_missing_file_exit_code(tmp_path):
     assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2
+
+
+def test_cli_malformed_metrics_exit_2(ga_run, tmp_path, capsys):
+    """A --metrics file that is not JSON is exit 2 naming the file, not a traceback."""
+    trace = tmp_path / "t.jsonl"
+    ga_run.bus.write_jsonl(str(trace))
+    bad = tmp_path / "m.json"
+    bad.write_text("not json")
+    assert obs_main(["report", str(trace), "--metrics", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "diff"])
+@pytest.mark.parametrize("bins", ["0", "-2"])
+def test_cli_bins_must_be_positive(command, bins, tmp_path):
+    ghost = str(tmp_path / "nope.jsonl")
+    argv = [command, ghost] + ([ghost] if command == "diff" else [])
+    with pytest.raises(SystemExit) as exc:
+        obs_main(argv + ["--bins", bins])
+    assert exc.value.code == 2
+
+
+def test_cli_report_reads_the_trace_once(ga_run, tmp_path, monkeypatch, capsys):
+    """Events and the trace.meta trailer come out of one pass over the file."""
+    import repro.obs.bus as bus
+
+    trace = tmp_path / "t.jsonl"
+    ga_run.bus.write_jsonl(str(trace))
+    opened = []
+    real = bus.iter_trace_lines
+    monkeypatch.setattr(
+        bus, "iter_trace_lines", lambda p: opened.append(p) or real(p)
+    )
+    assert obs_main(["report", str(trace), "--json"]) == 0
+    assert opened == [str(trace)]
+    assert json.loads(capsys.readouterr().out)["events_dropped"] == 0

@@ -19,7 +19,6 @@ from repro.obs.bus import (
     iter_trace_lines,
     part_path,
     read_jsonl,
-    read_meta,
     trace_paths,
 )
 
@@ -66,9 +65,9 @@ def test_sink_rotation_and_reader(tmp_path):
     assert len(parts) > 1
     assert parts[0] == os.fspath(base)
     assert part_path(os.fspath(base), 1).endswith(".part001.jsonl.gz")
-    events = list(read_jsonl(base))
+    meta: dict = {}
+    events = list(read_jsonl(base, meta))
     assert len(events) == 4000
-    meta = read_meta(base)
     assert meta["events"] == 4000 and meta["events_dropped"] == 0
 
 
@@ -99,7 +98,8 @@ def test_buffered_overflow_surfaces_events_dropped(tmp_path):
     assert bus.dropped == 50
     path = tmp_path / "t.jsonl"
     bus.write_jsonl(path)
-    meta = read_meta(path)
+    meta: dict = {}
+    assert len(list(read_jsonl(path, meta))) == 100
     assert meta["events_dropped"] == 50
     # ... and the report header calls the truncation out
     from repro.obs.report import render_report

@@ -141,27 +141,51 @@ def test_cli_check_gate_pass_then_fail(tmp_path, capsys):
     assert "REGRESSED" in out and "kernel_wall_s" in out
 
 
-def test_cli_json_and_store_points(tmp_path, capsys):
+def test_cli_json_and_positional_points(tmp_path, capsys):
     from repro.obs.__main__ import main
-    from repro.obs.store import RunStore
 
     _bench_file(tmp_path, 1, {"kernel_wall_s": 1.0})
-    bench2 = tmp_path / "b2.json"
+    extra = tmp_path / "elsewhere"
+    extra.mkdir()
+    bench2 = extra / "b2.json"
     bench2.write_text(json.dumps({
         "schema": "repro-bench/1", "micro": {"kernel_wall_s": 0.9},
         "experiments": {},
     }) + "\n")
-    store_root = tmp_path / "store"
-    RunStore(store_root).put({"bench.json": str(bench2)}, meta={"app": "bench"})
-    labels = [l for l, _ in load_points(str(tmp_path), str(store_root))]
-    assert labels[0] == "BENCH_1" and labels[1].startswith("store:")
-    code = main([
-        "trend", "--root", str(tmp_path), "--store", str(store_root), "--json",
-    ])
+    labels = [l for l, _ in load_points(str(tmp_path), [str(bench2)])]
+    assert labels == ["BENCH_1", "b2.json"]
+    code = main(["trend", str(bench2), "--root", str(tmp_path), "--json"])
     assert code == 0
     env = json.loads(capsys.readouterr().out)
     assert env["schema"] == "repro-obs-trend/1"
-    assert len(env["labels"]) == 2
+    assert env["labels"] == ["BENCH_1", "b2.json"]
+
+
+def test_cli_check_needs_two_points(tmp_path, capsys):
+    """A mistyped --root must not turn the gate green: no points is exit 2."""
+    from repro.obs.__main__ import main
+
+    empty = tmp_path / "no_bench_here"
+    empty.mkdir()
+    assert main(["trend", "--root", str(empty), "--check"]) == 2
+    err = capsys.readouterr().err
+    assert str(empty) in err and "found 0" in err
+    _bench_file(empty, 1, {"kernel_wall_s": 1.0})
+    assert main(["trend", "--root", str(empty), "--check"]) == 2
+    assert "found 1" in capsys.readouterr().err
+    # without --check the (empty) table still prints
+    assert main(["trend", "--root", str(tmp_path / "no_bench_here2")]) == 0
+    assert "no points" in capsys.readouterr().out
+
+
+def test_cli_malformed_bench_document_exit_2(tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    _bench_file(tmp_path, 1, {"kernel_wall_s": 1.0})
+    bad = tmp_path / "bad.json"
+    bad.write_text("{truncated")
+    assert main(["trend", str(bad), "--root", str(tmp_path)]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_trend_on_real_repo_trajectory():
