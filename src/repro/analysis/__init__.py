@@ -23,11 +23,11 @@ Three layers (see DESIGN.md §7):
     location's race tolerance on the
     :data:`~repro.core.contract.TOLERANCE_CLASSES` lattice, checks
     declared ``dsm_contract(...)`` staleness contracts, and
-    cross-validates static verdicts against the runtime classifier's
-    evidence and run traces (rule block ``RPR1xx``).
+    cross-validates static verdicts against run traces (rule block
+    ``RPR1xx``).
 
 ``repro.analysis.cli``
-    ``python -m repro.analysis {lint,races,report,coherence}`` with
+    ``python -m repro.analysis {lint,report,coherence}`` with
     CI-friendly exit codes, plus the ``sanitize_dsm`` pytest fixture
     (:mod:`repro.analysis.fixtures`) that auto-attaches the classifier
     when ``REPRO_SANITIZE=1``.

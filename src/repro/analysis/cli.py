@@ -1,53 +1,37 @@
-"""``python -m repro.analysis`` — lint, race classification, reports.
+"""``python -m repro.analysis`` — lint, race classification, coherence.
 
 Subcommands and exit codes (CI-friendly throughout):
 
-``lint [paths...] [--json] [--select RPR001,...]``
+``lint [paths...] [--json] [--select RPR001,...] [--exclude FRAG]``
     0 = clean, 1 = findings, 2 = unreadable/unparsable input.
 
-``races --mode {sync,async,gr} [...] [--fail-on WHAT]``
-    Runs one instrumented island-GA config and prints the classifier
-    summary.  ``--fail-on`` picks the gate: ``violations`` (default —
-    any broken consistency invariant), ``unbounded`` (additionally any
-    unbounded race), ``any-race`` or ``none``.
+``report [--fid --demes --age --generations --seed] [--json]``
+    Runs the island GA instrumented with the race classifier in all
+    three coherence modes and prints the classification table (with
+    ``--json``, every run's classifier summary); exits 1 unless the
+    paper's expected shape holds (sync race-free, async shows unbounded
+    races, `Global_Read` shows only tolerated races within its bound,
+    no consistency violation anywhere).
 
-``report [...]``
-    Runs all three coherence modes and prints the classification table;
-    exits 1 unless the paper's expected shape holds (sync race-free,
-    async shows unbounded races, `Global_Read` shows only tolerated
-    races within its bound).
-
-``coherence [paths...] [--json] [--traces DIR] [--races FILE]
-[--baseline FILE] [--write-baseline FILE]``
+``coherence [paths...] [--json] [--traces PATH] [--out FILE]``
     Static whole-program DSM coherence analysis: discovers every
     access site, classifies each location's race tolerance, checks
     declared ``dsm_contract`` staleness contracts, and (with
-    ``--traces``/``--races``) cross-validates against dynamic
-    evidence.  0 = clean, 1 = non-baselined findings, 2 = the
-    analyzer could not do its job.
+    ``--traces``) cross-validates against run traces.  0 = clean,
+    1 = findings, 2 = the analyzer could not do its job.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
 from repro.analysis.lint import DEFAULT_EXCLUDES, format_findings, lint_paths
-from repro.analysis.report import (
-    MODE_NAMES,
-    classify_island_run,
-    classify_three_modes,
-    race_table,
-)
-from repro.analysis.coherence.driver import (
-    DEFAULT_BASELINE as DEFAULT_COHERENCE_BASELINE,
-)
+from repro.analysis.report import classify_three_modes, race_table
 from repro.util.envelope import make_envelope, render_envelope, write_envelope
 
-#: schema tags of the two run-classification ``--json`` documents
-RACES_SCHEMA = "repro-analysis-races/1"
+#: schema tag of the ``report --json`` document
 REPORT_SCHEMA = "repro-analysis-report/1"
 
 
@@ -73,28 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"extra exclude fragment (defaults: {', '.join(DEFAULT_EXCLUDES)})",
     )
 
-    def add_run_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fid", type=int, default=1, help="test function id (default f1)")
-        p.add_argument("--demes", type=int, default=4, help="island count (default 4)")
-        p.add_argument("--age", type=int, default=10, help="Global_Read age bound")
-        p.add_argument("--generations", type=int, default=60)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    races = sub.add_parser("races", help="classify races in one instrumented run")
-    races.add_argument("--mode", choices=sorted(MODE_NAMES), required=True)
-    add_run_args(races)
-    races.add_argument(
-        "--fail-on",
-        choices=("violations", "unbounded", "any-race", "none"),
-        default="violations",
-        help="what makes the exit code non-zero (default: violations)",
-    )
-
     report = sub.add_parser(
         "report", help="classify all three coherence modes and check the shape"
     )
-    add_run_args(report)
+    report.add_argument("--fid", type=int, default=1, help="test function id (default f1)")
+    report.add_argument("--demes", type=int, default=4, help="island count (default 4)")
+    report.add_argument("--age", type=int, default=10, help="Global_Read age bound")
+    report.add_argument("--generations", type=int, default=60)
+    report.add_argument("--seed", type=int, default=0)
+    report.add_argument("--json", action="store_true", help="machine-readable output")
 
     coh = sub.add_parser(
         "coherence",
@@ -111,32 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--traces",
         action="append",
         default=None,
-        help="trace JSONL file or directory for static-dynamic "
-        "cross-validation (repeatable)",
-    )
-    coh.add_argument(
-        "--races",
-        action="append",
-        default=None,
-        help="a 'races --json' document for cross-validation (repeatable)",
-    )
-    coh.add_argument(
-        "--baseline",
-        default=None,
-        help="suppression baseline file "
-        f"(default: {DEFAULT_COHERENCE_BASELINE} when it exists)",
-    )
-    coh.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the default baseline file",
-    )
-    coh.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings' fingerprints as a baseline "
-        "and exit 0",
+        help="trace (.jsonl, or a gzip .jsonl.gz with its rotated parts) "
+        "or directory of traces for static-dynamic cross-validation "
+        "(repeatable)",
     )
     coh.add_argument(
         "--out",
@@ -171,45 +119,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _check_age(args: argparse.Namespace) -> str | None:
+def _cmd_report(args: argparse.Namespace) -> int:
     if args.age < 0:
         # the CLI equivalent of lint rule RPR006
-        return f"error: --age is a staleness tolerance and must be >= 0 (got {args.age})"
-    return None
-
-
-def _cmd_races(args: argparse.Namespace) -> int:
-    problem = _check_age(args)
-    if problem:
-        print(problem)
-        return 2
-    run = classify_island_run(
-        MODE_NAMES[args.mode],
-        fid=args.fid,
-        n_demes=args.demes,
-        age=args.age,
-        n_generations=args.generations,
-        seed=args.seed,
-    )
-    c = run.classifier
-    if args.json:
-        print(render_envelope(make_envelope(RACES_SCHEMA, run.to_dict())))
-    else:
-        print(f"{run.mode_label}: {c.report()}")
-    if args.fail_on == "none":
-        return 0
-    failed = c.total_violations > 0
-    if args.fail_on in ("unbounded", "any-race"):
-        failed = failed or c.unbounded_races > 0
-    if args.fail_on == "any-race":
-        failed = failed or c.tolerated_races > 0
-    return 1 if failed else 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    problem = _check_age(args)
-    if problem:
-        print(problem)
+        print(f"error: --age is a staleness tolerance and must be >= 0 (got {args.age})")
         return 2
     runs = classify_three_modes(
         fid=args.fid,
@@ -252,39 +165,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_coherence(args: argparse.Namespace) -> int:
-    from repro.analysis.coherence import (
-        baseline_doc,
-        render_json,
-        render_text,
-        run_coherence,
-    )
+    from repro.analysis.coherence import render_json, render_text, run_coherence
 
-    baseline = args.baseline
-    if baseline is None and not args.no_baseline:
-        if os.path.exists(DEFAULT_COHERENCE_BASELINE):
-            baseline = DEFAULT_COHERENCE_BASELINE
-
-    if args.write_baseline:
-        # record what fires *without* any suppression applied, so the
-        # written file reflects the full current finding set
-        report = run_coherence(args.paths, traces=args.traces, races=args.races)
-        if report.errors:
-            for err in report.errors:
-                print(f"error: {err}")
-            return 2
-        path = write_envelope(args.write_baseline, baseline_doc(report.findings))
-        print(
-            f"baseline: {len({f.fingerprint for f in report.findings})} "
-            f"suppression(s) -> {path}"
-        )
-        return 0
-
-    report = run_coherence(
-        args.paths,
-        traces=args.traces,
-        races=args.races,
-        baseline_path=baseline,
-    )
+    report = run_coherence(args.paths, traces=args.traces)
     if args.out:
         write_envelope(args.out, report.to_envelope())
     print(render_json(report) if args.json else render_text(report))
@@ -292,13 +175,10 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.analysis`` entry point; the exit status is the finding
-    count."""
+    """``python -m repro.analysis`` entry point; returns the exit code."""
     args = _build_parser().parse_args(argv)
     if args.command == "lint":
         return _cmd_lint(args)
-    if args.command == "races":
-        return _cmd_races(args)
     if args.command == "coherence":
         return _cmd_coherence(args)
     return _cmd_report(args)

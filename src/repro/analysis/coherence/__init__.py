@@ -5,33 +5,27 @@ every ``Dsm``/``Global_Read`` access site, classifies each shared
 location into a race-tolerance class, checks declared
 ``dsm_contract(...)`` staleness contracts against what the code
 actually does, and cross-validates the static verdicts against
-dynamic evidence (race-classifier output and run traces).
+dynamic evidence from run traces.
 
 Entry points: :func:`~repro.analysis.coherence.driver.run_coherence`
 in-process, ``python -m repro.analysis coherence`` from the shell.
 """
 
 from repro.analysis.coherence.astpass import ModuleScan, ScanResult, scan_paths, scan_source
-from repro.analysis.coherence.classify import classify_scan, find_contract, infer_class
+from repro.analysis.coherence.classify import classify_scan, infer_class, most_specific
 from repro.analysis.coherence.crossval import (
     DynamicEvidence,
     cross_validate,
-    evidence_from_races_doc,
     evidence_from_trace,
     load_dynamic_evidence,
 )
 from repro.analysis.coherence.driver import (
-    DEFAULT_BASELINE,
-    BaselineEntry,
     CoherenceReport,
-    baseline_doc,
-    load_baseline,
     render_json,
     render_text,
     run_coherence,
 )
 from repro.analysis.coherence.model import (
-    BASELINE_SCHEMA,
     COHERENCE_RULES,
     COHERENCE_SCHEMA,
     AccessSite,
@@ -45,28 +39,22 @@ from repro.analysis.coherence.model import (
 __all__ = [
     "AccessSite",
     "AgeValue",
-    "BASELINE_SCHEMA",
-    "BaselineEntry",
     "COHERENCE_RULES",
     "COHERENCE_SCHEMA",
     "CoherenceFinding",
     "CoherenceReport",
     "ContractDecl",
-    "DEFAULT_BASELINE",
     "DynamicEvidence",
     "LocationVerdict",
     "ModuleScan",
     "ScanResult",
-    "baseline_doc",
     "classify_scan",
     "cross_validate",
-    "evidence_from_races_doc",
     "evidence_from_trace",
-    "find_contract",
     "infer_class",
-    "load_baseline",
     "load_dynamic_evidence",
     "make_finding",
+    "most_specific",
     "render_json",
     "render_text",
     "run_coherence",

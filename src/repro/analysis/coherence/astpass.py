@@ -41,12 +41,14 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.analysis.lint import iter_python_files
 from repro.analysis.rules import (
     NUMPY_SEEDED_OK,
     STDLIB_RANDOM_OK,
     WALL_CLOCK,
+    Rule,
     dotted_name,
     terminal_name,
 )
@@ -150,8 +152,25 @@ def _nonneg_guards(post_init: ast.FunctionDef) -> set[str]:
     return guarded
 
 
+def _literal(node: ast.expr) -> Any:
+    """The value of a literal expression (``-3`` included)."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        raise ValueError(
+            f"{ast.unparse(node)} is not a literal (contracts are checked "
+            "as written)"
+        ) from None
+
+
 def _collect_contracts(tree: ast.Module, path: str) -> list[ContractDecl]:
-    """Every ``dsm_contract(...)`` declaration with resolvable constants."""
+    """Every ``dsm_contract(...)`` declaration in the module.
+
+    Each is validated by constructing its :class:`ContractDecl` (a
+    :class:`~repro.core.contract.StalenessContract`); a non-literal term
+    or terms no location could honour raise ``ValueError`` naming
+    ``path:line``.
+    """
     out: list[ContractDecl] = []
     for node in ast.walk(tree):
         if not (
@@ -159,71 +178,19 @@ def _collect_contracts(tree: ast.Module, path: str) -> list[ContractDecl]:
             and terminal_name(node.func) == "dsm_contract"
         ):
             continue
-        pattern = None
-        if node.args and isinstance(node.args[0], ast.Constant):
-            if isinstance(node.args[0].value, str):
-                pattern = node.args[0].value
-        kwargs: dict[str, object] = {}
-        for kw in node.keywords:
-            if kw.arg is not None and isinstance(kw.value, ast.Constant):
-                kwargs[kw.arg] = kw.value.value
-        if pattern is None:
-            pattern = str(kwargs.get("pattern", "")) or ""
-        if not pattern:
-            continue  # dynamically built pattern: nothing checkable
-        age = kwargs.get("age", None)
-        out.append(
-            ContractDecl(
-                pattern=pattern,
-                writers=int(kwargs.get("writers", 1)),  # type: ignore[arg-type]
-                age=age if (age is None or isinstance(age, int)) else None,
-                tolerance=str(kwargs.get("tolerance", "commutative")),
-                reason=str(kwargs.get("reason", "")),
-                path=path,
-                line=node.lineno,
-            )
-        )
+        try:
+            args = [_literal(a) for a in node.args]
+            terms = {kw.arg or "**": _literal(kw.value) for kw in node.keywords}
+            out.append(ContractDecl(*args, **terms, path=path, line=node.lineno))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}:{node.lineno}: invalid dsm_contract: {exc}"
+            ) from None
     return out
 
 
-def _collect_import_aliases(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
-    """(module_aliases, from_imports) over the whole file, any position."""
-    module_aliases: dict[str, str] = {}
-    from_imports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                module_aliases[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.level == 0:
-                for alias in node.names:
-                    from_imports[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-    return module_aliases, from_imports
-
-
-def _resolve_call_path(
-    func: ast.expr, module_aliases: dict[str, str], from_imports: dict[str, str]
-) -> str | None:
-    """Canonical dotted path of a call target (same rules as the lint)."""
-    dotted = dotted_name(func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    if head in from_imports:
-        head = from_imports[head]
-    elif head in module_aliases:
-        head = module_aliases[head]
-    return f"{head}.{rest}" if rest else head
-
-
 def detect_impure_effects(
-    fn: ast.AST,
-    module_aliases: dict[str, str],
-    from_imports: dict[str, str],
+    fn: ast.AST, resolve: Callable[[ast.expr], str | None]
 ) -> list[str]:
     """Effects in ``fn``'s own statements that void a commutativity claim.
 
@@ -234,13 +201,15 @@ def detect_impure_effects(
     verdict is "no impure effect detected", which is what RPR106's
     "checkable claim" requires.  Nested function definitions are scanned
     too: a reducer's helper closures are part of the reducing operation.
+    ``resolve`` maps a call target to its canonical dotted path
+    (:meth:`repro.analysis.rules.Rule.resolve`, the lint's import table).
     """
     effects: list[str] = []
     for node in ast.walk(fn):
         if isinstance(node, ast.Global):
             effects.append(f"line {node.lineno}: global statement")
         elif isinstance(node, ast.Call):
-            path = _resolve_call_path(node.func, module_aliases, from_imports)
+            path = resolve(node.func)
             if path is not None:
                 if path.startswith("random.") and path.split(".", 1)[1] not in STDLIB_RANDOM_OK:
                     effects.append(f"line {node.lineno}: global-state RNG {path}()")
@@ -411,11 +380,10 @@ class _FunctionWalker:
     """Walks one module's function tree, collecting access sites."""
 
     def __init__(self, scan: ModuleScan, configs: dict[str, ConfigClass],
-                 module_aliases: dict[str, str], from_imports: dict[str, str]) -> None:
+                 resolve: Callable[[ast.expr], str | None]) -> None:
         self.scan = scan
         self.configs = configs
-        self.module_aliases = module_aliases
-        self.from_imports = from_imports
+        self.resolve = resolve
         #: handler name -> FunctionDef for on_update purity scans
         self._fn_defs: dict[str, ast.FunctionDef] = {}
 
@@ -548,7 +516,7 @@ class _FunctionWalker:
             fn = self._fn_defs.get(fn_name)
             if fn is not None and fn_name not in self.scan.reducer_effects:
                 self.scan.reducer_effects[fn_name] = detect_impure_effects(
-                    fn, self.module_aliases, self.from_imports
+                    fn, self.resolve
                 )
             return
         qual = scope.qualname
@@ -558,7 +526,7 @@ class _FunctionWalker:
         fn = self._fn_defs.get(tail)
         if fn is not None:
             self.scan.reducer_effects[qual] = detect_impure_effects(
-                fn, self.module_aliases, self.from_imports
+                fn, self.resolve
             )
 
     def _scan_call(self, node: ast.Call, scope: _Scope) -> None:
@@ -630,19 +598,25 @@ class _FunctionWalker:
 
 
 def scan_source(source: str, path: str) -> ModuleScan:
-    """Scan one module's source text (raises ``SyntaxError`` unparsed)."""
+    """Scan one module's source text (raises ``SyntaxError`` unparsed,
+    ``ValueError`` on an invalid ``dsm_contract``)."""
     tree = ast.parse(source, filename=path)
     scan = ModuleScan(path=path, module=module_name_for(path))
     configs = _collect_config_classes(tree)
     scan.contracts = _collect_contracts(tree, path)
-    module_aliases, from_imports = _collect_import_aliases(tree)
-    walker = _FunctionWalker(scan, configs, module_aliases, from_imports)
-    walker.walk_module(tree)
+    names = Rule(path)
+    names.collect_imports(tree)
+    _FunctionWalker(scan, configs, names.resolve).walk_module(tree)
     return scan
 
 
 def scan_paths(paths: list[str]) -> ScanResult:
-    """Scan every Python file under ``paths`` (files or directories)."""
+    """Scan every Python file under ``paths`` (files or directories).
+
+    Unreadable or unparsable files, invalid contracts and two
+    declarations of one pattern on different terms are errors: a module
+    that imports neither declaration still cannot disagree with the other.
+    """
     result = ScanResult()
     try:
         files = list(iter_python_files(paths))
@@ -654,6 +628,17 @@ def scan_paths(paths: list[str]) -> ScanResult:
             with open(fpath, encoding="utf-8") as fh:
                 source = fh.read()
             result.modules.append(scan_source(source, fpath))
-        except (OSError, SyntaxError) as exc:
+        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
             result.errors.append(f"{fpath}: {exc}")
+        except ValueError as exc:  # an invalid contract, already path:line
+            result.errors.append(str(exc))
+    first: dict[str, ContractDecl] = {}
+    for c in result.contracts:
+        seen = first.setdefault(c.pattern, c)
+        if c != seen:
+            result.errors.append(
+                f"{c.path}:{c.line}: dsm_contract for {c.pattern!r} conflicts "
+                f"with the declaration at {seen.path}:{seen.line} "
+                f"({c} vs {seen})"
+            )
     return result

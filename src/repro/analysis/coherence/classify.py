@@ -33,6 +33,7 @@ directly.
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
+from typing import Iterable, Protocol, TypeVar
 
 from repro.analysis.coherence.astpass import ModuleScan, ScanResult
 from repro.analysis.coherence.model import (
@@ -45,23 +46,25 @@ from repro.analysis.coherence.model import (
 from repro.core.contract import tolerance_rank
 
 
-def representative_name(pattern: str) -> str:
-    """A concrete location name matching ``pattern`` (``*`` → ``0``)."""
-    return pattern.replace("*", "0")
+class _Patterned(Protocol):
+    @property
+    def pattern(self) -> str: ...
 
 
-def contract_covers(contract: ContractDecl, pattern: str) -> bool:
-    """Whether ``contract`` covers locations of access pattern ``pattern``."""
-    return fnmatchcase(representative_name(pattern), contract.pattern)
+_P = TypeVar("_P", bound=_Patterned)
 
 
-def find_contract(
-    pattern: str, contracts: list[ContractDecl]
-) -> ContractDecl | None:
-    """Most specific declared contract covering ``pattern`` (or None)."""
-    best: ContractDecl | None = None
-    for c in contracts:
-        if contract_covers(c, pattern) and (
+def most_specific(name: str, candidates: Iterable[_P]) -> _P | None:
+    """The candidate whose fnmatch ``pattern`` covers location ``name``
+    most specifically: the longest pattern wins, the first on a tie.
+
+    The one matcher behind both lookups — a contract for an access
+    pattern (pass ``pattern.replace("*", "0")``, a representative
+    name) and a static verdict for a location observed at runtime.
+    """
+    best: _P | None = None
+    for c in candidates:
+        if fnmatchcase(name, c.pattern) and (
             best is None or len(c.pattern) > len(best.pattern)
         ):
             best = c
@@ -314,7 +317,7 @@ def classify_scan(
             continue
         reducer_effects = _reducer_effects_for(sites, scan.modules)
         inferred, evidence = infer_class(sites, reducer_effects)
-        contract = find_contract(pattern, contracts)
+        contract = most_specific(pattern.replace("*", "0"), contracts)
         verdict = static_verdict(sites, inferred)
         findings.extend(
             _check_contract(pattern, contract, sites, inferred, reducer_effects)

@@ -1,23 +1,18 @@
 """Static↔dynamic cross-validation of coherence verdicts.
 
 The static analyzer claims, per location, a verdict on the
-``strict < tolerated < unbounded`` axis.  Two kinds of dynamic
-evidence can contradict it:
-
-* the **race classifier** (:mod:`repro.analysis.races`) — the
-  per-location breakdown of ``python -m repro.analysis races --json``
-  (``locations`` in the summary) counts synchronized / tolerated /
-  unbounded pairs per location with the worst observed staleness;
-* **run traces** (:mod:`repro.obs`) — ``gr.hit`` / ``gr.unblock``
-  events carry the requested age bound and the returned staleness, so
-  a trace directory from a figure-4 run shows how stale each
-  location's reads actually were.
+``strict < tolerated < unbounded`` axis.  The dynamic evidence that can
+contradict it is a **run trace** (:mod:`repro.obs`): ``gr.hit`` /
+``gr.unblock`` events carry the requested age bound and the returned
+staleness, so a traced run shows how stale each location's reads
+actually were.  Traces are read by the observability layer's own
+reader (:func:`repro.obs.bus.read_jsonl`, plain or gzip, rotated parts
+included) after :func:`repro.obs.schema.validate_trace` accepts them.
 
 A location whose *observed* exposure is strictly worse than its
-*static* verdict is a hard RPR105 finding in either framing: a
-statically-``strict`` location with tolerated races means the phase
-discipline the analyzer saw does not hold at runtime; a statically-
-``tolerated`` location with unbounded races means the bound the
+*static* verdict is a hard RPR105 finding: a statically-``strict``
+location with tolerated races means the phase discipline the analyzer
+saw does not hold at runtime; a statically-``tolerated`` location with unbounded races means the bound the
 analyzer trusted is not enforced.  The converse (static worse than
 observed) is *not* a finding — dynamic coverage is one run's worth of
 evidence, and a conservative static verdict is exactly what partial
@@ -27,18 +22,19 @@ staleness must stay within a finite declared contract age.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from typing import Any
 
+from repro.analysis.coherence.classify import most_specific
 from repro.analysis.coherence.model import (
     VERDICTS,
     CoherenceFinding,
     LocationVerdict,
     make_finding,
 )
+from repro.obs.bus import read_jsonl, trace_paths
+from repro.obs.schema import validate_trace
 
 #: trace event kinds that carry per-location Global_Read evidence
 _GR_KINDS = ("gr.hit", "gr.unblock")
@@ -88,144 +84,94 @@ class DynamicEvidence:
         }
 
 
-def evidence_from_races_doc(
-    doc: dict[str, Any], source: str = "races"
-) -> dict[str, DynamicEvidence]:
-    """Per-location evidence from a ``races --json`` document.
-
-    Accepts either the full classified-run envelope or a bare
-    classifier summary; the per-location map lives under ``locations``
-    (:meth:`repro.analysis.races.RaceClassifier.per_location`).
-    """
-    locations = doc.get("locations")
-    if locations is None and isinstance(doc.get("summary"), dict):
-        locations = doc["summary"].get("locations")
-    out: dict[str, DynamicEvidence] = {}
-    for locn, row in (locations or {}).items():
-        out[locn] = DynamicEvidence(
-            locn=locn,
-            synchronized=int(row.get("synchronized", 0)),
-            tolerated=int(row.get("tolerated", 0)),
-            unbounded=int(row.get("unbounded", 0)),
-            reads=int(row.get("reads", 0)),
-            max_staleness=int(row.get("max_staleness", 0)),
-            sources=[source],
-        )
-    return out
-
-
 def evidence_from_trace(path: str) -> dict[str, DynamicEvidence]:
-    """Per-location evidence from one ``repro.obs`` JSONL trace file.
+    """Per-location evidence from one ``repro.obs`` trace.
 
-    Only ``gr.*`` events carry location-level read evidence in a
-    trace; a returned staleness above the requested bound counts as
+    ``path`` is a plain JSONL file or the base path of a (possibly
+    rotated) gzip trace.  Only ``gr.*`` events carry location-level read
+    evidence; a returned staleness above the requested bound counts as
     unbounded (the primitive failed its contract), within the bound as
     tolerated.  ``read_local`` calls do not trace, so trace evidence
     alone never proves a location strict — the cross-check only uses
     it in the damning direction.
 
-    Raises ``ValueError`` for unparsable lines (malformed JSONL must
-    fail the gate loudly, not silently weaken it).
+    Raises ``ValueError`` when the trace fails schema validation
+    (malformed input must fail the gate loudly, not silently weaken it).
     """
+    verdict = validate_trace(path)
+    if not verdict["ok"]:
+        raise ValueError(
+            f"invalid trace ({verdict['error_count']} error(s)): "
+            + "; ".join(verdict["errors"][:3])
+        )
     out: dict[str, DynamicEvidence] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON ({exc})") from None
-            if not isinstance(raw, dict):
-                raise ValueError(f"{path}:{lineno}: trace record is not an object")
-            if raw.get("kind") not in _GR_KINDS:
-                continue
-            locn = str(raw.get("locn", ""))
-            if not locn:
-                continue
-            ev = out.get(locn)
-            if ev is None:
-                ev = out[locn] = DynamicEvidence(locn=locn, sources=[path])
-            ev.reads += 1
-            staleness = int(raw.get("staleness", 0))
-            age = raw.get("age")
-            ev.max_staleness = max(ev.max_staleness, staleness)
-            if staleness <= 0:
-                ev.synchronized += 1
-            elif age is not None and staleness <= int(age):
-                ev.tolerated += 1
-            else:
-                ev.unbounded += 1
+    for event in read_jsonl(path):
+        if event.kind not in _GR_KINDS:
+            continue
+        locn = event.fields["locn"]
+        ev = out.get(locn)
+        if ev is None:
+            ev = out[locn] = DynamicEvidence(locn=locn, sources=[path])
+        ev.reads += 1
+        staleness = event.fields["staleness"]
+        ev.max_staleness = max(ev.max_staleness, staleness)
+        if staleness <= 0:
+            ev.synchronized += 1
+        elif staleness <= event.fields["age"]:
+            ev.tolerated += 1
+        else:
+            ev.unbounded += 1
     return out
 
 
-def load_dynamic_evidence(
-    traces: list[str] | None = None,
-    races: list[str] | None = None,
-) -> tuple[dict[str, DynamicEvidence], list[str]]:
-    """Merge evidence from trace files/directories and races JSON files.
+def _trace_files(directory: str) -> list[str]:
+    """Every trace under ``directory``: ``*.jsonl`` / ``*.jsonl.gz``
+    files, each rotated gzip trace once (by its base path)."""
+    files = sorted(
+        os.path.join(root, f)
+        for root, _, fnames in os.walk(directory)
+        for f in fnames
+        if f.endswith((".jsonl", ".jsonl.gz"))
+    )
+    parts = {p for f in files for p in trace_paths(f)[1:]}
+    return [f for f in files if f not in parts]
 
-    Returns ``(evidence, errors)``.  A directory contributes every
-    ``*.jsonl`` file under it; missing paths and malformed files are
-    errors (exit code 2 at the CLI), never silently skipped.
+
+def load_dynamic_evidence(
+    traces: list[str],
+) -> tuple[dict[str, DynamicEvidence], list[str]]:
+    """Merge evidence from trace files and directories of traces.
+
+    Returns ``(evidence, errors)``.  A directory contributes every trace
+    under it; missing paths and malformed traces are errors (exit code 2
+    at the CLI), never silently skipped.
     """
     merged: dict[str, DynamicEvidence] = {}
     errors: list[str] = []
-
-    def fold(found: dict[str, DynamicEvidence]) -> None:
-        for locn, ev in found.items():
-            if locn in merged:
-                merged[locn].merge(ev)
-            else:
-                merged[locn] = ev
-
-    for tpath in traces or []:
+    for tpath in traces:
         if os.path.isdir(tpath):
-            files = sorted(
-                os.path.join(root, f)
-                for root, _, fnames in os.walk(tpath)
-                for f in fnames
-                if f.endswith(".jsonl")
-            )
+            files = _trace_files(tpath)
             if not files:
-                errors.append(f"no .jsonl trace files under directory {tpath!r}")
-            for f in files:
-                try:
-                    fold(evidence_from_trace(f))
-                except (OSError, ValueError) as exc:
-                    errors.append(str(exc))
+                errors.append(
+                    f"no .jsonl trace files (plain or gzip) under directory {tpath!r}"
+                )
         elif os.path.isfile(tpath):
-            try:
-                fold(evidence_from_trace(tpath))
-            except (OSError, ValueError) as exc:
-                errors.append(str(exc))
+            files = [tpath]
         else:
             errors.append(f"no such trace file or directory: {tpath!r}")
-
-    for rpath in races or []:
-        try:
-            with open(rpath, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError("races document is not a JSON object")
-            fold(evidence_from_races_doc(doc, source=rpath))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{rpath}: {exc}")
+            continue
+        for f in files:
+            try:
+                found = evidence_from_trace(f)
+            except (OSError, ValueError) as exc:
+                errors.append(f"{f}: {exc}")
+                continue
+            for locn, ev in found.items():
+                if locn in merged:
+                    merged[locn].merge(ev)
+                else:
+                    merged[locn] = ev
     return merged, errors
-
-
-def _verdict_for(
-    locn: str, verdicts: list[LocationVerdict]
-) -> LocationVerdict | None:
-    """Most specific static verdict whose pattern covers ``locn``."""
-    best: LocationVerdict | None = None
-    for v in verdicts:
-        if fnmatchcase(locn, v.pattern) and (
-            best is None or len(v.pattern) > len(best.pattern)
-        ):
-            best = v
-    return best
 
 
 def cross_validate(
@@ -236,7 +182,7 @@ def cross_validate(
     findings: list[CoherenceFinding] = []
     for locn in sorted(evidence):
         ev = evidence[locn]
-        verdict = _verdict_for(locn, verdicts)
+        verdict = most_specific(locn, verdicts)
         if verdict is None:
             # dynamic-only location: runtime touched something the
             # static pass never attributed — a coverage hole worth

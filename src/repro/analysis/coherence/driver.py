@@ -1,31 +1,20 @@
 """Pipeline driver for ``python -m repro.analysis coherence``.
 
 Runs the AST pass over the requested paths, classifies every
-discovered DSM location, optionally folds in dynamic evidence
-(trace directories and/or ``races --json`` documents), applies the
-committed suppression baseline, and renders the result as text or as
-a :data:`~repro.analysis.coherence.model.COHERENCE_SCHEMA` envelope.
+discovered DSM location, optionally folds in dynamic evidence from run
+traces, and renders the result as text or as a
+:data:`~repro.analysis.coherence.model.COHERENCE_SCHEMA` envelope.
 
 Exit-code policy matches the rest of the analysis CLI: 0 = every
-location classified and no non-baselined finding, 1 = findings,
-2 = the analyzer itself could not do its job (unreadable source,
-malformed traces/baseline).
-
-Baseline workflow
------------------
-``--write-baseline FILE`` records the fingerprints of the current
-findings; ``--baseline FILE`` (default: ``tools/coherence_baseline.json``
-when it exists) suppresses exactly those.  Fingerprints are
-``CODE:pattern`` — stable across line churn — and every suppression
-carries a free-text reason so the exception is reviewable.  A stale
-suppression (fingerprint no longer firing) is reported so baselines
-shrink instead of fossilising.
+location classified and no finding, 1 = findings, 2 = the analyzer
+itself could not do its job (unreadable source, an invalid or
+conflicting ``dsm_contract``, malformed traces).  There is no
+suppression file: a reviewed exception is a ``dsm_contract(...,
+reason=...)`` next to the code, where the analyzer checks it.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -37,83 +26,11 @@ from repro.analysis.coherence.crossval import (
     load_dynamic_evidence,
 )
 from repro.analysis.coherence.model import (
-    BASELINE_SCHEMA,
     COHERENCE_SCHEMA,
     CoherenceFinding,
     LocationVerdict,
 )
 from repro.util.envelope import make_envelope, render_envelope
-
-#: baseline applied by default when present (repo-relative)
-DEFAULT_BASELINE = os.path.join("tools", "coherence_baseline.json")
-
-
-@dataclass
-class BaselineEntry:
-    """One reviewed suppression in the committed baseline."""
-
-    fingerprint: str
-    reason: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly dict form."""
-        return {"fingerprint": self.fingerprint, "reason": self.reason}
-
-
-def load_baseline(path: str) -> list[BaselineEntry]:
-    """Parse a baseline file; raises ``ValueError`` on any malformation.
-
-    A baseline that cannot be parsed must fail the gate (exit 2), not
-    silently suppress nothing or everything.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: baseline document is not a JSON object")
-    if doc.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {BASELINE_SCHEMA!r}, "
-            f"got {doc.get('schema')!r}"
-        )
-    raw = doc.get("suppressions")
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: 'suppressions' must be a list")
-    entries: list[BaselineEntry] = []
-    for i, item in enumerate(raw):
-        if isinstance(item, str):
-            entries.append(BaselineEntry(fingerprint=item))
-        elif isinstance(item, dict) and isinstance(item.get("fingerprint"), str):
-            entries.append(
-                BaselineEntry(
-                    fingerprint=item["fingerprint"],
-                    reason=str(item.get("reason", "")),
-                )
-            )
-        else:
-            raise ValueError(
-                f"{path}: suppressions[{i}] must be a fingerprint string or "
-                "an object with a 'fingerprint' key"
-            )
-    return entries
-
-
-def baseline_doc(findings: Sequence[CoherenceFinding]) -> dict[str, Any]:
-    """Baseline envelope recording the given findings' fingerprints."""
-    seen: dict[str, str] = {}
-    for f in findings:
-        seen.setdefault(f.fingerprint, f.message)
-    return make_envelope(
-        BASELINE_SCHEMA,
-        {
-            "suppressions": [
-                {"fingerprint": fp, "reason": f"recorded: {msg}"}
-                for fp, msg in sorted(seen.items())
-            ]
-        },
-    )
 
 
 @dataclass
@@ -123,11 +40,8 @@ class CoherenceReport:
     paths: list[str]
     verdicts: list[LocationVerdict]
     findings: list[CoherenceFinding] = field(default_factory=list)
-    suppressed: list[CoherenceFinding] = field(default_factory=list)
-    stale_suppressions: list[BaselineEntry] = field(default_factory=list)
     evidence: dict[str, DynamicEvidence] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
-    baseline_path: str | None = None
 
     @property
     def exit_code(self) -> int:
@@ -145,10 +59,6 @@ class CoherenceReport:
             "paths": list(self.paths),
             "locations": [v.to_dict() for v in self.verdicts],
             "findings": [f.to_dict() for f in self.findings],
-            "suppressed": [f.to_dict() for f in self.suppressed],
-            "stale_suppressions": [
-                e.to_dict() for e in self.stale_suppressions
-            ],
             "dynamic_evidence": [
                 self.evidence[k].to_dict() for k in sorted(self.evidence)
             ],
@@ -156,12 +66,10 @@ class CoherenceReport:
             "summary": {
                 "locations": len(self.verdicts),
                 "findings": len(self.findings),
-                "suppressed": len(self.suppressed),
                 "by_code": counts,
                 "by_class": _count_by(self.verdicts, "inferred_class"),
                 "by_verdict": _count_by(self.verdicts, "verdict"),
             },
-            "baseline": self.baseline_path,
             "exit_code": self.exit_code,
         }
         return make_envelope(COHERENCE_SCHEMA, payload, digest=True)
@@ -176,56 +84,27 @@ def _count_by(verdicts: Sequence[LocationVerdict], attr: str) -> dict[str, int]:
 
 
 def run_coherence(
-    paths: Sequence[str],
-    traces: Sequence[str] | None = None,
-    races: Sequence[str] | None = None,
-    baseline_path: str | None = None,
+    paths: Sequence[str], traces: Sequence[str] | None = None
 ) -> CoherenceReport:
-    """Run the full static (+ optional dynamic) coherence analysis."""
+    """Run the full static (+ optional trace-evidence) coherence analysis."""
     scan = scan_paths(list(paths))
     verdicts, findings = classify_scan(scan)
     errors = list(scan.errors)
 
     evidence: dict[str, DynamicEvidence] = {}
-    if traces or races:
-        evidence, ev_errors = load_dynamic_evidence(
-            traces=list(traces or []), races=list(races or [])
-        )
+    if traces:
+        evidence, ev_errors = load_dynamic_evidence(list(traces))
         errors.extend(ev_errors)
         if not ev_errors:
             findings = findings + cross_validate(verdicts, evidence)
             findings.sort(key=lambda f: (f.path, f.line, f.code))
 
-    suppressed: list[CoherenceFinding] = []
-    stale: list[BaselineEntry] = []
-    if baseline_path is not None:
-        try:
-            entries = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            errors.append(str(exc))
-            entries = []
-        if entries:
-            wanted = {e.fingerprint: e for e in entries}
-            kept: list[CoherenceFinding] = []
-            fired: set[str] = set()
-            for f in findings:
-                if f.fingerprint in wanted:
-                    suppressed.append(f)
-                    fired.add(f.fingerprint)
-                else:
-                    kept.append(f)
-            findings = kept
-            stale = [e for e in entries if e.fingerprint not in fired]
-
     return CoherenceReport(
         paths=list(paths),
         verdicts=verdicts,
         findings=findings,
-        suppressed=suppressed,
-        stale_suppressions=stale,
         evidence=evidence,
         errors=errors,
-        baseline_path=baseline_path,
     )
 
 
@@ -264,24 +143,12 @@ def render_text(report: CoherenceReport) -> str:
         lines.append("")
         for f in report.findings:
             lines.append(f.format())
-    if report.suppressed:
-        lines.append("")
-        lines.append(
-            f"{len(report.suppressed)} finding(s) suppressed by baseline "
-            f"{report.baseline_path}"
-        )
-    for e in report.stale_suppressions:
-        lines.append(
-            f"stale suppression (no longer fires): {e.fingerprint}"
-        )
     for err in report.errors:
         lines.append(f"error: {err}")
     lines.append("")
     n = len(report.verdicts)
     lines.append(
-        f"{n} DSM location(s) classified, "
-        f"{len(report.findings)} finding(s)"
-        + (f", {len(report.suppressed)} suppressed" if report.suppressed else "")
+        f"{n} DSM location(s) classified, {len(report.findings)} finding(s)"
     )
     return "\n".join(lines)
 

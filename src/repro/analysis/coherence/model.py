@@ -10,15 +10,16 @@ cross-validator (:mod:`repro.analysis.coherence.crossval`):
   ``register`` or ``on_update`` handler binding — with its resolved
   location *pattern* and (for reads) the age bound that reaches it;
 * a :class:`ContractDecl` is one ``dsm_contract(...)`` declaration as
-  written in source (the analyzer checks what the AST says, not what
-  a live interpreter happens to have imported);
+  written in source — a :class:`~repro.core.contract.StalenessContract`
+  plus its position, so the analyzer validates what the AST says
+  through the same constructor the import-time declaration uses;
 * a :class:`LocationVerdict` is the per-location outcome: the inferred
   race-tolerance class on the :data:`~repro.core.contract.
   TOLERANCE_CLASSES` lattice, the static verdict
   (``strict``/``tolerated``/``unbounded``) and the evidence trail;
-* a :class:`CoherenceFinding` is one RPR1xx rule hit, with a stable
-  *fingerprint* so intentional exceptions can live in a committed
-  baseline file.
+* a :class:`CoherenceFinding` is one RPR1xx rule hit.  There is no
+  suppression file: a reviewed exception is a ``dsm_contract(...,
+  reason=...)`` next to the code.
 
 Rule codes (the RPR1xx block; RPR0xx is the determinism lint)
 -------------------------------------------------------------
@@ -28,8 +29,8 @@ RPR102   a static age bound exceeds the contract's declared age
 RPR103   an unbounded read on a location whose contract declares a
          finite age (``read_local`` cannot honour a staleness bound)
 RPR104   inferred tolerance class is weaker than the declared one
-RPR105   static verdict contradicts the dynamic evidence (race
-         classifier output or run traces) — either direction
+RPR105   static verdict contradicts the dynamic evidence (run
+         traces) — either direction
 RPR106   a commutativity claim rests on a reducer with detected
          impure effects (RNG/global state/wall clock/I/O)
 =======  ==============================================================
@@ -40,12 +41,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.core.contract import TOLERANCE_CLASSES, tolerance_rank
+from repro.core.contract import TOLERANCE_CLASSES, StalenessContract, tolerance_rank
 
 #: schema tag of the ``python -m repro.analysis coherence --json`` envelope
 COHERENCE_SCHEMA = "repro-analysis-coherence/1"
-#: schema tag of the committed suppression-baseline file
-BASELINE_SCHEMA = "repro-analysis-coherence-baseline/1"
 
 #: rule code -> (short name, fix-it hint)
 COHERENCE_RULES: dict[str, tuple[str, str]] = {
@@ -138,16 +137,16 @@ class AccessSite:
 
 
 @dataclass(frozen=True)
-class ContractDecl:
-    """One ``dsm_contract(...)`` declaration found in source."""
+class ContractDecl(StalenessContract):
+    """One ``dsm_contract(...)`` declaration found in source.
 
-    pattern: str
-    writers: int
-    age: int | None
-    tolerance: str
-    reason: str
-    path: str
-    line: int
+    Construction validates the terms (``ValueError``); equality compares
+    the terms only, so two declarations of one pattern conflict exactly
+    when they differ on what they promise, wherever they are written.
+    """
+
+    path: str = field(default="", compare=False, repr=False)
+    line: int = field(default=0, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dict form."""
@@ -166,12 +165,6 @@ class CoherenceFinding:
     line: int
     pattern: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable id used by the suppression baseline (code + location
-        pattern — deliberately *not* line numbers, which churn)."""
-        return f"{self.code}:{self.pattern}"
-
     def format(self) -> str:
         """One-line ``path:line: CODE message`` rendering."""
         return (
@@ -180,10 +173,8 @@ class CoherenceFinding:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly dict form (fingerprint included)."""
-        out = asdict(self)
-        out["fingerprint"] = self.fingerprint
-        return out
+        """JSON-friendly dict form."""
+        return asdict(self)
 
 
 def make_finding(
@@ -239,7 +230,6 @@ class LocationVerdict:
 __all__ = [
     "AccessSite",
     "AgeValue",
-    "BASELINE_SCHEMA",
     "COHERENCE_RULES",
     "COHERENCE_SCHEMA",
     "ContractDecl",

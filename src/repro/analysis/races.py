@@ -324,40 +324,6 @@ class RaceClassifier(ConsistencyChecker):
         ]
         return max(racy, default=0)
 
-    def per_location(self) -> dict[str, dict[str, int]]:
-        """Per-location breakdown, keyed by location name.
-
-        Each row counts synchronized/tolerated/unbounded pairs and the
-        total reads touching that location, with the worst staleness
-        seen among the stored pair sample.  This is the dynamic half of
-        the static↔dynamic cross-check
-        (:mod:`repro.analysis.coherence.crossval` consumes it via the
-        ``locations`` key of :meth:`summary`).
-        """
-        rows: dict[str, dict[str, int]] = {}
-
-        def row(locn: str) -> dict[str, int]:
-            r = rows.get(locn)
-            if r is None:
-                r = rows[locn] = {
-                    "synchronized": 0,
-                    "tolerated": 0,
-                    "unbounded": 0,
-                    "reads": 0,
-                    "max_staleness": 0,
-                }
-            return r
-
-        for (locn, _, _, cls), n in self.pair_counts.items():
-            r = row(locn)
-            r[cls.value] += n
-            r["reads"] += n
-        for p in self.pairs:
-            r = row(p.locn)
-            if p.classification is not RaceClass.SYNCHRONIZED:
-                r["max_staleness"] = max(r["max_staleness"], p.staleness)
-        return dict(sorted(rows.items()))
-
     def summary(self) -> dict[str, Any]:
         """Per-class counts plus the worst observed staleness, as a dict."""
         return {
@@ -372,7 +338,6 @@ class RaceClassifier(ConsistencyChecker):
             "max_observed_staleness": self.max_observed_staleness(),
             "consistency_violations": self.total_violations,
             "faults_injected": dict(sorted(self.fault_counts.items())),
-            "locations": self.per_location(),
         }
 
     def report(self, max_lines: int = 20) -> str:

@@ -19,14 +19,6 @@ from repro.core.coherence import CoherenceMode
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 
-#: CLI spellings for the coherence modes
-MODE_NAMES = {
-    "sync": CoherenceMode.SYNCHRONOUS,
-    "async": CoherenceMode.ASYNCHRONOUS,
-    "gr": CoherenceMode.NON_STRICT,
-}
-
-
 @dataclass
 class ClassifiedRun:
     """One instrumented run: the GA result plus the race verdicts."""

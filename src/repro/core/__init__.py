@@ -34,12 +34,7 @@ from repro.core.global_read import (
 from repro.core.coherence import CoherenceMode, UpdatePolicy
 from repro.core.dsm import Dsm, DsmNode
 from repro.core.consistency import ConsistencyChecker, Violation
-from repro.core.contract import (
-    CONTRACTS,
-    StalenessContract,
-    contract_for,
-    dsm_contract,
-)
+from repro.core.contract import StalenessContract, dsm_contract
 
 __all__ = [
     "SharedLocationSpec",
@@ -54,8 +49,6 @@ __all__ = [
     "DsmNode",
     "ConsistencyChecker",
     "Violation",
-    "CONTRACTS",
     "StalenessContract",
-    "contract_for",
     "dsm_contract",
 ]

@@ -33,19 +33,20 @@ that registers the locations::
         reason="selection-based incorporation is order/staleness-insensitive",
     )
 
-They are consumed in two places: the static coherence analyzer reads
-them *from the AST* (so the checked contract is what the source says,
-not what happens to be imported), and the runtime registry lets tools
-and experiments look contracts up by concrete location name
-(:func:`contract_for`).  Declaring a contract has **no effect on the
-DSM hot path** — no per-read or per-write check is added; the
-determinism digests are byte-identical with or without declarations.
+A declaration is also the only way to record a reviewed exception: the
+``reason`` says why the race is acceptable, next to the code.  The
+static coherence analyzer reads contracts *from the AST* (so the checked
+contract is what the source says, not what happens to be imported),
+validates each one through :class:`StalenessContract`, and refuses two
+declarations of one pattern on different terms.  Declaring a contract
+has **no effect on the DSM hot path** — importing a module only checks
+its terms; no per-read or per-write check is added and the determinism
+digests are byte-identical with or without declarations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
 
 #: the race-tolerance lattice, ordered from least to most race exposure;
 #: index order is what "weaker/stronger class" means everywhere
@@ -75,7 +76,8 @@ class StalenessContract:
 
     ``pattern`` is an ``fnmatch``-style glob over location names
     (``"migrants.*"``).  See the module docstring for the semantics of
-    the other fields.
+    the other fields; construction raises ``ValueError`` on terms no
+    location could honour.
     """
 
     pattern: str
@@ -96,59 +98,6 @@ class StalenessContract:
             )
         tolerance_rank(self.tolerance)  # validates the class name
 
-    def matches(self, locn: str) -> bool:
-        """True when this contract covers location ``locn``."""
-        return fnmatchcase(locn, self.pattern)
-
-
-class ContractRegistry:
-    """Process-wide registry of declared contracts, keyed by pattern.
-
-    Lookup returns the *most specific* matching contract (longest
-    pattern wins; ties broken by declaration order).  Re-declaring an
-    identical contract is a no-op so test re-imports stay harmless;
-    re-declaring a pattern with *different* terms raises — two modules
-    disagreeing about a location's tolerance is a bug worth failing on.
-    """
-
-    def __init__(self) -> None:
-        self._contracts: dict[str, StalenessContract] = {}
-
-    def declare(self, contract: StalenessContract) -> StalenessContract:
-        """Register ``contract``; idempotent for identical re-declarations."""
-        existing = self._contracts.get(contract.pattern)
-        if existing is not None:
-            if existing == contract:
-                return existing
-            raise ValueError(
-                f"conflicting contract for {contract.pattern!r}: "
-                f"{existing} vs {contract}"
-            )
-        self._contracts[contract.pattern] = contract
-        return contract
-
-    def lookup(self, locn: str) -> StalenessContract | None:
-        """Most specific contract covering ``locn``, or None."""
-        best: StalenessContract | None = None
-        for contract in self._contracts.values():
-            if contract.matches(locn) and (
-                best is None or len(contract.pattern) > len(best.pattern)
-            ):
-                best = contract
-        return best
-
-    def all(self) -> list[StalenessContract]:
-        """Every declared contract, in declaration order."""
-        return list(self._contracts.values())
-
-    def clear(self) -> None:
-        """Forget every declaration (test isolation only)."""
-        self._contracts.clear()
-
-
-#: the process-wide registry the decorator-style declarations feed
-CONTRACTS = ContractRegistry()
-
 
 def dsm_contract(
     pattern: str,
@@ -161,19 +110,10 @@ def dsm_contract(
     """Declare a staleness contract for locations matching ``pattern``.
 
     The lightweight annotation form used at module level next to the
-    code registering the locations; returns the registered contract.
+    code registering the locations; validates the terms at import time
+    and returns the contract.
     """
-    return CONTRACTS.declare(
-        StalenessContract(
-            pattern=pattern,
-            writers=writers,
-            age=age,
-            tolerance=tolerance,
-            reason=reason,
-        )
+    return StalenessContract(
+        pattern=pattern, writers=writers, age=age, tolerance=tolerance,
+        reason=reason,
     )
-
-
-def contract_for(locn: str) -> StalenessContract | None:
-    """The most specific declared contract covering ``locn`` (or None)."""
-    return CONTRACTS.lookup(locn)

@@ -29,7 +29,9 @@ and prints its shape; ``--analyze PATH``
 summarises a sweep JSON (from ``--out``) into the age × topology ×
 fabric staleness/wall table; ``--trace-stream N`` runs one traced
 N-deme ring scenario streaming its trace straight into the gzip sink
-at ``--trace PATH`` with bounded trace memory.
+at ``--trace PATH`` with bounded trace memory.  Flags no mode would
+honour are refused (exit 2): ``--metrics`` always, ``--trace`` without
+``--trace-stream``, ``--out`` with it.
 """
 
 from __future__ import annotations
@@ -337,6 +339,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write results as JSON to PATH")
     args = parse_experiment_args(parser, argv)
     ns = parser.parse_args(argv)
+    # refuse what no mode below would honour rather than drop it silently
+    if args.metrics:
+        parser.error("--metrics is not supported: scale_study writes no "
+                     "metrics snapshot")
+    if args.trace and ns.trace_stream is None:
+        parser.error("--trace needs --trace-stream N: only the streamed "
+                     "capture writes a trace")
+    if ns.out and ns.trace_stream is not None:
+        parser.error("--out does not apply to --trace-stream: its record "
+                     "prints to stdout")
 
     if ns.analyze:
         with open(ns.analyze, "r", encoding="utf-8") as fh:

@@ -64,36 +64,43 @@ class TestLintCommand:
 
 
 class TestRacesCommand:
-    def test_gr_mode_passes_default_gate(self, capsys):
-        rc = main(
-            ["races", "--mode", "gr", "--generations", "20", "--demes", "3"]
-        )
+    """Per-mode race classification, as ``report`` runs and gates it."""
+
+    @staticmethod
+    def _runs(capsys, *argv):
+        rc = main(["report", "--json", *argv])
         assert rc == 0
-        assert "tolerated races" in capsys.readouterr().out
+        sync, async_, gr = json.loads(capsys.readouterr().out)["runs"]
+        return sync, async_, gr
+
+    def test_gr_mode_passes_default_gate(self, capsys):
+        rc = main(["report", "--generations", "20", "--demes", "3"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        gr_row = next(l for l in out.splitlines() if l.startswith("Global_Read"))
+        assert "races all tolerated within bound" in out
+        # the row's tolerated column is positive, its unbounded column zero
+        tolerated, unbounded = gr_row.split()[4:6]
+        assert int(tolerated) > 0 and int(unbounded) == 0
 
     def test_async_mode_fails_unbounded_gate(self, capsys):
-        rc = main(
-            [
-                "races", "--mode", "async", "--generations", "30",
-                "--fail-on", "unbounded",
-            ]
-        )
-        assert rc == 1
+        # the asynchronous run is exactly what a gate on unbounded races
+        # rejects: its reads race with no staleness bound
+        _, async_, _ = self._runs(capsys, "--generations", "30")
+        assert async_["mode"] == "asynchronous"
+        assert async_["unbounded_races"] > 0
 
-    def test_async_mode_passes_violations_gate(self):
+    def test_async_mode_passes_violations_gate(self, capsys):
         # unbounded races are the *point* of async mode; only broken
-        # consistency invariants fail the default gate
-        rc = main(["races", "--mode", "async", "--generations", "30"])
-        assert rc == 0
+        # consistency invariants fail the gate
+        _, async_, _ = self._runs(capsys, "--generations", "30")
+        assert async_["consistency_violations"] == 0
 
     def test_json_output(self, capsys):
-        rc = main(
-            ["races", "--mode", "sync", "--generations", "15", "--json"]
-        )
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["mode"] == "synchronous"
-        assert doc["unbounded_races"] == 0
+        sync, _, gr = self._runs(capsys, "--generations", "15")
+        assert sync["mode"] == "synchronous"
+        assert sync["tolerated_races"] == sync["unbounded_races"] == 0
+        assert gr["tolerated_races"] > 0 and gr["unbounded_races"] == 0
 
 
 class TestReportCommand:
@@ -110,6 +117,12 @@ class TestReportCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["problems"] == []
         assert len(doc["runs"]) == 3
+        # every run's full classifier summary, one document per mode
+        assert all(r["consistency_violations"] == 0 for r in doc["runs"])
+
+    def test_negative_age_exits_two(self, capsys):
+        assert main(["report", "--age", "-1"]) == 2
+        assert "must be >= 0" in capsys.readouterr().out
 
 
 class TestSanitizerFixture:
@@ -144,13 +157,13 @@ class TestCoherenceCommand:
     SRC = os.path.join(REPO_ROOT, "src", "repro")
 
     def test_src_tree_is_clean(self, capsys):
-        rc = main(["coherence", self.SRC, "--no-baseline"])
+        rc = main(["coherence", self.SRC])
         assert rc == 0
         out = capsys.readouterr().out
         assert "migrants.*" in out and "0 finding(s)" in out
 
     def test_json_envelope(self, capsys):
-        rc = main(["coherence", self.SRC, "--no-baseline", "--json"])
+        rc = main(["coherence", self.SRC, "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == "repro-analysis-coherence/1"
@@ -160,14 +173,14 @@ class TestCoherenceCommand:
 
     def test_out_writes_envelope_file(self, tmp_path, capsys):
         out = tmp_path / "coherence.json"
-        rc = main(["coherence", self.SRC, "--no-baseline", "--out", str(out)])
+        rc = main(["coherence", self.SRC, "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert doc["schema"] == "repro-analysis-coherence/1"
 
     def test_missing_trace_dir_exits_two(self, capsys):
         rc = main(
-            ["coherence", self.SRC, "--no-baseline", "--traces", "no/such/dir"]
+            ["coherence", self.SRC, "--traces", "no/such/dir"]
         )
         assert rc == 2
         assert "no such trace file or directory" in capsys.readouterr().out
@@ -175,23 +188,16 @@ class TestCoherenceCommand:
     def test_malformed_trace_jsonl_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"t": 1, "kind": "gr.hit"}\nnot json at all\n')
-        rc = main(["coherence", self.SRC, "--no-baseline", "--traces", str(bad)])
+        rc = main(["coherence", self.SRC, "--traces", str(bad)])
         assert rc == 2
-        assert "not valid JSON" in capsys.readouterr().out
+        assert f"{bad}: invalid trace" in capsys.readouterr().out
 
     def test_empty_trace_dir_exits_two(self, tmp_path, capsys):
         rc = main(
-            ["coherence", self.SRC, "--no-baseline", "--traces", str(tmp_path)]
+            ["coherence", self.SRC, "--traces", str(tmp_path)]
         )
         assert rc == 2
         assert "no .jsonl trace files" in capsys.readouterr().out
-
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        base = tmp_path / "base.json"
-        base.write_text("{not json")
-        rc = main(["coherence", self.SRC, "--baseline", str(base)])
-        assert rc == 2
-        assert "not valid JSON" in capsys.readouterr().out
 
     def test_unparsable_source_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "broken.py"
@@ -200,7 +206,7 @@ class TestCoherenceCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().out
 
-    def test_findings_exit_one_and_baseline_roundtrip(self, tmp_path, capsys):
+    def test_findings_exit_one(self, tmp_path, capsys):
         mod = tmp_path / "w.py"
         mod.write_text(
             "def proc(node, task, dsm):\n"
@@ -210,27 +216,39 @@ class TestCoherenceCommand:
         )
         assert main(["coherence", str(mod)]) == 1
         assert "RPR101" in capsys.readouterr().out
-        base = tmp_path / "base.json"
-        assert main(["coherence", str(mod), "--write-baseline", str(base)]) == 0
-        capsys.readouterr()
-        assert main(["coherence", str(mod), "--baseline", str(base)]) == 0
-        assert "suppressed by baseline" in capsys.readouterr().out
 
-    def test_races_json_feeds_crossval(self, tmp_path, capsys):
-        # a fabricated races doc claiming unbounded races on migrants.*
-        doc = {
-            "schema": "repro-analysis-races/1",
-            "locations": {
-                "migrants.0": {
-                    "synchronized": 0, "tolerated": 0, "unbounded": 4,
-                    "reads": 4, "max_staleness": 40,
-                },
-            },
-        }
-        races = tmp_path / "races.json"
-        races.write_text(json.dumps(doc))
-        rc = main(
-            ["coherence", self.SRC, "--no-baseline", "--races", str(races)]
+    def test_invalid_contract_exits_two(self, tmp_path, capsys):
+        mod = tmp_path / "w.py"
+        mod.write_text(
+            "from repro.core import dsm_contract\n"
+            "dsm_contract('x', tolerance='bogus', age=-3)\n"
         )
-        assert rc == 1
+        assert main(["coherence", str(mod)]) == 2
+        assert f"{mod}:2: invalid dsm_contract" in capsys.readouterr().out
+
+    def test_contradicting_trace_exits_one(self, tmp_path, capsys):
+        # a trace whose Global_Read returned staleness beyond its bound
+        # on migrants.* contradicts the static 'tolerated' verdict
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(
+            '{"t": 0.1, "kind": "gr.hit", "node": 0, "locn": "migrants.0", '
+            '"curr_iter": 50, "age": 5, "staleness": 40}\n'
+            '{"kind": "trace.meta", "events": 1, "events_dropped": 0}\n'
+        )
+        assert main(["coherence", self.SRC, "--traces", str(trace)]) == 1
         assert "RPR105" in capsys.readouterr().out
+
+    def test_flags_are_json_traces_out(self):
+        import argparse
+
+        from repro.analysis.cli import _build_parser
+
+        sub = next(
+            a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sorted(sub.choices) == ["coherence", "lint", "report"]
+        flags = {
+            o for a in sub.choices["coherence"]._actions for o in a.option_strings
+        }
+        assert flags == {"-h", "--help", "--json", "--traces", "--out"}

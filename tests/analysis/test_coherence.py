@@ -1,9 +1,9 @@
 """The static coherence analyzer: AST pass, classifier, cross-check.
 
 Covers the pipeline layer by layer on synthetic modules (scan →
-classify → cross-validate → driver/baseline) and then pins the
-repo-wide invariant the CI gate relies on: every DSM location in
-``src/repro`` classifies, with zero non-baselined findings.
+classify → cross-validate → driver) and then pins the repo-wide
+invariant the CI gate relies on: every DSM location in ``src/repro``
+classifies under a declared contract, with zero findings.
 """
 
 import json
@@ -12,19 +12,15 @@ import os
 import pytest
 
 from repro.analysis.coherence import (
-    BASELINE_SCHEMA,
     COHERENCE_SCHEMA,
     DynamicEvidence,
     classify_scan,
     cross_validate,
-    evidence_from_races_doc,
     evidence_from_trace,
-    load_baseline,
     run_coherence,
     scan_source,
 )
 from repro.analysis.coherence.astpass import ScanResult, scan_paths
-from repro.analysis.coherence.driver import baseline_doc, render_text
 from repro.util.envelope import envelope_digest
 
 REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
@@ -308,6 +304,7 @@ class TestCrossval:
             {"t": 0.3, "kind": "gr.unblock", "node": 1, "locn": "m.0",
              "curr_iter": 5, "age": 5, "staleness": 7, "waited": 0.01},
             {"t": 0.4, "kind": "dsm.write", "node": 1, "locn": "m.0", "iter": 5},
+            {"kind": "trace.meta", "events": 4, "events_dropped": 0},
         ]
         trace.write_text("".join(json.dumps(x) + "\n" for x in lines))
         ev = evidence_from_trace(str(trace))
@@ -319,18 +316,64 @@ class TestCrossval:
     def test_malformed_trace_raises(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"t": 1}\nnot json\n')
-        with pytest.raises(ValueError, match="not valid JSON"):
+        with pytest.raises(ValueError, match="invalid JSON"):
             evidence_from_trace(str(bad))
 
-    def test_evidence_from_races_doc(self):
-        doc = {
-            "locations": {
-                "m.0": {"synchronized": 1, "tolerated": 2, "unbounded": 0,
-                        "reads": 3, "max_staleness": 2},
+    def test_gr_event_missing_its_fields_raises(self, tmp_path):
+        # the trace schema, not a silent default, decides what a gr.hit is
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(
+            '{"t": 0.1, "kind": "gr.hit", "node": 0, "locn": "m.0"}\n'
+            '{"kind": "trace.meta", "events": 1, "events_dropped": 0}\n'
+        )
+        with pytest.raises(ValueError, match="gr.hit missing field 'staleness'"):
+            evidence_from_trace(str(bad))
+
+    def test_gzip_stream_capture_equals_plain_capture(self, tmp_path):
+        """A gzip capture (file or a directory holding it) yields the same
+        evidence as the plain-JSONL capture of the same run."""
+        from repro.experiments.scale_study import run_traced_stream, scenario
+        from repro.ga.island import run_island_ga
+
+        gz = tmp_path / "gz" / "s.jsonl.gz"
+        gz.parent.mkdir()
+        run_traced_stream(16, str(gz))
+        holder: dict = {}
+        cfg = scenario(16, "ring", "hierarchical", age=5, n_generations=10,
+                       trace=True)
+        run_island_ga(cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm))
+        plain = tmp_path / "s.jsonl"
+        holder["dsm"].vm.kernel.obs.write_jsonl(str(plain))
+
+        def shape(traces):
+            rep = run_coherence([SRC], traces=traces)
+            assert rep.errors == [] and rep.findings == []
+            return {
+                locn: {k: v for k, v in ev.to_dict().items() if k != "sources"}
+                for locn, ev in rep.evidence.items()
             }
-        }
-        ev = evidence_from_races_doc(doc)
-        assert ev["m.0"].exposure == "tolerated"
+
+        expected = shape([str(plain)])
+        assert len(expected) == 16
+        assert shape([str(gz)]) == expected
+        assert shape([str(gz.parent)]) == expected
+
+    def test_rotated_gzip_parts_count_once(self, tmp_path, monkeypatch):
+        """A directory of rotated parts is one trace, read from its base."""
+        from functools import partial
+
+        import repro.obs.bus as bus
+        from repro.experiments.scale_study import run_traced_stream
+
+        monkeypatch.setattr(
+            bus, "GzipJsonlSink", partial(bus.GzipJsonlSink, rotate_bytes=1024)
+        )
+        base = tmp_path / "s.jsonl.gz"
+        record = run_traced_stream(128, str(base), flush_every=64)
+        assert record["parts"] > 1
+        rep = run_coherence([SRC], traces=[str(tmp_path)])
+        assert rep.errors == [] and rep.findings == []
+        assert rep.evidence == run_coherence([SRC], traces=[str(base)]).evidence
 
 
 # ---------------------------------------------------------------------------
@@ -344,50 +387,75 @@ class TestDriver:
         "    return dnode.read_local('x')\n"
     )
 
-    def test_baseline_suppresses_and_reports_stale(self, tmp_path):
+    def test_contract_with_reason_is_the_exception(self, tmp_path):
+        # there is no suppression file: a reviewed exception is a
+        # contract next to the code, and the analyzer still checks it
         mod = tmp_path / "w.py"
         mod.write_text(self.SRC_WITH_FINDING)
-        rep = run_coherence([str(mod)])
-        assert rep.exit_code == 1
-        base = tmp_path / "base.json"
-        base.write_text(
-            json.dumps(
-                {
-                    "schema": BASELINE_SCHEMA,
-                    "suppressions": [
-                        {"fingerprint": "RPR101:x", "reason": "known"},
-                        {"fingerprint": "RPR102:gone", "reason": "stale"},
-                    ],
-                }
-            )
+        assert run_coherence([str(mod)]).exit_code == 1
+        mod.write_text(
+            "from repro.core import dsm_contract\n"
+            "dsm_contract('x', age=None, tolerance='commutative',\n"
+            "             reason='reviewed: stale x is harmless')\n"
+            + self.SRC_WITH_FINDING
         )
-        rep = run_coherence([str(mod)], baseline_path=str(base))
-        assert rep.exit_code == 0
-        assert [f.fingerprint for f in rep.suppressed] == ["RPR101:x"]
-        assert [e.fingerprint for e in rep.stale_suppressions] == ["RPR102:gone"]
-        assert "stale suppression" in render_text(rep)
-
-    def test_malformed_baseline_is_an_error(self, tmp_path):
-        mod = tmp_path / "w.py"
-        mod.write_text(self.SRC_WITH_FINDING)
-        base = tmp_path / "base.json"
-        base.write_text('{"schema": "wrong/1", "suppressions": []}')
-        rep = run_coherence([str(mod)], baseline_path=str(base))
-        assert rep.exit_code == 2
-        with pytest.raises(ValueError, match="expected schema"):
-            load_baseline(str(base))
-
-    def test_baseline_doc_round_trips(self, tmp_path):
-        mod = tmp_path / "w.py"
-        mod.write_text(self.SRC_WITH_FINDING)
         rep = run_coherence([str(mod)])
-        doc = baseline_doc(rep.findings)
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(doc))
-        entries = load_baseline(str(base))
-        assert [e.fingerprint for e in entries] == ["RPR101:x"]
-        rep2 = run_coherence([str(mod)], baseline_path=str(base))
-        assert rep2.exit_code == 0 and not rep2.stale_suppressions
+        assert rep.exit_code == 0
+        (v,) = rep.verdicts
+        assert v.contract is not None
+        assert v.contract.reason == "reviewed: stale x is harmless"
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ("tolerance='bogus'", "unknown tolerance class 'bogus'"),
+            ("age=-3", "age is a staleness tolerance and must be >= 0"),
+            ("writers=0", "writers must be >= 1"),
+            ("writers='one'", "not supported between"),
+            ("tolerence='commutative'", "unexpected keyword argument"),
+            ("age=AGE", "AGE is not a literal"),
+        ],
+        ids=["unknown-tolerance", "negative-age", "no-writers",
+             "non-int-writers", "misspelt-term", "non-literal-age"],
+    )
+    def test_invalid_contract_is_an_analyzer_error(self, tmp_path, terms, message):
+        mod = tmp_path / "w.py"
+        mod.write_text(
+            "from repro.core import dsm_contract\n"
+            f"dsm_contract('x', {terms})\n" + self.SRC_WITH_FINDING
+        )
+        rep = run_coherence([str(mod)])
+        assert rep.exit_code == 2
+        (err,) = rep.errors
+        assert err.startswith(f"{mod}:2: invalid dsm_contract")
+        assert message in err
+
+    def test_conflicting_declarations_are_an_analyzer_error(self, tmp_path):
+        # modules need not import each other to disagree: the analyzer
+        # sees every declaration in the scanned tree
+        (tmp_path / "a.py").write_text(
+            "from repro.core import dsm_contract\n"
+            "dsm_contract('x', age=None, tolerance='commutative')\n"
+            + self.SRC_WITH_FINDING
+        )
+        (tmp_path / "b.py").write_text(
+            "from repro.core import dsm_contract\n\n"
+            "dsm_contract('x', age=0, tolerance='commutative')\n"
+        )
+        rep = run_coherence([str(tmp_path)])
+        assert rep.exit_code == 2
+        (err,) = rep.errors
+        assert err.startswith(f"{tmp_path / 'b.py'}:3: dsm_contract for 'x' conflicts")
+        assert f"{tmp_path / 'a.py'}:2" in err
+
+    def test_identical_redeclaration_is_not_a_conflict(self, tmp_path):
+        decl = (
+            "from repro.core import dsm_contract\n"
+            "dsm_contract('x', age=None, tolerance='commutative')\n"
+        )
+        (tmp_path / "a.py").write_text(decl + self.SRC_WITH_FINDING)
+        (tmp_path / "b.py").write_text(decl)
+        assert run_coherence([str(tmp_path)]).exit_code == 0
 
     def test_envelope_shape_and_digest(self, tmp_path):
         mod = tmp_path / "w.py"
@@ -410,30 +478,63 @@ class TestRepoInvariant:
         patterns = {v.pattern for v in rep.verdicts}
         # the two workloads' shared state must all be discovered
         assert {"migrants.*", "iface.*", "ifr.*.*"} <= patterns
-        # and every location carries a declared contract
-        assert all(v.contract is not None for v in rep.verdicts)
+        # and every location carries a declared contract that says why
+        # its races are acceptable
+        assert all(v.contract is not None and v.contract.reason
+                   for v in rep.verdicts)
 
     def test_committed_baseline_is_valid_and_not_stale(self):
-        path = os.path.join(REPO_ROOT, "tools", "coherence_baseline.json")
-        entries = load_baseline(path)
-        rep = run_coherence([SRC], baseline_path=path)
+        # the committed exceptions are the tree's dsm_contract
+        # declarations: each must validate, and each must still govern
+        # at least one discovered location
+        scan = scan_paths([SRC])
+        assert scan.errors == []
+        declared = {(c.path, c.line) for c in scan.contracts}
+        assert declared
+        rep = run_coherence([SRC])
         assert rep.exit_code == 0
-        assert not rep.stale_suppressions or entries
+        governing = {(v.contract.path, v.contract.line) for v in rep.verdicts}
+        assert declared == governing
 
 
 class TestTracedRunIntegration:
-    """The full static↔dynamic loop on a real traced island-GA run."""
+    """The full static↔dynamic loop on traced runs of every application
+    mode: each location family the analyzer knows is observed, and no
+    observation is worse than its static verdict."""
 
     def test_cross_check_passes_on_traced_run(self, tmp_path):
-        from repro.obs.integration import traced_ga_run, write_artifacts
+        from repro.bayes.parallel import (
+            ParallelLsConfig,
+            run_parallel_logic_sampling,
+        )
+        from repro.cluster.machine import MachineConfig
+        from repro.core.coherence import CoherenceMode
+        from repro.experiments.table2 import build_network, pick_query
+        from repro.ga.functions import get_function
+        from repro.ga.island import IslandGaConfig, run_island_ga
 
-        run = traced_ga_run(n_generations=20, age=10, n_demes=4)
-        write_artifacts(run, trace_path=str(tmp_path / "ga.jsonl"))
+        def traced(run, cfg, name):
+            holder: dict = {}
+            run(cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm))
+            holder["dsm"].vm.kernel.obs.write_jsonl(str(tmp_path / name))
+
+        for mode in CoherenceMode:
+            traced(run_island_ga, IslandGaConfig(
+                fn=get_function(1), n_demes=3, mode=mode, n_generations=10,
+                age=5 if mode is CoherenceMode.NON_STRICT else 0,
+                machine=MachineConfig(n_nodes=3, trace=True),
+            ), f"ga-{mode.value}.jsonl")
+        net = build_network("Hailfinder")
+        for mode in (CoherenceMode.SYNCHRONOUS, CoherenceMode.NON_STRICT):
+            traced(run_parallel_logic_sampling, ParallelLsConfig(
+                net=net, query=pick_query(net), n_procs=2, mode=mode, age=5,
+                max_iterations=200, machine=MachineConfig(n_nodes=2, trace=True),
+            ), f"bayes-{mode.value}.jsonl")
+
         rep = run_coherence([SRC], traces=[str(tmp_path)])
         assert rep.errors == []
         assert rep.findings == []
-        # the traced run actually exercised the migrant locations
-        assert any(l.startswith("migrants.") for l in rep.evidence)
-        # and no observation was worse than its static verdict
+        families = {locn.split(".", 1)[0] for locn in rep.evidence}
+        assert families == {"migrants", "iface", "ifr"}
         for locn, ev in rep.evidence.items():
             assert ev.unbounded == 0, (locn, ev)

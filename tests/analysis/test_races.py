@@ -264,24 +264,3 @@ class TestIslandAcceptance:
         assert "Global_Read(age=10)" in table
         assert "unbounded" in table
 
-
-class TestPerLocation:
-    """Per-location breakdown feeding the static-dynamic cross-check."""
-
-    def test_rows_count_pairs_and_staleness(self):
-        rc = RaceClassifier()
-        rc.on_write("x", 5, 0.0, writer=0)
-        rc.on_write("x", 6, 1.0, writer=0)
-        rc.on_read(1, "x", returned_age=5, time=2.0, curr_iter=6, age_bound=2)
-        rc.on_write("y", 1, 3.0, writer=0)
-        rc.on_write("y", 3, 4.0, writer=0)
-        rc.on_read(1, "y", returned_age=1, time=5.0)  # read_local: no bound
-        locs = rc.per_location()
-        assert locs["x"]["tolerated"] == 1 and locs["x"]["unbounded"] == 0
-        assert locs["y"]["unbounded"] == 1
-        assert locs["y"]["max_staleness"] == 2
-        # summary carries the same map for the coherence cross-check
-        assert rc.summary()["locations"] == locs
-
-    def test_empty_classifier_has_no_rows(self):
-        assert RaceClassifier().per_location() == {}

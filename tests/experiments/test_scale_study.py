@@ -160,3 +160,28 @@ class TestTraceStream:
             main(["--trace-stream", "8"])
         assert exc.value.code == 2
         assert "--trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--metrics", "m.json"], "--metrics"),
+        (["--scale-proof", "8", "--metrics", "m.json"], "--metrics"),
+        (["--trace", "t.jsonl"], "--trace"),
+        (["--scale-proof", "8", "--trace", "t.jsonl"], "--trace"),
+        (["--trace-stream", "8", "--trace", "t.jsonl.gz", "--out", "o.json"],
+         "--out"),
+    ],
+    ids=["metrics", "metrics-scale-proof", "trace-without-stream",
+         "trace-scale-proof", "out-with-stream"],
+)
+def test_cli_refuses_flags_it_would_ignore(argv, flag, tmp_path, monkeypatch, capsys):
+    """Nothing runs and nothing is written: the refusal comes first."""
+    from repro.experiments.scale_study import main
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
