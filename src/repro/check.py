@@ -7,7 +7,7 @@ fixed-seed run:
 
 ``kernel_trace``
     the bus trace of a mixed scheduling workload — one record per
-    executed event plus the kernel's ``proc.*`` events (pure-Python
+    executed event plus the kernel's ``proc.spawn`` events (pure-Python
     floats: platform-stable), so any reordering or one-ulp shift of the
     event schedule moves it;
 ``ga_result`` / ``bayes_result``
@@ -60,7 +60,7 @@ from repro.util.digest import digest_values
 
 #: expected digest of every pinned run
 GOLDEN = {
-    "kernel_trace": "6b642c9f171f06bdb3efe16a351a0259780ac16747ea716bdb05574e7a792fb8",
+    "kernel_trace": "413f0e8b8b68260cfdb83a39072ef9692c292db25facac6cf102e6ef4d9f4835",
     "ga_result": "ef359529eb245f017ce361128dd0087e5a373fb21d1701fc731809646d2b335b",
     "bayes_result": "e6c4a755cbbad4696d24fe88106d6dcea5fdb863713f4f615f766a31a007252a",
     "traffic-drop": "8223aed4f0124a34d3d5ba99c46b065f73743af182fd571be780f69344e6c2e8",

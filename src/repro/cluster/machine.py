@@ -10,6 +10,7 @@ spawning application processes on nodes, attaching background loaders
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Generator
 
 from repro.cluster.node import Node, NodeSpec
@@ -102,7 +103,8 @@ class Machine:
 
                 sink = GzipJsonlSink(config.trace_sink)
             self.obs = TraceBus(
-                clock=lambda: self.kernel.now,
+                # reads kernel.now without a Python frame per record
+                clock=partial(getattr, self.kernel, "now"),
                 max_events=config.trace_max_events,
                 sink=sink,
                 flush_every=config.trace_flush_every,
@@ -149,9 +151,7 @@ class Machine:
             self.loaders.append(loader)
         self.warp: WarpMeter | None = None
         if config.measure_warp:
-            self.warp = WarpMeter(
-                kinds={"pvm"}, keep_samples=config.trace
-            ).attach(self.network)
+            self.warp = WarpMeter(kinds={"pvm"}).attach(self.network)
         # Faults install *last* so the message injector wraps the final
         # network._deliver (warp and observers see post-fault deliveries
         # only — a dropped frame truly never arrives anywhere).

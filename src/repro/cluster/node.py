@@ -78,10 +78,10 @@ class Node:
             scaled = self.fault_model.perturb(self.kernel.now, scaled)
         bus = self.kernel.obs
         if bus is not None:
-            fields: dict = dict(baseline=baseline_seconds, cost=scaled)
+            fields = {"baseline": baseline_seconds, "cost": scaled}
             if label is not None:
                 fields["op"] = label
-            bus.emit("node.compute", node=self.node_id, **fields)
+            bus.emit_fields("node.compute", self.node_id, fields)
         return scaled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

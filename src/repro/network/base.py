@@ -88,16 +88,18 @@ class Network:
         if bus is not None:
             # enqueue time rides along so warp (arrival-gap / send-gap
             # per stream, §4.3) is recomputable from the trace alone
-            fields: dict = dict(
-                src=frame.src, frame_kind=frame.kind,
-                size=frame.size_bytes, enq=frame.enqueue_time,
-            )
+            fields = {
+                "src": frame.src, "frame_kind": frame.kind,
+                "size": frame.size_bytes, "enq": frame.enqueue_time,
+            }
             if frame.trace_ref is not None:
                 # content-addressed lineage ref (e.g. "migrants.0@7") set
                 # by the sender; joins this delivery to its dsm.write
                 fields["ref"] = frame.trace_ref
-            fields.update(self._obs_fields(frame, dst))
-            bus.emit("net.deliver", node=dst, **fields)
+            extra = self._obs_fields(frame, dst)
+            if extra:
+                fields.update(extra)
+            bus.emit_fields("net.deliver", dst, fields)
         self.adapters[dst]._receive(frame)
 
     def _obs_fields(self, frame: Frame, dst: int) -> dict:

@@ -46,7 +46,7 @@ class Frame:
         ``"migrants.0@7"``), *never* an id from a process-global counter,
         so identical-seed runs emit identical traces.  ``None`` unless
         tracing is enabled; carried through to the ``net.deliver`` trace
-        event so the span builder can join writes to deliveries.
+        event so a trace reader can join a delivery to its write.
     """
 
     src: int

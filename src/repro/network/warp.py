@@ -22,45 +22,23 @@ from repro.network.base import Network
 from repro.network.frame import Frame
 from repro.network.stats import RunningStat
 
-#: default per-stream raw-sample retention cap (see ``WarpMeter``)
-DEFAULT_MAX_STREAM_SAMPLES = 65_536
-
 
 class WarpMeter:
     """Collects warp samples for every (receiver, sender) message stream.
 
-    Raw-sample retention is bounded: with ``keep_samples`` on, each
-    (receiver, sender) stream keeps at most ``max_stream_samples`` raw
-    values (the *earliest* samples, matching the causal-prefix policy of
-    :class:`repro.obs.bus.TraceBus`); overflow bumps
-    :attr:`samples_dropped` instead of growing without limit on long
-    runs.  The streaming statistics (:attr:`overall`, :attr:`per_stream`,
-    and therefore ``mean_warp``/``max_warp``) fold in *every* sample
-    regardless of the cap — only percentile fidelity degrades past it.
+    Only running statistics are kept (:attr:`overall`, :attr:`per_stream`,
+    and therefore ``mean_warp``/``max_warp``).  Raw samples live in the
+    trace: every ``net.deliver`` record carries its enqueue time, and
+    :func:`repro.obs.report.warp_summary` recomputes the same samples
+    and their percentiles from it.
     """
 
-    def __init__(
-        self,
-        kinds: set[str] | None = None,
-        keep_samples: bool = False,
-        max_stream_samples: int = DEFAULT_MAX_STREAM_SAMPLES,
-    ):
+    def __init__(self, kinds: set[str] | None = None):
         #: restrict measurement to these frame kinds (None = all)
         self.kinds = kinds
-        self.keep_samples = keep_samples
-        #: per-stream cap on retained raw samples (``keep_samples`` only)
-        self.max_stream_samples = max_stream_samples
-        #: raw samples discarded because a stream's cap was reached,
-        #: mirroring ``TraceBus.dropped`` so truncation is detectable
-        self.samples_dropped = 0
         self._last: dict[tuple[int, int], tuple[float, float]] = {}
         self.per_stream: dict[tuple[int, int], RunningStat] = defaultdict(RunningStat)
         self.overall = RunningStat()
-        self.samples: list[float] = []
-        #: raw samples per (receiver, sender) stream, kept only when
-        #: ``keep_samples`` — feeds the per-stream warp percentiles in
-        #: the repro.obs metrics snapshot
-        self.stream_samples: dict[tuple[int, int], list[float]] = defaultdict(list)
 
     def attach(self, network: Network) -> "WarpMeter":
         """Register on ``network``; returns self for chaining."""
@@ -89,13 +67,6 @@ class WarpMeter:
         warp = arrival_gap / send_gap
         self.per_stream[key].add(warp)
         self.overall.add(warp)
-        if self.keep_samples:
-            stream = self.stream_samples[key]
-            if len(stream) < self.max_stream_samples:
-                self.samples.append(warp)
-                stream.append(warp)
-            else:
-                self.samples_dropped += 1
 
     @property
     def mean_warp(self) -> float:

@@ -24,9 +24,9 @@ artifact (the JSONL trace it writes) and one reader
 On top of the flat trace sits the **causal layer** (DESIGN.md §11):
 
 * :mod:`repro.obs.causal` — span builder (compute / Global_Read-wait /
-  rollback spans + ``dsm.write → net.deliver → gr.unblock`` message
-  lineage), per-node wall-time attribution, and the backward
-  critical-path walk; the report carries their results.
+  rollback spans + ``dsm.write → gr.unblock`` message lineage),
+  per-node wall-time attribution, and the backward critical-path
+  walk; the report carries their results.
 * :mod:`repro.obs.diff` — cross-run trace diffing aligned by
   iteration (``python -m repro.obs diff A.jsonl B.jsonl``).
 * :mod:`repro.obs.schema` — trace-schema validation

@@ -11,19 +11,20 @@ constraints, in priority order:
    so the golden digests in :mod:`repro.check` are byte-identical
    either way — and a test
    pins that they are identical with tracing *on* too.
-2. **Zero dependencies.**  Plain dataclass records, stdlib ``json``.
+2. **Zero dependencies.**  Plain tuple records, stdlib ``json``.
 3. **Bounded memory.**  Buffered mode keeps at most ``max_events``
    records and counts the overflow in :attr:`dropped`, mirroring
    :class:`repro.faults.injectors.FaultLog`; sink mode
    (:class:`GzipJsonlSink`) streams compressed JSONL to disk every
    ``flush_every`` events instead, so arbitrarily long runs trace with
-   O(``flush_every``) peak memory and zero drops.
+   O(``flush_every``) peak memory and zero drops.  A record is one
+   4-tuple plus its payload dict, with no per-instance ``__dict__``.
 
 Event taxonomy (field details in ``docs/observability.md``):
 
 =============  ========================================================
-``proc.*``     process lifecycle: ``spawn``, ``block``, ``wake``,
-               ``done``, ``fail`` (from :mod:`repro.sim.kernel`)
+``proc.*``     process lifecycle: ``spawn``, ``done``, ``fail`` (from
+               :mod:`repro.sim.kernel`; blocking is read from ``gr.*``)
 ``net.deliver``  one frame handed to its destination adapter (carries
                enqueue time, so warp is recomputable from the trace)
 ``node.compute``  one charged compute interval on a node
@@ -48,13 +49,11 @@ from __future__ import annotations
 import gzip
 import json
 import os
-from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class ObsEvent:
+class ObsEvent(NamedTuple):
     """One structured trace record.
 
     ``node`` is the application-node id the event concerns (-1 when the
@@ -64,14 +63,18 @@ class ObsEvent:
 
     time: float
     kind: str
-    node: int = -1
-    fields: dict = field(default_factory=dict)
+    node: int
+    fields: dict
 
     def as_dict(self) -> dict:
         """Flat JSON-ready mapping (``t``/``kind``/``node`` + payload)."""
         out = {"t": self.time, "kind": self.kind, "node": self.node}
         out.update(self.fields)
         return out
+
+
+#: builds an :class:`ObsEvent` without the Python-level ``__new__`` frame
+_new_tuple = tuple.__new__
 
 
 class GzipJsonlSink:
@@ -188,10 +191,15 @@ class TraceBus:
         side effects are a list append and, in sink mode, a periodic
         compressed flush.
         """
+        self.emit_fields(kind, node, fields)
+
+    def emit_fields(self, kind: str, node: int, fields: dict) -> None:
+        """:meth:`emit` for a payload dict the caller built; the bus keeps
+        it, so a site that assembles its fields pays for one dict, not two."""
         if self.sink is None and len(self.events) >= self.max_events:
             self.dropped += 1
             return
-        self.events.append(ObsEvent(self.clock(), kind, node, fields))
+        self.events.append(_new_tuple(ObsEvent, (self.clock(), kind, node, fields)))
         if self.sink is not None and len(self.events) >= self.flush_every:
             self._flush()
 

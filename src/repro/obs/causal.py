@@ -12,10 +12,10 @@ Three stages, all pure functions of the event list:
    ``node.compute`` compute spans, ``gr.block``/``gr.unblock`` wait
    spans, ``rb.begin``/``rb.end`` rollback spans (with cascade parent
    links via correction versions), plus the ``dsm.write →
-   net.deliver → gr.unblock`` message lineage joined on the
-   content-addressed ``ref`` (``"locn@iter"``) the DSM stamps on
-   updates.  Truncated or dropped traces degrade to *partial* spans —
-   the builder never raises on missing halves.
+   gr.unblock`` message lineage joined on the content-addressed
+   ``ref`` (``"locn@iter"``) the DSM stamps on updates.  Truncated or
+   dropped traces degrade to *partial* spans — the builder never
+   raises on missing halves.
 2. :func:`attribute` — per-node wall-time attribution: a priority sweep
    (gr-wait > rollback > compute) over each node's active window;
    whatever remains inside the window is **network** time (PVM
@@ -81,14 +81,13 @@ class SpanGraph:
     """The stitched causal graph of one trace.
 
     ``writes`` maps a lineage ref (``"locn@iter"``) to its producing
-    ``(node, time)``; ``deliveries`` maps ``(ref, dst)`` to the last
-    frame-delivery time.  ``partial`` is True when any begin/end pair
-    was missing its other half (bounded-buffer truncation).
+    ``(node, time)``.  Every event on a node, ``net.deliver`` included,
+    widens that node's ``node_window``.  ``partial`` is True when any
+    begin/end pair was missing its other half (bounded-buffer truncation).
     """
 
     spans: list[Span] = field(default_factory=list)
     writes: dict[str, tuple[int, float]] = field(default_factory=dict)
-    deliveries: dict[tuple[str, int], float] = field(default_factory=dict)
     node_window: dict[int, tuple[float, float]] = field(default_factory=dict)
     t_end: float = 0.0
     events: int = 0
@@ -126,37 +125,33 @@ def build_spans(events: Iterable[ObsEvent]) -> SpanGraph:
     # (writer_node, version-carrying rollback span idx) resolution table:
     # rb.end on the writer that *sent* corrections, by node, in time order
     corr_sources: dict[int, list[tuple[float, int]]] = {}
+    windows = g.node_window
+    t_end = 0.0
+    n = 0
 
-    for e in events:
-        g.events += 1
-        t = e.time
-        if t > g.t_end:
-            g.t_end = t
-        node = e.node
+    for t, kind, node, f in events:
+        n += 1
+        if t > t_end:
+            t_end = t
         if node >= 0:
-            w = g.node_window.get(node)
-            g.node_window[node] = (
-                (t, t) if w is None else (min(w[0], t), max(w[1], t))
-            )
-        f = e.fields
-        kind = e.kind
+            # every event on a node (net.deliver included) widens its window
+            w = windows.get(node)
+            if w is None:
+                windows[node] = (t, t)
+            elif t > w[1]:
+                windows[node] = (w[0], t)
+            elif t < w[0]:
+                windows[node] = (t, w[1])
 
         if kind == "node.compute":
             cost = float(f.get("cost", 0.0))
             detail = {"op": f["op"]} if "op" in f else {}
             g.spans.append(Span("compute", node, t, t + cost, detail))
-            if t + cost > g.t_end:
-                g.t_end = t + cost
+            if t + cost > t_end:
+                t_end = t + cost
         elif kind == "dsm.write":
             ref = f"{f.get('locn')}@{f.get('iter')}"
             g.writes.setdefault(ref, (node, t))
-        elif kind == "net.deliver":
-            ref = f.get("ref")
-            if ref is not None:
-                key = (ref, node)
-                prev = g.deliveries.get(key)
-                if prev is None or t > prev:
-                    g.deliveries[key] = t
         elif kind == "gr.block":
             open_waits.setdefault((node, str(f.get("locn"))), []).append(t)
         elif kind == "gr.unblock":
@@ -202,6 +197,8 @@ def build_spans(events: Iterable[ObsEvent]) -> SpanGraph:
             idx = len(g.spans) - 1
             if int(f.get("corrections", 0)) > 0:
                 corr_sources.setdefault(node, []).append((t, idx))
+    g.events = n
+    g.t_end = t_end
 
     # dangling halves → partial spans to the end of the trace
     for (node, locn), stack in open_waits.items():

@@ -18,18 +18,20 @@ The paper-facing metrics (DESIGN.md §10 maps each to a figure):
 * the staleness-age distribution of values Global_Read returned;
 * rollback count, cascade depth and wasted (resampled) work — the
   quantities that decide whether optimism pays (Lubachevsky & Weiss);
-* per-stream warp percentiles — §4.3's network-load-derivative metric.
+* mean and max warp — §4.3's network-load-derivative metric (the raw
+  samples and their percentiles come from the trace:
+  :func:`repro.obs.report.warp_summary`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any
 
 #: snapshot schema tag, bumped on incompatible layout changes
 METRICS_SCHEMA = "repro-obs-metrics/1"
 
-#: percentiles reported for every sample-backed histogram
+#: percentiles reported for every histogram
 _PERCENTILES = (50, 90, 99)
 
 
@@ -61,21 +63,6 @@ def _percentile_from_counts(counts: dict[int, int], q: float) -> float:
     return float(max(counts))
 
 
-def _summary_from_samples(samples: list[float]) -> dict:
-    """count/mean/min/max/pXX summary of a raw sample list."""
-    if not samples:
-        return {"count": 0}
-    out: dict[str, Any] = {
-        "count": len(samples),
-        "mean": sum(samples) / len(samples),
-        "min": min(samples),
-        "max": max(samples),
-    }
-    for q in _PERCENTILES:
-        out[f"p{q}"] = percentile_from_samples(samples, q)
-    return out
-
-
 def _summary_from_counts(counts: dict[int, int]) -> dict:
     """count/mean/min/max/pXX summary of an integer count histogram.
 
@@ -99,7 +86,7 @@ def _summary_from_counts(counts: dict[int, int]) -> dict:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms with a stable JSON snapshot.
+    """Named counters, gauges and count histograms with a stable JSON snapshot.
 
     The registry is write-mostly: subsystems (or the snapshot builders
     below) record values, then :meth:`snapshot` renders everything with
@@ -109,7 +96,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        self._samples: dict[str, list[float]] = {}
         self._counts: dict[str, dict[int, int]] = {}
         self.per_node: dict[int, dict[str, float]] = {}
 
@@ -120,14 +106,6 @@ class MetricsRegistry:
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to its latest ``value``."""
         self.gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the histogram ``name``."""
-        self._samples.setdefault(name, []).append(float(value))
-
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
-        """Record a batch of samples into the histogram ``name``."""
-        self._samples.setdefault(name, []).extend(float(v) for v in values)
 
     def counts_histogram(self, name: str, counts: dict[int, int]) -> None:
         """Install an integer-valued count histogram under ``name``.
@@ -146,13 +124,9 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """One JSON-serialisable dict of everything, keys sorted."""
         histograms = {
-            name: _summary_from_samples(samples)
-            for name, samples in self._samples.items()
-        }
-        histograms.update(
-            (name, _summary_from_counts(counts))
+            name: _summary_from_counts(counts)
             for name, counts in self._counts.items()
-        )
+        }
         return {
             "schema": METRICS_SCHEMA,
             "counters": dict(sorted(self.counters.items())),
@@ -200,11 +174,6 @@ def machine_metrics(machine, dsm=None, rollback=None) -> dict:
     if machine.warp is not None:
         reg.gauge("warp.mean", machine.warp.mean_warp)
         reg.gauge("warp.max", machine.warp.max_warp)
-        if machine.warp.keep_samples:
-            reg.observe_many("warp", machine.warp.samples)
-            reg.count("warp.samples_dropped", machine.warp.samples_dropped)
-            for (dst, src), samples in sorted(machine.warp.stream_samples.items()):
-                reg.observe_many(f"warp.stream.{dst}<-{src}", samples)
 
     if dsm is not None:
         gr = dsm.merged_gr_stats()

@@ -38,8 +38,6 @@ _NUM = (int, float)
 #: the "fault." prefix matches every injected-fault event kind
 TRACE_SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
     "proc.spawn": {"pid": int, "name": str},
-    "proc.wake": {"pid": int, "name": str, "signal": str},
-    "proc.block": {"pid": int, "name": str, "signal": str},
     "proc.done": {"pid": int, "name": str},
     "proc.fail": {"pid": int, "name": str, "error": str},
     "net.deliver": {

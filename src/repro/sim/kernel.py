@@ -161,10 +161,6 @@ class Kernel:
         handle._parked_on = ()
         handle.state = ProcessState.READY
         self.queue.push_immediate(self.now, self._step, (handle, signal))
-        if self.obs is not None:
-            self.obs.emit(
-                "proc.wake", pid=handle.pid, name=handle.name, signal=signal.name
-            )
 
     def _notify_watchers(self, handle: ProcessHandle) -> None:
         if handle._watchers:
@@ -226,22 +222,12 @@ class Kernel:
         handle.state = ProcessState.BLOCKED
         handle._parked_on = (request.signal,)
         request.signal._waiters.append(handle)
-        if self.obs is not None:
-            self.obs.emit(
-                "proc.block", pid=handle.pid, name=handle.name,
-                signal=request.signal.name,
-            )
 
     def _do_wait_any(self, handle: ProcessHandle, request: WaitAny) -> None:
         handle.state = ProcessState.BLOCKED
         handle._parked_on = request.signals
         for s in request.signals:
             s._waiters.append(handle)
-        if self.obs is not None:
-            self.obs.emit(
-                "proc.block", pid=handle.pid, name=handle.name,
-                signal="|".join(s.name for s in request.signals),
-            )
 
     def _do_yield(self, handle: ProcessHandle, request: Yield) -> None:
         handle.state = ProcessState.READY

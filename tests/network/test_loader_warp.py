@@ -9,6 +9,8 @@ from repro.network import (
     NetworkLoader,
     WarpMeter,
 )
+from repro.obs.bus import TraceBus
+from repro.obs.report import warp_streams
 from repro.sim import Kernel
 
 
@@ -98,7 +100,8 @@ def test_warp_exceeds_one_when_load_ramps_up():
     net = EthernetNetwork(kernel)
     net.attach(0, lambda f: None)
     net.attach(1, lambda f: None)
-    meter = WarpMeter(kinds={"pvm"}, keep_samples=True).attach(net)
+    kernel.obs = TraceBus(clock=lambda: kernel.now)
+    meter = WarpMeter(kinds={"pvm"}).attach(net)
     _paced_sender(kernel, net, gap=0.002, n=100, size=1000)
     for i, load in enumerate([9e6, 9e6]):
         loader = NetworkLoader(
@@ -112,8 +115,11 @@ def test_warp_exceeds_one_when_load_ramps_up():
         loader.start(delay=0.05)
     kernel.run(stop_when=lambda: meter.overall.count >= 99)
     assert meter.max_warp > 1.5
-    # sustained warp above 1 over the loaded portion, not just a transient
-    assert sum(meter.samples[-30:]) / 30 > 1.2
+    # sustained warp above 1 over the loaded portion, not just a transient;
+    # the raw samples are the trace's, recomputed from net.deliver
+    samples = [w for _, w in warp_streams(kernel.obs.events)[(1, 0)]]
+    assert len(samples) == meter.overall.count
+    assert sum(samples[-30:]) / 30 > 1.2
 
 
 def test_warp_filters_kinds():
@@ -144,27 +150,3 @@ def test_warp_per_stream_keys():
     kernel.schedule(0.0, inject, 0)
     kernel.run()
     assert set(meter.stream_means()) == {(1, 0), (1, 2)}
-
-
-def test_warp_sample_retention_is_bounded():
-    """Per-stream raw samples cap out; streaming stats never do."""
-    kernel = Kernel(seed=6)
-    net = EthernetNetwork(kernel)
-    net.attach(0, lambda f: None)
-    net.attach(1, lambda f: None)
-    meter = WarpMeter(keep_samples=True, max_stream_samples=8).attach(net)
-    _paced_sender(kernel, net, gap=0.01, n=30)
-    kernel.run()
-    # 29 samples observed on the one stream, 8 kept, the rest counted
-    assert meter.overall.count == 29
-    assert len(meter.stream_samples[(1, 0)]) == 8
-    assert len(meter.samples) == 8
-    assert meter.samples_dropped == 21
-    # the mean folds every sample in, capped retention or not
-    assert meter.mean_warp == pytest.approx(1.0, abs=0.01)
-
-
-def test_warp_default_cap_is_roomy():
-    meter = WarpMeter(keep_samples=True)
-    assert meter.max_stream_samples == 65_536
-    assert meter.samples_dropped == 0

@@ -7,9 +7,12 @@ growth with an explicit drop counter, canonical JSONL round-trips, and
 sequence* is a pure function of the seed.
 """
 
+import hashlib
 import json
 
-from repro.obs.bus import ObsEvent, TraceBus, read_jsonl
+import pytest
+
+from repro.obs.bus import GzipJsonlSink, ObsEvent, TraceBus, read_jsonl
 from repro.obs.integration import traced_ga_run
 
 
@@ -47,6 +50,18 @@ def test_bounded_buffer_counts_drops():
 def test_as_dict_shape():
     e = ObsEvent(time=1.25, kind="gr.hit", node=3, fields={"locn": "x"})
     assert e.as_dict() == {"t": 1.25, "kind": "gr.hit", "node": 3, "locn": "x"}
+    # a record is a plain 4-tuple: no per-instance __dict__
+    assert e == (1.25, "gr.hit", 3, {"locn": "x"}) and not hasattr(e, "__dict__")
+
+
+def test_emit_and_emit_fields_build_the_same_record():
+    a = TraceBus(clock=_clock_factory())
+    b = TraceBus(clock=_clock_factory())
+    a.emit("net.deliver", node=2, src=1, enq=0.25)
+    fields = {"src": 1, "enq": 0.25}
+    b.emit_fields("net.deliver", 2, fields)
+    assert a.events == b.events and type(b.events[0]) is ObsEvent
+    assert b.events[0].fields is fields  # handed over, not copied
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -108,3 +123,40 @@ def test_tiny_buffer_trailer_accounting(tmp_path):
     # the kept causal prefix round-trips intact
     back = list(read_jsonl(path))
     assert [e.node for e in back] == [0, 1, 2, 3]
+
+
+@pytest.fixture(params=["ga_run", "bayes_run"])
+def traced(request):
+    """Each traced application run of the package fixtures in turn."""
+    return request.getfixturevalue(request.param)
+
+
+def test_jsonl_roundtrips_to_the_bus_events(traced, tmp_path):
+    """The written trace reads back to exactly the records the bus holds."""
+    path = tmp_path / "t.jsonl"
+    traced.bus.write_jsonl(path)
+    assert list(read_jsonl(path)) == traced.bus.events
+
+
+def test_digest_is_sha256_of_the_written_lines(traced, tmp_path):
+    path = tmp_path / "t.jsonl"
+    traced.bus.write_jsonl(path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert b'"trace.meta"' in lines[-1]
+    assert traced.bus.digest() == hashlib.sha256(b"".join(lines[:-1])).hexdigest()
+
+
+def test_sink_replay_matches_buffered_digest(traced, tmp_path):
+    """The run's tuple records streamed through the gzip sink keep the
+    buffered digest and read back unchanged."""
+    events = traced.bus.events
+    times = iter([e.time for e in events])
+    base = tmp_path / "t.jsonl.gz"
+    sink_bus = TraceBus(
+        clock=lambda: next(times), sink=GzipJsonlSink(base), flush_every=512
+    )
+    for e in events:
+        sink_bus.emit_fields(e.kind, e.node, e.fields)
+    assert sink_bus.digest() == traced.bus.digest()
+    assert sink_bus.write_jsonl() == len(events)
+    assert list(read_jsonl(base)) == events

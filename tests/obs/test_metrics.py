@@ -6,12 +6,15 @@ runs produce identical snapshots, and results carry metrics even with
 tracing off.
 """
 
+import pytest
+
 from repro.obs.integration import traced_ga_run
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     percentile_from_samples,
 )
+from repro.obs.report import report_dict
 
 
 def test_percentile_nearest_rank():
@@ -29,18 +32,16 @@ def test_registry_counters_gauges_histograms():
     reg.count("msgs", 2)
     reg.count("msgs", 3)
     reg.gauge("util", 0.25)
-    reg.observe_many("lat", [1.0, 2.0, 3.0, 4.0])
     reg.counts_histogram("depth", {1: 5, 3: 2})
     reg.node(0)["writes"] = 7
     snap = reg.snapshot()
     assert snap["schema"] == METRICS_SCHEMA
     assert snap["counters"]["msgs"] == 5
     assert snap["gauges"]["util"] == 0.25
-    lat = snap["histograms"]["lat"]
-    assert lat["count"] == 4 and lat["min"] == 1.0 and lat["max"] == 4.0
-    assert lat["mean"] == 2.5
     depth = snap["histograms"]["depth"]
     assert depth["count"] == 7 and depth["counts"] == {"1": 5, "3": 2}
+    assert depth["min"] == 1.0 and depth["max"] == 3.0
+    assert depth["mean"] == 11 / 7 and depth["p50"] == 1.0 and depth["p90"] == 3.0
     assert snap["per_node"]["0"]["writes"] == 7
 
 
@@ -83,5 +84,12 @@ def test_ga_result_carries_metrics_without_tracing():
 def test_identical_runs_produce_identical_snapshots(ga_run):
     again = traced_ga_run(n_demes=2, seed=7)
     assert ga_run.metrics == again.metrics
-    # traced runs keep warp samples → per-stream percentile histograms
-    assert any(k.startswith("warp.stream.") for k in ga_run.metrics["histograms"])
+
+
+def test_trace_is_the_one_warp_sample_store(ga_run):
+    """Warp samples recomputed from ``net.deliver`` land on the live
+    meter's running stats, so the meter keeps no raw samples of its own."""
+    warp = report_dict(ga_run.bus.events)["warp"]["all"]
+    assert warp["mean"] == pytest.approx(ga_run.result.mean_warp, rel=1e-12, abs=0)
+    assert warp["max"] == ga_run.result.max_warp
+    assert not any(k.startswith("warp") for k in ga_run.metrics["histograms"])

@@ -47,9 +47,8 @@ def test_bus_records_process_lifecycle():
     k = _traced_kernel()
     _workload(k)
     k.run()
-    assert k.obs.kind_counts() == {
-        "proc.block": 5, "proc.done": 2, "proc.spawn": 2, "proc.wake": 5,
-    }
+    # blocking is read from gr.* records; the kernel logs no park/wake
+    assert k.obs.kind_counts() == {"proc.done": 2, "proc.spawn": 2}
     times = [e.time for e in k.obs.events]
     assert times == sorted(times) and times[-1] == k.now == 1.25
 
