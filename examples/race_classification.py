@@ -6,7 +6,9 @@ program admits are exactly the bounded ones, while a fully asynchronous
 program races without limit and a barrier-synchronized one does not race
 at all.  This example makes the claim concrete: it runs the same P-deme
 f1 island GA under the three coherence organisations with the
-happens-before race classifier attached, and prints one verdict table.
+trace bus on, folds each trace into race classes
+(:func:`repro.analysis.races.classify_races`), and prints one verdict
+table.
 
 Expected shape (any seed):
 
@@ -35,14 +37,11 @@ def main(fid: int = 1, n_demes: int = 4, age: int = 10) -> None:
 
     gr = runs[-1]
     print(
-        f"\nGlobal_Read run: {gr.classifier.tolerated_races} tolerated race(s), "
-        f"max staleness {gr.classifier.max_observed_staleness()} <= bound {gr.age}; "
-        f"{gr.classifier.total_violations} consistency violation(s)."
+        f"\nGlobal_Read run: {gr.summary['tolerated_races']} tolerated race(s), "
+        f"max staleness {gr.summary['max_observed_staleness']} <= bound {gr.age}; "
+        f"{gr.summary['consistency_violations']} consistency violation(s)."
     )
-    sample = [
-        p for p in gr.classifier.pairs
-        if p.classification.value == "tolerated"
-    ][:3]
+    sample = [p for p in gr.pairs if p.classification.value == "tolerated"][:3]
     if sample:
         print("sample tolerated pairs:")
         for pair in sample:

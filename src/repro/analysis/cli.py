@@ -6,12 +6,12 @@ Subcommands and exit codes (CI-friendly throughout):
     0 = clean, 1 = findings, 2 = unreadable/unparsable input.
 
 ``report [--fid --demes --age --generations --seed] [--json]``
-    Runs the island GA instrumented with the race classifier in all
-    three coherence modes and prints the classification table (with
-    ``--json``, every run's classifier summary); exits 1 unless the
-    paper's expected shape holds (sync race-free, async shows unbounded
-    races, `Global_Read` shows only tolerated races within its bound,
-    no consistency violation anywhere).
+    Runs the island GA traced in all three coherence modes, folds each
+    trace into race classes and prints the classification table (with
+    ``--json``, every run's summary); exits 1 unless the paper's
+    expected shape holds (sync race-free, async shows unbounded races,
+    `Global_Read` shows only tolerated races within its bound, no
+    consistency violation anywhere), 2 on an argument it cannot run.
 
 ``coherence [paths...] [--json] [--traces PATH] [--out FILE]``
     Static whole-program DSM coherence analysis: discovers every
@@ -29,6 +29,7 @@ from typing import Sequence
 
 from repro.analysis.lint import DEFAULT_EXCLUDES, format_findings, lint_paths
 from repro.analysis.report import classify_three_modes, race_table
+from repro.ga.functions import TEST_FUNCTIONS
 from repro.util.envelope import make_envelope, render_envelope, write_envelope
 
 #: schema tag of the ``report --json`` document
@@ -119,10 +120,25 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _report_arg_error(args: argparse.Namespace) -> str | None:
+    """Why ``report`` cannot run these arguments, or None when it can."""
+    fids = [fn.fid for fn in TEST_FUNCTIONS]
+    if args.fid not in fids:
+        return f"--fid names a Table 1 function, one of {fids[0]}..{fids[-1]} (got {args.fid})"
+    if args.demes < 2:
+        return f"--demes must be >= 2: one deme has no peer to race with (got {args.demes})"
     if args.age < 0:
         # the CLI equivalent of lint rule RPR006
-        print(f"error: --age is a staleness tolerance and must be >= 0 (got {args.age})")
+        return f"--age is a staleness tolerance and must be >= 0 (got {args.age})"
+    if args.generations < 1:
+        return f"--generations must be >= 1 (got {args.generations})"
+    return None
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    error = _report_arg_error(args)
+    if error is not None:
+        print(f"error: {error}")
         return 2
     runs = classify_three_modes(
         fid=args.fid,
@@ -131,20 +147,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
         n_generations=args.generations,
         seed=args.seed,
     )
-    sync, async_, gr = runs
+    sync, async_, gr = (run.summary for run in runs)
     problems = []
-    if not sync.classifier.race_free:
+    if sync["tolerated_races"] or sync["unbounded_races"]:
         problems.append("synchronous run is not race-free")
-    if async_.classifier.unbounded_races == 0:
+    if async_["unbounded_races"] == 0:
         problems.append("asynchronous run shows no unbounded race")
-    if gr.classifier.unbounded_races > 0:
+    if gr["unbounded_races"] > 0:
         problems.append("Global_Read run shows unbounded races")
-    if gr.classifier.tolerated_races == 0:
+    if gr["tolerated_races"] == 0:
         problems.append("Global_Read run shows no tolerated race")
-    if gr.classifier.max_observed_staleness() > args.age:
+    if gr["max_observed_staleness"] > args.age:
         problems.append("Global_Read staleness exceeds the declared bound")
     for run in runs:
-        if run.classifier.total_violations:
+        if run.summary["consistency_violations"]:
             problems.append(f"{run.mode_label}: consistency violations")
     if args.json:
         env = make_envelope(

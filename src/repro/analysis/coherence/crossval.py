@@ -88,12 +88,12 @@ def evidence_from_trace(path: str) -> dict[str, DynamicEvidence]:
     """Per-location evidence from one ``repro.obs`` trace.
 
     ``path`` is a plain JSONL file or the base path of a (possibly
-    rotated) gzip trace.  Only ``gr.*`` events carry location-level read
-    evidence; a returned staleness above the requested bound counts as
-    unbounded (the primitive failed its contract), within the bound as
-    tolerated.  ``read_local`` calls do not trace, so trace evidence
-    alone never proves a location strict — the cross-check only uses
-    it in the damning direction.
+    rotated) gzip trace.  Only ``gr.*`` events carry a requested bound
+    to judge; a returned staleness above it counts as unbounded (the
+    primitive failed its contract), within it as tolerated.
+    ``read_local`` returns (``dsm.read``) carry no bound and are not
+    judged, so trace evidence alone never proves a location strict — the
+    cross-check only uses it in the damning direction.
 
     Raises ``ValueError`` when the trace fails schema validation
     (malformed input must fail the gate loudly, not silently weaken it).

@@ -1,12 +1,14 @@
-"""Run instrumented island-GA configs and format race-classification tables.
+"""Run traced island-GA configs and format race-classification tables.
 
 The acceptance experiment for the classifier is the paper's own P-node
 f1 island GA in all three coherence modes: the synchronous organisation
 must classify race-free, the fully asynchronous one must show unbounded
 races, and `Global_Read(age)` must show *only* tolerated races whose
 staleness respects the bound.  :func:`classify_island_run` runs one
-mode; :func:`classify_three_modes` runs the comparison the paper's
-premise rests on.
+mode with the trace bus on and folds its trace
+(:func:`~repro.analysis.races.classify_races`);
+:func:`classify_three_modes` runs the comparison the paper's premise
+rests on.
 """
 
 from __future__ import annotations
@@ -14,19 +16,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.analysis.races import RaceClassifier, attach_race_classifier
+from repro.analysis.races import RacePair, classify_races
+from repro.cluster.machine import MachineConfig
 from repro.core.coherence import CoherenceMode
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 
+
 @dataclass
 class ClassifiedRun:
-    """One instrumented run: the GA result plus the race verdicts."""
+    """One traced run: the GA result plus the race verdicts of its trace."""
 
     mode: CoherenceMode
     age: int
-    classifier: RaceClassifier
     result: IslandGaResult
+    pairs: list[RacePair]
+    #: :func:`~repro.analysis.races.classify_races`'s summary
+    summary: dict[str, Any]
 
     @property
     def mode_label(self) -> str:
@@ -42,7 +48,7 @@ class ClassifiedRun:
             "age": self.age,
             "total_time": self.result.total_time,
             "best_fitness": self.result.best_fitness,
-            **self.classifier.summary(),
+            **self.summary,
         }
 
 
@@ -54,7 +60,7 @@ def classify_island_run(
     n_generations: int = 60,
     seed: int = 0,
 ) -> ClassifiedRun:
-    """Run one island-GA config with the race classifier attached."""
+    """Run one island-GA config traced and classify its races."""
     cfg = IslandGaConfig(
         fn=get_function(fid),
         n_demes=n_demes,
@@ -62,14 +68,14 @@ def classify_island_run(
         age=age if mode is CoherenceMode.NON_STRICT else 0,
         n_generations=n_generations,
         seed=seed,
+        # the run's default machine, with the trace bus on
+        machine=MachineConfig(n_nodes=n_demes, seed=seed, measure_warp=True, trace=True),
     )
-    holder: list[RaceClassifier] = []
-
-    def instrument(dsm: Any) -> None:
-        holder.append(attach_race_classifier(dsm))
-
-    result = run_island_ga(cfg, instrument=instrument)
-    return ClassifiedRun(mode=mode, age=cfg.age, classifier=holder[0], result=result)
+    holder: dict[str, Any] = {}
+    result = run_island_ga(cfg, instrument=lambda dsm: holder.update(dsm=dsm))
+    bus = holder["dsm"].vm.kernel.obs
+    pairs, summary = classify_races(bus.events, dropped=bus.dropped)
+    return ClassifiedRun(mode, cfg.age, result, pairs, summary)
 
 
 def classify_three_modes(
@@ -96,21 +102,13 @@ def race_table(runs: list[ClassifiedRun]) -> str:
         "mode", "reads", "clean", "sync'd", "tolerated", "unbounded",
         "max-stale", "violations",
     )
-    rows = [headers]
+    keys = (
+        "reads_checked", "clean_reads", "synchronized_pairs", "tolerated_races",
+        "unbounded_races", "max_observed_staleness", "consistency_violations",
+    )
+    rows: list[tuple[str, ...]] = [headers]
     for run in runs:
-        c = run.classifier
-        rows.append(
-            (
-                run.mode_label,
-                str(c.reads_checked),
-                str(c.clean_reads),
-                str(c.synchronized_pairs),
-                str(c.tolerated_races),
-                str(c.unbounded_races),
-                str(c.max_observed_staleness()),
-                str(c.total_violations),
-            )
-        )
+        rows.append((run.mode_label, *(str(run.summary[k]) for k in keys)))
     widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
     lines = []
     for r, row in enumerate(rows):

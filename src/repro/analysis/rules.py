@@ -11,8 +11,8 @@ repository's two contracts:
   or stream naming (RPR003).  Simulated processes may yield only the
   kernel's request objects (RPR004).
 * **Bounded staleness** (§2): every shared-location mutation must go
-  through ``DsmNode.write`` so ages, checker hooks and update
-  propagation stay consistent (RPR005), and a ``global_read`` age bound
+  through ``DsmNode.write`` so ages, its ``dsm.write`` trace record and
+  update propagation stay consistent (RPR005), and a ``global_read`` age bound
   is a staleness *tolerance* — statically negative values are always a
   bug (RPR006).
 """
@@ -339,7 +339,7 @@ class DsmBypassMutation(Rule):
 
     Direct ``agebuf.update(...)`` calls or stores into ``local_store`` /
     ``_copies`` skip the writer check, the age-monotonicity check, the
-    consistency-checker hooks and update propagation — readers then see
+    ``dsm.write`` trace record and update propagation — readers then see
     values no write ever produced.  Only the DSM implementation classes
     themselves (Dsm, DsmNode, AgeBuffer) may touch these.
     """
@@ -348,7 +348,7 @@ class DsmBypassMutation(Rule):
     name = "dsm-bypass-mutation"
     fixit = (
         "go through 'yield from dsm.node(tid).write(locn, value, iter_no)' "
-        "so ages, checker hooks and propagation stay consistent"
+        "so ages, its trace record and propagation stay consistent"
     )
 
     def __init__(self, path: str) -> None:

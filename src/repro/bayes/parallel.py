@@ -163,9 +163,9 @@ def run_parallel_logic_sampling(
 
     ``instrument``, if given, is called with the freshly built
     :class:`~repro.core.dsm.Dsm` before any process is spawned —
-    mirroring :func:`repro.ga.island.run_island_ga`, so the race
-    classifier and the trace extractor in :mod:`repro.obs.integration`
-    attach the same way to both applications.
+    mirroring :func:`repro.ga.island.run_island_ga`, so the trace
+    extractor in :mod:`repro.obs.integration` attaches the same way to
+    both applications.
     """
     net = cfg.net
     mcfg = cfg.machine or MachineConfig(
@@ -297,10 +297,7 @@ def run_parallel_logic_sampling(
 
             def drain_corrections():
                 cost = 0.0
-                while True:
-                    msg = task.nrecv(tag=CORRECTION_TAG)
-                    if msg is None:
-                        break
+                for msg in task.nrecv_all(CORRECTION_TAG):
                     cost += task.consume_cost(msg)
                     # end-to-end dedupe: a duplicated frame can complete
                     # fragment reassembly twice, re-delivering the same

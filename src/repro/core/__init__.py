@@ -33,7 +33,7 @@ from repro.core.global_read import (
 )
 from repro.core.coherence import CoherenceMode, UpdatePolicy
 from repro.core.dsm import Dsm, DsmNode
-from repro.core.consistency import ConsistencyChecker, Violation
+from repro.core.consistency import Violation, consistency_violations
 from repro.core.contract import StalenessContract, dsm_contract
 
 __all__ = [
@@ -47,8 +47,8 @@ __all__ = [
     "UpdatePolicy",
     "Dsm",
     "DsmNode",
-    "ConsistencyChecker",
     "Violation",
+    "consistency_violations",
     "StalenessContract",
     "dsm_contract",
 ]

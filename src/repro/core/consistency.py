@@ -1,28 +1,32 @@
-"""Runtime verification of the non-strict coherence guarantee.
+"""The non-strict coherence guarantee, checked as a fold over a run trace.
 
 `Global_Read` induces a memory model very close to *delta consistency*
-(§2.1).  This checker turns the model's obligations into machine-checked
-invariants over an execution trace:
+(§2.1).  :func:`consistency_violations` checks its obligations on the
+trace of one run (:mod:`repro.obs.bus`; trace order is each task's
+program order):
 
 1. **Staleness bound** — every value a ``global_read(locn, curr_iter,
-   age)`` returns was generated at producer iteration ``>= curr_iter -
-   age``.
-2. **No phantom values** — every read returns an age that some write
-   actually produced.
+   age)`` returns (``gr.hit`` / ``gr.unblock``, age in ``ret``) was
+   generated at producer iteration ``>= curr_iter - age``.
+2. **No phantom values** — every read (those two and ``dsm.read``)
+   returns an age some ``dsm.write`` actually produced.
 3. **Monotone reads** — per (reader, location), returned ages never
    decrease (the age buffer keeps only the newest copy).
 4. **Producer monotonicity** — write ages per location strictly increase.
 
-Attach a checker to a :class:`~repro.core.dsm.Dsm` (``dsm.checker =
-ConsistencyChecker()``) and it observes every operation; ``violations``
-collects anything that breaks an invariant.  The property-based tests
-drive random workloads through the DSM and assert the list stays empty —
-this is the strongest evidence the primitive is implemented correctly.
+The property-based tests drive random workloads through the DSM and
+assert the fold finds nothing — the strongest evidence the primitive is
+implemented correctly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable
+
+#: trace kinds that record a value returned to a reader
+READ_KINDS = ("gr.hit", "gr.unblock", "dsm.read")
 
 
 @dataclass(frozen=True)
@@ -37,146 +41,78 @@ class Violation:
     reader: int | None = None
 
 
-#: keep at most this many stored examples per (invariant, locn, reader)
-PER_KEY_LIMIT = 5
+def require_complete(dropped: int) -> None:
+    """Refuse a truncated trace: ``dropped`` records never reached it.
 
-
-@dataclass
-class ConsistencyChecker:
-    """Observes DSM operations and accumulates invariant violations.
-
-    ``violations`` stores a bounded sample of the broken invariants: at
-    most :attr:`max_violations` total and at most :data:`PER_KEY_LIMIT`
-    per (invariant, location, reader) key, so a pathological run cannot
-    grow the list without bound.  Every occurrence — stored or not — is
-    counted in :attr:`violation_counts`; :attr:`ok` reflects the counts,
-    never the (possibly truncated) sample.
+    A missing ``dsm.write`` would read as a phantom value and a missing
+    ``msg.send`` as a race, so a fold over a partial trace would report
+    defects the run never had.
     """
+    if dropped:
+        raise ValueError(
+            f"trace is truncated: {dropped} event(s) were dropped; fold a "
+            "complete trace (raise trace_max_events or stream to a sink)"
+        )
 
-    violations: list[Violation] = field(default_factory=list)
-    #: hard cap on stored Violation examples
-    max_violations: int = 1000
-    #: every occurrence, keyed by (invariant, locn): survives deduping
-    violation_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    #: occurrences not stored in ``violations`` (dedup or cap)
-    violations_dropped: int = 0
-    #: per (invariant, locn, reader): stored examples so far
-    _stored_per_key: dict[tuple[str, str, int | None], int] = field(
-        default_factory=dict
-    )
-    #: per location: set of ages ever written
-    _written_ages: dict[str, set[int]] = field(default_factory=dict)
-    #: per location: largest write age so far
-    _max_write_age: dict[str, int] = field(default_factory=dict)
-    #: per (reader, location): last returned age
-    _last_read_age: dict[tuple[int, str], int] = field(default_factory=dict)
-    reads_checked: int = 0
-    writes_checked: int = 0
 
-    # -- hooks called by the DSM ----------------------------------------
-    def on_write(
-        self, locn: str, age: int, time: float, writer: int | None = None
-    ) -> None:
-        """Record a write to ``locn`` (age ``age``) for later read validation."""
-        self.writes_checked += 1
-        prev = self._max_write_age.get(locn)
-        if prev is not None and age <= prev:
-            who = f"writer {writer} " if writer is not None else ""
-            self._flag(
-                "producer-monotonicity", locn,
-                f"{who}write age {age} after {prev}", time,
-            )
-        self._max_write_age[locn] = age
-        self._written_ages.setdefault(locn, set()).add(age)
+def consistency_violations(events: Iterable, dropped: int = 0) -> list[Violation]:
+    """Every broken invariant in a trace, in trace order.
 
-    def on_read(
-        self,
-        reader: int,
-        locn: str,
-        returned_age: int,
-        time: float,
-        curr_iter: int | None = None,
-        age_bound: int | None = None,
-    ) -> None:
-        """Record a read; pass curr_iter/age_bound only for global_reads."""
-        self.reads_checked += 1
-        if curr_iter is not None and age_bound is not None:
-            if returned_age < curr_iter - age_bound:
-                self._flag(
+    ``events`` are :class:`~repro.obs.bus.ObsEvent` records (a bus's
+    ``events`` or :func:`~repro.obs.bus.read_jsonl`'s output); ``dropped``
+    is the bus's :attr:`~repro.obs.bus.TraceBus.dropped` or the trailer's
+    ``events_dropped`` — nonzero raises ``ValueError``.
+    """
+    require_complete(dropped)
+    out: list[Violation] = []
+    written: dict[str, set[int]] = {}
+    newest_write: dict[str, int] = {}
+    last_read: dict[tuple[int, str], int] = {}
+    for t, kind, node, f in events:
+        if kind == "dsm.write":
+            locn, age = f["locn"], f["iter"]
+            prev = newest_write.get(locn)
+            if prev is not None and age <= prev:
+                out.append(Violation(
+                    "producer-monotonicity", locn,
+                    f"writer {node} write age {age} after {prev}", t,
+                ))
+            newest_write[locn] = age
+            written.setdefault(locn, set()).add(age)
+        elif kind in READ_KINDS:
+            locn, ret = f["locn"], f["ret"]
+            if "age" in f and ret < f["curr_iter"] - f["age"]:
+                out.append(Violation(
                     "staleness-bound", locn,
-                    f"reader {reader} at iter {curr_iter} with age {age_bound} "
-                    f"got value of age {returned_age}", time, reader=reader,
-                )
-        if returned_age not in self._written_ages.get(locn, set()):
-            self._flag(
-                "no-phantom-values", locn,
-                f"reader {reader} got age {returned_age}, never written", time,
-                reader=reader,
-            )
-        key = (reader, locn)
-        last = self._last_read_age.get(key)
-        if last is not None and returned_age < last:
-            self._flag(
-                "monotone-reads", locn,
-                f"reader {reader} saw age {returned_age} after {last}", time,
-                reader=reader,
-            )
-        self._last_read_age[key] = returned_age
+                    f"reader {node} at iter {f['curr_iter']} with age "
+                    f"{f['age']} got value of age {ret}", t, reader=node,
+                ))
+            if ret not in written.get(locn, ()):
+                out.append(Violation(
+                    "no-phantom-values", locn,
+                    f"reader {node} got age {ret}, never written", t, reader=node,
+                ))
+            last = last_read.get((node, locn))
+            if last is not None and ret < last:
+                out.append(Violation(
+                    "monotone-reads", locn,
+                    f"reader {node} saw age {ret} after {last}", t, reader=node,
+                ))
+            last_read[(node, locn)] = ret
+    return out
 
-    def _flag(
-        self,
-        invariant: str,
-        locn: str,
-        detail: str,
-        time: float,
-        reader: int | None = None,
-    ) -> None:
-        count_key = (invariant, locn)
-        self.violation_counts[count_key] = self.violation_counts.get(count_key, 0) + 1
-        dedup_key = (invariant, locn, reader)
-        stored = self._stored_per_key.get(dedup_key, 0)
-        if stored >= PER_KEY_LIMIT or len(self.violations) >= self.max_violations:
-            self.violations_dropped += 1
-            return
-        self._stored_per_key[dedup_key] = stored + 1
-        self.violations.append(Violation(invariant, locn, detail, time, reader=reader))
 
-    @property
-    def total_violations(self) -> int:
-        """Every occurrence ever flagged, including deduped/capped ones."""
-        return sum(self.violation_counts.values())
-
-    @property
-    def ok(self) -> bool:
-        """True when no read violated its declared staleness bound."""
-        return self.total_violations == 0
-
-    def report(self, max_lines: int = 20) -> str:
-        """Human-readable summary for test failures.
-
-        Shows at most ``max_lines`` stored examples and says explicitly
-        when output is truncated — both by this limit and by the
-        dedup/cap applied at collection time.
-        """
-        if self.ok:
-            return (
-                f"consistency OK: {self.writes_checked} writes, "
-                f"{self.reads_checked} reads, 0 violations"
-            )
-        total = self.total_violations
-        shown = min(max_lines, len(self.violations))
-        lines = [f"{total} violation(s), showing first {shown}:"]
-        for v in self.violations[:max_lines]:
-            who = f" reader={v.reader}" if v.reader is not None else ""
-            lines.append(
-                f"  [{v.invariant}] {v.locn}{who} @ t={v.time:.6f}: {v.detail}"
-            )
-        omitted = total - shown
-        if omitted > 0:
-            lines.append(
-                f"  ... {omitted} more occurrence(s) omitted "
-                f"({self.violations_dropped} deduped/capped at collection, "
-                f"{len(self.violations) - shown} truncated here); "
-                "full counts in violation_counts"
-            )
-        return "\n".join(lines)
+def report(violations: list[Violation], max_lines: int = 20) -> str:
+    """Human-readable summary for test failures: the count per invariant,
+    then at most ``max_lines`` examples and how many were left out."""
+    counts = Counter(v.invariant for v in violations)
+    lines = [
+        f"{len(violations)} violation(s) {dict(sorted(counts.items()))}, "
+        f"showing first {min(len(violations), max_lines)}:"
+    ]
+    for v in violations[:max_lines]:
+        who = f" reader={v.reader}" if v.reader is not None else ""
+        lines.append(f"  [{v.invariant}] {v.locn}{who} @ t={v.time:.6f}: {v.detail}")
+    if len(violations) > max_lines:
+        lines.append(f"  ... {len(violations) - max_lines} more omitted")
+    return "\n".join(lines)

@@ -110,8 +110,6 @@ class DsmNode:
         self.stats.writes += 1
         if self.obs is not None:
             self.obs.emit("dsm.write", node=self.task.tid, locn=locn, iter=iter_no)
-        if self.dsm.checker is not None:
-            self.dsm.checker.on_write(locn, iter_no, now, writer=self.task.tid)
         payload_bytes = (nbytes if nbytes is not None else spec.value_nbytes)
         wire_bytes = payload_bytes + UPDATE_HEADER_BYTES
 
@@ -195,14 +193,12 @@ class DsmNode:
         """
         cost = 0.0
         applied = 0
-        while True:
-            msg = self.task.nrecv(tag=DSM_UPDATE_TAG)
-            if msg is None:
-                break
+        now = self.dsm.vm.kernel.now
+        for msg in self.task.nrecv_all(DSM_UPDATE_TAG):
             cost += self.task.consume_cost(msg)
             locn, age, value, write_time = msg.payload
             self.stats.updates_received += 1
-            if self.agebuf.update(locn, value, age, write_time, self.dsm.vm.kernel.now):
+            if self.agebuf.update(locn, value, age, write_time, now):
                 applied += 1
                 if self.on_update is not None:
                     cost += self.on_update(locn, age, value)
@@ -218,10 +214,8 @@ class DsmNode:
         self._check_reader(locn)
         yield from self.drain()
         copy = self.agebuf.get(locn)
-        if copy is not None and self.dsm.checker is not None:
-            self.dsm.checker.on_read(
-                self.task.tid, locn, copy.age, self.dsm.vm.kernel.now
-            )
+        if copy is not None and self.obs is not None:
+            self.obs.emit("dsm.read", node=self.task.tid, locn=locn, ret=copy.age)
         return copy
 
     def global_read(self, locn: str, curr_iter: int, age: int) -> Generator:
@@ -242,9 +236,8 @@ class DsmNode:
                 self.obs.emit(
                     "gr.hit", node=self.task.tid, locn=locn,
                     curr_iter=curr_iter, age=age,
-                    staleness=max(0, curr_iter - copy.age),
+                    staleness=max(0, curr_iter - copy.age), ret=copy.age,
                 )
-            self._checker_read(locn, copy.age, curr_iter, age)
             return copy
 
         # Blocking path.
@@ -281,18 +274,10 @@ class DsmNode:
                 "gr.unblock", node=self.task.tid, locn=locn,
                 curr_iter=curr_iter, age=age,
                 waited=self.dsm.vm.kernel.now - block_start,
-                staleness=max(0, curr_iter - copy.age),
+                staleness=max(0, curr_iter - copy.age), ret=copy.age,
                 ref=f"{locn}@{copy.age}", writer=spec.writer,
             )
-        self._checker_read(locn, copy.age, curr_iter, age)
         return copy
-
-    def _checker_read(self, locn: str, returned_age: int, curr_iter: int, age: int) -> None:
-        if self.dsm.checker is not None:
-            self.dsm.checker.on_read(
-                self.task.tid, locn, returned_age, self.dsm.vm.kernel.now,
-                curr_iter=curr_iter, age_bound=age,
-            )
 
     def _check_reader(self, locn: str) -> None:
         spec = self.dsm.spec(locn)
@@ -345,8 +330,6 @@ class Dsm:
         self.coalesce_threshold = coalesce_threshold
         self._specs: dict[str, SharedLocationSpec] = {}
         self._nodes: dict[int, DsmNode] = {}
-        #: optional ConsistencyChecker observing every operation
-        self.checker = None
 
     def register(self, spec: SharedLocationSpec) -> SharedLocationSpec:
         """Declare a shared location; all parties must be existing tasks."""

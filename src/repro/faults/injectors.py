@@ -17,8 +17,8 @@ egress adapter queue at crash onset (in-flight outbound frames lost).
 
 Injected faults are recorded in a :class:`FaultLog` — a bounded,
 digestible event list that is the chaos suite's trace artifact — and
-counted in :class:`FaultStats`.  An optional ``observer`` (the race
-classifier's ``on_fault`` hook) sees every event as it happens.
+counted in :class:`FaultStats`; with a trace bus attached each one is
+also a ``fault.<kind>`` record.
 """
 
 from __future__ import annotations
@@ -131,14 +131,13 @@ class MessageFaultInjector:
         self.plan = plan
         self.stats = FaultStats()
         self.log = FaultLog()
-        #: optional hook: ``on_fault(kind, frame, time)`` (race classifier)
-        self.observer = None
         self._rng = np.random.default_rng(stream_seed(plan.seed, "faults.messages"))
         #: per destination: frames held for reordering
         self._held: dict[int, list[Frame]] = {}
         self._orig_deliver = network._deliver
         network._deliver = self._on_deliver  # type: ignore[method-assign]
-        #: discoverable from the network (attach_race_classifier uses this)
+        #: discoverable from the network (the golden-table recipes read
+        #: its log through here)
         network.fault_injector = self  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
@@ -156,9 +155,8 @@ class MessageFaultInjector:
         return True
 
     def _record(self, kind: str, frame: Frame, dst: int, amount: float = 0.0) -> None:
-        now = self.kernel.now
         self.log.add(FaultEvent(
-            time=now, kind=kind, src=frame.src, dst=dst,
+            time=self.kernel.now, kind=kind, src=frame.src, dst=dst,
             frame_kind=frame.kind, frame_id=frame.frame_id, amount=amount,
         ))
         if self.kernel.obs is not None:
@@ -166,8 +164,6 @@ class MessageFaultInjector:
                 f"fault.{kind}", node=dst, src=frame.src,
                 frame_kind=frame.kind, amount=amount,
             )
-        if self.observer is not None:
-            self.observer.on_fault(kind, frame, now)
 
     # ------------------------------------------------------------------
     def _on_deliver(self, frame: Frame, dst: int) -> None:
@@ -302,15 +298,6 @@ class FaultInjector:
                 if f.kind == "crash":
                     kernel.schedule_at(f.start, self._crash_flush, node.node_id)
 
-    @property
-    def observer(self):
-        """The delivery-observer callable to register on the network."""
-        return self.messages.observer
-
-    @observer.setter
-    def observer(self, value) -> None:
-        self.messages.observer = value
-
     def _crash_flush(self, node_id: int) -> None:
         """Crash onset: the node's queued egress frames are lost."""
         adapter = self.network.adapters.get(node_id)
@@ -318,17 +305,14 @@ class FaultInjector:
             return
         lost = len(adapter.queue)
         self.messages.stats.crash_frames_lost += lost
-        now = self.kernel.now
         self.messages.log.add(FaultEvent(
-            time=now, kind="crash-flush", src=node_id, dst=-1,
+            time=self.kernel.now, kind="crash-flush", src=node_id, dst=-1,
             frame_kind="*", frame_id=-1, amount=float(lost),
         ))
         if self.kernel.obs is not None:
             self.kernel.obs.emit(
                 "fault.crash-flush", node=node_id, amount=float(lost)
             )
-        if self.messages.observer is not None:
-            self.messages.observer.on_fault("crash-flush", None, now)
         # the network owns per-queue derived state (Ethernet's contender
         # backlog); flushing through it keeps that state consistent
         self.network.flush_queue(node_id)

@@ -378,8 +378,8 @@ def run_island_ga(
 
     ``instrument``, if given, is called with the freshly built
     :class:`~repro.core.dsm.Dsm` before any process is spawned — the
-    race classifier (:mod:`repro.analysis.races`) attaches itself this
-    way without perturbing the run.
+    trace readers reach the run's bus (``dsm.vm.kernel.obs``) this way
+    without perturbing the run.
 
     ``shards > 1`` executes the run on the bounded-lag parallel kernel
     (:mod:`repro.sim.parallel`): worker processes each replay the full

@@ -28,7 +28,13 @@ Event taxonomy (field details in ``docs/observability.md``):
 ``net.deliver``  one frame handed to its destination adapter (carries
                enqueue time, so warp is recomputable from the trace)
 ``node.compute``  one charged compute interval on a node
+``msg.send``   one ``send``/``mcast`` call, keyed by the sender's call
+               number (``seq``)
+``msg.consume``  one draining call (``recv``, a DSM drain, a correction
+               batch): per source the newest ``seq`` taken
+               (``"src:seq,..."``)
 ``dsm.write``  a producer published an iteration of a shared location
+``dsm.read``   ``read_local`` returned a copy (its age in ``ret``)
 ``gr.hit``     ``Global_Read`` satisfied from the local age buffer
 ``gr.block``   ``Global_Read`` parked its caller (bound not met)
 ``gr.unblock`` the parked reader resumed; carries the waited seconds

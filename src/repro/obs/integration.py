@@ -8,7 +8,7 @@ configuration, fixed seed — and export its JSONL trace and metrics
 snapshot.  That trial is what ``python -m repro.obs report`` renders.
 
 The bus is recovered through the run functions' ``instrument(dsm)``
-hook (the same attachment point the race classifier uses): the machine
+hook (as :mod:`repro.analysis.report` does for its race folds): the machine
 is built inside :func:`repro.ga.island.run_island_ga` /
 :func:`repro.bayes.parallel.run_parallel_logic_sampling`, so the hook's
 ``dsm.vm.kernel.obs`` is the only public path to the bus.

@@ -20,7 +20,8 @@ Checks, in order per file:
 
 Lineage fields added for the causal layer (``ref`` on ``net.deliver``
 and ``gr.unblock``, ``cause``/``writer``/``version`` on ``rb.begin``,
-``op`` on ``node.compute``) are optional: traces recorded before they
+``op`` on ``node.compute``) and the returned age ``ret`` on
+``gr.hit``/``gr.unblock`` are optional: traces recorded before they
 existed still validate.
 """
 
@@ -47,12 +48,20 @@ TRACE_SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
         "fabric?": str, "hops?": int, "bcast?": bool,
     },
     "node.compute": {"baseline": _NUM, "cost": _NUM, "op?": str},
+    # happens-before facts: one send per send/mcast call, keyed by the
+    # sender's call number; one consume per draining call, naming per
+    # source the newest number taken as "src:seq,src:seq"
+    "msg.send": {"seq": int},
+    "msg.consume": {"newest": str},
     "dsm.write": {"locn": str, "iter": int},
-    "gr.hit": {"locn": str, "curr_iter": int, "age": int, "staleness": int},
+    "dsm.read": {"locn": str, "ret": int},
+    "gr.hit": {
+        "locn": str, "curr_iter": int, "age": int, "staleness": int, "ret?": int,
+    },
     "gr.block": {"locn": str, "curr_iter": int, "age": int},
     "gr.unblock": {
         "locn": str, "curr_iter": int, "age": int, "waited": _NUM,
-        "staleness": int, "ref?": str, "writer?": int,
+        "staleness": int, "ret?": int, "ref?": str, "writer?": int,
     },
     "rb.begin": {
         "input": int, "iter": int, "depth": int,

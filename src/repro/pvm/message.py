@@ -121,6 +121,10 @@ class Message:
     into and surfaces in ``net.deliver`` trace events.  It must never be
     derived from ``msg_id`` (a process-global counter), or identical-seed
     runs in one process would emit different traces.
+
+    ``seq`` numbers the sender's ``send``/``mcast`` calls (every copy of
+    one multicast shares it); it is the per-task key that joins a
+    ``msg.consume`` trace record to its ``msg.send``.
     """
 
     src: int
@@ -132,6 +136,7 @@ class Message:
     send_time: float = -1.0
     arrival_time: float = -1.0
     trace_ref: str | None = None
+    seq: int = 0
 
     def matches(self, src: int, tag: int) -> bool:
         """Wildcard-aware match used by recv/probe."""

@@ -82,6 +82,8 @@ class Task:
         self.messages_sent = 0
         self.messages_received = 0
         self.bytes_sent = 0
+        #: send/mcast calls so far (the last one's ``Message.seq``)
+        self.sends = 0
 
     # ------------------------------------------------------------------
     # Sending
@@ -104,7 +106,7 @@ class Task:
         """
         nbytes = self._resolve_nbytes(payload, nbytes)
         yield Compute(self.vm.overheads.send_cost(nbytes))
-        self._submit(dst, tag, payload, nbytes, trace_ref=trace_ref)
+        self._submit(dst, tag, payload, nbytes, self._number_send(), trace_ref)
         yield from self._backpressure()
 
     def mcast(
@@ -127,11 +129,12 @@ class Task:
             0, len(dsts) - 1
         )
         yield Compute(cost)
+        seq = self._number_send()
         if self._hw_multicast_eligible(dsts, payload):
-            self._submit_broadcast(dsts, tag, payload, nbytes, trace_ref=trace_ref)
+            self._submit_broadcast(dsts, tag, payload, nbytes, seq, trace_ref)
         else:
             for dst in dsts:
-                self._submit(dst, tag, payload, nbytes, trace_ref=trace_ref)
+                self._submit(dst, tag, payload, nbytes, seq, trace_ref)
         yield from self._backpressure()
 
     def _hw_multicast_eligible(self, dsts: list[int], payload: Any) -> bool:
@@ -174,25 +177,33 @@ class Task:
             raise ValueError("nbytes is required for non-PackBuffer payloads")
         return nbytes
 
+    def _number_send(self) -> int:
+        """Number one ``send``/``mcast`` call and trace it as ``msg.send``
+        (one record for every copy of a multicast: they leave the sender
+        at the same point of its program)."""
+        self.sends += 1
+        obs = self.vm.kernel.obs
+        if obs is not None:
+            obs.emit("msg.send", node=self.tid, seq=self.sends)
+        return self.sends
+
     def _submit(
         self,
         dst: int,
         tag: int,
         payload: Any,
         nbytes: int,
-        trace_ref: str | None = None,
+        seq: int,
+        trace_ref: str | None,
     ) -> None:
         if dst not in self.vm.tasks:
             raise KeyError(f"send to unknown task {dst}")
         msg = Message(
             src=self.tid, dst=dst, tag=tag, payload=payload, nbytes=nbytes,
-            send_time=self.vm.kernel.now, trace_ref=trace_ref,
+            send_time=self.vm.kernel.now, trace_ref=trace_ref, seq=seq,
         )
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        observer = self.vm.observer
-        if observer is not None:
-            observer.on_send(self.tid, dst, tag, msg.msg_id, self.vm.kernel.now)
         self.vm._transmit(msg)
 
     def _submit_broadcast(
@@ -201,7 +212,8 @@ class Task:
         tag: int,
         payload: Any,
         nbytes: int,
-        trace_ref: str | None = None,
+        seq: int,
+        trace_ref: str | None,
     ) -> None:
         """One BROADCAST submission standing in for len(dsts) unicasts.
 
@@ -211,29 +223,44 @@ class Task:
         """
         msg = Message(
             src=self.tid, dst=BROADCAST, tag=tag, payload=payload, nbytes=nbytes,
-            send_time=self.vm.kernel.now, trace_ref=trace_ref,
+            send_time=self.vm.kernel.now, trace_ref=trace_ref, seq=seq,
         )
         self.messages_sent += len(dsts)
         self.bytes_sent += nbytes * len(dsts)
-        observer = self.vm.observer
-        if observer is not None:
-            for dst in dsts:
-                observer.on_send(self.tid, dst, tag, msg.msg_id, self.vm.kernel.now)
         self.vm._transmit(msg)
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
+    def _take(self, msgs: list[Message]) -> None:
+        """Count consumed messages and trace them as one ``msg.consume``.
+
+        Consumption, not mailbox arrival, is the receive event: only then
+        can the process depend on the payload.  The record names per
+        source the newest call number taken — a sender's clock only
+        grows, so that snapshot stands for all of them.
+        """
+        self.messages_received += len(msgs)
+        obs = self.vm.kernel.obs
+        if obs is None:
+            return
+        newest: dict[int, int] = {}
+        for msg in msgs:
+            if msg.seq > newest.get(msg.src, 0):
+                newest[msg.src] = msg.seq
+        # "src:seq,..." — one scalar, not a list of pairs: a GA drain takes
+        # one message from each of ~11 peers, and a string is the
+        # cheapest record that keeps them
+        obs.emit(
+            "msg.consume", node=self.tid,
+            newest=",".join(f"{src}:{newest[src]}" for src in sorted(newest)),
+        )
+
     def _pop_match(self, src: int, tag: int) -> Message | None:
         for i, msg in enumerate(self.mailbox):
             if msg.matches(src, tag):
                 popped = self.mailbox.pop(i)
-                observer = self.vm.observer
-                if observer is not None:
-                    # Consumption, not mailbox arrival, is the receive
-                    # event: a happens-before edge only exists once the
-                    # receiving *process* has folded the message in.
-                    observer.on_recv(self.tid, popped, self.vm.kernel.now)
+                self._take([popped])
                 return popped
         return None
 
@@ -243,7 +270,6 @@ class Task:
             msg = self._pop_match(src, tag)
             if msg is not None:
                 yield Compute(self.vm.overheads.recv_cost(msg.nbytes))
-                self.messages_received += 1
                 if isinstance(msg.payload, PackBuffer):
                     msg.payload.rewind()
                 return msg
@@ -257,11 +283,25 @@ class Task:
         applications do this once per drained batch).
         """
         msg = self._pop_match(src, tag)
-        if msg is not None:
-            self.messages_received += 1
-            if isinstance(msg.payload, PackBuffer):
-                msg.payload.rewind()
+        if msg is not None and isinstance(msg.payload, PackBuffer):
+            msg.payload.rewind()
         return msg
+
+    def nrecv_all(self, tag: int) -> list[Message]:
+        """Take every waiting message with ``tag``, in arrival order.
+
+        The batch form of :meth:`nrecv` (``pvm_nrecv`` until it returns
+        nothing), traced as one ``msg.consume`` record for the batch.
+        """
+        box = self.mailbox
+        taken = [m for m in box if m.tag == tag]
+        if taken:
+            box[:] = [m for m in box if m.tag != tag]
+            self._take(taken)
+            for msg in taken:
+                if isinstance(msg.payload, PackBuffer):
+                    msg.payload.rewind()
+        return taken
 
     def consume_cost(self, msg: Message) -> float:
         """CPU cost a caller should charge for a message taken via nrecv."""
@@ -349,11 +389,6 @@ class VirtualMachine:
         #: BROADCAST frame (see Task._hw_multicast_eligible)
         self.hw_multicast = hw_multicast
         self.tasks: dict[int, Task] = {}
-        #: optional message-event observer (``on_send(src, dst, tag,
-        #: msg_id, time)`` / ``on_recv(tid, msg, time)``) — the
-        #: happens-before race classifier attaches here to see every
-        #: send/consume edge, including barrier traffic
-        self.observer: Any = None
         try:
             self._mtu = int(network.config.max_payload)  # type: ignore[attr-defined]
         except AttributeError:

@@ -124,6 +124,23 @@ class TestReportCommand:
         assert main(["report", "--age", "-1"]) == 2
         assert "must be >= 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--demes", "0"], "--demes"),
+            (["--demes", "1"], "--demes"),
+            (["--generations", "-1"], "--generations"),
+            (["--generations", "0"], "--generations"),
+            (["--fid", "99"], "--fid"),
+            (["--fid", "0"], "--fid"),
+        ],
+    )
+    def test_bad_arguments_exit_two_naming_the_flag(self, capsys, argv, flag):
+        assert main(["report", *argv]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {flag}")
+        assert "PROBLEM" not in out and "Traceback" not in out
+
 
 class TestSanitizerFixture:
     def test_sanitizer_attaches_when_enabled(self, monkeypatch):
@@ -144,10 +161,24 @@ class TestSanitizerFixture:
         from repro.core import Dsm
 
         dsm = Dsm(Machine(MachineConfig(n_nodes=2, seed=0)).vm)
+        # an untraced machine gets a bus; the fixture folds it at teardown
         assert len(attached) == 1
-        assert dsm.checker is attached[0]
-        assert dsm.vm.observer is attached[0]
+        assert dsm.vm.kernel.obs is attached[0]
         with pytest.raises(StopIteration):
+            gen.send(None)
+
+    def test_sanitize_fixture_fails_on_a_violation(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        from repro.analysis.fixtures import sanitize_dsm
+        from repro.cluster import Machine, MachineConfig
+        from repro.core import Dsm
+
+        gen = sanitize_dsm.__wrapped__()
+        next(gen)
+        dsm = Dsm(Machine(MachineConfig(n_nodes=2, seed=0)).vm)
+        # a read of a value no write produced: a phantom
+        dsm.vm.kernel.obs.emit("dsm.read", node=1, locn="x", ret=3)
+        with pytest.raises(pytest.fail.Exception, match="no-phantom-values"):
             gen.send(None)
 
 

@@ -3,19 +3,19 @@
 A dropped update makes the reader observe an older copy than it would
 have on a healthy network — but as long as Global_Read's age bound held,
 that is a tolerated data race by the paper's definition, and neither the
-happens-before classifier nor the ConsistencyChecker may escalate it to
+happens-before fold nor the consistency fold may escalate it to
 ``unbounded`` (or a violation) just because faults were active.
 
-The classifier is wired to the injector by ``attach_race_classifier``
-(it discovers ``network.fault_injector`` on its own), so fault events
-land in its summary; the injector itself puts them on the trace bus.
+The injector puts every fault on the trace bus as ``fault.<kind>``, so
+the race fold's summary counts them from the same trace it classifies.
 """
 
 import pytest
 
-from repro.analysis.races import attach_race_classifier
+from repro.analysis.races import classify_races
 from repro.cluster import Machine, MachineConfig
-from repro.core import ConsistencyChecker, Dsm, SharedLocationSpec
+from repro.core import Dsm, SharedLocationSpec, consistency_violations
+from repro.core.consistency import report
 from repro.faults import FaultPlan, MessageFaults
 from repro.sim import Compute
 
@@ -26,12 +26,10 @@ WRITER_ITERS = 3 * READER_ITERS
 
 @pytest.fixture(scope="module")
 def faulted_run():
-    """Writer/reader over a drop-heavy network, classifier attached."""
+    """Writer/reader over a drop-heavy network, traced."""
     plan = FaultPlan(seed=2, messages=MessageFaults(drop=0.35))
     m = Machine(MachineConfig(n_nodes=2, seed=1, faults=plan, trace=True))
     dsm = Dsm(m.vm)
-    dsm.checker = ConsistencyChecker()
-    rc = attach_race_classifier(dsm)
     dsm.register(SharedLocationSpec("x", writer=0, readers=(1,), value_nbytes=64))
     log = []
 
@@ -51,36 +49,36 @@ def faulted_run():
     m.spawn_on(0, writer)
     m.spawn_on(1, reader)
     m.run_to_completion()
-    return m, dsm, rc, log
+    _, summary = classify_races(m.obs.events, dropped=m.obs.dropped)
+    return m, summary, log
 
 
 def test_drops_were_actually_injected(faulted_run):
-    m, _, rc, _ = faulted_run
+    m, s, _ = faulted_run
     assert m.faults.stats.dropped > 0
-    assert rc.fault_counts.get("drop", 0) > 0
-    assert rc.fault_counts["drop"] == m.faults.stats.dropped
+    assert s["faults_injected"]["drop"] == m.faults.stats.dropped
 
 
 def test_age_bound_held_despite_drops(faulted_run):
-    _, dsm, _, log = faulted_run
+    m, _, log = faulted_run
     assert len(log) == READER_ITERS
     for curr, got in log:
         assert got >= curr - AGE
-    assert dsm.checker.ok, dsm.checker.report()
-    assert dsm.checker.total_violations == 0
+    violations = consistency_violations(m.obs.events)
+    assert violations == [], report(violations)
 
 
 def test_drop_induced_staleness_classifies_tolerated_not_unbounded(faulted_run):
-    _, _, rc, _ = faulted_run
-    assert rc.unbounded_races == 0, rc.report()
-    assert rc.tolerated_races > 0, rc.report()
-    assert rc.max_observed_staleness() <= AGE
+    _, s, _ = faulted_run
+    assert s["unbounded_races"] == 0, s
+    assert s["tolerated_races"] > 0, s
+    assert s["max_observed_staleness"] <= AGE
 
 
 def test_summary_carries_fault_context(faulted_run):
-    m, _, rc, _ = faulted_run
-    s = rc.summary()
+    m, s, _ = faulted_run
     assert s["faults_injected"].get("drop", 0) > 0
     assert s["unbounded_races"] == 0
-    # the same drops are on the bus, where a trace reader finds them
-    assert m.kernel.obs.kind_counts()["fault.drop"] == rc.fault_counts["drop"]
+    assert s["consistency_violations"] == 0
+    # the summary's counts are the bus's fault records
+    assert m.kernel.obs.kind_counts()["fault.drop"] == s["faults_injected"]["drop"]

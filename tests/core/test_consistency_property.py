@@ -1,11 +1,12 @@
 """Property-based verification of non-strict coherence.
 
 Hypothesis generates random multi-producer/multi-consumer workloads
-(random compute times, ages, iteration counts); every execution must
-satisfy all four :mod:`repro.core.consistency` invariants.  This is the
-strongest correctness evidence for the Global_Read implementation: the
-staleness bound must hold under arbitrary interleavings, backlogs and
-contention patterns.
+(random compute times, ages, iteration counts); the trace of every
+execution must satisfy all four :mod:`repro.core.consistency`
+invariants.  This is the strongest correctness evidence for the
+Global_Read implementation: the staleness bound must hold under
+arbitrary interleavings, backlogs and contention patterns.  The unit
+tests below feed the fold hand-built traces.
 """
 
 import pytest
@@ -13,9 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineConfig
-from repro.core import ConsistencyChecker, Dsm, SharedLocationSpec
-from repro.core.consistency import Violation
+from repro.core import Dsm, SharedLocationSpec, consistency_violations
+from repro.core.consistency import Violation, report
+from repro.obs.bus import ObsEvent, TraceBus
 from repro.sim import Compute
+
+
+def _write(locn, age, t, writer=0):
+    return ObsEvent(t, "dsm.write", writer, {"locn": locn, "iter": age})
+
+
+def _read(reader, locn, ret, t, curr_iter=None, age_bound=None):
+    """A ``read_local`` return, or a ``Global_Read`` hit when bounded."""
+    if age_bound is None:
+        return ObsEvent(t, "dsm.read", reader, {"locn": locn, "ret": ret})
+    return ObsEvent(t, "gr.hit", reader, {
+        "locn": locn, "curr_iter": curr_iter, "age": age_bound,
+        "staleness": max(0, curr_iter - ret), "ret": ret,
+    })
 
 
 @st.composite
@@ -40,9 +56,8 @@ def test_random_all_to_all_workloads_are_consistent(wl):
     """All-to-all: every node writes its own location and global_reads all
     others each iteration, with random paces and staleness bounds."""
     n_nodes, seed, n_iters, params = wl
-    m = Machine(MachineConfig(n_nodes=n_nodes, seed=seed))
+    m = Machine(MachineConfig(n_nodes=n_nodes, seed=seed, trace=True))
     dsm = Dsm(m.vm)
-    dsm.checker = ConsistencyChecker()
     for w in range(n_nodes):
         readers = tuple(r for r in range(n_nodes) if r != w)
         dsm.register(SharedLocationSpec(f"loc.{w}", writer=w, readers=readers, value_nbytes=40))
@@ -65,98 +80,95 @@ def test_random_all_to_all_workloads_are_consistent(wl):
     for tid in range(n_nodes):
         m.spawn_on(tid, peer(tid))
     m.run_to_completion(until=10_000.0)
-    assert dsm.checker.ok, dsm.checker.report()
-    # every read the checker saw was a global_read within bound
-    assert dsm.checker.reads_checked > 0
-    assert dsm.checker.writes_checked == n_nodes * n_iters
+    violations = consistency_violations(m.obs.events, dropped=m.obs.dropped)
+    assert violations == [], report(violations)
+    # every write and every (bounded) read is on the trace the fold read
+    counts = m.obs.kind_counts()
+    assert counts["dsm.write"] == n_nodes * n_iters
+    assert counts.get("gr.hit", 0) + counts.get("gr.unblock", 0) == (
+        n_nodes * (n_nodes - 1) * n_iters
+    )
 
 
 def test_checker_flags_staleness_violation_directly():
-    c = ConsistencyChecker()
-    c.on_write("x", 1, 0.0)
-    c.on_read(reader=1, locn="x", returned_age=1, time=1.0, curr_iter=10, age_bound=2)
-    assert not c.ok
-    kinds = {v.invariant for v in c.violations}
-    assert "staleness-bound" in kinds
+    violations = consistency_violations(
+        [_write("x", 1, 0.0), _read(1, "x", 1, 1.0, curr_iter=10, age_bound=2)]
+    )
+    assert {v.invariant for v in violations} == {"staleness-bound"}
 
 
 def test_checker_flags_phantom_and_nonmonotone_reads():
-    c = ConsistencyChecker()
-    c.on_write("x", 5, 0.0)
-    c.on_read(1, "x", returned_age=4, time=1.0)  # never written
-    c.on_write("x", 6, 2.0)
-    c.on_read(1, "x", returned_age=6, time=3.0)
-    c.on_read(1, "x", returned_age=5, time=4.0)  # went backwards
-    kinds = [v.invariant for v in c.violations]
+    kinds = [v.invariant for v in consistency_violations([
+        _write("x", 5, 0.0),
+        _read(1, "x", 4, 1.0),  # never written
+        _write("x", 6, 2.0),
+        _read(1, "x", 6, 3.0),
+        _read(1, "x", 5, 4.0),  # went backwards
+    ])]
     assert "no-phantom-values" in kinds
     assert "monotone-reads" in kinds
 
 
 def test_checker_flags_nonmonotone_writes():
-    c = ConsistencyChecker()
-    c.on_write("x", 3, 0.0)
-    c.on_write("x", 3, 1.0)
-    assert [v.invariant for v in c.violations] == ["producer-monotonicity"]
+    violations = consistency_violations([_write("x", 3, 0.0), _write("x", 3, 1.0)])
+    assert [v.invariant for v in violations] == ["producer-monotonicity"]
 
 
 def test_checker_report_formats():
-    c = ConsistencyChecker()
-    assert "OK" in c.report()
-    c.on_write("x", 5, 0.0)
-    c.on_read(1, "x", returned_age=4, time=1.0)  # phantom
-    assert "no-phantom-values" in c.report()
+    assert report([]).startswith("0 violation(s)")
+    violations = consistency_violations(
+        [_write("x", 5, 0.0), _read(1, "x", 4, 1.0)]  # phantom
+    )
+    assert "no-phantom-values" in report(violations)
 
 
 def test_violation_carries_reader_id():
-    c = ConsistencyChecker()
-    c.on_write("x", 5, 0.0)
-    c.on_read(reader=3, locn="x", returned_age=4, time=1.0)  # phantom
-    assert c.violations[0].reader == 3
-    assert "reader=3" in c.report()
-    # write-side invariants have no reader
-    c.on_write("x", 5, 2.0)
-    monotone = [v for v in c.violations if v.invariant == "producer-monotonicity"]
-    assert monotone and monotone[0].reader is None
-    # positional construction (pre-reader-field call sites) still works
+    violations = consistency_violations([
+        _write("x", 5, 0.0),
+        _read(3, "x", 4, 1.0),  # phantom
+        _write("x", 5, 2.0),  # write-side invariants have no reader
+    ])
+    phantom, monotone = violations
+    assert phantom.reader == 3
+    assert "reader=3" in report(violations)
+    assert monotone.invariant == "producer-monotonicity"
+    assert monotone.reader is None
+    # positional construction still works
     v = Violation("staleness-bound", "x", "detail", 1.0)
     assert v.reader is None
 
 
-def test_violations_dedup_per_key_and_count_everything():
-    c = ConsistencyChecker()
-    c.on_write("x", 5, 0.0)
+def test_every_violation_occurrence_is_returned():
+    events = [_write("x", 5, 0.0)]
     n = 50
-    for i in range(n):
-        c.on_read(reader=1, locn="x", returned_age=4 - i, time=float(i))
+    events += [_read(1, "x", 4 - i, float(i)) for i in range(n)]
+    violations = consistency_violations(events)
     # phantom fires every read; monotone-reads from the second on
-    from repro.core.consistency import PER_KEY_LIMIT
-
-    phantom_stored = [v for v in c.violations if v.invariant == "no-phantom-values"]
-    assert len(phantom_stored) == PER_KEY_LIMIT
-    assert c.violation_counts[("no-phantom-values", "x")] == n
-    assert c.violations_dropped > 0
-    assert not c.ok
-    assert c.total_violations == sum(c.violation_counts.values())
+    kinds = [v.invariant for v in violations]
+    assert kinds.count("no-phantom-values") == n
+    assert kinds.count("monotone-reads") == n - 1
+    assert f"'no-phantom-values': {n}" in report(violations)
 
 
-def test_violations_hard_cap_bounds_memory():
-    c = ConsistencyChecker(max_violations=10)
-    c.on_write("x", 100, 0.0)
-    # distinct readers defeat per-key dedup, so the hard cap must hold
-    for reader in range(500):
-        c.on_read(reader=reader, locn="x", returned_age=0, time=1.0)
-    assert len(c.violations) == 10
-    assert c.total_violations >= 500
-    assert not c.ok
+def test_truncated_trace_is_refused():
+    # the bus's capacity bounds trace memory; a fold over an overflowed
+    # bus would see writes missing and report phantom values, so it
+    # refuses, naming the count
+    bus = TraceBus(clock=lambda: 0.0, max_events=1)
+    bus.emit("dsm.write", node=0, locn="x", iter=1)
+    bus.emit("dsm.read", node=1, locn="x", ret=1)
+    bus.emit("dsm.read", node=1, locn="x", ret=1)
+    assert bus.dropped == 2
+    with pytest.raises(ValueError, match="2 event"):
+        consistency_violations(bus.events, dropped=bus.dropped)
 
 
 def test_report_says_it_truncates():
-    c = ConsistencyChecker()
-    c.on_write("x", 100, 0.0)
-    for reader in range(30):
-        c.on_read(reader=reader, locn="x", returned_age=0, time=1.0)
-    text = c.report()
+    events = [_write("x", 100, 0.0)]
+    events += [_read(reader, "x", 0, 1.0) for reader in range(30)]
+    violations = consistency_violations(events)
+    text = report(violations)
     assert "showing first 20" in text
     assert "omitted" in text
     # the truncation message is accurate about the totals
-    assert f"{c.total_violations} violation(s)" in text
+    assert f"{len(violations)} violation(s)" in text

@@ -8,22 +8,27 @@ import pytest
 
 from repro.cluster import Machine, MachineConfig
 from repro.core import (
-    ConsistencyChecker,
     Dsm,
     GlobalReadMode,
     SharedLocationSpec,
     UpdatePolicy,
+    consistency_violations,
 )
+from repro.core.consistency import report
 from repro.sim import Compute, DeadlockError, ProcessFailure
 
 
 def build(n_nodes=2, seed=0, mode=GlobalReadMode.WAIT, policy=UpdatePolicy.EAGER,
           check=True, **machine_kw):
-    m = Machine(MachineConfig(n_nodes=n_nodes, seed=seed, **machine_kw))
-    dsm = Dsm(m.vm, mode=mode, update_policy=policy)
-    if check:
-        dsm.checker = ConsistencyChecker()
-    return m, dsm
+    """A machine (traced when ``check``, for :func:`assert_consistent`) and its DSM."""
+    m = Machine(MachineConfig(n_nodes=n_nodes, seed=seed, trace=check, **machine_kw))
+    return m, Dsm(m.vm, mode=mode, update_policy=policy)
+
+
+def assert_consistent(m):
+    """The run's trace breaks none of the consistency invariants."""
+    violations = consistency_violations(m.obs.events, dropped=m.obs.dropped)
+    assert violations == [], report(violations)
 
 
 def producer(dsm, tid, locn, n_iters, dt):
@@ -59,7 +64,7 @@ def test_global_read_returns_within_bound_fast_producer():
     assert len(log) == 30
     for curr, got in log:
         assert got >= curr - 5
-    assert dsm.checker.ok, dsm.checker.report()
+    assert_consistent(m)
 
 
 def test_global_read_blocks_when_producer_slow():
@@ -75,7 +80,7 @@ def test_global_read_blocks_when_producer_slow():
     assert stats.block_time > 0
     # throttled to roughly the producer's pace
     assert t == pytest.approx(20 * 0.05, rel=0.2)
-    assert dsm.checker.ok, dsm.checker.report()
+    assert_consistent(m)
 
 
 def test_age_zero_lockstep_without_barrier():
@@ -212,7 +217,7 @@ def test_request_mode_daemon_defers_until_satisfying_write():
     assert stats.requests_sent > 0
     node0 = dsm.node(0)
     assert node0.stats.requests_served + node0.stats.requests_deferred > 0
-    assert dsm.checker.ok, dsm.checker.report()
+    assert_consistent(m)
 
 
 def test_request_mode_immediate_reply_when_value_exists():
@@ -303,7 +308,7 @@ def test_blocked_reader_sends_nothing_flow_control():
     # are paced by the slow peer: total sends stay equal, but it spent most
     # of the run blocked rather than flooding.
     assert dsm.node(1).gr_stats.block_time > 0.5
-    assert dsm.checker.ok, dsm.checker.report()
+    assert_consistent(m)
 
 
 def test_merged_stats_across_nodes():

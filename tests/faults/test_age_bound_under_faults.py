@@ -15,7 +15,8 @@ starve the reader into deadlock.
 import pytest
 
 from repro.cluster import Machine, MachineConfig
-from repro.core import ConsistencyChecker, Dsm, SharedLocationSpec
+from repro.core import Dsm, SharedLocationSpec, consistency_violations
+from repro.core.consistency import report
 from repro.faults import FaultPlan, MessageFaults, NodeFault
 from repro.sim import Compute
 
@@ -39,10 +40,10 @@ def run_faulted(plan, seed=0, age=AGE, node_faults=()):
             n_nodes=2,
             seed=seed,
             faults=FaultPlan(seed=seed, messages=plan, node_faults=node_faults),
+            trace=True,
         )
     )
     dsm = Dsm(m.vm)
-    dsm.checker = ConsistencyChecker()
     dsm.register(SharedLocationSpec("x", writer=0, readers=(1,), value_nbytes=64))
     log = []
 
@@ -65,14 +66,19 @@ def run_faulted(plan, seed=0, age=AGE, node_faults=()):
     return m, dsm, log
 
 
+def assert_consistent(m):
+    """The run's trace breaks none of the consistency invariants."""
+    violations = consistency_violations(m.obs.events, dropped=m.obs.dropped)
+    assert violations == [], report(violations)
+
+
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_age_bound_holds_under_message_faults(name):
-    m, dsm, log = run_faulted(PLANS[name])
+    m, _, log = run_faulted(PLANS[name])
     assert len(log) == READER_ITERS
     for curr, got in log:
         assert got >= curr - AGE, f"{name}: read age {got} at iter {curr}"
-    assert dsm.checker.ok, dsm.checker.report()
-    assert dsm.checker.total_violations == 0
+    assert_consistent(m)
 
 
 @pytest.mark.parametrize("name", ["drop", "mixed", "drop-window"])
@@ -88,11 +94,11 @@ def test_age_bound_holds_under_node_faults():
         NodeFault(node=0, kind="pause", start=0.01, duration=0.01),
         NodeFault(node=1, kind="slowdown", start=0.03, duration=0.02, factor=2.0),
     )
-    m, dsm, log = run_faulted(MessageFaults(), node_faults=faults)
+    m, _, log = run_faulted(MessageFaults(), node_faults=faults)
     assert len(log) == READER_ITERS
     for curr, got in log:
         assert got >= curr - AGE
-    assert dsm.checker.ok, dsm.checker.report()
+    assert_consistent(m)
     # the pause really stalled the writer
     assert m.faults.node_models[0].stall_time > 0
 
@@ -106,7 +112,7 @@ def test_faulted_run_is_deterministic():
 
 
 def test_tighter_age_still_respected_under_drops():
-    _, dsm, log = run_faulted(PLANS["drop"], age=1)
+    m, _, log = run_faulted(PLANS["drop"], age=1)
     for curr, got in log:
         assert got >= curr - 1
-    assert dsm.checker.ok, dsm.checker.report()
+    assert_consistent(m)

@@ -152,19 +152,16 @@ def test_fault_log_is_bounded():
 
 
 def test_observer_sees_every_fault():
-    events = []
-
-    class Obs:
-        def on_fault(self, kind, frame, time):
-            events.append(kind)
+    """The trace bus records every logged fault as ``fault.<kind>``."""
+    from repro.obs.bus import TraceBus
 
     plan = plan_of(drop=0.2, duplicate=0.2, delay=0.2, reorder=0.2)
     kernel = Kernel(seed=5)
+    kernel.obs = TraceBus(clock=lambda: kernel.now)
     net = EthernetNetwork(kernel)
     for i in range(2):
         net.attach(i, lambda f: None)
     inj = install_faults(kernel, net, [], plan)
-    inj.observer = Obs()
 
     def send(k):
         net.adapters[0].send(Frame(src=0, dst=1, size_bytes=100))
@@ -173,6 +170,7 @@ def test_observer_sees_every_fault():
 
     kernel.schedule(0.0, send, 0)
     kernel.run()
+    events = [e.kind[6:] for e in kernel.obs.events if e.kind.startswith("fault.")]
     assert len(events) == len(inj.log)
     assert {"drop", "duplicate", "delay", "reorder"} <= set(events)
 

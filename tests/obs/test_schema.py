@@ -27,6 +27,59 @@ def test_real_trace_validates_strict(ga_run, tmp_path):
     assert verdict["ok"], verdict["errors"]
 
 
+def test_bayes_trace_validates_strict(bayes_run, tmp_path):
+    path = tmp_path / "bayes.jsonl"
+    bayes_run.bus.write_jsonl(path)
+    verdict = validate_trace(str(path), strict=True)
+    assert verdict["ok"], verdict["errors"]
+    # the correction batches and interface drains are consumes
+    assert bayes_run.bus.kind_counts()["msg.consume"] > 0
+
+
+@pytest.mark.parametrize("mode", ["synchronous", "asynchronous", "non_strict"])
+def test_every_coherence_mode_traces_strict_and_folds_the_same_from_disk(
+    mode, tmp_path
+):
+    """The happens-before kinds validate, and a fold over the JSONL file
+    equals the fold over the in-memory bus."""
+    from repro.analysis.races import classify_races
+    from repro.cluster.machine import MachineConfig
+    from repro.core.coherence import CoherenceMode
+    from repro.ga import IslandGaConfig, get_function, run_island_ga
+    from repro.obs.bus import read_jsonl
+
+    cfg = IslandGaConfig(
+        fn=get_function(1), n_demes=3, mode=CoherenceMode(mode), age=4,
+        n_generations=12, seed=3,
+        machine=MachineConfig(n_nodes=3, seed=3, trace=True),
+    )
+    holder = {}
+    run_island_ga(cfg, instrument=lambda dsm: holder.update(bus=dsm.vm.kernel.obs))
+    bus = holder["bus"]
+    path = tmp_path / f"{mode}.jsonl"
+    bus.write_jsonl(path)
+    verdict = validate_trace(str(path), strict=True)
+    assert verdict["ok"], verdict["errors"]
+    counts = bus.kind_counts()
+    assert counts["msg.send"] > 0 and counts["msg.consume"] > 0
+    meta: dict = {}
+    from_disk = classify_races(list(read_jsonl(str(path), meta)), meta["events_dropped"])
+    assert from_disk == classify_races(bus.events)
+
+
+def test_happens_before_kinds_need_their_fields():
+    lines = [
+        json.dumps({"t": 0, "kind": "msg.send", "node": 0}),
+        json.dumps({"t": 0, "kind": "msg.consume", "node": 1, "newest": [[0, 3]]}),
+        json.dumps({"t": 0, "kind": "dsm.read", "node": 1, "locn": "x"}),
+        _meta(3),
+    ]
+    errors = validate_lines(lines)["errors"]
+    assert any("msg.send missing field 'seq'" in e for e in errors)
+    assert any("msg.consume.newest has type list" in e for e in errors)
+    assert any("dsm.read missing field 'ret'" in e for e in errors)
+
+
 def _meta(events, dropped=0):
     return json.dumps(
         {"kind": "trace.meta", "events": events, "events_dropped": dropped}

@@ -13,7 +13,8 @@ import pytest
 from repro.bayes import make_random_network
 from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
 from repro.cluster import Machine, MachineConfig, NodeSpec
-from repro.core import ConsistencyChecker, Dsm, SharedLocationSpec
+from repro.core import Dsm, SharedLocationSpec, consistency_violations
+from repro.core.consistency import READ_KINDS, report
 from repro.core.coherence import CoherenceMode
 from repro.ga import IslandGaConfig, get_function, run_island_ga
 from repro.sim import Compute
@@ -91,11 +92,10 @@ class TestStackConsistency:
         """Full stack with a background loader: coherence must still hold."""
         m = Machine(
             MachineConfig(
-                n_nodes=3, seed=21, node_spec=NodeSpec(jitter_sigma=0.2),
+                n_nodes=3, seed=21, node_spec=NodeSpec(jitter_sigma=0.2), trace=True,
             ).with_load(5e6)
         )
         dsm = Dsm(m.vm)
-        dsm.checker = ConsistencyChecker()
         for w in range(3):
             dsm.register(
                 SharedLocationSpec(
@@ -120,8 +120,9 @@ class TestStackConsistency:
         for tid in range(3):
             m.spawn_on(tid, peer(tid))
         m.run_to_completion(until=1000.0)
-        assert dsm.checker.ok, dsm.checker.report()
-        assert dsm.checker.reads_checked == 3 * 25 * 2
+        violations = consistency_violations(m.obs.events, dropped=m.obs.dropped)
+        assert violations == [], report(violations)
+        assert sum(e.kind in READ_KINDS for e in m.obs.events) == 3 * 25 * 2
 
     def test_message_conservation_island_ga(self):
         """Messages sent == DSM updates propagated + barrier traffic."""
