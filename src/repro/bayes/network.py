@@ -11,11 +11,13 @@ graph partitioner.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+
+from repro.partition.graph import Graph
 
 
 @dataclass
@@ -75,18 +77,17 @@ class BayesianNetwork:
                         f"{node.cpt.shape[node.parents.index(p)]} but parent "
                         f"has {self.nodes[p].n_values} values"
                     )
-        self._dag = nx.DiGraph()
-        self._dag.add_nodes_from(self.nodes)
+            if len(set(node.parents)) != len(node.parents):
+                raise ValueError(f"node {node.name}: duplicate parent")
+        #: out-edges per node, in the order the edges were declared (the
+        #: skeleton's adjacency order, which the partitioner reads)
+        self._succ: dict[int, list[int]] = {v: [] for v in self.nodes}
         for node in nodes:
             for p in node.parents:
-                self._dag.add_edge(p, node.name)
-        if not nx.is_directed_acyclic_graph(self._dag):
-            cycle = nx.find_cycle(self._dag)
-            raise ValueError(f"network contains a cycle: {cycle}")
-        # deterministic topological order: break ties by node name
-        self.topo_order: list[int] = list(
-            nx.lexicographical_topological_sort(self._dag)
-        )
+                self._succ[p].append(node.name)
+        self._children = {v: sorted(cs) for v, cs in self._succ.items()}
+        #: deterministic topological order: ties broken by node name
+        self.topo_order: list[int] = self._topological_order()
         # cumulative CPTs, last entry of every row pinned to exactly 1.0:
         # float cumsum can end at 0.9999999999999998, and a draw in
         # [that, 1) would otherwise sample the invalid value n_values
@@ -111,7 +112,7 @@ class BayesianNetwork:
     @property
     def n_edges(self) -> int:
         """Number of directed edges in the network."""
-        return self._dag.number_of_edges()
+        return sum(len(cs) for cs in self._succ.values())
 
     @property
     def edges_per_node(self) -> float:
@@ -124,16 +125,61 @@ class BayesianNetwork:
         return max(n.n_values for n in self.nodes.values())
 
     def children(self, name: int) -> list[int]:
-        """The node ids with an incoming edge from ``name``."""
-        return sorted(self._dag.successors(name))
+        """The node ids with an incoming edge from ``name``, ascending
+        (one shared list per node: do not mutate)."""
+        return self._children[name]
 
-    def dag(self) -> nx.DiGraph:
-        """The directed graph (copy-safe view)."""
-        return self._dag
+    def descendants(self, name: int) -> set[int]:
+        """Every node reachable from ``name`` along directed edges."""
+        seen: set[int] = set()
+        stack = list(self._succ[name])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(self._succ[v])
+        return seen
 
-    def skeleton(self) -> nx.Graph:
-        """Undirected skeleton, the input to the graph partitioner."""
-        return self._dag.to_undirected()
+    def skeleton(self) -> Graph:
+        """Undirected skeleton, the input to the graph partitioner: each
+        node's neighbours in the order its edges were first declared,
+        scanning nodes in order and each node's children as declared."""
+        g = Graph()
+        for v in self._succ:
+            g.add_node(v)
+        for u, cs in self._succ.items():
+            for v in cs:
+                g.add_edge(u, v)
+        return g
+
+    def _topological_order(self) -> list[int]:
+        """Kahn's algorithm, always taking the smallest ready node id;
+        raises :class:`ValueError` naming one cycle's edges."""
+        indegree = {v: len(node.parents) for v, node in self.nodes.items()}
+        ready = [v for v, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v in self._succ[u]:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    heapq.heappush(ready, v)
+        if len(order) == len(indegree):
+            return order
+        # every node left has a parent that is left too: walk parents
+        # until one repeats, and report that loop in edge direction
+        walk: list[int] = []
+        at: dict[int, int] = {}
+        v = next(v for v, d in indegree.items() if d)
+        while v not in at:
+            at[v] = len(walk)
+            walk.append(v)
+            v = next(p for p in self.nodes[v].parents if indegree[p])
+        loop = [v] + walk[at[v] + 1:][::-1]
+        edges = [(u, loop[(i + 1) % len(loop)]) for i, u in enumerate(loop)]
+        raise ValueError(f"network contains a cycle: {edges}")
 
     def table2_row(self) -> dict:
         """The structural statistics Table 2 reports for each network."""

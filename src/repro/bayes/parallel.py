@@ -178,11 +178,12 @@ def run_parallel_logic_sampling(
     if instrument is not None:
         instrument(dsm)
 
+    skeleton = net.skeleton()
     if cfg.n_procs == 1:
         owner = {v: 0 for v in net.nodes}
     else:
-        owner = best_of(net.skeleton(), cfg.n_procs, tries=4, seed=cfg.seed)
-    cut = _edge_cut(net.skeleton(), owner)
+        owner = best_of(skeleton, cfg.n_procs, tries=4, seed=cfg.seed)
+    cut = _edge_cut(skeleton, owner)
     defaults = net.default_values(seed=cfg.seed)
     states = [
         ProcessorState(net, owner, p, defaults, obs=machine.kernel.obs)

@@ -32,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.bayes.network import BayesianNetwork
@@ -207,7 +206,7 @@ class ProcessorState:
         #: our partition (the rollback recompute set)
         self.affected_plan: dict[int, list[tuple]] = {}
         for u in self.remote_parents:
-            desc = nx.descendants(net.dag(), u)
+            desc = net.descendants(u)
             self.affected_plan[u] = [e for e in self.plan if e[0] in desc]
 
         # optimistic state

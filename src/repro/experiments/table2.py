@@ -57,8 +57,9 @@ def pick_query(net: BayesianNetwork, seed: int = 0) -> int:
 def _table2_row(name: str, seed: int) -> dict:
     """One network's complete Table 2 row (independent replica)."""
     net = build_network(name, seed)
-    parts = best_of(net.skeleton(), 2, tries=4, seed=seed)
-    cut = edge_cut(net.skeleton(), parts)
+    skeleton = net.skeleton()
+    parts = best_of(skeleton, 2, tries=4, seed=seed)
+    cut = edge_cut(skeleton, parts)
     query = pick_query(net, seed)
     serial = run_serial_logic_sampling(net, query=query, seed=seed)
     paper = PAPER_TABLE2[net.name]

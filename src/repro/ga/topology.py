@@ -38,8 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+
+from repro.partition.graph import Graph
 
 TOPOLOGIES = ("all", "ring", "torus", "hierarchical", "random")
 
@@ -150,7 +151,7 @@ def readers_of(spec: TopologySpec, writer: int, n_demes: int) -> tuple[int, ...]
     return tuple(in_peers(spec, writer, n_demes))
 
 
-def comm_graph(peers: list[list[int]], migrant_nbytes: int) -> nx.Graph:
+def comm_graph(peers: list[list[int]], migrant_nbytes: int) -> Graph:
     """The migration pattern ``peers`` (see :func:`wiring`) as the shard
     partitioner's unit graph.
 
@@ -158,9 +159,10 @@ def comm_graph(peers: list[list[int]], migrant_nbytes: int) -> nx.Graph:
     communicate at all, not direction — with every deme present as a
     node (isolated demes still need an owner shard).
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(len(peers)))
+    g = Graph()
+    for d in range(len(peers)):
+        g.add_node(d)
     for d, ps in enumerate(peers):
         for p in ps:
-            g.add_edge(d, p, weight=float(migrant_nbytes))
+            g.add_edge(d, p, float(migrant_nbytes))
     return g

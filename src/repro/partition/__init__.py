@@ -14,15 +14,19 @@ algorithm from scratch:
 * :func:`~repro.partition.multilevel.partition` — k-way by recursive
   bisection.
 
-Graphs are :class:`networkx.Graph` instances; edge weights default to 1.
+Graphs are :class:`~repro.partition.graph.Graph` instances: dict
+adjacency holding each edge's weight (default 1), iterated in insertion
+order so every partition is a pure function of the graph and the seed.
 """
 
+from repro.partition.graph import Graph
 from repro.partition.metrics import edge_cut, balance, validate_partition
 from repro.partition.greedy import greedy_bisection
 from repro.partition.kl import kl_refine
 from repro.partition.multilevel import multilevel_bisection, partition
 
 __all__ = [
+    "Graph",
     "edge_cut",
     "balance",
     "validate_partition",

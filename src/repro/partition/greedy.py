@@ -12,37 +12,45 @@ from __future__ import annotations
 import heapq
 import itertools
 
-import networkx as nx
+from repro.partition.graph import Graph
 
 
-def _pseudo_peripheral(graph: nx.Graph, start) -> object:
+def _pseudo_peripheral(graph: Graph, start) -> object:
     """Vertex roughly farthest from ``start`` (two BFS sweeps)."""
     node = start
     for _ in range(2):
-        lengths = nx.single_source_shortest_path_length(graph, node)
-        node = max(lengths, key=lambda n: (lengths[n], str(n)))
+        dist = {node: 0}
+        frontier = [node]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in graph.adj[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        node = max(dist, key=lambda n: (dist[n], str(n)))
     return node
 
 
-def greedy_bisection(graph: nx.Graph, seed_node=None) -> dict:
+def greedy_bisection(graph: Graph, seed_node=None) -> dict:
     """Bisect ``graph`` by BFS region growth; returns {node: 0|1}.
 
-    Vertex-weight aware: a node's ``size`` attribute (default 1) counts
-    toward the growth target, so bisecting a coarsened graph balances the
+    Vertex-weight aware: a node's ``size`` (default 1) counts toward the
+    growth target, so bisecting a coarsened graph balances the
     underlying fine vertices, not the coarse node count.  Deterministic:
     ties in gain are broken by insertion order.  Handles disconnected
     graphs by restarting growth from the smallest-label unabsorbed vertex.
     """
-    n = graph.number_of_nodes()
-    if n == 0:
+    adj = graph.adj
+    if not adj:
         return {}
-    if n == 1:
-        return {next(iter(graph.nodes)): 0}
-    nodes_sorted = sorted(graph.nodes, key=str)
+    if len(adj) == 1:
+        return {next(iter(adj)): 0}
+    nodes_sorted = sorted(adj, key=str)
     if seed_node is None:
         seed_node = _pseudo_peripheral(graph, nodes_sorted[0])
-    sizes = {v: graph.nodes[v].get("size", 1) for v in graph.nodes}
-    target = sum(sizes.values()) // 2
+    target = sum(graph.size.values()) // 2
     in_zero: set = set()
     grown = 0
     counter = itertools.count()
@@ -50,12 +58,11 @@ def greedy_bisection(graph: nx.Graph, seed_node=None) -> dict:
     heap: list = []
 
     def push(node):
-        internal = sum(1 for nb in graph[node] if nb in in_zero)
-        gain = 2 * internal - graph.degree(node)
+        internal = sum(1 for nb in adj[node] if nb in in_zero)
+        gain = 2 * internal - len(adj[node])
         heapq.heappush(heap, (-gain, next(counter), node))
 
     push(seed_node)
-    queued = {seed_node}
     while grown < target:
         while heap:
             _, _, node = heapq.heappop(heap)
@@ -68,9 +75,8 @@ def greedy_bisection(graph: nx.Graph, seed_node=None) -> dict:
                     node = cand
                     break
         in_zero.add(node)
-        grown += sizes[node]
-        for nb in graph[node]:
+        grown += graph.size[node]
+        for nb in adj[node]:
             if nb not in in_zero:
                 push(nb)
-                queued.add(nb)
-    return {node: (0 if node in in_zero else 1) for node in graph.nodes}
+    return {node: (0 if node in in_zero else 1) for node in adj}

@@ -14,18 +14,16 @@ random graphs up to a few hundred nodes).
 
 from __future__ import annotations
 
-import networkx as nx
-
+from repro.partition.graph import Graph
 from repro.partition.metrics import edge_cut, validate_partition
 
 
-def _d_values(graph: nx.Graph, parts: dict) -> dict:
+def _d_values(graph: Graph, parts: dict) -> dict:
     """D(v) = external cost - internal cost for every vertex."""
     d = {}
-    for v in graph.nodes:
+    for v, nbrs in graph.adj.items():
         internal = external = 0.0
-        for nb, data in graph[v].items():
-            w = data.get("weight", 1.0)
+        for nb, w in nbrs.items():
             if parts[nb] == parts[v]:
                 internal += w
             else:
@@ -34,7 +32,7 @@ def _d_values(graph: nx.Graph, parts: dict) -> dict:
     return d
 
 
-def kl_refine(graph: nx.Graph, parts: dict, max_passes: int = 10) -> dict:
+def kl_refine(graph: Graph, parts: dict, max_passes: int = 10) -> dict:
     """Refine a bisection in place-of (returns a new dict); cut never worsens."""
     k = validate_partition(graph, parts)
     if k == 1:
@@ -42,11 +40,12 @@ def kl_refine(graph: nx.Graph, parts: dict, max_passes: int = 10) -> dict:
     if k != 2:
         raise ValueError(f"KL refines bisections only, got {k} parts")
     parts = dict(parts)
+    adj = graph.adj
 
     for _ in range(max_passes):
         d = _d_values(graph, parts)
-        side_a = [v for v in graph.nodes if parts[v] == 0]
-        side_b = [v for v in graph.nodes if parts[v] == 1]
+        side_a = [v for v in adj if parts[v] == 0]
+        side_b = [v for v in adj if parts[v] == 1]
         locked: set = set()
         swaps: list[tuple] = []
         gains: list[float] = []
@@ -58,11 +57,11 @@ def kl_refine(graph: nx.Graph, parts: dict, max_passes: int = 10) -> dict:
             for a in side_a:
                 if a in locked:
                     continue
+                d_a, adj_a = d[a], adj[a]
                 for b in side_b:
                     if b in locked:
                         continue
-                    w_ab = graph[a][b].get("weight", 1.0) if graph.has_edge(a, b) else 0.0
-                    gain = d[a] + d[b] - 2.0 * w_ab
+                    gain = d_a + d[b] - 2.0 * adj_a.get(b, 0.0)
                     if best is None or gain > best[0]:
                         best = (gain, a, b)
             if best is None:
@@ -72,11 +71,11 @@ def kl_refine(graph: nx.Graph, parts: dict, max_passes: int = 10) -> dict:
             gains.append(gain)
             locked.update((a, b))
             # update D-values as if (a, b) were swapped
-            for v in graph.nodes:
+            for v, nbrs in adj.items():
                 if v in locked:
                     continue
-                w_va = graph[v][a].get("weight", 1.0) if graph.has_edge(v, a) else 0.0
-                w_vb = graph[v][b].get("weight", 1.0) if graph.has_edge(v, b) else 0.0
+                w_va = nbrs.get(a, 0.0)
+                w_vb = nbrs.get(b, 0.0)
                 if parts[v] == 0:
                     d[v] += 2.0 * w_va - 2.0 * w_vb
                 else:
@@ -96,10 +95,10 @@ def kl_refine(graph: nx.Graph, parts: dict, max_passes: int = 10) -> dict:
     return parts
 
 
-def kl_bisection(graph: nx.Graph, initial: dict | None = None, max_passes: int = 10) -> dict:
+def kl_bisection(graph: Graph, initial: dict | None = None, max_passes: int = 10) -> dict:
     """Convenience: KL starting from ``initial`` or an even node split."""
     if initial is None:
-        nodes = sorted(graph.nodes, key=str)
+        nodes = sorted(graph.adj, key=str)
         half = len(nodes) // 2
         initial = {v: (0 if i < half else 1) for i, v in enumerate(nodes)}
     refined = kl_refine(graph, initial, max_passes=max_passes)

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from repro.partition.graph import Graph
 
 
-def validate_partition(graph: nx.Graph, parts: dict) -> int:
+def validate_partition(graph: Graph, parts: dict) -> int:
     """Check ``parts`` covers exactly the graph's nodes; return #parts."""
-    if set(parts) != set(graph.nodes):
-        missing = set(graph.nodes) - set(parts)
-        extra = set(parts) - set(graph.nodes)
+    if set(parts) != set(graph.adj):
+        missing = set(graph.adj) - set(parts)
+        extra = set(parts) - set(graph.adj)
         raise ValueError(
             f"partition does not match graph (missing={sorted(missing)[:5]}, "
             f"extra={sorted(extra)[:5]})"
@@ -20,7 +20,7 @@ def validate_partition(graph: nx.Graph, parts: dict) -> int:
     return len(labels)
 
 
-def edge_cut(graph: nx.Graph, parts: dict) -> float:
+def edge_cut(graph: Graph, parts: dict) -> float:
     """Total weight of edges whose endpoints lie in different parts.
 
     This is the quantity Table 2 reports ("Edge-cut for 2 partitions");
@@ -28,17 +28,17 @@ def edge_cut(graph: nx.Graph, parts: dict) -> float:
     """
     validate_partition(graph, parts)
     cut = 0.0
-    for u, v, data in graph.edges(data=True):
+    for u, v, w in graph.edges():
         if parts[u] != parts[v]:
-            cut += data.get("weight", 1.0)
+            cut += w
     return cut
 
 
-def balance(graph: nx.Graph, parts: dict) -> float:
+def balance(graph: Graph, parts: dict) -> float:
     """Largest part size divided by ideal size (1.0 = perfectly balanced)."""
     k = validate_partition(graph, parts)
     sizes: dict = {}
     for node, p in parts.items():
         sizes[p] = sizes.get(p, 0) + 1
-    ideal = graph.number_of_nodes() / k
+    ideal = len(graph) / k
     return max(sizes.values()) / ideal if ideal > 0 else float("inf")

@@ -21,7 +21,7 @@ coordinator.  The coordinator:
 A scenario object must provide::
 
     units() -> int                    # how many partitionable units
-    comm_graph() -> nx.Graph          # unit-communication graph (0..n-1)
+    comm_graph() -> Graph             # unit-communication graph (0..n-1)
     machine_config() -> MachineConfig # for lookahead extraction
     shardable() -> (bool, reason)     # e.g. noisy RNG coupling -> False
     run_serial() -> result            # the graceful fallback

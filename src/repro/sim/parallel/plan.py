@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.cluster.machine import MachineConfig
+from repro.partition.graph import Graph
 from repro.partition.multilevel import partition
 
 
@@ -68,7 +67,7 @@ def lookahead_of(mcfg: MachineConfig) -> float:
 
 
 def plan_shards(
-    graph: nx.Graph,
+    graph: Graph,
     n_shards: int,
     lookahead: float,
     seed: int = 0,
@@ -81,7 +80,7 @@ def plan_shards(
     appearance (unit order), so the plan — like everything else in the
     simulator — is a pure function of its inputs.
     """
-    units = sorted(graph.nodes)
+    units = sorted(graph.adj)
     if units != list(range(len(units))):
         raise ValueError("unit-communication graph must be labelled 0..n-1")
     k = max(1, min(n_shards, len(units)))

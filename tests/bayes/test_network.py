@@ -63,6 +63,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="cycle"):
             BayesianNetwork([a, b])
 
+    def test_cycle_error_names_a_cycle_in_edge_order(self):
+        cpt = np.array([[0.5, 0.5], [0.4, 0.6]])
+        nodes = [
+            BayesNode(0, 2, (), np.array([0.5, 0.5])),
+            BayesNode(1, 2, (3,), cpt),
+            BayesNode(2, 2, (1,), cpt),
+            BayesNode(3, 2, (2,), cpt),
+            BayesNode(4, 2, (3,), cpt),
+        ]
+        with pytest.raises(ValueError, match=r"cycle: \[\(1, 2\), \(2, 3\), \(3, 1\)\]"):
+            BayesianNetwork(nodes)
+
+    def test_duplicate_parent_rejected(self):
+        a = BayesNode(0, 2, (), np.array([0.5, 0.5]))
+        b = BayesNode(1, 2, (0, 0), np.full((2, 2, 2), 0.5))
+        with pytest.raises(ValueError, match="duplicate parent"):
+            BayesianNetwork([a, b])
+
     def test_unknown_parent_rejected(self):
         a = BayesNode(0, 2, (9,), np.array([[0.5, 0.5], [0.4, 0.6]]))
         with pytest.raises(ValueError, match="unknown parent"):
@@ -91,8 +109,26 @@ class TestStructure:
         assert net.children(0) == [1, 2]
         assert net.children(4) == []
         sk = net.skeleton()
-        assert not sk.is_directed()
-        assert sk.number_of_edges() == 5
+        assert sk.adj[0] == {1: 1.0, 2: 1.0} and sk.adj[1][0] == 1.0
+        assert len(list(sk.edges())) == 5
+
+    @pytest.mark.parametrize("which", ["A", "AA", "C", "hailfinder"])
+    def test_dag_matches_networkx(self, which):
+        # networkx (a dev dependency) is the reference the DAG replaced
+        import networkx as nx
+
+        net = make_hailfinder() if which == "hailfinder" else make_table2_network(which)
+        dag = nx.DiGraph()
+        dag.add_nodes_from(net.nodes)
+        for v, node in net.nodes.items():
+            dag.add_edges_from((p, v) for p in node.parents)
+        assert net.topo_order == list(nx.lexicographical_topological_sort(dag))
+        assert net.n_edges == dag.number_of_edges()
+        for v in net.nodes:
+            assert net.children(v) == sorted(dag.successors(v))
+            assert net.descendants(v) == nx.descendants(dag, v)
+        sk, ref = net.skeleton(), dag.to_undirected()
+        assert [(u, list(n)) for u, n in sk.adj.items()] == [(u, list(ref[u])) for u in ref]
 
     def test_table2_row(self):
         row = paper_figure1_network().table2_row()

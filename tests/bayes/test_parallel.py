@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -132,7 +131,7 @@ class StraightLineState(ProcessorState):
         vals = self.own_values.get(t)
         if vals is None:
             return []
-        desc = nx.descendants(self.net.dag(), u)
+        desc = self.net.descendants(u)
         affected = [v for v in self.own_nodes if v in desc]
         self.stats.nodes_resampled += len(affected)
         self.stats.record_rollback_depth(len(affected))

@@ -183,10 +183,10 @@ def test_property_symmetric_kinds_are_symmetric(spec, n):
 @given(topo_specs, st.integers(min_value=2, max_value=32))
 def test_property_comm_graph_covers_every_deme(spec, n):
     g = comm_graph(wiring(spec, n)[0], 100)
-    assert sorted(g.nodes) == list(range(n))
+    assert sorted(g.adj) == list(range(n))
     for d in range(n):
         for p in in_peers(spec, d, n):
-            assert g.has_edge(d, p)
+            assert g.adj[d][p] == g.adj[p][d] == 100.0
 
 
 @settings(max_examples=30, deadline=None)

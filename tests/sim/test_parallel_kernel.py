@@ -58,9 +58,9 @@ def test_plan_shards_clamps_to_unit_count():
 
 
 def test_plan_rejects_bad_labels():
-    import networkx as nx
+    from repro.partition import Graph
 
-    g = nx.Graph()
+    g = Graph()
     g.add_edge(3, 5)
     with pytest.raises(ValueError, match="0..n-1"):
         plan_shards(g, 2, lookahead=1e-3)

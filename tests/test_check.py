@@ -110,3 +110,24 @@ def test_simulator_layers_do_not_import_the_harness_layers():
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
+def test_the_simulator_imports_neither_networkx_nor_scipy():
+    """networkx is dev-only (test generators and references) and nothing
+    uses scipy: importing either at run time costs every process ~14 MB
+    and fails a runtime-only install."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import repro.analysis, repro.bayes, repro.check, repro.experiments, repro.ga, "
+        "repro.obs, repro.partition, repro.sim.parallel\n"
+        "for m in pkgutil.iter_modules(repro.experiments.__path__):\n"
+        "    importlib.import_module('repro.experiments.' + m.name)\n"
+        "bad = sorted(m for m in sys.modules if m.split('.')[0] in ('networkx', 'scipy'))\n"
+        "assert not bad, bad[:5]"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
