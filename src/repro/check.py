@@ -19,7 +19,11 @@ fixed-seed run:
     run under the fault plans of :data:`repro.faults.chaos.PLANS`,
     digested together with the injected-fault log (DESIGN.md §9);
 ``ring-hierarchical`` / ``torus-fat-tree`` / ``all-single-mcast``
-    8-deme island GAs on the three switched fabrics (DESIGN.md §14).
+    8-deme island GAs on the three switched fabrics (DESIGN.md §14);
+``bayes-sync`` / ``bayes-async-3``
+    the golden Bayes run SYNCHRONOUS on 2 processors (the staged
+    exchange) and ASYNCHRONOUS on 3 (a 3-way recursive bisection and
+    unthrottled rollback cascades).
 
 :func:`run_checks` runs every row serially and every GA row on the
 bounded-lag parallel kernel at each shard count of :data:`SHARD_COUNTS`
@@ -76,6 +80,8 @@ GOLDEN = {
     "ring-hierarchical": "12c14934a15485ec659fe2047de4afede1bdd0013a0882fccc1613883f9e1cfc",
     "torus-fat-tree": "48c70f7b12df3855b674fd0bc1777dd49730299f287d8e1932bec81907305c8b",
     "all-single-mcast": "6f326b93f97cc86698608a0bdead308b8f849da8c3e0332a6de9e51c8b007a5d",
+    "bayes-sync": "6f2486e9df15ee018ba977f1d6c7dc48d67f9f4dc8049e73f5ae6d0355dfacb4",
+    "bayes-async-3": "3751b6dbada5e375c4954b02266e1e04aefd9eaeeefa743aa8f185ba28f1055d",
 }
 
 #: shard counts every GA row is held to (those its deme count allows)
@@ -120,20 +126,38 @@ def golden_ga(
 
 
 def golden_bayes(
-    faults: FaultPlan | None = None, max_iterations: int = 20_000
+    faults: FaultPlan | None = None,
+    max_iterations: int = 20_000,
+    mode: CoherenceMode = CoherenceMode.NON_STRICT,
+    n_procs: int = 2,
 ) -> ParallelLsConfig:
-    """The small Global_Read logic-sampling run (Hailfinder, 2 processors)."""
+    """The small logic-sampling run (Hailfinder, age 5) behind the Bayes rows.
+
+    The defaults are the ``bayes_result`` row: Global_Read on 2
+    processors; the other rows change the fault plan, the mode or the
+    processor count.
+    """
     net = build_network("Hailfinder")
     return ParallelLsConfig(
         net=net,
         query=pick_query(net, seed=0),
-        n_procs=2,
-        mode=CoherenceMode.NON_STRICT,
+        n_procs=n_procs,
+        mode=mode,
         age=5,
         seed=7,
-        machine=machine_for(Scale.smoke(), 2, 7, faults=faults),
+        machine=machine_for(Scale.smoke(), n_procs, 7, faults=faults),
         max_iterations=max_iterations,
     )
+
+
+def bayes_rows() -> dict[str, ParallelLsConfig]:
+    """Row name → config of every parallel logic-sampling row of :data:`GOLDEN`."""
+    return {
+        "bayes_result": golden_bayes(),
+        "bayes-duplicate": golden_bayes(PLANS["bayes-duplicate"], max_iterations=4000),
+        "bayes-sync": golden_bayes(mode=CoherenceMode.SYNCHRONOUS),
+        "bayes-async-3": golden_bayes(mode=CoherenceMode.ASYNCHRONOUS, n_procs=3),
+    }
 
 
 def ga_rows() -> dict[str, IslandGaConfig]:
@@ -341,21 +365,20 @@ def run_checks(
             return run_checks(names, scratch)
     os.makedirs(trace_dir, exist_ok=True)
     ga = ga_rows()
+    bayes = bayes_rows()
     report: dict[str, dict] = {}
     for name, golden in GOLDEN.items():
         if names and name not in names:
             continue
         if name in ga:
             entry = _check_ga(ga[name], golden)
+        elif name in bayes:
+            entry = _check_bayes(bayes[name])
         elif name == "kernel_trace":
             entry = {"digest": kernel_trace_digest()}
-        elif name.startswith("traffic-"):
+        else:
             digest, summary = traffic_case(PLANS[name])
             entry = {"digest": digest, "summary": summary}
-        elif name == "bayes-duplicate":
-            entry = _check_bayes(golden_bayes(PLANS[name], max_iterations=4000))
-        else:
-            entry = _check_bayes(golden_bayes())
         entry["golden"] = golden
         entry["ok"] = entry.get("ok", True) and entry["digest"] == golden
         report[name] = entry

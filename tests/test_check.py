@@ -91,7 +91,7 @@ def test_one_table_and_one_copy_of_the_golden_ga():
     hex64 = re.compile(r"\b[0-9a-f]{64}\b")
     sources = {p: p.read_text(encoding="utf-8") for p in SRC.rglob("*.py")}
     assert [p.name for p, text in sources.items() if hex64.search(text)] == ["check.py"]
-    assert len(hex64.findall(sources[SRC / "check.py"])) == len(GOLDEN) == 16
+    assert len(hex64.findall(sources[SRC / "check.py"])) == len(GOLDEN) == 18
     assert sum(text.count("n_generations=40") + text.count("n_generations: int = 40")
                for text in sources.values()) == 1
 
