@@ -58,12 +58,18 @@ class BayesNode:
 
 
 class BayesianNetwork:
-    """A validated belief network with sampling support."""
+    """A validated belief network with sampling support; its ``n`` nodes
+    are named by the integers ``0..n-1``."""
 
     def __init__(self, nodes: list[BayesNode], name: str = "bn") -> None:
         self.name = name
         self.nodes: dict[int, BayesNode] = {}
         for node in nodes:
+            # the parallel samplers store a run as a list indexed by node
+            if not isinstance(node.name, int) or not 0 <= node.name < len(nodes):
+                raise ValueError(
+                    f"node {node.name!r}: names must be the integers 0..{len(nodes) - 1}"
+                )
             if node.name in self.nodes:
                 raise ValueError(f"duplicate node {node.name}")
             self.nodes[node.name] = node

@@ -109,6 +109,10 @@ class ParallelLsConfig:
             raise ValueError("need at least one processor")
         if self.age < 0:
             raise ValueError("age must be >= 0")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.check_every < 1:
+            raise ValueError(f"check_every must be >= 1, got {self.check_every}")
         if self.query not in self.net.nodes:
             raise KeyError(f"unknown query node {self.query}")
 
@@ -323,7 +327,7 @@ def run_parallel_logic_sampling(
             def sync_iteration(t: int):
                 """One lock-step run: staged exchange, actual values only."""
                 yield from task.barrier(range(cfg.n_procs))
-                vals: dict[int, int] = {}
+                vals = [None] * st.n_nodes
                 for s, (fetch, entries, pubs) in enumerate(stages):
                     for w, ws in fetch:
                         copy = yield from dnode.global_read(f"ifr.{w}.{ws}", t, 0)

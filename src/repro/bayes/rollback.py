@@ -64,10 +64,6 @@ class RollbackStats:
         resolved = self.gamble_hits + self.rollbacks
         return self.gamble_hits / resolved if resolved else 1.0
 
-    def record_rollback_depth(self, depth: int) -> None:
-        """Count one rollback whose recompute set had ``depth`` nodes."""
-        self.depth_histogram[depth] = self.depth_histogram.get(depth, 0) + 1
-
     def merge(self, other: "RollbackStats") -> "RollbackStats":
         """Aggregate counters across processors (for result envelopes)."""
         merged_depths = dict(self.depth_histogram)
@@ -93,7 +89,8 @@ class GvtOracle:
 
     def __init__(self, n_procs: int):
         self.progress = [0] * n_procs  # iterations fully sampled, per proc
-        #: per-proc dict: iteration -> number of unresolved gambles
+        #: per-proc dict: iteration -> number of unresolved gambles (kept
+        #: by ProcessorState.sample_iteration and apply_actual)
         self.pending_gambles: list[dict[int, int]] = [dict() for _ in range(n_procs)]
         #: in-flight message count per lowest-iteration-it-carries
         self.in_flight: dict[int, int] = {}
@@ -105,18 +102,6 @@ class GvtOracle:
     def sampled(self, proc: int, t: int) -> None:
         """Record that ``proc`` committed a sample for iteration ``t``."""
         self.progress[proc] = max(self.progress[proc], t)
-
-    def gamble_opened(self, proc: int, t: int) -> None:
-        """Record that ``proc`` started a gambled (optimistic) iteration ``t``."""
-        d = self.pending_gambles[proc]
-        d[t] = d.get(t, 0) + 1
-
-    def gamble_resolved(self, proc: int, t: int) -> None:
-        """Record that ``proc`` resolved its gamble on iteration ``t``."""
-        d = self.pending_gambles[proc]
-        d[t] -= 1
-        if d[t] == 0:
-            del d[t]
 
     def message_sent(self, min_iter: int) -> None:
         """Account an in-flight message carrying iterations >= ``min_iter``."""
@@ -160,6 +145,7 @@ class ProcessorState:
         obs=None,
     ) -> None:
         self.net = net
+        self.n_nodes = net.n_nodes
         self.proc = proc
         self.defaults = defaults
         self.own_nodes = [v for v in net.topo_order if owner[v] == proc]
@@ -189,7 +175,7 @@ class ProcessorState:
         #: the compiled sampling plan, one entry per own node in
         #: topological order: ``(node, cumulative CPT rows, parents,
         #: is_interface)``.  A sampler walks ``rows`` by the value each
-        #: parent has in the run's dict — own samples and believed remote
+        #: parent has in the run's list — own samples and believed remote
         #: inputs alike — and bisects the draw; the loop is inlined at its
         #: three sites (here twice, ``parallel.sync_iteration``) because
         #: a call per node is the overhead the plan exists to remove.
@@ -210,9 +196,10 @@ class ProcessorState:
             self.affected_plan[u] = [e for e in self.plan if e[0] in desc]
 
         # optimistic state
-        #: t -> {node: value}: the run's own samples, plus the value each
-        #: remote parent is believed to have (the actual, else the gamble)
-        self.own_values: dict[int, dict[int, int]] = {}
+        #: t -> the run's values indexed by node id (None where unused):
+        #: its own samples, plus the value each remote parent is believed
+        #: to have (the actual, else the gamble)
+        self.own_values: dict[int, list] = {}
         self.remote_values: dict[tuple[int, int], int] = {}  # (node, t) -> value
         self.gambles: dict[int, dict[int, int]] = {}  # t -> {node: assumed}
         self.published_upto = -1
@@ -229,27 +216,28 @@ class ProcessorState:
         self.obs = obs
 
     # ------------------------------------------------------------------
-    def input_value(self, u: int, t: int, oracle: GvtOracle) -> int:
-        """Value of remote parent ``u`` for run ``t``: the actual if we
-        have it, else the default (opening a gamble).
-
-        A gamble on ``(u, t)`` is opened (and counted) at most once,
-        otherwise the oracle's pending-gamble count could never return to
-        zero; a rollback recompute reads the run's dict, not this.
-        """
-        val = self.remote_values.get((u, t))
-        if val is not None:
-            return val
-        g = self.gambles.setdefault(t, {})
-        if u not in g:
-            g[u] = self.defaults[u]
-            self.stats.gambles += 1
-            oracle.gamble_opened(self.proc, t)
-        return g[u]
-
     def sample_iteration(self, t: int, rng: np.random.Generator, oracle: GvtOracle) -> None:
-        """Sample all own nodes for run ``t`` (optimistically)."""
-        vals = {u: self.input_value(u, t, oracle) for u in self.remote_parents}
+        """Sample all own nodes for run ``t`` (optimistically).
+
+        Each remote parent takes its actual if one has arrived, else its
+        default, which opens a gamble on ``(u, t)``: the run is sampled
+        once, so each gamble is opened (and counted in ``stats`` and the
+        oracle's pending count) exactly once; a rollback recompute reads
+        the run's list, never the gamble table.
+        """
+        vals = [None] * self.n_nodes
+        remote = self.remote_values
+        opened = None
+        for u in self.remote_parents:
+            val = remote.get((u, t))
+            if val is None:
+                if opened is None:
+                    opened = self.gambles[t] = {}
+                val = opened[u] = self.defaults[u]
+            vals[u] = val
+        if opened is not None:
+            self.stats.gambles += len(opened)
+            oracle.pending_gambles[self.proc][t] = len(opened)
         us = rng.random(len(self.plan)).tolist()
         for (v, rows, parents, _), draw in zip(self.plan, us):
             for p in parents:
@@ -278,11 +266,19 @@ class ProcessorState:
         of message triggered a rollback, and which correction version);
         they never affect the fold itself.
         """
-        old = self.remote_values.get((u, t))
-        self.remote_values[(u, t)] = value
-        gamble = self.gambles.get(t, {}).pop(u, None)
-        if gamble is not None:
-            oracle.gamble_resolved(self.proc, t)
+        key = (u, t)
+        old = self.remote_values.get(key)
+        self.remote_values[key] = value
+        gambled = self.gambles.get(t)
+        if gambled and u in gambled:
+            gamble = gambled.pop(u)
+            # resolve it in the oracle's pending count for the run
+            pending = oracle.pending_gambles[self.proc]
+            left = pending[t] - 1
+            if left:
+                pending[t] = left
+            else:
+                del pending[t]
             if gamble == value:
                 self.stats.gamble_hits += 1
                 return []
@@ -334,18 +330,20 @@ class ProcessorState:
             return []  # not sampled yet; the stored actual will be used
         vals[u] = self.remote_values[(u, t)]
         affected = self.affected_plan[u]
-        self.stats.nodes_resampled += len(affected)
-        self.stats.record_rollback_depth(len(affected))
+        depth = len(affected)
+        stats = self.stats
+        stats.nodes_resampled += depth
+        stats.depth_histogram[depth] = stats.depth_histogram.get(depth, 0) + 1
         if self.obs is not None:
             # cause ∈ {gamble, actual, correction}; writer = the process
             # owning the triggering input — the parent edge of a cascade
             self.obs.emit(
-                "rb.begin", node=self.proc, input=u, iter=t, depth=len(affected),
+                "rb.begin", node=self.proc, input=u, iter=t, depth=depth,
                 cause=cause, writer=self.remote_parents.get(u, -1), version=version,
             )
         changed: list[tuple[int, int, int, int]] = []
         published = t <= self.published_upto
-        us = rng.random(len(affected)).tolist()
+        us = rng.random(depth).tolist()
         for (v, rows, parents, is_iface), draw in zip(affected, us):
             for p in parents:
                 rows = rows[vals[p]]
@@ -356,11 +354,11 @@ class ProcessorState:
                     ver = self.sent_versions.get((v, t), 0) + 1
                     self.sent_versions[(v, t)] = ver
                     changed.append((v, t, new, ver))
-        self.stats.corrections_sent += len(changed)
+        stats.corrections_sent += len(changed)
         if self.obs is not None:
             self.obs.emit(
                 "rb.end", node=self.proc, input=u, iter=t,
-                depth=len(affected), corrections=len(changed),
+                depth=depth, corrections=len(changed),
             )
         return changed
 

@@ -38,7 +38,13 @@ class Graph:
             self.size[v] = size
 
     def add_edge(self, u, v, weight: float = 1.0) -> None:
-        """Add edge ``{u, v}`` (and any missing endpoint), or reweight it."""
+        """Add edge ``{u, v}`` (and any missing endpoint), or reweight it.
+
+        A negative or NaN weight is refused: KL's pruned scan bounds a
+        pair's gain by assuming every weight is >= 0.
+        """
+        if not weight >= 0:
+            raise ValueError(f"edge ({u!r}, {v!r}): weight must be >= 0, got {weight!r}")
         self.add_node(u)
         self.add_node(v)
         self.adj[u][v] = weight

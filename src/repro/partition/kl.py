@@ -44,38 +44,43 @@ def kl_refine(graph: Graph, parts: dict, max_passes: int = 10) -> dict:
 
     for _ in range(max_passes):
         d = _d_values(graph, parts)
+        # the unlocked vertices of each side, in node order
         side_a = [v for v in adj if parts[v] == 0]
         side_b = [v for v in adj if parts[v] == 1]
         locked: set = set()
         swaps: list[tuple] = []
         gains: list[float] = []
-        n_pairs = min(len(side_a), len(side_b))
 
-        for _ in range(n_pairs):
+        for _ in range(min(len(side_a), len(side_b))):
+            # greedy best pair among unlocked vertices; the first pair
+            # found keeps a tie.  Weights are >= 0, so no pair of ``a``
+            # gains more than d[a] + max d[b]: an ``a`` whose bound cannot
+            # strictly beat the best so far is skipped (DESIGN.md §8)
+            max_d_b = max(d[b] for b in side_b)
             best = None
-            # greedy best pair among unlocked vertices
             for a in side_a:
-                if a in locked:
+                d_a = d[a]
+                if best is not None and d_a + max_d_b <= best[0]:
                     continue
-                d_a, adj_a = d[a], adj[a]
+                adj_a = adj[a]
                 for b in side_b:
-                    if b in locked:
-                        continue
                     gain = d_a + d[b] - 2.0 * adj_a.get(b, 0.0)
                     if best is None or gain > best[0]:
                         best = (gain, a, b)
-            if best is None:
-                break
             gain, a, b = best
             swaps.append((a, b))
             gains.append(gain)
             locked.update((a, b))
-            # update D-values as if (a, b) were swapped
-            for v, nbrs in adj.items():
+            side_a.remove(a)
+            side_b.remove(b)
+            # update D-values as if (a, b) were swapped; a vertex adjacent
+            # to neither would add exactly 0.0
+            adj_a, adj_b = adj[a], adj[b]
+            for v in adj_a.keys() | adj_b.keys():
                 if v in locked:
                     continue
-                w_va = nbrs.get(a, 0.0)
-                w_vb = nbrs.get(b, 0.0)
+                w_va = adj_a.get(v, 0.0)
+                w_vb = adj_b.get(v, 0.0)
                 if parts[v] == 0:
                     d[v] += 2.0 * w_va - 2.0 * w_vb
                 else:

@@ -95,6 +95,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             BayesNode(0, 1, (), np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [-1, "x", 2, 1.0])
+    def test_names_other_than_0_to_n_minus_1_rejected(self, bad):
+        # a run is a list indexed by node id: -1 would alias the last slot
+        a = BayesNode(0, 2, (), np.array([0.5, 0.5]))
+        b = BayesNode(bad, 2, (0,), np.array([[0.5, 0.5], [0.4, 0.6]]))
+        with pytest.raises(ValueError, match=r"names must be the integers 0\.\.1"):
+            BayesianNetwork([a, b])
+
 
 class TestStructure:
     def test_topo_order_respects_edges(self):

@@ -112,6 +112,20 @@ class StraightLineState(ProcessorState):
     """The sampler written node by node against ``sample_node_scalar``:
     the reference the compiled plan must reproduce draw for draw."""
 
+    def input_value(self, u, t, oracle):
+        """The actual if it arrived, else the default, opening a gamble
+        (counted here and in the oracle) at most once per ``(u, t)``."""
+        val = self.remote_values.get((u, t))
+        if val is not None:
+            return val
+        g = self.gambles.setdefault(t, {})
+        if u not in g:
+            g[u] = self.defaults[u]
+            self.stats.gambles += 1
+            pending = oracle.pending_gambles[self.proc]
+            pending[t] = pending.get(t, 0) + 1
+        return g[u]
+
     def _parent_values(self, v, vals, t, oracle):
         return tuple(
             self.input_value(u, t, oracle) if u in self.remote_parents else vals[u]
@@ -134,7 +148,8 @@ class StraightLineState(ProcessorState):
         desc = self.net.descendants(u)
         affected = [v for v in self.own_nodes if v in desc]
         self.stats.nodes_resampled += len(affected)
-        self.stats.record_rollback_depth(len(affected))
+        depths = self.stats.depth_histogram
+        depths[len(affected)] = depths.get(len(affected), 0) + 1
         changed = []
         us = rng.random(len(affected))
         for i, v in enumerate(affected):
@@ -168,7 +183,7 @@ class TestCompiledPlan:
         assert got.iterations_sampled == ref.iterations_sampled == [300] * n_procs
         assert got.messages_sent == ref.messages_sent
         for st, ref_st in zip(got_states, ref_states, strict=True):
-            # a run's dict also carries its believed remote inputs
+            # a run's list also carries its believed remote inputs
             assert {
                 t: {v: vals[v] for v in st.own_nodes}
                 for t, vals in st.own_values.items()
@@ -236,6 +251,14 @@ class TestValidation:
         with pytest.raises(KeyError):
             ParallelLsConfig(net=net, query=999)
 
+    @pytest.mark.parametrize("field", ["check_every", "max_iterations"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_refuses_counts_below_one(self, field, value):
+        # check_every=0 used to die mid-run dividing by zero, and
+        # max_iterations=0 to return an empty, unconverged posterior
+        with pytest.raises(ValueError, match=field):
+            ParallelLsConfig(net=small_net(), query=0, **{field: value})
+
     def test_single_processor_degenerates_to_serial_like(self):
         net = small_net()
         r = run_parallel_logic_sampling(
@@ -260,9 +283,9 @@ class TestOracle:
         o = GvtOracle(2)
         o.sampled(0, 10)
         o.sampled(1, 10)
-        o.gamble_opened(0, 4)
+        o.pending_gambles[0][4] = 1
         assert o.floor() == 3
-        o.gamble_resolved(0, 4)
+        del o.pending_gambles[0][4]
         assert o.floor() == 10
 
     def test_in_flight_message_holds_floor(self):

@@ -16,6 +16,7 @@ from repro.partition import (
     edge_cut,
     greedy_bisection,
     kl_refine,
+    multilevel,
     multilevel_bisection,
     partition,
     validate_partition,
@@ -59,6 +60,15 @@ class TestGraph:
         assert orders(g) == [(0, [1, 2]), (1, [0]), (2, [0])]
         assert g.adj[0][1] == g.adj[1][0] == 2.0
         assert list(g.edges()) == [(0, 1, 2.0), (0, 2, 3.0)]
+
+    @pytest.mark.parametrize("weight", [-1.0, -1e-300, float("nan")])
+    def test_add_edge_refuses_negative_and_nan_weights(self, weight):
+        g = Graph()
+        with pytest.raises(ValueError, match=r"edge \(3, 'x'\)"):
+            g.add_edge(3, "x", weight)
+        assert len(g) == 0
+        g.add_edge(3, "x", 0.0)
+        assert g.adj == {3: {"x": 0.0}, "x": {3: 0.0}}
 
     def test_add_node_keeps_an_existing_size(self):
         g = Graph()
@@ -166,6 +176,108 @@ class TestKL:
         g = two_cliques(6)
         parts = kl_bisection(g)
         assert edge_cut(g, parts) <= 2
+
+
+def exhaustive_kl_refine(graph, parts, max_passes=10):
+    """KL with every unlocked pair scanned and every D-value updated
+    after each swap: the reference the pruned scan must reproduce."""
+    if validate_partition(graph, parts) == 1:
+        return dict(parts)
+    parts = dict(parts)
+    adj = graph.adj
+    for _ in range(max_passes):
+        d = {}
+        for v, nbrs in adj.items():
+            internal = external = 0.0
+            for nb, w in nbrs.items():
+                if parts[nb] == parts[v]:
+                    internal += w
+                else:
+                    external += w
+            d[v] = external - internal
+        side_a = [v for v in adj if parts[v] == 0]
+        side_b = [v for v in adj if parts[v] == 1]
+        locked, swaps, gains = set(), [], []
+        for _ in range(min(len(side_a), len(side_b))):
+            best = None
+            for a in side_a:
+                if a in locked:
+                    continue
+                for b in side_b:
+                    if b in locked:
+                        continue
+                    gain = d[a] + d[b] - 2.0 * adj[a].get(b, 0.0)
+                    if best is None or gain > best[0]:
+                        best = (gain, a, b)
+            gain, a, b = best
+            swaps.append((a, b))
+            gains.append(gain)
+            locked.update((a, b))
+            for v, nbrs in adj.items():
+                if v in locked:
+                    continue
+                w_va = nbrs.get(a, 0.0)
+                w_vb = nbrs.get(b, 0.0)
+                if parts[v] == 0:
+                    d[v] += 2.0 * w_va - 2.0 * w_vb
+                else:
+                    d[v] += 2.0 * w_vb - 2.0 * w_va
+        best_prefix, best_total, running = 0, 0.0, 0.0
+        for i, g in enumerate(gains):
+            running += g
+            if running > best_total:
+                best_total, best_prefix = running, i + 1
+        if best_prefix == 0:
+            break
+        for a, b in swaps[:best_prefix]:
+            parts[a], parts[b] = 1, 0
+    return parts
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """4-40 nodes inserted in shuffled order, integer weights 0-3 (so
+    equal gains are common), and an uneven starting bisection."""
+    n = draw(st.integers(min_value=4, max_value=40))
+    nodes = draw(st.permutations(range(n)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pairs), st.integers(min_value=0, max_value=3)),
+            max_size=4 * n,
+        )
+    )
+    g = Graph()
+    for v in nodes:
+        g.add_node(v)
+    for (u, v), w in edges:
+        g.add_edge(u, v, float(w))
+    sides = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return g, dict(zip(nodes, sides))
+
+
+class TestPrunedScan:
+    """The bound-pruned, neighbour-updated KL pass against the exhaustive
+    scan: the same swaps, so the same parts and owner maps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tie_heavy_graphs())
+    def test_kl_refine_matches_the_exhaustive_scan(self, case):
+        g, initial = case
+        assert kl_refine(g, initial) == exhaustive_kl_refine(g, initial)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=tie_heavy_graphs(), seed=st.integers(min_value=0, max_value=1000))
+    def test_best_of_owner_maps_match_the_exhaustive_scan(self, case, seed):
+        g, _ = case
+        for k in (2, 3, 5):
+            if k > len(g):
+                continue
+            got = best_of(g, k, tries=4, seed=seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(multilevel, "kl_refine", exhaustive_kl_refine)
+                want = best_of(g, k, tries=4, seed=seed)
+            assert list(got.items()) == list(want.items()), k
 
 
 class TestMultilevel:
