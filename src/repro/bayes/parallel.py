@@ -244,6 +244,15 @@ def run_parallel_logic_sampling(
                 )
 
     est = PosteriorEstimator(net.nodes[cfg.query].n_values, precision=cfg.precision)
+    # Each processor's pending_out: the corrections it has folded but not
+    # yet accounted by oracle.message_sent for every reader (a batch stays
+    # in it until its last reader's send).  The floor does not see them
+    # (DESIGN.md §5), so the fossil bound must.
+    outboxes: list[list[tuple[int, int, int, int]]] = [[] for _ in states]
+
+    def fossil_bound(floor: int) -> int:
+        """``floor`` lowered below every run an unaccounted correction carries."""
+        return min([floor, *(tt - 1 for box in outboxes for (_, tt, _, _) in box)])
 
     # ---- per-processor process ------------------------------------------
     def processor(p: int):
@@ -266,7 +275,7 @@ def run_parallel_logic_sampling(
             )
             dnode = dsm.node(p)
             unpublished: list[int] = []
-            pending_out: list[tuple[int, int, int, int]] = []
+            pending_out = outboxes[p]
             seen_corrections: set[tuple[int, int]] = set()
             next_commit = 1
 
@@ -289,7 +298,7 @@ def run_parallel_logic_sampling(
 
             def flush_corrections():
                 while pending_out:
-                    outs, pending_out[:] = list(pending_out), []
+                    outs = list(pending_out)
                     min_t = min(tt for (_, tt, _, _) in outs)
                     for r in st.readers:
                         oracle.message_sent(min_t)
@@ -299,6 +308,9 @@ def run_parallel_logic_sampling(
                         yield from task.send(
                             r, CORRECTION_TAG, list(outs), 8 + 6 * len(outs)
                         )
+                    # corrections folded during the sends wait for the next
+                    # batch; this one leaves only once every reader has it
+                    del pending_out[: len(outs)]
 
             def drain_corrections():
                 cost = 0.0
@@ -401,6 +413,12 @@ def run_parallel_logic_sampling(
                         est.add(st.own_values[next_commit][cfg.query])
                         next_commit += 1
                         added += 1
+                    # Time Warp's fossil collection: no value can reach a
+                    # run below the bound any more, so every processor
+                    # drops its state for those runs
+                    bound = fossil_bound(floor)
+                    for other in states:
+                        other.collect(bound)
                     if st.obs is not None and added:
                         st.obs.emit("gvt.advance", node=p, floor=floor)
                         st.obs.emit(

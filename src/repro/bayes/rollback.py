@@ -17,7 +17,9 @@ This module holds the two pieces of bookkeeping:
   affected descendants of a changed input, diff the processor's published
   interface values, and emit corrections — the anti-message + corrected
   value pair, fused into one "supersede" message as modern optimistic
-  engines do).
+  engines do), plus Time Warp's fossil collection: every per-run table
+  is keyed by run, and :meth:`ProcessorState.collect` drops the runs no
+  value can reach any more.
 * :class:`GvtOracle` — the global-virtual-time floor below which no
   correction can ever arrive, so runs can be *committed* to the
   estimator.  A real deployment computes this floor with a distributed
@@ -195,12 +197,13 @@ class ProcessorState:
             desc = net.descendants(u)
             self.affected_plan[u] = [e for e in self.plan if e[0] in desc]
 
-        # optimistic state
+        # optimistic state: every table is keyed by run first, so
+        # collect() drops a run with one pop per table
         #: t -> the run's values indexed by node id (None where unused):
         #: its own samples, plus the value each remote parent is believed
         #: to have (the actual, else the gamble)
         self.own_values: dict[int, list] = {}
-        self.remote_values: dict[tuple[int, int], int] = {}  # (node, t) -> value
+        self.remote_values: dict[int, dict[int, int]] = {}  # t -> {node: actual}
         self.gambles: dict[int, dict[int, int]] = {}  # t -> {node: assumed}
         self.published_upto = -1
         # correction versioning: each correction we emit for (node, t)
@@ -209,8 +212,10 @@ class ProcessorState:
         # its version exceeds the last one applied for that (node, t), so
         # a reordered stale correction can never revert newer state and
         # correction ping-pong cascades are bounded (DESIGN.md §9)
-        self.sent_versions: dict[tuple[int, int], int] = {}
-        self.applied_versions: dict[tuple[int, int], int] = {}
+        self.sent_versions: dict[int, dict[int, int]] = {}  # t -> {node: version}
+        self.applied_versions: dict[int, dict[int, int]] = {}  # t -> {node: version}
+        #: every run <= this has been fossil-collected (see collect)
+        self.collected_upto = -1
         self.stats = RollbackStats()
         #: the machine's repro.obs trace bus (None = tracing off)
         self.obs = obs
@@ -226,10 +231,10 @@ class ProcessorState:
         the run's list, never the gamble table.
         """
         vals = [None] * self.n_nodes
-        remote = self.remote_values
+        remote = self.remote_values.get(t) or {}
         opened = None
         for u in self.remote_parents:
-            val = remote.get((u, t))
+            val = remote.get(u)
             if val is None:
                 if opened is None:
                     opened = self.gambles[t] = {}
@@ -266,9 +271,15 @@ class ProcessorState:
         of message triggered a rollback, and which correction version);
         they never affect the fold itself.
         """
-        key = (u, t)
-        old = self.remote_values.get(key)
-        self.remote_values[key] = value
+        if t <= self.collected_upto:
+            raise self._collected(u, t)
+        actuals = self.remote_values.get(t)
+        if actuals is None:
+            old = None
+            self.remote_values[t] = {u: value}
+        else:
+            old = actuals.get(u)
+            actuals[u] = value
         gambled = self.gambles.get(t)
         if gambled and u in gambled:
             gamble = gambled.pop(u)
@@ -307,10 +318,15 @@ class ProcessorState:
         newer correction settled.  The monotone version filter makes the
         fold idempotent and order-insensitive.
         """
-        if version <= self.applied_versions.get((u, t), 0):
+        if t <= self.collected_upto:
+            raise self._collected(u, t)
+        applied = self.applied_versions.get(t)
+        if applied is None:
+            applied = self.applied_versions[t] = {}
+        if version <= applied.get(u, 0):
             self.stats.stale_corrections += 1
             return []
-        self.applied_versions[(u, t)] = version
+        applied[u] = version
         return self.apply_actual(
             u, t, value, rng, oracle, cause="correction", version=version
         )
@@ -328,7 +344,7 @@ class ProcessorState:
         vals = self.own_values.get(t)
         if vals is None:
             return []  # not sampled yet; the stored actual will be used
-        vals[u] = self.remote_values[(u, t)]
+        vals[u] = self.remote_values[t][u]
         affected = self.affected_plan[u]
         depth = len(affected)
         stats = self.stats
@@ -343,6 +359,7 @@ class ProcessorState:
             )
         changed: list[tuple[int, int, int, int]] = []
         published = t <= self.published_upto
+        sent = None
         us = rng.random(depth).tolist()
         for (v, rows, parents, is_iface), draw in zip(affected, us):
             for p in parents:
@@ -351,8 +368,10 @@ class ProcessorState:
             if new != vals[v]:
                 vals[v] = new
                 if is_iface and published:
-                    ver = self.sent_versions.get((v, t), 0) + 1
-                    self.sent_versions[(v, t)] = ver
+                    if sent is None:
+                        sent = self.sent_versions.setdefault(t, {})
+                    ver = sent.get(v, 0) + 1
+                    sent[v] = ver
                     changed.append((v, t, new, ver))
         stats.corrections_sent += len(changed)
         if self.obs is not None:
@@ -366,3 +385,30 @@ class ProcessorState:
         """Interface-node values for run ``t`` in interface order."""
         vals = self.own_values[t]
         return [vals[v] for v in self.interface_nodes]
+
+    def collect(self, bound: int) -> None:
+        """Fossil-collect every run <= ``bound``: pop its value list, its
+        gamble entry, its actuals and both its correction-version entries.
+
+        ``bound`` must be a fossil bound: no value for a run at or below it
+        can still reach this processor (``parallel.run_parallel_logic_sampling``
+        computes it at the query owner's commit).  Collection is monotone —
+        a lower bound than one already collected is a no-op — and any later
+        touch of a collected run raises ``RuntimeError`` rather than
+        silently recreating its state.
+        """
+        for t in range(self.collected_upto + 1, bound + 1):
+            self.own_values.pop(t, None)
+            self.remote_values.pop(t, None)
+            self.gambles.pop(t, None)
+            self.sent_versions.pop(t, None)
+            self.applied_versions.pop(t, None)
+        if bound > self.collected_upto:
+            self.collected_upto = bound
+
+    def _collected(self, u: int, t: int) -> RuntimeError:
+        """The error for a value of input ``u`` reaching collected run ``t``."""
+        return RuntimeError(
+            f"processor {self.proc}: node {u}, run {t} touched after fossil "
+            f"collection (bound {self.collected_upto})"
+        )

@@ -78,14 +78,26 @@ def run_recorded(monkeypatch, state_cls, net, mode, n_procs=2, age=10,
                  max_iterations=300):
     """Run with ``state_cls`` standing in for ``ProcessorState``; returns
     the result, the per-processor states (each with the corrections its
-    rollbacks ``emitted``, in order) and the GVT oracle."""
+    rollbacks ``emitted``, in order, and in ``runs`` every run's values,
+    whether fossil-collected or still held) and the GVT oracle."""
     states, oracles = [], []
 
     class Recorded(state_cls):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.emitted = []
+            self.collected = {}
             states.append(self)
+
+        def collect(self, bound):
+            for t in range(self.collected_upto + 1, bound + 1):
+                if t in self.own_values:
+                    self.collected[t] = self.own_values[t]
+            super().collect(bound)
+
+        @property
+        def runs(self):
+            return {**self.collected, **self.own_values}
 
         def _recompute(self, *args, **kwargs):
             out = super()._recompute(*args, **kwargs)
@@ -115,7 +127,7 @@ class StraightLineState(ProcessorState):
     def input_value(self, u, t, oracle):
         """The actual if it arrived, else the default, opening a gamble
         (counted here and in the oracle) at most once per ``(u, t)``."""
-        val = self.remote_values.get((u, t))
+        val = self.remote_values.get(t, {}).get(u)
         if val is not None:
             return val
         g = self.gambles.setdefault(t, {})
@@ -158,8 +170,8 @@ class StraightLineState(ProcessorState):
             if new != vals[v]:
                 vals[v] = new
                 if v in self.interface_nodes and t <= self.published_upto:
-                    ver = self.sent_versions.get((v, t), 0) + 1
-                    self.sent_versions[(v, t)] = ver
+                    sent = self.sent_versions.setdefault(t, {})
+                    ver = sent[v] = sent.get(v, 0) + 1
                     changed.append((v, t, new, ver))
         self.stats.corrections_sent += len(changed)
         return changed
@@ -184,10 +196,12 @@ class TestCompiledPlan:
         assert got.messages_sent == ref.messages_sent
         for st, ref_st in zip(got_states, ref_states, strict=True):
             # a run's list also carries its believed remote inputs
+            assert st.collected and st.own_values
             assert {
                 t: {v: vals[v] for v in st.own_nodes}
-                for t, vals in st.own_values.items()
-            } == ref_st.own_values
+                for t, vals in st.runs.items()
+            } == ref_st.runs
+            assert st.runs.keys() == set(range(1, 301))
             assert dataclasses.asdict(st.stats) == dataclasses.asdict(ref_st.stats)
             assert st.emitted == ref_st.emitted
             assert st.gambles == ref_st.gambles

@@ -75,22 +75,22 @@ def test_fold_correction_discards_stale_versions():
 
     st.sample_iteration(0, rng, oracle)
     st.fold_correction(u, 0, 1, 1, rng, oracle)
-    assert st.remote_values[(u, 0)] == 1
+    assert st.remote_values[0][u] == 1
     assert st.stats.stale_corrections == 0
 
     # same version again (a duplicated correction): discarded
     st.fold_correction(u, 0, 0, 1, rng, oracle)
-    assert st.remote_values[(u, 0)] == 1
+    assert st.remote_values[0][u] == 1
     assert st.stats.stale_corrections == 1
 
     # version 0 (the reordered original batch value): discarded
     st.fold_correction(u, 0, 0, 0, rng, oracle)
-    assert st.remote_values[(u, 0)] == 1
+    assert st.remote_values[0][u] == 1
     assert st.stats.stale_corrections == 2
 
     # a genuinely newer version still applies
     st.fold_correction(u, 0, 0, 2, rng, oracle)
-    assert st.remote_values[(u, 0)] == 0
+    assert st.remote_values[0][u] == 0
     assert st.stats.stale_corrections == 2
 
 
