@@ -11,9 +11,9 @@ rests on:
   high-speed switch model, a background-traffic loader and the *warp*
   network-load metric.
 * :mod:`repro.pvm` — a PVM-style message-passing layer (send / recv /
-  nrecv / mcast / barrier with pack/unpack buffers).
+  mcast / barrier with byte-accurate message sizes).
 * :mod:`repro.cluster` — the multicomputer model: calibrated per-node
-  compute costs and LoadLeveler-style node allocation.
+  compute costs, one dedicated process per node.
 * :mod:`repro.core` — **the paper's contribution**: a software-DSM
   abstraction with versioned shared locations and the blocking
   ``Global_Read`` bounded-staleness primitive.

@@ -62,10 +62,6 @@ class VectorClock:
         """True iff self happened-before-or-equals other."""
         return all(n <= other._c.get(tid, 0) for tid, n in self._c.items())
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """True when neither clock happens-before the other."""
-        return not self.leq(other) and not other.leq(self)
-
     def get(self, tid: int) -> int:
         """This clock's component for ``tid`` (0 when never ticked)."""
         return self._c.get(tid, 0)

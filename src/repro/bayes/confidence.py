@@ -68,8 +68,3 @@ class PosteriorEstimator:
         if self.n < self.min_samples:
             return False
         return bool(np.all(self.half_widths() <= self.precision))
-
-    def samples_needed_upper_bound(self) -> int:
-        """Worst-case (p = 0.5) sample count for the precision — a sanity
-        bound used by tests and run caps."""
-        return int(np.ceil((self.z / self.precision) ** 2 * 0.25))

@@ -35,8 +35,3 @@ class LsCostModel:
     def iteration_cost(self, n_nodes: int) -> float:
         """Sampling one full run over ``n_nodes`` local nodes."""
         return self.sample_per_node * n_nodes
-
-    def rollback_cost(self, n_resampled: int) -> float:
-        """Simulated-seconds cost of re-sampling ``n_resampled`` nodes after a
-        rollback."""
-        return self.resample_per_node * n_resampled

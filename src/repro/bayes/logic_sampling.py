@@ -34,11 +34,6 @@ class SerialLsResult:
     sim_time: float
     converged: bool
 
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of generated runs whose evidence matched (accepted runs / total)."""
-        return self.n_accepted / self.n_runs if self.n_runs else 0.0
-
 
 def run_serial_logic_sampling(
     net: BayesianNetwork,

@@ -12,7 +12,6 @@ graph partitioner.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,15 +186,6 @@ class BayesianNetwork:
         edges = [(u, loop[(i + 1) % len(loop)]) for i, u in enumerate(loop)]
         raise ValueError(f"network contains a cycle: {edges}")
 
-    def table2_row(self) -> dict:
-        """The structural statistics Table 2 reports for each network."""
-        return {
-            "name": self.name,
-            "nodes": self.n_nodes,
-            "edges_per_node": round(self.edges_per_node, 2),
-            "values_per_node": self.max_values_per_node,
-        }
-
     # -- sampling ---------------------------------------------------------
     def sample_node(
         self, name: int, parent_values: np.ndarray, rng: np.random.Generator
@@ -207,17 +197,6 @@ class BayesianNetwork:
             cum = cum[tuple(parent_values.T)]
         u = rng.random(parent_values.shape[0])
         return (cum < u[:, None]).sum(axis=1).astype(np.int64)
-
-    def sample_node_scalar(
-        self, name: int, parent_values: tuple, u: float
-    ) -> int:
-        """Sample one node for one run given scalar parent values and a
-        uniform draw ``u``: the count of cumulative entries ``<= u`` (why
-        ``bisect_right`` samples what numpy did: DESIGN.md §5)."""
-        row = self.cum_rows[name]
-        for value in parent_values:
-            row = row[value]
-        return bisect_right(row, u)
 
     def ancestral_samples(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` full joint samples; returns ``(n, n_nodes)`` indexed by

@@ -1,20 +1,18 @@
-"""Multicomputer model: nodes, machine assembly, batch allocation.
+"""Multicomputer model: nodes and machine assembly.
 
 Models the paper's platform (§4.1): an IBM SP2 whose nodes hold one
 application process each, connected by a 10 Mbps Ethernet (default) or the
-SP2 high-speed switch, with jobs run under LoadLeveler on dedicated nodes.
+SP2 high-speed switch.  The paper ran under LoadLeveler only to get
+dedicated nodes; here every node runs exactly one process, so there is no
+allocator to model.
 """
 
 from repro.cluster.node import Node, NodeSpec
 from repro.cluster.machine import Machine, MachineConfig
-from repro.cluster.loadleveler import Job, JobState, LoadLeveler
 
 __all__ = [
     "Node",
     "NodeSpec",
     "Machine",
     "MachineConfig",
-    "Job",
-    "JobState",
-    "LoadLeveler",
 ]

@@ -47,11 +47,6 @@ class AgeBuffer:
         """The current copy, or None if nothing has arrived yet."""
         return self._copies.get(locn)
 
-    def age_of(self, locn: str) -> int | None:
-        """Age of the current copy (None = no copy yet)."""
-        copy = self._copies.get(locn)
-        return copy.age if copy is not None else None
-
     def __contains__(self, locn: str) -> bool:
         return locn in self._copies
 

@@ -39,12 +39,6 @@ class CoherenceMode(enum.Enum):
     ASYNCHRONOUS = "asynchronous"
     NON_STRICT = "non_strict"
 
-    @property
-    def is_data_race_free(self) -> bool:
-        """Only the synchronous organisation is race-free; the other two
-        deliberately read potentially stale data (the paper's premise)."""
-        return self is CoherenceMode.SYNCHRONOUS
-
 
 class UpdatePolicy(enum.Enum):
     """Sender-side propagation policy for shared-location writes."""

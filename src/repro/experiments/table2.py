@@ -40,11 +40,6 @@ def build_network(name: str, seed: int = 0) -> BayesianNetwork:
     return make_table2_network(name, seed=seed)
 
 
-def table2_networks(seed: int = 0) -> list[BayesianNetwork]:
-    """The four networks, in Table 2's order."""
-    return [build_network(name, seed) for name in NETWORK_NAMES]
-
-
 def pick_query(net: BayesianNetwork, seed: int = 0) -> int:
     """Deterministic query choice: the sink-most node with the widest
     posterior spread (inference on near-certain nodes is trivially fast

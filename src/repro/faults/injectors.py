@@ -60,11 +60,6 @@ class FaultStats:
     flush_releases: int = 0
     crash_frames_lost: int = 0
 
-    @property
-    def injected(self) -> int:
-        """Total injected message faults across all kinds."""
-        return self.dropped + self.duplicated + self.delayed + self.reordered
-
     def as_dict(self) -> dict:
         """Per-kind fault counts as a plain dict."""
         return {
@@ -227,10 +222,6 @@ class MessageFaultInjector:
             self.stats.flush_releases += 1
             self._record("flush", frame, dst)
             self._orig_deliver(frame, dst)
-
-    def pending_held(self) -> int:
-        """Frames currently held back by an active reorder window."""
-        return sum(len(v) for v in self._held.values())
 
 
 class NodeFaultModel:

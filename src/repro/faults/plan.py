@@ -27,7 +27,7 @@ point of a regression-gated fault matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 #: PVM tags never faulted by default: the barrier protocol is a
 #: counting protocol with no retransmission, so the paper's synchronous
@@ -238,7 +238,3 @@ class FaultPlan:
             messages=MessageFaults(**msg_kwargs),
             node_faults=tuple(node_faults),
         )
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """A copy of this plan with its RNG seed replaced."""
-        return replace(self, seed=seed)

@@ -75,17 +75,3 @@ class BinaryEncoding:
         ints = fields.astype(np.int64) @ self._weights
         span = (1 << self.bits_per_var) - 1
         return self.lower + (self.upper - self.lower) * ints / span
-
-    def encode_ints(self, ints: np.ndarray) -> np.ndarray:
-        """Inverse helper (tests): field integers ``(n, n_vars)`` to bits."""
-        ints = np.atleast_2d(np.asarray(ints, dtype=np.int64))
-        if np.any(ints < 0) or np.any(ints >= (1 << self.bits_per_var)):
-            raise ValueError("field integer out of range")
-        shifts = np.arange(self.bits_per_var - 1, -1, -1)
-        bits = (ints[:, :, None] >> shifts) & 1
-        if self.gray:
-            # binary -> Gray: g_i = b_i xor b_{i-1}
-            gray = bits.copy()
-            gray[:, :, 1:] = np.bitwise_xor(bits[:, :, 1:], bits[:, :, :-1])
-            bits = gray
-        return bits.reshape(ints.shape[0], self.length).astype(np.uint8)

@@ -142,10 +142,6 @@ class IslandGaResult:
     #: repro.obs metrics snapshot (plain dict, see repro.obs.metrics)
     metrics: dict = field(default_factory=dict)
 
-    def found_optimum(self, threshold: float) -> bool:
-        """Whether the best fitness reached ``threshold`` of the known optimum."""
-        return self.best_fitness <= threshold
-
     def digest_fields(self) -> list:
         """The simulated-side observables a pinned digest covers, in order.
 

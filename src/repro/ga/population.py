@@ -34,11 +34,6 @@ class Population:
         return self.genomes.shape[0]
 
     @property
-    def best_index(self) -> int:
-        """Index of the fittest individual (ties break low)."""
-        return int(np.argmin(self.fitness))
-
-    @property
     def best_fitness(self) -> float:
         """Fitness of the fittest individual."""
         return float(self.fitness.min())

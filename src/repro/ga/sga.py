@@ -48,10 +48,6 @@ class SerialGaResult:
         hit = np.nonzero(self.best_history <= target)[0]
         return float(self.time_history[hit[0]]) if hit.size else None
 
-    def found_optimum(self, threshold: float) -> bool:
-        """Whether the best fitness reached ``threshold`` of the known optimum."""
-        return bool(self.best_fitness <= threshold)
-
 
 def run_serial_ga(
     fn: TestFunction,

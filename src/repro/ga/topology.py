@@ -139,18 +139,6 @@ def wiring(
     return peers, [tuple(r) for r in readers]
 
 
-def readers_of(spec: TopologySpec, writer: int, n_demes: int) -> tuple[int, ...]:
-    """Demes that read ``migrants.<writer>`` (the DSM reader set), ascending.
-
-    The structured kinds are symmetric (``p`` reads ``d`` iff ``d`` reads
-    ``p``), so readers == in-peers; ``random`` is directed and needs the
-    inverse map of :func:`wiring`.
-    """
-    if spec.kind == "random":
-        return wiring(spec, n_demes)[1][writer]
-    return tuple(in_peers(spec, writer, n_demes))
-
-
 def comm_graph(peers: list[list[int]], migrant_nbytes: int) -> Graph:
     """The migration pattern ``peers`` (see :func:`wiring`) as the shard
     partitioner's unit graph.

@@ -9,13 +9,35 @@ it registered.  Concrete networks implement only the scheduling logic
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Callable
+from typing import Any, Callable
 
 from repro.network.frame import BROADCAST, Frame
 from repro.network.stats import LinkStats
 from repro.sim.kernel import Kernel
 from repro.sim.process import Signal
+
+
+def check_link_config(cfg: Any, latencies: tuple[str, ...]) -> None:
+    """Refuse a switch-link config no run could survive, naming the field.
+
+    ``link_bandwidth_bps`` must be positive, every field in ``latencies``
+    finite and non-negative, ``overhead_bytes`` non-negative and
+    ``max_payload`` at least one byte.  Left unchecked, these surface
+    mid-run as a division by zero, an event scheduled in the past or a
+    NaN event time.
+    """
+    if not cfg.link_bandwidth_bps > 0:
+        raise ValueError(f"link_bandwidth_bps must be > 0, got {cfg.link_bandwidth_bps!r}")
+    for name in latencies:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if not cfg.overhead_bytes >= 0:
+        raise ValueError(f"overhead_bytes must be >= 0, got {cfg.overhead_bytes!r}")
+    if not cfg.max_payload >= 1:
+        raise ValueError(f"max_payload must be >= 1, got {cfg.max_payload!r}")
 
 
 class Adapter:
@@ -135,7 +157,3 @@ class Network:
     # -- to be provided by concrete models ------------------------------
     def _enqueue(self, adapter: Adapter, frame: Frame) -> None:
         raise NotImplementedError
-
-    def pending_frames(self) -> int:
-        """Frames queued (not yet fully transmitted) across all adapters."""
-        return sum(len(a.queue) for a in self.adapters.values())

@@ -1,7 +1,7 @@
 """Counters and derived statistics for link models.
 
-Kept deliberately cheap: plain counters plus a Welford-style accumulator
-for delays, updated O(1) per frame, so statistics never distort benchmark
+Kept deliberately cheap: plain counters plus a running mean/max
+accumulator for delays, updated O(1) per frame, so statistics never distort benchmark
 timing.
 """
 
@@ -12,31 +12,18 @@ from dataclasses import dataclass, field
 
 @dataclass(slots=True)
 class RunningStat:
-    """Numerically stable running mean / max / count (Welford)."""
+    """Running mean / max / count, the mean updated incrementally (Welford)."""
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = 0.0
     max: float = 0.0
 
     def add(self, x: float) -> None:
-        """Fold one sample into the running mean/variance (Welford)."""
+        """Fold one sample into the running mean and max."""
         self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
+        self.mean += (x - self.mean) / self.count
         if x > self.max:
             self.max = x
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 with fewer than two samples)."""
-        return self._m2 / self.count if self.count > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation."""
-        return self.variance**0.5
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.base import Adapter, Network
+from repro.network.base import Adapter, Network, check_link_config
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
 
@@ -32,6 +32,9 @@ class SwitchConfig:
     #: per-frame fixed overhead (packetisation headers)
     overhead_bytes: int = 16
     max_payload: int = 65536
+
+    def __post_init__(self) -> None:
+        check_link_config(self, ("switch_latency",))
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire time for one frame of ``payload_bytes`` at the link rate."""
@@ -90,7 +93,3 @@ class SwitchNetwork(Network):
             self.stats.wire_bytes_sent += self.config.overhead_bytes + frame.size_bytes
             self.stats.busy_time += tx
             self.kernel.schedule_at(in_done, self._deliver, frame, dst)
-
-    def pending_frames(self) -> int:  # frames never queue in adapter queues here
-        """Frames queued on all ports (for deadlock diagnostics)."""
-        return 0

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.base import Adapter, Network
+from repro.network.base import Adapter, Network, check_link_config
 from repro.network.frame import BROADCAST, Frame
 from repro.sim.kernel import Kernel
 
@@ -78,8 +78,7 @@ class SwitchedConfig:
             raise ValueError(f"unknown fabric {self.fabric!r}; expected one of {FABRICS}")
         if self.radix < 2:
             raise ValueError("radix must be >= 2")
-        if self.link_bandwidth_bps <= 0:
-            raise ValueError("link bandwidth must be positive")
+        check_link_config(self, ("link_latency", "switch_latency"))
 
     def trunk_bandwidth(self, level: int) -> float:
         """Bandwidth of a trunk from a level-``level`` switch to its parent.
@@ -131,8 +130,6 @@ class SwitchedNetwork(Network):
         #: ("h", node, dir) for host links and ("t", level, index, dir)
         #: for trunk links (dir is "u"/"d"); absent = idle since t=0
         self._busy: dict[tuple, float] = {}
-        #: deliveries scheduled but not yet executed (deadlock diagnostics)
-        self._in_flight = 0
 
     # -- topology arithmetic -------------------------------------------
     def _edge_of(self, node_id: int) -> int:
@@ -183,13 +180,6 @@ class SwitchedNetwork(Network):
             "bcast": frame.dst == BROADCAST,
         }
 
-    def min_frame_latency(self, src: int, dst: int, size_bytes: int) -> float:
-        """Analytic zero-contention latency of one frame (test oracle)."""
-        cfg = self.config
-        hops = self.path_hops(src, dst)
-        total = sum(cfg.tx_time(size_bytes, bw) + cfg.link_latency for _, bw in hops)
-        return total + cfg.switch_latency * (len(hops) - 1)
-
     # -- scheduling -----------------------------------------------------
     def _hop(
         self, key: tuple, bw: float, arrival: float, size: int
@@ -225,7 +215,7 @@ class SwitchedNetwork(Network):
             t = done + cfg.link_latency + cfg.switch_latency
         t -= cfg.switch_latency  # the last hop ends at a host, not a switch
         self._account(frame.size_bytes)
-        self._schedule_delivery(frame, dst, t)
+        self.kernel.schedule_at(t, self._deliver, frame, dst)
 
     def _multicast(self, frame: Frame) -> None:
         """Tree replication: once up to the root, then down every branch."""
@@ -261,7 +251,7 @@ class SwitchedNetwork(Network):
                     continue
                 _, done = self._hop(("h", node, "d"), cfg.link_bandwidth_bps, t, size)
                 self._account(size)
-                self._schedule_delivery(frame, node, done + cfg.link_latency)
+                self.kernel.schedule_at(done + cfg.link_latency, self._deliver, frame, node)
             return
         child_span = cfg.radix ** (level - 1)  # edge switches per child subtree
         n_edges = self._n_edges()
@@ -280,15 +270,3 @@ class SwitchedNetwork(Network):
         self.stats.bytes_sent += size
         self.stats.wire_bytes_sent += self.config.overhead_bytes + size
         self.stats.busy_time += self.config.tx_time(size)
-
-    def _schedule_delivery(self, frame: Frame, dst: int, at: float) -> None:
-        self._in_flight += 1
-        self.kernel.schedule_at(at, self._finish_delivery, frame, dst)
-
-    def _finish_delivery(self, frame: Frame, dst: int) -> None:
-        self._in_flight -= 1
-        self._deliver(frame, dst)
-
-    def pending_frames(self) -> int:
-        """Deliveries in flight (frames never queue in adapter queues)."""
-        return self._in_flight

@@ -16,8 +16,6 @@ if a ``kinds`` filter is given.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.network.base import Network
 from repro.network.frame import Frame
 from repro.network.stats import RunningStat
@@ -26,7 +24,7 @@ from repro.network.stats import RunningStat
 class WarpMeter:
     """Collects warp samples for every (receiver, sender) message stream.
 
-    Only running statistics are kept (:attr:`overall`, :attr:`per_stream`,
+    Only running statistics over all streams are kept (:attr:`overall`,
     and therefore ``mean_warp``/``max_warp``).  Raw samples live in the
     trace: every ``net.deliver`` record carries its enqueue time, and
     :func:`repro.obs.report.warp_summary` recomputes the same samples
@@ -37,7 +35,6 @@ class WarpMeter:
         #: restrict measurement to these frame kinds (None = all)
         self.kinds = kinds
         self._last: dict[tuple[int, int], tuple[float, float]] = {}
-        self.per_stream: dict[tuple[int, int], RunningStat] = defaultdict(RunningStat)
         self.overall = RunningStat()
 
     def attach(self, network: Network) -> "WarpMeter":
@@ -65,7 +62,6 @@ class WarpMeter:
         if send_gap <= 0:
             return  # coincident sends: warp undefined for this pair
         warp = arrival_gap / send_gap
-        self.per_stream[key].add(warp)
         self.overall.add(warp)
 
     @property
@@ -77,7 +73,3 @@ class WarpMeter:
     def max_warp(self) -> float:
         """Largest warp sample observed across all streams."""
         return self.overall.max
-
-    def stream_means(self) -> dict[tuple[int, int], float]:
-        """Per-(receiver, sender) mean warp."""
-        return {k: v.mean for k, v in self.per_stream.items()}

@@ -10,10 +10,10 @@ artifact (the JSONL trace it writes) and one reader
   all*, so golden determinism digests and bench numbers are untouched
   when tracing is off.  Enable per machine with
   ``MachineConfig(trace=True)``.
-* :mod:`repro.obs.metrics` — the **metrics registry**: counters, gauges
-  and histograms snapshotted into every experiment's result envelope
-  (``IslandGaResult.metrics`` / ``ParallelLsResult.metrics``) and
-  dumpable as JSON.
+* :mod:`repro.obs.metrics` — the **metrics snapshot**: counters, gauges
+  and histograms folded into every experiment's result envelope
+  (``IslandGaResult.metrics`` / ``ParallelLsResult.metrics``) as a
+  JSON-serialisable dict.
 * :mod:`repro.obs.report` — the **run summary** behind
   ``python -m repro.obs report <trace.jsonl>``: per-node timelines,
   blocking/staleness, rollback and warp tables, wall-time attribution
@@ -43,7 +43,7 @@ example.
 
 from repro.obs.bus import ObsEvent, TraceBus, read_jsonl
 from repro.obs.causal import SpanGraph, attribute, build_spans, critical_path
-from repro.obs.metrics import MetricsRegistry, machine_metrics, percentile_from_samples
+from repro.obs.metrics import machine_metrics, percentile_from_samples
 
 __all__ = [
     "ObsEvent",
@@ -53,7 +53,6 @@ __all__ = [
     "build_spans",
     "attribute",
     "critical_path",
-    "MetricsRegistry",
     "machine_metrics",
     "percentile_from_samples",
 ]

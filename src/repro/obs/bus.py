@@ -186,7 +186,6 @@ class TraceBus:
         #: mode; the bounded-trace-memory evidence — never > flush_every)
         self.peak_buffered = 0
         self._hash = sha256()
-        self._counts: dict[str, int] = {}
         self._last_t = 0.0
         self._finalized = False
 
@@ -218,7 +217,6 @@ class TraceBus:
             line = json.dumps(e.as_dict(), sort_keys=True)
             self._hash.update(line.encode())
             self._hash.update(b"\n")
-            self._counts[e.kind] = self._counts.get(e.kind, 0) + 1
             sink.write_line(line)
             self._last_t = e.time
         self.emitted += len(self.events)
@@ -226,13 +224,6 @@ class TraceBus:
 
     def __len__(self) -> int:
         return self.emitted + len(self.events) if self.sink else len(self.events)
-
-    def kind_counts(self) -> dict[str, int]:
-        """Event count per kind, sorted by kind name."""
-        counts = dict(self._counts)
-        for e in self.events:
-            counts[e.kind] = counts.get(e.kind, 0) + 1
-        return dict(sorted(counts.items()))
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -100,15 +100,6 @@ class SpanGraph:
         """All nodes with any activity, sorted."""
         return sorted(self.node_window)
 
-    def spans_of(self, node: int, kind: str | None = None) -> list[Span]:
-        """Spans on ``node`` (optionally one kind), sorted by start time."""
-        out = [
-            s for s in self.spans
-            if s.node == node and (kind is None or s.kind == kind)
-        ]
-        out.sort(key=lambda s: (s.t0, s.t1))
-        return out
-
 
 def build_spans(events: Iterable[ObsEvent]) -> SpanGraph:
     """Lift a flat event stream into a :class:`SpanGraph`.

@@ -1,6 +1,6 @@
-"""The metrics registry: counters, gauges and histograms for run reports.
+"""The metrics snapshot: counters, gauges and histograms for run reports.
 
-Unlike the trace bus (a time-ordered event log), the registry is a
+Unlike the trace bus (a time-ordered event log), the metrics are a
 *snapshot*: at the end of a run, :func:`machine_metrics` folds the
 counters every subsystem already keeps — :class:`~repro.core.global_read.
 GlobalReadStats`, :class:`~repro.bayes.rollback.RollbackStats`,
@@ -25,7 +25,6 @@ The paper-facing metrics (DESIGN.md §10 maps each to a figure):
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 #: snapshot schema tag, bumped on incompatible layout changes
@@ -85,64 +84,6 @@ def _summary_from_counts(counts: dict[int, int]) -> dict:
     return out
 
 
-class MetricsRegistry:
-    """Named counters, gauges and count histograms with a stable JSON snapshot.
-
-    The registry is write-mostly: subsystems (or the snapshot builders
-    below) record values, then :meth:`snapshot` renders everything with
-    sorted keys so two identical runs serialise byte-identically.
-    """
-
-    def __init__(self) -> None:
-        self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
-        self._counts: dict[str, dict[int, int]] = {}
-        self.per_node: dict[int, dict[str, float]] = {}
-
-    def count(self, name: str, amount: float = 1) -> None:
-        """Add ``amount`` to the counter ``name`` (created at 0)."""
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the gauge ``name`` to its latest ``value``."""
-        self.gauges[name] = float(value)
-
-    def counts_histogram(self, name: str, counts: dict[int, int]) -> None:
-        """Install an integer-valued count histogram under ``name``.
-
-        Used for distributions a subsystem already tracks as counts
-        (Global_Read staleness ages, rollback depths) — no re-expansion
-        into raw samples.
-        """
-        self._counts[name] = dict(counts)
-
-    def node(self, node_id: int) -> dict[str, float]:
-        """The mutable per-node metric mapping for ``node_id``."""
-        return self.per_node.setdefault(node_id, {})
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """One JSON-serialisable dict of everything, keys sorted."""
-        histograms = {
-            name: _summary_from_counts(counts)
-            for name, counts in self._counts.items()
-        }
-        return {
-            "schema": METRICS_SCHEMA,
-            "counters": dict(sorted(self.counters.items())),
-            "gauges": dict(sorted(self.gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
-            "per_node": {
-                str(n): dict(sorted(m.items()))
-                for n, m in sorted(self.per_node.items())
-            },
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        """The snapshot as a stable (sorted-keys) JSON string."""
-        return json.dumps(self.snapshot(), sort_keys=True, indent=indent)
-
-
 def machine_metrics(machine, dsm=None, rollback=None) -> dict:
     """Snapshot one finished run's machine/DSM/rollback counters.
 
@@ -160,54 +101,71 @@ def machine_metrics(machine, dsm=None, rollback=None) -> dict:
     Returns the plain-dict snapshot (picklable, so results can cross
     :func:`repro.experiments.runner.parallel_map` process boundaries).
     """
-    reg = MetricsRegistry()
     kernel = machine.kernel
     now = kernel.now
-    reg.gauge("time.completion", now)
-    reg.count("kernel.events", kernel.events_executed)
-    reg.count("messages.sent", machine.vm.total_messages())
-    reg.count("net.frames_sent", machine.network.stats.frames_sent)
-    reg.count("net.bytes_sent", machine.network.stats.bytes_sent)
-    reg.gauge("net.utilization", machine.network.stats.utilization(now))
-    reg.gauge("net.mean_latency", machine.network.stats.latency.mean)
+    net = machine.network.stats
+    counters: dict[str, Any] = {
+        "kernel.events": kernel.events_executed,
+        "messages.sent": machine.vm.total_messages(),
+        "net.frames_sent": net.frames_sent,
+        "net.bytes_sent": net.bytes_sent,
+    }
+    gauges: dict[str, float] = {
+        "time.completion": now,
+        "net.utilization": net.utilization(now),
+        "net.mean_latency": net.latency.mean,
+    }
+    histograms: dict[str, dict[int, int]] = {}
+    per_node: dict[str, dict[str, float]] = {}
 
     if machine.warp is not None:
-        reg.gauge("warp.mean", machine.warp.mean_warp)
-        reg.gauge("warp.max", machine.warp.max_warp)
+        gauges["warp.mean"] = machine.warp.mean_warp
+        gauges["warp.max"] = machine.warp.max_warp
 
     if dsm is not None:
         gr = dsm.merged_gr_stats()
-        reg.count("gr.calls", gr.calls)
-        reg.count("gr.hits", gr.hits)
-        reg.count("gr.blocked", gr.blocked)
-        reg.count("gr.requests_sent", gr.requests_sent)
-        reg.gauge("gr.block_time", gr.block_time)
-        reg.gauge("gr.hit_rate", gr.hit_rate)
-        reg.gauge("gr.mean_block_time", gr.mean_block_time)
-        reg.counts_histogram("gr.staleness", gr.staleness_histogram)
+        counters["gr.calls"] = gr.calls
+        counters["gr.hits"] = gr.hits
+        counters["gr.blocked"] = gr.blocked
+        counters["gr.requests_sent"] = gr.requests_sent
+        gauges["gr.block_time"] = gr.block_time
+        gauges["gr.hit_rate"] = gr.hit_rate
+        gauges["gr.mean_block_time"] = gr.mean_block_time
+        histograms["gr.staleness"] = gr.staleness_histogram
         for tid, node in sorted(dsm._nodes.items()):
-            pn = reg.node(tid)
-            pn["gr_calls"] = node.gr_stats.calls
-            pn["gr_hits"] = node.gr_stats.hits
-            pn["gr_blocked"] = node.gr_stats.blocked
-            pn["gr_block_time"] = node.gr_stats.block_time
-            pn["dsm_writes"] = node.stats.writes
-            pn["updates_sent"] = node.stats.updates_sent
-            pn["updates_received"] = node.stats.updates_received
+            # keys in sorted order, like every other level of the snapshot
+            per_node[str(tid)] = {
+                "dsm_writes": node.stats.writes,
+                "gr_block_time": node.gr_stats.block_time,
+                "gr_blocked": node.gr_stats.blocked,
+                "gr_calls": node.gr_stats.calls,
+                "gr_hits": node.gr_stats.hits,
+                "updates_received": node.stats.updates_received,
+                "updates_sent": node.stats.updates_sent,
+            }
 
     if rollback is not None:
-        reg.count("rb.gambles", rollback.gambles)
-        reg.count("rb.gamble_hits", rollback.gamble_hits)
-        reg.count("rb.rollbacks", rollback.rollbacks)
-        reg.count("rb.wasted_samples", rollback.nodes_resampled)
-        reg.count("rb.corrections_sent", rollback.corrections_sent)
-        reg.count("rb.corrections_received", rollback.corrections_received)
-        reg.gauge("rb.gamble_hit_rate", rollback.gamble_hit_rate)
-        reg.counts_histogram("rb.depth", rollback.depth_histogram)
+        counters["rb.gambles"] = rollback.gambles
+        counters["rb.gamble_hits"] = rollback.gamble_hits
+        counters["rb.rollbacks"] = rollback.rollbacks
+        counters["rb.wasted_samples"] = rollback.nodes_resampled
+        counters["rb.corrections_sent"] = rollback.corrections_sent
+        counters["rb.corrections_received"] = rollback.corrections_received
+        gauges["rb.gamble_hit_rate"] = rollback.gamble_hit_rate
+        histograms["rb.depth"] = rollback.depth_histogram
 
     if machine.faults is not None:
         for key, value in machine.faults.stats.as_dict().items():
-            reg.count(f"faults.{key}", value)
-        reg.count("faults.log_events", len(machine.faults.log))
+            counters[f"faults.{key}"] = value
+        counters["faults.log_events"] = len(machine.faults.log)
 
-    return reg.snapshot()
+    return {
+        "schema": METRICS_SCHEMA,
+        "counters": dict(sorted(counters.items())),
+        "gauges": {name: float(v) for name, v in sorted(gauges.items())},
+        "histograms": {
+            name: _summary_from_counts(counts)
+            for name, counts in sorted(histograms.items())
+        },
+        "per_node": per_node,
+    }

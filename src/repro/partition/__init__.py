@@ -20,7 +20,7 @@ order so every partition is a pure function of the graph and the seed.
 """
 
 from repro.partition.graph import Graph
-from repro.partition.metrics import edge_cut, balance, validate_partition
+from repro.partition.metrics import edge_cut, validate_partition
 from repro.partition.greedy import greedy_bisection
 from repro.partition.kl import kl_refine
 from repro.partition.multilevel import multilevel_bisection, partition
@@ -28,7 +28,6 @@ from repro.partition.multilevel import multilevel_bisection, partition
 __all__ = [
     "Graph",
     "edge_cut",
-    "balance",
     "validate_partition",
     "greedy_bisection",
     "kl_refine",

@@ -15,7 +15,7 @@ random graphs up to a few hundred nodes).
 from __future__ import annotations
 
 from repro.partition.graph import Graph
-from repro.partition.metrics import edge_cut, validate_partition
+from repro.partition.metrics import validate_partition
 
 
 def _d_values(graph: Graph, parts: dict) -> dict:
@@ -98,14 +98,3 @@ def kl_refine(graph: Graph, parts: dict, max_passes: int = 10) -> dict:
         for a, b in swaps[:best_prefix]:
             parts[a], parts[b] = 1, 0
     return parts
-
-
-def kl_bisection(graph: Graph, initial: dict | None = None, max_passes: int = 10) -> dict:
-    """Convenience: KL starting from ``initial`` or an even node split."""
-    if initial is None:
-        nodes = sorted(graph.adj, key=str)
-        half = len(nodes) // 2
-        initial = {v: (0 if i < half else 1) for i, v in enumerate(nodes)}
-    refined = kl_refine(graph, initial, max_passes=max_passes)
-    assert edge_cut(graph, refined) <= edge_cut(graph, initial)
-    return refined

@@ -1,4 +1,4 @@
-"""Partition-quality metrics: edge-cut, balance, validity."""
+"""Partition-quality metrics: edge-cut and validity."""
 
 from __future__ import annotations
 
@@ -32,13 +32,3 @@ def edge_cut(graph: Graph, parts: dict) -> float:
         if parts[u] != parts[v]:
             cut += w
     return cut
-
-
-def balance(graph: Graph, parts: dict) -> float:
-    """Largest part size divided by ideal size (1.0 = perfectly balanced)."""
-    k = validate_partition(graph, parts)
-    sizes: dict = {}
-    for node, p in parts.items():
-        sizes[p] = sizes.get(p, 0) + 1
-    ideal = len(graph) / k
-    return max(sizes.values()) / ideal if ideal > 0 else float("inf")

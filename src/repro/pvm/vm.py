@@ -20,12 +20,13 @@ on — is modelled at the right order of magnitude.  The constants live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Any, Generator, Iterable
 
 from repro.network.base import Network
 from repro.network.frame import BROADCAST, Frame
-from repro.pvm.message import ANY_SOURCE, ANY_TAG, Message, PackBuffer
+from repro.pvm.message import ANY_SOURCE, ANY_TAG, Message
 from repro.sim.kernel import Kernel
 from repro.sim.process import Compute, Signal, WaitSignal
 
@@ -51,6 +52,13 @@ class PvmOverheads:
     recv_per_byte: float = 65e-9
     #: per-message protocol header bytes on the wire
     header_bytes: int = 32
+
+    def __post_init__(self) -> None:
+        # a negative cost would be dropped or refused mid-run, not charged
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
 
     def send_cost(self, nbytes: int) -> float:
         """Sender-side CPU cost of shipping ``n_bytes``."""
@@ -93,18 +101,16 @@ class Task:
         dst: int,
         tag: int,
         payload: Any,
-        nbytes: int | None = None,
+        nbytes: int,
         trace_ref: str | None = None,
     ) -> Generator:
-        """Send ``payload`` to task ``dst`` under ``tag`` (blocking-submit).
+        """Send ``payload`` of ``nbytes`` to task ``dst`` under ``tag``.
 
-        ``nbytes`` defaults to ``payload.nbytes`` (PackBuffer) and must be
-        given for raw payloads.  Returns after the send overhead has been
-        charged; delivery is asynchronous, as in PVM.  ``trace_ref``
-        optionally tags the message (and every frame it fragments into)
-        with a content-addressed causal-lineage id for the trace bus.
+        Returns after the send overhead has been charged; delivery is
+        asynchronous, as in PVM.  ``trace_ref`` optionally tags the
+        message (and every frame it fragments into) with a
+        content-addressed causal-lineage id for the trace bus.
         """
-        nbytes = self._resolve_nbytes(payload, nbytes)
         yield Compute(self.vm.overheads.send_cost(nbytes))
         self._submit(dst, tag, payload, nbytes, self._number_send(), trace_ref)
         yield from self._backpressure()
@@ -114,7 +120,7 @@ class Task:
         dsts: Iterable[int],
         tag: int,
         payload: Any,
-        nbytes: int | None = None,
+        nbytes: int,
         trace_ref: str | None = None,
     ) -> Generator:
         """Multicast: pack once, unicast to each destination (PVM semantics).
@@ -124,32 +130,31 @@ class Task:
         which is what limits the synchronous GA's scaling past 8 nodes.
         """
         dsts = [d for d in dsts if d != self.tid]
-        nbytes = self._resolve_nbytes(payload, nbytes)
         cost = self.vm.overheads.send_cost(nbytes) + self.vm.overheads.mcast_per_dest * max(
             0, len(dsts) - 1
         )
         yield Compute(cost)
         seq = self._number_send()
-        if self._hw_multicast_eligible(dsts, payload):
+        if self._hw_multicast_eligible(dsts, tag):
             self._submit_broadcast(dsts, tag, payload, nbytes, seq, trace_ref)
         else:
             for dst in dsts:
                 self._submit(dst, tag, payload, nbytes, seq, trace_ref)
         yield from self._backpressure()
 
-    def _hw_multicast_eligible(self, dsts: list[int], payload: Any) -> bool:
+    def _hw_multicast_eligible(self, dsts: list[int], tag: int) -> bool:
         """True when one BROADCAST frame can stand in for the unicast fan-out.
 
         Requires the VM's ``hw_multicast`` opt-in (switched fabrics with a
         multicast tree), a destination set covering every other task (a
         broadcast reaches *all* adapters — a partial set would leak), and a
-        non-PackBuffer payload (PackBuffers carry a shared unpack cursor;
-        concurrent receivers would race on it).
+        message other than a barrier release, which stays a unicast
+        fan-out as PVM groups send it.
         """
         return (
             self.vm.hw_multicast
             and len(dsts) > 1
-            and not isinstance(payload, PackBuffer)
+            and tag != BARRIER_RELEASE_TAG
             and set(dsts) == set(self.vm.tasks) - {self.tid}
         )
 
@@ -169,13 +174,6 @@ class Task:
         window = self.vm.send_window
         while adapter.queue_len > window:
             yield WaitSignal(adapter.drain_signal)
-
-    def _resolve_nbytes(self, payload: Any, nbytes: int | None) -> int:
-        if nbytes is None:
-            if isinstance(payload, PackBuffer):
-                return payload.nbytes
-            raise ValueError("nbytes is required for non-PackBuffer payloads")
-        return nbytes
 
     def _number_send(self) -> int:
         """Number one ``send``/``mcast`` call and trace it as ``msg.send``
@@ -270,41 +268,25 @@ class Task:
             msg = self._pop_match(src, tag)
             if msg is not None:
                 yield Compute(self.vm.overheads.recv_cost(msg.nbytes))
-                if isinstance(msg.payload, PackBuffer):
-                    msg.payload.rewind()
                 return msg
             yield WaitSignal(self.mail_signal)
-
-    def nrecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message | None:
-        """Non-blocking receive (``pvm_nrecv``): a matching message or None.
-
-        Does not charge receive overhead itself — callers that consume a
-        message should charge :meth:`consume_cost` (the asynchronous
-        applications do this once per drained batch).
-        """
-        msg = self._pop_match(src, tag)
-        if msg is not None and isinstance(msg.payload, PackBuffer):
-            msg.payload.rewind()
-        return msg
 
     def nrecv_all(self, tag: int) -> list[Message]:
         """Take every waiting message with ``tag``, in arrival order.
 
-        The batch form of :meth:`nrecv` (``pvm_nrecv`` until it returns
-        nothing), traced as one ``msg.consume`` record for the batch.
+        Non-blocking (``pvm_nrecv`` until it returns nothing) and traced
+        as one ``msg.consume`` record for the batch.  It charges no
+        receive overhead itself: callers charge :meth:`consume_cost`.
         """
         box = self.mailbox
         taken = [m for m in box if m.tag == tag]
         if taken:
             box[:] = [m for m in box if m.tag != tag]
             self._take(taken)
-            for msg in taken:
-                if isinstance(msg.payload, PackBuffer):
-                    msg.payload.rewind()
         return taken
 
     def consume_cost(self, msg: Message) -> float:
-        """CPU cost a caller should charge for a message taken via nrecv."""
+        """CPU cost a caller should charge for a message taken via nrecv_all."""
         return self.vm.overheads.recv_cost(msg.nbytes)
 
     def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
@@ -333,13 +315,13 @@ class Task:
         if len(members) == 1:
             return
         coord = members[0]
-        buf = PackBuffer().pkint(self.tid)
+        # each barrier message carries a tid, sized as one packed C int
         if self.tid == coord:
             for _ in range(len(members) - 1):
                 yield from self.recv(tag=BARRIER_TAG)
-            yield from self.mcast(members[1:], BARRIER_RELEASE_TAG, PackBuffer().pkint(coord))
+            yield from self.mcast(members[1:], BARRIER_RELEASE_TAG, coord, nbytes=4)
         else:
-            yield from self.send(coord, BARRIER_TAG, buf)
+            yield from self.send(coord, BARRIER_TAG, self.tid, nbytes=4)
             yield from self.recv(src=coord, tag=BARRIER_RELEASE_TAG)
 
     # ------------------------------------------------------------------

@@ -111,13 +111,3 @@ class EventQueue:
                 return _heappop(heap)
             return lane.popleft()
         return _heappop(heap) if heap else None
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest entry without popping, or ``None``."""
-        lane = self.lane
-        heap = self.heap
-        if lane and heap:
-            return min(lane[0][0], heap[0][0])
-        if lane:
-            return lane[0][0]
-        return heap[0][0] if heap else None

@@ -325,22 +325,6 @@ class Kernel:
             self._events_executed += 1
             entry[3](*entry[4])
 
-    def run_until_done(self, handles: Iterable[ProcessHandle], **kw: Any) -> None:
-        """Run until every handle in ``handles`` has terminated.
-
-        The stop check is O(1) per event: a :class:`CompletionCounter`
-        decrements as processes finish, rather than rescanning every
-        handle after every event.
-        """
-        targets = list(handles)
-        counter = CompletionCounter(targets)
-        if counter.remaining:
-            self.run(stop_when=counter.all_done, **kw)
-        for h in targets:
-            if not h.done:  # queue drained before completion
-                self._check_deadlock()
-                raise DeadlockError([h.describe_block() for h in targets if not h.done])
-
     def _check_deadlock(self) -> None:
         parked = [
             p.describe_block()

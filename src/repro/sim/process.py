@@ -80,11 +80,6 @@ class Signal:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Signal({self.name!r}, waiters={len(self._waiters)})"
 
-    @property
-    def waiter_count(self) -> int:
-        """Number of processes currently blocked on this signal."""
-        return len(self._waiters)
-
     def fire(self) -> None:
         """Wake every process currently parked on this signal.
 
@@ -146,7 +141,7 @@ class ProcessHandle:
     _joiners: list = field(default_factory=list)
     #: zero-argument callbacks invoked exactly once when the process
     #: terminates (DONE or FAILED) — the O(1) completion counters behind
-    #: ``Kernel.run_until_done`` hang off this
+    #: ``Machine.run_to_completion`` and the GA/Bayes drivers hang off this
     _watchers: list = field(default_factory=list)
     #: cumulative simulated seconds spent in Compute() — busy-time accounting
     busy_time: float = 0.0

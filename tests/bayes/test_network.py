@@ -11,6 +11,7 @@ from repro.bayes import (
     make_hailfinder,
     make_table2_network,
 )
+from tests.bayes.oracles import sample_node_scalar
 
 
 def paper_figure1_network():
@@ -139,10 +140,11 @@ class TestStructure:
         assert [(u, list(n)) for u, n in sk.adj.items()] == [(u, list(ref[u])) for u in ref]
 
     def test_table2_row(self):
-        row = paper_figure1_network().table2_row()
-        assert row["nodes"] == 5
-        assert row["values_per_node"] == 2
-        assert row["edges_per_node"] == 1.0
+        # the structural columns of Table 2
+        net = paper_figure1_network()
+        assert net.n_nodes == 5
+        assert net.max_values_per_node == 2
+        assert net.edges_per_node == 1.0
 
 
 class TestSampling:
@@ -165,7 +167,7 @@ class TestSampling:
         rng = np.random.default_rng(2)
         # P(D=true | B=true, C=true) = 0.80: scalar path, direct check
         hits = sum(
-            net.sample_node_scalar(3, (1, 1), rng.random()) for _ in range(20000)
+            sample_node_scalar(net, 3, (1, 1), rng.random()) for _ in range(20000)
         )
         assert hits / 20000 == pytest.approx(0.80, abs=0.01)
 
@@ -228,7 +230,7 @@ class TestCompiledScalarPath:
                     [0.0], row, np.nextafter(row, 0.0), np.nextafter(row, 2.0), draws,
                 ])
                 expected = np.searchsorted(row, us, side="right")
-                got = [net.sample_node_scalar(name, pv, u) for u in us.tolist()]
+                got = [sample_node_scalar(net, name, pv, u) for u in us.tolist()]
                 assert got == expected.tolist(), (net.name, name, pv)
 
     @pytest.mark.parametrize("net", table2_networks(), ids=lambda n: n.name)
@@ -241,7 +243,7 @@ class TestCompiledScalarPath:
             batch = net.sample_node(name, combos.reshape(len(combos), -1), _TopRng())
             assert 0 <= batch.min() and batch.max() < node.n_values, name
             for pv in map(tuple, combos.tolist()):
-                assert 0 <= net.sample_node_scalar(name, pv, TOP) < node.n_values
+                assert 0 <= sample_node_scalar(net, name, pv, TOP) < node.n_values
             short_rows += int((node.cpt.cumsum(axis=-1)[..., -1] < 1.0).sum())
         if net.name in ("A", "C"):
             assert short_rows > 0  # the case is real on the Figure-3 networks

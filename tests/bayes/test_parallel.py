@@ -11,6 +11,7 @@ from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
 from repro.bayes.logic_sampling import run_serial_logic_sampling
 from repro.bayes.rollback import GvtOracle, ProcessorState, RollbackStats
 from repro.core.coherence import CoherenceMode
+from tests.bayes.oracles import sample_node_scalar
 
 
 def small_net(seed=1):
@@ -149,7 +150,7 @@ class StraightLineState(ProcessorState):
         us = rng.random(len(self.own_nodes))
         for i, v in enumerate(self.own_nodes):
             pv = self._parent_values(v, vals, t, oracle)
-            vals[v] = self.net.sample_node_scalar(v, pv, us[i])
+            vals[v] = sample_node_scalar(self.net, v, pv, us[i])
         self.own_values[t] = vals
         oracle.sampled(self.proc, t)
 
@@ -166,7 +167,7 @@ class StraightLineState(ProcessorState):
         us = rng.random(len(affected))
         for i, v in enumerate(affected):
             pv = self._parent_values(v, vals, t, oracle)
-            new = self.net.sample_node_scalar(v, pv, us[i])
+            new = sample_node_scalar(self.net, v, pv, us[i])
             if new != vals[v]:
                 vals[v] = new
                 if v in self.interface_nodes and t <= self.published_upto:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import Machine, MachineConfig
-from repro.pvm import PackBuffer
 from repro.sim import Compute
 
 
@@ -19,13 +18,13 @@ def test_ping_pong_between_nodes():
     log = []
 
     def ping(node, task):
-        yield from task.send(1, tag=1, payload=PackBuffer().pkint(1))
+        yield from task.send(1, tag=1, payload=1, nbytes=4)
         msg = yield from task.recv(src=1)
         log.append(("pong-received", m.kernel.now))
 
     def pong(node, task):
         msg = yield from task.recv(src=0)
-        yield from task.send(0, tag=2, payload=PackBuffer().pkint(2))
+        yield from task.send(0, tag=2, payload=2, nbytes=4)
 
     m.spawn_on(0, ping)
     m.spawn_on(1, pong)
@@ -67,7 +66,7 @@ def test_loader_slows_application_traffic():
 
         def sender(node, task):
             for _ in range(50):
-                yield from task.send(1, tag=1, payload=PackBuffer().pkdouble([1.0] * 100))
+                yield from task.send(1, tag=1, payload=[1.0] * 100, nbytes=800)
 
         def receiver(node, task):
             for _ in range(50):

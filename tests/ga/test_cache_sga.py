@@ -95,7 +95,7 @@ class TestSerialGa:
     def test_sphere_converges_toward_zero(self):
         r = run_serial_ga(get_function(1), seed=0, n_generations=150)
         assert r.best_fitness < 0.05
-        assert r.found_optimum(0.05)
+        assert r.best_fitness <= 0.05
 
     def test_elitism_from_params(self):
         """With elitism the running best never regresses (checked via history)."""

@@ -86,12 +86,6 @@ class TestMechanics:
         assert early.completion_time is not None
         assert early.completion_time <= full.total_time
 
-    def test_found_optimum_threshold(self, run_island):
-        r = run_island(CoherenceMode.ASYNCHRONOUS, gens=80, demes=4)
-        assert r.found_optimum(10.0)  # sphere easily below 10
-        assert not r.found_optimum(-1.0)
-
-
 class TestMetrics:
     def test_message_count_scales_with_demes(self, run_island):
         r2 = run_island(CoherenceMode.ASYNCHRONOUS, demes=2, gens=10)

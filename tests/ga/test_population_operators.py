@@ -25,7 +25,6 @@ def make_pop(fit):
 class TestPopulation:
     def test_best_worst_queries(self):
         pop = make_pop([3.0, 1.0, 2.0])
-        assert pop.best_index == 1
         assert pop.best_fitness == 1.0
         assert pop.mean_fitness == pytest.approx(2.0)
         assert pop.size == 3

@@ -11,9 +11,14 @@ from repro.ga.topology import (
     comm_graph,
     grid_shape,
     in_peers,
-    readers_of,
     wiring,
 )
+
+
+def readers_of(spec, writer, n):
+    """The demes that read ``migrants.<writer>``, from the wiring table a
+    run builds its DSM reader sets from."""
+    return wiring(spec, n)[1][writer]
 
 
 class TestSpec:
@@ -114,7 +119,10 @@ class TestWiringTable:
         for n in (1, 2, 17):
             peers, readers = wiring(spec, n)
             assert peers == [in_peers(spec, d, n) for d in range(n)]
-            assert readers == [readers_of(spec, d, n) for d in range(n)]
+            assert readers == [
+                tuple(d for d in range(n) if w in in_peers(spec, d, n))
+                for w in range(n)
+            ]
 
     def test_a_run_seeds_one_generator_per_deme(self, monkeypatch, island_cfg):
         """Call count, not a stopwatch: 256 demes used to cost 256 * 256

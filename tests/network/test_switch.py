@@ -15,6 +15,23 @@ def make_net(n_nodes=4, seed=0, config=None):
     return kernel, net, inboxes
 
 
+@pytest.mark.parametrize("field, value", [
+    ("link_bandwidth_bps", 0),
+    ("link_bandwidth_bps", -1.0),
+    ("link_bandwidth_bps", float("nan")),
+    ("switch_latency", -1),
+    ("switch_latency", float("nan")),
+    ("switch_latency", float("inf")),
+    ("overhead_bytes", -1),
+    ("max_payload", 0),
+])
+def test_config_refuses_a_field_no_run_survives(field, value):
+    """Left to the run, each of these surfaces mid-run as a
+    ZeroDivisionError inside a process or an event scheduled before now."""
+    with pytest.raises(ValueError, match=field):
+        SwitchConfig(**{field: value})
+
+
 def test_point_to_point_latency():
     kernel, net, inboxes = make_net()
     cfg = net.config

@@ -5,6 +5,7 @@ import pytest
 from repro.network import BROADCAST, Frame
 from repro.network.switched import FABRICS, SwitchedConfig, SwitchedNetwork
 from repro.sim import Kernel
+from tests.network.oracles import min_frame_latency
 
 
 def make_net(n_nodes=8, fabric="hierarchical", radix=4, seed=0, **kw):
@@ -24,6 +25,23 @@ class TestConfig:
             SwitchedConfig(radix=1)
         with pytest.raises(ValueError, match="bandwidth"):
             SwitchedConfig(link_bandwidth_bps=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("link_bandwidth_bps", -1.0),
+        ("link_bandwidth_bps", float("nan")),
+        ("link_latency", -1),
+        ("link_latency", float("inf")),
+        ("switch_latency", -1),
+        ("switch_latency", float("nan")),
+        ("overhead_bytes", -1),
+        ("max_payload", 0),
+    ])
+    def test_config_refuses_a_field_no_run_survives(self, field, value):
+        """Left to the run, a negative or non-finite latency dies mid-run
+        with an event before now or a NaN event time, and
+        ``max_payload=0`` with a ZeroDivisionError in PVM fragmentation."""
+        with pytest.raises(ValueError, match=field):
+            SwitchedConfig(**{field: value})
 
     def test_mtu_enforced_in_config_and_network(self):
         with pytest.raises(ValueError, match="MTU"):
@@ -59,13 +77,13 @@ class TestUnicast:
         net.adapters[0].send(f)
         kernel.run()
         assert inboxes[1] == [f]
-        assert f.deliver_time == pytest.approx(net.min_frame_latency(0, 1, 1000))
+        assert f.deliver_time == pytest.approx(min_frame_latency(net, 0, 1, 1000))
 
     def test_cross_tree_path_is_longer(self):
         kernel, net, _ = make_net(n_nodes=8, radix=4)
         # 0 and 1 share an edge switch; 0 and 4 cross the root
         assert len(net.path_hops(0, 4)) > len(net.path_hops(0, 1)) == 2
-        assert net.min_frame_latency(0, 4, 100) > net.min_frame_latency(0, 1, 100)
+        assert min_frame_latency(net, 0, 4, 100) > min_frame_latency(net, 0, 1, 100)
 
     def test_single_fabric_every_path_is_two_hops(self):
         _, net, _ = make_net(n_nodes=9, fabric="single")
@@ -88,7 +106,7 @@ class TestUnicast:
         net.adapters[0].send(f1)
         net.adapters[2].send(f2)
         kernel.run()
-        one = net.min_frame_latency(0, 1, 1000)
+        one = min_frame_latency(net, 0, 1, 1000)
         assert f1.deliver_time == pytest.approx(one)
         assert f2.deliver_time == pytest.approx(one)
 
@@ -116,11 +134,13 @@ class TestUnicast:
         assert worst_delivery("fat-tree") < worst_delivery("hierarchical")
 
     def test_pending_frames_returns_to_zero(self):
-        kernel, net, _ = make_net()
-        net.adapters[0].send(Frame(src=0, dst=5, size_bytes=64))
-        assert net.pending_frames() == 1
+        kernel, net, inboxes = make_net()
+        f = Frame(src=0, dst=5, size_bytes=64)
+        net.adapters[0].send(f)
+        assert len(kernel.queue) == 1  # the frame's delivery, in flight
         kernel.run()
-        assert net.pending_frames() == 0
+        assert len(kernel.queue) == 0
+        assert inboxes[5] == [f]
 
 
 class TestMulticast:

@@ -1,4 +1,4 @@
-"""MetricsRegistry + machine_metrics snapshot behaviour.
+"""The machine_metrics snapshot.
 
 Pins the snapshot schema, nearest-rank percentile arithmetic, and the
 two stability properties the experiment envelopes rely on: identical
@@ -6,12 +6,16 @@ runs produce identical snapshots, and results carry metrics even with
 tracing off.
 """
 
+import json
+
 import pytest
 
+from repro.bayes.rollback import RollbackStats
+from repro.cluster import Machine, MachineConfig
 from repro.obs.integration import traced_ga_run
 from repro.obs.metrics import (
     METRICS_SCHEMA,
-    MetricsRegistry,
+    machine_metrics,
     percentile_from_samples,
 )
 from repro.obs.report import report_dict
@@ -27,30 +31,45 @@ def test_percentile_nearest_rank():
     assert percentile_from_samples([], 50) == 0.0
 
 
+def _ping_machine():
+    """A finished two-node run: one 4-byte message from node 0 to node 1."""
+    m = Machine(MachineConfig(n_nodes=2, seed=1))
+
+    def ping(node, task):
+        yield from task.send(1, tag=1, payload=0, nbytes=4)
+
+    def pong(node, task):
+        yield from task.recv(src=0)
+
+    m.spawn_on(0, ping)
+    m.spawn_on(1, pong)
+    m.run_to_completion()
+    return m
+
+
 def test_registry_counters_gauges_histograms():
-    reg = MetricsRegistry()
-    reg.count("msgs", 2)
-    reg.count("msgs", 3)
-    reg.gauge("util", 0.25)
-    reg.counts_histogram("depth", {1: 5, 3: 2})
-    reg.node(0)["writes"] = 7
-    snap = reg.snapshot()
+    m = _ping_machine()
+    rb = RollbackStats(gambles=10, gamble_hits=3, rollbacks=1,
+                       depth_histogram={1: 5, 3: 2})
+    snap = machine_metrics(m, rollback=rb)
     assert snap["schema"] == METRICS_SCHEMA
-    assert snap["counters"]["msgs"] == 5
-    assert snap["gauges"]["util"] == 0.25
-    depth = snap["histograms"]["depth"]
+    assert snap["counters"]["messages.sent"] == 1
+    assert snap["counters"]["rb.rollbacks"] == 1
+    assert snap["gauges"]["time.completion"] == m.kernel.now
+    assert snap["gauges"]["rb.gamble_hit_rate"] == 0.75
+    assert all(type(v) is float for v in snap["gauges"].values())
+    depth = snap["histograms"]["rb.depth"]
     assert depth["count"] == 7 and depth["counts"] == {"1": 5, "3": 2}
     assert depth["min"] == 1.0 and depth["max"] == 3.0
     assert depth["mean"] == 11 / 7 and depth["p50"] == 1.0 and depth["p90"] == 3.0
-    assert snap["per_node"]["0"]["writes"] == 7
+    assert snap["per_node"] == {}  # per-node counters come from a Dsm
 
 
 def test_snapshot_is_json_and_sorted():
-    reg = MetricsRegistry()
-    reg.count("b")
-    reg.count("a")
-    out = reg.to_json()
-    assert out.index('"a"') < out.index('"b"')
+    snap = machine_metrics(_ping_machine(), rollback=RollbackStats())
+    assert json.loads(json.dumps(snap)) == snap
+    for section in ("counters", "gauges", "histograms"):
+        assert list(snap[section]) == sorted(snap[section])
 
 
 def test_ga_result_carries_metrics_without_tracing():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.partition import (
     Graph,
-    balance,
     edge_cut,
     greedy_bisection,
     kl_refine,
@@ -21,8 +20,16 @@ from repro.partition import (
     partition,
     validate_partition,
 )
-from repro.partition.kl import kl_bisection
 from repro.partition.multilevel import best_of
+
+
+def balance(graph, parts):
+    """Largest part size divided by ideal size (1.0 = perfectly balanced)."""
+    k = validate_partition(graph, parts)
+    sizes = {}
+    for p in parts.values():
+        sizes[p] = sizes.get(p, 0) + 1
+    return max(sizes.values()) / (len(graph) / k)
 
 
 def from_nx(g):
@@ -174,8 +181,10 @@ class TestKL:
 
     def test_kl_bisection_default_start(self):
         g = two_cliques(6)
-        parts = kl_bisection(g)
-        assert edge_cut(g, parts) <= 2
+        nodes = sorted(g.adj, key=str)
+        start = {v: int(i >= len(nodes) // 2) for i, v in enumerate(nodes)}
+        parts = kl_refine(g, start)
+        assert edge_cut(g, parts) <= 2 <= edge_cut(g, start)
 
 
 def exhaustive_kl_refine(graph, parts, max_passes=10):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.network import EthernetConfig, EthernetNetwork, SwitchNetwork
-from repro.pvm import ANY_SOURCE, ANY_TAG, PackBuffer, PvmOverheads, VirtualMachine
+from repro.pvm import ANY_SOURCE, ANY_TAG, PvmOverheads, VirtualMachine
 from repro.sim import DeadlockError, Kernel
 
 
@@ -21,11 +21,11 @@ def test_send_recv_roundtrip():
     got = {}
 
     def sender():
-        yield from t0.send(1, tag=7, payload=PackBuffer().pkdouble([3.14]))
+        yield from t0.send(1, tag=7, payload=3.14, nbytes=8)
 
     def receiver():
         msg = yield from t1.recv(src=0, tag=7)
-        got["value"] = float(msg.payload.upkdouble()[0])
+        got["value"] = msg.payload
         got["latency"] = msg.latency
 
     kernel.spawn(sender())
@@ -43,7 +43,7 @@ def test_recv_blocks_until_message_arrives():
         from repro.sim import Compute
 
         yield Compute(2.0)
-        yield from t0.send(1, tag=1, payload=PackBuffer().pkint(1))
+        yield from t0.send(1, tag=1, payload=1, nbytes=4)
 
     def receiver():
         yield from t1.recv()
@@ -61,12 +61,12 @@ def test_pairwise_fifo_order():
 
     def sender():
         for i in range(10):
-            yield from t0.send(1, tag=5, payload=PackBuffer().pkint(i))
+            yield from t0.send(1, tag=5, payload=i, nbytes=4)
 
     def receiver():
         for _ in range(10):
             msg = yield from t1.recv(src=0, tag=5)
-            got.append(int(msg.payload.upkint()[0]))
+            got.append(msg.payload)
 
     kernel.spawn(sender())
     kernel.spawn(receiver())
@@ -79,16 +79,16 @@ def test_tag_and_source_filtering():
     got = []
 
     def s0():
-        yield from t0.send(2, tag=1, payload=PackBuffer().pkint(10))
+        yield from t0.send(2, tag=1, payload=10, nbytes=4)
 
     def s1():
-        yield from t1.send(2, tag=2, payload=PackBuffer().pkint(20))
+        yield from t1.send(2, tag=2, payload=20, nbytes=4)
 
     def receiver():
         m = yield from t2.recv(src=1, tag=ANY_TAG)
-        got.append(int(m.payload.upkint()[0]))
+        got.append(m.payload)
         m = yield from t2.recv(src=ANY_SOURCE, tag=1)
-        got.append(int(m.payload.upkint()[0]))
+        got.append(m.payload)
 
     kernel.spawn(s0())
     kernel.spawn(s1())
@@ -102,18 +102,18 @@ def test_nrecv_nonblocking():
     results = []
 
     def receiver():
-        results.append(t1.nrecv())  # nothing yet
+        results.append(t1.nrecv_all(tag=3))  # nothing yet
         msg = yield from t1.recv()
         results.append(msg)
 
     def sender():
-        yield from t0.send(1, tag=3, payload=PackBuffer().pkint(5))
+        yield from t0.send(1, tag=3, payload=5, nbytes=4)
 
     kernel.spawn(receiver())
     kernel.spawn(sender())
     kernel.run()
-    assert results[0] is None
-    assert results[1] is not None
+    assert results[0] == []
+    assert results[1].payload == 5
 
 
 def test_probe_and_pending():
@@ -122,7 +122,7 @@ def test_probe_and_pending():
 
     def sender():
         for _ in range(3):
-            yield from t0.send(1, tag=9, payload=PackBuffer().pkint(0))
+            yield from t0.send(1, tag=9, payload=0, nbytes=4)
 
     def checker():
         from repro.sim import Compute
@@ -142,15 +142,15 @@ def test_probe_and_pending():
 
 def test_large_message_fragments_and_reassembles():
     kernel, vm, (t0, t1, *_) = make_vm()
-    payload = PackBuffer().pkdouble(np.arange(1000.0))  # 8000 B > 1500 MTU
+    payload = np.arange(1000.0)  # 8000 B > 1500 MTU
     got = {}
 
     def sender():
-        yield from t0.send(1, tag=1, payload=payload)
+        yield from t0.send(1, tag=1, payload=payload, nbytes=payload.nbytes)
 
     def receiver():
         msg = yield from t1.recv()
-        got["data"] = msg.payload.upkdouble()
+        got["data"] = msg.payload
 
     frames_before = vm.network.stats.frames_sent
     kernel.spawn(sender())
@@ -166,7 +166,7 @@ def test_send_overhead_charged_as_compute():
     kernel, vm, (t0, t1, *_) = make_vm(overheads=ov)
 
     def sender():
-        yield from t0.send(1, tag=1, payload=PackBuffer().pkint(1))
+        yield from t0.send(1, tag=1, payload=1, nbytes=4)
 
     h = kernel.spawn(sender())
     kernel.spawn(iter_recv(t1))
@@ -182,12 +182,29 @@ def iter_recv(task, n=1):
     return proc()
 
 
+def test_negative_recv_cost_is_refused_at_construction():
+    """Left to the run, ``recv_fixed=-1.0`` lets it finish with every
+    receive charge silently dropped (the DSM drain charges positive
+    costs only)."""
+    with pytest.raises(ValueError, match="recv_fixed"):
+        PvmOverheads(recv_fixed=-1.0)
+
+
+@pytest.mark.parametrize("field", [
+    "send_fixed", "send_per_byte", "mcast_per_dest", "recv_per_byte", "header_bytes",
+])
+@pytest.mark.parametrize("value", [-1, float("nan")])
+def test_every_overhead_field_is_validated(field, value):
+    with pytest.raises(ValueError, match=field):
+        PvmOverheads(**{field: value})
+
+
 def test_mcast_reaches_all_destinations_not_self():
     kernel, vm, tasks = make_vm(n=4)
     got = {i: [] for i in range(4)}
 
     def sender():
-        yield from tasks[0].mcast([0, 1, 2, 3], tag=4, payload=PackBuffer().pkint(1))
+        yield from tasks[0].mcast([0, 1, 2, 3], tag=4, payload=1, nbytes=4)
 
     def receiver(i):
         msg = yield from tasks[i].recv(tag=4)
@@ -258,7 +275,7 @@ def test_send_to_unknown_task_raises():
     kernel, vm, (t0, *_) = make_vm(n=2)
 
     def sender():
-        yield from t0.send(42, tag=0, payload=PackBuffer().pkint(1))
+        yield from t0.send(42, tag=0, payload=1, nbytes=4)
 
     kernel.spawn(sender())
     with pytest.raises(Exception):
@@ -270,11 +287,11 @@ def test_works_over_switch_network_too():
     got = {}
 
     def sender():
-        yield from t0.send(1, tag=1, payload=PackBuffer().pkdouble(np.arange(3000.0)))
+        yield from t0.send(1, tag=1, payload=np.arange(3000.0), nbytes=24000)
 
     def receiver():
         msg = yield from t1.recv()
-        got["n"] = msg.payload.upkdouble().size
+        got["n"] = msg.payload.size
 
     kernel.spawn(sender())
     kernel.spawn(receiver())
@@ -293,7 +310,7 @@ def test_message_counters():
 
     def sender():
         for _ in range(4):
-            yield from t0.send(1, tag=1, payload=PackBuffer().pkint(1))
+            yield from t0.send(1, tag=1, payload=1, nbytes=4)
 
     def receiver():
         for _ in range(4):
@@ -364,25 +381,21 @@ def test_hw_multicast_partial_fanout_falls_back_to_unicast():
     assert vm.network.stats.broadcasts == 0
 
 
-def test_hw_multicast_packbuffer_falls_back_to_unicast():
-    """PackBuffer payloads carry a shared unpack cursor — receivers would
-    race on it, so they must never ride one shared BROADCAST frame."""
+def test_hw_multicast_barrier_release_falls_back_to_unicast():
+    """A barrier's release is a unicast fan-out of 4-byte messages even
+    when one BROADCAST frame could reach every member, so its wire time
+    is the same with and without hardware multicast."""
     kernel, vm, tasks = make_switched_vm()
-    values = []
 
-    def sender():
-        yield from tasks[0].mcast([1, 2, 3], tag=4, payload=PackBuffer().pkint(7))
+    def member(i):
+        yield from tasks[i].barrier(range(4))
 
-    def receiver(i):
-        msg = yield from tasks[i].recv(tag=4)
-        values.append(int(msg.payload.upkint()[0]))
-
-    kernel.spawn(sender())
-    for i in (1, 2, 3):
-        kernel.spawn(receiver(i))
+    for i in range(4):
+        kernel.spawn(member(i))
     kernel.run()
-    assert values == [7, 7, 7]  # every copy unpacks independently
     assert vm.network.stats.broadcasts == 0
+    assert vm.network.stats.frames_sent == 6  # 3 arrivals + 3 releases
+    assert vm.network.stats.bytes_sent == 6 * (4 + vm.overheads.header_bytes)
 
 
 def test_hw_multicast_off_by_default():

@@ -85,26 +85,6 @@ def test_len_counts_only_live_events():
     assert len(q) == 5
 
 
-def test_peek_time_empty_returns_none():
-    assert EventQueue().peek_time() is None
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.pop()
-    assert q.peek_time() is None
-
-
-def test_peek_time_is_the_earlier_of_heap_and_lane():
-    q = EventQueue()
-    q.push(2.0, lambda: None)
-    assert q.peek_time() == 2.0
-    q.push_immediate(1.0, lambda: None)
-    assert q.peek_time() == 1.0
-    q.pop()
-    assert q.peek_time() == 2.0
-    q.pop()
-    assert q.peek_time() is None
-
-
 def test_nan_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):

