@@ -128,7 +128,7 @@ def _report_arg_error(args: argparse.Namespace) -> str | None:
     if args.demes < 2:
         return f"--demes must be >= 2: one deme has no peer to race with (got {args.demes})"
     if args.age < 0:
-        # the CLI equivalent of lint rule RPR006
+        # refused up front, as satisfies_age_bound would refuse every read
         return f"--age is a staleness tolerance and must be >= 0 (got {args.age})"
     if args.generations < 1:
         return f"--generations must be >= 1 (got {args.generations})"

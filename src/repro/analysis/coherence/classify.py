@@ -3,7 +3,7 @@
 Takes the AST pass's output (:class:`~repro.analysis.coherence.astpass.
 ScanResult`) and produces, per DSM location pattern, a
 :class:`~repro.analysis.coherence.model.LocationVerdict` plus any
-RPR101–RPR104 / RPR106 findings.
+RPR101–RPR104 findings.
 
 Inference on the :data:`~repro.core.contract.TOLERANCE_CLASSES`
 lattice
@@ -17,17 +17,14 @@ its discovered access sites force:
 * every read a strict ``global_read(..., 0)`` → ``phase_concurrent``
   when a barrier call is in scope of every read (write phase and read
   phase are separated), else ``single_writer``;
-* any read that can return stale data (a positive or symbolic age
-  bound, or an unbounded ``read_local``) → ``commutative`` **iff** the
-  reducing operation passes the effect scan (no global-state RNG, wall
-  clock, I/O, or ``global`` rebinding detected — staleness tolerance
-  is only claimable when incorporation is order-insensitive, and an
-  impure reducer makes that claim uncheckable), else ``unbounded``.
+* any read that can return stale data (a non-zero or symbolic age
+  bound, or an unbounded ``read_local``) → ``commutative``: only a
+  class that tolerates staleness can cover it.
 
 The **static verdict** compresses the read-side exposure to the
-dynamic classifier's vocabulary (strict / tolerated / unbounded) so
-:mod:`repro.analysis.coherence.crossval` can compare the two worlds
-directly.
+dynamic classifier's vocabulary (strict / tolerated) so
+:mod:`repro.analysis.coherence.crossval` can compare it with what a
+traced run observed.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 from typing import Iterable, Protocol, TypeVar
 
-from repro.analysis.coherence.astpass import ModuleScan, ScanResult
+from repro.analysis.coherence.astpass import ScanResult
 from repro.analysis.coherence.model import (
     AccessSite,
     CoherenceFinding,
@@ -80,53 +77,7 @@ def _is_strict_read(site: AccessSite) -> bool:
     )
 
 
-def _is_bounded_read(site: AccessSite) -> bool:
-    """A read whose staleness has *some* static finite bound."""
-    if site.kind != "global_read" or site.age is None:
-        return False
-    if site.age.kind == "const":
-        return site.age.value is not None and site.age.value >= 0
-    if site.age.kind == "symbolic":
-        # a symbolic bound counts when the reaching default resolved and
-        # a validation guard proves it can never be negative
-        return site.age.value is not None and site.age.nonneg
-    return False
-
-
-def _reducer_effects_for(
-    location_sites: list[AccessSite],
-    modules: list[ModuleScan],
-) -> list[str]:
-    """Detected impure effects in the reducing code of these reads.
-
-    The reducing operation is (a) the function body enclosing each
-    read site and (b) any ``on_update`` handler bound in a module that
-    touches the location — handler sites carry pattern ``*`` because
-    they apply to every location their node reads.
-    """
-    effects: list[str] = []
-    touched_modules = {s.module for s in location_sites}
-    read_functions = {
-        (s.module, s.function)
-        for s in location_sites
-        if s.kind in ("global_read", "read_local")
-    }
-    for m in modules:
-        if m.module not in touched_modules:
-            continue
-        for qual, fx in sorted(m.reducer_effects.items()):
-            if (m.module, qual) in read_functions:
-                effects.extend(f"{m.module}.{qual}: {e}" for e in fx)
-        for s in m.sites:
-            if s.kind == "on_update" and s.target is not None:
-                fx = m.reducer_effects.get(s.target, [])
-                effects.extend(f"{m.module}.{s.target}: {e}" for e in fx)
-    return effects
-
-
-def infer_class(
-    sites: list[AccessSite], reducer_effects: list[str]
-) -> tuple[str, list[str]]:
+def infer_class(sites: list[AccessSite]) -> tuple[str, list[str]]:
     """(inferred tolerance class, evidence trail) for one location."""
     evidence: list[str] = []
     writes = [s for s in sites if s.kind == "write"]
@@ -137,12 +88,9 @@ def infer_class(
     if not reads:
         evidence.append("writes but no read sites -> single_writer")
         return "single_writer", evidence
-    stale_capable = [
-        s for s in reads if not _is_strict_read(s)
-    ]
+    stale_capable = [s for s in reads if not _is_strict_read(s)]
     if not stale_capable:
-        barriers = all(s.barrier_in_scope for s in reads)
-        if barriers:
+        if all(s.barrier_in_scope for s in reads):
             evidence.append(
                 "all reads strict (age 0) with a barrier in scope -> "
                 "phase_concurrent"
@@ -158,32 +106,17 @@ def infer_class(
         evidence.append(
             f"{s.path}:{s.line} {s.kind} may return stale data (age: {desc})"
         )
-    if reducer_effects:
-        evidence.extend(f"impure reducer effect: {e}" for e in reducer_effects)
-        evidence.append("stale reads + unverifiable reducer -> unbounded")
-        return "unbounded", evidence
-    evidence.append(
-        "stale reads with an effect-free reducing operation -> commutative"
-    )
+    evidence.append("stale-capable reads -> commutative")
     return "commutative", evidence
 
 
-def static_verdict(sites: list[AccessSite], inferred: str) -> str:
-    """Compress read-side exposure to strict / tolerated / unbounded."""
+def static_verdict(sites: list[AccessSite]) -> str:
+    """``strict`` when every read is a strict ``global_read``, else
+    ``tolerated``: a bounded read never returns a copy older than its
+    bound, and a stale-capable read infers as ``commutative``, the claim
+    that staleness is harmless.  Only a traced run can show more."""
     reads = [s for s in sites if s.kind in ("global_read", "read_local")]
-    if not reads or all(_is_strict_read(s) for s in reads):
-        return "strict"
-    unbounded_reads = [
-        s
-        for s in reads
-        if s.kind == "read_local"
-        or (not _is_strict_read(s) and not _is_bounded_read(s))
-    ]
-    if not unbounded_reads:
-        return "tolerated"
-    # unbounded staleness is still *tolerated* when the algorithm is
-    # order/staleness-insensitive (the paper's GA-migration argument)
-    return "tolerated" if inferred == "commutative" else "unbounded"
+    return "strict" if all(_is_strict_read(s) for s in reads) else "tolerated"
 
 
 def _check_contract(
@@ -191,7 +124,6 @@ def _check_contract(
     contract: ContractDecl | None,
     sites: list[AccessSite],
     inferred: str,
-    reducer_effects: list[str],
 ) -> list[CoherenceFinding]:
     findings: list[CoherenceFinding] = []
     anchor = sites[0]
@@ -264,18 +196,6 @@ def _check_contract(
             )
         )
 
-    if contract.tolerance == "commutative" and reducer_effects:
-        listed = "; ".join(reducer_effects[:3])
-        findings.append(
-            make_finding(
-                "RPR106",
-                "the contract claims commutative incorporation but the "
-                f"reducing operation has detected impure effects ({listed})",
-                contract.path,
-                contract.line,
-                pattern,
-            )
-        )
     return findings
 
 
@@ -285,17 +205,12 @@ def classify_scan(
     """Classify every discovered location and check its contract.
 
     Returns ``(verdicts, findings)``; verdicts are sorted by pattern,
-    findings by (path, line, code).  ``on_update`` handler sites attach
-    to every location of their module rather than forming locations of
-    their own; ``<unresolved>`` patterns become per-site RPR101s (an
-    access the analyzer cannot attribute is an access nobody's contract
-    covers).
+    findings by (path, line, code).  ``<unresolved>`` patterns become
+    per-site RPR101s (an access the analyzer cannot attribute is an
+    access nobody's contract covers).
     """
-    contracts = scan.contracts
     by_pattern: dict[str, list[AccessSite]] = {}
     for site in scan.sites:
-        if site.kind == "on_update":
-            continue
         by_pattern.setdefault(site.pattern, []).append(site)
 
     verdicts: list[LocationVerdict] = []
@@ -315,18 +230,14 @@ def classify_scan(
                     )
                 )
             continue
-        reducer_effects = _reducer_effects_for(sites, scan.modules)
-        inferred, evidence = infer_class(sites, reducer_effects)
-        contract = most_specific(pattern.replace("*", "0"), contracts)
-        verdict = static_verdict(sites, inferred)
-        findings.extend(
-            _check_contract(pattern, contract, sites, inferred, reducer_effects)
-        )
+        inferred, evidence = infer_class(sites)
+        contract = most_specific(pattern.replace("*", "0"), scan.contracts)
+        findings.extend(_check_contract(pattern, contract, sites, inferred))
         verdicts.append(
             LocationVerdict(
                 pattern=pattern,
                 inferred_class=inferred,
-                verdict=verdict,
+                verdict=static_verdict(sites),
                 contract=contract,
                 sites=sites,
                 evidence=evidence,

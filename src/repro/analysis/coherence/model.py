@@ -6,9 +6,9 @@ The analyzer's vocabulary, shared by the AST pass
 cross-validator (:mod:`repro.analysis.coherence.crossval`):
 
 * an :class:`AccessSite` is one discovered DSM operation in source —
-  a ``write``, ``global_read``, ``read_local``, location
-  ``register`` or ``on_update`` handler binding — with its resolved
-  location *pattern* and (for reads) the age bound that reaches it;
+  a ``write``, ``global_read``, ``read_local`` or location
+  ``register`` — with its resolved location *pattern* and (for
+  ``global_read``) the age bound that reaches it;
 * a :class:`ContractDecl` is one ``dsm_contract(...)`` declaration as
   written in source — a :class:`~repro.core.contract.StalenessContract`
   plus its position, so the analyzer validates what the AST says
@@ -16,7 +16,7 @@ cross-validator (:mod:`repro.analysis.coherence.crossval`):
 * a :class:`LocationVerdict` is the per-location outcome: the inferred
   race-tolerance class on the :data:`~repro.core.contract.
   TOLERANCE_CLASSES` lattice, the static verdict
-  (``strict``/``tolerated``/``unbounded``) and the evidence trail;
+  (``strict``/``tolerated``) and the evidence trail;
 * a :class:`CoherenceFinding` is one RPR1xx rule hit.  There is no
   suppression file: a reviewed exception is a ``dsm_contract(...,
   reason=...)`` next to the code.
@@ -29,10 +29,8 @@ RPR102   a static age bound exceeds the contract's declared age
 RPR103   an unbounded read on a location whose contract declares a
          finite age (``read_local`` cannot honour a staleness bound)
 RPR104   inferred tolerance class is weaker than the declared one
-RPR105   static verdict contradicts the dynamic evidence (run
-         traces) — either direction
-RPR106   a commutativity claim rests on a reducer with detected
-         impure effects (RNG/global state/wall clock/I/O)
+RPR105   a traced run observed more staleness than the static
+         verdict or a finite contract age allows
 =======  ==============================================================
 """
 
@@ -73,18 +71,13 @@ COHERENCE_RULES: dict[str, tuple[str, str]] = {
         "the declared/inferred tolerance and the observed run disagree; "
         "fix the code or the contract, not the evidence",
     ),
-    "RPR106": (
-        "unverified-reducer",
-        "make the reducing operation effect-free (named RNG streams, no "
-        "global state, no wall clock, no I/O) so the commutativity "
-        "claim is checkable",
-    ),
 }
 
 #: site kinds the AST pass produces
-SITE_KINDS = ("write", "global_read", "read_local", "register", "on_update")
+SITE_KINDS = ("write", "global_read", "read_local", "register")
 
-#: static verdict values, in increasing race exposure
+#: exposure values, in increasing race exposure: a static verdict is
+#: strict or tolerated, a traced run may also show unbounded
 VERDICTS = ("strict", "tolerated", "unbounded")
 
 
@@ -94,15 +87,13 @@ class AgeValue:
 
     ``kind`` is ``"const"`` (a literal or propagated constant, in
     ``value``), ``"symbolic"`` (an expression such as ``cfg.age`` —
-    ``value`` then holds the declared default when one was resolved,
-    and ``nonneg`` whether a ``>= 0`` validation guards it) or
-    ``"unknown"``.
+    ``value`` then holds the declared default when one was resolved)
+    or ``"unknown"``.
     """
 
     kind: str
     source: str
     value: int | None = None
-    nonneg: bool = False
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dict form."""
@@ -118,14 +109,9 @@ class AccessSite:
     path: str
     line: int
     col: int
-    module: str
-    function: str
     age: AgeValue | None = None
     #: the enclosing function contains a ``task.barrier(...)`` call
     barrier_in_scope: bool = False
-    #: the read's assignment target (dataflow anchor), or the bound
-    #: handler name for ``on_update`` sites
-    target: str | None = None
     #: free-text resolution notes (how the pattern/age were derived)
     note: str = ""
 

@@ -1,20 +1,14 @@
-"""The ``RPR0xx`` determinism and coherence-contract lint rules.
+"""The ``RPR0xx`` determinism lint rules.
 
 Every rule is an :class:`ast.NodeVisitor` producing
-:class:`~repro.analysis.lint.Finding` objects.  The rules encode the
-repository's two contracts:
-
-* **Determinism** (DESIGN.md §5): a run is a pure function of its root
-  seed, so simulated code must draw randomness from named
-  ``repro.sim.rng`` streams (RPR001), never read the wall clock
-  (RPR002), and never let ``set`` iteration order feed event ordering
-  or stream naming (RPR003).  Simulated processes may yield only the
-  kernel's request objects (RPR004).
-* **Bounded staleness** (§2): every shared-location mutation must go
-  through ``DsmNode.write`` so ages, its ``dsm.write`` trace record and
-  update propagation stay consistent (RPR005), and a ``global_read`` age bound
-  is a staleness *tolerance* — statically negative values are always a
-  bug (RPR006).
+:class:`~repro.analysis.lint.Finding` objects.  They encode one
+contract (DESIGN.md §5): a run is a pure function of its root seed, so
+simulated code must draw randomness from named ``repro.sim.rng``
+streams (RPR001), never read the wall clock (RPR002), and never let
+``set`` iteration order feed what it computes (RPR003).  Each rule is
+kept because a one-line defect only it catches is pinned in
+``tests/analysis/test_lint_rules.py`` (the mutation matrix,
+``docs/static-analysis.md``).
 """
 
 from __future__ import annotations
@@ -60,13 +54,6 @@ WALL_CLOCK = frozenset(
         "datetime.date.today",
     }
 )
-
-#: the only objects a simulated process may ``yield`` to the kernel
-#: (repro.sim.process, re-exported by repro.sim)
-LEGAL_SYSCALLS = frozenset({"Compute", "Yield", "WaitSignal", "WaitAny", "Join"})
-
-#: classes allowed to touch AgeBuffer/VersionedValue internals directly
-DSM_IMPLEMENTATION_CLASSES = frozenset({"Dsm", "DsmNode", "AgeBuffer"})
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -270,184 +257,9 @@ class IterationOrderHazard(Rule):
         self.generic_visit(node)
 
 
-class IllegalSyscallYield(Rule):
-    """RPR004: a simulated process yielding a non-syscall object.
-
-    The kernel dispatches on the yielded request type and raises
-    ``TypeError`` at simulation time for anything else — this rule moves
-    that failure to lint time.  A function counts as a simulated process
-    when at least one of its yields is a legal syscall constructor
-    (Compute/Yield/WaitSignal/WaitAny/Join); within such a function,
-    yielding any *other* constructor call is flagged.  ``yield from``
-    delegation to service generators is always fine.
-    """
-
-    code = "RPR004"
-    name = "illegal-syscall-yield"
-    fixit = (
-        "yield only repro.sim request objects (Compute, Yield, WaitSignal, "
-        "WaitAny, Join); use 'yield from' to delegate to service generators"
-    )
-
-    def _own_yields(self, fn: ast.AST) -> list[ast.Yield]:
-        """Yield expressions belonging to ``fn`` itself, not nested defs."""
-        out: list[ast.Yield] = []
-        stack = list(ast.iter_child_nodes(fn))
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if isinstance(node, ast.Yield):
-                out.append(node)
-            stack.extend(ast.iter_child_nodes(node))
-        return out
-
-    def _check_function(self, node: ast.AST) -> None:
-        yields = self._own_yields(node)
-        yielded_calls = [
-            y for y in yields if y.value is not None and isinstance(y.value, ast.Call)
-        ]
-        is_sim_process = any(
-            terminal_name(y.value.func) in LEGAL_SYSCALLS for y in yielded_calls
-        )
-        if not is_sim_process:
-            return
-        for y in yielded_calls:
-            fname = terminal_name(y.value.func)
-            if fname not in LEGAL_SYSCALLS:
-                self.flag(
-                    y,
-                    f"simulated process yields {fname or '<expr>'}(...), "
-                    "not a kernel request object",
-                )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        """Scan a function body for yields of non-simulation syscall objects."""
-        self._check_function(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        """Async variant of :meth:`visit_FunctionDef`."""
-        self._check_function(node)
-        self.generic_visit(node)
-
-
-class DsmBypassMutation(Rule):
-    """RPR005: mutating DSM state behind ``DsmNode.write``'s back.
-
-    Direct ``agebuf.update(...)`` calls or stores into ``local_store`` /
-    ``_copies`` skip the writer check, the age-monotonicity check, the
-    ``dsm.write`` trace record and update propagation — readers then see
-    values no write ever produced.  Only the DSM implementation classes
-    themselves (Dsm, DsmNode, AgeBuffer) may touch these.
-    """
-
-    code = "RPR005"
-    name = "dsm-bypass-mutation"
-    fixit = (
-        "go through 'yield from dsm.node(tid).write(locn, value, iter_no)' "
-        "so ages, its trace record and propagation stay consistent"
-    )
-
-    def __init__(self, path: str) -> None:
-        super().__init__(path)
-        self._class_stack: list[str] = []
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        """Track class context so DSM-field writes can be attributed."""
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _inside_dsm_impl(self) -> bool:
-        return any(c in DSM_IMPLEMENTATION_CLASSES for c in self._class_stack)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag direct mutation calls on DSM-managed containers."""
-        if not self._inside_dsm_impl() and isinstance(node.func, ast.Attribute):
-            if node.func.attr == "update":
-                receiver = node.func.value
-                rname = terminal_name(receiver)
-                if rname in ("agebuf", "age_buffer", "agebuffer"):
-                    self.flag(
-                        node,
-                        "direct AgeBuffer.update() bypasses DsmNode.write/drain",
-                    )
-        self.generic_visit(node)
-
-    def _check_store_target(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Subscript) and isinstance(
-            target.value, ast.Attribute
-        ):
-            attr = target.value.attr
-            if attr in ("local_store", "_copies"):
-                self.flag(
-                    target,
-                    f"direct store into {attr}[...] bypasses DsmNode.write",
-                )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        """Flag assignments that rebind DSM-managed locations outside ``dsm.write``."""
-        if not self._inside_dsm_impl():
-            for target in node.targets:
-                self._check_store_target(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        """Flag augmented assignments on DSM-managed locations."""
-        if not self._inside_dsm_impl():
-            self._check_store_target(node.target)
-        self.generic_visit(node)
-
-
-class NegativeGlobalReadAge(Rule):
-    """RPR006: ``global_read`` with a statically-negative age bound.
-
-    ``satisfies_age_bound`` raises ``ValueError`` for ``age < 0`` at
-    simulation time; a negative constant in source is always dead code
-    or a sign error, so catch it before any simulation runs.
-    """
-
-    code = "RPR006"
-    name = "negative-global-read-age"
-    fixit = "the age bound is a staleness tolerance and must be >= 0 (0 = strict)"
-
-    @staticmethod
-    def _negative_constant(node: ast.expr) -> bool:
-        if (
-            isinstance(node, ast.UnaryOp)
-            and isinstance(node.op, ast.USub)
-            and isinstance(node.operand, ast.Constant)
-            and isinstance(node.operand.value, (int, float))
-        ):
-            return node.operand.value > 0
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return node.value < 0
-        return False
-
-    def visit_Call(self, node: ast.Call) -> None:
-        """Flag ``global_read`` calls with a negative (or
-        non-literal-suspicious) age."""
-        if terminal_name(node.func) == "global_read":
-            age_arg: ast.expr | None = None
-            if len(node.args) >= 3:
-                age_arg = node.args[2]
-            for kw in node.keywords:
-                if kw.arg == "age":
-                    age_arg = kw.value
-            if age_arg is not None and self._negative_constant(age_arg):
-                self.flag(node, "global_read with statically-negative age bound")
-        self.generic_visit(node)
-
-
 #: every rule, in code order — the engine instantiates one per file
 ALL_RULES: tuple[type[Rule], ...] = (
     UnseededRandomness,
     WallClock,
     IterationOrderHazard,
-    IllegalSyscallYield,
-    DsmBypassMutation,
-    NegativeGlobalReadAge,
 )

@@ -9,6 +9,7 @@ spawning application processes on nodes, attaching background loaders
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Generator
@@ -76,6 +77,17 @@ class MachineConfig:
             raise ValueError("hw_multicast requires the 'switched' interconnect")
         if self.speed_factors and len(self.speed_factors) != self.n_nodes:
             raise ValueError("speed_factors length must equal n_nodes")
+        for name in ("speed_factors", "loader_bps"):
+            for i, value in enumerate(getattr(self, name)):
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{name}[{i}] must be finite and > 0, got {value!r}")
+        # each interconnect's config field is named after it
+        mtu = getattr(self, self.interconnect).max_payload
+        if self.loader_frame_bytes > mtu:
+            raise ValueError(
+                f"loader_frame_bytes {self.loader_frame_bytes} exceeds the "
+                f"{self.interconnect} max_payload {mtu}"
+            )
         if self.trace_sink and not self.trace:
             raise ValueError("trace_sink needs trace=True (nothing would be recorded)")
         if self.trace_max_events < 1 or self.trace_flush_every < 1:

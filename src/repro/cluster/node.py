@@ -17,6 +17,7 @@ stay reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,12 @@ class NodeSpec:
     jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.speed_factor <= 0:
-            raise ValueError("speed_factor must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be >= 0")
+        # a non-finite factor makes every compute free (inf) or NaN long,
+        # which would surface mid-run far from the config that caused it
+        if not (math.isfinite(self.speed_factor) and self.speed_factor > 0):
+            raise ValueError(f"speed_factor must be finite and > 0, got {self.speed_factor!r}")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
 
 
 class Node:

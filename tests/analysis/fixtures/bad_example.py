@@ -10,8 +10,6 @@ import time
 
 import numpy as np
 
-from repro.sim import Compute
-
 
 def unseeded_randomness():
     a = random.random()                  # RPR001: stdlib global RNG
@@ -32,16 +30,3 @@ def iteration_order(streams):
     totals = [n for n in set(streams)]           # RPR003: set(...) in comp
     return names, totals
 
-
-def bad_process(node, task):
-    yield Compute(1.0)
-    yield dict(op="send")                # RPR004: not a kernel request
-
-
-def bypass_dsm(dnode, value):
-    dnode.agebuf.update("x", value, 3, 0.0, 0.0)   # RPR005: skips write()
-    dnode.local_store["x"] = value                 # RPR005: direct store
-
-
-def negative_age(dnode, g):
-    return dnode.global_read("x", g, -1)           # RPR006: negative bound

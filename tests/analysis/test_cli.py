@@ -26,7 +26,7 @@ class TestLintCommand:
         assert rc == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] >= 6
-        assert {f["code"] for f in doc["findings"]} >= {"RPR001", "RPR006"}
+        assert {f["code"] for f in doc["findings"]} == {"RPR001", "RPR002", "RPR003"}
 
     def test_select_limits_rules(self, capsys):
         rc = main(

@@ -93,6 +93,29 @@ def test_heterogeneous_speed_factors():
         MachineConfig(n_nodes=3, speed_factors=(1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_nodes": 2, "speed_factors": (1.0, float("nan"))}, r"speed_factors\[1\] must be finite"),
+        ({"n_nodes": 2, "speed_factors": (float("inf"), 1.0)}, r"speed_factors\[0\] must be finite"),
+        ({"n_nodes": 2, "speed_factors": (1.0, 0.0)}, r"speed_factors\[1\] must be finite"),
+        ({"loader_bps": (float("nan"),)}, r"loader_bps\[0\] must be finite"),
+        ({"loader_bps": (1e6, float("inf"))}, r"loader_bps\[1\] must be finite"),
+        ({"loader_bps": (0.0,)}, r"loader_bps\[0\] must be finite"),
+        ({"loader_frame_bytes": 99999}, "loader_frame_bytes 99999 exceeds the ethernet max_payload 1500"),
+        ({"loader_frame_bytes": 1501, "interconnect": "switched"}, "exceeds the switched max_payload"),
+    ],
+)
+def test_unrunnable_machine_inputs_are_refused_naming_the_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MachineConfig(**kwargs)
+
+
+def test_loader_frame_fits_the_chosen_interconnect():
+    # the switch's MTU is far above Ethernet's: the bound follows the fabric
+    MachineConfig(interconnect="switch", loader_frame_bytes=9000)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         MachineConfig(n_nodes=0)

@@ -49,6 +49,21 @@ def test_invalid_spec_rejected():
         NodeSpec(jitter_sigma=-0.1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("speed_factor", -1.0),
+        ("speed_factor", float("inf")),
+        ("speed_factor", float("nan")),
+        ("jitter_sigma", float("inf")),
+        ("jitter_sigma", float("nan")),
+    ],
+)
+def test_unrunnable_spec_is_refused_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        NodeSpec(**{field: value})
+
+
 def test_negative_cost_rejected():
     node = Node(Kernel(), 0, NodeSpec())
     with pytest.raises(ValueError):
