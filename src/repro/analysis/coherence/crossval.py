@@ -108,16 +108,16 @@ def evidence_from_trace(path: str) -> dict[str, DynamicEvidence]:
     for event in read_jsonl(path):
         if event.kind not in _GR_KINDS:
             continue
-        locn = event.fields["locn"]
+        locn = event.get("locn")
         ev = out.get(locn)
         if ev is None:
             ev = out[locn] = DynamicEvidence(locn=locn, sources=[path])
         ev.reads += 1
-        staleness = event.fields["staleness"]
+        staleness = event.get("staleness")
         ev.max_staleness = max(ev.max_staleness, staleness)
         if staleness <= 0:
             ev.synchronized += 1
-        elif staleness <= event.fields["age"]:
+        elif staleness <= event.get("age"):
             ev.tolerated += 1
         else:
             ev.unbounded += 1

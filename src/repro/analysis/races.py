@@ -123,24 +123,25 @@ def classify_races(
     writes: dict[str, list[tuple[int, int, VectorClock]]] = {}
     pairs: list[RacePair] = []
     clean = 0
-    for t, kind, node, f in events:
+    for e in events:
+        t, kind, node = e[0], e[1], e[2]
         if kind not in _HB_KINDS:
             continue
         vc = clocks[node]
         vc.tick(node)
         if kind == "dsm.write":
-            writes.setdefault(f["locn"], []).append((f["iter"], node, vc.copy()))
+            writes.setdefault(e.get("locn"), []).append((e.get("iter"), node, vc.copy()))
         elif kind == "msg.send":
-            sent[(node, f["seq"])] = vc.copy()
+            sent[(node, e.get("seq"))] = vc.copy()
         elif kind == "msg.consume":
-            for item in f["newest"].split(","):
+            for item in e.get("newest").split(","):
                 src, seq = item.split(":")
                 snap = sent.get((int(src), int(seq)))
                 if snap is not None:
                     vc.join(snap)
         else:
-            locn, ret = f["locn"], f["ret"]
-            curr_iter, bound = f.get("curr_iter"), f.get("age")
+            locn, ret = e.get("locn"), e.get("ret")
+            curr_iter, bound = e.get("curr_iter"), e.get("age")
             ws = writes.get(locn, [])
             missed = ws[bisect_right(ws, ret, key=lambda w: w[0]):]
             clean += not missed

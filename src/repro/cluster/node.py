@@ -22,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.bus import shape
 from repro.sim.kernel import Kernel
+
+#: the key tuples of a traced compute interval, without and with its op
+_COMPUTE = shape("baseline", "cost")
+_COMPUTE_OP = shape("baseline", "cost", "op")
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,12 @@ class Node:
             scaled = self.fault_model.perturb(self.kernel.now, scaled)
         bus = self.kernel.obs
         if bus is not None:
-            fields = {"baseline": baseline_seconds, "cost": scaled}
-            if label is not None:
-                fields["op"] = label
-            bus.emit_fields("node.compute", self.node_id, fields)
+            if label is None:
+                bus.append((bus.clock(), "node.compute", self.node_id, _COMPUTE,
+                            baseline_seconds, scaled))
+            else:
+                bus.append((bus.clock(), "node.compute", self.node_id, _COMPUTE_OP,
+                            baseline_seconds, scaled, label))
         return scaled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

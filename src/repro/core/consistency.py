@@ -68,9 +68,10 @@ def consistency_violations(events: Iterable, dropped: int = 0) -> list[Violation
     written: dict[str, set[int]] = {}
     newest_write: dict[str, int] = {}
     last_read: dict[tuple[int, str], int] = {}
-    for t, kind, node, f in events:
+    for e in events:
+        t, kind, node = e[0], e[1], e[2]
         if kind == "dsm.write":
-            locn, age = f["locn"], f["iter"]
+            locn, age = e.get("locn"), e.get("iter")
             prev = newest_write.get(locn)
             if prev is not None and age <= prev:
                 out.append(Violation(
@@ -80,12 +81,12 @@ def consistency_violations(events: Iterable, dropped: int = 0) -> list[Violation
             newest_write[locn] = age
             written.setdefault(locn, set()).add(age)
         elif kind in READ_KINDS:
-            locn, ret = f["locn"], f["ret"]
-            if "age" in f and ret < f["curr_iter"] - f["age"]:
+            locn, ret, bound = e.get("locn"), e.get("ret"), e.get("age")
+            if bound is not None and ret < e.get("curr_iter") - bound:
                 out.append(Violation(
                     "staleness-bound", locn,
-                    f"reader {node} at iter {f['curr_iter']} with age "
-                    f"{f['age']} got value of age {ret}", t, reader=node,
+                    f"reader {node} at iter {e.get('curr_iter')} with age "
+                    f"{bound} got value of age {ret}", t, reader=node,
                 ))
             if ret not in written.get(locn, ()):
                 out.append(Violation(

@@ -31,6 +31,7 @@ from repro.core.global_read import (
     satisfies_age_bound,
 )
 from repro.core.location import SharedLocationSpec, VersionedValue
+from repro.obs.bus import shape
 from repro.pvm.vm import Task, VirtualMachine
 from repro.sim.process import Compute, WaitSignal
 
@@ -42,6 +43,15 @@ DSM_REQUEST_TAG = -2001
 UPDATE_HEADER_BYTES = 12
 #: wire size of one explicit-request message
 REQUEST_NBYTES = 16
+
+#: the key tuples of the dsm.* and gr.* trace records (values go in this order)
+_WRITE = shape("iter", "locn")
+_READ = shape("locn", "ret")
+_HIT = shape("age", "curr_iter", "locn", "ret", "staleness")
+_BLOCK = shape("age", "curr_iter", "locn")
+_UNBLOCK = shape(
+    "age", "curr_iter", "locn", "ref", "ret", "staleness", "waited", "writer"
+)
 
 
 @dataclass
@@ -108,8 +118,9 @@ class DsmNode:
             )
         self.local_store[locn] = VersionedValue(value=value, age=iter_no, write_time=now)
         self.stats.writes += 1
-        if self.obs is not None:
-            self.obs.emit("dsm.write", node=self.task.tid, locn=locn, iter=iter_no)
+        obs = self.obs
+        if obs is not None:
+            obs.append((obs.clock(), "dsm.write", self.task.tid, _WRITE, iter_no, spec.name))
         payload_bytes = (nbytes if nbytes is not None else spec.value_nbytes)
         wire_bytes = payload_bytes + UPDATE_HEADER_BYTES
 
@@ -211,11 +222,12 @@ class DsmNode:
 
         Never blocks — this is what the fully asynchronous programs use.
         """
-        self._check_reader(locn)
+        spec = self._check_reader(locn)
         yield from self.drain()
         copy = self.agebuf.get(locn)
-        if copy is not None and self.obs is not None:
-            self.obs.emit("dsm.read", node=self.task.tid, locn=locn, ret=copy.age)
+        obs = self.obs
+        if copy is not None and obs is not None:
+            obs.append((obs.clock(), "dsm.read", self.task.tid, _READ, spec.name, copy.age))
         return copy
 
     def global_read(self, locn: str, curr_iter: int, age: int) -> Generator:
@@ -224,7 +236,7 @@ class DsmNode:
         Returns the current :class:`VersionedValue` as soon as its age is
         within bound; blocks the calling process otherwise.
         """
-        self._check_reader(locn)
+        spec = self._check_reader(locn)
         self.gr_stats.calls += 1
         if self.task.mailbox:  # an empty mailbox drains to nothing
             yield from self.drain()
@@ -232,24 +244,21 @@ class DsmNode:
         if satisfies_age_bound(copy.age if copy else None, curr_iter, age):
             self.gr_stats.hits += 1
             self.gr_stats.record_return(curr_iter, copy.age)
-            if self.obs is not None:
-                self.obs.emit(
-                    "gr.hit", node=self.task.tid, locn=locn,
-                    curr_iter=curr_iter, age=age,
-                    staleness=max(0, curr_iter - copy.age), ret=copy.age,
-                )
+            obs = self.obs
+            if obs is not None:
+                obs.append((
+                    obs.clock(), "gr.hit", self.task.tid, _HIT, age, curr_iter,
+                    spec.name, copy.age, max(0, curr_iter - copy.age),
+                ))
             return copy
 
         # Blocking path.
         self.gr_stats.blocked += 1
         block_start = self.dsm.vm.kernel.now
-        if self.obs is not None:
-            self.obs.emit(
-                "gr.block", node=self.task.tid, locn=locn,
-                curr_iter=curr_iter, age=age,
-            )
+        obs = self.obs
+        if obs is not None:
+            obs.append((obs.clock(), "gr.block", self.task.tid, _BLOCK, age, curr_iter, spec.name))
         if self.dsm.mode is GlobalReadMode.REQUEST:
-            spec = self.dsm.spec(locn)
             yield from self.task.send(
                 spec.writer, DSM_REQUEST_TAG, (locn, curr_iter - age), REQUEST_NBYTES
             )
@@ -266,25 +275,25 @@ class DsmNode:
                 break
         self.gr_stats.block_time += self.dsm.vm.kernel.now - block_start
         self.gr_stats.record_return(curr_iter, copy.age)
-        if self.obs is not None:
+        if obs is not None:
             # ref names the write that unblocked us; writer its producer —
             # together the blocking-cause edge of the causal span graph
-            spec = self.dsm.spec(locn)
-            self.obs.emit(
-                "gr.unblock", node=self.task.tid, locn=locn,
-                curr_iter=curr_iter, age=age,
-                waited=self.dsm.vm.kernel.now - block_start,
-                staleness=max(0, curr_iter - copy.age), ret=copy.age,
-                ref=f"{locn}@{copy.age}", writer=spec.writer,
-            )
+            obs.append((
+                obs.clock(), "gr.unblock", self.task.tid, _UNBLOCK, age, curr_iter,
+                spec.name, f"{spec.name}@{copy.age}", copy.age,
+                max(0, curr_iter - copy.age), self.dsm.vm.kernel.now - block_start,
+                spec.writer,
+            ))
         return copy
 
-    def _check_reader(self, locn: str) -> None:
+    def _check_reader(self, locn: str) -> SharedLocationSpec:
+        """``locn``'s registered spec, once this task is known to read it."""
         spec = self.dsm.spec(locn)
         if self.task.tid not in spec.readers:
             raise PermissionError(
                 f"task {self.task.tid} is not a declared reader of {locn!r}"
             )
+        return spec
 
     # ------------------------------------------------------------------
     # REQUEST-mode daemon

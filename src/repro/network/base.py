@@ -15,8 +15,13 @@ from typing import Any, Callable
 
 from repro.network.frame import BROADCAST, Frame
 from repro.network.stats import LinkStats
+from repro.obs.bus import shape
 from repro.sim.kernel import Kernel
 from repro.sim.process import Signal
+
+#: the key tuples of a traced Ethernet delivery, without and with a ref
+_DELIVER = shape("enq", "frame_kind", "size", "src")
+_DELIVER_REF = shape("enq", "frame_kind", "ref", "size", "src")
 
 
 def check_link_config(cfg: Any, latencies: tuple[str, ...]) -> None:
@@ -109,19 +114,26 @@ class Network:
         bus = self.kernel.obs
         if bus is not None:
             # enqueue time rides along so warp (arrival-gap / send-gap
-            # per stream, §4.3) is recomputable from the trace alone
-            fields = {
-                "src": frame.src, "frame_kind": frame.kind,
-                "size": frame.size_bytes, "enq": frame.enqueue_time,
-            }
-            if frame.trace_ref is not None:
-                # content-addressed lineage ref (e.g. "migrants.0@7") set
-                # by the sender; joins this delivery to its dsm.write
-                fields["ref"] = frame.trace_ref
+            # per stream, §4.3) is recomputable from the trace alone;
+            # ref is the content-addressed lineage id (e.g. "migrants.0@7")
+            # the sender set, joining this delivery to its dsm.write
+            ref = frame.trace_ref
             extra = self._obs_fields(frame, dst)
             if extra:
-                fields.update(extra)
-            bus.emit_fields("net.deliver", dst, fields)
+                if ref is not None:
+                    extra["ref"] = ref
+                bus.emit(
+                    "net.deliver", dst, src=frame.src, frame_kind=frame.kind,
+                    size=frame.size_bytes, enq=frame.enqueue_time, **extra,
+                )
+            elif ref is None:
+                bus.append((bus.clock(), "net.deliver", dst, _DELIVER,
+                            frame.enqueue_time, frame.kind, frame.size_bytes,
+                            frame.src))
+            else:
+                bus.append((bus.clock(), "net.deliver", dst, _DELIVER_REF,
+                            frame.enqueue_time, frame.kind, ref,
+                            frame.size_bytes, frame.src))
         self.adapters[dst]._receive(frame)
 
     def _obs_fields(self, frame: Frame, dst: int) -> dict:

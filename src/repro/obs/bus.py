@@ -17,8 +17,8 @@ constraints, in priority order:
    :class:`repro.faults.injectors.FaultLog`; sink mode
    (:class:`GzipJsonlSink`) streams compressed JSONL to disk every
    ``flush_every`` events instead, so arbitrarily long runs trace with
-   O(``flush_every``) peak memory and zero drops.  A record is one
-   4-tuple plus its payload dict, with no per-instance ``__dict__``.
+   O(``flush_every``) peak memory and zero drops.  A record is one flat
+   tuple, no payload dict: ~160 B of heap per buffered record.
 
 Event taxonomy (field details in ``docs/observability.md``):
 
@@ -56,27 +56,60 @@ import gzip
 import json
 import os
 from hashlib import sha256
-from typing import Any, Callable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
 
-class ObsEvent(NamedTuple):
-    """One structured trace record.
+class ObsEvent(tuple):
+    """One structured trace record: ``(time, kind, node, keys, *values)``.
 
-    ``node`` is the application-node id the event concerns (-1 when the
-    event is not tied to one, e.g. kernel process bookkeeping); ``fields``
-    carries the kind-specific payload with JSON-scalar values only.
+    ``keys`` names the payload fields in sorted order (one interned tuple
+    per record shape, :func:`shape`); :meth:`get` reads a value by name.
     """
 
-    time: float
-    kind: str
-    node: int
-    fields: dict
+    __slots__ = ()
+
+    def __new__(cls, time: float, kind: str, node: int, fields: dict) -> ObsEvent:
+        """The record of a payload dict given in any key order."""
+        keys = _shape_of(fields)
+        return tuple.__new__(cls, (time, kind, node, keys, *map(fields.__getitem__, keys)))
+
+    time = property(itemgetter(0), doc="simulated time stamp")
+    kind = property(itemgetter(1), doc="event kind (``gr.hit``, ``net.deliver`` ...)")
+    node = property(itemgetter(2), doc="application-node id, -1 for none")
+    keys = property(itemgetter(3), doc="the payload field names, sorted")
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """Payload field ``name``, or ``default`` when the record has none."""
+        return self[self[3].index(name) + 4] if name in self[3] else default
+
+    def __getnewargs__(self) -> tuple:
+        """Pickle as the payload dict, so the copy's keys are re-interned."""
+        return (*self[:3], dict(zip(self[3], self[4:])))
 
     def as_dict(self) -> dict:
         """Flat JSON-ready mapping (``t``/``kind``/``node`` + payload)."""
-        out = {"t": self.time, "kind": self.kind, "node": self.node}
-        out.update(self.fields)
+        out = {"t": self[0], "kind": self[1], "node": self[2]}
+        out.update(zip(self[3], self[4:]))
         return out
+
+
+#: field names in any order seen -> the interned sorted key tuple
+_SHAPES: dict[tuple, tuple] = {}
+
+
+def shape(*names: str) -> tuple:
+    """The interned key tuple of one record shape; ``names`` must be sorted
+    (hot emitters lay their values out in this order)."""
+    if list(names) != sorted(names):
+        raise ValueError(f"record keys must be given sorted, got {names}")
+    return _SHAPES.setdefault(names, names)
+
+
+def _shape_of(fields: dict) -> tuple:
+    """The interned sorted key tuple of a payload dict in any key order."""
+    names = tuple(fields)
+    return _SHAPES.get(names) or _SHAPES.setdefault(names, shape(*sorted(names)))
 
 
 #: builds an :class:`ObsEvent` without the Python-level ``__new__`` frame
@@ -172,6 +205,9 @@ class TraceBus:
         sink: GzipJsonlSink | None = None,
         flush_every: int = 5_000,
     ) -> None:
+        for name, value in (("max_events", max_events), ("flush_every", flush_every)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         self.clock = clock
         self.max_events = max_events
         self.events: list[ObsEvent] = []
@@ -196,15 +232,16 @@ class TraceBus:
         side effects are a list append and, in sink mode, a periodic
         compressed flush.
         """
-        self.emit_fields(kind, node, fields)
+        keys = _shape_of(fields)
+        self.append((self.clock(), kind, node, keys, *map(fields.__getitem__, keys)))
 
-    def emit_fields(self, kind: str, node: int, fields: dict) -> None:
-        """:meth:`emit` for a payload dict the caller built; the bus keeps
-        it, so a site that assembles its fields pays for one dict, not two."""
+    def append(self, record: tuple) -> None:
+        """Buffer one record ``(bus.clock(), kind, node, keys, *values)``
+        (hot emitters build it directly, ``keys`` from :func:`shape`)."""
         if self.sink is None and len(self.events) >= self.max_events:
             self.dropped += 1
             return
-        self.events.append(_new_tuple(ObsEvent, (self.clock(), kind, node, fields)))
+        self.events.append(_new_tuple(ObsEvent, record))
         if self.sink is not None and len(self.events) >= self.flush_every:
             self._flush()
 
@@ -336,9 +373,10 @@ def read_jsonl(path: str, meta: dict | None = None) -> Iterator[ObsEvent]:
     trace leaves it empty).  Payload keys other than ``t``/``kind``/
     ``node`` become the event's fields.  A line that no longer parses
     ends the stream — a crashed writer's torn final line loses the
-    tail, not the artifact (``validate`` reports the damage).
+    tail, not the artifact (``validate`` reports the damage); a line
+    that parses but is no event raises ``ValueError`` naming it.
     """
-    for line in iter_trace_lines(path):
+    for lineno, line in enumerate(iter_trace_lines(path), 1):
         line = line.strip()
         if not line:
             continue
@@ -346,11 +384,14 @@ def read_jsonl(path: str, meta: dict | None = None) -> Iterator[ObsEvent]:
             raw = json.loads(line)
         except json.JSONDecodeError:
             return
-        kind = raw.pop("kind")
-        if kind == "trace.meta":
+        if isinstance(raw, dict) and raw.get("kind") == "trace.meta":
             if meta is not None:
+                del raw["kind"]
                 meta.update(raw)
             continue
+        if not isinstance(raw, dict) or "t" not in raw or "kind" not in raw:
+            raise ValueError(f"{os.fspath(path)}: line {lineno}: not a trace event: {line[:80]}")
+        kind = raw.pop("kind")
         time = raw.pop("t")
         node = raw.pop("node", -1)
-        yield ObsEvent(time=time, kind=kind, node=node, fields=raw)
+        yield ObsEvent(time, kind, node, raw)

@@ -120,7 +120,8 @@ def build_spans(events: Iterable[ObsEvent]) -> SpanGraph:
     t_end = 0.0
     n = 0
 
-    for t, kind, node, f in events:
+    for e in events:
+        t, kind, node = e[0], e[1], e[2]
         n += 1
         if t > t_end:
             t_end = t
@@ -135,58 +136,56 @@ def build_spans(events: Iterable[ObsEvent]) -> SpanGraph:
                 windows[node] = (t, w[1])
 
         if kind == "node.compute":
-            cost = float(f.get("cost", 0.0))
-            detail = {"op": f["op"]} if "op" in f else {}
+            cost = float(e.get("cost", 0.0))
+            detail = {"op": e.get("op")} if "op" in e.keys else {}
             g.spans.append(Span("compute", node, t, t + cost, detail))
             if t + cost > t_end:
                 t_end = t + cost
         elif kind == "dsm.write":
-            ref = f"{f.get('locn')}@{f.get('iter')}"
+            ref = f"{e.get('locn')}@{e.get('iter')}"
             g.writes.setdefault(ref, (node, t))
         elif kind == "gr.block":
-            open_waits.setdefault((node, str(f.get("locn"))), []).append(t)
+            open_waits.setdefault((node, str(e.get("locn"))), []).append(t)
         elif kind == "gr.unblock":
-            locn = str(f.get("locn"))
+            locn = str(e.get("locn"))
             stack = open_waits.get((node, locn))
-            waited = float(f.get("waited", 0.0))
+            waited = float(e.get("waited", 0.0))
             if stack:
                 t0 = stack.pop()
             else:
                 # block event dropped: the unblock's own stamp suffices
                 t0 = t - waited
-            detail = {"locn": locn}
-            for k in ("ref", "writer", "curr_iter", "age", "staleness"):
-                if k in f:
-                    detail[k] = f[k]
+            lineage = ("ref", "writer", "curr_iter", "age", "staleness")
+            detail = {"locn": locn, **{k: e.get(k) for k in lineage if k in e.keys}}
             g.spans.append(Span("gr-wait", node, t0, t, detail,
-                                partial="ref" not in f))
-            if "ref" not in f:
+                                partial="ref" not in detail))
+            if "ref" not in detail:
                 g.unresolved_waits += 1
-            if "age" in f:
-                a = int(f["age"])
+            if "age" in detail:
+                a = int(detail["age"])
                 g.gr_ages[a] = g.gr_ages.get(a, 0.0) + waited
-        elif kind == "gr.hit" and "age" in f:
-            g.gr_ages.setdefault(int(f["age"]), 0.0)
+        elif kind == "gr.hit" and "age" in e.keys:
+            g.gr_ages.setdefault(int(e.get("age")), 0.0)
         elif kind == "rb.begin":
-            key = (node, int(f.get("input", -1)), int(f.get("iter", -1)))
+            key = (node, int(e.get("input", -1)), int(e.get("iter", -1)))
             detail = {
-                k: f[k] for k in ("input", "iter", "depth", "cause",
-                                  "writer", "version") if k in f
+                k: e.get(k) for k in ("input", "iter", "depth", "cause",
+                                      "writer", "version") if k in e.keys
             }
             open_rollbacks.setdefault(key, []).append((t, detail))
         elif kind == "rb.end":
-            key = (node, int(f.get("input", -1)), int(f.get("iter", -1)))
+            key = (node, int(e.get("input", -1)), int(e.get("iter", -1)))
             stack = open_rollbacks.get(key)
             if stack:
                 t0, detail = stack.pop()
             else:
-                t0, detail = t, {"input": f.get("input"), "iter": f.get("iter")}
+                t0, detail = t, {"input": e.get("input"), "iter": e.get("iter")}
             detail = dict(detail)
-            detail["corrections"] = f.get("corrections", 0)
+            detail["corrections"] = e.get("corrections", 0)
             g.spans.append(Span("rollback", node, t0, t, detail,
                                 partial=not stack and t0 == t and "cause" not in detail))
             idx = len(g.spans) - 1
-            if int(f.get("corrections", 0)) > 0:
+            if int(e.get("corrections", 0)) > 0:
                 corr_sources.setdefault(node, []).append((t, idx))
     g.events = n
     g.t_end = t_end

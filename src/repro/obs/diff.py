@@ -75,25 +75,24 @@ def run_profile(events: Iterable[ObsEvent]) -> dict[str, Any]:
 
     max_iter = 0
     for e in events:
-        f = e.fields
-        if e.kind == "net.deliver" and f.get("frame_kind") == "pvm":
+        if e.kind == "net.deliver" and e.get("frame_kind") == "pvm":
             pvm_frames += 1
         elif e.kind in ("gr.hit", "gr.unblock"):
-            it = int(f.get("curr_iter", 0))
+            it = int(e.get("curr_iter", 0))
             max_iter = max(max_iter, it)
             r = row(it)
-            if "staleness" in f:
-                s = float(f["staleness"])
+            if "staleness" in e.keys:
+                s = float(e.get("staleness"))
                 r["staleness_sum"] += s
                 r["staleness_n"] += 1
             if e.kind == "gr.unblock":
-                r["blocked"] += float(f.get("waited", 0.0))
+                r["blocked"] += float(e.get("waited", 0.0))
         elif e.kind == "rb.begin":
-            it = int(f.get("iter", 0))
+            it = int(e.get("iter", 0))
             max_iter = max(max_iter, it)
             row(it)["rollbacks"] += 1
         elif e.kind == "dsm.write":
-            max_iter = max(max_iter, int(f.get("iter", 0)))
+            max_iter = max(max_iter, int(e.get("iter", 0)))
 
     gr = rep["blocking"]["totals"]
     rb = rep["rollback"] or {}

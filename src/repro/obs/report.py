@@ -115,11 +115,11 @@ def global_read_summary(events: list[ObsEvent]) -> tuple[dict, dict]:
             row["calls"] += 1
             row["blocks"] += 1
         elif e.kind == "gr.unblock":
-            waited = float(e.fields.get("waited", 0.0))
+            waited = float(e.get("waited", 0.0))
             row["waited"] += waited
             row["max_wait"] = max(row["max_wait"], waited)
-        if e.kind != "gr.block" and "staleness" in e.fields:
-            s = int(e.fields["staleness"])
+        if e.kind != "gr.block" and "staleness" in e.keys:
+            s = int(e.get("staleness"))
             hist[s] = hist.get(s, 0) + 1
     rows = list(per_node.values())
     totals = {k: sum(r[k] for r in rows) for k in ("calls", "hits", "blocks", "waited")}
@@ -147,15 +147,15 @@ def rollback_summary(events: list[ObsEvent]) -> dict | None:
     per_node: dict[int, int] = {}
     causes: dict[str, int] = {}
     for e in rollbacks:
-        d = int(e.fields.get("depth", 0))
+        d = int(e.get("depth", 0))
         depth_counts[d] = depth_counts.get(d, 0) + 1
         per_node[e.node] = per_node.get(e.node, 0) + 1
-        cause = str(e.fields.get("cause", "unknown"))
+        cause = str(e.get("cause", "unknown"))
         causes[cause] = causes.get(cause, 0) + 1
     depths = sorted(d for d, n in depth_counts.items() for _ in range(n))
     return {
         "rollbacks": len(rollbacks),
-        "corrections": sum(int(e.fields.get("corrections", 0)) for e in ends),
+        "corrections": sum(int(e.get("corrections", 0)) for e in ends),
         "depth_mean": sum(depths) / len(depths),
         "depth_p50": percentile_from_samples(depths, 50),
         "depth_p90": percentile_from_samples(depths, 90),
@@ -179,10 +179,10 @@ def warp_streams(
     last: dict[tuple[int, int], tuple[float, float]] = {}
     streams: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for e in events:
-        if e.kind != "net.deliver" or e.fields.get("frame_kind") != "pvm":
+        if e.kind != "net.deliver" or e.get("frame_kind") != "pvm":
             continue
-        key = (e.node, int(e.fields.get("src", -1)))
-        enq = float(e.fields.get("enq", 0.0))
+        key = (e.node, int(e.get("src", -1)))
+        enq = float(e.get("enq", 0.0))
         prev = last.get(key)
         last[key] = (enq, e.time)
         if prev is None:
@@ -228,8 +228,8 @@ def commit_summary(events: list[ObsEvent]) -> dict | None:
         return None
     return {
         "batches": len(commits),
-        "runs_committed": sum(int(e.fields.get("runs", 0)) for e in commits),
-        "final_floor": int(advances[-1].fields.get("floor", 0)) if advances else 0,
+        "runs_committed": sum(int(e.get("runs", 0)) for e in commits),
+        "final_floor": int(advances[-1].get("floor", 0)) if advances else 0,
     }
 
 
@@ -253,13 +253,13 @@ def parallel_summary(events: list[ObsEvent]) -> dict | None:
     per_shard: dict[int, dict[str, float]] = {}
     for e in spans:
         row = per_shard.setdefault(
-            int(e.fields.get("shard", -1)),
+            int(e.get("shard", -1)),
             {"windows": 0, "wall_wait_s": 0.0, "waits": 0, "max_epoch": 0},
         )
         row["windows"] += 1
-        row["wall_wait_s"] += float(e.fields.get("wall_wait_s", 0.0))
-        row["waits"] += int(e.fields.get("waits", 0))
-        row["max_epoch"] = max(row["max_epoch"], int(e.fields.get("epoch", 0)))
+        row["wall_wait_s"] += float(e.get("wall_wait_s", 0.0))
+        row["waits"] += int(e.get("waits", 0))
+        row["max_epoch"] = max(row["max_epoch"], int(e.get("epoch", 0)))
     return {
         "shards": len(per_shard),
         "per_shard": {str(s): per_shard[s] for s in sorted(per_shard)},
@@ -279,19 +279,19 @@ def fabric_summary(events: list[ObsEvent]) -> dict | None:
     rows: dict[str, dict[str, float]] = {}
     t_end = events[-1].time if events else 0.0
     for e in events:
-        if e.kind != "net.deliver" or "fabric" not in e.fields:
+        if e.kind != "net.deliver" or "fabric" not in e.keys:
             continue
         row = rows.setdefault(
-            str(e.fields["fabric"]),
+            str(e.get("fabric")),
             {
                 "deliveries": 0, "broadcast": 0, "bytes": 0,
                 "hop_traversals": 0, "max_hops": 0,
             },
         )
-        hops = int(e.fields.get("hops", 0))
+        hops = int(e.get("hops", 0))
         row["deliveries"] += 1
-        row["broadcast"] += 1 if e.fields.get("bcast") else 0
-        row["bytes"] += int(e.fields.get("size", 0))
+        row["broadcast"] += 1 if e.get("bcast") else 0
+        row["bytes"] += int(e.get("size", 0))
         row["hop_traversals"] += hops
         row["max_hops"] = max(row["max_hops"], hops)
     if not rows:

@@ -9,11 +9,12 @@ sequence* is a pure function of the seed.
 
 import hashlib
 import json
+import pickle
 from collections import Counter
 
 import pytest
 
-from repro.obs.bus import GzipJsonlSink, ObsEvent, TraceBus, read_jsonl
+from repro.obs.bus import GzipJsonlSink, ObsEvent, TraceBus, read_jsonl, shape
 from repro.obs.integration import traced_ga_run
 
 
@@ -33,7 +34,8 @@ def test_emit_stamps_clock_and_orders_events():
     bus.emit("b", node=2, y="s")
     assert [e.kind for e in bus.events] == ["a", "b"]
     assert [e.time for e in bus.events] == [0.5, 1.0]
-    assert bus.events[0].fields == {"x": 1}
+    assert bus.events[0].keys == ("x",) and bus.events[0].get("x") == 1
+    assert bus.events[0].get("y") is None and bus.events[1].get("y") == "s"
     assert Counter(e.kind for e in bus.events) == {"a": 1, "b": 1}
 
 
@@ -49,20 +51,46 @@ def test_bounded_buffer_counts_drops():
 
 
 def test_as_dict_shape():
-    e = ObsEvent(time=1.25, kind="gr.hit", node=3, fields={"locn": "x"})
-    assert e.as_dict() == {"t": 1.25, "kind": "gr.hit", "node": 3, "locn": "x"}
-    # a record is a plain 4-tuple: no per-instance __dict__
-    assert e == (1.25, "gr.hit", 3, {"locn": "x"}) and not hasattr(e, "__dict__")
+    e = ObsEvent(time=1.25, kind="gr.hit", node=3, fields={"ret": 2, "locn": "x"})
+    assert e.as_dict() == {"t": 1.25, "kind": "gr.hit", "node": 3, "locn": "x", "ret": 2}
+    # a record is one flat tuple, keys sorted: no payload dict, no __dict__
+    assert e == (1.25, "gr.hit", 3, ("locn", "ret"), "x", 2)
+    assert not hasattr(e, "__dict__")
+    back = pickle.loads(pickle.dumps(e))
+    assert back == e and type(back) is ObsEvent and back.keys is e.keys
 
 
-def test_emit_and_emit_fields_build_the_same_record():
+def test_emit_and_append_build_the_same_record():
     a = TraceBus(clock=_clock_factory())
     b = TraceBus(clock=_clock_factory())
     a.emit("net.deliver", node=2, src=1, enq=0.25)
-    fields = {"src": 1, "enq": 0.25}
-    b.emit_fields("net.deliver", 2, fields)
+    b.append((b.clock(), "net.deliver", 2, shape("enq", "src"), 0.25, 1))
     assert a.events == b.events and type(b.events[0]) is ObsEvent
-    assert b.events[0].fields is fields  # handed over, not copied
+    # every record of a shape shares one key tuple
+    assert a.events[0].keys is b.events[0].keys
+    with pytest.raises(ValueError, match="sorted"):
+        shape("src", "enq")
+
+
+def test_bus_refuses_unusable_capacities():
+    for field, bad in (("max_events", 0), ("max_events", -1), ("flush_every", 0)):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            TraceBus(clock=lambda: 0.0, **{field: bad})
+    assert TraceBus(clock=lambda: 0.0, max_events=1, flush_every=1).max_events == 1
+
+
+@pytest.mark.parametrize("line", ['{"kind": "gr.hit", "node": 0}', '[1.0, "gr.hit"]'])
+def test_read_jsonl_refuses_a_line_that_is_not_an_event(tmp_path, line):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"kind": "a", "node": 0, "t": 0.5}\n' + line + "\n")
+    with pytest.raises(ValueError, match=r"t\.jsonl: line 2: not a trace event"):
+        list(read_jsonl(path))
+
+
+def test_read_jsonl_ends_quietly_at_a_torn_final_line(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"kind": "a", "node": 0, "t": 0.5}\n{"kind": "b", "no')
+    assert [e.kind for e in read_jsonl(path)] == ["a"]
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -79,7 +107,7 @@ def test_jsonl_roundtrip(tmp_path):
     assert meta["events_dropped"] == 0
     back = list(read_jsonl(path))
     assert [e.kind for e in back] == ["a", "b"]
-    assert back[1].fields["s"] == "txt"
+    assert back[1].get("s") == "txt"
     assert [e.time for e in back] == [e.time for e in bus.events]
 
 
@@ -97,12 +125,7 @@ def test_digest_is_content_addressed(tmp_path):
 def test_identical_seeds_emit_identical_event_sequences():
     """The trace is a pure function of the seed (ordering included)."""
     runs = [traced_ga_run(n_demes=2, seed=3, n_generations=25) for _ in range(2)]
-    seq = [
-        [(e.time, e.kind, e.node, tuple(sorted(e.fields.items())))
-         for e in r.bus.events]
-        for r in runs
-    ]
-    assert seq[0] == seq[1]
+    assert runs[0].bus.events == runs[1].bus.events
     assert runs[0].bus.digest() == runs[1].bus.digest()
     # and the trace is non-trivial: the taxonomy's GA kinds all fired
     kinds = set(Counter(e.kind for e in runs[0].bus.events))
@@ -151,13 +174,10 @@ def test_sink_replay_matches_buffered_digest(traced, tmp_path):
     """The run's tuple records streamed through the gzip sink keep the
     buffered digest and read back unchanged."""
     events = traced.bus.events
-    times = iter([e.time for e in events])
     base = tmp_path / "t.jsonl.gz"
-    sink_bus = TraceBus(
-        clock=lambda: next(times), sink=GzipJsonlSink(base), flush_every=512
-    )
+    sink_bus = TraceBus(clock=lambda: 0.0, sink=GzipJsonlSink(base), flush_every=512)
     for e in events:
-        sink_bus.emit_fields(e.kind, e.node, e.fields)
+        sink_bus.append(e)
     assert sink_bus.digest() == traced.bus.digest()
     assert sink_bus.write_jsonl() == len(events)
     assert list(read_jsonl(base)) == events
