@@ -10,7 +10,7 @@ band, not the exact figure (our substrate is a simulator).
 import numpy as np
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_figure2, run_figure2
+from repro.experiments.figure2 import format_figure2, run_figure2
 
 
 def test_figure2(benchmark, scale, save_result):

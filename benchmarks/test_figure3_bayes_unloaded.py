@@ -8,7 +8,7 @@ Hailfinder network (paper: > 80 % over the best competitor).
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_figure3, run_figure3
+from repro.experiments.figure3 import format_figure3, run_figure3
 
 
 def test_figure3(benchmark, scale, save_result):

@@ -7,7 +7,7 @@ over the best competitor at the highest load exceeds its unloaded value
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_figure4, run_figure4
+from repro.experiments.figure4 import format_figure4, run_figure4
 
 
 def test_figure4(benchmark, scale, save_result):

@@ -1,7 +1,7 @@
 """T1 — regenerate Table 1 (the eight-function GA test bed)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_table1, run_table1
+from repro.experiments.table1 import format_table1, run_table1
 
 
 def test_table1(benchmark, save_result):

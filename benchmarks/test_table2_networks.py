@@ -6,7 +6,7 @@ its 2-way edge-cut is 4.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_table2, run_table2
+from repro.experiments.table2 import format_table2, run_table2
 
 
 def test_table2(benchmark, save_result):

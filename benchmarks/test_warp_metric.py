@@ -5,7 +5,7 @@ load pushes the peak warp monotonically above 1.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import format_warp_study, run_warp_study
+from repro.experiments.warp_study import format_warp_study, run_warp_study
 
 
 def test_warp_study(benchmark, scale, save_result):

@@ -14,11 +14,14 @@ rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 from repro.analysis.races import RacePair, classify_races
 from repro.cluster.machine import MachineConfig
 from repro.core.coherence import CoherenceMode
+from repro.experiments.reporting import text_table
+from repro.experiments.runner import run_cells
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 
@@ -85,34 +88,27 @@ def classify_three_modes(
     n_generations: int = 60,
     seed: int = 0,
 ) -> list[ClassifiedRun]:
-    """The sync/async/`Global_Read` comparison on one function."""
-    return [
-        classify_island_run(mode, fid, n_demes, age, n_generations, seed)
+    """The sync/async/`Global_Read` comparison on one function: one
+    runner cell per mode (``REPRO_JOBS`` workers)."""
+    runs = run_cells(
+        (mode, partial(classify_island_run, mode, fid, n_demes, age, n_generations, seed))
         for mode in (
             CoherenceMode.SYNCHRONOUS,
             CoherenceMode.ASYNCHRONOUS,
             CoherenceMode.NON_STRICT,
         )
-    ]
+    )
+    return [run for (run,) in runs.values()]
 
 
 def race_table(runs: list[ClassifiedRun]) -> str:
     """Fixed-width classification table over a list of runs."""
-    headers = (
-        "mode", "reads", "clean", "sync'd", "tolerated", "unbounded",
-        "max-stale", "violations",
-    )
     keys = (
         "reads_checked", "clean_reads", "synchronized_pairs", "tolerated_races",
         "unbounded_races", "max_observed_staleness", "consistency_violations",
     )
-    rows: list[tuple[str, ...]] = [headers]
-    for run in runs:
-        rows.append((run.mode_label, *(str(run.summary[k]) for k in keys)))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = []
-    for r, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        if r == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return text_table(
+        ["mode", "reads", "clean", "sync'd", "tolerated", "unbounded",
+         "max-stale", "violations"],
+        [[run.mode_label, *(str(run.summary[k]) for k in keys)] for run in runs],
+    )

@@ -14,24 +14,23 @@ from repro.bench.harness import make_payload, next_bench_path, write_bench
 from repro.bench.micro import run_micro
 from repro.bench.suite import run_suite
 from repro.check import run_checks
-from repro.experiments.config import Scale
+from repro.experiments.cli import add_jobs_option
+from repro.experiments.config import SCALES
 from repro.experiments.runner import configured_jobs
-
-_SCALES = {"smoke": Scale.smoke, "default": Scale.default, "full": Scale.full}
 
 
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro.bench`` entry point; the exit status is 1 on digest
     mismatch."""
     parser = argparse.ArgumentParser(prog="python -m repro.bench")
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
+    parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     parser.add_argument("--out", default=None, help="output path (default: next BENCH_<n>.json)")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel worker count (default: REPRO_JOBS)")
+    add_jobs_option(parser)
     parser.add_argument("--repeat", type=int, default=2, help="micro-benchmark repeats (best-of)")
     parser.add_argument("--skip-suite", action="store_true", help="micro + digests only")
     args = parser.parse_args(argv)
 
-    scale = _SCALES[args.scale]()
+    scale = SCALES[args.scale]()
     jobs = configured_jobs() if args.jobs is None else args.jobs
 
     print(f"[bench] micro (repeat={args.repeat}) ...", flush=True)

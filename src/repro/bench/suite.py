@@ -39,14 +39,12 @@ def parallel_skip_info(jobs: int, cpu_count: int, mcfg=None) -> dict:
 
 
 def _experiment_runners(scale: Scale, jobs: int) -> dict[str, Callable[[], object]]:
-    from repro.experiments import (
-        run_figure3,
-        run_figure4,
-        run_table1,
-        run_table2,
-        run_warp_study,
-    )
+    from repro.experiments.figure3 import run_figure3
+    from repro.experiments.figure4 import run_figure4
     from repro.experiments.quality import run_quality
+    from repro.experiments.table1 import run_table1
+    from repro.experiments.table2 import run_table2
+    from repro.experiments.warp_study import run_warp_study
 
     return {
         "figure3": lambda: run_figure3(scale, jobs=jobs),
@@ -60,7 +58,7 @@ def _experiment_runners(scale: Scale, jobs: int) -> dict[str, Callable[[], objec
 
 def run_suite(scale: Scale, jobs: int = 1) -> tuple[dict, dict]:
     """Time the experiment suite; returns (experiments, extra_determinism)."""
-    from repro.experiments import run_figure2
+    from repro.experiments.figure2 import run_figure2
 
     experiments: dict = {}
 

@@ -1,42 +1,17 @@
-"""Experiment runners: one module per table/figure of the paper's §4–§5.
+"""Experiment drivers: one module per table/figure of the paper's §4–§5.
 
-Every runner returns plain data structures (lists of row dicts) and has a
-``format_*`` companion producing the text table the benchmarks print.
-Scale (number of runs, generations, processor counts) comes from
+Every driver is a cell list over :func:`repro.experiments.runner.run_cells`,
+a reducer returning plain data (lists of row dicts) and a ``format_*``
+companion producing the text table the benchmarks print; its command
+line is one :class:`repro.experiments.cli.Driver`.  Scale (number of
+runs, generations, processor counts) comes from
 :class:`~repro.experiments.config.Scale`; the default is sized for a
 laptop, ``Scale.full()`` approaches the paper's 25-run protocol, and the
 ``REPRO_SCALE`` environment variable (``smoke`` / ``default`` / ``full``)
 overrides the choice in the benchmark harness.
+
+The package imports none of its modules: name the one you need
+(``from repro.experiments.table1 import run_table1``), so that
+``python -m repro.experiments.<driver>`` runs a module nothing has
+imported yet.
 """
-
-from repro.experiments.config import Scale, current_scale
-from repro.experiments.runner import configured_jobs, parallel_map
-from repro.experiments.speedup import GaVariant, VARIANTS, best_competitor_gain
-from repro.experiments.table1 import run_table1, format_table1
-from repro.experiments.table2 import run_table2, format_table2
-from repro.experiments.figure2 import run_figure2, format_figure2
-from repro.experiments.figure3 import run_figure3, format_figure3
-from repro.experiments.figure4 import run_figure4, format_figure4
-from repro.experiments.warp_study import run_warp_study, format_warp_study
-
-__all__ = [
-    "Scale",
-    "current_scale",
-    "configured_jobs",
-    "parallel_map",
-    "GaVariant",
-    "VARIANTS",
-    "best_competitor_gain",
-    "run_table1",
-    "format_table1",
-    "run_table2",
-    "format_table2",
-    "run_figure2",
-    "format_figure2",
-    "run_figure3",
-    "format_figure3",
-    "run_figure4",
-    "format_figure4",
-    "run_warp_study",
-    "format_warp_study",
-]

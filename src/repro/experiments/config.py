@@ -95,11 +95,15 @@ class Scale:
         )
 
 
+#: preset constructors by name (``REPRO_SCALE`` and every ``--scale``)
+SCALES = {"smoke": Scale.smoke, "default": Scale.default, "full": Scale.full}
+
+
 def current_scale() -> Scale:
     """Scale selected by the ``REPRO_SCALE`` environment variable."""
     name = os.environ.get("REPRO_SCALE", "default").lower()
     try:
-        return {"smoke": Scale.smoke, "default": Scale.default, "full": Scale.full}[name]()
+        return SCALES[name]()
     except KeyError:
         raise ValueError(
             f"REPRO_SCALE={name!r}; expected smoke, default or full"

@@ -9,9 +9,9 @@ best competitor" bar (the last white bar of Figure 2).
 
 from __future__ import annotations
 
+from repro.experiments.cli import Driver
 from repro.experiments.config import Scale, current_scale
-from repro.experiments.reporting import text_table
-from repro.experiments.speedup import speedup_rows
+from repro.experiments.speedup import format_speedup_rows, speedup_rows
 
 
 def run_figure2(
@@ -33,54 +33,25 @@ def format_figure2(rows: list[dict]) -> str:
     """Render Figure 2 rows as the best-case and average text tables."""
     if not rows:
         return "Figure 2: no rows"
-    labels = list(rows[0]["average"].keys())
-    out = []
-    for kind in ("best_case", "average"):
-        title = (
-            f"Figure 2 — GA speedups, unloaded network "
-            f"({'best case (f%d)' % rows[0]['best_case_fid'] if kind == 'best_case' else 'average over functions'})"
-        )
-        out.append(
-            text_table(
-                ["P", *labels, "best GR vs best competitor"],
-                [
-                    [
-                        r["P"],
-                        *[r[kind][label] for label in labels],
-                        (
-                            f"{r['best_case_gr']} +{100 * r['best_case_gain']:.0f}%"
-                            if kind == "best_case"
-                            else f"{r['best_gr']} +{100 * r['gain_over_best_competitor']:.0f}%"
-                        ),
-                    ]
-                    for r in rows
-                ],
-                title=title,
-            )
-        )
-    return "\n\n".join(out)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.figure2`` — run and print Figure 2."""
-    from repro.experiments.cli import (
-        experiment_parser,
-        parse_experiment_args,
-        write_observability,
+    title = "Figure 2 — GA speedups, unloaded network"
+    return format_speedup_rows(
+        rows,
+        "P",
+        "P",
+        (
+            f"{title} (best case (f{rows[0]['best_case_fid']}))",
+            f"{title} (average over functions)",
+        ),
     )
 
-    parser = experiment_parser(
-        "Figure 2 — GA speedups over the serial baseline on the unloaded "
-        "network, per processor count and coherence variant.",
-        faults=False,
-    )
-    args = parse_experiment_args(parser, argv)
-    print(format_figure2(run_figure2(args.scale, jobs=args.jobs, shards=args.shards)))
-    write_observability(
-        args, app="ga", n_nodes=args.scale.processor_counts[-1]
-    )
-    return 0
 
+main = Driver(
+    "Figure 2 — GA speedups over the serial baseline on the unloaded "
+    "network, per processor count and coherence variant.",
+    run_figure2,
+    format_figure2,
+    nodes=lambda scale: scale.processor_counts[-1],
+).main
 
 if __name__ == "__main__":
     raise SystemExit(main())

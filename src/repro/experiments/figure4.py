@@ -12,9 +12,9 @@ load, reaching ~70 % at 2 Mbps for the best case.
 
 from __future__ import annotations
 
+from repro.experiments.cli import Driver
 from repro.experiments.config import Scale, current_scale
-from repro.experiments.reporting import text_table
-from repro.experiments.speedup import speedup_rows
+from repro.experiments.speedup import format_speedup_rows, speedup_rows
 from repro.faults.plan import FaultPlan
 
 FIGURE4_PROCS = 4
@@ -43,61 +43,27 @@ def run_figure4(
 
 def format_figure4(rows: list[dict]) -> str:
     """Render Figure 4 rows as the best-case and average text tables."""
-    labels = list(rows[0]["average"].keys())
-    out = []
-    for kind, label_key, gain_key in (
-        ("best_case", "best_case_gr", "best_case_gain"),
-        ("average", "best_gr", "gain_over_best_competitor"),
-    ):
-        out.append(
-            text_table(
-                ["load (Mbps)", *labels, "best GR vs best competitor"],
-                [
-                    [
-                        r["load_mbps"],
-                        *[r[kind][label] for label in labels],
-                        f"{r[label_key]} +{100 * r[gain_key]:.0f}%",
-                    ]
-                    for r in rows
-                ],
-                title=f"Figure 4 — GA speedups, loaded network, 4 nodes ({kind})",
-            )
-        )
-    return "\n\n".join(out)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.figure4`` — run and print Figure 4."""
-    from repro.experiments.cli import (
-        experiment_parser,
-        parse_experiment_args,
-        write_observability,
+    return format_speedup_rows(
+        rows,
+        "load (Mbps)",
+        "load_mbps",
+        tuple(
+            f"Figure 4 — GA speedups, loaded network, 4 nodes ({kind})"
+            for kind in ("best_case", "average")
+        ),
     )
 
-    parser = experiment_parser(
-        "Figure 4 — GA speedups under background network load, optionally "
-        "with seeded fault injection (--faults)."
-    )
-    args = parse_experiment_args(parser, argv)
-    if args.faults is not None:
-        print(f"fault plan: {args.faults.describe()}")
-    print(
-        format_figure4(
-            run_figure4(
-                args.scale, jobs=args.jobs, faults=args.faults, shards=args.shards
-            )
-        )
-    )
-    # the traced representative run uses the sweep's heaviest load — the
-    # regime where blocked time and warp are most informative
-    write_observability(
-        args,
-        app="ga",
-        load_bps=args.scale.loads_bps[-1],
-        n_nodes=FIGURE4_PROCS,
-    )
-    return 0
 
+main = Driver(
+    "Figure 4 — GA speedups under background network load, optionally "
+    "with seeded fault injection (--faults).",
+    run_figure4,
+    format_figure4,
+    nodes=lambda scale: FIGURE4_PROCS,
+    # the traced run takes the sweep's heaviest load — the regime where
+    # blocked time and warp are most informative
+    loaded=True,
+).main
 
 if __name__ == "__main__":
     raise SystemExit(main())

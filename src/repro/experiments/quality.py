@@ -12,14 +12,15 @@ secondary observation that quality *improves* with more processors
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
-from repro.experiments.speedup import GaVariant, machine_for
+from repro.experiments.runner import run_cells
+from repro.experiments.speedup import GaVariant
 from repro.ga.functions import get_function
-from repro.ga.island import IslandGaConfig, run_island_ga
 from repro.ga.sga import run_serial_ga
 
 
@@ -34,14 +35,7 @@ def _quality_run(
             population_size=50 * P,
         )
         return s.best_fitness
-    res = run_island_ga(
-        IslandGaConfig(
-            fn=fn, n_demes=P, mode=variant.mode, age=variant.age,
-            n_generations=scale.ga_generations, seed=seed,
-            machine=machine_for(scale, P, seed),
-        )
-    )
-    return res.best_fitness
+    return variant.run(scale, fn, P, seed, scale.ga_generations).best_fitness
 
 
 def run_quality(
@@ -50,35 +44,33 @@ def run_quality(
     processor_counts: tuple[int, ...] | None = None,
     jobs: int | None = None,
 ) -> list[dict]:
-    """Per (P, variant): optimum-found count and mean final best fitness."""
+    """Per (P, variant): optimum-found count and mean final best fitness.
+
+    One cell per (P × variant × seed) run, keyed by (P, variant); the
+    serial baseline is the variant None.
+    """
     scale = scale or current_scale()
     fid = fid or scale.ga_functions[0]
     fn = get_function(fid)
-    counts = processor_counts or scale.processor_counts
-    variants = GaVariant.standard_set(scale.ages)
-    cells = [(P, variant) for P in counts for variant in [None, *variants]]
-    keys = [(P, variant, r) for (P, variant) in cells for r in range(scale.ga_runs)]
-    finals = parallel_map(
-        _quality_run,
-        [(scale, fid, P, variant, 1000 * r + fid) for (P, variant, r) in keys],
-        jobs=jobs,
+    by_cell = run_cells(
+        (
+            ((P, variant), partial(_quality_run, scale, fid, P, variant, 1000 * r + fid))
+            for P in processor_counts or scale.processor_counts
+            for variant in [None, *GaVariant.standard_set(scale.ages)]
+            for r in range(scale.ga_runs)
+        ),
+        jobs,
     )
-    by_cell: dict[tuple, list[float]] = {}
-    for (P, variant, _r), best in zip(keys, finals):
-        by_cell.setdefault((P, variant), []).append(best)
-    rows = []
-    for P, variant in cells:
-        bests = by_cell[(P, variant)]
-        rows.append(
-            {
-                "P": P,
-                "variant": variant.label if variant else "serial",
-                "optimum_found": sum(int(b <= fn.optimum_threshold) for b in bests),
-                "runs": scale.ga_runs,
-                "mean_final_best": float(np.mean(bests)),
-            }
-        )
-    return rows
+    return [
+        {
+            "P": P,
+            "variant": variant.label if variant else "serial",
+            "optimum_found": sum(int(b <= fn.optimum_threshold) for b in bests),
+            "runs": scale.ga_runs,
+            "mean_final_best": float(np.mean(bests)),
+        }
+        for (P, variant), bests in by_cell.items()
+    ]
 
 
 def format_quality(rows: list[dict], fid: int) -> str:

@@ -1,97 +1,103 @@
-"""Multi-core fan-out for independent experiment replicas.
+"""The one runner every experiment sweep goes through.
 
-Every experiment in this repository is a *merge over independent
-replicas*: a (function × mode × age × seed) cell of Figure 2/4, one
-(network × run) cell of Figure 3, one quality run of Q1.  Replicas share
-no state — each builds its own :class:`~repro.cluster.machine.Machine`,
-seeds its own RNG streams and returns plain data — so they are
-embarrassingly parallel across cores, exactly like the independent-
-replica simulations in Lubachevsky's parallel asynchronous-cellular-array
-work the ROADMAP cites.
+Every experiment here is a merge over independent replicas — a
+(function × mode × age × seed) trial of Figure 2/4, a (network × run)
+cell of Figure 3, a quality run of Q1.  Each builds its own machine,
+seeds its own RNG streams and returns plain data, so replicas are
+embarrassingly parallel across cores, like the independent-replica
+simulations of Lubachevsky's cellular-array work (PAPERS.md).
 
-Determinism contract
---------------------
-:func:`parallel_map` preserves *submission order*: results are merged by
-configuration key (the order the caller enumerated the jobs), never by
-completion order, and every replica derives its randomness from explicit
-seeds in its arguments.  A run with ``REPRO_JOBS=8`` therefore produces
-bit-identical tables and figures to a serial run — the parallelism is
-observable only in wall-clock time.
+A sweep is a list of *cells*, ``(key, call)`` pairs: ``call`` takes no
+arguments and is picklable (a module-level function bound to its
+arguments with :func:`functools.partial`), and ``key`` names the group
+its result belongs to.  :func:`run_cells` returns ``{key: [result,
+...]}`` with keys in first-listed order and each group in the order its
+cells were listed, never completion order; since every replica seeds
+itself from its arguments, a run at ``--jobs 8`` is bit-identical to a
+serial one.
 
-Knobs
------
-``REPRO_JOBS``
-    Worker-process count.  Unset or ``1`` → serial in-process execution
-    (no pool, no pickling); ``0`` or ``auto`` → one worker per CPU;
-    any other integer → that many workers.
-``jobs=`` argument
-    Per-call override of the environment knob.
-
-The pool is created lazily per call and falls back to serial execution
-when process pools are unavailable (restricted sandboxes, missing
-semaphore support), so callers never have to special-case platforms.
+``REPRO_JOBS`` (or a driver's ``--jobs``, parsed by :func:`parse_jobs`)
+sets the worker count: ``N`` workers, ``0``/``auto`` one per CPU, unset
+serial in-process (no pool, no pickling).  A pool that cannot be created
+(restricted sandboxes, no semaphore support) degrades to the serial loop
+with one stderr line naming the exception.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from argparse import ArgumentTypeError
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Iterable
 
-T = TypeVar("T")
+#: one unit of a sweep: the group key and a picklable zero-argument call
+Cell = tuple[Hashable, Callable[[], Any]]
 
 #: environment variable naming the worker count
 JOBS_ENV = "REPRO_JOBS"
 
 
-def configured_jobs(env: str | None = None) -> int:
-    """Worker count from ``REPRO_JOBS`` (see module docstring)."""
-    raw = os.environ.get(JOBS_ENV) if env is None else env
-    if raw is None or raw.strip() == "":
-        return 1
-    raw = raw.strip().lower()
-    if raw == "auto":
+def parse_jobs(raw: str) -> int:
+    """Worker count from a ``REPRO_JOBS`` / ``--jobs`` value.
+
+    ``0`` and ``auto`` mean one worker per CPU; a negative or
+    non-integer value raises :class:`argparse.ArgumentTypeError`, which
+    argparse reports naming the flag.
+    """
+    text = raw.strip().lower()
+    if text == "auto":
         return os.cpu_count() or 1
     try:
-        n = int(raw)
+        n = int(text)
     except ValueError:
-        raise ValueError(
-            f"{JOBS_ENV}={raw!r}; expected an integer, 'auto', or unset"
-        ) from None
+        n = -1
     if n < 0:
-        raise ValueError(f"{JOBS_ENV} must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+        raise ArgumentTypeError(f"expected an integer >= 0 or 'auto', got {raw!r}")
+    return n or (os.cpu_count() or 1)
 
 
-def parallel_map(
-    fn: Callable[..., T],
-    argtuples: Iterable[Sequence[Any]],
-    jobs: int | None = None,
-) -> list[T]:
-    """``[fn(*args) for args in argtuples]`` across worker processes.
+def configured_jobs(env: str | None = None) -> int:
+    """Worker count from ``REPRO_JOBS`` (unset or empty → 1, serial)."""
+    raw = os.environ.get(JOBS_ENV) if env is None else env
+    if raw is None or not raw.strip():
+        return 1
+    try:
+        return parse_jobs(raw)
+    except ArgumentTypeError as exc:
+        raise ValueError(f"{JOBS_ENV}: {exc}") from None
 
-    Results come back in input order — the configuration-key order the
-    caller enumerated — regardless of which replica finishes first.  With
-    one job (the default without ``REPRO_JOBS``), runs serially in-process
-    with zero overhead.  ``fn`` and every argument must be picklable
-    (module-level functions and plain dataclasses).
 
-    A replica that raises propagates its exception to the caller, exactly
-    as the serial loop would (earlier-keyed replicas' results are simply
-    discarded); pool *creation* failures degrade to the serial path.
+def run_cells(cells: Iterable[Cell], jobs: int | None = None) -> dict[Any, list]:
+    """Run every cell's call and group the results by key, in list order.
+
+    ``jobs`` is the worker count (None → :func:`configured_jobs`); one
+    job, or a single cell, runs serially in-process.  A call that raises
+    propagates its exception exactly as the serial loop would.
     """
-    argslist = [tuple(a) for a in argtuples]
-    n = configured_jobs() if jobs is None else jobs
-    n = min(n, len(argslist))
-    if n <= 1:
-        return [fn(*args) for args in argslist]
-    try:
-        executor = ProcessPoolExecutor(max_workers=n)
-    except (OSError, NotImplementedError, PermissionError):
-        # No usable process pool on this platform — run serially.
-        return [fn(*args) for args in argslist]
-    try:
-        futures = [executor.submit(fn, *args) for args in argslist]
-        return [f.result() for f in futures]
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+    cells = list(cells)
+    calls = [call for _, call in cells]
+    n = min(configured_jobs() if jobs is None else jobs, len(calls))
+    grouped: dict[Any, list] = {}
+    for (key, _), result in zip(cells, _run(calls, n)):
+        grouped.setdefault(key, []).append(result)
+    return grouped
+
+
+def _run(calls: list[Callable[[], Any]], n: int) -> list:
+    if n > 1:
+        try:
+            executor = ProcessPoolExecutor(max_workers=n)
+        except (OSError, NotImplementedError, PermissionError) as exc:
+            print(
+                f"warning: no process pool ({type(exc).__name__}: {exc}); "
+                f"running {len(calls)} cells serially",
+                file=sys.stderr,
+            )
+        else:
+            try:
+                futures = [executor.submit(call) for call in calls]
+                return [f.result() for f in futures]
+            finally:
+                executor.shutdown(wait=True, cancel_futures=True)
+    return [call() for call in calls]

@@ -36,14 +36,17 @@ honour are refused (exit 2): ``--metrics`` always, ``--trace`` without
 
 from __future__ import annotations
 
+import argparse
 import json
 import time
+from functools import partial
 
 from repro.cluster.machine import MachineConfig
 from repro.core.coherence import CoherenceMode
+from repro.experiments.cli import Driver, UsageError
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
+from repro.experiments.runner import run_cells
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 from repro.ga.operators import GaParams
@@ -134,24 +137,17 @@ def run_scale_study(
     jobs: int | None = None,
     shards: int = 1,
 ) -> list[dict]:
-    """The sweep: one row per (deme count × topology × fabric × age).
-
-    Rows fan out across cores via ``parallel_map`` and merge in key
-    order, so the output is bit-identical to a serial sweep.
-    """
+    """The sweep: one row per (deme count × topology × fabric × age),
+    each its own runner cell."""
     scale = scale or current_scale()
-    keys = [
-        (n, topo, fabric, age)
+    cells = [
+        ((n, topo, fabric, age), partial(_row, scale, n, topo, fabric, age, shards))
         for n in deme_counts
         for topo in TOPOLOGIES
         for fabric in FABRICS
         for age in scale.ages
     ]
-    return parallel_map(
-        _row,
-        [(scale, n, topo, fabric, age, shards) for (n, topo, fabric, age) in keys],
-        jobs=jobs,
-    )
+    return [row for (row,) in run_cells(cells, jobs).values()]
 
 
 def format_scale_study(rows: list[dict]) -> str:
@@ -303,28 +299,20 @@ def run_scale_proof(n_demes: int = 4096) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.scale_study`` entry point."""
-    from repro.experiments.cli import experiment_parser, parse_experiment_args
-
-    parser = experiment_parser(
-        "scale_study — age x topology x fabric sweep of the island GA at "
-        "64-4096 demes on switched fabrics.",
-        faults=False,
-    )
+def _flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale-proof", type=int, default=None, metavar="N",
+        "--scale-proof", type=int, metavar="N",
         help="complete an N-deme ring scenario (acceptance: 4096) and exit",
     )
     parser.add_argument(
-        "--analyze", default=None, metavar="PATH",
+        "--analyze", metavar="PATH",
         help=(
             "summarise a sweep JSON (written by --out) into the age x "
             "topology x fabric staleness/wall table and exit"
         ),
     )
     parser.add_argument(
-        "--trace-stream", type=int, default=None, metavar="N",
+        "--trace-stream", type=int, metavar="N",
         help=(
             "run one traced N-deme ring scenario streaming its trace "
             "straight into a rotating gzip sink at --trace PATH (bounded "
@@ -335,56 +323,53 @@ def main(argv: list[str] | None = None) -> int:
         "--demes", type=int, nargs="+", default=[64, 256], metavar="N",
         help="deme counts the sweep crosses (default: 64 256)",
     )
-    parser.add_argument("--out", default=None, metavar="PATH",
+    parser.add_argument("--out", metavar="PATH",
                         help="also write results as JSON to PATH")
-    args = parse_experiment_args(parser, argv)
-    ns = parser.parse_args(argv)
+
+
+def _cli(scale: Scale, jobs: int | None, shards: int, args: argparse.Namespace) -> str:
     # refuse what no mode below would honour rather than drop it silently
     if args.metrics:
-        parser.error("--metrics is not supported: scale_study writes no "
-                     "metrics snapshot")
-    if args.trace and ns.trace_stream is None:
-        parser.error("--trace needs --trace-stream N: only the streamed "
-                     "capture writes a trace")
-    if ns.out and ns.trace_stream is not None:
-        parser.error("--out does not apply to --trace-stream: its record "
-                     "prints to stdout")
-
-    if ns.analyze:
-        with open(ns.analyze, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
-        analysis = analyze_rows(rows)
-        if ns.out:
-            with open(ns.out, "w") as fh:
+        raise UsageError("--metrics is not supported: scale_study writes no "
+                         "metrics snapshot")
+    if args.trace and args.trace_stream is None:
+        raise UsageError("--trace needs --trace-stream N: only the streamed "
+                         "capture writes a trace")
+    if args.out and args.trace_stream is not None:
+        raise UsageError("--out does not apply to --trace-stream: its record "
+                         "prints to stdout")
+    if args.analyze:
+        with open(args.analyze, "r", encoding="utf-8") as fh:
+            analysis = analyze_rows(json.load(fh))
+        if args.out:
+            with open(args.out, "w") as fh:
                 json.dump(analysis, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        print(format_analysis(analysis))
-        return 0
-
-    if ns.trace_stream is not None:
+        return format_analysis(analysis)
+    if args.trace_stream is not None:
         if not args.trace:
-            parser.error("--trace-stream requires --trace PATH")
-        record = run_traced_stream(ns.trace_stream, args.trace)
-        print(json.dumps(record, indent=2))
-        return 0
-
-    if ns.scale_proof is not None:
-        record = run_scale_proof(ns.scale_proof)
-        if ns.out:
-            with open(ns.out, "w") as fh:
+            raise UsageError("--trace-stream requires --trace PATH")
+        return json.dumps(run_traced_stream(args.trace_stream, args.trace), indent=2)
+    if args.scale_proof is not None:
+        record = run_scale_proof(args.scale_proof)
+        if args.out:
+            with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=2)
-        print(json.dumps(record, indent=2))
-        return 0
-
-    rows = run_scale_study(
-        args.scale, deme_counts=tuple(ns.demes), jobs=args.jobs, shards=args.shards
-    )
-    if ns.out:
-        with open(ns.out, "w") as fh:
+        return json.dumps(record, indent=2)
+    rows = run_scale_study(scale, deme_counts=tuple(args.demes), jobs=jobs, shards=shards)
+    if args.out:
+        with open(args.out, "w") as fh:
             json.dump(rows, fh, indent=2)
-    print(format_scale_study(rows))
-    return 0
+    return format_scale_study(rows)
 
+
+main = Driver(
+    "scale_study — age x topology x fabric sweep of the island GA at "
+    "64-4096 demes on switched fabrics.",
+    _cli,
+    app=None,
+    flags=_flags,
+).main
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -8,10 +8,13 @@ matches the paper rather than a restatement of it.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from repro.experiments.cli import Driver
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
+from repro.experiments.runner import run_cells
 from repro.ga.functions import TEST_FUNCTIONS, f4_noiseless, get_function
 
 #: known optimizer of each function (used to verify the `min f(x)` column)
@@ -28,7 +31,7 @@ _OPTIMA = {
 
 
 def _table1_row(fid: int) -> dict:
-    """One function's row (independent replica for the parallel runner)."""
+    """One function's row (one cell of the runner)."""
     fn = get_function(fid)
     x = np.clip(_OPTIMA[fn.fid], fn.lower, fn.upper)[None, :]
     measured = float(f4_noiseless(x)[0]) if fn.noisy else float(fn(x)[0])
@@ -53,7 +56,8 @@ def _table1_row(fid: int) -> dict:
 
 def run_table1(jobs: int | None = None) -> list[dict]:
     """One row per test function, with the measured minimum."""
-    return parallel_map(_table1_row, [(fn.fid,) for fn in TEST_FUNCTIONS], jobs=jobs)
+    cells = [(fn.fid, partial(_table1_row, fn.fid)) for fn in TEST_FUNCTIONS]
+    return [row for (row,) in run_cells(cells, jobs).values()]
 
 
 def format_table1(rows: list[dict]) -> str:
@@ -72,24 +76,11 @@ def format_table1(rows: list[dict]) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.table1`` — run and print Table 1."""
-    from repro.experiments.cli import (
-        experiment_parser,
-        parse_experiment_args,
-        write_observability,
-    )
-
-    parser = experiment_parser(
-        "Table 1 — regenerate and verify the eight-function GA test bed.",
-        faults=False,
-        shards=False,
-    )
-    args = parse_experiment_args(parser, argv)
-    print(format_table1(run_table1(jobs=args.jobs)))
-    write_observability(args, app="ga", n_nodes=4)
-    return 0
-
+main = Driver(
+    "Table 1 — regenerate and verify the eight-function GA test bed.",
+    run_table1,
+    format_table1,
+).main
 
 if __name__ == "__main__":
     raise SystemExit(main())

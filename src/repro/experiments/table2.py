@@ -8,12 +8,15 @@ time under the paper's stopping rule — the complete Table 2 row set.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.bayes.hailfinder import make_hailfinder
 from repro.bayes.logic_sampling import run_serial_logic_sampling
 from repro.bayes.network import BayesianNetwork
 from repro.bayes.random_nets import make_table2_network
+from repro.experiments.cli import Driver
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
+from repro.experiments.runner import run_cells
 from repro.partition.metrics import edge_cut
 from repro.partition.multilevel import best_of
 
@@ -32,8 +35,8 @@ NETWORK_NAMES = ("A", "AA", "C", "Hailfinder")
 def build_network(name: str, seed: int = 0) -> BayesianNetwork:
     """Deterministically (re)build one Table 2 network by name.
 
-    Workers in the parallel runner rebuild networks from (name, seed)
-    instead of pickling them across the pool — same seed, same network.
+    Runner cells rebuild networks from (name, seed) instead of pickling
+    them across the pool — same seed, same network.
     """
     if name == "Hailfinder":
         return make_hailfinder(seed=seed)
@@ -50,7 +53,7 @@ def pick_query(net: BayesianNetwork, seed: int = 0) -> int:
 
 
 def _table2_row(name: str, seed: int) -> dict:
-    """One network's complete Table 2 row (independent replica)."""
+    """One network's complete Table 2 row (one cell of the runner)."""
     net = build_network(name, seed)
     skeleton = net.skeleton()
     parts = best_of(skeleton, 2, tries=4, seed=seed)
@@ -75,9 +78,8 @@ def _table2_row(name: str, seed: int) -> dict:
 
 def run_table2(seed: int = 0, jobs: int | None = None) -> list[dict]:
     """One row per network: structure metrics, edge cut, serial inference time."""
-    return parallel_map(
-        _table2_row, [(name, seed) for name in NETWORK_NAMES], jobs=jobs
-    )
+    cells = [(name, partial(_table2_row, name, seed)) for name in NETWORK_NAMES]
+    return [row for (row,) in run_cells(cells, jobs).values()]
 
 
 def format_table2(rows: list[dict]) -> str:
@@ -99,25 +101,14 @@ def format_table2(rows: list[dict]) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.table2`` — run and print Table 2."""
-    from repro.experiments.cli import (
-        experiment_parser,
-        parse_experiment_args,
-        write_observability,
-    )
-
-    parser = experiment_parser(
-        "Table 2 — the four Bayesian belief networks: structure metrics, "
-        "partition edge cuts and serial inference times vs the paper.",
-        faults=False,
-        shards=False,
-    )
-    args = parse_experiment_args(parser, argv)
-    print(format_table2(run_table2(jobs=args.jobs)))
-    write_observability(args, app="bayes", n_nodes=2)
-    return 0
-
+main = Driver(
+    "Table 2 — the four Bayesian belief networks: structure metrics, "
+    "partition edge cuts and serial inference times vs the paper.",
+    run_table2,
+    format_table2,
+    app="bayes",
+    nodes=lambda scale: 2,
+).main
 
 if __name__ == "__main__":
     raise SystemExit(main())

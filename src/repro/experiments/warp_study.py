@@ -12,14 +12,16 @@ flooding shows up directly in its warp).
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.core.coherence import CoherenceMode
+from repro.experiments.cli import Driver
 from repro.experiments.config import Scale, current_scale
 from repro.experiments.reporting import text_table
-from repro.experiments.runner import parallel_map
-from repro.experiments.speedup import machine_for
+from repro.experiments.runner import run_cells
+from repro.experiments.speedup import GaVariant
 from repro.faults.plan import FaultPlan
 from repro.ga.functions import get_function
-from repro.ga.island import IslandGaConfig, run_island_ga
 from repro.network.frame import Frame
 from repro.network.warp import WarpMeter
 
@@ -86,27 +88,15 @@ def probe_warp(
 
 def ga_warp(
     scale: Scale,
-    mode: CoherenceMode,
-    age: int,
+    variant: GaVariant,
     load_bps: float,
     faults: FaultPlan | None = None,
     shards: int = 1,
-) -> float:
+) -> dict:
     """Mean warp observed by an island GA run under background load."""
     fn = get_function(scale.ga_functions[0])
-    r = run_island_ga(
-        IslandGaConfig(
-            fn=fn,
-            n_demes=4,
-            mode=mode,
-            age=age,
-            n_generations=scale.ga_generations,
-            seed=3,
-            machine=machine_for(scale, 4, 3, load_bps, faults),
-        ),
-        shards=shards,
-    )
-    return r.mean_warp
+    r = variant.run(scale, fn, 4, 3, scale.ga_generations, load_bps, faults, shards)
+    return {"variant": variant.label, "mean_warp": r.mean_warp}
 
 
 def run_warp_study(
@@ -115,30 +105,28 @@ def run_warp_study(
     faults: FaultPlan | None = None,
     shards: int = 1,
 ) -> dict:
-    """Probe-stream warp per load level plus the GA-observed warp comparison."""
+    """Probe-stream warp per load level plus the GA-observed warp comparison.
+
+    One cell per probe load (key ``"probe"``) and per GA variant (key
+    ``"ga"``); the grouped results are the returned dict.
+    """
     scale = scale or current_scale()
-    probe_rows = parallel_map(
-        probe_warp,
-        [(load, 0, 200, faults) for load in (0.0, *scale.loads_bps, 6e6)],
-        jobs=jobs,
-    )
-    app_cells = [
-        ("async", CoherenceMode.ASYNCHRONOUS, 0),
-        (f"gr{scale.ages[-1]}", CoherenceMode.NON_STRICT, scale.ages[-1]),
+    age = scale.ages[-1]
+    variants = [
+        GaVariant("async", CoherenceMode.ASYNCHRONOUS),
+        GaVariant(f"gr{age}", CoherenceMode.NON_STRICT, age),
     ]
-    warps = parallel_map(
-        ga_warp,
+    return run_cells(
         [
-            (scale, mode, age, scale.loads_bps[-1], faults, shards)
-            for (_, mode, age) in app_cells
+            ("probe", partial(probe_warp, load, 0, 200, faults))
+            for load in (0.0, *scale.loads_bps, 6e6)
+        ]
+        + [
+            ("ga", partial(ga_warp, scale, v, scale.loads_bps[-1], faults, shards))
+            for v in variants
         ],
-        jobs=jobs,
+        jobs,
     )
-    app_rows = [
-        {"variant": label, "mean_warp": w}
-        for (label, _, _), w in zip(app_cells, warps)
-    ]
-    return {"probe": probe_rows, "ga": app_rows}
 
 
 def format_warp_study(result: dict) -> str:
@@ -159,33 +147,13 @@ def format_warp_study(result: dict) -> str:
     return probe + "\n\n" + ga
 
 
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.experiments.warp_study`` — run and print W1."""
-    from repro.experiments.cli import (
-        experiment_parser,
-        parse_experiment_args,
-        write_observability,
-    )
-
-    parser = experiment_parser(
-        "W1 — warp vs offered load, optionally with seeded fault "
-        "injection (--faults)."
-    )
-    args = parse_experiment_args(parser, argv)
-    if args.faults is not None:
-        print(f"fault plan: {args.faults.describe()}")
-    print(
-        format_warp_study(
-            run_warp_study(
-                args.scale, jobs=args.jobs, faults=args.faults, shards=args.shards
-            )
-        )
-    )
-    write_observability(
-        args, app="ga", load_bps=args.scale.loads_bps[-1], n_nodes=4
-    )
-    return 0
-
+main = Driver(
+    "W1 — warp vs offered load, optionally with seeded fault "
+    "injection (--faults).",
+    run_warp_study,
+    format_warp_study,
+    loaded=True,
+).main
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is the *complete* description of a chaos run's
 degradation: message-level fault rates and windows
 (:class:`MessageFaults`) plus a schedule of node-level incidents
 (:class:`NodeFault`).  Plans are frozen dataclasses — picklable (they
-cross process boundaries in ``parallel_map`` fan-outs), hashable, and
+cross process boundaries in the experiment runner's cells), hashable, and
 printable — and they carry their *own* seed: the injector's random
 stream is derived from ``plan.seed`` via the same named-stream
 construction as every other RNG in the repository

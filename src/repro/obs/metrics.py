@@ -99,7 +99,7 @@ def machine_metrics(machine, dsm=None, rollback=None) -> dict:
         contributes gamble/rollback/wasted-sample counters.
 
     Returns the plain-dict snapshot (picklable, so results can cross
-    :func:`repro.experiments.runner.parallel_map` process boundaries).
+    :func:`repro.experiments.runner.run_cells` process boundaries).
     """
     kernel = machine.kernel
     now = kernel.now
