@@ -23,6 +23,7 @@ from repro.core.coherence import CoherenceMode, UpdatePolicy
 from repro.experiments.table2 import pick_query
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, run_island_ga
+from repro.network.switched import SP2_SWITCH
 
 
 def test_coalescing_reduces_async_flooding(benchmark, save_result):
@@ -69,7 +70,7 @@ def test_coalescing_reduces_async_flooding(benchmark, save_result):
 
 
 def test_switch_interconnect_rescues_sync(benchmark, save_result):
-    """A4: synchronous BN sampler on Ethernet vs SP2 switch."""
+    """A4: synchronous BN sampler on Ethernet vs the SP2 switch preset."""
     net = make_table2_network("A")
     q = pick_query(net)
     serial = run_serial_logic_sampling(net, query=q, seed=3)
@@ -85,11 +86,12 @@ def test_switch_interconnect_rescues_sync(benchmark, save_result):
         recv_fixed=0.05e-3, recv_per_byte=12e-9,
     )
 
-    def run(interconnect, mode, age=0):
-        mcfg = MachineConfig(
-            n_nodes=2, seed=3, interconnect=interconnect,
-            pvm_overheads=mpl if interconnect == "switch" else PvmOverheads(),
-        )
+    eth = MachineConfig(n_nodes=2, seed=3)
+    sp2 = MachineConfig(
+        n_nodes=2, seed=3, interconnect="switched", switched=SP2_SWITCH, pvm_overheads=mpl
+    )
+
+    def run(mcfg, mode, age=0):
         r = run_parallel_logic_sampling(
             ParallelLsConfig(
                 net=net, query=q, n_procs=2, mode=mode, age=age, seed=3,
@@ -100,10 +102,10 @@ def test_switch_interconnect_rescues_sync(benchmark, save_result):
 
     def all_runs():
         return {
-            "sync_eth": run("ethernet", CoherenceMode.SYNCHRONOUS),
-            "sync_switch": run("switch", CoherenceMode.SYNCHRONOUS),
-            "gr10_eth": run("ethernet", CoherenceMode.NON_STRICT, 10),
-            "gr10_switch": run("switch", CoherenceMode.NON_STRICT, 10),
+            "sync_eth": run(eth, CoherenceMode.SYNCHRONOUS),
+            "sync_switch": run(sp2, CoherenceMode.SYNCHRONOUS),
+            "gr10_eth": run(eth, CoherenceMode.NON_STRICT, 10),
+            "gr10_switch": run(sp2, CoherenceMode.NON_STRICT, 10),
         }
 
     sp = run_once(benchmark, all_runs)

@@ -52,14 +52,13 @@ def _collect_config_defaults(tree: ast.Module) -> dict[str, dict[str, int | None
             continue
         defaults: dict[str, int | None] = {}
         for stmt in node.body:
-            if (
-                isinstance(stmt, ast.AnnAssign)
-                and isinstance(stmt.target, ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                # bool is an int subclass; a bool default is not an age
-                and (stmt.value.value is None or type(stmt.value.value) is int)
-            ):
-                defaults[stmt.target.id] = stmt.value.value
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            value = stmt.value
+            if isinstance(value, ast.Call):  # a declared field: at_least(0, default=10)
+                value = next((k.value for k in value.keywords if k.arg == "default"), None)
+            if isinstance(value, ast.Constant) and type(value.value) in (int, type(None)):
+                defaults[stmt.target.id] = value.value
         if defaults:
             out[node.name] = defaults
     return out

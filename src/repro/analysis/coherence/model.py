@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.core.contract import TOLERANCE_CLASSES, StalenessContract, tolerance_rank
+from repro.inputs import unconstrained
 
 #: schema tag of the ``python -m repro.analysis coherence --json`` envelope
 COHERENCE_SCHEMA = "repro-analysis-coherence/1"
@@ -132,7 +133,7 @@ class ContractDecl(StalenessContract):
     """
 
     path: str = field(default="", compare=False, repr=False)
-    line: int = field(default=0, compare=False, repr=False)
+    line: int = unconstrained("an ast line number", default=0, compare=False, repr=False)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dict form."""

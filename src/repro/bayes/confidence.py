@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.inputs import at_least, check_fields, positive
+
 #: two-sided z for a 90 % confidence interval
 Z_90 = 1.6448536269514722
 
@@ -24,18 +26,15 @@ Z_90 = 1.6448536269514722
 class PosteriorEstimator:
     """Running posterior estimate for one query node."""
 
-    n_values: int
-    precision: float = 0.01
-    z: float = Z_90
-    min_samples: int = 100
-    counts: np.ndarray = field(default=None)
-    n: int = 0
+    n_values: int = at_least(2)
+    precision: float = positive(below=0.5, default=0.01)
+    z: float = positive(default=Z_90)
+    min_samples: int = at_least(0, default=100)
+    counts: np.ndarray = field(init=False)
+    n: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.n_values < 2:
-            raise ValueError("query node needs >= 2 values")
-        if not 0 < self.precision < 0.5:
-            raise ValueError("precision must be in (0, 0.5)")
+        check_fields(self)
         self.counts = np.zeros(self.n_values, dtype=np.int64)
 
     def add(self, value: int) -> None:

@@ -15,22 +15,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.inputs import check_fields, nonnegative
+
 
 @dataclass(frozen=True)
 class LsCostModel:
     """Baseline-seconds costs of logic-sampling operations."""
 
     #: sampling one node for one run (CPT lookup + random draw)
-    sample_per_node: float = 30e-6
+    sample_per_node: float = nonnegative(default=30e-6)
     #: recomputing one node during a rollback (same work as sampling)
-    resample_per_node: float = 30e-6
+    resample_per_node: float = nonnegative(default=30e-6)
     #: folding one committed run into the posterior counts
-    commit_per_iter: float = 2e-6
+    commit_per_iter: float = nonnegative(default=2e-6)
     #: one confidence-interval convergence check
-    ci_check: float = 20e-6
+    ci_check: float = nonnegative(default=20e-6)
     #: processing one arriving interface-value batch (unpack + compare)
-    apply_batch_base: float = 10e-6
-    apply_batch_per_value: float = 1e-6
+    apply_batch_base: float = nonnegative(default=10e-6)
+    apply_batch_per_value: float = nonnegative(default=1e-6)
+
+    def __post_init__(self) -> None:
+        check_fields(self)  # a negative cost would die mid-run, in a processor
 
     def iteration_cost(self, n_nodes: int) -> float:
         """Sampling one full run over ``n_nodes`` local nodes."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.inputs import at_least, check_fields, unconstrained
 from repro.partition.graph import Graph
 
 
@@ -29,16 +30,15 @@ class BayesNode:
     ``(n_values,)``).
     """
 
-    name: int
-    n_values: int
-    parents: tuple[int, ...]
+    name: int = unconstrained("BayesianNetwork checks the names are 0..n-1, which needs n")
+    n_values: int = at_least(2)
+    parents: tuple[int, ...] = at_least(0, each=True)
     cpt: np.ndarray
 
     def __post_init__(self) -> None:
         self.parents = tuple(self.parents)
         self.cpt = np.asarray(self.cpt, dtype=np.float64)
-        if self.n_values < 2:
-            raise ValueError(f"node {self.name}: needs >= 2 values")
+        check_fields(self)
         if self.cpt.shape[-1] != self.n_values:
             raise ValueError(
                 f"node {self.name}: CPT last axis {self.cpt.shape[-1]} != "

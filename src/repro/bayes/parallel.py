@@ -52,6 +52,7 @@ from repro.core.contract import dsm_contract
 from repro.core.dsm import Dsm
 from repro.core.global_read import GlobalReadStats
 from repro.core.location import SharedLocationSpec
+from repro.inputs import at_least, check_fields, positive
 from repro.obs.metrics import machine_metrics
 from repro.sim import CompletionCounter
 from repro.partition.metrics import edge_cut as _edge_cut
@@ -92,27 +93,20 @@ class ParallelLsConfig:
     """One parallel-inference run (one bar of Figure 3)."""
 
     net: BayesianNetwork
-    query: int
-    n_procs: int = 2
+    query: int = at_least(0)
+    n_procs: int = at_least(1, default=2)
     mode: CoherenceMode = CoherenceMode.NON_STRICT
-    age: int = 10
-    seed: int = 0
-    precision: float = 0.01
+    age: int = at_least(0, default=10)
+    seed: int = at_least(0, default=0)
+    precision: float = positive(below=0.5, default=0.01)
     costs: LsCostModel = field(default_factory=LsCostModel)
     machine: MachineConfig | None = None
-    max_iterations: int = 50_000
+    max_iterations: int = at_least(1, default=50_000)
     #: commit/CI bookkeeping cadence at the query owner (in runs)
-    check_every: int = 32
+    check_every: int = at_least(1, default=32)
 
     def __post_init__(self) -> None:
-        if self.n_procs < 1:
-            raise ValueError("need at least one processor")
-        if self.age < 0:
-            raise ValueError("age must be >= 0")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.check_every < 1:
-            raise ValueError(f"check_every must be >= 1, got {self.check_every}")
+        check_fields(self)
         if self.query not in self.net.nodes:
             raise KeyError(f"unknown query node {self.query}")
 

@@ -9,7 +9,6 @@ spawning application processes on nodes, attaching background loaders
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Generator
@@ -17,9 +16,9 @@ from typing import Callable, Generator
 from repro.cluster.node import Node, NodeSpec
 from repro.faults.injectors import FaultInjector, install_faults
 from repro.faults.plan import FaultPlan
+from repro.inputs import at_least, check_fields, one_of, positive
 from repro.network.ethernet import EthernetConfig, EthernetNetwork
 from repro.network.loader import LoaderConfig, NetworkLoader
-from repro.network.switch import SwitchConfig, SwitchNetwork
 from repro.network.switched import SwitchedConfig, SwitchedNetwork
 from repro.network.warp import WarpMeter
 from repro.obs.bus import TraceBus
@@ -27,16 +26,19 @@ from repro.pvm.vm import PvmOverheads, Task, VirtualMachine
 from repro.sim.kernel import CompletionCounter, Kernel
 from repro.sim.process import ProcessHandle
 
+#: the interconnects a machine can be built on (the SP2 switch is the
+#: ``switched`` fabric's SP2_SWITCH preset)
+INTERCONNECTS = ("ethernet", "switched")
+
 
 @dataclass(frozen=True)
 class MachineConfig:
     """Everything needed to build a reproducible machine."""
 
-    n_nodes: int = 4
-    seed: int = 0
-    interconnect: str = "ethernet"  # or "switch" / "switched"
+    n_nodes: int = at_least(1, default=4)
+    seed: int = at_least(0, default=0)
+    interconnect: str = one_of(INTERCONNECTS, default="ethernet")
     ethernet: EthernetConfig = field(default_factory=EthernetConfig)
-    switch: SwitchConfig = field(default_factory=SwitchConfig)
     switched: SwitchedConfig = field(default_factory=SwitchedConfig)
     #: let Task.mcast use the fabric's multicast tree (one BROADCAST frame
     #: replicated in-tree) when the destination set is every other task;
@@ -46,10 +48,10 @@ class MachineConfig:
     node_spec: NodeSpec = field(default_factory=NodeSpec)
     #: per-node speed factors (len == n_nodes) overriding node_spec's;
     #: empty = homogeneous
-    speed_factors: tuple = ()
+    speed_factors: tuple[float, ...] = positive(default=(), each=True)
     #: offered background loads in bps; each gets its own loader node pair
-    loader_bps: tuple = ()
-    loader_frame_bytes: int = 1024
+    loader_bps: tuple[float, ...] = positive(default=(), each=True)
+    loader_frame_bytes: int = at_least(1, default=1024)
     measure_warp: bool = False
     #: optional fault-injection schedule; None = healthy machine
     faults: FaultPlan | None = None
@@ -59,28 +61,21 @@ class MachineConfig:
     #: metrics snapshot can report per-stream percentiles
     trace: bool = False
     #: trace-bus capacity; overflow increments TraceBus.dropped
-    trace_max_events: int = 500_000
+    trace_max_events: int = at_least(1, default=500_000)
     #: stream the trace to a rotating gzip sink at this path instead of
     #: buffering it: peak trace memory becomes O(trace_flush_every)
     #: regardless of run length and no event is ever dropped (the
     #: long-run path; finalize with ``obs.write_jsonl()``)
     trace_sink: str | None = None
     #: events buffered between sink flushes when trace_sink is set
-    trace_flush_every: int = 5_000
+    trace_flush_every: int = at_least(1, default=5_000)
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("need at least one node")
-        if self.interconnect not in ("ethernet", "switch", "switched"):
-            raise ValueError(f"unknown interconnect {self.interconnect!r}")
+        check_fields(self)
         if self.hw_multicast and self.interconnect != "switched":
             raise ValueError("hw_multicast requires the 'switched' interconnect")
         if self.speed_factors and len(self.speed_factors) != self.n_nodes:
             raise ValueError("speed_factors length must equal n_nodes")
-        for name in ("speed_factors", "loader_bps"):
-            for i, value in enumerate(getattr(self, name)):
-                if not (math.isfinite(value) and value > 0):
-                    raise ValueError(f"{name}[{i}] must be finite and > 0, got {value!r}")
         # each interconnect's config field is named after it
         mtu = getattr(self, self.interconnect).max_payload
         if self.loader_frame_bytes > mtu:
@@ -90,8 +85,6 @@ class MachineConfig:
             )
         if self.trace_sink and not self.trace:
             raise ValueError("trace_sink needs trace=True (nothing would be recorded)")
-        if self.trace_max_events < 1 or self.trace_flush_every < 1:
-            raise ValueError("trace_max_events and trace_flush_every must be >= 1")
 
     def with_load(self, bps: float) -> "MachineConfig":
         """Copy of this config with one background loader at ``bps``."""
@@ -124,10 +117,8 @@ class Machine:
             self.kernel.obs = self.obs
         if config.interconnect == "ethernet":
             self.network = EthernetNetwork(self.kernel, config.ethernet)
-        elif config.interconnect == "switched":
-            self.network = SwitchedNetwork(self.kernel, config.switched)
         else:
-            self.network = SwitchNetwork(self.kernel, config.switch)
+            self.network = SwitchedNetwork(self.kernel, config.switched)
         self.vm = VirtualMachine(
             self.kernel,
             self.network,

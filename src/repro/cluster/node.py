@@ -17,11 +17,11 @@ stay reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.inputs import check_fields, nonnegative, positive
 from repro.obs.bus import shape
 from repro.sim.kernel import Kernel
 
@@ -35,19 +35,14 @@ class NodeSpec:
     """Static description of one node."""
 
     name: str = "RS6000-591"
-    clock_hz: float = 77e6
+    clock_hz: float = positive(default=77e6)
     #: relative speed vs. the reference node (1.0 = reference)
-    speed_factor: float = 1.0
+    speed_factor: float = positive(default=1.0)
     #: sigma of lognormal per-operation compute-time noise (0 = none)
-    jitter_sigma: float = 0.0
+    jitter_sigma: float = nonnegative(default=0.0)
 
     def __post_init__(self) -> None:
-        # a non-finite factor makes every compute free (inf) or NaN long,
-        # which would surface mid-run far from the config that caused it
-        if not (math.isfinite(self.speed_factor) and self.speed_factor > 0):
-            raise ValueError(f"speed_factor must be finite and > 0, got {self.speed_factor!r}")
-        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
-            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
+        check_fields(self)  # a non-finite factor makes every compute free or NaN long
 
 
 class Node:

@@ -48,6 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.inputs import at_least, check_fields, nonempty, one_of
+
 #: the race-tolerance lattice, ordered from least to most race exposure;
 #: index order is what "weaker/stronger class" means everywhere
 TOLERANCE_CLASSES: tuple[str, ...] = (
@@ -80,23 +82,15 @@ class StalenessContract:
     location could honour.
     """
 
-    pattern: str
-    writers: int = 1
-    age: int | None = None
-    tolerance: str = "commutative"
+    pattern: str = nonempty()
+    writers: int = at_least(1, default=1)
+    #: the staleness tolerance; None = unbounded
+    age: int | None = at_least(0, default=None, optional=True)
+    tolerance: str = one_of(TOLERANCE_CLASSES, default="commutative")
     reason: str = ""
 
     def __post_init__(self) -> None:
-        if not self.pattern:
-            raise ValueError("contract needs a non-empty location pattern")
-        if self.writers < 1:
-            raise ValueError(f"{self.pattern}: writers must be >= 1")
-        if self.age is not None and self.age < 0:
-            raise ValueError(
-                f"{self.pattern}: age is a staleness tolerance and must be "
-                f">= 0 (or None for unbounded), got {self.age}"
-            )
-        tolerance_rank(self.tolerance)  # validates the class name
+        check_fields(self)
 
 
 def dsm_contract(

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.inputs import at_least, check_fields, positive
+
 
 @dataclass
 class DynamicAgeController:
@@ -46,13 +48,13 @@ class DynamicAgeController:
         age is lowered.
     """
 
-    initial_age: int = 5
-    min_age: int = 0
-    max_age: int = 60
-    window: int = 8
-    increase_step: int = 2
-    decrease_factor: float = 0.5
-    slack: int = 2
+    initial_age: int = at_least(0, default=5)
+    min_age: int = at_least(0, default=0)
+    max_age: int = at_least(0, default=60)
+    window: int = at_least(1, default=8)
+    increase_step: int = at_least(1, default=2)
+    decrease_factor: float = positive(below=1.0, default=0.5)
+    slack: int = at_least(0, default=2)
 
     age: int = field(init=False)
     _calls_in_window: int = field(init=False, default=0)
@@ -61,12 +63,9 @@ class DynamicAgeController:
     adjustments: list = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.min_age <= self.initial_age <= self.max_age:
             raise ValueError("need min_age <= initial_age <= max_age")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError("decrease_factor must be in (0, 1)")
         self.age = self.initial_age
 
     def observe(self, blocked: bool, staleness: int) -> int:

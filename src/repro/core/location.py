@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.inputs import at_least, check_fields, nonempty
+
 
 @dataclass(frozen=True)
 class SharedLocationSpec:
@@ -38,15 +40,14 @@ class SharedLocationSpec:
         Wire size of one value, used when a write does not override it.
     """
 
-    name: str
-    writer: int
-    readers: tuple[int, ...]
-    value_nbytes: int = 8
+    name: str = nonempty()
+    writer: int = at_least(0)
+    readers: tuple[int, ...] = at_least(0, each=True)
+    value_nbytes: int = at_least(1, default=8)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("location needs a non-empty name")
         object.__setattr__(self, "readers", tuple(self.readers))
+        check_fields(self)
         if self.writer in self.readers:
             raise ValueError(
                 f"{self.name}: writer {self.writer} must not be in its own "
@@ -54,8 +55,6 @@ class SharedLocationSpec:
             )
         if len(set(self.readers)) != len(self.readers):
             raise ValueError(f"{self.name}: duplicate readers")
-        if self.value_nbytes <= 0:
-            raise ValueError(f"{self.name}: value_nbytes must be positive")
 
 
 @dataclass(slots=True)

@@ -58,6 +58,14 @@ def add_jobs_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _fault_plan(spec: str) -> FaultPlan | None:
+    """``--faults`` parser: a refused spec is a usage error naming its key."""
+    try:
+        return FaultPlan.parse(spec) if spec else None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def experiment_parser(
     description: str, faults: bool = True, shards: bool = True
 ) -> argparse.ArgumentParser:
@@ -78,7 +86,8 @@ def experiment_parser(
     if faults:
         parser.add_argument(
             "--faults",
-                metavar="SPEC",
+            type=_fault_plan,
+            metavar="SPEC",
             help=(
                 "fault-injection spec, e.g. "
                 "'drop=0.02,dup=0.01,reorder=0.05,seed=7,stop=2.0' "
@@ -121,7 +130,6 @@ def parse_experiment_args(
     ``faults`` to a :class:`FaultPlan` (or None)."""
     args = parser.parse_args(argv)
     args.scale = SCALES[args.scale]() if args.scale else current_scale()
-    args.faults = FaultPlan.parse(args.faults) if args.faults else None
     if args.faults is not None and (args.faults.messages.drop > 0 or any(
         f.kind == "crash" for f in args.faults.node_faults
     )):

@@ -29,6 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.inputs import (
+    at_least,
+    check_fields,
+    nonnegative,
+    one_of,
+    positive,
+    probability,
+    unconstrained,
+)
+
 #: PVM tags never faulted by default: the barrier protocol is a
 #: counting protocol with no retransmission, so the paper's synchronous
 #: baselines assume it is reliable (DESIGN.md §9 — the fault model
@@ -48,40 +58,38 @@ class MessageFaults:
     tolerate both, which is what the chaos suite asserts.
     """
 
-    drop: float = 0.0
-    duplicate: float = 0.0
-    delay: float = 0.0
-    reorder: float = 0.0
+    drop: float = probability(default=0.0)
+    duplicate: float = probability(default=0.0)
+    delay: float = probability(default=0.0)
+    reorder: float = probability(default=0.0)
     #: uniform range the extra delivery latency is drawn from, seconds
-    delay_s: tuple[float, float] = (0.5e-3, 5e-3)
+    delay_s: tuple[float, float] = nonnegative(default=(0.5e-3, 5e-3), each=True)
     #: the duplicate copy lands this long after the original
-    dup_delay_s: float = 0.2e-3
+    dup_delay_s: float = nonnegative(default=0.2e-3)
     #: safety flush: a held (reordered) frame is force-released after
     #: this long even if no later frame overtakes it — reordering must
     #: never turn into loss
-    reorder_hold_s: float = 2e-3
+    reorder_hold_s: float = positive(default=2e-3)
     #: fault window in simulated seconds; ``stop=None`` = forever
-    start: float = 0.0
-    stop: float | None = None
+    start: float = nonnegative(default=0.0)
+    stop: float | None = nonnegative(default=None, optional=True)
     #: frame kinds eligible for faults; empty = every kind
     kinds: tuple[str, ...] = ()
     #: PVM message tags exempt from faults (see DEFAULT_PROTECTED_TAGS)
-    protect_tags: tuple[int, ...] = DEFAULT_PROTECTED_TAGS
+    protect_tags: tuple[int, ...] = unconstrained(
+        "any int is a PVM tag, the negative layer-internal ones included",
+        default=DEFAULT_PROTECTED_TAGS,
+    )
 
     def __post_init__(self) -> None:
-        for name in ("drop", "duplicate", "delay", "reorder"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} rate must be in [0, 1], got {rate}")
+        check_fields(self)
         total = self.drop + self.duplicate + self.delay + self.reorder
         if total > 1.0:
             raise ValueError(f"fault rates must sum to <= 1, got {total}")
         lo, hi = self.delay_s
-        if lo < 0 or hi < lo:
+        if hi < lo:
             raise ValueError(f"delay_s must be 0 <= lo <= hi, got {self.delay_s}")
-        if self.dup_delay_s < 0 or self.reorder_hold_s <= 0:
-            raise ValueError("dup_delay_s must be >= 0 and reorder_hold_s > 0")
-        if self.start < 0 or (self.stop is not None and self.stop < self.start):
+        if self.stop is not None and self.stop < self.start:
             raise ValueError(f"bad fault window [{self.start}, {self.stop}]")
 
     @property
@@ -113,25 +121,20 @@ class NodeFault:
         of scope until a recovery protocol exists (DESIGN.md §9).
     """
 
-    node: int
-    kind: str  # "pause" | "slowdown" | "crash"
-    start: float
-    duration: float
-    factor: float = 2.0
+    node: int = at_least(0)
+    kind: str = one_of(("pause", "slowdown", "crash"))
+    start: float = nonnegative()
+    duration: float = positive()
+    factor: float = positive(default=2.0)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pause", "slowdown", "crash"):
-            raise ValueError(f"unknown node-fault kind {self.kind!r}")
-        if self.node < 0:
-            raise ValueError("node id must be >= 0")
-        if self.start < 0 or self.duration <= 0:
-            raise ValueError("need start >= 0 and duration > 0")
+        check_fields(self)
         if self.kind == "slowdown" and self.factor <= 1.0:
             raise ValueError(f"slowdown factor must be > 1, got {self.factor}")
 
     @property
     def end(self) -> float:
-        """End of the fault window in simulated seconds (``inf`` when open)."""
+        """End of the fault window in simulated seconds."""
         return self.start + self.duration
 
 
@@ -139,13 +142,13 @@ class NodeFault:
 class FaultPlan:
     """A complete, reproducible chaos schedule (see module docstring)."""
 
-    seed: int = 0
+    seed: int = at_least(0, default=0)
     messages: MessageFaults = field(default_factory=MessageFaults)
     node_faults: tuple[NodeFault, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.node_faults, tuple):
-            object.__setattr__(self, "node_faults", tuple(self.node_faults))
+        check_fields(self)
+        object.__setattr__(self, "node_faults", tuple(self.node_faults))
 
     @property
     def is_noop(self) -> bool:
@@ -203,36 +206,39 @@ class FaultPlan:
             key, _, value = item.partition("=")
             key = key.strip()
             value = value.strip()
-            if key == "seed":
-                plan_seed = int(value)
-            elif key in msg_floats:
-                msg_kwargs[msg_floats[key]] = float(value)
-            elif key == "stop":
-                msg_kwargs["stop"] = None if value in ("inf", "none") else float(value)
-            elif key == "delay_s":
-                lo, _, hi = value.partition(":")
-                msg_kwargs["delay_s"] = (float(lo), float(hi or lo))
-            elif key == "kinds":
-                msg_kwargs["kinds"] = tuple(value.split("+"))
-            elif key in ("pause", "slow", "crash"):
-                fields = value.split(":")
-                kind = {"slow": "slowdown"}.get(key, key)
-                if kind == "slowdown":
-                    if len(fields) != 4:
-                        raise ValueError(f"slow wants NODE:START:DURATION:FACTOR, got {value!r}")
-                    node_faults.append(NodeFault(
-                        node=int(fields[0]), kind=kind, start=float(fields[1]),
-                        duration=float(fields[2]), factor=float(fields[3]),
-                    ))
+            try:
+                if key == "seed":
+                    plan_seed = int(value)
+                elif key in msg_floats:
+                    msg_kwargs[msg_floats[key]] = float(value)
+                elif key == "stop":
+                    msg_kwargs["stop"] = None if value in ("inf", "none") else float(value)
+                elif key == "delay_s":
+                    lo, _, hi = value.partition(":")
+                    msg_kwargs["delay_s"] = (float(lo), float(hi or lo))
+                elif key == "kinds":
+                    msg_kwargs["kinds"] = tuple(value.split("+"))
+                elif key in ("pause", "slow", "crash"):
+                    fields = value.split(":")
+                    kind = {"slow": "slowdown"}.get(key, key)
+                    if kind == "slowdown":
+                        if len(fields) != 4:
+                            raise ValueError(f"slow wants NODE:START:DURATION:FACTOR, got {value!r}")
+                        node_faults.append(NodeFault(
+                            node=int(fields[0]), kind=kind, start=float(fields[1]),
+                            duration=float(fields[2]), factor=float(fields[3]),
+                        ))
+                    else:
+                        if len(fields) != 3:
+                            raise ValueError(f"{key} wants NODE:START:DURATION, got {value!r}")
+                        node_faults.append(NodeFault(
+                            node=int(fields[0]), kind=kind, start=float(fields[1]),
+                            duration=float(fields[2]),
+                        ))
                 else:
-                    if len(fields) != 3:
-                        raise ValueError(f"{key} wants NODE:START:DURATION, got {value!r}")
-                    node_faults.append(NodeFault(
-                        node=int(fields[0]), kind=kind, start=float(fields[1]),
-                        duration=float(fields[2]),
-                    ))
-            else:
-                raise ValueError(f"unknown fault spec key {key!r}")
+                    raise ValueError(f"unknown fault spec key {key!r}")
+            except ValueError as exc:  # name the item each refusal came from
+                raise ValueError(f"{item!r}: {exc}") from None
         return cls(
             seed=plan_seed,
             messages=MessageFaults(**msg_kwargs),

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ga.functions import TestFunction
+from repro.inputs import check_fields, nonnegative, positive
 
 
 @dataclass(frozen=True)
@@ -34,17 +35,20 @@ class GaCostModel:
     """Baseline-seconds costs for GA operations on the reference node."""
 
     #: fixed cost of one fitness evaluation (decode + call overhead)
-    eval_base: float = 0.08e-3
+    eval_base: float = nonnegative(default=0.08e-3)
     #: additional evaluation cost per variable (loops over dimensions)
-    eval_per_var: float = 0.008e-3
+    eval_per_var: float = nonnegative(default=0.008e-3)
     #: extra factor for transcendental-heavy functions (sin/cos/sqrt)
-    transcendental_factor: float = 2.0
+    transcendental_factor: float = positive(default=2.0)
     #: selection + crossover + mutation cost per individual per generation
-    genop_per_individual: float = 0.08e-3
+    genop_per_individual: float = nonnegative(default=0.08e-3)
     #: migrant incorporation cost per migrant considered
-    incorporate_per_migrant: float = 0.005e-3
+    incorporate_per_migrant: float = nonnegative(default=0.005e-3)
     #: fitness-cache lookup cost per individual (hits still pay this)
-    cache_lookup: float = 0.004e-3
+    cache_lookup: float = nonnegative(default=0.004e-3)
+
+    def __post_init__(self) -> None:
+        check_fields(self)  # a negative cost would die mid-run, in a deme
 
     def eval_cost(self, fn: TestFunction) -> float:
         """Baseline seconds for ONE fitness evaluation of ``fn``."""

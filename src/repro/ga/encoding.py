@@ -13,32 +13,32 @@ All operations are vectorised over whole populations: chromosomes are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.ga.functions import TestFunction
+from repro.inputs import at_least, check_fields, unconstrained
 
 
 @dataclass(frozen=True)
 class BinaryEncoding:
     """Fixed-point binary encoding for ``n_vars`` variables."""
 
-    n_vars: int
-    bits_per_var: int
-    lower: float
-    upper: float
+    n_vars: int = at_least(1)
+    #: more than 30 bits overflows the int decode
+    bits_per_var: int = at_least(1, at_most=30)
+    lower: float = unconstrained("any finite bound; lower < upper is checked below")
+    upper: float = unconstrained("any finite bound; lower < upper is checked below")
     gray: bool = False
     #: decode weight of each bit of a field (MSB first), derived once
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_vars < 1 or self.bits_per_var < 1:
-            raise ValueError("n_vars and bits_per_var must be >= 1")
-        if not self.upper > self.lower:
-            raise ValueError("upper must exceed lower")
-        if self.bits_per_var > 30:
-            raise ValueError("bits_per_var > 30 overflows the int decode")
+        check_fields(self)
+        if not -math.inf < self.lower < self.upper < math.inf:
+            raise ValueError(f"need finite lower < upper, got [{self.lower}, {self.upper}]")
         weights = 1 << np.arange(self.bits_per_var - 1, -1, -1, dtype=np.int64)
         object.__setattr__(self, "_weights", weights)
 

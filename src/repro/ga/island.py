@@ -43,7 +43,8 @@ from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TestFunction, reseed_f4
 from repro.ga.operators import GaParams, ScalingWindow, evolve_one_generation
 from repro.ga.population import Population
-from repro.ga.topology import TopologySpec, wiring
+from repro.ga.topology import TOPOLOGIES, TopologySpec, wiring
+from repro.inputs import at_least, check_fields, one_of, positive, unconstrained
 from repro.obs.metrics import machine_metrics
 from repro.sim import CompletionCounter, Compute
 
@@ -68,19 +69,22 @@ class IslandGaConfig:
     """One island-GA run (a single trial of one bar of Figure 2/4)."""
 
     fn: TestFunction
-    n_demes: int
+    n_demes: int = at_least(1)
     mode: CoherenceMode
-    age: int = 0
-    n_generations: int = 300
-    seed: int = 0
+    age: int = at_least(0, default=0)
+    n_generations: int = at_least(0, default=300)
+    seed: int = at_least(0, default=0)
     params: GaParams = field(default_factory=GaParams)
     costs: GaCostModel = field(default_factory=GaCostModel)
     machine: MachineConfig | None = None
     #: emigrants per generation = migration_fraction * N (paper: N/2)
-    migration_fraction: float = 0.5
+    migration_fraction: float = positive(at_most=1.0, default=0.5)
     #: convergence target (serial baseline's final best); None = run all
     #: generations and only record quality
-    target: float | None = None
+    target: float | None = unconstrained(
+        "a fitness level: any value, and a target never met runs every generation",
+        default=None,
+    )
     gray: bool = False
     #: DSM write-propagation policy (EAGER = the paper's direct sends;
     #: COALESCE = Mermera-style sender buffering, ablation A3)
@@ -90,10 +94,10 @@ class IslandGaConfig:
     dynamic_age: bool = False
     #: migration topology (see repro.ga.topology); "all" reproduces the
     #: paper's all-to-all exchange bit-identically
-    topology: str = "all"
-    topology_seed: int = 0
-    topology_degree: int = 3
-    topology_group: int = 8
+    topology: str = one_of(TOPOLOGIES, default="all")
+    topology_seed: int = at_least(0, default=0)
+    topology_degree: int = at_least(1, default=3)
+    topology_group: int = at_least(2, default=8)
 
     def topology_spec(self) -> TopologySpec:
         """The migration wiring of this run as a :class:`TopologySpec`."""
@@ -105,15 +109,7 @@ class IslandGaConfig:
         )
 
     def __post_init__(self) -> None:
-        self.topology_spec()  # validates the topology fields
-        if self.n_demes < 1:
-            raise ValueError("need at least one deme")
-        if self.age < 0:
-            raise ValueError("age must be >= 0")
-        if self.n_generations < 0:
-            raise ValueError("n_generations must be >= 0")
-        if not 0.0 < self.migration_fraction <= 1.0:
-            raise ValueError("migration_fraction must be in (0, 1]")
+        check_fields(self)
 
 
 @dataclass

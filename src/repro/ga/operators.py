@@ -28,30 +28,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ga.population import Population
+from repro.inputs import at_least, check_fields, one_of, probability
 
 
 @dataclass
 class GaParams:
     """The six DeJong parameters (defaults = the paper's settings)."""
 
-    population_size: int = 50
-    crossover_rate: float = 0.6
-    mutation_rate: float = 0.001
-    generation_gap: float = 1.0
-    scaling_window: int = 1
+    population_size: int = at_least(2, default=50)
+    crossover_rate: float = probability(default=0.6)
+    mutation_rate: float = probability(default=0.001)
+    #: only G=1 (full replacement) is implemented, as in the paper
+    generation_gap: float = one_of((1.0,), default=1.0)
+    scaling_window: int = at_least(1, default=1)
     elitist: bool = True
 
     def __post_init__(self) -> None:
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if self.generation_gap != 1.0:
-            raise ValueError("only G=1 (full replacement) is implemented, as in the paper")
-        if self.scaling_window < 1:
-            raise ValueError("scaling_window must be >= 1")
+        check_fields(self)
 
 
 @dataclass

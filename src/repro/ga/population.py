@@ -18,6 +18,7 @@ class Population:
     fitness: np.ndarray
 
     def __post_init__(self) -> None:
+        # built per generation on the event path: inline checks, not repro.inputs
         self.genomes = np.ascontiguousarray(self.genomes, dtype=np.uint8)
         self.fitness = np.asarray(self.fitness, dtype=np.float64)
         if self.genomes.ndim != 2:

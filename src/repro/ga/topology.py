@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.inputs import at_least, check_fields, one_of
 from repro.partition.graph import Graph
 
 TOPOLOGIES = ("all", "ring", "torus", "hierarchical", "random")
@@ -49,23 +50,16 @@ TOPOLOGIES = ("all", "ring", "torus", "hierarchical", "random")
 class TopologySpec:
     """Which demes exchange migrants with which."""
 
-    kind: str = "all"
+    kind: str = one_of(TOPOLOGIES, default="all")
     #: entropy for ``random`` wiring (ignored by the structured kinds)
-    seed: int = 0
+    seed: int = at_least(0, default=0)
     #: in-degree of each deme under ``random``
-    degree: int = 3
+    degree: int = at_least(1, default=3)
     #: block size of ``hierarchical`` groups
-    group: int = 8
+    group: int = at_least(2, default=8)
 
     def __post_init__(self) -> None:
-        if self.kind not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.kind!r}; expected one of {TOPOLOGIES}"
-            )
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
-        if self.group < 2:
-            raise ValueError("group must be >= 2")
+        check_fields(self)
 
 
 def grid_shape(n: int) -> tuple[int, int]:

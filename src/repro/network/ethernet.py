@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.inputs import at_least, check_fields, nonnegative, positive
 from repro.network.base import Adapter, Network
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
@@ -48,31 +49,25 @@ from repro.sim.kernel import Kernel
 class EthernetConfig:
     """Parameters of the shared-medium model (defaults: 10BASE Ethernet)."""
 
-    bandwidth_bps: float = 10e6
+    bandwidth_bps: float = positive(default=10e6)
     #: one-way propagation delay across the segment
-    prop_delay: float = 25.6e-6
+    prop_delay: float = nonnegative(default=25.6e-6)
     #: inter-frame gap (9.6 us at 10 Mbps)
-    ifg: float = 9.6e-6
+    ifg: float = nonnegative(default=9.6e-6)
     #: 512-bit slot time at 10 Mbps
-    slot_time: float = 51.2e-6
+    slot_time: float = nonnegative(default=51.2e-6)
     #: preamble + MAC header + CRC, charged per frame
-    overhead_bytes: int = 26
-    min_payload: int = 46
+    overhead_bytes: int = at_least(0, default=26)
+    min_payload: int = at_least(1, default=46)
     #: MTU — the PVM layer fragments above this
-    max_payload: int = 1500
+    max_payload: int = at_least(1, default=1500)
     #: cap on the contention penalty window, in backoff slots
-    contention_cap: int = 8
+    contention_cap: int = at_least(1, default=8)
 
     def __post_init__(self) -> None:
-        if not self.bandwidth_bps > 0:
-            raise ValueError("bandwidth must be positive")
-        for name in ("prop_delay", "ifg", "slot_time"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0 < self.min_payload <= self.max_payload:
-            raise ValueError("need 0 < min_payload <= max_payload")
-        if self.contention_cap < 1:
-            raise ValueError("contention_cap must be >= 1")
+        check_fields(self)
+        if self.min_payload > self.max_payload:
+            raise ValueError("need min_payload <= max_payload")
 
     def tx_time(self, payload_bytes: int) -> float:
         """Wire time for one frame carrying ``payload_bytes``."""

@@ -61,6 +61,7 @@ class Frame:
     trace_ref: str | None = None
 
     def __post_init__(self) -> None:
+        # built per frame on the event path: an inline check, not repro.inputs
         if self.size_bytes < 0:
             raise ValueError(f"frame size must be >= 0, got {self.size_bytes}")
         if self.src == self.dst:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.inputs import at_least, check_fields, nonnegative, positive
 from repro.network.base import Network
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
@@ -22,19 +23,16 @@ from repro.sim.kernel import Kernel
 class LoaderConfig:
     """Offered load and framing of the background traffic."""
 
-    offered_load_bps: float = 1e6
-    frame_payload_bytes: int = 1024
+    offered_load_bps: float = positive(default=1e6)
+    frame_payload_bytes: int = at_least(1, default=1024)
     #: loader stops injecting after this simulated time (None = forever)
-    stop_after: float | None = None
+    stop_after: float | None = nonnegative(default=None, optional=True)
 
     def __post_init__(self) -> None:
-        if self.frame_payload_bytes <= 0:
-            raise ValueError("frame_payload_bytes must be positive")
+        check_fields(self)
 
     def mean_interarrival(self) -> float:
         """Mean gap between frame injections for the offered load."""
-        if self.offered_load_bps <= 0:
-            raise ValueError("offered load must be positive")
         return self.frame_payload_bytes * 8.0 / self.offered_load_bps
 
 
@@ -55,8 +53,6 @@ class NetworkLoader:
         dst_node: int,
         name: str = "loader",
     ) -> None:
-        if config.offered_load_bps <= 0:
-            raise ValueError("offered load must be positive; omit the loader for 0")
         self.kernel = kernel
         self.network = network
         self.config = config

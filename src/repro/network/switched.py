@@ -7,8 +7,8 @@ module models that family:
 
 ``single``
     every node hangs off one store-and-forward switch (a leaf of the
-    other two fabrics, and the n-port generalisation of
-    :class:`~repro.network.switch.SwitchNetwork`'s crossbar);
+    other two fabrics; with zero link latency it is the SP2's
+    non-blocking crossbar, :data:`SP2_SWITCH`);
 ``hierarchical``
     a radix-ary tree of switches — edge switches serve ``radix`` nodes
     each, aggregation switches serve ``radix`` edge switches, up to a
@@ -40,8 +40,9 @@ Broadcast frames are replicated *in the tree*, not at the sender: the
 frame climbs to the root once, then each switch forwards one copy down
 every child link.  Each link carries the frame exactly once, so an
 all-to-all migrant broadcast costs O(links) instead of O(destinations)
-serialised on the sender's egress — the difference between a multicast
-tree and the SP2 switch model's per-destination replication.
+serialised on the sender's egress.  The SP2 switch had no hardware
+multicast, so runs on :data:`SP2_SWITCH` keep ``hw_multicast`` off and
+PVM sends one unicast per destination.
 
 Determinism: no RNG anywhere; children are flooded in index order.
 """
@@ -50,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.network.base import Adapter, Network, check_link_config
+from repro.inputs import at_least, check_fields, nonnegative, one_of, positive
+from repro.network.base import Adapter, Network
 from repro.network.frame import BROADCAST, Frame
 from repro.sim.kernel import Kernel
 
@@ -61,24 +63,20 @@ FABRICS = ("single", "hierarchical", "fat-tree")
 class SwitchedConfig:
     """Parameters of a switched fabric (defaults: 1 Gbps edge links)."""
 
-    fabric: str = "hierarchical"
+    fabric: str = one_of(FABRICS, default="hierarchical")
     #: hosts per edge switch and child switches per aggregation switch
-    radix: int = 16
-    link_bandwidth_bps: float = 1e9
+    radix: int = at_least(2, default=16)
+    link_bandwidth_bps: float = positive(default=1e9)
     #: one-way propagation per link
-    link_latency: float = 2e-6
+    link_latency: float = nonnegative(default=2e-6)
     #: store-and-forward decision time charged per switch traversed
-    switch_latency: float = 1e-6
+    switch_latency: float = nonnegative(default=1e-6)
     #: per-frame packetisation overhead on every link
-    overhead_bytes: int = 18
-    max_payload: int = 1500
+    overhead_bytes: int = at_least(0, default=18)
+    max_payload: int = at_least(1, default=1500)
 
     def __post_init__(self) -> None:
-        if self.fabric not in FABRICS:
-            raise ValueError(f"unknown fabric {self.fabric!r}; expected one of {FABRICS}")
-        if self.radix < 2:
-            raise ValueError("radix must be >= 2")
-        check_link_config(self, ("link_latency", "switch_latency"))
+        check_fields(self)
 
     def trunk_bandwidth(self, level: int) -> float:
         """Bandwidth of a trunk from a level-``level`` switch to its parent.
@@ -113,6 +111,14 @@ class SwitchedConfig:
         """
         tx = self.tx_time(0)
         return 2.0 * (tx + self.link_latency) + self.switch_latency
+
+
+#: the SP2's high-performance switch (ablation A4): a non-blocking crossbar
+#: with full-duplex 40 MB/s (TB2-class) links and 0.5 us through the switch
+SP2_SWITCH = SwitchedConfig(
+    fabric="single", link_bandwidth_bps=320e6, link_latency=0.0, switch_latency=5e-7,
+    overhead_bytes=16, max_payload=65536,
+)
 
 
 class SwitchedNetwork(Network):

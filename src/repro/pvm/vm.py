@@ -20,10 +20,10 @@ on — is modelled at the right order of magnitude.  The constants live in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Generator, Iterable
 
+from repro.inputs import at_least, check_fields, nonnegative
 from repro.network.base import Network
 from repro.network.frame import BROADCAST, Frame
 from repro.pvm.message import ANY_SOURCE, ANY_TAG, Message
@@ -44,21 +44,17 @@ class PvmOverheads:
     checksum costs equivalent to ~15 MB/s.
     """
 
-    send_fixed: float = 0.9e-3
-    send_per_byte: float = 65e-9
+    send_fixed: float = nonnegative(default=0.9e-3)
+    send_per_byte: float = nonnegative(default=65e-9)
     #: extra fixed cost per additional mcast destination (buffer reused)
-    mcast_per_dest: float = 0.25e-3
-    recv_fixed: float = 0.6e-3
-    recv_per_byte: float = 65e-9
+    mcast_per_dest: float = nonnegative(default=0.25e-3)
+    recv_fixed: float = nonnegative(default=0.6e-3)
+    recv_per_byte: float = nonnegative(default=65e-9)
     #: per-message protocol header bytes on the wire
-    header_bytes: int = 32
+    header_bytes: int = at_least(0, default=32)
 
     def __post_init__(self) -> None:
-        # a negative cost would be dropped or refused mid-run, not charged
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
+        check_fields(self)  # a negative cost would be dropped or refused mid-run
 
     def send_cost(self, nbytes: int) -> float:
         """Sender-side CPU cost of shipping ``n_bytes``."""

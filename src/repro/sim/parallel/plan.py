@@ -49,21 +49,18 @@ def lookahead_of(mcfg: MachineConfig) -> float:
     """Minimum cross-node frame latency of the configured interconnect.
 
     Ethernet: inter-frame gap + wire time of a minimum frame + one-way
-    propagation.  Switch: minimum egress + crossbar + ingress traversal.
-    Switched fabrics: two host-link traversals around one edge switch —
-    a genuine per-link latency floor, which is what finally gives the
-    bounded-lag kernel frame-level lookahead (shared-bus arbitration
-    has none past the minimum frame; DESIGN.md §13/§14).  This is the
+    propagation.  Switched fabrics: two host-link traversals around one
+    edge switch — a genuine per-link latency floor, which is what
+    finally gives the bounded-lag kernel frame-level lookahead
+    (shared-bus arbitration has none past the minimum frame; DESIGN.md
+    §13/§14).  This is the
     natural conservative lookahead — no simulated node can influence
     another in less simulated time than this.
     """
     if mcfg.interconnect == "ethernet":
         c = mcfg.ethernet
         return c.ifg + c.tx_time(c.min_payload) + c.prop_delay
-    if mcfg.interconnect == "switched":
-        return mcfg.switched.min_latency()
-    c = mcfg.switch
-    return 2.0 * c.tx_time(0) + c.switch_latency
+    return mcfg.switched.min_latency()
 
 
 def plan_shards(

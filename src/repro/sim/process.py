@@ -53,6 +53,7 @@ class Compute:
     seconds: float
 
     def __post_init__(self) -> None:
+        # built per yield on the event path: an inline check, not repro.inputs
         if self.seconds < 0 or self.seconds != self.seconds:
             raise ValueError(f"Compute duration must be >= 0, got {self.seconds!r}")
 

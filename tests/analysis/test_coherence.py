@@ -447,10 +447,10 @@ class TestDriver:
     @pytest.mark.parametrize(
         "terms, message",
         [
-            ("tolerance='bogus'", "unknown tolerance class 'bogus'"),
-            ("age=-3", "age is a staleness tolerance and must be >= 0"),
-            ("writers=0", "writers must be >= 1"),
-            ("writers='one'", "not supported between"),
+            ("tolerance='bogus'", "tolerance must be one of 'read_only', "),
+            ("age=-3", "age must be an int >= 0 or None, got -3"),
+            ("writers=0", "writers must be an int >= 1, got 0"),
+            ("writers='one'", "writers must be an int >= 1, got 'one'"),
             ("tolerence='commutative'", "unexpected keyword argument"),
             ("age=AGE", "AGE is not a literal"),
         ],

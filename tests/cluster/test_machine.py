@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Machine, MachineConfig
+from repro.network import SP2_SWITCH, SwitchedNetwork
 from repro.sim import Compute
 
 
@@ -112,8 +113,8 @@ def test_unrunnable_machine_inputs_are_refused_naming_the_field(kwargs, message)
 
 
 def test_loader_frame_fits_the_chosen_interconnect():
-    # the switch's MTU is far above Ethernet's: the bound follows the fabric
-    MachineConfig(interconnect="switch", loader_frame_bytes=9000)
+    # the SP2 switch's MTU is far above Ethernet's: the bound follows the fabric
+    MachineConfig(interconnect="switched", switched=SP2_SWITCH, loader_frame_bytes=9000)
 
 
 def test_config_validation():
@@ -137,10 +138,14 @@ def test_trace_knobs_refused_not_silently_ignored(knobs):
 
 
 def test_switch_interconnect_selectable():
-    from repro.network import SwitchNetwork
+    m = Machine(MachineConfig(n_nodes=2, interconnect="switched", switched=SP2_SWITCH))
+    assert isinstance(m.network, SwitchedNetwork)
+    assert m.network.config is SP2_SWITCH
 
-    m = Machine(MachineConfig(n_nodes=2, interconnect="switch"))
-    assert isinstance(m.network, SwitchNetwork)
+
+def test_the_crossbar_interconnect_is_refused_naming_the_valid_ones():
+    with pytest.raises(ValueError, match="interconnect must be one of 'ethernet', 'switched'"):
+        MachineConfig(interconnect="switch")
 
 
 def test_with_load_zero_means_no_loader():

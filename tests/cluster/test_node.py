@@ -60,7 +60,7 @@ def test_invalid_spec_rejected():
     ],
 )
 def test_unrunnable_spec_is_refused_naming_the_field(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+    with pytest.raises(ValueError, match=rf"^NodeSpec\.{field} must be finite"):
         NodeSpec(**{field: value})
 
 

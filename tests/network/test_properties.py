@@ -1,7 +1,7 @@
 """Property-based tests for the link models: conservation and sanity.
 
 Two generations of link model are covered: the shared Ethernet and the
-SP2-style crossbar (``traffic`` strategy, below), and the switched
+SP2 switch preset (``traffic`` strategy, below), and the switched
 store-and-forward fabrics of :mod:`repro.network.switched`
 (``switched_traffic``), whose properties are parametrized over every
 fabric kind — single switch, oversubscribed hierarchical tree,
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.faults.injectors import MessageFaultInjector
 from repro.faults.plan import FaultPlan, MessageFaults
-from repro.network import BROADCAST, EthernetNetwork, Frame, SwitchNetwork
-from repro.network.switched import FABRICS, SwitchedConfig, SwitchedNetwork
+from repro.network import BROADCAST, EthernetNetwork, Frame
+from repro.network.switched import FABRICS, SP2_SWITCH, SwitchedConfig, SwitchedNetwork
 from repro.sim import Kernel
 from tests.network.oracles import min_frame_latency
 
@@ -47,7 +47,7 @@ def test_property_every_frame_delivered_exactly_right(t, use_switch):
     nothing is duplicated, dropped, or delivered to the sender."""
     n_nodes, seed, frames = t
     kernel = Kernel(seed=seed)
-    net = (SwitchNetwork if use_switch else EthernetNetwork)(kernel)
+    net = SwitchedNetwork(kernel, SP2_SWITCH) if use_switch else EthernetNetwork(kernel)
     received = {i: [] for i in range(n_nodes)}
     for i in range(n_nodes):
         net.attach(i, (lambda i: lambda f: received[i].append(f))(i))

@@ -1,14 +1,14 @@
-"""Switch model: parallel links, per-link serialization, broadcast replication."""
+"""The SP2 switch preset: parallel links, per-link serialization, broadcast replication."""
 
 import pytest
 
-from repro.network import BROADCAST, Frame, SwitchConfig, SwitchNetwork
+from repro.network import BROADCAST, SP2_SWITCH, Frame, SwitchedConfig, SwitchedNetwork
 from repro.sim import Kernel
 
 
-def make_net(n_nodes=4, seed=0, config=None):
+def make_net(n_nodes=4, seed=0, config=SP2_SWITCH):
     kernel = Kernel(seed=seed)
-    net = SwitchNetwork(kernel, config=config)
+    net = SwitchedNetwork(kernel, config=config)
     inboxes = {i: [] for i in range(n_nodes)}
     for i in range(n_nodes):
         net.attach(i, inboxes[i].append)
@@ -29,7 +29,7 @@ def test_config_refuses_a_field_no_run_survives(field, value):
     """Left to the run, each of these surfaces mid-run as a
     ZeroDivisionError inside a process or an event scheduled before now."""
     with pytest.raises(ValueError, match=field):
-        SwitchConfig(**{field: value})
+        SwitchedConfig(**{field: value})
 
 
 def test_point_to_point_latency():
@@ -93,10 +93,10 @@ def test_switch_is_much_faster_than_ethernet():
     from repro.network import EthernetConfig
 
     eth = EthernetConfig()
-    sw = SwitchConfig()
+    sw = SP2_SWITCH
     assert sw.tx_time(1000) < eth.tx_time(1000) / 10
 
 
 def test_switch_mtu_enforced():
     with pytest.raises(ValueError):
-        SwitchConfig().tx_time(100000)
+        SP2_SWITCH.tx_time(100000)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network import EthernetNetwork, SwitchNetwork
+from repro.network import SP2_SWITCH, EthernetNetwork, SwitchedNetwork
 from repro.pvm import VirtualMachine
 from repro.sim import Kernel
 
@@ -23,7 +23,7 @@ def test_property_any_message_roundtrips_across_either_network(
     """Arbitrary payloads of arbitrary wire size survive fragmentation,
     transmission and reassembly intact on both link models."""
     kernel = Kernel(seed=seed)
-    net = (SwitchNetwork if switch else EthernetNetwork)(kernel)
+    net = SwitchedNetwork(kernel, SP2_SWITCH) if switch else EthernetNetwork(kernel)
     vm = VirtualMachine(kernel, net)
     t0, t1 = vm.add_task(0), vm.add_task(1)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.network import EthernetConfig, EthernetNetwork, SwitchNetwork
+from repro.network import SP2_SWITCH, EthernetConfig, EthernetNetwork, SwitchedNetwork
 from repro.pvm import ANY_SOURCE, ANY_TAG, PvmOverheads, VirtualMachine
 from repro.sim import DeadlockError, Kernel
 
@@ -283,7 +283,9 @@ def test_send_to_unknown_task_raises():
 
 
 def test_works_over_switch_network_too():
-    kernel, vm, (t0, t1, *_) = make_vm(network_cls=SwitchNetwork)
+    kernel, vm, (t0, t1, *_) = make_vm(
+        network_cls=lambda kernel: SwitchedNetwork(kernel, SP2_SWITCH)
+    )
     got = {}
 
     def sender():

@@ -34,9 +34,12 @@ def ga_comm_graph(n_demes, migrant_nbytes):
 
 def test_lookahead_positive_for_both_interconnects():
     from repro.cluster.machine import MachineConfig
+    from repro.network.switched import SP2_SWITCH
 
     eth = lookahead_of(MachineConfig(n_nodes=2))
-    sw = lookahead_of(MachineConfig(n_nodes=2, interconnect="switch"))
+    sw = lookahead_of(
+        MachineConfig(n_nodes=2, interconnect="switched", switched=SP2_SWITCH)
+    )
     assert eth > 0 and sw > 0
 
 
