@@ -24,7 +24,7 @@ Run:  python examples/race_classification.py [function-id] [n-demes] [age]
 
 import sys
 
-from repro.analysis.report import classify_three_modes, race_table
+from repro.experiments.race_report import classify_three_modes, race_table
 
 
 def main(fid: int = 1, n_demes: int = 4, age: int = 10) -> None:

@@ -2,11 +2,12 @@
 
 * :mod:`repro.analysis.lint` — the ``RPR0xx`` determinism lint;
 * :mod:`repro.analysis.races` — the happens-before race fold over a run
-  trace (DESIGN.md §7), behind ``python -m repro.analysis report``;
+  trace (DESIGN.md §7), behind ``python -m
+  repro.experiments.race_report``;
 * :mod:`repro.analysis.coherence` — the static coherence analyzer and
   its trace cross-check (``RPR1xx``);
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis
-  {lint,report,coherence}``; :mod:`repro.analysis.fixtures` — the
+  {lint,coherence}``; :mod:`repro.analysis.fixtures` — the
   ``REPRO_SANITIZE=1`` pytest fixture.
 """
 
@@ -23,7 +24,6 @@ from repro.analysis.lint import (
     lint_source,
 )
 from repro.analysis.races import RaceClass, RacePair, VectorClock, classify_races
-from repro.analysis.report import classify_island_run, race_table
 
 __all__ = [
     "CoherenceFinding",
@@ -38,6 +38,4 @@ __all__ = [
     "RacePair",
     "VectorClock",
     "classify_races",
-    "classify_island_run",
-    "race_table",
 ]

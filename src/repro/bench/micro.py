@@ -212,16 +212,12 @@ def bench_obs(repeat: int = 2) -> dict:
     runs offline, after the simulation.
     """
     from repro.check import golden_ga
+    from repro.experiments.traced import traced_trial
     from repro.ga.island import run_island_ga
     from repro.obs.causal import attribute, build_spans, critical_path
 
     def one_run(trace: bool):
-        holder: dict = {}
-        run_island_ga(
-            golden_ga(trace=trace),
-            instrument=lambda dsm: holder.setdefault("dsm", dsm),
-        )
-        return holder["dsm"].vm.kernel.obs
+        return traced_trial(run_island_ga, golden_ga(trace=trace)).bus
 
     _, off_s = timed(one_run, False, repeat=repeat)
     bus, on_s = timed(one_run, True, repeat=repeat)

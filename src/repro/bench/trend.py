@@ -5,7 +5,7 @@ nothing ever read the curve: BENCH_2..n accumulated at the repo root
 and regressions (or flatness) were invisible unless a human opened two
 JSON files side by side.  This module turns the series into a judgment:
 
-* a per-key **sparkline table** (``python -m repro.obs trend``) showing
+* a per-key **sparkline table** (``python -m repro.bench.trend``) showing
   every numeric metric's whole history at a glance;
 * a **pct-change check** of the newest point against the most recent
   previous measurement of each key, classified by a direction registry
@@ -30,15 +30,27 @@ stays vs the immediately previous point.
 
 Bench points are the ``BENCH_*.json`` files at the repo root
 (:func:`repro.bench.harness.load_trajectory`) followed by any extra
-bench documents named on the command line (``trend BENCH_trend.json``:
-the fresh point CI measures and gates against the committed history).
+bench documents named on the command line (``python -m repro.bench.trend
+BENCH_trend.json``: the fresh point CI measures and gates against the
+committed history).
+
+``python -m repro.bench.trend [BENCH.json ...] [--root DIR] [--check]
+[--threshold F] [--min-magnitude F] [--json] [--verbose] [--out PATH]``
+prints the table (or the ``repro-obs-trend/1`` envelope); ``--check``
+exits 1 on a regression beyond the threshold and 2 when there are fewer
+than two points to compare.  An unreadable or malformed bench document
+exits 2 with its path in the message.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
+import sys
 from typing import Any, Sequence
 
+from repro.bench.harness import load_trajectory
 from repro.util.envelope import make_envelope, read_json
 
 #: schema tag of the :func:`trend_report` envelope
@@ -103,8 +115,6 @@ def load_points(
     """The bench trajectory as ``[(label, flat metrics), ...]``, oldest
     first: root ``BENCH_<n>.json`` files, then the ``extra`` bench
     documents in the order given (labelled by file name)."""
-    from repro.bench.harness import load_trajectory
-
     points = [
         (f"BENCH_{n}", flatten_payload(payload))
         for n, payload in load_trajectory(root)
@@ -264,3 +274,79 @@ def render_trend(analysis: dict[str, Any], verbose: bool = False) -> str:
         lines.append("")
         lines.append("no regressions beyond threshold on the latest transition")
     return "\n".join(lines)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.bench.trend`` entry point; returns the exit code."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench.trend",
+        description="Perf-trajectory analysis of BENCH_*.json.",
+    )
+    parser.add_argument(
+        "points", nargs="*", metavar="BENCH.json",
+        help="extra bench documents appended, in order, after --root's series",
+    )
+    parser.add_argument(
+        "--root", default=".", metavar="DIR",
+        help="directory holding BENCH_<n>.json files (default .)",
+    )
+    parser.add_argument(
+        "--threshold", type=float, default=DEFAULT_THRESHOLD, metavar="F",
+        help=f"regression threshold as a fraction (default {DEFAULT_THRESHOLD})",
+    )
+    parser.add_argument(
+        "--min-magnitude", type=float, default=DEFAULT_MIN_MAGNITUDE, metavar="F",
+        help=(
+            "skip comparisons where both sides are below F "
+            f"(default {DEFAULT_MIN_MAGNITUDE})"
+        ),
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help=(
+            "exit 1 if the latest transition regressed beyond the threshold, "
+            "2 if there are fewer than two points"
+        ),
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the repro-obs-trend/1 JSON envelope instead of text",
+    )
+    parser.add_argument(
+        "--verbose", action="store_true",
+        help="include informational / noisy / new keys in the table",
+    )
+    parser.add_argument("--out", default=None, metavar="PATH")
+    args = parser.parse_args(argv)
+
+    try:
+        points = load_points(args.root, extra=args.points)
+        if args.check and len(points) < 2:
+            print(
+                f"error: trend --check needs at least two bench points, found "
+                f"{len(points)} (BENCH_<n>.json under {args.root!r} plus "
+                f"{len(args.points)} named)",
+                file=sys.stderr,
+            )
+            return 2
+        analysis = analyze(
+            points, threshold=args.threshold, min_magnitude=args.min_magnitude
+        )
+        if args.json:
+            text = json.dumps(trend_report(analysis), indent=2, sort_keys=True)
+        else:
+            text = render_trend(analysis, verbose=args.verbose)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            print(f"trend -> {args.out}")
+        else:
+            print(text)
+    except (OSError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 1 if args.check and not analysis["ok"] else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

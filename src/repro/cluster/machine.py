@@ -72,6 +72,13 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        for fault in self.faults.node_faults if self.faults is not None else ():
+            # only compute nodes get a fault model: any other id is a no-op
+            if fault.node >= self.n_nodes:
+                raise ValueError(
+                    f"{fault.kind} fault on node {fault.node}, but the machine "
+                    f"has n_nodes={self.n_nodes} (ids 0..{self.n_nodes - 1})"
+                )
         if self.hw_multicast and self.interconnect != "switched":
             raise ValueError("hw_multicast requires the 'switched' interconnect")
         if self.speed_factors and len(self.speed_factors) != self.n_nodes:

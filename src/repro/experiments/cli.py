@@ -1,4 +1,4 @@
-"""The one ``main`` behind every ``python -m repro.experiments.<name>``.
+"""The one ``main`` behind every ``python -m repro.experiments.<driver>``.
 
 A driver module is a cell list over :func:`~repro.experiments.runner.
 run_cells`, a reducer and a formatter; its command line is one
@@ -191,9 +191,9 @@ class Driver:
         print(self.format(result))
         if self.app is not None and (args.trace or args.metrics):
             # lazy import: drivers that never pass the knobs pay nothing
-            from repro.obs.integration import trace_experiment
+            from repro.experiments.traced import write_traced_trial
 
-            trace_experiment(
+            write_traced_trial(
                 self.app,
                 args.scale,
                 args.trace,

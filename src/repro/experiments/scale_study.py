@@ -256,16 +256,14 @@ def run_traced_stream(
     """
     from dataclasses import replace as _replace
 
+    from repro.experiments.traced import traced_trial
+
     cfg = scenario(n_demes, "ring", "hierarchical", age=5,
                    n_generations=10, trace=True)
     cfg = _replace(cfg, machine=_replace(
         cfg.machine, trace_sink=trace_path, trace_flush_every=flush_every,
     ))
-    holder: dict = {}
-    result = run_island_ga(
-        cfg, instrument=lambda dsm: holder.setdefault("dsm", dsm)
-    )
-    bus = holder["dsm"].vm.kernel.obs
+    result, bus = traced_trial(run_island_ga, cfg)
     events = bus.write_jsonl()
     return {
         "trace": trace_path,

@@ -188,11 +188,11 @@ class SwitchedNetwork(Network):
 
     # -- scheduling -----------------------------------------------------
     def _hop(
-        self, key: tuple, bw: float, arrival: float, size: int
+        self, key: tuple, bw: float, arrival: float, bits: float
     ) -> tuple[float, float]:
-        """Serialise one frame onto ``key``; returns (start, end)."""
+        """Serialise ``bits`` wire bits onto ``key``; returns (start, end)."""
         start = max(arrival, self._busy.get(key, 0.0))
-        done = start + self.config.tx_time(size, bw)
+        done = start + bits / bw
         self._busy[key] = done
         return start, done
 
@@ -204,45 +204,44 @@ class SwitchedNetwork(Network):
                 f"{cfg.max_payload} B — fragment at the PVM layer"
             )
         frame.enqueue_time = self.kernel.now
+        bits = (cfg.overhead_bytes + frame.size_bytes) * 8.0  # as tx_time counts
         destinations = self._destinations(frame)
         if len(destinations) > 1:
             self.stats.broadcasts += 1
-            self._multicast(frame)
+            self._multicast(frame, bits)
             return
         dst = destinations[0]
         t = self.kernel.now
         first = True
         for key, bw in self.path_hops(frame.src, dst):
-            start, done = self._hop(key, bw, t, frame.size_bytes)
+            start, done = self._hop(key, bw, t, bits)
             if first:
                 frame.tx_start_time = start
                 self.stats.queueing_delay.add(frame.queueing_delay)
                 first = False
             t = done + cfg.link_latency + cfg.switch_latency
         t -= cfg.switch_latency  # the last hop ends at a host, not a switch
-        self._account(frame.size_bytes)
+        self._account(frame.size_bytes, bits)
         self.kernel.schedule_at(t, self._deliver, frame, dst)
 
-    def _multicast(self, frame: Frame) -> None:
+    def _multicast(self, frame: Frame, bits: float) -> None:
         """Tree replication: once up to the root, then down every branch."""
         cfg = self.config
-        size = frame.size_bytes
         start, t = self._hop(
-            ("h", frame.src, "u"), cfg.link_bandwidth_bps, self.kernel.now, size
+            ("h", frame.src, "u"), cfg.link_bandwidth_bps, self.kernel.now, bits
         )
         frame.tx_start_time = start
         self.stats.queueing_delay.add(frame.queueing_delay)
         t += cfg.link_latency + cfg.switch_latency
         idx = self._edge_of(frame.src)
         for level in range(self._levels()):
-            _, t = self._hop(("t", level, idx, "u"), cfg.trunk_bandwidth(level), t, size)
+            _, t = self._hop(("t", level, idx, "u"), cfg.trunk_bandwidth(level), t, bits)
             t += cfg.link_latency + cfg.switch_latency
             idx //= cfg.radix
-        self._flood_down(self._levels(), idx, t, frame)
+        self._flood_down(self._levels(), idx, t, frame, bits)
 
-    def _flood_down(self, level: int, idx: int, t: float, frame: Frame) -> None:
+    def _flood_down(self, level: int, idx: int, t: float, frame: Frame, bits: float) -> None:
         cfg = self.config
-        size = frame.size_bytes
         if level == 0:
             # edge switch: one copy per attached host on this switch
             if cfg.fabric == "single":
@@ -255,8 +254,8 @@ class SwitchedNetwork(Network):
             for node in hosts:
                 if node == frame.src:
                     continue
-                _, done = self._hop(("h", node, "d"), cfg.link_bandwidth_bps, t, size)
-                self._account(size)
+                _, done = self._hop(("h", node, "d"), cfg.link_bandwidth_bps, t, bits)
+                self._account(frame.size_bytes, bits)
                 self.kernel.schedule_at(done + cfg.link_latency, self._deliver, frame, node)
             return
         child_span = cfg.radix ** (level - 1)  # edge switches per child subtree
@@ -265,14 +264,13 @@ class SwitchedNetwork(Network):
             if child * child_span >= n_edges:
                 break  # no edge switches (hence no hosts) in this subtree
             _, done = self._hop(
-                ("t", level - 1, child, "d"), cfg.trunk_bandwidth(level - 1), t, size
+                ("t", level - 1, child, "d"), cfg.trunk_bandwidth(level - 1), t, bits
             )
-            self._flood_down(
-                level - 1, child, done + cfg.link_latency + cfg.switch_latency, frame
-            )
+            t_child = done + cfg.link_latency + cfg.switch_latency
+            self._flood_down(level - 1, child, t_child, frame, bits)
 
-    def _account(self, size: int) -> None:
+    def _account(self, size: int, bits: float) -> None:
         self.stats.frames_sent += 1
         self.stats.bytes_sent += size
         self.stats.wire_bytes_sent += self.config.overhead_bytes + size
-        self.stats.busy_time += self.config.tx_time(size)
+        self.stats.busy_time += bits / self.config.link_bandwidth_bps

@@ -32,10 +32,11 @@ On top of the flat trace sits the **causal layer** (DESIGN.md §11):
 * :mod:`repro.obs.schema` — trace-schema validation
   (``python -m repro.obs validate``), the CI gate on trace artifacts.
 
-:mod:`repro.obs.integration` runs one traced GA or Bayes trial and is
-what the experiment runners' ``--trace``/``--metrics`` knobs use;
-:mod:`repro.obs.trend` gates the committed ``BENCH_<n>.json`` series.
-Host time is not asked here: profile from outside the program
+The layer only reads: it imports no application, experiment or bench
+code.  The traced trial behind every driver's ``--trace``/``--metrics``
+is :mod:`repro.experiments.traced`, and the gate over the committed
+``BENCH_<n>.json`` series is :mod:`repro.bench.trend`.  Host time is
+not asked here either: profile from outside the program
 (``python -m cProfile``, ``perfbench/run.py --trace 1`` — DESIGN.md
 §15).  See ``docs/observability.md`` for the trace schema and a worked
 example.

@@ -18,12 +18,6 @@ Subcommands
     Check a trace file against the documented event schema; exit 1 on
     violations (the CI gate for trace-producing jobs).  Accepts plain,
     gzipped and rotated traces.
-``trend [BENCH.json ...] [--root DIR] [--check] [--threshold F] [--json]``
-    Perf-trajectory analysis over ``BENCH_*.json`` under ``--root``
-    followed by the bench documents named as positionals: per-key
-    sparkline table and pct-change of the latest transition;
-    ``--check`` exits 1 on a regression beyond the threshold (the CI
-    trend-gate) and 2 when there are fewer than two points to compare.
 
 Unreadable or malformed input files exit 2 with the path in the message.
 """
@@ -40,10 +34,6 @@ from repro.obs.diff import DEFAULT_DIFF_BINS, diff_traces, render_diff
 from repro.obs.report import DEFAULT_BINS, render_report, report_dict
 from repro.obs.schema import validate_trace
 from repro.util.envelope import read_json, render_envelope
-
-
-def _read_events(path: str) -> list:
-    return list(read_jsonl(path))
 
 
 def _bins(text: str) -> int:
@@ -127,40 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         help="treat unknown event kinds as errors, not warnings",
     )
 
-    trd = sub.add_parser("trend", help="perf-trajectory analysis of BENCH_*.json")
-    trd.add_argument(
-        "points", nargs="*", metavar="BENCH.json",
-        help="extra bench documents appended, in order, after --root's series",
-    )
-    trd.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="directory holding BENCH_<n>.json files (default .)",
-    )
-    trd.add_argument(
-        "--threshold", type=float, default=None, metavar="F",
-        help="regression threshold as a fraction (default 0.25)",
-    )
-    trd.add_argument(
-        "--min-magnitude", type=float, default=None, metavar="F",
-        help="skip comparisons where both sides are below F (default 0.05)",
-    )
-    trd.add_argument(
-        "--check", action="store_true",
-        help=(
-            "exit 1 if the latest transition regressed beyond the threshold, "
-            "2 if there are fewer than two points"
-        ),
-    )
-    trd.add_argument(
-        "--json", action="store_true",
-        help="emit the repro-obs-trend/1 JSON envelope instead of text",
-    )
-    trd.add_argument(
-        "--verbose", action="store_true",
-        help="include informational / noisy / new keys in the table",
-    )
-    trd.add_argument("--out", default=None, metavar="PATH")
-
     args = parser.parse_args(argv)
 
     try:
@@ -187,8 +143,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "diff":
             d = diff_traces(
-                _read_events(args.trace_a),
-                _read_events(args.trace_b),
+                list(read_jsonl(args.trace_a)),
+                list(read_jsonl(args.trace_b)),
                 bins=args.bins,
                 label_a=args.trace_a,
                 label_b=args.trace_b,
@@ -197,62 +153,21 @@ def main(argv: list[str] | None = None) -> int:
             _write_out(text, args.out, "diff")
             return 0
 
-        if args.command == "validate":
-            verdict = validate_trace(args.trace, strict=args.strict)
-            for msg in verdict["warnings"]:
-                print(f"warning: {msg}", file=sys.stderr)
-            for msg in verdict["errors"]:
-                print(f"error: {msg}", file=sys.stderr)
-            status = "OK" if verdict["ok"] else "INVALID"
-            print(
-                f"{args.trace}: {status} — {verdict['events']} events, "
-                f"{verdict['error_count']} errors, "
-                f"{verdict['warning_count']} warnings"
-            )
-            return 0 if verdict["ok"] else 1
-
-        if args.command == "trend":
-            from repro.obs.trend import (
-                DEFAULT_MIN_MAGNITUDE,
-                DEFAULT_THRESHOLD,
-                analyze,
-                load_points,
-                render_trend,
-                trend_report,
-            )
-
-            points = load_points(args.root, extra=args.points)
-            if args.check and len(points) < 2:
-                print(
-                    f"error: trend --check needs at least two bench points, found "
-                    f"{len(points)} (BENCH_<n>.json under {args.root!r} plus "
-                    f"{len(args.points)} named)",
-                    file=sys.stderr,
-                )
-                return 2
-            analysis = analyze(
-                points,
-                threshold=(
-                    DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-                ),
-                min_magnitude=(
-                    DEFAULT_MIN_MAGNITUDE
-                    if args.min_magnitude is None
-                    else args.min_magnitude
-                ),
-            )
-            if args.json:
-                text = json.dumps(trend_report(analysis), indent=2, sort_keys=True)
-            else:
-                text = render_trend(analysis, verbose=args.verbose)
-            _write_out(text, args.out, "trend")
-            if args.check and not analysis["ok"]:
-                return 1
-            return 0
+        verdict = validate_trace(args.trace, strict=args.strict)
+        for msg in verdict["warnings"]:
+            print(f"warning: {msg}", file=sys.stderr)
+        for msg in verdict["errors"]:
+            print(f"error: {msg}", file=sys.stderr)
+        status = "OK" if verdict["ok"] else "INVALID"
+        print(
+            f"{args.trace}: {status} — {verdict['events']} events, "
+            f"{verdict['error_count']} errors, "
+            f"{verdict['warning_count']} warnings"
+        )
+        return 0 if verdict["ok"] else 1
     except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2  # pragma: no cover - unreachable (subparser is required)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""CLI exit codes and output formats for ``python -m repro.analysis``."""
+"""CLI exit codes and output formats for ``python -m repro.analysis``, and
+for the race census it folds, ``python -m repro.experiments.race_report``."""
 
 import json
 import os
@@ -6,6 +7,7 @@ import os
 import pytest
 
 from repro.analysis.cli import main
+from repro.experiments.race_report import main as race_report
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
@@ -64,17 +66,17 @@ class TestLintCommand:
 
 
 class TestRacesCommand:
-    """Per-mode race classification, as ``report`` runs and gates it."""
+    """Per-mode race classification, as ``race_report`` runs and gates it."""
 
     @staticmethod
     def _runs(capsys, *argv):
-        rc = main(["report", "--json", *argv])
+        rc = race_report(["--json", *argv])
         assert rc == 0
         sync, async_, gr = json.loads(capsys.readouterr().out)["runs"]
         return sync, async_, gr
 
     def test_gr_mode_passes_default_gate(self, capsys):
-        rc = main(["report", "--generations", "20", "--demes", "3"])
+        rc = race_report(["--generations", "20", "--demes", "3"])
         out = capsys.readouterr().out
         assert rc == 0, out
         gr_row = next(l for l in out.splitlines() if l.startswith("Global_Read"))
@@ -105,14 +107,14 @@ class TestRacesCommand:
 
 class TestReportCommand:
     def test_three_mode_shape_holds(self, capsys):
-        rc = main(["report", "--generations", "40"])
+        rc = race_report(["--generations", "40"])
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "shape OK" in out
         assert "synchronous" in out and "asynchronous" in out
 
     def test_report_json(self, capsys):
-        rc = main(["report", "--generations", "30", "--json"])
+        rc = race_report(["--generations", "30", "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["problems"] == []
@@ -121,7 +123,7 @@ class TestReportCommand:
         assert all(r["consistency_violations"] == 0 for r in doc["runs"])
 
     def test_negative_age_exits_two(self, capsys):
-        assert main(["report", "--age", "-1"]) == 2
+        assert race_report(["--age", "-1"]) == 2
         assert "must be >= 0" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -136,7 +138,7 @@ class TestReportCommand:
         ],
     )
     def test_bad_arguments_exit_two_naming_the_flag(self, capsys, argv, flag):
-        assert main(["report", *argv]) == 2
+        assert race_report(argv) == 2
         out = capsys.readouterr().out
         assert out.startswith(f"error: {flag}")
         assert "PROBLEM" not in out and "Traceback" not in out
@@ -278,7 +280,7 @@ class TestCoherenceCommand:
             a for a in _build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
-        assert sorted(sub.choices) == ["coherence", "lint", "report"]
+        assert sorted(sub.choices) == ["coherence", "lint"]
         flags = {
             o for a in sub.choices["coherence"]._actions for o in a.option_strings
         }

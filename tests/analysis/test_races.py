@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.races import RaceClass, VectorClock, classify_races
-from repro.analysis.report import classify_island_run, classify_three_modes, race_table
+from repro.experiments.race_report import classify_island_run, classify_three_modes, race_table
 from repro.bayes.parallel import run_parallel_logic_sampling
 from repro.check import golden_bayes, golden_ga
 from repro.cluster import Machine, MachineConfig

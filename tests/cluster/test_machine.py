@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Machine, MachineConfig
+from repro.faults.plan import FaultPlan
 from repro.network import SP2_SWITCH, SwitchedNetwork
 from repro.sim import Compute
 
@@ -135,6 +136,14 @@ def test_config_validation():
 def test_trace_knobs_refused_not_silently_ignored(knobs):
     with pytest.raises(ValueError, match="trace"):
         MachineConfig(n_nodes=2, **knobs)
+
+
+@pytest.mark.parametrize("spec", ["pause=7:0:1", "crash=2:0.5:1", "slow=2:0:1:3"])
+def test_node_faults_on_nodes_that_do_not_exist_are_refused(spec):
+    # only compute nodes 0..n_nodes-1 carry a fault model: a fault on any
+    # other id would leave the run silently healthy
+    with pytest.raises(ValueError, match=r"on node \d, but the machine has n_nodes=2"):
+        MachineConfig(n_nodes=2, faults=FaultPlan.parse(spec))
 
 
 def test_switch_interconnect_selectable():

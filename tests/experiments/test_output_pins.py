@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.report import classify_three_modes, race_table
+from repro.experiments.race_report import classify_three_modes, race_table
 from repro.experiments.config import Scale
 from repro.experiments.quality import format_quality, run_quality
 from repro.experiments.scale_study import format_scale_study, run_scale_study

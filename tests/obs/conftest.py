@@ -8,7 +8,7 @@ and metric stability hold on whichever run the session built first).
 
 import pytest
 
-from repro.obs.integration import traced_bayes_run, traced_ga_run
+from repro.experiments.traced import traced_bayes_run, traced_ga_run
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.obs.bus import GzipJsonlSink, ObsEvent, TraceBus, read_jsonl, shape
-from repro.obs.integration import traced_ga_run
+from repro.experiments.traced import traced_ga_run
 
 
 def _clock_factory():

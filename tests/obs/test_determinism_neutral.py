@@ -23,7 +23,7 @@ def test_untraced_digests_still_match_golden(check_report):
 def test_span_building_leaves_trace_untouched():
     """Building the causal graph is read-only: digests are unmoved."""
     from repro.obs.causal import attribute, build_spans, critical_path
-    from repro.obs.integration import traced_ga_run
+    from repro.experiments.traced import traced_ga_run
 
     run = traced_ga_run(n_demes=2, seed=3, n_generations=25)
     before = run.bus.digest()

@@ -15,7 +15,7 @@ from repro.obs.diff import (
     render_diff,
     run_profile,
 )
-from repro.obs.integration import traced_ga_run
+from repro.experiments.traced import traced_ga_run
 
 
 @pytest.fixture(scope="module")

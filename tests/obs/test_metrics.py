@@ -12,7 +12,7 @@ import pytest
 
 from repro.bayes.rollback import RollbackStats
 from repro.cluster import Machine, MachineConfig
-from repro.obs.integration import traced_ga_run
+from repro.experiments.traced import traced_ga_run
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     machine_metrics,

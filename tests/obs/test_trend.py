@@ -1,13 +1,15 @@
-"""Perf-trajectory analyzer: directions, verdicts, gate exit codes."""
+"""``repro.bench.trend``, the perf-trajectory analyzer: directions,
+verdicts, gate exit codes."""
 
 import json
 
-from repro.obs.trend import (
+from repro.bench.trend import (
     DEFAULT_THRESHOLD,
     analyze,
     direction_of,
     flatten_payload,
     load_points,
+    main,
     render_trend,
     sparkline,
     trend_report,
@@ -129,21 +131,17 @@ def _bench_file(root, n, micro):
 
 
 def test_cli_check_gate_pass_then_fail(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
     _bench_file(tmp_path, 1, {"kernel_wall_s": 1.0})
     _bench_file(tmp_path, 2, {"kernel_wall_s": 1.05})
-    assert main(["trend", "--root", str(tmp_path), "--check"]) == 0
+    assert main(["--root", str(tmp_path), "--check"]) == 0
     capsys.readouterr()
     _bench_file(tmp_path, 3, {"kernel_wall_s": 1.40})  # +33% > 25%
-    assert main(["trend", "--root", str(tmp_path), "--check"]) == 1
+    assert main(["--root", str(tmp_path), "--check"]) == 1
     out = capsys.readouterr().out
     assert "REGRESSED" in out and "kernel_wall_s" in out
 
 
 def test_cli_json_and_positional_points(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
     _bench_file(tmp_path, 1, {"kernel_wall_s": 1.0})
     extra = tmp_path / "elsewhere"
     extra.mkdir()
@@ -154,7 +152,7 @@ def test_cli_json_and_positional_points(tmp_path, capsys):
     }) + "\n")
     labels = [l for l, _ in load_points(str(tmp_path), [str(bench2)])]
     assert labels == ["BENCH_1", "b2.json"]
-    code = main(["trend", str(bench2), "--root", str(tmp_path), "--json"])
+    code = main([str(bench2), "--root", str(tmp_path), "--json"])
     assert code == 0
     env = json.loads(capsys.readouterr().out)
     assert env["schema"] == "repro-obs-trend/1"
@@ -163,28 +161,24 @@ def test_cli_json_and_positional_points(tmp_path, capsys):
 
 def test_cli_check_needs_two_points(tmp_path, capsys):
     """A mistyped --root must not turn the gate green: no points is exit 2."""
-    from repro.obs.__main__ import main
-
     empty = tmp_path / "no_bench_here"
     empty.mkdir()
-    assert main(["trend", "--root", str(empty), "--check"]) == 2
+    assert main(["--root", str(empty), "--check"]) == 2
     err = capsys.readouterr().err
     assert str(empty) in err and "found 0" in err
     _bench_file(empty, 1, {"kernel_wall_s": 1.0})
-    assert main(["trend", "--root", str(empty), "--check"]) == 2
+    assert main(["--root", str(empty), "--check"]) == 2
     assert "found 1" in capsys.readouterr().err
     # without --check the (empty) table still prints
-    assert main(["trend", "--root", str(tmp_path / "no_bench_here2")]) == 0
+    assert main(["--root", str(tmp_path / "no_bench_here2")]) == 0
     assert "no points" in capsys.readouterr().out
 
 
 def test_cli_malformed_bench_document_exit_2(tmp_path, capsys):
-    from repro.obs.__main__ import main
-
     _bench_file(tmp_path, 1, {"kernel_wall_s": 1.0})
     bad = tmp_path / "bad.json"
     bad.write_text("{truncated")
-    assert main(["trend", str(bad), "--root", str(tmp_path)]) == 2
+    assert main([str(bad), "--root", str(tmp_path)]) == 2
     assert str(bad) in capsys.readouterr().err
 
 

@@ -112,6 +112,30 @@ def test_simulator_layers_do_not_import_the_harness_layers():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
+def test_the_observer_imports_none_of_the_layers_it_observes():
+    """``repro.obs`` reads traces and ``repro.analysis`` reads source and
+    traces: neither may pull in the applications, the machine, the fault
+    injectors or the drivers that run them.  ``__main__`` modules run
+    their CLI on import, so the walk skips them."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import importlib, pkgutil, sys, repro.obs, repro.analysis\n"
+        "for pkg in (repro.obs, repro.analysis):\n"
+        "    for m in pkgutil.walk_packages(pkg.__path__, pkg.__name__ + '.'):\n"
+        "        if not m.name.endswith('.__main__'):\n"
+        "            importlib.import_module(m.name)\n"
+        "banned = ('experiments', 'bench', 'check', 'ga', 'bayes', 'cluster', 'faults')\n"
+        "bad = sorted(m for m in sys.modules if m.split('.')[0] == 'repro'\n"
+        "             and m.split('.')[1:2] and m.split('.')[1] in banned)\n"
+        "assert not bad, bad"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+
 def test_the_simulator_imports_neither_networkx_nor_scipy():
     """networkx is dev-only (test generators and references) and nothing
     uses scipy: importing either at run time costs every process ~14 MB
