@@ -9,7 +9,9 @@ bound (age=0) and once relaxed (age=10) — then uses the causal layer
 2. walks the cross-node critical path and prints its composition,
 3. diffs the two runs by iteration — the Figure-4 trade-off in two
    numbers (blocking falls, staleness rises),
-4. writes ``critical_path_dashboard.html``, the single-file HTML view.
+4. writes ``critical_path_dashboard.html``, the single-file HTML page:
+   the per-node timeline with the critical path outlined, then the
+   report's tables.
 
 The same numbers come from the shell via ``python -m repro.obs report
 [--json | --html]`` (attribution and critical path are sections of the

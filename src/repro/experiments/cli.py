@@ -165,7 +165,8 @@ class Driver:
     #: application of the ``--trace``/``--metrics`` representative run
     #: ("ga" / "bayes"); None when ``run`` handles those flags itself
     app: str | None = "ga"
-    #: that run's node count at a given scale
+    #: that run's node count at a given scale; with ``--faults``, every
+    #: machine the sweep builds has at least this many nodes
     nodes: Callable[[Scale], int] = lambda scale: 4
     #: that run carries the sweep's heaviest offered load
     loaded: bool = False
@@ -181,6 +182,14 @@ class Driver:
         if self.flags is not None:
             self.flags(parser)
         args = parse_experiment_args(parser, argv)
+        if args.faults is not None:
+            n_nodes = self.nodes(args.scale)
+            for f in args.faults.node_faults:
+                if f.node >= n_nodes:
+                    parser.error(
+                        f"argument --faults: {f.kind} names node {f.node}, but "
+                        f"this driver's machines have nodes 0..{n_nodes - 1}"
+                    )
         passed = {**vars(args), "args": args}
         if args.faults is not None:
             print(f"fault plan: {args.faults.describe()}")

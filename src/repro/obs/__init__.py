@@ -19,7 +19,8 @@ artifact (the JSONL trace it writes) and one reader
   blocking/staleness, rollback and warp tables, wall-time attribution
   and the critical path, computed once (:func:`~repro.obs.report.
   report_dict`) and rendered as text, as the ``--json`` envelope or as
-  the ``--html`` page (:mod:`repro.obs.dashboard`).
+  the ``--html`` page (:mod:`repro.obs.dashboard`: the per-node
+  timeline with the critical path outlined, then the same tables).
 
 On top of the flat trace sits the **causal layer** (DESIGN.md §11):
 

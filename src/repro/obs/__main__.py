@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-``report <trace.jsonl> [--metrics m.json] [--bins N] [--json | --html] [--title T] [--out PATH]``
+``report <trace.jsonl> [--metrics m.json] [--json | --html] [--bins N] [--title T] [--out PATH]``
     Summarise a trace produced by an experiment's ``--trace`` knob (or
     :meth:`repro.obs.bus.TraceBus.write_jsonl` directly) — what
     happened (per-node timeline, blocking/staleness, rollback, warp,
@@ -10,7 +10,10 @@ Subcommands
     (per-node attribution, critical path) — and render it as text, as
     the machine-readable ``repro-obs-report/2`` envelope (``--json``)
     or as a zero-dependency single-file HTML page (``--html``; default
-    output is the trace path with an ``.html`` suffix).
+    output is the trace path with an ``.html`` suffix).  ``--title``
+    names the HTML page and ``--bins`` sets the text/JSON timeline
+    strips, so ``--title`` without ``--html`` and ``--bins`` with it
+    are usage errors (exit 2).
 ``diff <A.jsonl> <B.jsonl> [--bins N] [--json] [--out PATH]``
     Align two runs by iteration and report where blocking, staleness,
     warp and rollback depth diverge.  All deltas are B − A.
@@ -69,8 +72,8 @@ def main(argv: list[str] | None = None) -> int:
         help="optional metrics-snapshot JSON to append to the report",
     )
     rep.add_argument(
-        "--bins", type=_bins, default=DEFAULT_BINS,
-        help=f"timeline strip width in bins (default {DEFAULT_BINS})",
+        "--bins", type=_bins, default=None,
+        help=f"text/JSON timeline strip width in bins (default {DEFAULT_BINS})",
     )
     mode = rep.add_mutually_exclusive_group()
     mode.add_argument(
@@ -82,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         help="write a single-file HTML page instead of text",
     )
     rep.add_argument(
-        "--title", default=None, help="--html page title (default: trace filename)"
+        "--title", default=None, help="--html page title (default: the trace path)"
     )
     rep.add_argument(
         "--out", default=None, metavar="PATH",
@@ -118,6 +121,13 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if args.command == "report":
+        # a flag the chosen form would not honour is refused, not ignored
+        if args.title is not None and not args.html:
+            rep.error("argument --title: only the --html page has a title")
+        if args.bins is not None and args.html:
+            rep.error("argument --bins: the --html page draws no timeline strips")
+        args.bins = args.bins or DEFAULT_BINS
 
     try:
         if args.command == "report":

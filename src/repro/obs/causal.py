@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable
 
 from repro.obs.bus import ObsEvent
@@ -84,6 +85,9 @@ class SpanGraph:
     ``(node, time)``.  Every event on a node, ``net.deliver`` included,
     widens that node's ``node_window``.  ``partial`` is True when any
     begin/end pair was missing its other half (bounded-buffer truncation).
+    ``node_spans`` and ``node_tiles`` group the built graph by node once,
+    on first use, for every per-node reader (attribution, the critical
+    path, the HTML timeline).
     """
 
     spans: list[Span] = field(default_factory=list)
@@ -99,6 +103,20 @@ class SpanGraph:
     def nodes(self) -> list[int]:
         """All nodes with any activity, sorted."""
         return sorted(self.node_window)
+
+    @cached_property
+    def node_spans(self) -> dict[int, list[Span]]:
+        """Each active node's spans in :attr:`spans` order, grouped on first use."""
+        out: dict[int, list[Span]] = {node: [] for node in self.nodes}
+        for s in self.spans:
+            if s.node in out:
+                out[s.node].append(s)
+        return out
+
+    @cached_property
+    def node_tiles(self) -> dict[int, list[tuple[float, float, str]]]:
+        """Each active node's :func:`node_segments` tiles, computed on first use."""
+        return {n: node_segments(self.node_window[n], self.node_spans[n]) for n in self.nodes}
 
 
 def build_spans(events: Iterable[ObsEvent]) -> SpanGraph:
@@ -283,14 +301,6 @@ def node_segments(
     return segments
 
 
-def _sweep(window: tuple[float, float], spans: list[Span]) -> dict[str, float]:
-    """Seconds per bucket over one node's window (see :func:`node_segments`)."""
-    out = {b: 0.0 for b in BUCKETS}
-    for t0, t1, bucket in node_segments(window, spans):
-        out[bucket] += t1 - t0
-    return out
-
-
 def attribute(g: SpanGraph) -> dict[str, Any]:
     """Per-node and total wall-time attribution for one trace.
 
@@ -304,8 +314,9 @@ def attribute(g: SpanGraph) -> dict[str, Any]:
     t_end = g.t_end
     for node in g.nodes:
         window = g.node_window[node]
-        spans = [s for s in g.spans if s.node == node]
-        buckets = _sweep(window, spans)
+        buckets = {b: 0.0 for b in BUCKETS}
+        for t0, t1, bucket in g.node_tiles[node]:
+            buckets[bucket] += t1 - t0
         idle = max(0.0, window[0]) + max(0.0, t_end - window[1])
         covered = sum(buckets.values())
         frac = (covered / t_end) if t_end > 0 else 1.0
@@ -352,9 +363,8 @@ def critical_path(g: SpanGraph, max_segments: int = 100_000) -> dict[str, Any]:
     starts: dict[int, list[float]] = {}
     for node in g.nodes:
         spans = [
-            s for s in g.spans
-            if s.node == node and s.duration > _EPS
-            and s.kind in ("compute", "gr-wait", "rollback")
+            s for s in g.node_spans[node]
+            if s.duration > _EPS and s.kind in ("compute", "gr-wait", "rollback")
         ]
         spans.sort(key=lambda s: (s.t0, s.t1))
         walk[node] = spans

@@ -19,8 +19,9 @@ metrics snapshot and ``trace.meta`` trailer):
 Three thin renderers read that one dict: :func:`render_report` (text,
 below), the ``repro-obs-report/2`` JSON envelope (``report --json``:
 the dict itself, what CI and the trace differ consume) and
-:func:`repro.obs.dashboard.render_dashboard` (``report --html``).  The
-tabular sections are laid out once, by :func:`tables`, so the text
+:func:`repro.obs.dashboard.render_dashboard` (``report --html``, which
+adds one drawing: the per-node timeline from the span graph's tiles).
+The tabular sections are laid out once, by :func:`tables`, so the text
 report and the HTML page show the same sections with the same numbers.
 Everything renders deterministically (sorted keys, fixed float
 formats): the report of a fixed-seed run is golden-testable.
@@ -173,8 +174,8 @@ def warp_streams(
 
     Returns ``(dst, src) -> [(deliver_time, warp), …]`` — exactly the
     live :class:`repro.network.warp.WarpMeter` quantity (arrival-gap /
-    send-gap of consecutive ``pvm`` deliveries), with the delivery time
-    kept so warp-over-time can be plotted.
+    send-gap of consecutive ``pvm`` deliveries), each with the time of
+    the delivery that closed it.
     """
     last: dict[tuple[int, int], tuple[float, float]] = {}
     streams: dict[tuple[int, int], list[tuple[float, float]]] = {}

@@ -2,10 +2,10 @@
 
 ``report --html`` writes a zero-dependency single HTML file; no browser
 runs in CI, so these tests pin the structural contract: self-contained
-document, one SVG per chart, per-node timeline rows, a legend, both
-colour-scheme scopes, the accessible attribution table, and properly
-escaped text.  The CLI tests pin each subcommand's exit-code and
-artifact contract end to end.
+document, one SVG (the per-node timeline) with its rows and legend,
+both colour-scheme scopes, the accessible attribution table, and
+properly escaped text.  The CLI tests pin each subcommand's exit-code
+and artifact contract end to end, flags a form would ignore included.
 """
 
 import json
@@ -31,13 +31,14 @@ def test_dashboard_is_self_contained(html):
 
 
 def test_dashboard_charts_present(html):
-    assert html.count("<svg") >= 3  # timeline, warp, staleness (+ cp bar)
+    # one drawing, the timeline; every other number is a table cell
+    assert html.count("<svg") == 1
+    assert "aria-label='Per-node activity timeline'" in html
     for node in (0, 1):
         assert f">node {node}</text>" in html
     # legend names all four attribution buckets
     for key in ("compute", "Global_Read blocking", "network", "rollback"):
         assert key in html
-    assert "stable (1.0)" in html  # warp reference line
 
 
 def test_dashboard_modes_and_table(html):
@@ -131,3 +132,31 @@ def test_cli_json_with_html_exits_2(ga_run, tmp_path):
         obs_main(["report", str(trace), "--json", "--html"])
     assert exc.value.code == 2
     assert not (tmp_path / "t.html").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--title", "X"], "--title"),
+        (["--json", "--title", "X"], "--title"),
+        (["--html", "--bins", "7"], "--bins"),
+    ],
+)
+def test_cli_report_refuses_a_flag_its_form_ignores(ga_run, tmp_path, capsys, flags, named):
+    trace = _trace(ga_run, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        obs_main(["report", str(trace), *flags])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {named}:" in errors[0]
+    assert not (tmp_path / "t.html").exists()
+
+
+def test_cli_bins_still_shapes_text_and_json(ga_run, tmp_path, capsys):
+    trace = _trace(ga_run, tmp_path)
+    assert obs_main(["report", str(trace), "--bins", "7"]) == 0
+    assert "7 bins" in capsys.readouterr().out
+    assert obs_main(["report", str(trace), "--json", "--bins", "7"]) == 0
+    env = json.loads(capsys.readouterr().out)
+    assert env["timeline"]["bins"] == 7
+    assert {len(strip) for strip in env["timeline"]["per_node"].values()} == {7}
