@@ -162,7 +162,7 @@ def run_parallel_logic_sampling(
     ``instrument``, if given, is called with the freshly built
     :class:`~repro.core.dsm.Dsm` before any process is spawned —
     mirroring :func:`repro.ga.island.run_island_ga`, so the trace
-    extractor in :mod:`repro.obs.integration` attaches the same way to
+    extractor in :mod:`repro.experiments.traced` attaches the same way to
     both applications.
     """
     net = cfg.net

@@ -10,7 +10,6 @@ any row of it mismatches.
 from repro.bench.harness import (
     SCHEMA_VERSION,
     env_info,
-    load_trajectory,
     make_payload,
     next_bench_path,
     timed,
@@ -25,7 +24,6 @@ __all__ = [
     "bench_ga",
     "bench_kernel",
     "env_info",
-    "load_trajectory",
     "make_payload",
     "next_bench_path",
     "run_micro",

@@ -36,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[bench] micro (repeat={args.repeat}) ...", flush=True)
     micro = run_micro(repeat=args.repeat)
 
-    print("[bench] parallel kernel (2-shard identity + speedup) ...", flush=True)
+    print("[bench] parallel kernel (2-shard speedup) ...", flush=True)
     from repro.bench.parallel import bench_parallel
 
     micro.update(bench_parallel())

@@ -1,21 +1,15 @@
 """Parallel-kernel microbenchmark (the ``kernel_parallel.*`` BENCH keys).
 
-Two measurements of :mod:`repro.sim.parallel`, reported flat into the
-BENCH envelope's ``micro`` block:
-
-``kernel_parallel.identical_2shard``
-    The golden GA (:func:`repro.check.golden_ga`) run at ``shards=2``
-    still produces its pinned digest.  Checked on *every* host — sharded
-    correctness is timeshared-testable even on one core — so a
-    single-core CI box still gates bit-identity, just not speed.
-
-``kernel_parallel.speedup_2shard``
-    Serial wall-clock over 2-shard wall-clock for a compute-heavy
-    scenario (large populations, several demes — the regime the
-    bounded-lag kernel exists for).  ``None`` with a recorded
-    ``kernel_parallel.skipped`` reason on single-core hosts, where a
-    wall-clock speedup is physically unmeasurable: two workers
-    timesharing one core measure scheduler overhead, not the kernel.
+``kernel_parallel.speedup_2shard`` is serial wall-clock over 2-shard
+wall-clock for a compute-heavy scenario (large populations, several
+demes — the regime the bounded-lag kernel exists for), reported flat
+into the BENCH envelope's ``micro`` block.  ``None`` with a recorded
+``kernel_parallel.skipped`` reason on single-core hosts, where a
+wall-clock speedup is physically unmeasurable: two workers timesharing
+one core measure scheduler overhead, not the kernel.  Sharded identity
+is not measured here: ``python -m repro.bench`` runs
+:func:`repro.check.run_checks`, whose ``ga_result`` row already runs at
+``shards=2`` against its ``GOLDEN`` hex.
 """
 
 from __future__ import annotations
@@ -51,20 +45,11 @@ def _heavy_cfg(n_demes: int = 4, population: int = 384, generations: int = 30):
 
 def bench_parallel(shards: int = 2) -> dict:
     """Run the parallel-kernel micro; returns flat ``kernel_parallel.*`` keys."""
-    from repro.check import GOLDEN, ga_digest, golden_ga
+    from repro.check import ga_digest
     from repro.ga.island import run_island_ga
 
     cpu_count = os.cpu_count() or 1
     out: dict = {"kernel_parallel.cpu_count": cpu_count}
-
-    sharded = run_island_ga(golden_ga(), shards=shards)
-    info = sharded.metrics.get("parallel", {})
-    out["kernel_parallel.sharded"] = bool(info.get("sharded"))
-    out[f"kernel_parallel.identical_{shards}shard"] = bool(
-        ga_digest(sharded) == GOLDEN["ga_result"]
-    )
-    if info.get("fallback"):
-        out["kernel_parallel.fallback"] = info["fallback"]
 
     if cpu_count < 2:
         out[f"kernel_parallel.speedup_{shards}shard"] = None

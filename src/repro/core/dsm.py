@@ -41,6 +41,8 @@ DSM_REQUEST_TAG = -2001
 
 #: bytes of DSM header per update message (location id + age stamp)
 UPDATE_HEADER_BYTES = 12
+#: a COALESCE writer buffers while its adapter queue holds more frames than this
+COALESCE_THRESHOLD = 4
 #: wire size of one explicit-request message
 REQUEST_NBYTES = 16
 
@@ -168,7 +170,7 @@ class DsmNode:
         queue is backlogged; a held update is superseded by newer writes
         (slow-memory legality) and flushed by the first uncongested write."""
         adapter = self.dsm.vm.network.adapters[self.task.tid]
-        congested = adapter.queue_len > self.dsm.coalesce_threshold
+        congested = adapter.queue_len > COALESCE_THRESHOLD
         if congested:
             if spec.name in self._outbox:
                 self.stats.updates_coalesced += 1
@@ -331,12 +333,10 @@ class Dsm:
         vm: VirtualMachine,
         mode: GlobalReadMode = GlobalReadMode.WAIT,
         update_policy: UpdatePolicy = UpdatePolicy.EAGER,
-        coalesce_threshold: int = 4,
     ) -> None:
         self.vm = vm
         self.mode = mode
         self.update_policy = update_policy
-        self.coalesce_threshold = coalesce_threshold
         self._specs: dict[str, SharedLocationSpec] = {}
         self._nodes: dict[int, DsmNode] = {}
 

@@ -95,18 +95,6 @@ class IslandGaConfig:
     #: migration topology (see repro.ga.topology); "all" reproduces the
     #: paper's all-to-all exchange bit-identically
     topology: str = one_of(TOPOLOGIES, default="all")
-    topology_seed: int = at_least(0, default=0)
-    topology_degree: int = at_least(1, default=3)
-    topology_group: int = at_least(2, default=8)
-
-    def topology_spec(self) -> TopologySpec:
-        """The migration wiring of this run as a :class:`TopologySpec`."""
-        return TopologySpec(
-            kind=self.topology,
-            seed=self.topology_seed,
-            degree=self.topology_degree,
-            group=self.topology_group,
-        )
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -206,7 +194,7 @@ class _GaPlan:
         self.cols = np.arange(self.enc.length)
         #: in-peers of every deme, and the DSM reader set of every
         #: ``migrants.<d>`` (their inverse)
-        self.peers, self.readers = wiring(cfg.topology_spec(), cfg.n_demes)
+        self.peers, self.readers = wiring(TopologySpec(kind=cfg.topology), cfg.n_demes)
 
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
         """Objective values of an ``(n, L)`` genome array (uncached)."""

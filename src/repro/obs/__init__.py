@@ -35,8 +35,8 @@ On top of the flat trace sits the **causal layer** (DESIGN.md §11):
 
 The layer only reads: it imports no application, experiment or bench
 code.  The traced trial behind every driver's ``--trace``/``--metrics``
-is :mod:`repro.experiments.traced`, and the gate over the committed
-``BENCH_<n>.json`` series is :mod:`repro.bench.trend`.  Host time is
+is :mod:`repro.experiments.traced`, and the perf gate is
+``tools/perf_gate.py`` over perfbench.  Host time is
 not asked here either: profile from outside the program
 (``python -m cProfile``, ``perfbench/run.py --trace 1`` — DESIGN.md
 §15).  See ``docs/observability.md`` for the trace schema and a worked

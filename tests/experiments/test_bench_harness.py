@@ -1,11 +1,10 @@
-"""The bench harness: schema, trajectory naming, timing, micro suite."""
+"""The bench harness: schema, BENCH file naming, timing, micro suite."""
 
 import json
 
 from repro.bench.harness import (
     SCHEMA_VERSION,
     env_info,
-    load_trajectory,
     make_payload,
     next_bench_path,
     timed,
@@ -42,9 +41,7 @@ def test_payload_schema_and_roundtrip(tmp_path):
     path = write_bench(tmp_path / "BENCH_3.json", payload)
     again = json.loads(path.read_text())
     assert again["micro"]["kernel_events_per_sec"] == 1e5
-    traj = load_trajectory(tmp_path)
-    assert [n for n, _ in traj] == [3]
-    assert traj[0][1]["scale"] == "smoke"
+    assert again["scale"] == "smoke"
 
 
 def test_bench_kernel_reports_consistent_rate():
