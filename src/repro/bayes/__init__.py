@@ -22,7 +22,6 @@ Implements, from scratch:
 from repro.bayes.network import BayesianNetwork, BayesNode
 from repro.bayes.random_nets import make_random_network, make_table2_network
 from repro.bayes.hailfinder import make_hailfinder
-from repro.bayes.costs import LsCostModel
 from repro.bayes.confidence import PosteriorEstimator
 from repro.bayes.logic_sampling import SerialLsResult, run_serial_logic_sampling
 from repro.bayes.parallel import ParallelLsConfig, ParallelLsResult, run_parallel_logic_sampling
@@ -33,7 +32,6 @@ __all__ = [
     "make_random_network",
     "make_table2_network",
     "make_hailfinder",
-    "LsCostModel",
     "PosteriorEstimator",
     "SerialLsResult",
     "run_serial_logic_sampling",

@@ -20,6 +20,9 @@ from repro.inputs import at_least, check_fields, positive
 
 #: two-sided z for a 90 % confidence interval
 Z_90 = 1.6448536269514722
+#: no verdict before this many committed runs (guards the normal
+#: approximation at extreme p)
+MIN_SAMPLES = 100
 
 
 @dataclass
@@ -28,8 +31,6 @@ class PosteriorEstimator:
 
     n_values: int = at_least(2)
     precision: float = positive(below=0.5, default=0.01)
-    z: float = positive(default=Z_90)
-    min_samples: int = at_least(0, default=100)
     counts: np.ndarray = field(init=False)
     n: int = field(init=False, default=0)
 
@@ -59,11 +60,11 @@ class PosteriorEstimator:
         if self.n == 0:
             return np.full(self.n_values, np.inf)
         p = self.posterior
-        return self.z * np.sqrt(p * (1.0 - p) / self.n)
+        return Z_90 * np.sqrt(p * (1.0 - p) / self.n)
 
     @property
     def converged(self) -> bool:
         """True when every value's CI is within the target precision."""
-        if self.n < self.min_samples:
+        if self.n < MIN_SAMPLES:
             return False
         return bool(np.all(self.half_widths() <= self.precision))

@@ -2,12 +2,11 @@
 
 Pearl's logic-sampling algorithm: draw full ancestral samples of the
 network; the posterior of a query node is the frequency of its values
-over accepted runs.  With evidence, runs whose evidence nodes disagree
-with the observation are rejected (the algorithm's classic weakness —
-and one reason real networks "tend to be large and complex" to infer
-on, motivating the parallel implementations).
+over the runs.  Table 2 and Figure 3 infer with no evidence, so every run
+counts (with evidence, runs that disagree with the observation would be
+rejected — the algorithm's classic weakness).
 
-Simulated time is charged per node-sample via :class:`LsCostModel`,
+Simulated time is charged per node-sample via :mod:`repro.bayes.costs`,
 reproducing Table 2's uniprocessor inference times.
 """
 
@@ -18,8 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bayes.confidence import PosteriorEstimator
-from repro.bayes.costs import LsCostModel
+from repro.bayes.costs import CI_CHECK, COMMIT_PER_ITER, iteration_cost
 from repro.bayes.network import BayesianNetwork
+
+#: runs sampled per vectorised batch; the CI check runs once per batch
+BATCH = 64
+#: hard cap on the runs of one inference
+MAX_RUNS = 500_000
 
 
 @dataclass
@@ -30,7 +34,6 @@ class SerialLsResult:
     query: int
     posterior: np.ndarray
     n_runs: int
-    n_accepted: int
     sim_time: float
     converged: bool
 
@@ -38,58 +41,36 @@ class SerialLsResult:
 def run_serial_logic_sampling(
     net: BayesianNetwork,
     query: int,
-    evidence: dict[int, int] | None = None,
     seed: int = 0,
     precision: float = 0.01,
-    costs: LsCostModel | None = None,
-    batch: int = 64,
-    max_runs: int = 500_000,
 ) -> SerialLsResult:
-    """Estimate ``P(query | evidence)`` to the paper's precision.
+    """Estimate ``P(query)`` to the paper's precision.
 
-    Samples in vectorised batches; the CI check runs once per batch
-    (charged via the cost model).  ``max_runs`` bounds pathological
-    evidence whose acceptance rate would make the run unbounded.
+    Samples in batches of :data:`BATCH` runs; the CI check runs once per
+    batch (charged via the cost model), for at most :data:`MAX_RUNS` runs.
     """
     if query not in net.nodes:
         raise KeyError(f"unknown query node {query}")
-    evidence = dict(evidence or {})
-    for e in evidence:
-        if e not in net.nodes:
-            raise KeyError(f"unknown evidence node {e}")
-        if not 0 <= evidence[e] < net.nodes[e].n_values:
-            raise ValueError(f"evidence value out of range for node {e}")
-    if query in evidence:
-        raise ValueError("query node cannot also be evidence")
-    costs = costs or LsCostModel()
     rng = np.random.default_rng(seed)
-    names = sorted(net.nodes)
-    qcol = names.index(query)
-    ecols = [(names.index(e), v) for e, v in sorted(evidence.items())]
+    qcol = sorted(net.nodes).index(query)
 
     est = PosteriorEstimator(net.nodes[query].n_values, precision=precision)
     sim_time = 0.0
     n_runs = 0
-    while n_runs < max_runs:
-        samples = net.ancestral_samples(batch, rng)
-        n_runs += batch
-        sim_time += batch * costs.iteration_cost(net.n_nodes)
-        accept = np.ones(batch, dtype=bool)
-        for col, v in ecols:
-            accept &= samples[:, col] == v
-        accepted = samples[accept, qcol]
-        if accepted.size:
-            est.add_batch(accepted)
-            sim_time += accepted.size * costs.commit_per_iter
-        sim_time += costs.ci_check
+    while n_runs < MAX_RUNS:
+        samples = net.ancestral_samples(BATCH, rng)
+        n_runs += BATCH
+        sim_time += BATCH * iteration_cost(net.n_nodes)
+        est.add_batch(samples[:, qcol])
+        sim_time += BATCH * COMMIT_PER_ITER
+        sim_time += CI_CHECK
         if est.converged:
             break
     return SerialLsResult(
         network=net.name,
         query=query,
-        posterior=est.posterior if est.n else np.array([]),
+        posterior=est.posterior,
         n_runs=n_runs,
-        n_accepted=est.n,
         sim_time=sim_time,
         converged=est.converged,
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bayes.confidence import PosteriorEstimator
-from repro.bayes.costs import LsCostModel
+from repro.bayes import costs
 from repro.bayes.network import BayesianNetwork
 from repro.bayes.rollback import GvtOracle, ProcessorState, RollbackStats
 from repro.cluster.machine import Machine, MachineConfig
@@ -63,6 +63,9 @@ from repro.sim import Compute
 #: aged locations because they revisit *older* iterations, which the
 #: monotone-age write rule (correctly) forbids for shared locations.
 CORRECTION_TAG = 77
+
+#: commit/CI bookkeeping cadence at the query owner (in runs)
+CHECK_EVERY = 32
 
 #: staleness contracts for the interface-value locations (checked by the
 #: static coherence analyzer, repro.analysis.coherence).  Optimistic
@@ -99,11 +102,8 @@ class ParallelLsConfig:
     age: int = at_least(0, default=10)
     seed: int = at_least(0, default=0)
     precision: float = positive(below=0.5, default=0.01)
-    costs: LsCostModel = field(default_factory=LsCostModel)
     machine: MachineConfig | None = None
     max_iterations: int = at_least(1, default=50_000)
-    #: commit/CI bookkeeping cadence at the query owner (in runs)
-    check_every: int = at_least(1, default=32)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -275,10 +275,10 @@ def run_parallel_logic_sampling(
 
             def on_update(locn: str, age: int, entries) -> float:
                 """Fold one interface batch into the optimistic state."""
-                cost = cfg.costs.apply_batch_base
+                cost = costs.APPLY_BATCH_BASE
                 w_ifaces = iface_nodes[locn]
                 for (tt, vals) in entries:
-                    cost += cfg.costs.apply_batch_per_value * len(vals)
+                    cost += costs.APPLY_BATCH_PER_VALUE * len(vals)
                     for u, val in zip(w_ifaces, vals):
                         if u in st.remote_parents:
                             pending_out.extend(
@@ -348,7 +348,7 @@ def run_parallel_logic_sampling(
                             vals[v] = bisect_right(rows, draw)
                         yield Compute(
                             node.cost(
-                                cfg.costs.sample_per_node * len(entries),
+                                costs.SAMPLE_PER_NODE * len(entries),
                                 label="sample",
                             )
                         )
@@ -373,7 +373,7 @@ def run_parallel_logic_sampling(
                 yield from drain_corrections()
                 st.sample_iteration(t, rng, oracle)
                 yield Compute(
-                    node.cost(cfg.costs.iteration_cost(len(st.own_nodes)), label="sample")
+                    node.cost(costs.iteration_cost(len(st.own_nodes)), label="sample")
                 )
                 if st.interface_nodes:
                     unpublished.append(t)
@@ -400,7 +400,7 @@ def run_parallel_logic_sampling(
                 else:
                     yield from optimistic_iteration(t)
 
-                if p == q_owner and t % cfg.check_every == 0:
+                if p == q_owner and t % CHECK_EVERY == 0:
                     floor = oracle.floor()
                     added = 0
                     while next_commit <= floor:
@@ -421,7 +421,7 @@ def run_parallel_logic_sampling(
                     if added:
                         yield Compute(
                             node.cost(
-                                added * cfg.costs.commit_per_iter + cfg.costs.ci_check,
+                                added * costs.COMMIT_PER_ITER + costs.CI_CHECK,
                                 label="commit",
                             )
                         )

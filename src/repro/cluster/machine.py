@@ -17,7 +17,7 @@ from repro.cluster.node import Node, NodeSpec
 from repro.faults.injectors import FaultInjector, install_faults
 from repro.faults.plan import FaultPlan
 from repro.inputs import at_least, check_fields, one_of, positive
-from repro.network.ethernet import EthernetConfig, EthernetNetwork
+from repro.network.ethernet import EthernetNetwork
 from repro.network.loader import LoaderConfig, NetworkLoader
 from repro.network.switched import SwitchedConfig, SwitchedNetwork
 from repro.network.warp import WarpMeter
@@ -30,6 +30,10 @@ from repro.sim.process import ProcessHandle
 #: ``switched`` fabric's SP2_SWITCH preset)
 INTERCONNECTS = ("ethernet", "switched")
 
+#: payload of each background-loader frame (within the Ethernet MTU; a
+#: switched config's MTU is checked against it)
+LOADER_FRAME_BYTES = 1024
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -38,7 +42,6 @@ class MachineConfig:
     n_nodes: int = at_least(1, default=4)
     seed: int = at_least(0, default=0)
     interconnect: str = one_of(INTERCONNECTS, default="ethernet")
-    ethernet: EthernetConfig = field(default_factory=EthernetConfig)
     switched: SwitchedConfig = field(default_factory=SwitchedConfig)
     #: let Task.mcast use the fabric's multicast tree (one BROADCAST frame
     #: replicated in-tree) when the destination set is every other task;
@@ -51,7 +54,6 @@ class MachineConfig:
     speed_factors: tuple[float, ...] = positive(default=(), each=True)
     #: offered background loads in bps; each gets its own loader node pair
     loader_bps: tuple[float, ...] = positive(default=(), each=True)
-    loader_frame_bytes: int = at_least(1, default=1024)
     measure_warp: bool = False
     #: optional fault-injection schedule; None = healthy machine
     faults: FaultPlan | None = None
@@ -83,12 +85,11 @@ class MachineConfig:
             raise ValueError("hw_multicast requires the 'switched' interconnect")
         if self.speed_factors and len(self.speed_factors) != self.n_nodes:
             raise ValueError("speed_factors length must equal n_nodes")
-        # each interconnect's config field is named after it
-        mtu = getattr(self, self.interconnect).max_payload
-        if self.loader_frame_bytes > mtu:
+        mtu = self.switched.max_payload
+        if self.interconnect == "switched" and LOADER_FRAME_BYTES > mtu:
             raise ValueError(
-                f"loader_frame_bytes {self.loader_frame_bytes} exceeds the "
-                f"{self.interconnect} max_payload {mtu}"
+                f"the loader's {LOADER_FRAME_BYTES}-byte frames exceed the "
+                f"switched max_payload {mtu}"
             )
         if self.trace_sink and not self.trace:
             raise ValueError("trace_sink needs trace=True (nothing would be recorded)")
@@ -123,7 +124,7 @@ class Machine:
             )
             self.kernel.obs = self.obs
         if config.interconnect == "ethernet":
-            self.network = EthernetNetwork(self.kernel, config.ethernet)
+            self.network = EthernetNetwork(self.kernel)
         else:
             self.network = SwitchedNetwork(self.kernel, config.switched)
         self.vm = VirtualMachine(
@@ -150,7 +151,7 @@ class Machine:
                 self.network,
                 LoaderConfig(
                     offered_load_bps=bps,
-                    frame_payload_bytes=config.loader_frame_bytes,
+                    frame_payload_bytes=LOADER_FRAME_BYTES,
                 ),
                 src_node=next_id,
                 dst_node=next_id + 1,

@@ -32,10 +32,8 @@ _COMPUTE_OP = shape("baseline", "cost", "op")
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Static description of one node."""
+    """Static description of one node, relative to the reference node."""
 
-    name: str = "RS6000-591"
-    clock_hz: float = positive(default=77e6)
     #: relative speed vs. the reference node (1.0 = reference)
     speed_factor: float = positive(default=1.0)
     #: sigma of lognormal per-operation compute-time noise (0 = none)
@@ -90,4 +88,4 @@ class Node:
         return scaled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Node({self.node_id}, {self.spec.name}, x{self.spec.speed_factor})"
+        return f"Node({self.node_id}, x{self.spec.speed_factor})"

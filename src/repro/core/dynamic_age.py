@@ -25,36 +25,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.inputs import at_least, check_fields, positive
+from repro.inputs import at_least, check_fields
+
+#: clamp range for the adapted age
+MIN_AGE = 0
+MAX_AGE = 60
+#: number of calls per adaptation decision
+WINDOW = 8
+#: additive step applied when any call in the window blocked
+INCREASE_STEP = 2
+#: multiplicative shrink applied when every call in the window was a hit
+#: whose staleness left at least ``SLACK`` iterations of margin
+DECREASE_FACTOR = 0.5
+#: freshness margin (bound − observed staleness) required before the age
+#: is lowered
+SLACK = 2
 
 
 @dataclass
 class DynamicAgeController:
-    """AIMD adaptation of the `Global_Read` age parameter.
+    """AIMD adaptation of the `Global_Read` age parameter, starting at
+    ``initial_age`` (the policy's constants are above)."""
 
-    Parameters
-    ----------
-    min_age, max_age:
-        Clamp range for the adapted age.
-    window:
-        Number of calls per adaptation decision.
-    increase_step:
-        Additive step applied when any call in the window blocked.
-    decrease_factor:
-        Multiplicative shrink applied when every call in the window was a
-        hit whose staleness left at least ``slack`` iterations of margin.
-    slack:
-        Freshness margin (bound − observed staleness) required before the
-        age is lowered.
-    """
-
-    initial_age: int = at_least(0, default=5)
-    min_age: int = at_least(0, default=0)
-    max_age: int = at_least(0, default=60)
-    window: int = at_least(1, default=8)
-    increase_step: int = at_least(1, default=2)
-    decrease_factor: float = positive(below=1.0, default=0.5)
-    slack: int = at_least(0, default=2)
+    initial_age: int = at_least(MIN_AGE, at_most=MAX_AGE, default=5)
 
     age: int = field(init=False)
     _calls_in_window: int = field(init=False, default=0)
@@ -64,8 +57,6 @@ class DynamicAgeController:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.min_age <= self.initial_age <= self.max_age:
-            raise ValueError("need min_age <= initial_age <= max_age")
         self.age = self.initial_age
 
     def observe(self, blocked: bool, staleness: int) -> int:
@@ -74,16 +65,16 @@ class DynamicAgeController:
         self._calls_in_window += 1
         self._blocked_in_window += int(blocked)
         self._max_staleness_in_window = max(self._max_staleness_in_window, staleness)
-        if self._calls_in_window >= self.window:
+        if self._calls_in_window >= WINDOW:
             self._adapt()
         return self.age
 
     def _adapt(self) -> None:
         old = self.age
         if self._blocked_in_window > 0:
-            self.age = min(self.max_age, self.age + self.increase_step)
-        elif self._max_staleness_in_window <= self.age - self.slack:
-            self.age = max(self.min_age, int(self.age * self.decrease_factor))
+            self.age = min(MAX_AGE, self.age + INCREASE_STEP)
+        elif self._max_staleness_in_window <= self.age - SLACK:
+            self.age = max(MIN_AGE, int(self.age * DECREASE_FACTOR))
         if self.age != old:
             self.adjustments.append((old, self.age))
         self._calls_in_window = 0

@@ -3,7 +3,7 @@
 Methodology (documented deviation from §5.1.1, see EXPERIMENTS.md): for
 each (function, seed) we run the *corresponding sequential program* —
 same total population N·P — for G generations and define the convergence
-bar as the quality it reached at ``bar_fraction``·G; every variant's
+bar as the quality it reached at ``BAR_FRACTION``·G; every variant's
 completion time is its time-to-bar, and speedup is the serial
 time-to-bar over it.  The paper instead ran the synchronous program a
 fixed 1000 generations and required the asynchronous/controlled versions
@@ -27,7 +27,7 @@ from repro.cluster.machine import MachineConfig
 from repro.cluster.node import NodeSpec
 from repro.core.coherence import CoherenceMode
 from repro.faults.plan import FaultPlan
-from repro.experiments.config import Scale
+from repro.experiments.config import BAR_FRACTION, HETERO_SIGMA, JITTER_SIGMA, Scale
 from repro.experiments.reporting import text_table
 from repro.experiments.runner import run_cells
 from repro.ga.functions import TestFunction, get_function
@@ -96,11 +96,11 @@ def machine_for(
 ) -> MachineConfig:
     """Machine config with the scale's load-skew model and optional loader."""
     rng = np.random.default_rng(seed)
-    speeds = tuple(float(x) for x in rng.normal(1.0, scale.hetero_sigma, P))
+    speeds = tuple(float(x) for x in rng.normal(1.0, HETERO_SIGMA, P))
     cfg = MachineConfig(
         n_nodes=P,
         seed=seed,
-        node_spec=NodeSpec(jitter_sigma=scale.jitter_sigma),
+        node_spec=NodeSpec(jitter_sigma=JITTER_SIGMA),
         speed_factors=speeds,
         measure_warp=True,
         faults=faults,
@@ -127,7 +127,7 @@ def run_ga_trial(
     fn = get_function(fid)
     G = scale.ga_generations
     serial = run_serial_ga(fn, seed=seed, n_generations=G, population_size=50 * P)
-    bar = float(serial.best_history[int(scale.bar_fraction * G)])
+    bar = float(serial.best_history[int(BAR_FRACTION * G)])
     serial_time = serial.time_to_target(bar)
     times = {}
     for variant in variants:

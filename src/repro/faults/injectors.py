@@ -23,11 +23,11 @@ also a ``fault.<kind>`` record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.plan import FaultPlan, NodeFault
+from repro.faults.plan import DEFAULT_PROTECTED_TAGS, FaultPlan, NodeFault
 from repro.network.base import Network
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
@@ -140,12 +140,12 @@ class MessageFaultInjector:
         m = self.plan.messages
         if m.kinds and frame.kind not in m.kinds:
             return False
-        if m.protect_tags and frame.kind == "pvm":
+        if frame.kind == "pvm":
             payload = frame.payload
             # PVM frames carry (msg_id, frag_idx, n_frags, Message)
             if isinstance(payload, tuple) and len(payload) == 4:
                 tag = getattr(payload[3], "tag", None)
-                if tag in m.protect_tags:
+                if tag in DEFAULT_PROTECTED_TAGS:
                     return False
         return True
 

@@ -36,10 +36,9 @@ from repro.inputs import (
     one_of,
     positive,
     probability,
-    unconstrained,
 )
 
-#: PVM tags never faulted by default: the barrier protocol is a
+#: PVM tags never faulted: the barrier protocol is a
 #: counting protocol with no retransmission, so the paper's synchronous
 #: baselines assume it is reliable (DESIGN.md §9 — the fault model
 #: degrades *data* traffic; control-plane hardening is future work).
@@ -73,13 +72,9 @@ class MessageFaults:
     #: fault window in simulated seconds; ``stop=None`` = forever
     start: float = nonnegative(default=0.0)
     stop: float | None = nonnegative(default=None, optional=True)
-    #: frame kinds eligible for faults; empty = every kind
+    #: frame kinds eligible for faults; empty = every kind (PVM messages
+    #: tagged DEFAULT_PROTECTED_TAGS are exempt either way)
     kinds: tuple[str, ...] = ()
-    #: PVM message tags exempt from faults (see DEFAULT_PROTECTED_TAGS)
-    protect_tags: tuple[int, ...] = unconstrained(
-        "any int is a PVM tag, the negative layer-internal ones included",
-        default=DEFAULT_PROTECTED_TAGS,
-    )
 
     def __post_init__(self) -> None:
         check_fields(self)

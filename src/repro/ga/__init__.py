@@ -23,7 +23,6 @@ from repro.ga.encoding import BinaryEncoding
 from repro.ga.population import Population
 from repro.ga.operators import GaParams, evolve_one_generation
 from repro.ga.fitness_cache import FitnessCache
-from repro.ga.costs import GaCostModel
 from repro.ga.sga import SerialGaResult, run_serial_ga
 from repro.ga.island import IslandGaConfig, IslandGaResult, run_island_ga
 
@@ -36,7 +35,6 @@ __all__ = [
     "GaParams",
     "evolve_one_generation",
     "FitnessCache",
-    "GaCostModel",
     "SerialGaResult",
     "run_serial_ga",
     "IslandGaConfig",

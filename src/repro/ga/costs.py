@@ -19,51 +19,40 @@ describes — see DESIGN.md and EXPERIMENTS.md:
 
 Evaluation cost is charged per cache *miss* (see
 :mod:`repro.ga.fitness_cache`); genetic-operator cost per individual per
-generation.
+generation.  The constants are the calibration, fixed like the paper's
+testbed: no run varies them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.ga.functions import TestFunction
-from repro.inputs import check_fields, nonnegative, positive
+
+#: baseline seconds of one fitness evaluation (decode + call overhead)
+EVAL_BASE = 0.08e-3
+#: additional evaluation cost per variable (loops over dimensions)
+EVAL_PER_VAR = 0.008e-3
+#: extra factor for transcendental-heavy functions (sin/cos/sqrt)
+TRANSCENDENTAL_FACTOR = 2.0
+#: selection + crossover + mutation cost per individual per generation
+GENOP_PER_INDIVIDUAL = 0.08e-3
+#: migrant incorporation cost per migrant considered
+INCORPORATE_PER_MIGRANT = 0.005e-3
+#: fitness-cache lookup cost per individual (hits still pay this)
+CACHE_LOOKUP = 0.004e-3
 
 
-@dataclass(frozen=True)
-class GaCostModel:
-    """Baseline-seconds costs for GA operations on the reference node."""
+def eval_cost(fn: TestFunction) -> float:
+    """Baseline seconds for ONE fitness evaluation of ``fn``."""
+    base = EVAL_BASE + EVAL_PER_VAR * fn.n_vars
+    if fn.fid in (5, 6, 7, 8):  # foxholes/rastrigin/schwefel/griewank
+        base *= TRANSCENDENTAL_FACTOR
+    return base
 
-    #: fixed cost of one fitness evaluation (decode + call overhead)
-    eval_base: float = nonnegative(default=0.08e-3)
-    #: additional evaluation cost per variable (loops over dimensions)
-    eval_per_var: float = nonnegative(default=0.008e-3)
-    #: extra factor for transcendental-heavy functions (sin/cos/sqrt)
-    transcendental_factor: float = positive(default=2.0)
-    #: selection + crossover + mutation cost per individual per generation
-    genop_per_individual: float = nonnegative(default=0.08e-3)
-    #: migrant incorporation cost per migrant considered
-    incorporate_per_migrant: float = nonnegative(default=0.005e-3)
-    #: fitness-cache lookup cost per individual (hits still pay this)
-    cache_lookup: float = nonnegative(default=0.004e-3)
 
-    def __post_init__(self) -> None:
-        check_fields(self)  # a negative cost would die mid-run, in a deme
-
-    def eval_cost(self, fn: TestFunction) -> float:
-        """Baseline seconds for ONE fitness evaluation of ``fn``."""
-        base = self.eval_base + self.eval_per_var * fn.n_vars
-        if fn.fid in (5, 6, 7, 8):  # foxholes/rastrigin/schwefel/griewank
-            base *= self.transcendental_factor
-        return base
-
-    def generation_cost(
-        self, fn: TestFunction, population: int, evaluations: int
-    ) -> float:
-        """Baseline seconds for one generation: ``evaluations`` cache
-        misses plus genetic operators and cache lookups over the whole
-        population."""
-        return (
-            evaluations * self.eval_cost(fn)
-            + population * (self.genop_per_individual + self.cache_lookup)
-        )
+def generation_cost(fn: TestFunction, population: int, evaluations: int) -> float:
+    """Baseline seconds for one generation: ``evaluations`` cache misses
+    plus genetic operators and cache lookups over the whole population."""
+    return (
+        evaluations * eval_cost(fn)
+        + population * (GENOP_PER_INDIVIDUAL + CACHE_LOOKUP)
+    )

@@ -2,10 +2,8 @@
 
 DeJong-style GAs represent each variable as a fixed-width binary field
 concatenated into one chromosome.  Decoding maps the unsigned integer of
-each field linearly onto ``[lower, upper]``.  An optional Gray-code mode
-is provided (Mühlenbein's study used Gray coding; DeJong's original used
-plain binary — plain binary is the default here, matching DeJong's
-parameter study the paper bases its settings on).
+each field linearly onto ``[lower, upper]``: plain binary, as in DeJong's
+parameter study the paper bases its settings on.
 
 All operations are vectorised over whole populations: chromosomes are
 ``(n, L)`` uint8 arrays of 0/1.
@@ -31,7 +29,6 @@ class BinaryEncoding:
     bits_per_var: int = at_least(1, at_most=30)
     lower: float = unconstrained("any finite bound; lower < upper is checked below")
     upper: float = unconstrained("any finite bound; lower < upper is checked below")
-    gray: bool = False
     #: decode weight of each bit of a field (MSB first), derived once
     _weights: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -43,9 +40,9 @@ class BinaryEncoding:
         object.__setattr__(self, "_weights", weights)
 
     @classmethod
-    def for_function(cls, fn: TestFunction, gray: bool = False) -> "BinaryEncoding":
+    def for_function(cls, fn: TestFunction) -> "BinaryEncoding":
         """The encoding matching ``fn``'s bit width, bounds and dimensionality."""
-        return cls(fn.n_vars, fn.bits_per_var, fn.lower, fn.upper, gray=gray)
+        return cls(fn.n_vars, fn.bits_per_var, fn.lower, fn.upper)
 
     @property
     def length(self) -> int:
@@ -69,9 +66,6 @@ class BinaryEncoding:
                 f"chromosome length {chroms.shape[1]} != encoding length {self.length}"
             )
         fields = chroms.reshape(chroms.shape[0], self.n_vars, self.bits_per_var)
-        if self.gray:
-            # Gray -> binary: b_i = g_0 xor ... xor g_i (prefix xor)
-            fields = np.bitwise_xor.accumulate(fields, axis=2)
         ints = fields.astype(np.int64) @ self._weights
         span = (1 << self.bits_per_var) - 1
         return self.lower + (self.upper - self.lower) * ints / span

@@ -37,14 +37,14 @@ from repro.core.contract import dsm_contract
 from repro.core.dsm import Dsm
 from repro.core.global_read import GlobalReadStats
 from repro.core.location import SharedLocationSpec
-from repro.ga.costs import GaCostModel
+from repro.ga.costs import INCORPORATE_PER_MIGRANT, generation_cost
 from repro.ga.encoding import BinaryEncoding
 from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TestFunction, reseed_f4
 from repro.ga.operators import GaParams, ScalingWindow, evolve_one_generation
 from repro.ga.population import Population
-from repro.ga.topology import TOPOLOGIES, TopologySpec, wiring
-from repro.inputs import at_least, check_fields, one_of, positive, unconstrained
+from repro.ga.topology import TOPOLOGIES, wiring
+from repro.inputs import at_least, check_fields, one_of, unconstrained
 from repro.obs.metrics import machine_metrics
 from repro.sim import CompletionCounter, Compute
 
@@ -63,6 +63,9 @@ dsm_contract(
     reason="selection-based migrant incorporation is order/staleness-insensitive",
 )
 
+#: emigrants per generation = MIGRATION_FRACTION * N (the paper's N/2)
+MIGRATION_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class IslandGaConfig:
@@ -75,22 +78,19 @@ class IslandGaConfig:
     n_generations: int = at_least(0, default=300)
     seed: int = at_least(0, default=0)
     params: GaParams = field(default_factory=GaParams)
-    costs: GaCostModel = field(default_factory=GaCostModel)
     machine: MachineConfig | None = None
-    #: emigrants per generation = migration_fraction * N (paper: N/2)
-    migration_fraction: float = positive(at_most=1.0, default=0.5)
     #: convergence target (serial baseline's final best); None = run all
     #: generations and only record quality
     target: float | None = unconstrained(
         "a fitness level: any value, and a target never met runs every generation",
         default=None,
     )
-    gray: bool = False
     #: DSM write-propagation policy (EAGER = the paper's direct sends;
     #: COALESCE = Mermera-style sender buffering, ablation A3)
     update_policy: UpdatePolicy = UpdatePolicy.EAGER
     #: adapt the Global_Read age at runtime (§6 future work); when set,
-    #: ``age`` is the controller's initial value
+    #: ``age`` is the controller's initial value.  NON_STRICT only: the
+    #: other modes have no age to adapt
     dynamic_age: bool = False
     #: migration topology (see repro.ga.topology); "all" reproduces the
     #: paper's all-to-all exchange bit-identically
@@ -98,6 +98,11 @@ class IslandGaConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.dynamic_age and self.mode is not CoherenceMode.NON_STRICT:
+            raise ValueError(
+                f"IslandGaConfig.dynamic_age adapts a Global_Read age, but "
+                f"IslandGaConfig.mode={self.mode.name} has none (use NON_STRICT)"
+            )
 
 
 @dataclass
@@ -186,15 +191,13 @@ class _GaPlan:
 
     def __init__(self, cfg: IslandGaConfig) -> None:
         self.cfg = cfg
-        self.enc = BinaryEncoding.for_function(cfg.fn, gray=cfg.gray)
-        self.n_mig = max(
-            1, int(round(cfg.migration_fraction * cfg.params.population_size))
-        )
+        self.enc = BinaryEncoding.for_function(cfg.fn)
+        self.n_mig = max(1, int(round(MIGRATION_FRACTION * cfg.params.population_size)))
         self.migrant_nbytes = self.n_mig * (self.enc.nbytes + 8)
         self.cols = np.arange(self.enc.length)
         #: in-peers of every deme, and the DSM reader set of every
         #: ``migrants.<d>`` (their inverse)
-        self.peers, self.readers = wiring(TopologySpec(kind=cfg.topology), cfg.n_demes)
+        self.peers, self.readers = wiring(cfg.topology, cfg.n_demes)
 
     def evaluate(self, genomes: np.ndarray) -> np.ndarray:
         """Objective values of an ``(n, L)`` genome array (uncached)."""
@@ -234,9 +237,7 @@ class _LocalDeme:
         """Adopt ``pop``; returns (cost_s, best, mean, migrants)."""
         cfg = self.plan.cfg
         self.pop = pop
-        cost = cfg.costs.generation_cost(
-            cfg.fn, pop.size, self.cache.misses - misses_before
-        )
+        cost = generation_cost(cfg.fn, pop.size, self.cache.misses - misses_before)
         self.best_so_far = min(self.best_so_far, pop.best_fitness)
         migrants = pop.best_individuals(self.plan.n_mig)
         return cost, self.best_so_far, pop.mean_fitness, migrants
@@ -292,7 +293,7 @@ def _deme_process(plan: _GaPlan, dsm: Dsm, deme: int, recorder: _Recorder, model
         exec_ = (model or _LocalDeme)(plan, deme)
         dnode = dsm.node(deme)
         age_ctl = None
-        if cfg.dynamic_age and cfg.mode is CoherenceMode.NON_STRICT:
+        if cfg.dynamic_age:
             from repro.core.dynamic_age import DynamicAgeController
 
             age_ctl = DynamicAgeController(initial_age=cfg.age)
@@ -337,7 +338,7 @@ def _deme_process(plan: _GaPlan, dsm: Dsm, deme: int, recorder: _Recorder, model
                 pool_f = np.concatenate([a[1] for a in arrivals], axis=0)
                 yield Compute(
                     node.cost(
-                        cfg.costs.incorporate_per_migrant * pool_f.size,
+                        INCORPORATE_PER_MIGRANT * pool_f.size,
                         label="incorporate",
                     )
                 )

@@ -28,18 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ga.population import Population
-from repro.inputs import at_least, check_fields, one_of, probability
+from repro.inputs import at_least, check_fields, probability
 
 
 @dataclass
 class GaParams:
-    """The six DeJong parameters (defaults = the paper's settings)."""
+    """Five DeJong parameters (defaults = the paper's settings); the sixth,
+    the generation gap, is the paper's G=1, the only one implemented."""
 
     population_size: int = at_least(2, default=50)
     crossover_rate: float = probability(default=0.6)
     mutation_rate: float = probability(default=0.001)
-    #: only G=1 (full replacement) is implemented, as in the paper
-    generation_gap: float = one_of((1.0,), default=1.0)
     scaling_window: int = at_least(1, default=1)
     elitist: bool = True
 

@@ -6,7 +6,7 @@ corresponding sequential programs, which we optimized to a good extent
 fitness values of surviving individuals)."
 
 The serial GA runs the identical generational machinery the demes use and
-accounts simulated time through the same :class:`GaCostModel`, so serial
+accounts simulated time through the same :mod:`repro.ga.costs`, so serial
 vs. parallel completion times are directly comparable.  Its trajectory
 (best-so-far per generation with timestamps) provides both the speedup
 denominator and the convergence *target* the asynchronous variants must
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ga.costs import GaCostModel
+from repro.ga.costs import generation_cost
 from repro.ga.encoding import BinaryEncoding
 from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TestFunction, reseed_f4
@@ -54,8 +54,6 @@ def run_serial_ga(
     seed: int = 0,
     n_generations: int = 1000,
     params: GaParams | None = None,
-    costs: GaCostModel | None = None,
-    gray: bool = False,
     population_size: int | None = None,
 ) -> SerialGaResult:
     """Run the serial GA on ``fn`` and return its full trajectory.
@@ -74,10 +72,9 @@ def run_serial_ga(
             scaling_window=params.scaling_window,
             elitist=params.elitist,
         )
-    costs = costs or GaCostModel()
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fn.fid,)))
     reseed_f4(seed * 8 + fn.fid)
-    enc = BinaryEncoding.for_function(fn, gray=gray)
+    enc = BinaryEncoding.for_function(fn)
     cache = FitnessCache(lambda g: fn(enc.decode(g)), enabled=not fn.noisy)
 
     genomes = enc.random_population(params.population_size, rng)
@@ -89,14 +86,14 @@ def run_serial_ga(
     best_hist = np.empty(n_generations + 1)
     time_hist = np.empty(n_generations + 1)
     best_so_far = pop.best_fitness
-    sim_time += costs.generation_cost(fn, params.population_size, cache.misses)
+    sim_time += generation_cost(fn, params.population_size, cache.misses)
     best_hist[0], time_hist[0] = best_so_far, sim_time
 
     for g in range(1, n_generations + 1):
         misses_before = cache.misses
         pop = evolve_one_generation(pop, params, scaling, cache, rng, cols)
         new_evals = cache.misses - misses_before
-        sim_time += costs.generation_cost(fn, params.population_size, new_evals)
+        sim_time += generation_cost(fn, params.population_size, new_evals)
         best_so_far = min(best_so_far, pop.best_fitness)
         best_hist[g], time_hist[g] = best_so_far, sim_time
 

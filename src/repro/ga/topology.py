@@ -20,46 +20,34 @@ Topology kinds
     ``rows`` the largest divisor of ``n`` not exceeding ``sqrt(n)``
     (prime ``n`` degenerates to a ring).
 ``hierarchical``
-    demes are grouped in blocks of ``group`` consecutive ids;
+    demes are grouped in blocks of ``GROUP`` consecutive ids;
     within-group migration is all-to-all and the group leaders (lowest
     id of each block) additionally form a ring — Belding's
     two-level island structure.
 ``random``
-    each deme draws ``degree`` distinct in-peers with a seeded
+    each deme draws ``DEGREE`` distinct in-peers with a seeded
     generator; the draw for deme ``d`` depends only on
-    ``(seed, n_demes, d)``, never on evaluation order.
+    ``(SEED, n_demes, d)``, never on evaluation order.
 
-Every function is a pure function of the spec — no hidden state — so
+Every function is a pure function of the kind — no hidden state — so
 shard workers, the serial kernel and the experiment drivers all derive
 the identical wiring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.inputs import at_least, check_fields, one_of
 from repro.partition.graph import Graph
 
 TOPOLOGIES = ("all", "ring", "torus", "hierarchical", "random")
 
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Which demes exchange migrants with which."""
-
-    kind: str = one_of(TOPOLOGIES, default="all")
-    #: entropy for ``random`` wiring (ignored by the structured kinds)
-    seed: int = at_least(0, default=0)
-    #: in-degree of each deme under ``random``
-    degree: int = at_least(1, default=3)
-    #: block size of ``hierarchical`` groups
-    group: int = at_least(2, default=8)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
+#: entropy for ``random`` wiring (ignored by the structured kinds)
+SEED = 0
+#: in-degree of each deme under ``random``
+DEGREE = 3
+#: block size of ``hierarchical`` groups
+GROUP = 8
 
 
 def grid_shape(n: int) -> tuple[int, int]:
@@ -72,30 +60,33 @@ def grid_shape(n: int) -> tuple[int, int]:
     return rows, n // rows
 
 
-def _random_peers(spec: TopologySpec, deme: int, n_demes: int) -> list[int]:
+def _random_peers(deme: int, n_demes: int) -> list[int]:
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(n_demes, deme))
+        np.random.SeedSequence(entropy=SEED, spawn_key=(n_demes, deme))
     )
     options = np.arange(n_demes - 1)
     options[deme:] += 1  # every deme but this one, ascending
-    k = min(spec.degree, options.size)
+    k = min(DEGREE, options.size)
     return sorted(int(p) for p in rng.choice(options, size=k, replace=False))
 
 
-def in_peers(spec: TopologySpec, deme: int, n_demes: int) -> list[int]:
-    """The demes whose migrants ``deme`` incorporates, ascending."""
+def in_peers(kind: str, deme: int, n_demes: int) -> list[int]:
+    """The demes whose migrants ``deme`` incorporates under topology
+    ``kind`` (one of :data:`TOPOLOGIES`), ascending."""
+    if kind not in TOPOLOGIES:
+        raise ValueError(f"unknown topology {kind!r}; expected one of {TOPOLOGIES}")
     if n_demes < 2:
         return []
     if not 0 <= deme < n_demes:
         raise ValueError(f"deme {deme} out of range for {n_demes} demes")
-    if spec.kind == "all":
+    if kind == "all":
         return [p for p in range(n_demes) if p != deme]
-    if spec.kind == "ring":
+    if kind == "ring":
         return sorted({(deme - 1) % n_demes, (deme + 1) % n_demes} - {deme})
-    if spec.kind == "torus":
+    if kind == "torus":
         rows, cols = grid_shape(n_demes)
         if rows == 1:  # prime deme count: the grid collapses to a ring
-            return in_peers(TopologySpec(kind="ring"), deme, n_demes)
+            return in_peers("ring", deme, n_demes)
         i, j = divmod(deme, cols)
         neigh = {
             ((i - 1) % rows) * cols + j,
@@ -104,20 +95,18 @@ def in_peers(spec: TopologySpec, deme: int, n_demes: int) -> list[int]:
             i * cols + (j + 1) % cols,
         }
         return sorted(neigh - {deme})
-    if spec.kind == "hierarchical":
-        gid, n_groups = deme // spec.group, -(-n_demes // spec.group)
-        lo = gid * spec.group
-        peers = set(range(lo, min(lo + spec.group, n_demes)))
+    if kind == "hierarchical":
+        gid, n_groups = deme // GROUP, -(-n_demes // GROUP)
+        lo = gid * GROUP
+        peers = set(range(lo, min(lo + GROUP, n_demes)))
         if deme == lo and n_groups > 1:  # group leader: ring of leaders
-            peers.add(((gid - 1) % n_groups) * spec.group)
-            peers.add(((gid + 1) % n_groups) * spec.group)
+            peers.add(((gid - 1) % n_groups) * GROUP)
+            peers.add(((gid + 1) % n_groups) * GROUP)
         return sorted(peers - {deme})
-    return _random_peers(spec, deme, n_demes)
+    return _random_peers(deme, n_demes)
 
 
-def wiring(
-    spec: TopologySpec, n_demes: int
-) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+def wiring(kind: str, n_demes: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
     """``(peers, readers)``: every deme's in-peers and their inverse.
 
     ``readers[w]`` are the demes that read ``migrants.<w>`` (the DSM
@@ -125,7 +114,7 @@ def wiring(
     ``random`` each seeds a generator — so whoever wires a whole run
     builds this once and indexes it.
     """
-    peers = [in_peers(spec, d, n_demes) for d in range(n_demes)]
+    peers = [in_peers(kind, d, n_demes) for d in range(n_demes)]
     readers: list[list[int]] = [[] for _ in range(n_demes)]
     for d, ps in enumerate(peers):
         for p in ps:

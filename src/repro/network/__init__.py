@@ -14,7 +14,7 @@ fragmentation/reassembly above the MTU is the job of :mod:`repro.pvm`.
 from repro.network.frame import BROADCAST, Frame
 from repro.network.stats import LinkStats
 from repro.network.base import Adapter, Network
-from repro.network.ethernet import EthernetConfig, EthernetNetwork
+from repro.network.ethernet import EthernetNetwork
 from repro.network.switched import FABRICS, SP2_SWITCH, SwitchedConfig, SwitchedNetwork
 from repro.network.loader import NetworkLoader, LoaderConfig
 from repro.network.warp import WarpMeter
@@ -25,7 +25,6 @@ __all__ = [
     "LinkStats",
     "Adapter",
     "Network",
-    "EthernetConfig",
     "EthernetNetwork",
     "FABRICS",
     "SP2_SWITCH",

@@ -10,7 +10,7 @@ picks the next sender among adapters with queued frames:
 * ``k > 1`` contenders: the acquisition is *contended* — the winner is
   chosen round-robin (fairness, as CSMA/CD achieves statistically) and a
   contention penalty is charged, drawn uniformly from ``[0, min(k,
-  contention_cap)]`` backoff slots.  The penalty grows with the number of
+  CONTENTION_CAP)]`` backoff slots.  The penalty grows with the number of
   contenders (collision-resolution rounds), while carrier sense and the
   capture effect keep saturated 10BASE Ethernet at ~70–80 % efficiency —
   which this linear model reproduces for MTU-sized frames.
@@ -30,67 +30,50 @@ Frame path
 A frame costs four kernel events (arbitrate, start-tx, end-tx, one deliver
 per destination).  Each is pushed onto the kernel's queue directly, at an
 absolute time, rather than through ``Kernel.schedule`` — the delays are
-config constants validated non-negative by :class:`EthernetConfig`, so the
-per-call sign check and ``*args`` repacking buy nothing — and wire size
-and transmit time are computed once per frame.
+non-negative module constants, so the per-call sign check and ``*args``
+repacking buy nothing — and wire size and transmit time are computed once
+per frame.  The medium is the paper's fixed testbed: no run varies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.inputs import at_least, check_fields, nonnegative, positive
 from repro.network.base import Adapter, Network
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
 
+#: 10BASE Ethernet
+BANDWIDTH_BPS = 10e6
+#: one-way propagation delay across the segment
+PROP_DELAY = 25.6e-6
+#: inter-frame gap (9.6 us at 10 Mbps)
+IFG = 9.6e-6
+#: 512-bit slot time at 10 Mbps
+SLOT_TIME = 51.2e-6
+#: preamble + MAC header + CRC, charged per frame
+OVERHEAD_BYTES = 26
+MIN_PAYLOAD = 46
+#: MTU — the PVM layer fragments above this
+MAX_PAYLOAD = 1500
+#: cap on the contention penalty window, in backoff slots
+CONTENTION_CAP = 8
 
-@dataclass(frozen=True)
-class EthernetConfig:
-    """Parameters of the shared-medium model (defaults: 10BASE Ethernet)."""
 
-    bandwidth_bps: float = positive(default=10e6)
-    #: one-way propagation delay across the segment
-    prop_delay: float = nonnegative(default=25.6e-6)
-    #: inter-frame gap (9.6 us at 10 Mbps)
-    ifg: float = nonnegative(default=9.6e-6)
-    #: 512-bit slot time at 10 Mbps
-    slot_time: float = nonnegative(default=51.2e-6)
-    #: preamble + MAC header + CRC, charged per frame
-    overhead_bytes: int = at_least(0, default=26)
-    min_payload: int = at_least(1, default=46)
-    #: MTU — the PVM layer fragments above this
-    max_payload: int = at_least(1, default=1500)
-    #: cap on the contention penalty window, in backoff slots
-    contention_cap: int = at_least(1, default=8)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.min_payload > self.max_payload:
-            raise ValueError("need min_payload <= max_payload")
-
-    def tx_time(self, payload_bytes: int) -> float:
-        """Wire time for one frame carrying ``payload_bytes``."""
-        if payload_bytes > self.max_payload:
-            raise ValueError(
-                f"payload {payload_bytes} exceeds MTU {self.max_payload}; "
-                "fragment at the messaging layer"
-            )
-        wire = self.overhead_bytes + max(payload_bytes, self.min_payload)
-        return wire * 8.0 / self.bandwidth_bps
+def tx_time(payload_bytes: int) -> float:
+    """Wire time for one frame carrying ``payload_bytes``."""
+    if payload_bytes > MAX_PAYLOAD:
+        raise ValueError(
+            f"payload {payload_bytes} exceeds MTU {MAX_PAYLOAD}; "
+            "fragment at the messaging layer"
+        )
+    wire = OVERHEAD_BYTES + max(payload_bytes, MIN_PAYLOAD)
+    return wire * 8.0 / BANDWIDTH_BPS
 
 
 class EthernetNetwork(Network):
     """Deterministic shared-Ethernet simulation (see module docstring)."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        config: EthernetConfig | None = None,
-        name: str = "eth",
-    ) -> None:
+    def __init__(self, kernel: Kernel, name: str = "eth") -> None:
         super().__init__(kernel, name)
-        self.config = config or EthernetConfig()
         self._rng = kernel.rng.get(f"{name}.backoff")
         self._transmitting = False
         self._arbitration_pending = False
@@ -101,10 +84,10 @@ class EthernetNetwork(Network):
 
     # ------------------------------------------------------------------
     def _enqueue(self, adapter: Adapter, frame: Frame) -> None:
-        if frame.size_bytes > self.config.max_payload:
+        if frame.size_bytes > MAX_PAYLOAD:
             raise ValueError(
                 f"frame payload {frame.size_bytes} B exceeds Ethernet MTU "
-                f"{self.config.max_payload} B — fragment at the PVM layer"
+                f"{MAX_PAYLOAD} B — fragment at the PVM layer"
             )
         frame.enqueue_time = self.kernel.now
         adapter.queue.append(frame)
@@ -125,15 +108,14 @@ class EthernetNetwork(Network):
         contenders = self._backlog
         if not contenders:
             return
-        config = self.config
-        delay = config.ifg
+        delay = IFG
         if len(contenders) > 1:
             self.stats.contended_acquisitions += 1
-            window = min(len(contenders), config.contention_cap)
+            window = min(len(contenders), CONTENTION_CAP)
             # window * random() is bit-identical to uniform(0.0, window)
             # (numpy computes low + (high - low) * random()) on the same
             # stream, without the argument broadcasting
-            delay += config.slot_time * (window * self._rng.random())
+            delay += SLOT_TIME * (window * self._rng.random())
         winner = self._pick_round_robin(contenders)
         self._last_winner = winner
         self._transmitting = True
@@ -165,13 +147,12 @@ class EthernetNetwork(Network):
         kernel = self.kernel
         now = kernel.now
         frame.tx_start_time = now
-        config = self.config
         stats = self.stats
         stats.queueing_delay.add(now - frame.enqueue_time)
         size = frame.size_bytes
-        # the MTU was checked at enqueue, so this is config.tx_time(size)
-        wire = config.overhead_bytes + max(size, config.min_payload)
-        tx = wire * 8.0 / config.bandwidth_bps
+        # the MTU was checked at enqueue, so this is tx_time(size)
+        wire = OVERHEAD_BYTES + max(size, MIN_PAYLOAD)
+        tx = wire * 8.0 / BANDWIDTH_BPS
         stats.frames_sent += 1
         stats.bytes_sent += size
         stats.wire_bytes_sent += wire
@@ -191,7 +172,7 @@ class EthernetNetwork(Network):
         if len(destinations) > 1:
             self.stats.broadcasts += 1
         push = self.kernel.queue.push
-        at = self.kernel.now + self.config.prop_delay
+        at = self.kernel.now + PROP_DELAY
         for dst in destinations:
             push(at, self._deliver, (frame, dst))
         self._schedule_arbitration()

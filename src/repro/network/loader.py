@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.inputs import at_least, check_fields, nonnegative, positive
+from repro.inputs import at_least, check_fields, positive
 from repro.network.base import Network
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
@@ -25,8 +25,6 @@ class LoaderConfig:
 
     offered_load_bps: float = positive(default=1e6)
     frame_payload_bytes: int = at_least(1, default=1024)
-    #: loader stops injecting after this simulated time (None = forever)
-    stop_after: float | None = nonnegative(default=None, optional=True)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -80,12 +78,6 @@ class NetworkLoader:
         return float(self._rng.exponential(self.config.mean_interarrival()))
 
     def _inject(self) -> None:
-        if (
-            self.config.stop_after is not None
-            and self.kernel.now >= self.config.stop_after
-        ):
-            self._running = False
-            return
         frame = Frame(
             src=self.src_node,
             dst=self.dst_node,

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Generator, Iterable
 
-from repro.inputs import at_least, check_fields, nonnegative
+from repro.inputs import check_fields, nonnegative
+from repro.network import ethernet
 from repro.network.base import Network
 from repro.network.frame import BROADCAST, Frame
 from repro.pvm.message import ANY_SOURCE, ANY_TAG, Message
@@ -33,6 +34,8 @@ from repro.sim.process import Compute, Signal, WaitSignal
 #: reserved tag space for layer-internal protocols
 BARRIER_TAG = -1000
 BARRIER_RELEASE_TAG = -1001
+#: per-message protocol header bytes on the wire
+HEADER_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,6 @@ class PvmOverheads:
     mcast_per_dest: float = nonnegative(default=0.25e-3)
     recv_fixed: float = nonnegative(default=0.6e-3)
     recv_per_byte: float = nonnegative(default=65e-9)
-    #: per-message protocol header bytes on the wire
-    header_bytes: int = at_least(0, default=32)
 
     def __post_init__(self) -> None:
         check_fields(self)  # a negative cost would be dropped or refused mid-run
@@ -369,8 +370,8 @@ class VirtualMachine:
         self.tasks: dict[int, Task] = {}
         try:
             self._mtu = int(network.config.max_payload)  # type: ignore[attr-defined]
-        except AttributeError:
-            self._mtu = 1500
+        except AttributeError:  # the shared Ethernet: a fixed MTU, no config
+            self._mtu = ethernet.MAX_PAYLOAD
 
     def add_task(self, node_id: int, name: str | None = None) -> Task:
         """Create the task living on ``node_id`` and attach it to the net."""
@@ -383,7 +384,7 @@ class VirtualMachine:
 
     def _transmit(self, msg: Message) -> None:
         """Fragment a message into MTU-sized frames and hand to the link."""
-        total = msg.nbytes + self.overheads.header_bytes
+        total = msg.nbytes + HEADER_BYTES
         adapter = self.network.adapters[msg.src]
         if total <= self._mtu:  # the common case: one frame, no loop
             adapter.send(Frame(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.machine import MachineConfig
+from repro.network import ethernet
 from repro.partition.graph import Graph
 from repro.partition.multilevel import partition
 
@@ -58,8 +59,7 @@ def lookahead_of(mcfg: MachineConfig) -> float:
     another in less simulated time than this.
     """
     if mcfg.interconnect == "ethernet":
-        c = mcfg.ethernet
-        return c.ifg + c.tx_time(c.min_payload) + c.prop_delay
+        return ethernet.IFG + ethernet.tx_time(ethernet.MIN_PAYLOAD) + ethernet.PROP_DELAY
     return mcfg.switched.min_latency()
 
 

@@ -164,7 +164,7 @@ def test_sampler_memory_is_a_lag_window_not_the_run_count(
     cfg = gr_rollback_config(precision)
     r, states = run_with_states(monkeypatch, cfg)
     assert (r.committed_runs, r.rollback.rollbacks) == (committed, rollbacks)
-    window = cfg.age + min(cfg.age, 16) + cfg.check_every
+    window = cfg.age + min(cfg.age, 16) + parallel.CHECK_EVERY
     held = sum(len(table) for st in states for table in tables(st))
     assert held <= 5 * window * cfg.n_procs
 

@@ -12,6 +12,8 @@ from repro.bayes import (
     make_table2_network,
     run_serial_logic_sampling,
 )
+from repro.bayes import logic_sampling
+from repro.bayes.confidence import MIN_SAMPLES
 from repro.bayes.hailfinder import N_CROSS, N_EDGES
 from repro.partition import edge_cut
 from repro.partition.multilevel import best_of
@@ -102,8 +104,8 @@ class TestPosteriorEstimator:
         assert runs_needed(0.05) < runs_needed(0.4) / 2
 
     def test_min_samples_guard(self):
-        est = PosteriorEstimator(2, min_samples=100)
-        for _ in range(99):
+        est = PosteriorEstimator(2)
+        for _ in range(MIN_SAMPLES - 1):
             est.add(0)
         assert not est.converged  # all-one-value would otherwise converge
 
@@ -133,17 +135,6 @@ class TestSerialLogicSampling:
         # P(B=true) = 0.22 (total probability over A)
         assert r.posterior[1] == pytest.approx(0.22, abs=0.02)
 
-    def test_evidence_rejection(self):
-        from tests.bayes.test_network import paper_figure1_network
-
-        net = paper_figure1_network()
-        r = run_serial_logic_sampling(net, query=1, evidence={0: 1}, seed=0)
-        assert r.converged
-        # given A=true, P(B=true)=0.70 directly from the CPT
-        assert r.posterior[1] == pytest.approx(0.70, abs=0.03)
-        # rejection: only ~20% of runs match the evidence
-        assert r.n_accepted / r.n_runs == pytest.approx(0.20, abs=0.03)
-
     def test_sim_time_scales_with_network_size(self):
         small = make_random_network(10, 12, seed=1)
         big = make_random_network(54, 119, seed=1)
@@ -157,17 +148,12 @@ class TestSerialLogicSampling:
         net = paper_figure1_network()
         with pytest.raises(KeyError):
             run_serial_logic_sampling(net, query=99)
-        with pytest.raises(KeyError):
-            run_serial_logic_sampling(net, query=1, evidence={99: 0})
-        with pytest.raises(ValueError):
-            run_serial_logic_sampling(net, query=1, evidence={1: 0})
-        with pytest.raises(ValueError):
-            run_serial_logic_sampling(net, query=1, evidence={0: 7})
 
-    def test_max_runs_cap(self):
+    def test_max_runs_cap(self, monkeypatch):
         from tests.bayes.test_network import paper_figure1_network
 
+        monkeypatch.setattr(logic_sampling, "MAX_RUNS", 128)
         net = paper_figure1_network()
-        r = run_serial_logic_sampling(net, query=1, seed=0, max_runs=128)
+        r = run_serial_logic_sampling(net, query=1, seed=0)
         assert not r.converged
         assert r.n_runs <= 128

@@ -266,11 +266,10 @@ class TestValidation:
         with pytest.raises(KeyError):
             ParallelLsConfig(net=net, query=999)
 
-    @pytest.mark.parametrize("field", ["check_every", "max_iterations"])
+    @pytest.mark.parametrize("field", ["max_iterations"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_refuses_counts_below_one(self, field, value):
-        # check_every=0 used to die mid-run dividing by zero, and
-        # max_iterations=0 to return an empty, unconverged posterior
+        # max_iterations=0 used to return an empty, unconverged posterior
         with pytest.raises(ValueError, match=field):
             ParallelLsConfig(net=small_net(), query=0, **{field: value})
 

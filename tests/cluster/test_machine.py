@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Machine, MachineConfig
 from repro.faults.plan import FaultPlan
-from repro.network import SP2_SWITCH, SwitchedNetwork
+from repro.network import SP2_SWITCH, SwitchedConfig, SwitchedNetwork
 from repro.sim import Compute
 
 
@@ -104,8 +104,10 @@ def test_heterogeneous_speed_factors():
         ({"loader_bps": (float("nan"),)}, r"loader_bps\[0\] must be finite"),
         ({"loader_bps": (1e6, float("inf"))}, r"loader_bps\[1\] must be finite"),
         ({"loader_bps": (0.0,)}, r"loader_bps\[0\] must be finite"),
-        ({"loader_frame_bytes": 99999}, "loader_frame_bytes 99999 exceeds the ethernet max_payload 1500"),
-        ({"loader_frame_bytes": 1501, "interconnect": "switched"}, "exceeds the switched max_payload"),
+        (
+            {"interconnect": "switched", "switched": SwitchedConfig(max_payload=1000)},
+            "1024-byte frames exceed the switched max_payload 1000",
+        ),
     ],
 )
 def test_unrunnable_machine_inputs_are_refused_naming_the_field(kwargs, message):
@@ -114,8 +116,9 @@ def test_unrunnable_machine_inputs_are_refused_naming_the_field(kwargs, message)
 
 
 def test_loader_frame_fits_the_chosen_interconnect():
-    # the SP2 switch's MTU is far above Ethernet's: the bound follows the fabric
-    MachineConfig(interconnect="switched", switched=SP2_SWITCH, loader_frame_bytes=9000)
+    # the bound follows the fabric: an unused switched config is not checked
+    MachineConfig(switched=SwitchedConfig(max_payload=1000))
+    MachineConfig(interconnect="switched", switched=SP2_SWITCH)
 
 
 def test_config_validation():

@@ -4,50 +4,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic_age import DynamicAgeController
+from repro.core.dynamic_age import (
+    DECREASE_FACTOR,
+    INCREASE_STEP,
+    MAX_AGE,
+    MIN_AGE,
+    SLACK,
+    WINDOW,
+    DynamicAgeController,
+)
+
+
+def observe_window(c, blocked=False, staleness=0, first_blocked=False):
+    """One full adaptation window of calls; returns the ages seen."""
+    ages = [c.observe(first_blocked or blocked, staleness)]
+    ages += [c.observe(blocked, staleness) for _ in range(WINDOW - 1)]
+    return ages
 
 
 class TestController:
     def test_blocking_raises_age_additively(self):
-        c = DynamicAgeController(initial_age=4, window=2, increase_step=3)
-        c.observe(blocked=True, staleness=0)
-        assert c.age == 4  # mid-window: unchanged
-        c.observe(blocked=False, staleness=0)
-        assert c.age == 7
+        c = DynamicAgeController(initial_age=4)
+        ages = observe_window(c, first_blocked=True)
+        assert ages[:-1] == [4] * (WINDOW - 1)  # mid-window: unchanged
+        assert c.age == 4 + INCREASE_STEP == 6
 
     def test_slack_lowers_age_multiplicatively(self):
-        c = DynamicAgeController(initial_age=16, window=2, decrease_factor=0.5, slack=2)
-        for _ in range(2):
-            c.observe(blocked=False, staleness=1)  # 16 - 1 >= slack
-        assert c.age == 8
+        c = DynamicAgeController(initial_age=16)
+        observe_window(c, staleness=1)  # 16 - 1 >= SLACK
+        assert c.age == int(16 * DECREASE_FACTOR) == 8
 
     def test_borderline_staleness_keeps_age(self):
-        c = DynamicAgeController(initial_age=6, window=2, slack=2)
-        for _ in range(2):
-            c.observe(blocked=False, staleness=5)  # within slack of the bound
+        c = DynamicAgeController(initial_age=6)
+        observe_window(c, staleness=6 - SLACK + 1)  # within slack of the bound
         assert c.age == 6
 
     def test_clamped_to_bounds(self):
-        c = DynamicAgeController(initial_age=59, max_age=60, window=1, increase_step=5)
-        c.observe(blocked=True, staleness=0)
-        assert c.age == 60
-        c2 = DynamicAgeController(initial_age=1, min_age=0, window=1)
-        c2.observe(blocked=False, staleness=0)
-        c2.observe(blocked=False, staleness=0)
-        assert c2.age >= 0
+        c = DynamicAgeController(initial_age=MAX_AGE - 1)
+        observe_window(c, blocked=True)
+        assert c.age == MAX_AGE
+        c2 = DynamicAgeController(initial_age=1)
+        observe_window(c2)
+        observe_window(c2)
+        assert c2.age >= MIN_AGE
 
     def test_adjustments_logged(self):
-        c = DynamicAgeController(initial_age=4, window=1)
-        c.observe(blocked=True, staleness=0)
+        c = DynamicAgeController(initial_age=4)
+        observe_window(c, first_blocked=True)
         assert c.adjustments == [(4, 6)]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DynamicAgeController(initial_age=99, max_age=10)
-        with pytest.raises(ValueError):
-            DynamicAgeController(window=0)
-        with pytest.raises(ValueError):
-            DynamicAgeController(decrease_factor=1.5)
+        with pytest.raises(ValueError, match="initial_age"):
+            DynamicAgeController(initial_age=MAX_AGE + 1)
+        with pytest.raises(ValueError, match="initial_age"):
+            DynamicAgeController(initial_age=MIN_AGE - 1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -57,10 +67,10 @@ class TestController:
         )
     )
     def test_property_age_always_in_bounds(self, events):
-        c = DynamicAgeController(initial_age=10, min_age=0, max_age=40)
+        c = DynamicAgeController(initial_age=10)
         for blocked, staleness in events:
             age = c.observe(blocked, staleness)
-            assert 0 <= age <= 40
+            assert MIN_AGE <= age <= MAX_AGE
 
 
 class TestEndToEnd:

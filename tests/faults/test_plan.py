@@ -95,7 +95,6 @@ def test_parse_stop_inf_and_single_delay():
 
 def test_barrier_tags_protected_by_default():
     assert set(DEFAULT_PROTECTED_TAGS) == {-1000, -1001}
-    assert MessageFaults().protect_tags == DEFAULT_PROTECTED_TAGS
 
 
 def test_describe_mentions_active_faults():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.ga import FitnessCache, GaCostModel, get_function, run_serial_ga
+from repro.ga import FitnessCache, get_function, run_serial_ga
+from repro.ga import costs
 from repro.ga.operators import GaParams
 
 
@@ -63,18 +64,16 @@ class TestFitnessCache:
 
 class TestCostModel:
     def test_eval_cost_grows_with_dims_and_transcendentals(self):
-        m = GaCostModel()
-        assert m.eval_cost(get_function(4)) > m.eval_cost(get_function(1))
+        assert costs.eval_cost(get_function(4)) > costs.eval_cost(get_function(1))
         # rastrigin (20 vars, transcendental) costs more than sphere (3 vars)
-        assert m.eval_cost(get_function(6)) > 2 * m.eval_cost(get_function(1))
+        assert costs.eval_cost(get_function(6)) > 2 * costs.eval_cost(get_function(1))
 
     def test_generation_cost_components(self):
-        m = GaCostModel()
         fn = get_function(1)
-        c0 = m.generation_cost(fn, population=50, evaluations=0)
-        c10 = m.generation_cost(fn, population=50, evaluations=10)
-        assert c10 - c0 == pytest.approx(10 * m.eval_cost(fn))
-        assert c0 == pytest.approx(50 * (m.genop_per_individual + m.cache_lookup))
+        c0 = costs.generation_cost(fn, population=50, evaluations=0)
+        c10 = costs.generation_cost(fn, population=50, evaluations=10)
+        assert c10 - c0 == pytest.approx(10 * costs.eval_cost(fn))
+        assert c0 == pytest.approx(50 * (costs.GENOP_PER_INDIVIDUAL + costs.CACHE_LOOKUP))
 
 
 class TestSerialGa:

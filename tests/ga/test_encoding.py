@@ -1,4 +1,4 @@
-"""Binary encoding: decode correctness, Gray mode, bounds, properties."""
+"""Binary encoding: decode correctness, bounds, properties."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,10 @@ from repro.ga.functions import get_function
 
 def encode_ints(enc, ints):
     """The inverse of ``enc.decode``'s field step: field integers
-    ``(n, n_vars)`` to a chromosome, Gray-coded when ``enc.gray``."""
+    ``(n, n_vars)`` to a chromosome."""
     ints = np.atleast_2d(np.asarray(ints, dtype=np.int64))
     shifts = np.arange(enc.bits_per_var - 1, -1, -1)
     bits = (ints[:, :, None] >> shifts) & 1
-    if enc.gray:
-        # binary -> Gray: g_i = b_i xor b_{i-1}
-        gray = bits.copy()
-        gray[:, :, 1:] = np.bitwise_xor(bits[:, :, 1:], bits[:, :, :-1])
-        bits = gray
     return bits.reshape(ints.shape[0], enc.length).astype(np.uint8)
 
 
@@ -47,23 +42,6 @@ def test_encode_decode_roundtrip():
     span = 255
     expected = -1.0 + 2.0 * ints / span
     assert np.allclose(decoded, expected)
-
-
-def test_gray_roundtrip_matches_plain():
-    plain = BinaryEncoding(n_vars=2, bits_per_var=6, lower=0.0, upper=63.0)
-    gray = BinaryEncoding(n_vars=2, bits_per_var=6, lower=0.0, upper=63.0, gray=True)
-    ints = np.array([[0, 63], [17, 42], [1, 32]])
-    assert np.allclose(plain.decode(encode_ints(plain, ints)), ints)
-    assert np.allclose(gray.decode(encode_ints(gray, ints)), ints)
-
-
-def test_gray_adjacent_ints_differ_by_one_bit():
-    enc = BinaryEncoding(n_vars=1, bits_per_var=8, lower=0.0, upper=255.0, gray=True)
-    ints = np.arange(255)
-    a = encode_ints(enc, ints[:, None])
-    b = encode_ints(enc, (ints + 1)[:, None])
-    hamming = np.sum(a != b, axis=1)
-    assert np.all(hamming == 1)
 
 
 def test_random_population_shape_and_values():
@@ -100,10 +78,9 @@ def test_validation():
     bits=st.integers(min_value=1, max_value=16),
     n_vars=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=999),
-    gray=st.booleans(),
 )
-def test_property_decode_within_bounds(bits, n_vars, seed, gray):
-    enc = BinaryEncoding(n_vars=n_vars, bits_per_var=bits, lower=-2.5, upper=7.5, gray=gray)
+def test_property_decode_within_bounds(bits, n_vars, seed):
+    enc = BinaryEncoding(n_vars=n_vars, bits_per_var=bits, lower=-2.5, upper=7.5)
     pop = enc.random_population(32, np.random.default_rng(seed))
     x = enc.decode(pop)
     assert x.shape == (32, n_vars)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coherence import CoherenceMode
+from repro.ga.costs import generation_cost
 from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TEST_FUNCTIONS, reseed_f4
 from repro.ga.island import IslandGaConfig, _GaPlan, _LocalDeme
@@ -128,9 +129,7 @@ class RefDeme:
 
     def _report(self, misses_before):
         cfg = self.cfg
-        cost = cfg.costs.generation_cost(
-            cfg.fn, self.pop.size, self.cache.misses - misses_before
-        )
+        cost = generation_cost(cfg.fn, self.pop.size, self.cache.misses - misses_before)
         self.best_so_far = min(self.best_so_far, float(self.pop.fitness.min()))
         idx = np.argsort(self.pop.fitness, kind="stable")[: self.n_mig]
         migrants = self.pop.genomes[idx].copy(), self.pop.fitness[idx].copy()
@@ -218,16 +217,14 @@ def _assert_same(a, b):
 
 
 @pytest.mark.parametrize("n", [7, 8, 50])
-@pytest.mark.parametrize("gray", [False, True], ids=["binary", "gray"])
 @pytest.mark.parametrize("fn", TEST_FUNCTIONS, ids=lambda f: f"f{f.fid}")
-def test_compiled_generation_matches_textbook(fn, gray, n):
+def test_compiled_generation_matches_textbook(fn, n):
     cfg = IslandGaConfig(
         fn=fn,
         n_demes=N_DEMES,
         mode=CoherenceMode.NON_STRICT,
         seed=11,
         params=GaParams(population_size=n),
-        gray=gray,
     )
     reference = _trajectory(RefDeme, cfg)
     compiled = _trajectory(_LocalDeme, cfg)

@@ -14,11 +14,18 @@ class TestConfigValidation:
             IslandGaConfig(fn=fn, n_demes=0, mode=CoherenceMode.SYNCHRONOUS)
         with pytest.raises(ValueError):
             IslandGaConfig(fn=fn, n_demes=2, mode=CoherenceMode.NON_STRICT, age=-1)
-        with pytest.raises(ValueError):
-            IslandGaConfig(
-                fn=fn, n_demes=2, mode=CoherenceMode.SYNCHRONOUS,
-                migration_fraction=0.0,
-            )
+
+    @pytest.mark.parametrize(
+        "mode", [CoherenceMode.SYNCHRONOUS, CoherenceMode.ASYNCHRONOUS], ids=lambda m: m.name
+    )
+    def test_dynamic_age_in_a_mode_with_no_age_is_refused(self, mode):
+        """It used to build and run with no controller: the flag did nothing."""
+        with pytest.raises(ValueError, match=r"dynamic_age.*mode=") as exc:
+            IslandGaConfig(fn=get_function(1), n_demes=2, mode=mode, dynamic_age=True)
+        assert mode.name in str(exc.value)
+        IslandGaConfig(
+            fn=get_function(1), n_demes=2, mode=CoherenceMode.NON_STRICT, dynamic_age=True
+        )
 
     def test_negative_generation_count_rejected(self):
         """It used to run zero generations without a word."""
@@ -70,7 +77,7 @@ class TestMechanics:
 
     def test_migration_improves_over_isolated_demes(self, run_island):
         """Demes with migration reach better quality than the same demes
-        in isolation (migration_fraction ~ 0 is not allowed; compare one
+        in isolation (the migration fraction is fixed at N/2; compare one
         isolated deme against the connected archipelago's best)."""
         fn = get_function(6)
         connected = run_island(CoherenceMode.NON_STRICT, age=5, demes=4, gens=60, fn=fn)

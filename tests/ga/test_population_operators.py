@@ -165,8 +165,6 @@ class TestParams:
         with pytest.raises(ValueError):
             GaParams(mutation_rate=-0.1)
         with pytest.raises(ValueError):
-            GaParams(generation_gap=0.5)
-        with pytest.raises(ValueError):
             GaParams(scaling_window=0)
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ga.topology import (
+    DEGREE,
     TOPOLOGIES,
-    TopologySpec,
     comm_graph,
     grid_shape,
     in_peers,
@@ -15,31 +15,29 @@ from repro.ga.topology import (
 )
 
 
-def readers_of(spec, writer, n):
+def readers_of(kind, writer, n):
     """The demes that read ``migrants.<writer>``, from the wiring table a
     run builds its DSM reader sets from."""
-    return wiring(spec, n)[1][writer]
+    return wiring(kind, n)[1][writer]
 
 
 class TestSpec:
     def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError, match=r"TopologySpec\.kind"):
-            TopologySpec(kind="mesh")
-        with pytest.raises(ValueError, match="degree"):
-            TopologySpec(kind="random", degree=0)
-        with pytest.raises(ValueError, match="group"):
-            TopologySpec(kind="hierarchical", group=1)
+        with pytest.raises(ValueError, match="unknown topology 'mesh'"):
+            in_peers("mesh", 0, 4)
+        with pytest.raises(ValueError, match="unknown topology 'mesh'"):
+            wiring("mesh", 4)
 
     def test_out_of_range_deme_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            in_peers(TopologySpec(), 4, 4)
+            in_peers("all", 4, 4)
 
 
 class TestShapes:
     def test_all_matches_historical_enumeration(self):
         """The digest-neutrality anchor: "all" must reproduce the exact
         ascending peer list the pre-topology code inlined."""
-        spec = TopologySpec(kind="all")
+        spec = "all"
         for n in (2, 3, 8):
             for d in range(n):
                 assert in_peers(spec, d, n) == [p for p in range(n) if p != d]
@@ -48,7 +46,7 @@ class TestShapes:
                 )
 
     def test_ring_has_two_neighbours(self):
-        spec = TopologySpec(kind="ring")
+        spec = "ring"
         assert in_peers(spec, 0, 8) == [1, 7]
         assert in_peers(spec, 3, 8) == [2, 4]
         assert in_peers(spec, 0, 2) == [1]  # two demes: one neighbour
@@ -59,29 +57,26 @@ class TestShapes:
         assert grid_shape(7) == (1, 7)  # prime: degenerates to a ring
 
     def test_torus_has_four_neighbours(self):
-        spec = TopologySpec(kind="torus")
+        spec = "torus"
         assert in_peers(spec, 5, 16) == [1, 4, 6, 9]  # 4x4 grid, cell (1,1)
         # prime count falls back to the ring
         assert in_peers(spec, 0, 7) == [1, 6]
 
     def test_hierarchical_groups_and_leader_ring(self):
-        spec = TopologySpec(kind="hierarchical", group=4)
+        spec = "hierarchical"  # blocks of 8
         # non-leader: its own block only
-        assert in_peers(spec, 5, 16) == [4, 6, 7]
+        assert in_peers(spec, 9, 32) == [8, 10, 11, 12, 13, 14, 15]
         # leader of block 1: block plus the neighbouring leaders
-        assert in_peers(spec, 4, 16) == [0, 5, 6, 7, 8]
+        assert in_peers(spec, 8, 32) == [0, 9, 10, 11, 12, 13, 14, 15, 16]
 
     def test_random_is_seeded_and_order_free(self):
-        a = TopologySpec(kind="random", seed=3, degree=3)
-        peers = {d: in_peers(a, d, 32) for d in range(32)}
-        assert all(len(p) == 3 for p in peers.values())
-        # independent of evaluation order, pure function of (seed, n, d)
-        assert in_peers(a, 17, 32) == peers[17]
-        b = TopologySpec(kind="random", seed=4, degree=3)
-        assert any(in_peers(b, d, 32) != peers[d] for d in range(32))
+        peers = {d: in_peers("random", d, 32) for d in range(32)}
+        assert all(len(p) == DEGREE == 3 for p in peers.values())
+        # independent of evaluation order, pure function of (n, d)
+        assert in_peers("random", 17, 32) == peers[17]
 
     def test_random_readers_are_the_exact_inverse(self):
-        spec = TopologySpec(kind="random", seed=1, degree=2)
+        spec = "random"
         n = 16
         for writer in range(n):
             readers = readers_of(spec, writer, n)
@@ -96,14 +91,14 @@ class TestWiringTable:
 
     @pytest.mark.parametrize("n", [2, 17, 64, 256])
     def test_random_table_equals_the_per_deme_definition(self, n):
-        spec = TopologySpec(kind="random", seed=5, degree=3)
+        spec = "random"
 
         def definition(deme):  # the draw as first written, options as a list
             rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=spec.seed, spawn_key=(n, deme))
+                np.random.SeedSequence(entropy=0, spawn_key=(n, deme))
             )
             options = np.array([p for p in range(n) if p != deme])
-            k = min(spec.degree, options.size)
+            k = min(3, options.size)
             return sorted(int(p) for p in rng.choice(options, size=k, replace=False))
 
         peers, readers = wiring(spec, n)
@@ -115,7 +110,7 @@ class TestWiringTable:
 
     @pytest.mark.parametrize("kind", TOPOLOGIES)
     def test_table_rows_are_in_peers_and_readers_of(self, kind):
-        spec = TopologySpec(kind=kind, seed=2, degree=2, group=4)
+        spec = kind
         for n in (1, 2, 17):
             peers, readers = wiring(spec, n)
             assert peers == [in_peers(spec, d, n) for d in range(n)]
@@ -133,9 +128,9 @@ class TestWiringTable:
         calls = []
         real = topology._random_peers
 
-        def counting(spec, deme, n_demes):
+        def counting(deme, n_demes):
             calls.append(deme)
-            return real(spec, deme, n_demes)
+            return real(deme, n_demes)
 
         monkeypatch.setattr(topology, "_random_peers", counting)
         result = _run_island(island_cfg(demes=256, gens=0, topology="random"))
@@ -143,13 +138,7 @@ class TestWiringTable:
         assert sorted(calls) == list(range(256))
 
 
-topo_specs = st.builds(
-    TopologySpec,
-    kind=st.sampled_from(TOPOLOGIES),
-    seed=st.integers(min_value=0, max_value=99),
-    degree=st.integers(min_value=1, max_value=4),
-    group=st.integers(min_value=2, max_value=6),
-)
+topo_specs = st.sampled_from(TOPOLOGIES)
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,7 +170,7 @@ def test_property_readers_invert_in_peers(spec, n):
 @given(topo_specs, st.integers(min_value=2, max_value=32))
 def test_property_symmetric_kinds_are_symmetric(spec, n):
     """Structured kinds: migration is mutual (readers == in-peers)."""
-    if spec.kind == "random":
+    if spec == "random":
         return
     for d in range(n):
         assert readers_of(spec, d, n) == tuple(in_peers(spec, d, n))
@@ -198,9 +187,9 @@ def test_property_comm_graph_covers_every_deme(spec, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=99), st.integers(min_value=3, max_value=40))
-def test_property_random_wiring_deterministic(seed, n):
-    spec = TopologySpec(kind="random", seed=seed, degree=2)
+@given(st.integers(min_value=3, max_value=40))
+def test_property_random_wiring_deterministic(n):
+    spec = "random"
     assert [in_peers(spec, d, n) for d in range(n)] == [
         in_peers(spec, d, n) for d in range(n)
     ]

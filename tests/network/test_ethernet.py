@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.network import BROADCAST, EthernetConfig, EthernetNetwork, Frame
+from repro.network import BROADCAST, EthernetNetwork, Frame, ethernet
 from repro.sim import Kernel
 
 
-def make_net(n_nodes=4, seed=0, config=None):
+def make_net(n_nodes=4, seed=0):
     kernel = Kernel(seed=seed)
-    net = EthernetNetwork(kernel, config=config)
+    net = EthernetNetwork(kernel)
     inboxes = {i: [] for i in range(n_nodes)}
     for i in range(n_nodes):
         net.attach(i, inboxes[i].append)
@@ -17,57 +17,23 @@ def make_net(n_nodes=4, seed=0, config=None):
 
 def test_single_frame_latency_matches_model():
     kernel, net, inboxes = make_net()
-    cfg = net.config
     frame = Frame(src=0, dst=1, size_bytes=1000)
     net.adapters[0].send(frame)
     kernel.run()
     assert inboxes[1] == [frame]
-    expected = cfg.ifg + cfg.tx_time(1000) + cfg.prop_delay
+    expected = ethernet.IFG + ethernet.tx_time(1000) + ethernet.PROP_DELAY
     assert frame.deliver_time == pytest.approx(expected)
 
 
 def test_tx_time_min_frame_padding():
-    cfg = EthernetConfig()
     # payloads below the 46-byte minimum are padded on the wire
-    assert cfg.tx_time(1) == cfg.tx_time(46)
-    assert cfg.tx_time(47) > cfg.tx_time(46)
+    assert ethernet.tx_time(1) == ethernet.tx_time(46)
+    assert ethernet.tx_time(47) > ethernet.tx_time(46)
 
 
 def test_tx_time_10mbps_scale():
-    cfg = EthernetConfig()
     # 1000 B payload + 26 B overhead = 8208 bits / 10 Mbps = 820.8 us
-    assert cfg.tx_time(1000) == pytest.approx(8208e-7)
-
-
-@pytest.mark.parametrize(
-    "field, bad",
-    [
-        ("bandwidth_bps", 0.0),
-        ("bandwidth_bps", float("nan")),
-        ("prop_delay", -1e-6),
-        ("ifg", -1e-6),
-        ("slot_time", -1e-6),
-        ("min_payload", 0),
-        ("max_payload", 45),  # below the default 46-byte minimum
-        ("contention_cap", 0),
-    ],
-)
-def test_bad_link_parameter_refused_at_construction(field, bad):
-    """The frame path pushes absolute times without ``schedule()``'s sign
-    check, so a parameter that could run time backwards never gets in."""
-    with pytest.raises(ValueError):
-        EthernetConfig(**{field: bad})
-
-
-def test_zero_delay_link_parameters_are_legal():
-    cfg = EthernetConfig(prop_delay=0.0, ifg=0.0, slot_time=0.0)
-    kernel, net, inboxes = make_net(config=cfg)
-    frames = [Frame(src=s, dst=3, size_bytes=100) for s in (0, 1, 2)]
-    for f in frames:
-        net.adapters[f.src].send(f)
-    kernel.run()
-    assert inboxes[3] == frames
-    assert kernel.now == pytest.approx(3 * cfg.tx_time(100))
+    assert ethernet.tx_time(1000) == pytest.approx(8208e-7)
 
 
 def test_backoff_draw_is_bit_identical_to_uniform():
@@ -86,7 +52,7 @@ def test_mtu_enforced():
     with pytest.raises(ValueError):
         net.adapters[0].send(Frame(src=0, dst=1, size_bytes=2000))
     with pytest.raises(ValueError):
-        EthernetConfig().tx_time(1501)
+        ethernet.tx_time(1501)
 
 
 def test_frames_serialize_on_shared_medium():
@@ -98,7 +64,7 @@ def test_frames_serialize_on_shared_medium():
     net.adapters[1].send(f2)
     kernel.run()
     first, second = sorted([f1, f2], key=lambda f: f.tx_start_time)
-    tx = net.config.tx_time(1500)
+    tx = ethernet.tx_time(1500)
     assert second.tx_start_time >= first.tx_start_time + tx
     assert net.stats.contended_acquisitions >= 1
 
@@ -267,7 +233,7 @@ def test_flush_between_arbitration_win_and_tx_start():
         assert lost == 1
         net.adapters[1].send(f1)
 
-    kernel.schedule(net.config.ifg / 2, mid_gap)
+    kernel.schedule(ethernet.IFG / 2, mid_gap)
     kernel.run()
     assert inboxes[2] == [f1]  # the waiting sender was re-acquired, not starved
     assert net._backlog == set()

@@ -43,27 +43,11 @@ def test_loader_zero_load_rejected():
         )
 
 
-def test_loader_stop_after():
-    kernel = Kernel(seed=5)
-    net = EthernetNetwork(kernel)
-    loader = NetworkLoader(
-        kernel,
-        net,
-        LoaderConfig(offered_load_bps=2e6, frame_payload_bytes=512, stop_after=1.0),
-        src_node=0,
-        dst_node=1,
-    )
-    loader.start()
-    kernel.run()
-    assert kernel.now < 2.0
-    assert loader.frames_delivered == loader.frames_injected
-
-
 def test_loader_double_start_rejected():
     kernel = Kernel(seed=5)
     net = EthernetNetwork(kernel)
     loader = NetworkLoader(
-        kernel, net, LoaderConfig(offered_load_bps=1e5, stop_after=0.1),
+        kernel, net, LoaderConfig(offered_load_bps=1e5),
         src_node=0, dst_node=1,
     )
     loader.start()

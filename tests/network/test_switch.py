@@ -90,11 +90,10 @@ def test_broadcast_replicates_per_destination():
 
 
 def test_switch_is_much_faster_than_ethernet():
-    from repro.network import EthernetConfig
+    from repro.network import ethernet
 
-    eth = EthernetConfig()
     sw = SP2_SWITCH
-    assert sw.tx_time(1000) < eth.tx_time(1000) / 10
+    assert sw.tx_time(1000) < ethernet.tx_time(1000) / 10
 
 
 def test_switch_mtu_enforced():

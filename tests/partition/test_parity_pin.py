@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.bayes import make_hailfinder, make_table2_network
-from repro.ga.topology import TopologySpec, comm_graph, wiring
+from repro.ga.topology import comm_graph, wiring
 from repro.partition.multilevel import best_of, partition
 from repro.sim.parallel import plan_shards
 
@@ -49,7 +49,7 @@ def _pinned_form(owner):
 
 def _comm_graph(case):
     kind, n, _ = case.split()
-    return comm_graph(wiring(TopologySpec(kind), int(n[2:]))[0], 1000)
+    return comm_graph(wiring(kind, int(n[2:]))[0], 1000)
 
 
 @pytest.mark.parametrize("label", NETS)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.network import SP2_SWITCH, EthernetConfig, EthernetNetwork, SwitchedNetwork
+from repro.network import SP2_SWITCH, EthernetNetwork, SwitchedNetwork
 from repro.pvm import ANY_SOURCE, ANY_TAG, PvmOverheads, VirtualMachine
+from repro.pvm.vm import HEADER_BYTES
 from repro.sim import DeadlockError, Kernel
 
 
@@ -158,7 +159,7 @@ def test_large_message_fragments_and_reassembles():
     kernel.run()
     assert np.array_equal(got["data"], np.arange(1000.0))
     n_frames = vm.network.stats.frames_sent - frames_before
-    assert n_frames == -(-(8000 + vm.overheads.header_bytes) // 1500)
+    assert n_frames == -(-(8000 + HEADER_BYTES) // 1500)
 
 
 def test_send_overhead_charged_as_compute():
@@ -191,7 +192,7 @@ def test_negative_recv_cost_is_refused_at_construction():
 
 
 @pytest.mark.parametrize("field", [
-    "send_fixed", "send_per_byte", "mcast_per_dest", "recv_per_byte", "header_bytes",
+    "send_fixed", "send_per_byte", "mcast_per_dest", "recv_per_byte",
 ])
 @pytest.mark.parametrize("value", [-1, float("nan")])
 def test_every_overhead_field_is_validated(field, value):
@@ -397,7 +398,7 @@ def test_hw_multicast_barrier_release_falls_back_to_unicast():
     kernel.run()
     assert vm.network.stats.broadcasts == 0
     assert vm.network.stats.frames_sent == 6  # 3 arrivals + 3 releases
-    assert vm.network.stats.bytes_sent == 6 * (4 + vm.overheads.header_bytes)
+    assert vm.network.stats.bytes_sent == 6 * (4 + HEADER_BYTES)
 
 
 def test_hw_multicast_off_by_default():
@@ -449,7 +450,7 @@ def test_mixed_single_and_multi_fragment_messages_stay_fifo_per_pair():
     for m in t1.mailbox:
         assert m.arrival_time == done[(m.msg_id, 1)]
     assert t1._partial == {}
-    n_frames = sum(-(-(n + vm.overheads.header_bytes) // 1500) for n in sizes)
+    n_frames = sum(-(-(n + HEADER_BYTES) // 1500) for n in sizes)
     assert vm.network.stats.frames_sent == n_frames
 
 

@@ -19,13 +19,13 @@ from repro.check import GOLDEN, ga_digest
 from repro.core.coherence import CoherenceMode
 from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, run_island_ga
-from repro.ga.topology import TopologySpec, comm_graph, wiring
+from repro.ga.topology import comm_graph, wiring
 from repro.sim.parallel import lookahead_of, plan_shards
 
 
 def ga_comm_graph(n_demes, migrant_nbytes):
     """The all-to-all island GA's unit-communication graph."""
-    return comm_graph(wiring(TopologySpec("all"), n_demes)[0], migrant_nbytes)
+    return comm_graph(wiring("all", n_demes)[0], migrant_nbytes)
 
 
 # ---------------------------------------------------------------------------
