@@ -149,14 +149,14 @@ class Rule(ast.NodeVisitor):
             head = self._module_aliases[head]
         return f"{head}.{rest}" if rest else head
 
-    def flag(self, node: ast.AST, message: str, fixit: str | None = None) -> None:
-        """Record a finding at ``node``'s location."""
+    def flag(self, node: ast.AST, message: str) -> None:
+        """Record a finding at ``node``'s location, with the rule's fix-it."""
         self.findings.append(
             Finding(
                 code=self.code,
                 name=self.name,
                 message=message,
-                fixit=fixit if fixit is not None else self.fixit,
+                fixit=self.fixit,
                 path=self.path,
                 line=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0),

@@ -35,9 +35,10 @@ CLUSTER = 28
 N_EDGES = 67  # 56 * 1.2 = 67.2 -> 67
 N_CROSS = 4
 N_VALUES = 4
+DIRICHLET_ALPHA = 0.12  # each CPT row's concentration, before the dominant bias
 
 
-def make_hailfinder(seed: int = 0, dirichlet_alpha: float = 0.12) -> BayesianNetwork:
+def make_hailfinder(seed: int = 0) -> BayesianNetwork:
     """Build the synthetic Hailfinder-like network (deterministic in seed)."""
     rng = np.random.default_rng(seed)
     parents: dict[int, list[int]] = {v: [] for v in range(N_NODES)}
@@ -92,7 +93,7 @@ def make_hailfinder(seed: int = 0, dirichlet_alpha: float = 0.12) -> BayesianNet
         shape = tuple(N_VALUES for _ in ps) + (N_VALUES,)
         dominant = int(rng.integers(0, N_VALUES))
         n_rows = int(np.prod(shape[:-1])) if ps else 1
-        rows = rng.dirichlet([dirichlet_alpha] * N_VALUES, size=n_rows)
+        rows = rng.dirichlet([DIRICHLET_ALPHA] * N_VALUES, size=n_rows)
         bias = np.zeros(N_VALUES)
         bias[dominant] = 1.0
         rows = 0.12 * rows + 0.88 * bias  # rows sum to 1 by construction

@@ -19,6 +19,8 @@ import numpy as np
 from repro.inputs import at_least, check_fields, unconstrained
 from repro.partition.graph import Graph
 
+PRIOR_SAMPLES = 2000  # ancestral samples behind BayesianNetwork.prior_marginals
+
 
 @dataclass
 class BayesNode:
@@ -213,7 +215,7 @@ class BayesianNetwork:
             out[:, col[name]] = self.sample_node(name, pv, rng)
         return out
 
-    def prior_marginals(self, n_samples: int = 2000, seed: int = 0) -> dict[int, np.ndarray]:
+    def prior_marginals(self, seed: int = 0) -> dict[int, np.ndarray]:
         """Monte-Carlo estimate of each node's marginal distribution.
 
         Used to choose the *default values* of the asynchronous sampler:
@@ -222,17 +224,17 @@ class BayesianNetwork:
         (§3.2 — e.g. A defaults to false because p(A=false)=0.80).
         """
         rng = np.random.default_rng(seed)
-        samples = self.ancestral_samples(n_samples, rng)
+        samples = self.ancestral_samples(PRIOR_SAMPLES, rng)
         names = sorted(self.nodes)
         out = {}
         for i, name in enumerate(names):
             counts = np.bincount(samples[:, i], minlength=self.nodes[name].n_values)
-            out[name] = counts / n_samples
+            out[name] = counts / PRIOR_SAMPLES
         return out
 
-    def default_values(self, n_samples: int = 2000, seed: int = 0) -> dict[int, int]:
+    def default_values(self, seed: int = 0) -> dict[int, int]:
         """Modal value of each node's prior marginal (the async gamble)."""
         return {
             name: int(np.argmax(marg))
-            for name, marg in self.prior_marginals(n_samples, seed).items()
+            for name, marg in self.prior_marginals(seed).items()
         }

@@ -76,15 +76,15 @@ def env_info() -> dict:
     }
 
 
-def next_bench_path(root: Path | str = ".") -> Path:
-    """Next free ``BENCH_<n>.json`` under ``root`` (n = max existing + 1)."""
-    root = Path(root)
+def next_bench_path() -> Path:
+    """Next free ``BENCH_<n>.json`` in the working directory (n = max
+    existing + 1)."""
     taken = [
         int(m.group(1))
-        for p in root.glob("BENCH_*.json")
+        for p in Path(".").glob("BENCH_*.json")
         if (m := _BENCH_NAME.match(p.name))
     ]
-    return root / f"BENCH_{max(taken, default=0) + 1}.json"
+    return Path(f"BENCH_{max(taken, default=0) + 1}.json")
 
 
 def make_payload(

@@ -24,10 +24,11 @@ from repro.ga.functions import get_function
 from repro.ga.sga import run_serial_ga
 from repro.sim import CompletionCounter, Compute, Join, Kernel, Signal, WaitSignal, Yield
 
+#: the mixed kernel workload :func:`bench_kernel` times
+KERNEL_WORKERS, KERNEL_STEPS = 40, 300
 
-def build_kernel_workload(
-    n_workers: int = 40, n_steps: int = 300, seed: int = 1
-) -> Kernel:
+
+def build_kernel_workload(n_workers: int, n_steps: int) -> Kernel:
     """A finite mixed workload touching every kernel scheduling path.
 
     Every process marks ``kernel.obs`` (kind ``bench.step``: its name and
@@ -36,7 +37,7 @@ def build_kernel_workload(
     ``proc.done`` for a final resumption.  That trace is what
     :func:`repro.check.kernel_trace_digest` hashes.
     """
-    kernel = Kernel(seed=seed)
+    kernel = Kernel(seed=1)
     tick = Signal("tick")
     n_fires = n_steps // 4
 
@@ -78,12 +79,12 @@ def build_kernel_workload(
     return kernel
 
 
-def bench_kernel(n_workers: int = 40, n_steps: int = 300, repeat: int = 3) -> dict:
+def bench_kernel(repeat: int = 3) -> dict:
     """Events/sec of the mixed workload, driven the way every application
     drives the kernel: ``run(stop_when=counter.all_done)``."""
 
     def one_run() -> int:
-        kernel = build_kernel_workload(n_workers, n_steps)
+        kernel = build_kernel_workload(KERNEL_WORKERS, KERNEL_STEPS)
         kernel.run(stop_when=CompletionCounter(kernel.processes).all_done)
         return kernel.events_executed
 
@@ -95,18 +96,16 @@ def bench_kernel(n_workers: int = 40, n_steps: int = 300, repeat: int = 3) -> di
     }
 
 
-def bench_ga(
-    fid: int = 1, n_generations: int = 150, population_size: int = 100, repeat: int = 2
-) -> dict:
+def bench_ga(repeat: int = 2) -> dict:
     """Serial-GA generations/sec (the numpy-bound application hot loop)."""
-    fn = get_function(fid)
+    n_generations = 150
     _, best_s = timed(
         run_serial_ga,
-        fn,
+        get_function(1),
         repeat=repeat,
         seed=0,
         n_generations=n_generations,
-        population_size=population_size,
+        population_size=100,
     )
     return {
         "ga_generations": float(n_generations),
@@ -115,7 +114,7 @@ def bench_ga(
     }
 
 
-def bench_bayes(network: str = "Hailfinder", repeat: int = 2) -> dict:
+def bench_bayes(repeat: int = 2) -> dict:
     """Logic-sampling rates: the serial batch sampler on one Table 2
     network, and node samples/sec of the golden parallel run."""
     from repro.bayes.logic_sampling import run_serial_logic_sampling
@@ -123,7 +122,7 @@ def bench_bayes(network: str = "Hailfinder", repeat: int = 2) -> dict:
     from repro.check import golden_bayes
     from repro.experiments.table2 import build_network, pick_query
 
-    net = build_network(network)
+    net = build_network("Hailfinder")
     query = pick_query(net, seed=0)
     result, best_s = timed(
         run_serial_logic_sampling, net, repeat=repeat, query=query, seed=7
@@ -135,7 +134,7 @@ def bench_bayes(network: str = "Hailfinder", repeat: int = 2) -> dict:
         min(par.iterations_sampled) * cfg.net.n_nodes + par.rollback.nodes_resampled
     )
     return {
-        "bayes_network": network,
+        "bayes_network": "Hailfinder",
         "bayes_samples": float(result.n_runs),
         "bayes_wall_s": best_s,
         "bayes_samples_per_sec": result.n_runs / best_s,
@@ -145,12 +144,13 @@ def bench_bayes(network: str = "Hailfinder", repeat: int = 2) -> dict:
     }
 
 
-def _faulted_traffic_kernel(plan, n_nodes: int = 8, n_rounds: int = 250) -> Kernel:
+def _faulted_traffic_kernel(plan) -> Kernel:
     """A dense frame mill, optionally under a fault plan."""
     from repro.faults.injectors import install_faults
     from repro.network.ethernet import EthernetNetwork
     from repro.network.frame import Frame
 
+    n_nodes, n_rounds = 8, 250
     kernel = Kernel(seed=13)
     net = EthernetNetwork(kernel)
     for i in range(n_nodes):

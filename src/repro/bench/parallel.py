@@ -22,7 +22,7 @@ from repro.cluster.node import NodeSpec
 from repro.core.coherence import CoherenceMode
 
 
-def _heavy_cfg(n_demes: int = 4, population: int = 384, generations: int = 30):
+def _heavy_cfg():
     """A compute-dominated run: big populations make the numpy work (the
     part sharding partitions) outweigh the replicated event stream."""
     from repro.ga.functions import get_function
@@ -31,23 +31,22 @@ def _heavy_cfg(n_demes: int = 4, population: int = 384, generations: int = 30):
 
     return IslandGaConfig(
         fn=get_function(1),
-        n_demes=n_demes,
+        n_demes=4,
         mode=CoherenceMode.NON_STRICT,
         age=10,
-        n_generations=generations,
+        n_generations=30,
         seed=13,
-        params=GaParams(population_size=population),
-        machine=MachineConfig(
-            n_nodes=n_demes, seed=13, node_spec=NodeSpec(), measure_warp=True
-        ),
+        params=GaParams(population_size=384),
+        machine=MachineConfig(n_nodes=4, seed=13, node_spec=NodeSpec(), measure_warp=True),
     )
 
 
-def bench_parallel(shards: int = 2) -> dict:
+def bench_parallel() -> dict:
     """Run the parallel-kernel micro; returns flat ``kernel_parallel.*`` keys."""
     from repro.check import ga_digest
     from repro.ga.island import run_island_ga
 
+    shards = 2
     cpu_count = os.cpu_count() or 1
     out: dict = {"kernel_parallel.cpu_count": cpu_count}
 

@@ -194,7 +194,7 @@ class Machine:
         self._handles.append(handle)
         return handle
 
-    def run_to_completion(self, until: float | None = None, max_events: int | None = None) -> float:
+    def run_to_completion(self) -> float:
         """Run until every spawned application process finishes.
 
         Returns the completion time (simulated seconds) — the paper's
@@ -204,11 +204,7 @@ class Machine:
         if not self._handles:
             raise RuntimeError("no application processes spawned")
         counter = CompletionCounter(self._handles)
-        self.kernel.run(
-            stop_when=counter.all_done,
-            until=until,
-            max_events=max_events,
-        )
+        self.kernel.run(stop_when=counter.all_done)
         for h in self._handles:
             if h.error is not None:  # surfaced via ProcessFailure normally
                 raise h.error

@@ -57,9 +57,9 @@ def parse_jobs(raw: str) -> int:
     return n or (os.cpu_count() or 1)
 
 
-def configured_jobs(env: str | None = None) -> int:
+def configured_jobs() -> int:
     """Worker count from ``REPRO_JOBS`` (unset or empty → 1, serial)."""
-    raw = os.environ.get(JOBS_ENV) if env is None else env
+    raw = os.environ.get(JOBS_ENV)
     if raw is None or not raw.strip():
         return 1
     try:

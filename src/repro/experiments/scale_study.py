@@ -57,6 +57,8 @@ FABRICS = ("single", "hierarchical", "fat-tree")
 #: structured migration topologies the sweep crosses ("all" is the
 #: paper's wiring — quadratic traffic, excluded from large sweeps)
 TOPOLOGIES = ("ring", "torus", "hierarchical", "random")
+#: the streamed trace's bus flush size (see :func:`run_traced_stream`)
+STREAM_FLUSH_EVERY = 5_000
 
 
 def scenario(
@@ -244,14 +246,12 @@ def format_analysis(analysis: dict) -> str:
     )
 
 
-def run_traced_stream(
-    n_demes: int, trace_path: str, flush_every: int = 5_000
-) -> dict:
+def run_traced_stream(n_demes: int, trace_path: str) -> dict:
     """One traced ``n_demes``-deme ring run streamed to ``trace_path``.
 
     The machine's trace bus writes straight to a rotating gzip sink at
-    ``trace_path`` (peak trace memory is O(``flush_every``) events,
-    never the full trace).  Returns ``{"trace", "events", "digest",
+    ``trace_path`` (peak trace memory is O(:data:`STREAM_FLUSH_EVERY`)
+    events, never the full trace).  Returns ``{"trace", "events", "digest",
     "peak_buffered", ...}``.
     """
     from dataclasses import replace as _replace
@@ -261,7 +261,7 @@ def run_traced_stream(
     cfg = scenario(n_demes, "ring", "hierarchical", age=5,
                    n_generations=10, trace=True)
     cfg = _replace(cfg, machine=_replace(
-        cfg.machine, trace_sink=trace_path, trace_flush_every=flush_every,
+        cfg.machine, trace_sink=trace_path, trace_flush_every=STREAM_FLUSH_EVERY,
     ))
     result, bus = traced_trial(run_island_ga, cfg)
     events = bus.write_jsonl()
@@ -272,7 +272,7 @@ def run_traced_stream(
         "digest": bus.digest(),
         "dropped": bus.dropped,
         "peak_buffered": bus.peak_buffered,
-        "flush_every": flush_every,
+        "flush_every": STREAM_FLUSH_EVERY,
         "parts": len(bus.sink.paths),
         "best_fitness": result.best_fitness,
     }

@@ -30,6 +30,10 @@ from repro.ga.functions import get_function
 from repro.ga.island import IslandGaConfig, run_island_ga
 from repro.obs.bus import TraceBus
 
+#: the machine and run seeds of the traced GA and Bayes trials
+GA_SEED = 0
+BAYES_SEED = 7
+
 
 class TracedRun(NamedTuple):
     """One traced trial: its result object and its trace bus."""
@@ -56,25 +60,23 @@ def traced_ga_run(
     n_demes: int = 4,
     load_bps: float = 0.0,
     faults: FaultPlan | None = None,
-    seed: int = 0,
-    age: int | None = None,
-    n_generations: int | None = None,
 ) -> TracedRun:
     """One partially asynchronous island-GA run with the trace bus on.
 
-    Defaults mirror the figure runs: the scale's first function, its
-    largest age (the paper's best-performing region), ``measure_warp``
-    on, and optional background load / fault plan pass-through.
+    It mirrors the figure runs: the scale's first function, its serial
+    generation count and its largest age (the paper's best-performing
+    region), ``measure_warp`` on, seed :data:`GA_SEED`, and optional
+    background load / fault plan pass-through.
     """
     scale = scale or current_scale()
-    mcfg = replace(machine_for(scale, n_demes, seed, load_bps, faults), trace=True)
+    mcfg = replace(machine_for(scale, n_demes, GA_SEED, load_bps, faults), trace=True)
     cfg = IslandGaConfig(
         fn=get_function(scale.ga_functions[0]),
         n_demes=n_demes,
         mode=CoherenceMode.NON_STRICT,
-        age=age if age is not None else scale.ages[-1],
-        n_generations=n_generations or scale.ga_generations,
-        seed=seed,
+        age=scale.ages[-1],
+        n_generations=scale.ga_generations,
+        seed=GA_SEED,
         machine=mcfg,
     )
     return traced_trial(run_island_ga, cfg)
@@ -84,19 +86,19 @@ def traced_bayes_run(
     scale: Scale | None = None,
     n_procs: int = 2,
     faults: FaultPlan | None = None,
-    seed: int = 7,
 ) -> TracedRun:
-    """One partially asynchronous Hailfinder run with the trace bus on."""
+    """One partially asynchronous Hailfinder run with the trace bus on
+    (seed :data:`BAYES_SEED`)."""
     scale = scale or current_scale()
     net = build_network("Hailfinder")
-    mcfg = replace(machine_for(scale, n_procs, seed, 0.0, faults), trace=True)
+    mcfg = replace(machine_for(scale, n_procs, BAYES_SEED, 0.0, faults), trace=True)
     cfg = ParallelLsConfig(
         net=net,
         query=pick_query(net, seed=0),
         n_procs=n_procs,
         mode=CoherenceMode.NON_STRICT,
         age=scale.ages[-1],
-        seed=seed,
+        seed=BAYES_SEED,
         machine=mcfg,
         max_iterations=scale.bn_max_iterations,
     )

@@ -52,12 +52,7 @@ class _TrafficNode:
         self.fault_model = None
 
 
-def traffic_case(
-    plan: FaultPlan,
-    n_nodes: int = 6,
-    n_rounds: int = 60,
-    interval: float = 0.35e-3,
-) -> tuple[str, dict]:
+def traffic_case(plan: FaultPlan) -> tuple[str, dict]:
     """Digest a raw frame mill under ``plan``.
 
     Every node sends one frame per round to two rotating peers; delivery
@@ -68,6 +63,7 @@ def traffic_case(
     from repro.network.frame import Frame
     from repro.sim import Kernel
 
+    n_nodes, n_rounds, interval = 6, 60, 0.35e-3
     kernel = Kernel(seed=11)
     net = EthernetNetwork(kernel)
     delivered: list = []

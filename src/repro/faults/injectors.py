@@ -33,6 +33,8 @@ from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
 from repro.sim.rng import stream_seed
 
+MAX_LOGGED = 100_000  # fault events a FaultLog keeps; later ones are only counted
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -76,14 +78,13 @@ class FaultStats:
 class FaultLog:
     """Bounded append-only record of injected faults (the trace artifact)."""
 
-    def __init__(self, max_events: int = 100_000) -> None:
+    def __init__(self) -> None:
         self.events: list[FaultEvent] = []
-        self.max_events = max_events
         self.dropped_records = 0
 
     def add(self, event: FaultEvent) -> None:
-        """Append ``event``, dropping the oldest entries beyond the bound."""
-        if len(self.events) >= self.max_events:
+        """Append ``event``; past the bound, only count it as dropped."""
+        if len(self.events) >= MAX_LOGGED:
             self.dropped_records += 1
             return
         self.events.append(event)

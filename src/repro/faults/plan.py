@@ -182,8 +182,9 @@ class FaultPlan:
         return cls()
 
     @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
-        """Build a plan from the CLI spec format (module docstring)."""
+    def parse(cls, spec: str) -> "FaultPlan":
+        """Build a plan from the CLI spec format (module docstring); the
+        plan seed is 0 unless the spec names one."""
         msg_floats = {
             "drop": "drop", "dup": "duplicate", "delay": "delay",
             "reorder": "reorder", "start": "start",
@@ -191,7 +192,7 @@ class FaultPlan:
         }
         msg_kwargs: dict = {}
         node_faults: list[NodeFault] = []
-        plan_seed = seed
+        plan_seed = 0
         for item in spec.split(","):
             item = item.strip()
             if not item:

@@ -24,23 +24,20 @@ import numpy as np
 
 from repro.ga.population import row_keys
 
+#: LRU bound, so long runs cannot grow without limit
+MAX_ENTRIES = 100_000
+
 
 class FitnessCache:
     """Memoising wrapper around a population evaluator.
 
-    LRU-bounded (default 100k entries) so long runs cannot grow without
-    limit; the hit/miss counters expose the effective evaluation count.
+    LRU-bounded (:data:`MAX_ENTRIES`); the hit/miss counters expose the
+    effective evaluation count.
     """
 
-    def __init__(
-        self,
-        evaluate: Callable[[np.ndarray], np.ndarray],
-        enabled: bool = True,
-        max_entries: int = 100_000,
-    ) -> None:
+    def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray], enabled: bool = True) -> None:
         self._evaluate = evaluate
         self.enabled = enabled
-        self.max_entries = max_entries
         self._store: OrderedDict[bytes, float] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -74,7 +71,7 @@ class FitnessCache:
             store[key] = v
         for i in missing:
             vals[i] = store[keys[i]]
-        while len(store) > self.max_entries:
+        while len(store) > MAX_ENTRIES:
             store.popitem(last=False)
         return np.array(vals, dtype=np.float64)
 

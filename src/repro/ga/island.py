@@ -35,6 +35,7 @@ from repro.cluster.machine import Machine, MachineConfig
 from repro.core.coherence import CoherenceMode, UpdatePolicy
 from repro.core.contract import dsm_contract
 from repro.core.dsm import Dsm
+from repro.core.dynamic_age import MAX_AGE
 from repro.core.global_read import GlobalReadStats
 from repro.core.location import SharedLocationSpec
 from repro.ga.costs import INCORPORATE_PER_MIGRANT, generation_cost
@@ -103,6 +104,9 @@ class IslandGaConfig:
                 f"IslandGaConfig.dynamic_age adapts a Global_Read age, but "
                 f"IslandGaConfig.mode={self.mode.name} has none (use NON_STRICT)"
             )
+        if self.dynamic_age and self.age > MAX_AGE:
+            raise ValueError(f"IslandGaConfig.age must be <= {MAX_AGE} (the controller's "
+                             f"MAX_AGE) when IslandGaConfig.dynamic_age is set, got {self.age}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ of the constructors below, and ``__post_init__`` calls
 :func:`check_fields`, which refuses a value outside its rule with a
 ``ValueError`` naming the class, the field and the value.  The
 vocabulary: ``at_least(k)`` (an int >= k, ``at_most=`` caps it),
-``positive()`` (finite and > 0, ``below=``/``at_most=`` bound it),
+``positive()`` (finite and > 0, ``below=`` bounds it),
 ``nonnegative()`` (finite and >= 0), ``probability()`` ([0, 1]),
 ``one_of(values)``, ``nonempty()`` (a non-empty str) and
 ``unconstrained(reason)``.  Each takes ``default=``, ``each=True`` to
@@ -65,11 +65,9 @@ def at_least(k: int, at_most: int | None = None, **kw: Any) -> Any:
     return _declare(Rule("int", text, lambda v: _is_int(v) and k <= v <= hi, k, at_most), **kw)
 
 
-def positive(below: float | None = None, at_most: float | None = None, **kw: Any) -> Any:
-    """Finite and > 0 (and < ``below`` or <= ``at_most`` when given)."""
-    if at_most is not None:
-        rule = Rule("positive", f"in (0, {at_most}]", lambda v: 0 < v <= at_most, hi=at_most)
-    elif below is not None:
+def positive(below: float | None = None, **kw: Any) -> Any:
+    """Finite and > 0 (and < ``below`` when given)."""
+    if below is not None:
         rule = Rule("positive", f"in (0, {below})", lambda v: 0 < v < below, hi=below,
                     hi_open=True)
     else:

@@ -63,7 +63,7 @@ class Adapter:
 class Network:
     """Base class: adapter registry, delivery fan-out, statistics."""
 
-    def __init__(self, kernel: Kernel, name: str = "net") -> None:
+    def __init__(self, kernel: Kernel, name: str) -> None:
         self.kernel = kernel
         self.name = name
         self.adapters: dict[int, Adapter] = {}

@@ -72,9 +72,9 @@ def tx_time(payload_bytes: int) -> float:
 class EthernetNetwork(Network):
     """Deterministic shared-Ethernet simulation (see module docstring)."""
 
-    def __init__(self, kernel: Kernel, name: str = "eth") -> None:
-        super().__init__(kernel, name)
-        self._rng = kernel.rng.get(f"{name}.backoff")
+    def __init__(self, kernel: Kernel) -> None:
+        super().__init__(kernel, "eth")
+        self._rng = kernel.rng.get("eth.backoff")
         self._transmitting = False
         self._arbitration_pending = False
         self._last_winner = -1

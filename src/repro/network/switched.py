@@ -98,7 +98,7 @@ class SwitchedConfig:
         bw = self.link_bandwidth_bps if bandwidth_bps is None else bandwidth_bps
         return (self.overhead_bytes + payload_bytes) * 8.0 / bw
 
-    def min_latency(self, n_nodes: int = 2) -> float:
+    def min_latency(self) -> float:
         """Minimum cross-node frame latency on an idle fabric.
 
         The closest pair of distinct nodes shares an edge switch (radix
@@ -124,13 +124,8 @@ SP2_SWITCH = SwitchedConfig(
 class SwitchedNetwork(Network):
     """Store-and-forward switch tree (see module docstring)."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        config: SwitchedConfig | None = None,
-        name: str = "fabric",
-    ) -> None:
-        super().__init__(kernel, name)
+    def __init__(self, kernel: Kernel, config: SwitchedConfig | None = None) -> None:
+        super().__init__(kernel, "fabric")
         self.config = config or SwitchedConfig()
         #: busy-until clock per directed link, keyed by
         #: ("h", node, dir) for host links and ("t", level, index, dir)

@@ -115,28 +115,24 @@ def _shape_of(fields: dict) -> tuple:
 #: builds an :class:`ObsEvent` without the Python-level ``__new__`` frame
 _new_tuple = tuple.__new__
 
+#: compressed bytes after which a :class:`GzipJsonlSink` part is closed
+ROTATE_BYTES = 8_000_000
+
 
 class GzipJsonlSink:
     """Rotating gzip JSONL writer: the bounded-memory backing of a bus.
 
     One sink owns a base path (``trace.jsonl.gz``); once the compressed
-    bytes of the current part pass ``rotate_bytes`` the part is closed
+    bytes of the current part pass :data:`ROTATE_BYTES` the part is closed
     and writing continues in ``trace.part001.jsonl.gz``, ``part002`` …
     so a single artifact never grows unboundedly and a partial run
-    leaves complete, readable parts behind.  ``level=1`` favours write
-    throughput — trace lines are highly repetitive, so even the fastest
-    setting compresses them ~10×.
+    leaves complete, readable parts behind.  Compression level 1 favours
+    write throughput — trace lines are highly repetitive, so even the
+    fastest setting compresses them ~10×.
     """
 
-    def __init__(
-        self,
-        path: str,
-        rotate_bytes: int = 8_000_000,
-        level: int = 1,
-    ) -> None:
+    def __init__(self, path: str) -> None:
         self.base_path = os.fspath(path)
-        self.rotate_bytes = rotate_bytes
-        self.level = level
         #: every part written, in order (base path first)
         self.paths: list[str] = []
         self._raw = None
@@ -151,14 +147,14 @@ class GzipJsonlSink:
         # identical content gives identical bytes wherever it's written
         self._gz = gzip.GzipFile(
             filename="", fileobj=self._raw, mode="wb",
-            compresslevel=self.level, mtime=0,
+            compresslevel=1, mtime=0,
         )
 
     def write_line(self, line: str) -> None:
         """Append one JSON line, rotating to a new part when full."""
         self._gz.write(line.encode("utf-8"))
         self._gz.write(b"\n")
-        if self._raw.tell() >= self.rotate_bytes:
+        if self._raw.tell() >= ROTATE_BYTES:
             self._close_part()
             self._open_part(len(self.paths))
 

@@ -49,6 +49,7 @@ from repro.obs.bus import ObsEvent
 BUCKETS = ("compute", "gr_blocking", "network", "rollback")
 
 _EPS = 1e-12
+MAX_SEGMENTS = 100_000  # the critical-path walk's cap; no real trace reaches it
 
 
 @dataclass
@@ -337,7 +338,7 @@ def attribute(g: SpanGraph) -> dict[str, Any]:
     }
 
 
-def critical_path(g: SpanGraph, max_segments: int = 100_000) -> dict[str, Any]:
+def critical_path(g: SpanGraph) -> dict[str, Any]:
     """Walk the span graph backward from run completion.
 
     From the node that finishes last, walk time backward: a covering
@@ -385,7 +386,7 @@ def critical_path(g: SpanGraph, max_segments: int = 100_000) -> dict[str, Any]:
                  "dur": t1 - t0, **detail}
             )
 
-    while t > _EPS and len(segments) < max_segments:
+    while t > _EPS and len(segments) < MAX_SEGMENTS:
         spans = walk.get(node, [])
         i = bisect_left(starts.get(node, []), t) - 1
         s = spans[i] if i >= 0 else None

@@ -47,11 +47,11 @@ _LEGEND = "<div class='legend'>" + "".join(
 ) + "</div>"
 
 
-def _ticks(hi: float, n: int = 6) -> list[float]:
-    """Round-numbered axis ticks covering [0, hi]."""
+def _ticks(hi: float) -> list[float]:
+    """Round-numbered axis ticks covering [0, hi], about six of them."""
     if hi <= 0:
         return [0.0]
-    raw = hi / n
+    raw = hi / 6
     mag = 10 ** math.floor(math.log10(raw))
     step = next(mag * mult for mult in (1, 2, 2.5, 5, 10) if mag * mult >= raw)
     out, t = [], 0.0

@@ -33,7 +33,7 @@ def _pseudo_peripheral(graph: Graph, start) -> object:
     return node
 
 
-def greedy_bisection(graph: Graph, seed_node=None) -> dict:
+def greedy_bisection(graph: Graph) -> dict:
     """Bisect ``graph`` by BFS region growth; returns {node: 0|1}.
 
     Vertex-weight aware: a node's ``size`` (default 1) counts toward the
@@ -48,8 +48,7 @@ def greedy_bisection(graph: Graph, seed_node=None) -> dict:
     if len(adj) == 1:
         return {next(iter(adj)): 0}
     nodes_sorted = sorted(adj, key=str)
-    if seed_node is None:
-        seed_node = _pseudo_peripheral(graph, nodes_sorted[0])
+    seed_node = _pseudo_peripheral(graph, nodes_sorted[0])
     target = sum(graph.size.values()) // 2
     in_zero: set = set()
     grown = 0

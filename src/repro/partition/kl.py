@@ -4,7 +4,7 @@ The classical pairwise-swap improvement pass: repeatedly compute, for the
 current bisection, the best sequence of (a, b) swaps by greedy D-value
 selection with tentative locking, and commit the prefix of the sequence
 with the largest cumulative gain.  Stops when a pass yields no positive
-gain or ``max_passes`` is reached.
+gain or :data:`MAX_PASSES` is reached.
 
 Used both standalone and as the refinement step of the multilevel scheme.
 Runs in O(passes · n² log n) on dense graphs, plenty for the paper's
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from repro.partition.graph import Graph
 from repro.partition.metrics import validate_partition
+
+MAX_PASSES = 10
 
 
 def _d_values(graph: Graph, parts: dict) -> dict:
@@ -32,7 +34,7 @@ def _d_values(graph: Graph, parts: dict) -> dict:
     return d
 
 
-def kl_refine(graph: Graph, parts: dict, max_passes: int = 10) -> dict:
+def kl_refine(graph: Graph, parts: dict) -> dict:
     """Refine a bisection in place-of (returns a new dict); cut never worsens."""
     k = validate_partition(graph, parts)
     if k == 1:
@@ -42,7 +44,7 @@ def kl_refine(graph: Graph, parts: dict, max_passes: int = 10) -> dict:
     parts = dict(parts)
     adj = graph.adj
 
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         d = _d_values(graph, parts)
         # the unlocked vertices of each side, in node order
         side_a = [v for v in adj if parts[v] == 0]

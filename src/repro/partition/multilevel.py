@@ -5,8 +5,8 @@ Three phases:
 1. **Coarsening** — repeated heavy-edge matching: visit vertices in
    random order (named RNG stream, reproducible), match each unmatched
    vertex with the unmatched neighbour sharing the heaviest edge, and
-   contract matched pairs.  Stops when the graph is small enough or stops
-   shrinking.
+   contract matched pairs.  Stops at :data:`COARSE_SIZE` nodes, after
+   :data:`MAX_LEVELS` levels, or when the graph stops shrinking.
 2. **Initial partition** — greedy region growth plus KL on the coarsest
    graph.
 3. **Uncoarsening** — project the bisection back level by level, running
@@ -24,6 +24,11 @@ from repro.partition.graph import Graph
 from repro.partition.greedy import greedy_bisection
 from repro.partition.kl import kl_refine
 from repro.partition.metrics import edge_cut
+
+#: coarsening stops once the graph has at most this many nodes
+COARSE_SIZE = 20
+#: and after at most this many levels
+MAX_LEVELS = 10
 
 
 def _heavy_edge_matching(graph: Graph, rng: np.random.Generator):
@@ -59,12 +64,7 @@ def _heavy_edge_matching(graph: Graph, rng: np.random.Generator):
     return coarse, rep
 
 
-def multilevel_bisection(
-    graph: Graph,
-    seed: int = 0,
-    coarse_size: int = 20,
-    max_levels: int = 10,
-) -> dict:
+def multilevel_bisection(graph: Graph, seed: int = 0) -> dict:
     """METIS-style multilevel 2-way partition; returns {node: 0|1}."""
     if len(graph) <= 2:
         nodes = sorted(graph.adj, key=str)
@@ -72,8 +72,8 @@ def multilevel_bisection(
     rng = np.random.default_rng(seed)
     levels: list[tuple[Graph, dict]] = []
     g = graph
-    for _ in range(max_levels):
-        if len(g) <= coarse_size:
+    for _ in range(MAX_LEVELS):
+        if len(g) <= COARSE_SIZE:
             break
         coarse, rep = _heavy_edge_matching(g, rng)
         if len(coarse) >= len(g):
@@ -91,14 +91,14 @@ def multilevel_bisection(
     return kl_refine(graph, parts)
 
 
-def _rebalance(graph: Graph, parts: dict, tolerance: int = 1) -> dict:
+def _rebalance(graph: Graph, parts: dict) -> dict:
     """Move cheapest vertices from the larger side until sizes differ by at
-    most ``tolerance`` (KL preserves sizes, so this runs once at the end)."""
+    most one (KL preserves sizes, so this runs once at the end)."""
     parts = dict(parts)
     while True:
         a = [v for v in graph.adj if parts[v] == 0]
         b = [v for v in graph.adj if parts[v] == 1]
-        if abs(len(a) - len(b)) <= tolerance:
+        if abs(len(a) - len(b)) <= 1:
             return parts
         src, dst = (0, 1) if len(a) > len(b) else (1, 0)
         movers = a if src == 0 else b

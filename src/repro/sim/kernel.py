@@ -38,7 +38,7 @@ from heapq import heappop
 from typing import Any, Callable, Generator, Iterable
 
 from repro.sim.errors import DeadlockError, ProcessFailure, SimulationLimitError
-from repro.sim.events import EventQueue, PRIORITY_LATE, PRIORITY_NORMAL
+from repro.sim.events import EventQueue, PRIORITY_LATE
 from repro.sim.process import (
     Compute,
     Join,
@@ -104,33 +104,21 @@ class Kernel:
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay == 0.0 and priority == PRIORITY_NORMAL:
+        if delay == 0.0:
             # Same-instant fast lane: FIFO append, no heap sift.
             self.queue.push_immediate(self.now, fn, args)
             return
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay!r})")
-        self.queue.push(self.now + delay, fn, args, priority=priority)
+        self.queue.push(self.now + delay, fn, args)
 
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        *args: Any,
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulated ``time`` (>= now)."""
         if time < self.now:
             raise ValueError(f"cannot schedule at t={time!r} < now={self.now!r}")
-        self.queue.push(time, fn, args, priority=priority)
+        self.queue.push(time, fn, args)
 
     # ------------------------------------------------------------------
     # Processes

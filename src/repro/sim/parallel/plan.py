@@ -68,7 +68,6 @@ def plan_shards(
     n_shards: int,
     lookahead: float,
     seed: int = 0,
-    lag_bound: float | None = None,
 ) -> ShardPlan:
     """Partition ``graph``'s units into ``n_shards`` shards.
 
@@ -92,13 +91,11 @@ def plan_shards(
         if part not in relabel:
             relabel[part] = len(relabel)
         owner.append(relabel[part])
-    if lag_bound is None:
-        # generous by default: execution safety comes from demand-driven
-        # record blocking; the lag bound only caps divergence/buffering
-        lag_bound = max(0.05, 256.0 * lookahead)
     return ShardPlan(
         n_shards=len(relabel),
         owner=tuple(owner),
         lookahead=lookahead,
-        lag_bound=lag_bound,
+        # generous: execution safety comes from demand-driven record
+        # blocking; the lag bound only caps divergence/buffering
+        lag_bound=max(0.05, 256.0 * lookahead),
     )

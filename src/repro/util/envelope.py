@@ -58,9 +58,9 @@ def make_envelope(
     return out
 
 
-def render_envelope(env: dict[str, Any], indent: int = 2) -> str:
+def render_envelope(env: dict[str, Any]) -> str:
     """Serialize an envelope to canonical sorted-keys JSON text."""
-    return json.dumps(env, indent=indent, sort_keys=True, default=str)
+    return json.dumps(env, indent=2, sort_keys=True, default=str)
 
 
 def read_json(path: str | Path) -> Any:

@@ -399,16 +399,14 @@ class TestCrossval:
 
     def test_rotated_gzip_parts_count_once(self, tmp_path, monkeypatch):
         """A directory of rotated parts is one trace, read from its base."""
-        from functools import partial
-
+        import repro.experiments.scale_study as scale_study
         import repro.obs.bus as bus
         from repro.experiments.scale_study import run_traced_stream
 
-        monkeypatch.setattr(
-            bus, "GzipJsonlSink", partial(bus.GzipJsonlSink, rotate_bytes=1024)
-        )
+        monkeypatch.setattr(bus, "ROTATE_BYTES", 1024)
+        monkeypatch.setattr(scale_study, "STREAM_FLUSH_EVERY", 64)
         base = tmp_path / "s.jsonl.gz"
-        record = run_traced_stream(128, str(base), flush_every=64)
+        record = run_traced_stream(128, str(base))
         assert record["parts"] > 1
         rep = run_coherence([SRC], traces=[str(tmp_path)])
         assert rep.errors == [] and rep.findings == []

@@ -12,7 +12,7 @@ from repro.bayes import (
     make_table2_network,
     run_serial_logic_sampling,
 )
-from repro.bayes import logic_sampling
+from repro.bayes import logic_sampling, random_nets
 from repro.bayes.confidence import MIN_SAMPLES
 from repro.bayes.hailfinder import N_CROSS, N_EDGES
 from repro.partition import edge_cut
@@ -46,8 +46,9 @@ class TestRandomNets:
         net = make_random_network(30, 44, seed=1)
         assert net.n_edges == 44
 
-    def test_max_parents_respected(self):
-        net = make_random_network(40, 100, seed=2, max_parents=3)
+    def test_max_parents_respected(self, monkeypatch):
+        monkeypatch.setattr(random_nets, "MAX_PARENTS", 3)
+        net = make_random_network(40, 100, seed=2)
         assert max(len(n.parents) for n in net.nodes.values()) <= 3
 
     def test_invalid_edge_count_rejected(self):

@@ -10,6 +10,7 @@ from repro.bench.harness import (
     timed,
     write_bench,
 )
+from repro.bench import micro
 from repro.bench.micro import bench_kernel
 
 
@@ -19,12 +20,13 @@ def test_timed_returns_result_and_positive_best():
     assert best_s > 0
 
 
-def test_next_bench_path_counts_up(tmp_path):
-    assert next_bench_path(tmp_path).name == "BENCH_1.json"
+def test_next_bench_path_counts_up(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert next_bench_path().name == "BENCH_1.json"
     (tmp_path / "BENCH_1.json").write_text("{}")
     (tmp_path / "BENCH_7.json").write_text("{}")
     (tmp_path / "BENCH_nope.json").write_text("{}")  # ignored
-    assert next_bench_path(tmp_path).name == "BENCH_8.json"
+    assert next_bench_path().name == "BENCH_8.json"
 
 
 def test_payload_schema_and_roundtrip(tmp_path):
@@ -44,8 +46,10 @@ def test_payload_schema_and_roundtrip(tmp_path):
     assert again["scale"] == "smoke"
 
 
-def test_bench_kernel_reports_consistent_rate():
-    out = bench_kernel(n_workers=4, n_steps=24, repeat=1)
+def test_bench_kernel_reports_consistent_rate(monkeypatch):
+    monkeypatch.setattr(micro, "KERNEL_WORKERS", 4)
+    monkeypatch.setattr(micro, "KERNEL_STEPS", 24)
+    out = bench_kernel(repeat=1)
     assert out["kernel_events"] > 0
     assert out["kernel_events_per_sec"] == out["kernel_events"] / out["kernel_wall_s"]
 

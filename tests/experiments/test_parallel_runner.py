@@ -31,23 +31,28 @@ class TestConfiguredJobs:
         monkeypatch.delenv(JOBS_ENV, raising=False)
         assert configured_jobs() == 1
 
-    def test_empty_string_means_serial(self):
-        assert configured_jobs("") == 1
-        assert configured_jobs("  ") == 1
+    @staticmethod
+    def _jobs(monkeypatch, raw: str) -> int:
+        monkeypatch.setenv(JOBS_ENV, raw)
+        return configured_jobs()
 
-    def test_explicit_integer(self):
-        assert configured_jobs("4") == 4
+    def test_empty_string_means_serial(self, monkeypatch):
+        assert self._jobs(monkeypatch, "") == 1
+        assert self._jobs(monkeypatch, "  ") == 1
 
-    def test_auto_and_zero_use_cpu_count(self):
+    def test_explicit_integer(self, monkeypatch):
+        assert self._jobs(monkeypatch, "4") == 4
+
+    def test_auto_and_zero_use_cpu_count(self, monkeypatch):
         n = os.cpu_count() or 1
-        assert configured_jobs("auto") == n
-        assert configured_jobs("0") == n
+        assert self._jobs(monkeypatch, "auto") == n
+        assert self._jobs(monkeypatch, "0") == n
 
-    def test_garbage_raises(self):
+    def test_garbage_raises(self, monkeypatch):
         with pytest.raises(ValueError, match=JOBS_ENV):
-            configured_jobs("many")
+            self._jobs(monkeypatch, "many")
         with pytest.raises(ValueError, match=JOBS_ENV):
-            configured_jobs("-2")
+            self._jobs(monkeypatch, "-2")
 
     def test_reads_process_environment_by_default(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "3")

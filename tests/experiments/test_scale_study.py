@@ -118,23 +118,21 @@ class TestTraceStream:
     def test_streamed_capture_is_complete_bounded_and_digest_equal(
         self, tmp_path, monkeypatch
     ):
-        from functools import partial
-
+        import repro.experiments.scale_study as scale_study
         import repro.obs.bus as bus
         from repro.experiments.scale_study import run_traced_stream
         from repro.ga.island import run_island_ga
         from repro.obs.__main__ import main as obs_main
 
-        # a small rotation size (the machine builds its sink from the path
-        # alone) and 128 demes: zlib hands out a deflate block only every
-        # ~16 k symbols, about 2.5 k trace lines, so a part cannot close
-        # sooner and an 8-deme trace (608 events) always fits in one
-        monkeypatch.setattr(
-            bus, "GzipJsonlSink", partial(bus.GzipJsonlSink, rotate_bytes=1024)
-        )
+        # a small rotation size and 128 demes: zlib hands out a deflate
+        # block only every ~16 k symbols, about 2.5 k trace lines, so a
+        # part cannot close sooner and an 8-deme trace (608 events)
+        # always fits in one
+        monkeypatch.setattr(bus, "ROTATE_BYTES", 1024)
+        monkeypatch.setattr(scale_study, "STREAM_FLUSH_EVERY", 64)
         n_demes = 128
         path = str(tmp_path / "stream.jsonl.gz")
-        record = run_traced_stream(n_demes, path, flush_every=64)
+        record = run_traced_stream(n_demes, path)
         assert record["dropped"] == 0
         assert 0 < record["peak_buffered"] <= 64
         assert record["parts"] > 1

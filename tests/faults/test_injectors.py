@@ -141,10 +141,12 @@ def test_barrier_tagged_pvm_frames_are_protected():
     assert inj.messages._eligible(plain)
 
 
-def test_fault_log_is_bounded():
+def test_fault_log_is_bounded(monkeypatch):
+    from repro.faults import injectors
     from repro.faults.injectors import FaultEvent, FaultLog
 
-    log = FaultLog(max_events=2)
+    monkeypatch.setattr(injectors, "MAX_LOGGED", 2)
+    log = FaultLog()
     for i in range(5):
         log.add(FaultEvent(time=float(i), kind="drop", src=0, dst=1,
                            frame_kind="data", frame_id=i))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ga import FitnessCache, get_function, run_serial_ga
-from repro.ga import costs
+from repro.ga import costs, fitness_cache
 from repro.ga.operators import GaParams
 
 
@@ -34,8 +34,9 @@ class TestFitnessCache:
         assert cache.misses == 6 and cache.hits == 0
         assert len(cache) == 0
 
-    def test_lru_bound(self):
-        cache = FitnessCache(lambda g: g.sum(axis=1).astype(float), max_entries=4)
+    def test_lru_bound(self, monkeypatch):
+        monkeypatch.setattr(fitness_cache, "MAX_ENTRIES", 4)
+        cache = FitnessCache(lambda g: g.sum(axis=1).astype(float))
         rng = np.random.default_rng(0)
         for _ in range(10):
             cache(rng.integers(0, 2, (3, 16), dtype=np.uint8))

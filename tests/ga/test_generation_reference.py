@@ -10,6 +10,7 @@ generator state (DESIGN.md §8).
 """
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.coherence import CoherenceMode
 from repro.ga.costs import generation_cost
+from repro.ga import fitness_cache
 from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TEST_FUNCTIONS, reseed_f4
 from repro.ga.island import IslandGaConfig, _GaPlan, _LocalDeme
@@ -315,12 +317,13 @@ def test_property_cache_matches_reference_lru(batches, max_entries):
         return evaluate
 
     ref = RefCache(evaluator("ref"), max_entries=max_entries)
-    new = FitnessCache(evaluator("new"), max_entries=max_entries)
+    new = FitnessCache(evaluator("new"))
     for batch in batches:
         genomes = np.array(
             [[(v >> b) & 1 for b in range(4)] for v in batch], dtype=np.uint8
         ).reshape(len(batch), 4)
-        expected, got = ref(genomes), new(genomes)
+        with mock.patch.object(fitness_cache, "MAX_ENTRIES", max_entries):
+            expected, got = ref(genomes), new(genomes)
         assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
         assert (new.hits, new.misses) == (ref.hits, ref.misses)
         assert list(new._store) == list(ref.store)

@@ -67,7 +67,6 @@ class TestConfig:
         # the closest pair shares an edge switch in every fabric kind
         base = 2 * (cfg.tx_time(0) + cfg.link_latency) + cfg.switch_latency
         assert cfg.min_latency() == pytest.approx(base)
-        assert cfg.min_latency(n_nodes=4096) == pytest.approx(base)
 
 
 class TestUnicast:

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.obs.bus import GzipJsonlSink, ObsEvent, TraceBus, read_jsonl, shape
-from repro.experiments.traced import traced_ga_run
+from tests.obs.conftest import two_deme_ga_run
 
 
 def _clock_factory():
@@ -124,7 +124,7 @@ def test_digest_is_content_addressed(tmp_path):
 
 def test_identical_seeds_emit_identical_event_sequences():
     """The trace is a pure function of the seed (ordering included)."""
-    runs = [traced_ga_run(n_demes=2, seed=3, n_generations=25) for _ in range(2)]
+    runs = [two_deme_ga_run(3, ga_generations=25) for _ in range(2)]
     assert runs[0].bus.events == runs[1].bus.events
     assert runs[0].bus.digest() == runs[1].bus.digest()
     # and the trace is non-trivial: the taxonomy's GA kinds all fired

@@ -23,9 +23,9 @@ def test_untraced_digests_still_match_golden(check_report):
 def test_span_building_leaves_trace_untouched():
     """Building the causal graph is read-only: digests are unmoved."""
     from repro.obs.causal import attribute, build_spans, critical_path
-    from repro.experiments.traced import traced_ga_run
+    from tests.obs.conftest import two_deme_ga_run
 
-    run = traced_ga_run(n_demes=2, seed=3, n_generations=25)
+    run = two_deme_ga_run(3, ga_generations=25)
     before = run.bus.digest()
     g = build_spans(run.bus.events)
     attribute(g)
@@ -33,5 +33,5 @@ def test_span_building_leaves_trace_untouched():
     assert run.bus.digest() == before
     # and the lineage hooks are pure functions of the seed too: a
     # second identical run, analysed or not, lands on the same digest
-    again = traced_ga_run(n_demes=2, seed=3, n_generations=25)
+    again = two_deme_ga_run(3, ga_generations=25)
     assert again.bus.digest() == before

@@ -15,14 +15,14 @@ from repro.obs.diff import (
     render_diff,
     run_profile,
 )
-from repro.experiments.traced import traced_ga_run
+from tests.obs.conftest import two_deme_ga_run
 
 
 @pytest.fixture(scope="module")
 def age_pair():
     """Two small traced GA runs differing only in the age tolerance."""
-    a = traced_ga_run(n_demes=2, seed=7, age=0, n_generations=40)
-    b = traced_ga_run(n_demes=2, seed=7, age=10, n_generations=40)
+    a = two_deme_ga_run(7, ages=(0,), ga_generations=40)
+    b = two_deme_ga_run(7, ages=(10,), ga_generations=40)
     return a, b
 
 

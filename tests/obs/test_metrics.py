@@ -12,13 +12,13 @@ import pytest
 
 from repro.bayes.rollback import RollbackStats
 from repro.cluster import Machine, MachineConfig
-from repro.experiments.traced import traced_ga_run
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     machine_metrics,
     percentile_from_samples,
 )
 from repro.obs.report import report_dict
+from tests.obs.conftest import two_deme_ga_run
 
 
 def test_percentile_nearest_rank():
@@ -101,7 +101,7 @@ def test_ga_result_carries_metrics_without_tracing():
 
 
 def test_identical_runs_produce_identical_snapshots(ga_run):
-    again = traced_ga_run(n_demes=2, seed=7)
+    again = two_deme_ga_run(7)
     assert ga_run.metrics == again.metrics
 
 

@@ -51,11 +51,12 @@ def test_sink_digest_matches_buffered(tmp_path):
     assert len(sink_bus) == 5000
 
 
-def test_sink_rotation_and_reader(tmp_path):
+def test_sink_rotation_and_reader(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.obs.bus.ROTATE_BYTES", 2048)
     base = tmp_path / "t.jsonl.gz"
     bus = TraceBus(
         clock=_Clock(),
-        sink=GzipJsonlSink(base, rotate_bytes=2048),
+        sink=GzipJsonlSink(base),
         flush_every=256,
     )
     _fill(bus, 4000)
@@ -126,10 +127,11 @@ def test_truncated_gzip_tail_tolerated(tmp_path):
     assert g is not None
 
 
-def test_sink_trace_validates(tmp_path):
+def test_sink_trace_validates(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.obs.bus.ROTATE_BYTES", 4096)
     base = tmp_path / "t.jsonl.gz"
     bus = TraceBus(
-        clock=_Clock(), sink=GzipJsonlSink(base, rotate_bytes=4096),
+        clock=_Clock(), sink=GzipJsonlSink(base),
         flush_every=128,
     )
     _fill(bus, 3000)

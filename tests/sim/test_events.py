@@ -171,7 +171,10 @@ def test_property_kernel_run_order_matches_sorted_list_model(roots):
 
     def schedule(node, path):
         delay, priority, children = node
-        kernel.schedule(delay, fire, path, children, priority=priority)
+        if priority == PRIORITY_NORMAL:
+            kernel.schedule(delay, fire, path, children)
+        else:  # the kernel's own Yield path pushes its PRIORITY_LATE entries this way
+            kernel.queue.push(kernel.now + delay, fire, (path, children), priority=priority)
 
     def fire(path, children):
         executed.append((kernel.now, path))

@@ -269,9 +269,11 @@ class _LoopbackConn:
 
 
 def _feed(lag_bound=10.0):
+    from dataclasses import replace
+
     from repro.sim.parallel.channel import RecordFeed
 
-    plan = plan_shards(ga_comm_graph(2, 100), 2, lookahead=0.5, lag_bound=lag_bound)
+    plan = replace(plan_shards(ga_comm_graph(2, 100), 2, lookahead=0.5), lag_bound=lag_bound)
     conn = _LoopbackConn()
     return RecordFeed(conn, 0, plan), conn
 

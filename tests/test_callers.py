@@ -38,12 +38,22 @@ ALLOWED = {
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+def call_name(node: ast.AST) -> str | None:
+    """The name a call's ``func`` (or any reference) resolves by: ``f`` or ``x.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 class Definition(NamedTuple):
     key: str  # "<relpath>:<qualname>"
     name: str
     path: Path
     first: int
     last: int
+    node: ast.AST  # the FunctionDef or ClassDef
 
 
 def definitions(source: Path) -> list[Definition]:
@@ -54,7 +64,7 @@ def definitions(source: Path) -> list[Definition]:
         rel = path.relative_to(source).as_posix()
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
         found.append(Definition(f"{rel}:{qualname}", node.name, path,
-                                first, node.end_lineno or node.lineno))
+                                first, node.end_lineno or node.lineno, node))
 
     def methods(path: Path, cls: ast.ClassDef, prefix: str) -> None:
         for node in cls.body:
@@ -111,6 +121,11 @@ def references(path: Path) -> list[tuple[str, int]]:
     return refs
 
 
+def caller_files(caller_roots: list[Path]) -> list[Path]:
+    """Every ``.py`` file under the *caller_roots* that exist, sorted."""
+    return sorted({p for root in caller_roots if root.exists() for p in root.rglob("*.py")})
+
+
 def uncalled(source: Path, caller_roots: list[Path]) -> list[str]:
     """Keys of the definitions under *source* that nothing references.
 
@@ -118,8 +133,7 @@ def uncalled(source: Path, caller_roots: list[Path]) -> list[str]:
     inside a definition's own line span does not count for it.
     """
     refs: dict[str, list[tuple[Path, int]]] = {}
-    files = sorted({p for root in caller_roots if root.exists() for p in root.rglob("*.py")})
-    for path in files:
+    for path in caller_files(caller_roots):
         for name, line in references(path):
             refs.setdefault(name, []).append((path, line))
     missing = []

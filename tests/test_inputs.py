@@ -33,10 +33,11 @@ import repro
 from repro.bayes.network import BayesianNetwork, BayesNode
 from repro.core.coherence import CoherenceMode
 from repro.ga.functions import get_function
+from repro.ga.island import IslandGaConfig
 from repro.ga.operators import GaParams
 from repro.inputs import RULE
 from repro.network.loader import LoaderConfig
-from tests.test_callers import CALLER_ROOTS, ROOT, SOURCE
+from tests.test_callers import CALLER_ROOTS, ROOT, SOURCE, call_name, caller_files
 
 #: names that say "a caller builds this to describe a run"
 INPUT_NAME = re.compile(r"(Config|Spec|Params|CostModel|Overheads|Faults|Fault|FaultPlan)$")
@@ -194,14 +195,17 @@ def test_every_input_named_dataclass_declares_its_rules():
     [
         (LoaderConfig, {"offered_load_bps": math.nan}),
         (GaParams, {"population_size": 2.5}),
+        # built, then died in deme 0 when the controller refused the age
+        (IslandGaConfig, {"age": 61, "dynamic_age": True}),
     ],
     ids=lambda v: next(iter(v)) if isinstance(v, dict) else v.__name__,
 )
 def test_inputs_that_used_to_run_to_a_wrong_answer_are_refused(cls, kwargs):
-    """Each of these used to be accepted and ran to a wrong answer."""
-    (field,) = kwargs
+    """Each of these used to be accepted and ran to a wrong answer (or
+    died mid-run); the message names the first field given."""
+    field = next(iter(kwargs))
     with pytest.raises(ValueError, match=rf"{cls.__name__}\.{field} must be"):
-        cls(**kwargs)
+        cls(**{**REQUIRED.get(cls.__name__, {}), **kwargs})
 
 
 # ----------------------------------------------------------------------
@@ -230,14 +234,6 @@ SETTER_ALLOWED: dict[str, str] = {}
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _call_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def _init_field(stmt: ast.stmt) -> str | None:
     """The field an annotated class-body statement declares, if ``__init__`` takes it."""
     if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
@@ -262,7 +258,7 @@ def input_fields(source: Path) -> dict[str, list[str]]:
                 continue
             post = [f for f in node.body
                     if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
-            if not any(isinstance(c, ast.Call) and _call_name(c.func) == "check_fields"
+            if not any(isinstance(c, ast.Call) and call_name(c.func) == "check_fields"
                        for f in post for c in ast.walk(f)):
                 continue
             assert node.name not in found, f"two input dataclasses named {node.name}"
@@ -288,14 +284,14 @@ def _setters(path: Path, classes: dict[str, list[str]]) -> set[tuple[str, str]]:
         if isinstance(cls, ast.ClassDef) and cls.name in classes:
             for f in cls.body:
                 if isinstance(f, ast.FunctionDef) and any(
-                    _call_name(d) == "classmethod" for d in f.decorator_list
+                    call_name(d) == "classmethod" for d in f.decorator_list
                 ):
                     own.update((id(n), cls.name) for n in ast.walk(f))
     found: set[tuple[str, str]] = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _call_name(node.func)
+        name = call_name(node.func)
         if name in replace_names:
             found.update((c, k.arg) for k in node.keywords
                          for c, fields in classes.items() if k.arg in fields)
@@ -320,7 +316,7 @@ def unset_fields(source: Path, caller_roots: list[Path]) -> list[str]:
     """``"Class.field"`` of every input-dataclass field no file under *caller_roots* sets."""
     classes = input_fields(source)
     found: set[tuple[str, str]] = set()
-    for path in sorted({p for root in caller_roots if root.exists() for p in root.rglob("*.py")}):
+    for path in caller_files(caller_roots):
         found |= _setters(path, classes)
     return [f"{c}.{f}" for c, fields in sorted(classes.items())
             for f in fields if (c, f) not in found]
