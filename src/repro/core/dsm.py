@@ -21,6 +21,7 @@ do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Generator
 
 from repro.core.agebuffer import AgeBuffer
@@ -71,6 +72,10 @@ class DsmNodeStats:
 class DsmNode:
     """Per-task handle onto the DSM (see module docstring)."""
 
+    #: REQUEST's deferred requests and COALESCE's unsent updates, per
+    #: location: built per node only under that mode or policy
+    _pending_requests = _outbox = MappingProxyType({})
+
     def __init__(self, dsm: "Dsm", task: Task) -> None:
         self.dsm = dsm
         self.task = task
@@ -86,10 +91,10 @@ class DsmNode:
         #: seconds are charged with the drain (applications use this to
         #: process update streams, e.g. folding interface-value batches)
         self.on_update = None
-        # REQUEST mode: deferred requests per location
-        self._pending_requests: dict[str, list[tuple[int, int]]] = {}
-        # COALESCE policy: newest unsent update per location
-        self._outbox: dict[str, tuple[Any, int, int]] = {}
+        if dsm.mode is GlobalReadMode.REQUEST:
+            self._pending_requests: dict[str, list[tuple[int, int]]] = {}
+        if dsm.update_policy is UpdatePolicy.COALESCE:
+            self._outbox: dict[str, tuple[Any, int, int]] = {}
 
     # ------------------------------------------------------------------
     # Writing

@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
 from repro.core.coherence import CoherenceMode
-from repro.experiments.config import Scale, current_scale
+from repro.experiments.config import Scale
 from repro.experiments.speedup import machine_for
 from repro.experiments.table2 import build_network, pick_query
 from repro.faults.plan import FaultPlan
@@ -56,8 +56,8 @@ def traced_trial(run: Callable[..., Any], cfg: Any) -> TracedRun:
 
 
 def traced_ga_run(
-    scale: Scale | None = None,
-    n_demes: int = 4,
+    scale: Scale,
+    n_demes: int,
     load_bps: float = 0.0,
     faults: FaultPlan | None = None,
 ) -> TracedRun:
@@ -68,7 +68,6 @@ def traced_ga_run(
     region), ``measure_warp`` on, seed :data:`GA_SEED`, and optional
     background load / fault plan pass-through.
     """
-    scale = scale or current_scale()
     mcfg = replace(machine_for(scale, n_demes, GA_SEED, load_bps, faults), trace=True)
     cfg = IslandGaConfig(
         fn=get_function(scale.ga_functions[0]),
@@ -83,13 +82,12 @@ def traced_ga_run(
 
 
 def traced_bayes_run(
-    scale: Scale | None = None,
-    n_procs: int = 2,
+    scale: Scale,
+    n_procs: int,
     faults: FaultPlan | None = None,
 ) -> TracedRun:
     """One partially asynchronous Hailfinder run with the trace bus on
     (seed :data:`BAYES_SEED`)."""
-    scale = scale or current_scale()
     net = build_network("Hailfinder")
     mcfg = replace(machine_for(scale, n_procs, BAYES_SEED, 0.0, faults), trace=True)
     cfg = ParallelLsConfig(

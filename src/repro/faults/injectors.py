@@ -292,10 +292,11 @@ class FaultInjector:
 
     def _crash_flush(self, node_id: int) -> None:
         """Crash onset: the node's queued egress frames are lost."""
-        adapter = self.network.adapters.get(node_id)
-        if adapter is None or not adapter.queue:
+        # the network owns per-queue derived state (Ethernet's contender
+        # backlog); flushing through it keeps that state consistent
+        lost = self.network.flush_queue(node_id)
+        if not lost:
             return
-        lost = len(adapter.queue)
         self.messages.stats.crash_frames_lost += lost
         self.messages.log.add(FaultEvent(
             time=self.kernel.now, kind="crash-flush", src=node_id, dst=-1,
@@ -305,9 +306,6 @@ class FaultInjector:
             self.kernel.obs.emit(
                 "fault.crash-flush", node=node_id, amount=float(lost)
             )
-        # the network owns per-queue derived state (Ethernet's contender
-        # backlog); flushing through it keeps that state consistent
-        self.network.flush_queue(node_id)
 
     def summary(self) -> dict:
         """Injected-fault counts and log size, as a dict."""

@@ -13,11 +13,13 @@ model: simulated evaluation time is charged per *miss*.
 Noisy functions (F4) must not be cached — a cached noisy value would
 freeze one noise draw forever — so the cache can be constructed disabled
 and then behaves as a transparent pass-through.
+
+The LRU lives in a plain ``dict``'s insertion order (a hit re-inserts
+its key at the end; eviction deletes the first): every deme holds one.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -38,7 +40,7 @@ class FitnessCache:
     def __init__(self, evaluate: Callable[[np.ndarray], np.ndarray], enabled: bool = True) -> None:
         self._evaluate = evaluate
         self.enabled = enabled
-        self._store: OrderedDict[bytes, float] = OrderedDict()
+        self._store: dict[bytes, float] = {}
         self.hits = 0
         self.misses = 0
 
@@ -54,7 +56,7 @@ class FitnessCache:
         vals = list(map(store.get, keys))
         for key, val in zip(keys, vals):
             if val is not None:
-                store.move_to_end(key)
+                store[key] = store.pop(key)  # to the most-recent end
         if None not in vals:
             self.hits += n
             return np.array(vals, dtype=np.float64)
@@ -72,7 +74,7 @@ class FitnessCache:
         for i in missing:
             vals[i] = store[keys[i]]
         while len(store) > MAX_ENTRIES:
-            store.popitem(last=False)
+            del store[next(iter(store))]
         return np.array(vals, dtype=np.float64)
 
     @property

@@ -42,7 +42,7 @@ from repro.ga.costs import INCORPORATE_PER_MIGRANT, generation_cost
 from repro.ga.encoding import BinaryEncoding
 from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TestFunction, reseed_f4
-from repro.ga.operators import GaParams, ScalingWindow, evolve_one_generation
+from repro.ga.operators import GaParams, evolve_one_generation
 from repro.ga.population import Population
 from repro.ga.topology import TOPOLOGIES, wiring
 from repro.inputs import at_least, check_fields, one_of, unconstrained
@@ -233,7 +233,6 @@ class _LocalDeme:
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(cfg.fn.fid, deme))
         )
         self.cache = FitnessCache(plan.evaluate, enabled=not cfg.fn.noisy)
-        self.scaling = ScalingWindow(window=cfg.params.scaling_window)
         self.pop: Population | None = None
         self.best_so_far = float("inf")
 
@@ -258,9 +257,7 @@ class _LocalDeme:
         """One generation of evolution; returns (cost_s, best, mean, migrants)."""
         plan = self.plan
         misses_before = self.cache.misses
-        pop = evolve_one_generation(
-            self.pop, plan.cfg.params, self.scaling, self.cache, self.rng, plan.cols
-        )
+        pop = evolve_one_generation(self.pop, self.cache, self.rng, plan.cols)
         return self._adopt(pop, misses_before)
 
     def incorporate(self, pool_g: np.ndarray, pool_f: np.ndarray) -> tuple[float, float]:

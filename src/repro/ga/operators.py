@@ -17,54 +17,35 @@ W=1, and S=E."
   of generation *t+1* if it did not survive.
 * G=1: full generational replacement (the elitist slot aside).
 
-All operators are numpy-vectorised over the population.
+Only N varies between runs, so it is the one field of :class:`GaParams`;
+C and M are module constants, and W=1, S=E and G=1 are the shape of
+:func:`evolve_one_generation`.  All operators are numpy-vectorised.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ga.population import Population
-from repro.inputs import at_least, check_fields, probability
+from repro.inputs import at_least, check_fields
+
+#: DeJong's crossover rate C
+CROSSOVER_RATE = 0.6
+#: DeJong's mutation rate M
+MUTATION_RATE = 0.001
 
 
 @dataclass
 class GaParams:
-    """Five DeJong parameters (defaults = the paper's settings); the sixth,
-    the generation gap, is the paper's G=1, the only one implemented."""
+    """DeJong's population size N (default = the paper's 50), the one GA
+    parameter a run varies."""
 
     population_size: int = at_least(2, default=50)
-    crossover_rate: float = probability(default=0.6)
-    mutation_rate: float = probability(default=0.001)
-    scaling_window: int = at_least(1, default=1)
-    elitist: bool = True
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-
-@dataclass
-class ScalingWindow:
-    """Tracks the worst objective over the last W generations (W=1 default)."""
-
-    window: int = 1
-    _worsts: deque = field(default_factory=deque)
-
-    def update(self, worst_of_generation: float) -> None:
-        """Slide the window forward with this generation's worst raw fitness."""
-        self._worsts.append(float(worst_of_generation))
-        while len(self._worsts) > self.window:
-            self._worsts.popleft()
-
-    @property
-    def scaling_baseline(self) -> float:
-        """Current scaling baseline: the worst fitness over the window."""
-        if not self._worsts:
-            raise ValueError("scaling window is empty; call update() first")
-        return max(self._worsts)
 
 
 def selection_weights(fitness: np.ndarray, baseline: float) -> np.ndarray:
@@ -99,15 +80,11 @@ def single_point_crossover(
     parents_b: np.ndarray,
     rate: float,
     rng: np.random.Generator,
-    cols: np.ndarray | None = None,
+    cols: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised single-point crossover over paired parent arrays.
-
-    ``cols`` is ``np.arange(L)`` for a caller that keeps one.
-    """
+    """Vectorised single-point crossover over paired parent arrays
+    (``cols`` is the caller's ``np.arange(L)``)."""
     n, length = parents_a.shape
-    if cols is None:
-        cols = np.arange(length)
     do = rng.random(n) < rate
     # a pair that does not cross cuts past the last column
     points = np.where(do, rng.integers(1, length, size=n), length)
@@ -124,37 +101,34 @@ def mutate(genomes: np.ndarray, rate: float, rng: np.random.Generator) -> np.nda
 
 def evolve_one_generation(
     pop: Population,
-    params: GaParams,
-    scaling: ScalingWindow,
     evaluate,
     rng: np.random.Generator,
-    cols: np.ndarray | None = None,
+    cols: np.ndarray,
 ) -> Population:
     """One full generational step (select -> crossover -> mutate -> elitism).
 
-    ``evaluate`` maps an (n, L) genome array to (n,) objective values; the
-    caller supplies a fitness-cache-wrapped evaluator so surviving
-    individuals are not re-evaluated (the software-caching optimisation of
-    [19]).  ``cols`` is passed to :func:`single_point_crossover`.
+    ``evaluate`` maps an (n, L) genome array to (n,) objective values
+    (n = ``pop.size``); the caller supplies a fitness-cache-wrapped
+    evaluator so surviving individuals are not re-evaluated (the
+    software-caching optimisation of [19]).
 
     Four draws per generation, in this order, are the pinned stream
     (DESIGN.md §8): ``random(2h)``, ``random(h)``, ``integers(1, L, h)``
     and ``random((n, L))`` with ``h = ceil(n / 2)``.
     """
     genomes, fitness = pop.genomes, pop.fitness
-    scaling.update(float(fitness.max()))
-    n = params.population_size
-    idx = roulette_select(fitness, scaling.scaling_baseline, n + (n % 2), rng)
+    n = fitness.size
+    # W=1: the scaling baseline is the worst of this generation
+    idx = roulette_select(fitness, float(fitness.max()), n + (n % 2), rng)
     parents = genomes[idx]
     ca, cb = single_point_crossover(
-        parents[0::2], parents[1::2], params.crossover_rate, rng, cols
+        parents[0::2], parents[1::2], CROSSOVER_RATE, rng, cols
     )
-    children = mutate(np.concatenate([ca, cb])[:n], params.mutation_rate, rng)
+    children = mutate(np.concatenate([ca, cb])[:n], MUTATION_RATE, rng)
     new_pop = Population(children, evaluate(children))
-    if params.elitist:
-        best = fitness.argmin()
-        if fitness[best] < new_pop.fitness.min():
-            worst = new_pop.fitness.argmax()
-            new_pop.genomes[worst] = genomes[best]
-            new_pop.fitness[worst] = fitness[best]
+    best = fitness.argmin()
+    if fitness[best] < new_pop.fitness.min():
+        worst = new_pop.fitness.argmax()
+        new_pop.genomes[worst] = genomes[best]
+        new_pop.fitness[worst] = fitness[best]
     return new_pop

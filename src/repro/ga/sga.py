@@ -23,7 +23,7 @@ from repro.ga.costs import generation_cost
 from repro.ga.encoding import BinaryEncoding
 from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TestFunction, reseed_f4
-from repro.ga.operators import GaParams, ScalingWindow, evolve_one_generation
+from repro.ga.operators import GaParams, evolve_one_generation
 from repro.ga.population import Population
 
 
@@ -53,7 +53,6 @@ def run_serial_ga(
     fn: TestFunction,
     seed: int = 0,
     n_generations: int = 1000,
-    params: GaParams | None = None,
     population_size: int | None = None,
 ) -> SerialGaResult:
     """Run the serial GA on ``fn`` and return its full trajectory.
@@ -63,15 +62,7 @@ def run_serial_ga(
     caller scales total population (the parallel experiments keep the
     serial baseline at N=50, as the paper does).
     """
-    params = params or GaParams()
-    if population_size is not None:
-        params = GaParams(
-            population_size=population_size,
-            crossover_rate=params.crossover_rate,
-            mutation_rate=params.mutation_rate,
-            scaling_window=params.scaling_window,
-            elitist=params.elitist,
-        )
+    params = GaParams() if population_size is None else GaParams(population_size)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(fn.fid,)))
     reseed_f4(seed * 8 + fn.fid)
     enc = BinaryEncoding.for_function(fn)
@@ -79,7 +70,6 @@ def run_serial_ga(
 
     genomes = enc.random_population(params.population_size, rng)
     pop = Population(genomes, cache(genomes))
-    scaling = ScalingWindow(window=params.scaling_window)
     cols = np.arange(enc.length)
 
     sim_time = 0.0
@@ -91,7 +81,7 @@ def run_serial_ga(
 
     for g in range(1, n_generations + 1):
         misses_before = cache.misses
-        pop = evolve_one_generation(pop, params, scaling, cache, rng, cols)
+        pop = evolve_one_generation(pop, cache, rng, cols)
         new_evals = cache.misses - misses_before
         sim_time += generation_cost(fn, params.population_size, new_evals)
         best_so_far = min(best_so_far, pop.best_fitness)

@@ -26,11 +26,15 @@ _DELIVER_REF = shape("enq", "frame_kind", "ref", "size", "src")
 class Adapter:
     """One node's attachment point to a network.
 
-    ``drain_signal`` fires whenever a queued frame starts transmitting;
-    senders implementing backpressure (PVM's blocking send on a full
-    socket buffer) wait on it until :attr:`queue_len` falls below their
-    window.
+    Only a network that queues at the sender (the Ethernet) gives it an
+    egress ``queue`` and a ``drain_signal``, which fires whenever a queued
+    frame starts transmitting; senders implementing backpressure (PVM's
+    blocking send on a full socket buffer) wait on it until
+    :attr:`queue_len` falls below their window.
     """
+
+    queue: deque[Frame] | tuple = ()
+    drain_signal: Signal | None = None
 
     def __init__(
         self, network: "Network", node_id: int, deliver: Callable[[Frame], None]
@@ -38,9 +42,6 @@ class Adapter:
         self.network = network
         self.node_id = node_id
         self.deliver = deliver
-        self.queue: deque[Frame] = deque()
-        self.drain_signal = Signal(f"adapter{node_id}.drain")
-        self.frames_received = 0
 
     def send(self, frame: Frame) -> None:
         """Hand a frame to the link for (eventual) transmission."""
@@ -54,10 +55,6 @@ class Adapter:
     def queue_len(self) -> int:
         """Frames waiting in this adapter's egress queue."""
         return len(self.queue)
-
-    def _receive(self, frame: Frame) -> None:
-        self.frames_received += 1
-        self.deliver(frame)
 
 
 class Network:
@@ -112,7 +109,7 @@ class Network:
                 bus.append((bus.clock(), "net.deliver", dst, _DELIVER_REF,
                             frame.enqueue_time, frame.kind, ref,
                             frame.size_bytes, frame.src))
-        self.adapters[dst]._receive(frame)
+        self.adapters[dst].deliver(frame)
 
     def _obs_fields(self, frame: Frame, dst: int) -> dict:
         """Extra ``net.deliver`` trace fields for this link model.
@@ -133,16 +130,10 @@ class Network:
     def flush_queue(self, node_id: int) -> int:
         """Discard ``node_id``'s queued egress frames; returns the count.
 
-        The only sanctioned way to empty an adapter queue from outside
-        the link model (the crash injector uses it) — concrete networks
-        that keep derived per-queue state override this to stay in sync.
+        The crash injector empties queues only through this.  This network
+        keeps none; one that does overrides it, keeping derived state in sync.
         """
-        adapter = self.adapters.get(node_id)
-        if adapter is None:
-            return 0
-        lost = len(adapter.queue)
-        adapter.queue.clear()
-        return lost
+        return 0
 
     # -- to be provided by concrete models ------------------------------
     def _enqueue(self, adapter: Adapter, frame: Frame) -> None:

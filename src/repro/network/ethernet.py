@@ -37,9 +37,13 @@ per frame.  The medium is the paper's fixed testbed: no run varies it.
 
 from __future__ import annotations
 
+from collections import deque
+from typing import Callable
+
 from repro.network.base import Adapter, Network
 from repro.network.frame import Frame
 from repro.sim.kernel import Kernel
+from repro.sim.process import Signal
 
 #: 10BASE Ethernet
 BANDWIDTH_BPS = 10e6
@@ -81,6 +85,13 @@ class EthernetNetwork(Network):
         #: node ids with a non-empty egress queue, maintained incrementally
         #: so arbitration costs O(contenders), not O(attached adapters)
         self._backlog: set[int] = set()
+
+    def attach(self, node_id: int, deliver: Callable[[Frame], None]) -> Adapter:
+        """Attach a node with its own FIFO egress queue and drain signal."""
+        adapter = super().attach(node_id, deliver)
+        adapter.queue = deque()
+        adapter.drain_signal = Signal(f"adapter{node_id}.drain")
+        return adapter
 
     # ------------------------------------------------------------------
     def _enqueue(self, adapter: Adapter, frame: Frame) -> None:
@@ -161,9 +172,12 @@ class EthernetNetwork(Network):
 
     def flush_queue(self, node_id: int) -> int:
         """Discard queued egress frames, keeping the backlog set in sync."""
-        lost = super().flush_queue(node_id)
-        if lost:
-            self._backlog.discard(node_id)
+        adapter = self.adapters.get(node_id)
+        if adapter is None:
+            return 0
+        lost = len(adapter.queue)
+        adapter.queue.clear()
+        self._backlog.discard(node_id)
         return lost
 
     def _end_tx(self, frame: Frame) -> None:

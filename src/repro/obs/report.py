@@ -43,6 +43,9 @@ REPORT_SCHEMA = "repro-obs-report/2"
 #: timeline strip width (bins) by default
 DEFAULT_BINS = 60
 
+#: nodes a per-node table lists before the rest fold into one row
+NODE_ROWS = 16
+
 #: timeline glyphs
 GLYPH_BLOCKED = "X"
 GLYPH_COMPUTE = "#"
@@ -122,20 +125,25 @@ def global_read_summary(events: list[ObsEvent]) -> tuple[dict, dict]:
         if e.kind != "gr.block" and "staleness" in e.keys:
             s = int(e.get("staleness"))
             hist[s] = hist.get(s, 0) + 1
-    rows = list(per_node.values())
-    totals = {k: sum(r[k] for r in rows) for k in ("calls", "hits", "blocks", "waited")}
-    totals["max_wait"] = max((r["max_wait"] for r in rows), default=0.0)
-    for r in rows + [totals]:
-        r["mean_wait"] = r["waited"] / r["blocks"] if r["blocks"] else 0.0
+    per_node = {n: _gr_totals([per_node[n]]) for n in sorted(per_node)}
+    totals = _gr_totals(list(per_node.values()))
     reads = sum(hist.values())
     return (
-        {"per_node": {str(n): per_node[n] for n in sorted(per_node)}, "totals": totals},
+        {"per_node": {str(n): r for n, r in per_node.items()}, "totals": totals},
         {
             "hist": {str(s): hist[s] for s in sorted(hist)},
             "reads": reads,
             "mean": sum(s * n for s, n in hist.items()) / reads if reads else 0.0,
         },
     )
+
+
+def _gr_totals(rows: list[dict]) -> dict[str, float]:
+    """Blocking counters summed over ``rows`` (max wait: their maximum)."""
+    totals = {k: sum(r[k] for r in rows) for k in ("calls", "hits", "blocks", "waited")}
+    totals["max_wait"] = max((r["max_wait"] for r in rows), default=0.0)
+    totals["mean_wait"] = totals["waited"] / totals["blocks"] if totals["blocks"] else 0.0
+    return totals
 
 
 def rollback_summary(events: list[ObsEvent]) -> dict | None:
@@ -361,6 +369,23 @@ def _pairs(d: dict) -> str:
     return "  ".join(f"{k}:{v}" for k, v in d.items())
 
 
+def _top(per_node: dict[str, dict], weight: str, fold) -> list[tuple[str, dict]]:
+    """Every row, or past :data:`NODE_ROWS` the heaviest by ``weight`` and the rest folded."""
+    items = list(per_node.items())
+    if len(items) > NODE_ROWS:
+        items.sort(key=lambda item: item[1][weight], reverse=True)
+        rest = [row for _, row in items[NODE_ROWS:]]
+        items[NODE_ROWS:] = [(f"{len(rest)} other nodes", fold(rest))]
+    return items
+
+
+def _fold_attribution(rows: list[dict]) -> dict[str, float]:
+    """Attribution buckets summed over ``rows``, with their mean fraction."""
+    out = {c: sum(r[c] for r in rows) for c in BUCKETS + ("idle",)}
+    out["attributed_fraction"] = sum(r["attributed_fraction"] for r in rows) / len(rows)
+    return out
+
+
 def tables(rep: dict) -> list[tuple[str, list[str], list[list]]]:
     """The report's tabular sections as ``(title, headers, rows)``.
 
@@ -377,7 +402,7 @@ def tables(rep: dict) -> list[tuple[str, list[str], list[list]]]:
             "Blocking summary (Global_Read)",
             ["node", "gr calls", "hits", "blocks", "blocked time (s)",
              "mean wait (s)", "max wait (s)"],
-            [[n] + [r[c] for c in gr_cols] for n, r in b["per_node"].items()]
+            [[n] + [r[c] for c in gr_cols] for n, r in _top(b["per_node"], "waited", _gr_totals)]
             + [["all"] + [b["totals"][c] for c in gr_cols]],
         ))
     st = rep["staleness"]
@@ -398,7 +423,7 @@ def tables(rep: dict) -> list[tuple[str, list[str], list[list]]]:
              "attributed"],
             [
                 [n] + [pn[c] for c in attr_cols] + [f"{pn['attributed_fraction']:.1%}"]
-                for n, pn in attr["per_node"].items()
+                for n, pn in _top(attr["per_node"], "gr_blocking", _fold_attribution)
             ]
             + [["all"] + [attr["totals"][c] for c in attr_cols] + [""]],
         ))

@@ -287,7 +287,7 @@ class Task:
         """CPU cost a caller should charge for a message taken via nrecv_all."""
         return self.vm.overheads.recv_cost(msg.nbytes)
 
-    def probe(self, tag: int = ANY_TAG) -> bool:
+    def probe(self, tag: int) -> bool:
         """True if a message with ``tag`` is waiting (``pvm_probe``, any source)."""
         return any(m.matches(ANY_SOURCE, tag) for m in self.mailbox)
 

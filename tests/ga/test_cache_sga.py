@@ -5,7 +5,6 @@ import pytest
 
 from repro.ga import FitnessCache, get_function, run_serial_ga
 from repro.ga import costs, fitness_cache
-from repro.ga.operators import GaParams
 
 
 class TestFitnessCache:
@@ -98,10 +97,9 @@ class TestSerialGa:
         assert r.best_fitness <= 0.05
 
     def test_elitism_from_params(self):
-        """With elitism the running best never regresses (checked via history)."""
-        r = run_serial_ga(
-            get_function(2), seed=5, n_generations=80, params=GaParams(elitist=True)
-        )
+        """With the paper's S=E the running best never regresses (checked
+        via history)."""
+        r = run_serial_ga(get_function(2), seed=5, n_generations=80)
         assert r.best_history[-1] <= r.best_history[0]
 
     def test_cache_active_for_deterministic_functions(self):

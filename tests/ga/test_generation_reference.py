@@ -24,8 +24,9 @@ from repro.ga.fitness_cache import FitnessCache
 from repro.ga.functions import TEST_FUNCTIONS, reseed_f4
 from repro.ga.island import IslandGaConfig, _GaPlan, _LocalDeme
 from repro.ga.operators import (
+    CROSSOVER_RATE,
+    MUTATION_RATE,
     GaParams,
-    ScalingWindow,
     roulette_select,
     selection_weights,
 )
@@ -90,24 +91,23 @@ def ref_replace_worst(pop, genomes, fitness):
     return installed
 
 
-def ref_generation(pop, params, scaling, evaluate, rng):
-    """The textbook generational step."""
-    scaling.update(float(pop.fitness.max()))
-    n = params.population_size
-    w = np.clip(scaling.scaling_baseline - pop.fitness, 0.0, None)
+def ref_generation(pop, evaluate, rng):
+    """The textbook generational step, with DeJong's C, M, W=1 and S=E."""
+    n = pop.size
+    w = np.clip(pop.fitness.max() - pop.fitness, 0.0, None)  # W=1: this generation's worst
     p = np.full(pop.size, 1.0 / pop.size) if w.sum() <= 0.0 else w / w.sum()
     idx = rng.choice(pop.size, size=n + (n % 2), p=p)
     a = pop.genomes[idx[0::2]].copy()
     b = pop.genomes[idx[1::2]].copy()
-    do = rng.random(a.shape[0]) < params.crossover_rate
+    do = rng.random(a.shape[0]) < CROSSOVER_RATE
     points = rng.integers(1, a.shape[1], size=a.shape[0])
     swap = do[:, None] & (np.arange(a.shape[1])[None, :] >= points[:, None])
     a[swap], b[swap] = b[swap], a[swap]
     children = np.concatenate([a, b], axis=0)[:n]
-    flips = rng.random(children.shape) < params.mutation_rate
+    flips = rng.random(children.shape) < MUTATION_RATE
     children = np.bitwise_xor(children, flips.astype(np.uint8))
     new_pop = Population(children, evaluate(children))
-    if params.elitist and pop.fitness.min() < new_pop.fitness.min():
+    if pop.fitness.min() < new_pop.fitness.min():
         worst = int(np.argmax(new_pop.fitness))
         new_pop.genomes[worst] = pop.genomes[int(np.argmin(pop.fitness))]
         new_pop.fitness[worst] = pop.fitness.min()
@@ -126,7 +126,6 @@ class RefDeme:
         self.cache = RefCache(
             lambda g: cfg.fn(self.enc.decode(g)), enabled=not cfg.fn.noisy
         )
-        self.scaling = ScalingWindow(window=cfg.params.scaling_window)
         self.best_so_far = float("inf")
 
     def _report(self, misses_before):
@@ -144,9 +143,7 @@ class RefDeme:
 
     def evolve(self, g):
         before = self.cache.misses
-        self.pop = ref_generation(
-            self.pop, self.cfg.params, self.scaling, self.cache, self.rng
-        )
+        self.pop = ref_generation(self.pop, self.cache, self.rng)
         return self._report(before)
 
     def incorporate(self, pool_g, pool_f):

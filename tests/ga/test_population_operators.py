@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ga.operators import (
+    CROSSOVER_RATE,
+    MUTATION_RATE,
     GaParams,
-    ScalingWindow,
     mutate,
     roulette_select,
     selection_weights,
@@ -71,27 +72,6 @@ class TestPopulation:
             pop.replace_worst(np.zeros((2, 12), dtype=np.uint8), np.zeros(1))
 
 
-class TestScalingWindow:
-    def test_w1_uses_current_generation(self):
-        w = ScalingWindow(window=1)
-        w.update(10.0)
-        assert w.scaling_baseline == 10.0
-        w.update(5.0)
-        assert w.scaling_baseline == 5.0
-
-    def test_w3_remembers_recent_worst(self):
-        w = ScalingWindow(window=3)
-        for v in (10.0, 7.0, 5.0):
-            w.update(v)
-        assert w.scaling_baseline == 10.0
-        w.update(4.0)  # 10.0 falls out of the window
-        assert w.scaling_baseline == 7.0
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            ScalingWindow().scaling_baseline
-
-
 class TestSelection:
     def test_weights_favor_fitter_minimisation(self):
         f = np.array([1.0, 5.0, 9.0])
@@ -115,14 +95,14 @@ class TestCrossoverMutation:
         rng = np.random.default_rng(1)
         a = np.zeros((5, 10), dtype=np.uint8)
         b = np.ones((5, 10), dtype=np.uint8)
-        ca, cb = single_point_crossover(a, b, rate=0.0, rng=rng)
+        ca, cb = single_point_crossover(a, b, rate=0.0, rng=rng, cols=np.arange(10))
         assert np.array_equal(ca, a) and np.array_equal(cb, b)
 
     def test_crossover_rate_one_swaps_suffixes(self):
         rng = np.random.default_rng(2)
         a = np.zeros((20, 10), dtype=np.uint8)
         b = np.ones((20, 10), dtype=np.uint8)
-        ca, cb = single_point_crossover(a, b, rate=1.0, rng=rng)
+        ca, cb = single_point_crossover(a, b, rate=1.0, rng=rng, cols=np.arange(10))
         for row_a, row_b in zip(ca, cb):
             # each child is a prefix of one parent + suffix of the other
             k = int(np.argmax(row_a == 1)) if row_a.any() else 10
@@ -134,7 +114,7 @@ class TestCrossoverMutation:
         rng = np.random.default_rng(3)
         a = rng.integers(0, 2, (30, 16), dtype=np.uint8)
         b = rng.integers(0, 2, (30, 16), dtype=np.uint8)
-        ca, cb = single_point_crossover(a, b, rate=0.7, rng=rng)
+        ca, cb = single_point_crossover(a, b, rate=0.7, rng=rng, cols=np.arange(16))
         assert np.array_equal(ca + cb, a + b)
 
     def test_mutation_rate_statistics(self):
@@ -153,19 +133,11 @@ class TestCrossoverMutation:
 
 class TestParams:
     def test_paper_defaults(self):
-        p = GaParams()
-        assert (p.population_size, p.crossover_rate, p.mutation_rate) == (50, 0.6, 0.001)
-        assert p.scaling_window == 1 and p.elitist
+        assert (GaParams().population_size, CROSSOVER_RATE, MUTATION_RATE) == (50, 0.6, 0.001)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             GaParams(population_size=1)
-        with pytest.raises(ValueError):
-            GaParams(crossover_rate=1.5)
-        with pytest.raises(ValueError):
-            GaParams(mutation_rate=-0.1)
-        with pytest.raises(ValueError):
-            GaParams(scaling_window=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,7 +150,7 @@ def test_property_crossover_children_bits_come_from_parents(n, rate, seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, (n, 24), dtype=np.uint8)
     b = rng.integers(0, 2, (n, 24), dtype=np.uint8)
-    ca, cb = single_point_crossover(a, b, rate, rng)
+    ca, cb = single_point_crossover(a, b, rate, rng, np.arange(24))
     # column-wise conservation: crossover only exchanges aligned bits
     assert np.array_equal(np.sort(np.stack([ca, cb]), axis=0),
                           np.sort(np.stack([a, b]), axis=0))

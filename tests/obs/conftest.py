@@ -33,4 +33,4 @@ def ga_run():
 @pytest.fixture(scope="session")
 def bayes_run():
     """One traced 2-processor smoke-scale Hailfinder run."""
-    return traced_bayes_run(n_procs=2)
+    return traced_bayes_run(current_scale(), n_procs=2)

@@ -66,6 +66,36 @@ def test_timeline_strips_from_spans():
     assert rep["blocking"]["totals"]["waited"] == 1.0
 
 
+def test_per_node_tables_fold_past_node_rows():
+    """Past NODE_ROWS nodes a per-node table lists the most-blocked ones
+    and one row of the rest's sums; totals and the JSON keep every node."""
+    from repro.obs.bus import ObsEvent
+    from repro.obs.report import NODE_ROWS, tables
+
+    n = NODE_ROWS + 4
+    events = []
+    for node in range(n):
+        waited = 0.25 * (node + 1)
+        events += [
+            ObsEvent(0.0, "node.compute", node, {"cost": 1.0, "op": "evolve"}),
+            ObsEvent(1.0, "gr.block", node, {"locn": "x", "curr_iter": 1, "age": 0}),
+            ObsEvent(1.0 + waited, "gr.unblock", node, {"locn": "x", "waited": waited}),
+        ]
+    rep = report_dict(events)
+    assert len(rep["blocking"]["per_node"]) == len(rep["attribution"]["per_node"]) == n
+    sections = {title.split(" (")[0]: rows for title, _, rows in tables(rep)}
+    heaviest = [str(node) for node in range(n - 1, 3, -1)]
+    blocking = sections["Blocking summary"]
+    assert [r[0] for r in blocking] == heaviest + ["4 other nodes", "all"]
+    # calls, hits, blocks, blocked time, mean wait, max wait of nodes 0-3
+    assert blocking[-2][1:] == [4, 0, 4, 2.5, 0.625, 1.0]
+    assert blocking[-1][4] == sum(0.25 * (node + 1) for node in range(n))
+    attribution = sections["Wall-time attribution per node"]
+    assert [r[0] for r in attribution] == heaviest + ["4 other nodes", "all"]
+    assert attribution[-2][2] == 2.5  # their Global_Read blocking, summed
+    assert "4 other nodes" in render_report(events)
+
+
 def test_warp_table_matches_meter(ga_run):
     """Warp recomputed from net.deliver events ≈ the run's WarpMeter."""
     text = render_report(ga_run.bus.events)
