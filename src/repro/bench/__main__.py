@@ -1,8 +1,9 @@
 """CLI: ``python -m repro.bench --scale smoke --out BENCH_ci.json``.
 
-Runs the microbenchmarks, the experiment suite timings and the golden
-table (:func:`repro.check.run_checks`), writes one ``repro-bench/1``
-JSON document, and exits 1 if any digest mismatches.
+Times the three numbers perfbench does not measure yet — the bare-kernel
+loop, the 4,096-deme ring and the figure-3 sweep at ``--scale`` — runs
+the golden table (:func:`repro.check.run_checks`), writes one
+``repro-bench/1`` JSON document, and exits 1 if any digest mismatches.
 """
 
 from __future__ import annotations
@@ -10,13 +11,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import make_payload, next_bench_path, write_bench
-from repro.bench.micro import run_micro
-from repro.bench.suite import run_suite
+from repro.bench.harness import make_payload, next_bench_path, timed, write_bench
+from repro.bench.micro import bench_kernel
 from repro.check import run_checks
 from repro.experiments.cli import add_jobs_option
 from repro.experiments.config import SCALES
+from repro.experiments.figure3 import run_figure3
 from repro.experiments.runner import configured_jobs
+from repro.experiments.scale_study import run_scale_proof
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,34 +28,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     parser.add_argument("--out", default=None, help="output path (default: next BENCH_<n>.json)")
     add_jobs_option(parser)
-    parser.add_argument("--repeat", type=int, default=2, help="micro-benchmark repeats (best-of)")
-    parser.add_argument("--skip-suite", action="store_true", help="micro + digests only")
     args = parser.parse_args(argv)
 
     scale = SCALES[args.scale]()
     jobs = configured_jobs() if args.jobs is None else args.jobs
 
-    print(f"[bench] micro (repeat={args.repeat}) ...", flush=True)
-    micro = run_micro(repeat=args.repeat)
+    print("[bench] bare-kernel loop ...", flush=True)
+    micro = bench_kernel()
 
-    print("[bench] parallel kernel (2-shard speedup) ...", flush=True)
-    from repro.bench.parallel import bench_parallel
+    print("[bench] 4096-deme ring ...", flush=True)
+    proof = run_scale_proof(4096)
+    micro["fabric.ga_ring_4096_wall_s"] = proof["wall_s"]
+    micro["fabric.ga_ring_4096_sim_s"] = proof["total_time"]
 
-    micro.update(bench_parallel())
-
-    print("[bench] switched fabric (O(1) per-message check) ...", flush=True)
-    from repro.bench.fabric import bench_fabric
-
-    micro.update(bench_fabric(repeat=args.repeat))
-
-    experiments: dict = {}
-    determinism = {}
-    if not args.skip_suite:
-        print(f"[bench] experiment suite (scale={args.scale}, jobs={jobs}) ...", flush=True)
-        experiments, determinism = run_suite(scale, jobs=jobs)
+    print(f"[bench] figure3 (scale={args.scale}, jobs={jobs}) ...", flush=True)
+    _, figure3_s = timed(run_figure3, scale, jobs=jobs)
+    experiments = {"figure3": {"wall_s": figure3_s}}
 
     print("[bench] determinism digests ...", flush=True)
-    determinism.update(run_checks())
+    determinism = run_checks()
 
     payload = make_payload(args.scale, jobs, micro, experiments, determinism)
     out = next_bench_path() if args.out is None else args.out

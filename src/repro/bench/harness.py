@@ -12,29 +12,27 @@ Schema (``repro-bench/1``)
     {
       "schema": "repro-bench/1",
       "scale": "smoke",                  # REPRO_SCALE preset used
-      "jobs": 4,                         # worker count for parallel timings
+      "jobs": 4,                         # worker count for the figure-3 sweep
       "env": {"python": ..., "platform": ..., "cpu_count": ...},
-      "micro": {                         # kernel/application microbenchmarks
+      "micro": {                         # flat, one key per metric
+        "kernel_events": float,          # the bare-kernel loop
+        "kernel_wall_s": float,
         "kernel_events_per_sec": float,
-        "ga_generations_per_sec": float,
-        "bayes_samples_per_sec": float,
-        "bayes_parallel_samples_per_sec": float,
-        ...                              # one key per metric, flat
+        "fabric.ga_ring_4096_wall_s": float,   # the 4,096-deme ring
+        "fabric.ga_ring_4096_sim_s": float
       },
-      "experiments": {                   # smoke-scale end-to-end timings
-        "figure2": {"wall_s": float, "serial_wall_s": float,
-                     "parallel_speedup": float},
-        "figure3": {"wall_s": float},
-        ...
-      },
-      "determinism": {                   # golden-digest check results
+      "experiments": {"figure3": {"wall_s": float}},
+      "determinism": {                   # repro.check.run_checks() rows
         "kernel_trace": {"digest": "...", "golden": "...", "ok": true},
         ...
       }
     }
 
-``wall_s`` is the best of ``repeat`` runs (wall-clock seconds measured
-with ``time.perf_counter``); rates are derived from the same best run.
+``kernel_wall_s`` is the best of :data:`repro.bench.micro.KERNEL_REPEAT`
+runs (wall-clock seconds measured with ``time.perf_counter``), and the
+rate is derived from the same best run.  Older points (BENCH_2–12) also
+carry the micro, fabric, shard and suite keys that perfbench now
+measures.
 """
 
 from __future__ import annotations
@@ -88,11 +86,7 @@ def next_bench_path() -> Path:
 
 
 def make_payload(
-    scale: str,
-    jobs: int,
-    micro: dict | None = None,
-    experiments: dict | None = None,
-    determinism: dict | None = None,
+    scale: str, jobs: int, micro: dict, experiments: dict, determinism: dict
 ) -> dict:
     """Assemble the bench-result JSON payload (schema ``repro-bench/1``)."""
     return make_envelope(
@@ -102,9 +96,9 @@ def make_payload(
             "jobs": jobs,
             "unix_time": time.time(),  # repro-lint: allow[RPR002] — provenance stamp
             "env": env_info(),
-            "micro": micro or {},
-            "experiments": experiments or {},
-            "determinism": determinism or {},
+            "micro": micro,
+            "experiments": experiments,
+            "determinism": determinism,
         },
     )
 
@@ -112,4 +106,3 @@ def make_payload(
 def write_bench(path: Path | str, payload: dict) -> Path:
     """Write one trajectory point; returns the path written."""
     return write_envelope(path, payload)
-

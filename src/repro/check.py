@@ -100,7 +100,6 @@ def golden_ga(
     load_bps: float = 0.0,
     topology: str = "all",
     interconnect: str = "ethernet",
-    trace: bool = False,
 ) -> IslandGaConfig:
     """The small Global_Read island GA (f1, age 10) behind the ``ga_*`` rows.
 
@@ -111,7 +110,6 @@ def golden_ga(
     machine = replace(
         machine_for(Scale.smoke(), n_demes, seed, load_bps, faults),
         interconnect=interconnect,
-        trace=trace,
     )
     return IslandGaConfig(
         fn=get_function(1),

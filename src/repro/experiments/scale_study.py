@@ -293,13 +293,23 @@ def run_scale_proof(n_demes: int = 4096) -> dict:
         "total_time": result.total_time,
         "messages_sent": result.messages_sent,
         "wall_s": wall_s,
-        "wall_us_per_msg": wall_s / result.messages_sent * 1e6,
+        "wall_us_per_msg": (
+            wall_s / result.messages_sent * 1e6 if result.messages_sent else 0.0
+        ),
     }
+
+
+def _demes(text: str) -> int:
+    """A deme-count flag's type: a machine needs at least one node."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale-proof", type=int, metavar="N",
+        "--scale-proof", type=_demes, metavar="N",
         help="complete an N-deme ring scenario (acceptance: 4096) and exit",
     )
     parser.add_argument(
@@ -310,7 +320,7 @@ def _flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--trace-stream", type=int, metavar="N",
+        "--trace-stream", type=_demes, metavar="N",
         help=(
             "run one traced N-deme ring scenario streaming its trace "
             "straight into a rotating gzip sink at --trace PATH (bounded "
@@ -318,7 +328,7 @@ def _flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--demes", type=int, nargs="+", default=[64, 256], metavar="N",
+        "--demes", type=_demes, nargs="+", default=[64, 256], metavar="N",
         help="deme counts the sweep crosses (default: 64 256)",
     )
     parser.add_argument("--out", metavar="PATH",

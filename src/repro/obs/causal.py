@@ -22,10 +22,11 @@ Three stages, all pure functions of the event list:
    send/recv overheads and message handling carry no events of their
    own, and an application process that is neither computing, blocked
    in ``Global_Read`` nor rolling back is communicating).  Note the
-   current cost model charges rollback *redo* CPU inside the
-   correction-application drain, so rollback spans are zero-width in
-   simulated time: the rollback bucket reports cascade counts and
-   depths, while redo CPU lands in the network/messaging remainder.
+   current cost model charges no simulated time for rollback *redo*
+   (the correction drain charges only batch application and message
+   consumption; ROADMAP item 21), so rollback spans are zero-width in
+   simulated time and the rollback bucket reports cascade counts and
+   depths only.
 3. :func:`critical_path` — walk backward from run completion: a wait
    span whose lineage resolves jumps to the producing write on the
    writer node (the wait *decomposes* into upstream compute + network

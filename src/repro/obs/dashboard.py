@@ -24,7 +24,7 @@ from typing import Iterable
 
 from repro.obs.bus import ObsEvent
 from repro.obs.causal import SpanGraph, build_spans
-from repro.obs.report import fmt, report_dict, tables
+from repro.obs.report import fmt, report_dict, tables, timeline_nodes
 
 #: legend labels of the attribution buckets, in display order
 _BUCKET_LABEL = {
@@ -106,9 +106,9 @@ def _dominant_columns(
     return runs
 
 
-def _timeline_svg(g: SpanGraph, cp: dict) -> str:
-    """Per-node timeline with the critical path overlaid."""
-    nodes, t_end = g.nodes, g.t_end
+def _timeline_svg(g: SpanGraph, cp: dict, nodes: list[int]) -> str:
+    """The timeline of ``nodes`` with the critical path overlaid."""
+    t_end = g.t_end
     if not nodes or t_end <= 0:
         return "<p class='empty'>No node activity in trace.</p>"
     h = len(nodes) * _ROW_H + 34
@@ -237,6 +237,9 @@ def render_dashboard(
     if rep["events_dropped"]:
         subtitle += f" · TRUNCATED CAPTURE: {rep['events_dropped']:,} events dropped"
     cards = "".join(_table_card(*section) for section in tables(rep))
+    nodes = [int(n) for n in timeline_nodes(rep)]
+    if len(nodes) < len(g.nodes):
+        subtitle += f" · timeline: the {len(nodes)} most blocked of {len(g.nodes)} nodes"
     return (
         "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>"
         "<meta name='viewport' content='width=device-width, initial-scale=1'>"
@@ -244,7 +247,7 @@ def render_dashboard(
         f"<body class='viz-root'><div class='wrap'><header><h1>{escape(title)}</h1>"
         f"<p class='sub'>{escape(subtitle)}</p></header>\n"
         "<section class='card'><h2>Per-node timeline</h2>\n"
-        f"{_timeline_svg(g, rep['critical_path'])}{_LEGEND}</section>\n{cards}\n"
+        f"{_timeline_svg(g, rep['critical_path'], nodes)}{_LEGEND}</section>\n{cards}\n"
         "<footer>rendered by repro.obs report --html · trace schema "
         f"docs/observability.md · summary {rep['schema']}</footer></div></body></html>"
     )

@@ -369,14 +369,29 @@ def _pairs(d: dict) -> str:
     return "  ".join(f"{k}:{v}" for k, v in d.items())
 
 
-def _top(per_node: dict[str, dict], weight: str, fold) -> list[tuple[str, dict]]:
+def _top(per_node: dict[str, dict], weight: str, fold, what: str = "nodes") -> list[tuple[str, dict]]:
     """Every row, or past :data:`NODE_ROWS` the heaviest by ``weight`` and the rest folded."""
     items = list(per_node.items())
     if len(items) > NODE_ROWS:
         items.sort(key=lambda item: item[1][weight], reverse=True)
         rest = [row for _, row in items[NODE_ROWS:]]
-        items[NODE_ROWS:] = [(f"{len(rest)} other nodes", fold(rest))]
+        items[NODE_ROWS:] = [(f"{len(rest)} other {what}", fold(rest))]
     return items
+
+
+def timeline_nodes(rep: dict) -> list[str]:
+    """The nodes a timeline draws, in node order: every one, or past
+    :data:`NODE_ROWS` the ones with the most Global_Read blocking."""
+    per_node = rep["attribution"]["per_node"]
+    top = sorted(per_node, key=lambda n: per_node[n]["gr_blocking"], reverse=True)
+    return [n for n in per_node if n in top[:NODE_ROWS]]
+
+
+def _fold_warp(rows: list[dict]) -> dict:
+    """Warp streams as one: summed samples, their weighted mean and the largest max."""
+    n = sum(r["samples"] for r in rows)
+    return {"samples": n, "mean": sum(r["mean"] * r["samples"] for r in rows) / n,
+            "p50": "", "p90": "", "p99": "", "max": max(r["max"] for r in rows)}
 
 
 def _fold_attribution(rows: list[dict]) -> dict[str, float]:
@@ -467,7 +482,8 @@ def tables(rep: dict) -> list[tuple[str, list[str], list[list]]]:
         out.append((
             "Warp per (receiver <- sender) stream (1.0 = stable load)",
             ["stream", *warp_cols],
-            [[name] + [s[c] for c in warp_cols] for name, s in warp["streams"].items()]
+            [[name] + [s[c] for c in warp_cols]
+             for name, s in _top(warp["streams"], "max", _fold_warp, "streams")]
             + [["all"] + [warp["all"][c] for c in warp_cols]],
         ))
     par = rep["parallel"]
@@ -531,13 +547,15 @@ def render_report(
     ]
     strips = rep["timeline"]["per_node"]
     if strips:
+        shown = [n for n in timeline_nodes(rep) if n in strips]
         sections.append("\n".join(
             [
                 f"Per-node timeline  [0 .. {rep['t_end']:.4g}s, {bins} bins; "
                 f"{GLYPH_COMPUTE}=compute {GLYPH_BLOCKED}=blocked(Global_Read) "
                 f"{GLYPH_IDLE}=idle/comm]"
             ]
-            + [f"  node {node:>3} |{strip}|" for node, strip in strips.items()]
+            + [f"  node {node:>3} |{strips[node]}|" for node in shown]
+            + ([f"  … {len(strips) - len(shown)} other nodes"] if len(shown) < len(strips) else [])
         ))
     else:
         sections.append("Per-node timeline: (no node activity events)")

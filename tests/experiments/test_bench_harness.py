@@ -1,6 +1,8 @@
-"""The bench harness: schema, BENCH file naming, timing, micro suite."""
+"""The bench harness: schema, BENCH file naming, timing, the CLI's key set."""
 
 import json
+
+import pytest
 
 from repro.bench.harness import (
     SCHEMA_VERSION,
@@ -49,17 +51,38 @@ def test_payload_schema_and_roundtrip(tmp_path):
 def test_bench_kernel_reports_consistent_rate(monkeypatch):
     monkeypatch.setattr(micro, "KERNEL_WORKERS", 4)
     monkeypatch.setattr(micro, "KERNEL_STEPS", 24)
-    out = bench_kernel(repeat=1)
+    monkeypatch.setattr(micro, "KERNEL_REPEAT", 1)
+    out = bench_kernel()
     assert out["kernel_events"] > 0
     assert out["kernel_events_per_sec"] == out["kernel_events"] / out["kernel_wall_s"]
 
 
-def test_bench_obs_reports_overhead_and_span_rate():
-    from repro.bench.micro import bench_obs
+@pytest.mark.parametrize("ok, status", [(True, 0), (False, 1)], ids=["clean", "mismatch"])
+def test_cli_writes_the_three_measures_and_the_gate(ok, status, tmp_path, monkeypatch):
+    """The stub's contract, with every measure and the gate faked: the
+    written key set, and exit 1 on a mismatching ``run_checks`` row."""
+    import repro.bench.__main__ as cli
 
-    out = bench_obs(repeat=1)
-    assert out["obs_trace_events"] > 0
-    assert out["obs_overhead_ratio"] > 0
-    assert out["obs_span_build_events_per_sec"] == (
-        out["obs_trace_events"] / out["obs_span_build_wall_s"]
-    )
+    rows = {
+        "kernel_trace": {"digest": "a", "golden": "a", "ok": True},
+        "ga_result": {"digest": "b", "golden": "b" if ok else "c", "ok": ok},
+    }
+    monkeypatch.setattr(cli, "bench_kernel", lambda: {
+        "kernel_events": 10.0, "kernel_wall_s": 2.0, "kernel_events_per_sec": 5.0,
+    })
+    monkeypatch.setattr(cli, "run_scale_proof", lambda n: {
+        "wall_s": float(n), "total_time": 0.5,
+    })
+    monkeypatch.setattr(cli, "run_figure3", lambda scale, jobs: [])
+    monkeypatch.setattr(cli, "run_checks", lambda: rows)
+    out = tmp_path / "b.json"
+    assert cli.main(["--scale", "smoke", "--jobs", "1", "--out", str(out)]) == status
+    doc = json.loads(out.read_text())
+    assert doc["schema"] == SCHEMA_VERSION
+    assert doc["micro"] == {
+        "kernel_events": 10.0, "kernel_wall_s": 2.0, "kernel_events_per_sec": 5.0,
+        "fabric.ga_ring_4096_wall_s": 4096.0, "fabric.ga_ring_4096_sim_s": 0.5,
+    }
+    assert list(doc["experiments"]) == ["figure3"]
+    assert set(doc["experiments"]["figure3"]) == {"wall_s"}
+    assert doc["determinism"] == rows

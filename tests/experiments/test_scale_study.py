@@ -62,39 +62,16 @@ class TestSweep:
         assert record["messages_sent"] > 0
         assert record["wall_us_per_msg"] > 0
 
-
-class TestParallelSkipInfo:
-    def test_skip_reason_jobs(self):
-        from repro.bench.suite import parallel_skip_info
-
-        info = parallel_skip_info(1, cpu_count=8)
-        assert info["parallel_speedup"] is None
-        assert info["parallel_skipped"] == "jobs <= 1"
-
-    def test_skip_reason_single_core_host(self):
-        from repro.bench.suite import parallel_skip_info
-
-        info = parallel_skip_info(4, cpu_count=1)
-        assert info["parallel_skipped"] == "single-core host"
-
-    def test_skip_records_fabric_and_lookahead(self):
-        from repro.bench.suite import parallel_skip_info
-        from repro.cluster.machine import MachineConfig
-
-        mcfg = MachineConfig(n_nodes=4, interconnect="switched")
-        info = parallel_skip_info(1, cpu_count=1, mcfg=mcfg)
-        assert info["fabric"] == "switched"
-        assert info["lookahead_s"] == pytest.approx(mcfg.switched.min_latency())
-        # default machine: the ethernet fabric is recorded too
-        default = parallel_skip_info(1, cpu_count=1)
-        assert default["fabric"] == "ethernet"
-        assert default["lookahead_s"] > 0
+    def test_scale_proof_of_one_deme_sends_nothing(self):
+        record = run_scale_proof(1)
+        assert record["messages_sent"] == 0
+        assert record["wall_us_per_msg"] == 0.0
 
 
 def test_per_frame_event_count_is_node_count_independent():
     """The O(1) hot-path structure: one kernel event per delivered frame,
-    whatever the fabric population — the wall-clock version of this check
-    is ``fabric.o1_ratio`` in the bench trajectory."""
+    whatever the fabric population.  The host cost per frame is perfbench's
+    ``host.network.us_per_frame`` on ``ga_switched_1024``."""
     from repro.network.frame import Frame
     from repro.network.switched import SwitchedConfig, SwitchedNetwork
     from repro.sim import Kernel
@@ -158,6 +135,28 @@ class TestTraceStream:
             main(["--trace-stream", "8"])
         assert exc.value.code == 2
         assert "--trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--scale-proof", "0"], "--scale-proof"),
+        (["--scale-proof", "-4"], "--scale-proof"),
+        (["--demes", "8", "0"], "--demes"),
+        (["--trace-stream", "0", "--trace", "t.jsonl.gz"], "--trace-stream"),
+    ],
+    ids=["scale-proof-0", "scale-proof-negative", "demes-0", "trace-stream-0"],
+)
+def test_cli_refuses_deme_counts_below_one(argv, flag, tmp_path, monkeypatch, capsys):
+    from repro.experiments.scale_study import main
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "must be >= 1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

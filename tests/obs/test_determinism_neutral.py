@@ -7,12 +7,16 @@ hooks may observe state changes but never perturb RNG draws, event
 ordering or results.
 """
 
+from dataclasses import replace
+
 from repro.check import GOLDEN, ga_digest, golden_ga
 from repro.ga.island import run_island_ga
 
 
 def test_traced_ga_run_matches_untraced_golden():
-    assert ga_digest(run_island_ga(golden_ga(trace=True))) == GOLDEN["ga_result"]
+    cfg = golden_ga()
+    cfg = replace(cfg, machine=replace(cfg.machine, trace=True))
+    assert ga_digest(run_island_ga(cfg)) == GOLDEN["ga_result"]
 
 
 def test_untraced_digests_still_match_golden(check_report):

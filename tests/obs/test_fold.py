@@ -38,9 +38,12 @@ def _switched_events():
 
 
 def _sharded_events(tmp_path_factory):
+    from dataclasses import replace
+
     from repro.check import golden_ga
 
-    cfg = golden_ga(n_demes=4, seed=11, n_generations=15, load_bps=1e6, trace=True)
+    cfg = golden_ga(n_demes=4, seed=11, n_generations=15, load_bps=1e6)
+    cfg = replace(cfg, machine=replace(cfg.machine, trace=True))
     path = str(tmp_path_factory.mktemp("fold") / "merged.jsonl")
     result = run_island_ga(cfg, shards=2, trace_path=path)
     info = result.metrics["parallel"]

@@ -67,22 +67,30 @@ def test_timeline_strips_from_spans():
 
 
 def test_per_node_tables_fold_past_node_rows():
-    """Past NODE_ROWS nodes a per-node table lists the most-blocked ones
-    and one row of the rest's sums; totals and the JSON keep every node."""
+    """Past NODE_ROWS nodes a per-node table and the timeline list the
+    most-blocked nodes, and the warp table the streams of highest max warp,
+    each with one row for the rest; totals and the JSON keep every one."""
     from repro.obs.bus import ObsEvent
+    from repro.obs.dashboard import render_dashboard
     from repro.obs.report import NODE_ROWS, tables
 
     n = NODE_ROWS + 4
     events = []
     for node in range(n):
         waited = 0.25 * (node + 1)
+        src = (node + 1) % n
         events += [
             ObsEvent(0.0, "node.compute", node, {"cost": 1.0, "op": "evolve"}),
             ObsEvent(1.0, "gr.block", node, {"locn": "x", "curr_iter": 1, "age": 0}),
             ObsEvent(1.0 + waited, "gr.unblock", node, {"locn": "x", "waited": waited}),
+            # one warp sample per stream: (arrival gap) / (send gap) = 1 + node/8
+            ObsEvent(0.5, "net.deliver", node, {"frame_kind": "pvm", "src": src, "enq": 0.0}),
+            ObsEvent(1.5 + node / 8, "net.deliver", node,
+                     {"frame_kind": "pvm", "src": src, "enq": 1.0}),
         ]
     rep = report_dict(events)
     assert len(rep["blocking"]["per_node"]) == len(rep["attribution"]["per_node"]) == n
+    assert len(rep["warp"]["streams"]) == len(rep["timeline"]["per_node"]) == n
     sections = {title.split(" (")[0]: rows for title, _, rows in tables(rep)}
     heaviest = [str(node) for node in range(n - 1, 3, -1)]
     blocking = sections["Blocking summary"]
@@ -93,7 +101,21 @@ def test_per_node_tables_fold_past_node_rows():
     attribution = sections["Wall-time attribution per node"]
     assert [r[0] for r in attribution] == heaviest + ["4 other nodes", "all"]
     assert attribution[-2][2] == 2.5  # their Global_Read blocking, summed
-    assert "4 other nodes" in render_report(events)
+    warp = sections["Warp per"]
+    assert [r[0] for r in warp] == [
+        f"{node}<-{(node + 1) % n}" for node in range(n - 1, 3, -1)
+    ] + ["4 other streams", "all"]
+    # samples, weighted mean, blank percentiles, max of the maxima
+    assert warp[-2][1:] == [4, pytest.approx(1 + 1.5 / 8), "", "", "", 1 + 3 / 8]
+    assert warp[-1][1] == n
+    text = render_report(events)
+    strips = [ln.split("|")[0].split()[1] for ln in text.splitlines()
+              if ln.startswith("  node ")]
+    assert strips == [str(node) for node in range(4, n)]
+    assert "  … 4 other nodes" in text
+    html = render_dashboard(events)
+    drawn = [node for node in range(n) if f">node {node}</text>" in html]
+    assert drawn == list(range(4, n))
 
 
 def test_warp_table_matches_meter(ga_run):

@@ -59,10 +59,10 @@ def _traced(name: str, directory) -> tuple:
         cfg = replace(cfg, machine=replace(cfg.machine, trace=True))
         bus = _bus(run_parallel_logic_sampling, cfg)
     elif name == "ga-gzip-sink":
-        cfg = golden_ga(n_demes=4, n_generations=10, load_bps=1e6, trace=True)
+        cfg = golden_ga(n_demes=4, n_generations=10, load_bps=1e6)
         sink = str(directory / "trace.jsonl.gz")
         cfg = replace(cfg, machine=replace(
-            cfg.machine, trace_sink=sink, trace_flush_every=128,
+            cfg.machine, trace=True, trace_sink=sink, trace_flush_every=128,
         ))
         bus = _bus(run_island_ga, cfg)
         digest = bus.digest()
@@ -70,9 +70,8 @@ def _traced(name: str, directory) -> tuple:
         with gzip.open(sink, "rb") as fh:
             return sink, digest, fh.read()
     else:
-        bus = _bus(run_island_ga, golden_ga(
-            n_demes=16, n_generations=6, load_bps=1e6, trace=True,
-        ))
+        cfg = golden_ga(n_demes=16, n_generations=6, load_bps=1e6)
+        bus = _bus(run_island_ga, replace(cfg, machine=replace(cfg.machine, trace=True)))
     path = directory / "trace.jsonl"
     digest = bus.digest()
     bus.write_jsonl(path)
