@@ -31,7 +31,9 @@ rests on:
   reports (off by default; determinism-neutral when on).
 * :mod:`repro.analysis` — determinism lint and the happens-before race
   classifier behind the paper's race-tolerance argument.
-* :mod:`repro.bench` — the performance trajectory.
+* :mod:`repro.bench` — the three host-time numbers perfbench does not
+  measure yet: the bare-kernel loop, the 4,096-deme ring and the
+  figure-3 wall.
 * :mod:`repro.check` — the golden table of determinism digests CI pins
   every run against, and the one checker that reruns it.
 """

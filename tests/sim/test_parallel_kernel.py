@@ -184,9 +184,8 @@ def test_single_deme_falls_back_to_serial():
 def test_traced_sharded_run_merges_and_validates(golden_island, tmp_path):
     from repro.obs.schema import validate_trace
 
-    cfg = golden_island(
-        n_demes=4, seed=11, n_generations=15, load_bps=1e6, trace=True
-    )
+    cfg = golden_island(n_demes=4, seed=11, n_generations=15, load_bps=1e6)
+    cfg = replace(cfg, machine=replace(cfg.machine, trace=True))
     serial = run_island_ga(cfg)
     trace_path = str(tmp_path / "merged.jsonl")
     sharded = run_island_ga(cfg, shards=2, trace_path=trace_path)
