@@ -184,7 +184,7 @@ def run_parallel_logic_sampling(
     cut = _edge_cut(skeleton, owner)
     defaults = net.default_values(seed=cfg.seed)
     states = [
-        ProcessorState(net, owner, p, defaults, obs=machine.kernel.obs)
+        ProcessorState(net, owner, p, defaults, cfg.query, obs=machine.kernel.obs)
         for p in range(cfg.n_procs)
     ]
     oracle = GvtOracle(cfg.n_procs)
@@ -252,16 +252,19 @@ def run_parallel_logic_sampling(
     def processor(p: int):
         st = states[p]
         # the sampling plan grouped by stage: the (writer, stage)
-        # publications to fetch first, the plan entries to sample, and the
+        # publications to fetch first, the stage's own-node count (its
+        # draws and its charge), the plan over its nodes, and the
         # interface nodes to publish after
-        stages = [
-            (
-                [ws for ws in sorted(sync_needs[p]) if ws[1] == s - 1],
-                [e for e in st.plan if stage[e[0]] == s],
-                sync_pubs[p].get(s),
-            )
-            for s in range(max((stage[v] for v in st.own_nodes), default=0) + 1)
-        ] if sync else []
+        stages = []
+        if sync:
+            for s in range(max((stage[v] for v in st.own_nodes), default=0) + 1):
+                in_stage = [v for v in st.own_nodes if stage[v] == s]
+                stages.append((
+                    [ws for ws in sorted(sync_needs[p]) if ws[1] == s - 1],
+                    len(in_stage),
+                    st.plan_for(in_stage),
+                    sync_pubs[p].get(s),
+                ))
 
         def proc(node, task):
             rng = np.random.default_rng(
@@ -334,21 +337,21 @@ def run_parallel_logic_sampling(
                 """One lock-step run: staged exchange, actual values only."""
                 yield from task.barrier(range(cfg.n_procs))
                 vals = [None] * st.n_nodes
-                for s, (fetch, entries, pubs) in enumerate(stages):
+                for s, (fetch, n_draws, entries, pubs) in enumerate(stages):
                     for w, ws in fetch:
                         copy = yield from dnode.global_read(f"ifr.{w}.{ws}", t, 0)
                         _, arrived = copy.value
                         for u, val in zip(sync_pubs[w][ws], arrived):
                             vals[u] = int(val)
-                    if entries:
-                        us = rng.random(len(entries)).tolist()
-                        for (v, rows, parents, _), draw in zip(entries, us):
+                    if n_draws:
+                        us = rng.random(n_draws).tolist()
+                        for j, v, rows, parents, _ in entries:
                             for u in parents:
                                 rows = rows[vals[u]]
-                            vals[v] = bisect_right(rows, draw)
+                            vals[v] = bisect_right(rows, us[j])
                         yield Compute(
                             node.cost(
-                                costs.SAMPLE_PER_NODE * len(entries),
+                                costs.SAMPLE_PER_NODE * n_draws,
                                 label="sample",
                             )
                         )

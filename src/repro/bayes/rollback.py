@@ -144,6 +144,7 @@ class ProcessorState:
         owner: dict[int, int],
         proc: int,
         defaults: dict[int, int],
+        query: int,
         obs=None,
     ) -> None:
         self.net = net
@@ -174,28 +175,24 @@ class ProcessorState:
         )
         #: procs we depend on
         self.writers = sorted(set(self.remote_parents.values()))
-        #: the compiled sampling plan, one entry per own node in
-        #: topological order: ``(node, cumulative CPT rows, parents,
-        #: is_interface)``.  A sampler walks ``rows`` by the value each
-        #: parent has in the run's list — own samples and believed remote
-        #: inputs alike — and bisects the draw; the loop is inlined at its
-        #: three sites (here twice, ``parallel.sync_iteration``) because
-        #: a call per node is the overhead the plan exists to remove.
-        self.plan = [
-            (
-                v,
-                net.cum_rows[v],
-                net.nodes[v].parents,
-                v in self.interface_nodes,
-            )
-            for v in self.own_nodes
-        ]
-        #: per remote parent, the plan entries of its descendants within
-        #: our partition (the rollback recompute set)
-        self.affected_plan: dict[int, list[tuple]] = {}
+        #: own nodes whose value something reads: the query (the
+        #: estimator), the interface nodes (published), and every own
+        #: parent of a live own node — one reverse-topological pass
+        live = {query, *self.interface_nodes}
+        for v in reversed(self.own_nodes):
+            if v in live:
+                live.update(u for u in net.nodes[v].parents if owner[u] == proc)
+        self.live = live.intersection(self.own_nodes)
+        #: the compiled sampling plan of a run (see :meth:`plan_for`)
+        self.plan = self.plan_for(self.own_nodes)
+        #: per remote parent, ``(depth, plan)``: ``depth`` own nodes
+        #: descend from it (the rollback recompute set, one draw each) and
+        #: ``plan`` samples the live ones among them
+        self.affected_plan: dict[int, tuple[int, list[tuple]]] = {}
         for u in self.remote_parents:
             desc = net.descendants(u)
-            self.affected_plan[u] = [e for e in self.plan if e[0] in desc]
+            affected = [v for v in self.own_nodes if v in desc]
+            self.affected_plan[u] = (len(affected), self.plan_for(affected))
 
         # optimistic state: every table is keyed by run first, so
         # collect() drops a run with one pop per table
@@ -220,9 +217,33 @@ class ProcessorState:
         #: the machine's repro.obs trace bus (None = tracing off)
         self.obs = obs
 
+    def plan_for(self, nodes: list[int]) -> list[tuple]:
+        """The compiled sampling plan over ``nodes`` (own nodes in
+        topological order): one entry per *live* node, ``(i, node,
+        cumulative CPT rows, parents, is_interface)``, where ``i`` is the
+        node's draw position — its index in ``nodes``.
+
+        A sampler draws ``len(nodes)`` uniforms and each entry bisects
+        draw ``i``, so skipping the dead nodes leaves the random stream,
+        and every live value, as if every node were sampled; a dead
+        node's slot in the run's list stays ``None``, so a reader of one
+        fails loudly.  The sampler walks ``rows`` by the value each parent
+        has in the run's list — own samples and believed remote inputs
+        alike — and bisects its draw; the loop is inlined at its three
+        sites (here twice, ``parallel.sync_iteration``) because a call per
+        node is the overhead the plan exists to remove.
+        """
+        net = self.net
+        return [
+            (i, v, net.cum_rows[v], net.nodes[v].parents, v in self.interface_nodes)
+            for i, v in enumerate(nodes)
+            if v in self.live
+        ]
+
     # ------------------------------------------------------------------
     def sample_iteration(self, t: int, rng: np.random.Generator, oracle: GvtOracle) -> None:
-        """Sample all own nodes for run ``t`` (optimistically).
+        """Sample run ``t`` (optimistically): one draw per own node, a
+        value for each live one.
 
         Each remote parent takes its actual if one has arrived, else its
         default, which opens a gamble on ``(u, t)``: the run is sampled
@@ -243,11 +264,11 @@ class ProcessorState:
         if opened is not None:
             self.stats.gambles += len(opened)
             oracle.pending_gambles[self.proc][t] = len(opened)
-        us = rng.random(len(self.plan)).tolist()
-        for (v, rows, parents, _), draw in zip(self.plan, us):
+        us = rng.random(len(self.own_nodes)).tolist()
+        for i, v, rows, parents, _ in self.plan:
             for p in parents:
                 rows = rows[vals[p]]
-            vals[v] = bisect_right(rows, draw)
+            vals[v] = bisect_right(rows, us[i])
         self.own_values[t] = vals
         oracle.sampled(self.proc, t)
 
@@ -340,13 +361,13 @@ class ProcessorState:
         cause: str = "actual",
         version: int = 0,
     ) -> list[tuple[int, int, int, int]]:
-        """Resample the descendants of ``u`` for run ``t``; diff publications."""
+        """Resample the descendants of ``u`` for run ``t`` (one draw each,
+        a value for each live one); diff publications."""
         vals = self.own_values.get(t)
         if vals is None:
             return []  # not sampled yet; the stored actual will be used
         vals[u] = self.remote_values[t][u]
-        affected = self.affected_plan[u]
-        depth = len(affected)
+        depth, affected = self.affected_plan[u]
         stats = self.stats
         stats.nodes_resampled += depth
         stats.depth_histogram[depth] = stats.depth_histogram.get(depth, 0) + 1
@@ -361,10 +382,10 @@ class ProcessorState:
         published = t <= self.published_upto
         sent = None
         us = rng.random(depth).tolist()
-        for (v, rows, parents, is_iface), draw in zip(affected, us):
+        for j, v, rows, parents, is_iface in affected:
             for p in parents:
                 rows = rows[vals[p]]
-            new = bisect_right(rows, draw)
+            new = bisect_right(rows, us[j])
             if new != vals[v]:
                 vals[v] = new
                 if is_iface and published:

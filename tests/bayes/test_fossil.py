@@ -117,7 +117,7 @@ class TestCollect:
     def make_state(self):
         net = make_random_network(16, 22, seed=1, name="small")
         owner = {v: v % 2 for v in net.nodes}
-        st = ProcessorState(net, owner, 1, net.default_values(seed=0))
+        st = ProcessorState(net, owner, 1, net.default_values(seed=0), max(net.nodes))
         oracle = GvtOracle(2)
         rng = np.random.default_rng(0)
         u = min(st.remote_parents)

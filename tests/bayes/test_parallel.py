@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.bayes import make_hailfinder, make_random_network, make_table2_network
-from repro.bayes import parallel
 from repro.bayes.parallel import ParallelLsConfig, run_parallel_logic_sampling
 from repro.bayes.logic_sampling import run_serial_logic_sampling
 from repro.bayes.rollback import GvtOracle, ProcessorState, RollbackStats
 from repro.core.coherence import CoherenceMode
-from tests.bayes.oracles import sample_node_scalar
+from tests.bayes.oracles import StraightLineState, live_nodes, run_recorded
 
 
 def small_net(seed=1):
@@ -75,109 +74,6 @@ class TestCorrectness:
         assert r.committed_runs == pytest.approx(serial.n_runs, rel=0.25)
 
 
-def run_recorded(monkeypatch, state_cls, net, mode, n_procs=2, age=10,
-                 max_iterations=300):
-    """Run with ``state_cls`` standing in for ``ProcessorState``; returns
-    the result, the per-processor states (each with the corrections its
-    rollbacks ``emitted``, in order, and in ``runs`` every run's values,
-    whether fossil-collected or still held) and the GVT oracle."""
-    states, oracles = [], []
-
-    class Recorded(state_cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.emitted = []
-            self.collected = {}
-            states.append(self)
-
-        def collect(self, bound):
-            for t in range(self.collected_upto + 1, bound + 1):
-                if t in self.own_values:
-                    self.collected[t] = self.own_values[t]
-            super().collect(bound)
-
-        @property
-        def runs(self):
-            return {**self.collected, **self.own_values}
-
-        def _recompute(self, *args, **kwargs):
-            out = super()._recompute(*args, **kwargs)
-            self.emitted.append(out)
-            return out
-
-    class RecordedOracle(GvtOracle):
-        def __init__(self, n_procs):
-            super().__init__(n_procs)
-            oracles.append(self)
-
-    monkeypatch.setattr(parallel, "ProcessorState", Recorded)
-    monkeypatch.setattr(parallel, "GvtOracle", RecordedOracle)
-    result = run_parallel_logic_sampling(
-        ParallelLsConfig(
-            net=net, query=max(net.nodes), n_procs=n_procs, mode=mode, age=age,
-            seed=3, max_iterations=max_iterations,
-        )
-    )
-    return result, states, oracles[0]
-
-
-class StraightLineState(ProcessorState):
-    """The sampler written node by node against ``sample_node_scalar``:
-    the reference the compiled plan must reproduce draw for draw."""
-
-    def input_value(self, u, t, oracle):
-        """The actual if it arrived, else the default, opening a gamble
-        (counted here and in the oracle) at most once per ``(u, t)``."""
-        val = self.remote_values.get(t, {}).get(u)
-        if val is not None:
-            return val
-        g = self.gambles.setdefault(t, {})
-        if u not in g:
-            g[u] = self.defaults[u]
-            self.stats.gambles += 1
-            pending = oracle.pending_gambles[self.proc]
-            pending[t] = pending.get(t, 0) + 1
-        return g[u]
-
-    def _parent_values(self, v, vals, t, oracle):
-        return tuple(
-            self.input_value(u, t, oracle) if u in self.remote_parents else vals[u]
-            for u in self.net.nodes[v].parents
-        )
-
-    def sample_iteration(self, t, rng, oracle):
-        vals = {}
-        us = rng.random(len(self.own_nodes))
-        for i, v in enumerate(self.own_nodes):
-            pv = self._parent_values(v, vals, t, oracle)
-            vals[v] = sample_node_scalar(self.net, v, pv, us[i])
-        self.own_values[t] = vals
-        oracle.sampled(self.proc, t)
-
-    def _recompute(self, u, t, rng, oracle, cause="actual", version=0):
-        vals = self.own_values.get(t)
-        if vals is None:
-            return []
-        desc = self.net.descendants(u)
-        affected = [v for v in self.own_nodes if v in desc]
-        self.stats.nodes_resampled += len(affected)
-        depths = self.stats.depth_histogram
-        depths[len(affected)] = depths.get(len(affected), 0) + 1
-        changed = []
-        us = rng.random(len(affected))
-        for i, v in enumerate(affected):
-            pv = self._parent_values(v, vals, t, oracle)
-            new = sample_node_scalar(self.net, v, pv, us[i])
-            if new != vals[v]:
-                vals[v] = new
-                if v in self.interface_nodes and t <= self.published_upto:
-                    sent = self.sent_versions.setdefault(t, {})
-                    ver = sent[v] = sent.get(v, 0) + 1
-                    changed.append((v, t, new, ver))
-        self.stats.corrections_sent += len(changed)
-        return changed
-
-
 OPTIMISTIC = [
     (CoherenceMode.NON_STRICT, 2),
     (CoherenceMode.NON_STRICT, 3),
@@ -195,14 +91,21 @@ class TestCompiledPlan:
         assert got.rollback.rollbacks > 0 and got.rollback.corrections_sent > 0
         assert got.iterations_sampled == ref.iterations_sampled == [300] * n_procs
         assert got.messages_sent == ref.messages_sent
+        assert any(len(st.plan) < len(st.own_nodes) for st in got_states)
         for st, ref_st in zip(got_states, ref_states, strict=True):
-            # a run's list also carries its believed remote inputs
-            assert st.collected and st.own_values
+            # the plan samples only the live nodes, the reference every
+            # own node: they agree on the live ones, and a dead slot stays
+            # empty (a run's list also carries its believed remote inputs)
+            live = live_nodes(st, max(net.nodes))
+            dead = set(st.own_nodes) - live
+            assert st.collected and st.own_values and live
             assert {
-                t: {v: vals[v] for v in st.own_nodes}
-                for t, vals in st.runs.items()
-            } == ref_st.runs
-            assert st.runs.keys() == set(range(1, 301))
+                t: {v: vals[v] for v in live} for t, vals in st.runs.items()
+            } == {
+                t: {v: vals[v] for v in live} for t, vals in ref_st.runs.items()
+            }
+            assert all(vals[v] is None for vals in st.runs.values() for v in dead)
+            assert st.runs.keys() == ref_st.runs.keys() == set(range(1, 301))
             assert dataclasses.asdict(st.stats) == dataclasses.asdict(ref_st.stats)
             assert st.emitted == ref_st.emitted
             assert st.gambles == ref_st.gambles
@@ -284,6 +187,29 @@ class TestValidation:
         assert r.converged
         assert r.rollback.gambles == 0  # no remote parents at all
         assert r.edge_cut == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "processor 0 owns one node and samples its 2,000 runs before its "
+            "writer's values arrive; its process then exits and never drains "
+            "them, so 1,961 gambles stay open and the floor stops at run 39 "
+            "(ROADMAP item 11)"
+        ),
+    )
+    def test_a_processor_that_finishes_first_still_resolves_its_gambles(self):
+        """No fault plan, yet the run returns unconverged and raises
+        nothing: a processor that ends its runs early must keep folding
+        its inputs until the floor passes them."""
+        net = make_random_network(6, 6, seed=1)
+        r = run_parallel_logic_sampling(
+            ParallelLsConfig(
+                net=net, query=max(net.nodes), n_procs=3,
+                mode=CoherenceMode.ASYNCHRONOUS, precision=0.05, max_iterations=2000,
+            )
+        )
+        assert r.converged
 
 
 class TestOracle:

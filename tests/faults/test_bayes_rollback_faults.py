@@ -62,7 +62,7 @@ def test_oracle_floor_stays_conservative_under_duplicates():
 def make_state():
     net = make_random_network(16, 22, seed=1, name="small")
     owner = {v: v % 2 for v in net.nodes}
-    st = ProcessorState(net, owner, 1, net.default_values(seed=0))
+    st = ProcessorState(net, owner, 1, net.default_values(seed=0), max(net.nodes))
     assert st.remote_parents, "partition must leave proc 1 with remote inputs"
     return net, st
 
